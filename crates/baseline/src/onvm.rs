@@ -98,7 +98,7 @@ impl OnvmPipeline {
         let mut report_packets = Vec::new();
         let started = Instant::now();
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let stop_ref = &stop;
             let dropped_ref = &dropped;
             let delivered_ref = &delivered;
@@ -106,7 +106,7 @@ impl OnvmPipeline {
             // The centralized switch: serializes ALL hops. Moves its ring
             // endpoints in: a ring half is single-owner (`!Sync`) since
             // the consumer/producer index caches landed.
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let push = |msg: OnvmMsg, tx: &ring::Producer<OnvmMsg>| {
                     ring::push_blocking(tx, msg);
                 };
@@ -145,7 +145,7 @@ impl OnvmPipeline {
             for (i, mut nf) in nfs.into_iter().enumerate() {
                 let rx = to_nf_rx[i].take().expect("rx taken once");
                 let tx = from_nf_tx[i].take().expect("tx taken once");
-                nf_handles.push(scope.spawn(move |_| {
+                nf_handles.push(scope.spawn(move || {
                     loop {
                         match rx.pop() {
                             Some(mut msg) => {
@@ -173,7 +173,7 @@ impl OnvmPipeline {
             }
 
             // Collector.
-            let collector = scope.spawn(move |_| {
+            let collector = scope.spawn(move || {
                 let mut outputs = Vec::new();
                 loop {
                     match out_rx.pop() {
@@ -230,8 +230,7 @@ impl OnvmPipeline {
             for h in nf_handles {
                 self.nfs.push(h.join().expect("nf thread"));
             }
-        })
-        .expect("onvm scope");
+        });
 
         OnvmReport {
             injected: injected_total,

@@ -153,12 +153,8 @@ fn bench_stage_pass(c: &mut Criterion) {
     use nfp_dataplane::stats::StageStats;
     use nfp_orchestrator::Stage;
 
-    // The refactor's core claim in miniature: pushing a 32-packet burst
-    // through a stage in one pass (one stats update, one timestamp pair)
-    // vs the pre-refactor per-packet pass (32 of each).
-    // Packets cycle pool → collect → back into the pool each iteration,
-    // so both variants pay the same insert cost and differ only in the
-    // per-item vs per-burst collect path.
+    // The collector's per-message step over a 32-packet burst. Packets
+    // cycle pool → collect → back into the pool each iteration.
     let pool = PacketPool::new(64);
     let stats = StageStats::new();
     let mut pkts = fixed_traffic(32, 200);
@@ -170,14 +166,6 @@ fn bench_stage_pass(c: &mut Criterion) {
             for msg in msgs.drain(..) {
                 out.push(collector::collect(black_box(msg), &pool, &stats));
             }
-            pkts.append(&mut out);
-        })
-    });
-    c.bench_function("collector_pass_32_burst", |b| {
-        b.iter(|| {
-            msgs.extend(pkts.drain(..).map(|p| Msg::plain(pool.insert(p).unwrap())));
-            collector::collect_burst(black_box(&msgs), &pool, &stats, &mut out);
-            msgs.clear();
             pkts.append(&mut out);
         })
     });

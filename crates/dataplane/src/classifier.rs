@@ -103,18 +103,9 @@ pub enum AdmitError {
     ActionFailed,
 }
 
-/// Outcome of one [`Classifier::admit_burst`] pass.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct AdmitBatch {
-    /// Packets admitted into their graph this pass.
-    pub admitted: u64,
-    /// Packets terminally rejected (unparseable, unmatched, or failed
-    /// entry actions) and consumed this pass.
-    pub rejected: u64,
-    /// The pass stopped early on pool exhaustion; the stalled packet is
-    /// still at the front of the pending queue for retry.
-    pub stalled: bool,
-}
+/// A refused admission: why, and — for pool backpressure only — the packet
+/// itself, for the caller to retry.
+pub type Refusal = (AdmitError, Option<Box<Packet>>);
 
 /// The classifier: first-match CT lookup, metadata tagging, entry-action
 /// launch.
@@ -191,6 +182,7 @@ impl Classifier {
         stats: &StageStats,
     ) -> Result<Arc<GraphTables>, AdmitError> {
         self.admit_observed(pkt, pool, sink, stats, None)
+            .map_err(|(e, _)| e)
     }
 
     /// [`Classifier::admit`] with telemetry: times the admission into the
@@ -198,73 +190,23 @@ impl Classifier {
     /// [`trace_every`](crate::telemetry::TelemetryConfig::trace_every)-th
     /// packet `traced` (by PID, so pool-backpressure retries sample the
     /// same packets) and records its first trace hop.
-    pub fn admit_observed(
-        &mut self,
-        pkt: Packet,
-        pool: &PacketPool,
-        sink: &mut impl Deliver,
-        stats: &StageStats,
-        tele: Option<&Telemetry>,
-    ) -> Result<Arc<GraphTables>, AdmitError> {
-        let t0 = tele.and_then(|t| t.clock());
-        let res = self.admit_inner(pkt, pool, sink, stats, tele);
-        if res.is_ok() {
-            if let Some(t) = tele {
-                t.record(Stage::Classifier, t0);
-            }
-        }
-        res
-    }
-
-    /// Burst admission: admit packets from the front of `pending` until
-    /// it drains or the pool backpressures, with the telemetry clock
-    /// amortized to one pair per burst ([`Telemetry::record_split`] keeps
-    /// the histogram count at exactly one per admitted packet).
     ///
-    /// On pool exhaustion the stalled packet stays at the front of
-    /// `pending` — FIFO admission order (and therefore dense PID
-    /// numbering) is preserved across retries. Terminally rejected
-    /// packets are consumed and counted in the returned batch.
-    pub fn admit_burst(
-        &mut self,
-        pending: &mut std::collections::VecDeque<Packet>,
-        pool: &PacketPool,
-        sink: &mut impl Deliver,
-        stats: &StageStats,
-        tele: Option<&Telemetry>,
-    ) -> AdmitBatch {
-        let t0 = tele.and_then(|t| t.clock());
-        let mut out = AdmitBatch::default();
-        while let Some(pkt) = pending.front() {
-            match self.admit_inner(pkt.clone(), pool, sink, stats, tele) {
-                Ok(_) => {
-                    pending.pop_front();
-                    out.admitted += 1;
-                }
-                Err(AdmitError::PoolExhausted) => {
-                    out.stalled = true;
-                    break;
-                }
-                Err(_) => {
-                    pending.pop_front();
-                    out.rejected += 1;
-                }
-            }
-        }
-        if let Some(t) = tele {
-            t.record_split(Stage::Classifier, t0, out.admitted);
-        }
-        out
-    }
-
-    fn admit_inner(
+    /// A refusal for [`AdmitError::PoolExhausted`] — the one cause worth
+    /// retrying — hands the packet back, so the caller can re-offer it
+    /// once downstream drains without having kept a copy (boxed: the
+    /// allocation is paid on the backpressure path only, and the error
+    /// stays two words on the admission path). FIFO admission order (and
+    /// therefore dense PID numbering) is preserved across retries because
+    /// the PID only advances on success.
+    pub fn admit_observed(
         &mut self,
         mut pkt: Packet,
         pool: &PacketPool,
         sink: &mut impl Deliver,
         stats: &StageStats,
         tele: Option<&Telemetry>,
-    ) -> Result<Arc<GraphTables>, AdmitError> {
+    ) -> Result<Arc<GraphTables>, Refusal> {
+        let t0 = tele.and_then(|t| t.clock());
         if let Err(e) = pkt.parse() {
             // Hostile framing is rejected with its own cause so soak runs
             // can distinguish malformed-input pressure from policy
@@ -273,12 +215,13 @@ impl Classifier {
             self.rejected += 1;
             stats.note_in(1);
             stats.note_drop(DropCause::AdmitMalformed);
-            return Err(match e {
+            let why = match e {
                 nfp_packet::PacketError::Truncated { .. } => AdmitError::Truncated,
                 _ => AdmitError::Unparseable,
-            });
+            };
+            return Err((why, None));
         }
-        if let Some(handle) = self.handle.as_ref().map(Arc::clone) {
+        let res = if let Some(handle) = self.handle.as_ref().map(Arc::clone) {
             // Pin the current epoch for the packet's whole lifetime. Any
             // admission failure aborts the pin — the caller either drops
             // the packet (already counted at this stage) or retries, and
@@ -296,20 +239,27 @@ impl Classifier {
             if res.is_err() {
                 handle.abort(&pinned);
             }
-            return res;
-        }
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.matcher.matches(&pkt))
-            .cloned();
-        let Some(entry) = entry else {
-            self.rejected += 1;
-            stats.note_in(1);
-            stats.note_drop(DropCause::AdmitRejected);
-            return Err(AdmitError::NoMatch);
+            res
+        } else {
+            let entry = self
+                .entries
+                .iter()
+                .find(|e| e.matcher.matches(&pkt))
+                .cloned();
+            let Some(entry) = entry else {
+                self.rejected += 1;
+                stats.note_in(1);
+                stats.note_drop(DropCause::AdmitRejected);
+                return Err((AdmitError::NoMatch, None));
+            };
+            self.admit_tables(pkt, pool, sink, stats, entry.tables, 0, tele)
         };
-        self.admit_tables(pkt, pool, sink, stats, entry.tables, 0, tele)
+        if res.is_ok() {
+            if let Some(t) = tele {
+                t.record(Stage::Classifier, t0);
+            }
+        }
+        res
     }
 
     /// Shared tail of admission: tag metadata, pool the packet, launch
@@ -324,7 +274,7 @@ impl Classifier {
         tables: Arc<GraphTables>,
         epoch: u64,
         tele: Option<&Telemetry>,
-    ) -> Result<Arc<GraphTables>, AdmitError> {
+    ) -> Result<Arc<GraphTables>, Refusal> {
         // The PID only advances on success, so retried packets (pool
         // backpressure) keep a dense injection-order numbering.
         let pid = self.next_pid;
@@ -348,11 +298,11 @@ impl Classifier {
         pkt.set_meta(meta);
         let r = match pool.insert(pkt) {
             Ok(r) => r,
-            Err(_) => {
+            Err(back) => {
                 // The caller retries this packet, so it is not counted as
                 // "in" yet — only the stall is recorded.
                 stats.note_backpressure();
-                return Err(AdmitError::PoolExhausted);
+                return Err((AdmitError::PoolExhausted, Some(Box::new(back))));
             }
         };
         // The first hop is recorded before entry actions run: a sink may
@@ -377,11 +327,13 @@ impl Classifier {
             Err(actions::ActionError::PoolExhausted) => {
                 // Entry copies ran out of slots. Generated entry actions
                 // always order copies before distributes, so nothing has
-                // been delivered yet: roll back every reference we still
-                // own and let the caller retry once downstream drains.
-                for owned in versions.refs() {
+                // been delivered yet: roll back every copy we still own,
+                // take the original back out and let the caller retry
+                // once downstream drains.
+                for owned in versions.refs().filter(|&owned| owned != r) {
                     pool.release(owned);
                 }
+                let back = pool.take(r);
                 if traced {
                     if let Some(t) = tele {
                         // The retry will re-record the classifier hop.
@@ -389,7 +341,7 @@ impl Classifier {
                     }
                 }
                 stats.note_backpressure();
-                Err(AdmitError::PoolExhausted)
+                Err((AdmitError::PoolExhausted, Some(Box::new(back))))
             }
             Err(_) => {
                 // Release what we still own; copies already delivered are
@@ -399,7 +351,7 @@ impl Classifier {
                 self.rejected += 1;
                 stats.note_in(1);
                 stats.note_drop(DropCause::AdmitRejected);
-                Err(AdmitError::ActionFailed)
+                Err((AdmitError::ActionFailed, None))
             }
         }
     }

@@ -105,36 +105,6 @@ impl AgentCore {
         stats: &StageStats,
     ) -> usize {
         stats.note_in(1);
-        let pick = self.route_inner(msg, pool, resolver, stats);
-        stats.note_out(1);
-        pick
-    }
-
-    /// Burst form of [`AgentCore::route`]: route every message of the
-    /// slice, pushing each one's merger instance index onto `picks` (in
-    /// order), with the in/out stat updates amortized to once per burst.
-    pub fn route_burst(
-        &mut self,
-        msgs: &mut [Msg],
-        pool: &PacketPool,
-        resolver: &mut TablesResolver,
-        stats: &StageStats,
-        picks: &mut Vec<usize>,
-    ) {
-        stats.note_in(msgs.len() as u64);
-        for msg in msgs.iter_mut() {
-            picks.push(self.route_inner(msg, pool, resolver, stats));
-        }
-        stats.note_out(msgs.len() as u64);
-    }
-
-    fn route_inner(
-        &mut self,
-        msg: &mut Msg,
-        pool: &PacketPool,
-        resolver: &mut TablesResolver,
-        stats: &StageStats,
-    ) -> usize {
         let (mid, pid, epoch) = pool.with(msg.r, |p| {
             (p.meta().mid(), p.meta().pid(), p.meta().epoch())
         });
@@ -154,6 +124,7 @@ impl AgentCore {
         if entry.1 >= total {
             st.by_pid.remove(&pid);
         }
+        stats.note_out(1);
         merger::agent_pick(pid, self.instances)
     }
 

@@ -20,16 +20,3 @@ pub fn collect(msg: Msg, pool: &PacketPool, stats: &StageStats) -> Packet {
     stats.note_out(1);
     pkt
 }
-
-/// Burst form of [`collect`]: take and finalize every message of the
-/// slice, appending the packets to `out` in order, with the in/out stat
-/// updates amortized to once per burst.
-pub fn collect_burst(msgs: &[Msg], pool: &PacketPool, stats: &StageStats, out: &mut Vec<Packet>) {
-    stats.note_in(msgs.len() as u64);
-    for &msg in msgs {
-        let mut pkt = pool.take(msg.r);
-        pkt.finalize_checksums().ok();
-        out.push(pkt);
-    }
-    stats.note_out(msgs.len() as u64);
-}

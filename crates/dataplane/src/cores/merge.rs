@@ -55,38 +55,6 @@ impl MergerCore {
         now: u64,
     ) -> Option<Outcome> {
         stats.note_in(1);
-        self.offer_inner(msg, pool, resolver, stats, now)
-    }
-
-    /// Burst form of [`MergerCore::offer`]: offer every message of the
-    /// slice under one clock value, appending completed merges to
-    /// `outcomes`, with the arrival stat update amortized to once per
-    /// burst.
-    pub fn offer_burst(
-        &mut self,
-        msgs: &[Msg],
-        pool: &PacketPool,
-        resolver: &mut TablesResolver,
-        stats: &StageStats,
-        now: u64,
-        outcomes: &mut Vec<Outcome>,
-    ) {
-        stats.note_in(msgs.len() as u64);
-        for &msg in msgs {
-            if let Some(o) = self.offer_inner(msg, pool, resolver, stats, now) {
-                outcomes.push(o);
-            }
-        }
-    }
-
-    fn offer_inner(
-        &mut self,
-        msg: Msg,
-        pool: &PacketPool,
-        resolver: &mut TablesResolver,
-        stats: &StageStats,
-        now: u64,
-    ) -> Option<Outcome> {
         let (mid, pid, epoch) = pool.with(msg.r, |p| {
             (p.meta().mid(), p.meta().pid(), p.meta().epoch())
         });

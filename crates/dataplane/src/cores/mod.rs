@@ -1,13 +1,9 @@
-//! Shared per-stage cores — the single home of each pipeline stage's
-//! semantics.
+//! Per-stage cores — the single home of each pipeline stage's semantics.
 //!
-//! Historically the threaded engine, the sync engine and (partially) the
-//! onvm baseline each re-implemented the classifier/NF/agent/merger/
-//! collector behaviour, and the copies drifted. Each stage's semantics now
-//! lives in exactly one place, and both execution substrates — the
-//! deterministic FIFO scheduler of [`crate::sync_engine`] and the
-//! one-thread-per-stage ring mesh of [`crate::engine`] — drive the same
-//! cores off the same sealed [`nfp_orchestrator::program::Program`]:
+//! Each stage's behaviour lives in exactly one place, and the one stage
+//! dispatcher ([`crate::dispatch`]) that both the deterministic
+//! [`crate::sync_engine`] and the threaded [`crate::engine`] run steps
+//! these cores off the same sealed [`nfp_orchestrator::program::Program`]:
 //!
 //! * **Classifier core** — [`crate::classifier::Classifier`] (CT lookup,
 //!   metadata stamping, entry actions).
@@ -22,8 +18,8 @@
 //! * **Collector core** — [`collector::collect`] (pool take + checksum
 //!   finalization).
 //!
-//! The cores are deliberately synchronous and allocation-light: an
-//! executor owns the loop (threads, rings, bursts, stop conditions) and
+//! The cores are deliberately synchronous and allocation-light: the
+//! dispatcher owns the loop (queues, rings, bursts, stop conditions) and
 //! calls into the cores per message.
 
 pub mod agent;

@@ -1,0 +1,694 @@
+//! The stage dispatcher — the one interpreter of a sealed
+//! [`nfp_orchestrator::Program`].
+//!
+//! A `Dispatcher` owns a contiguous *set* of the program's stages (in
+//! pipeline order: classifier, NFs by `NodeId`, agent, merger instances,
+//! collector) and performs one message step per stage kind over the
+//! shared cores ([`Classifier`], [`NfRuntime`], [`crate::cores`]). Epoch
+//! resolution, telemetry, drop accounting and epoch settlement are
+//! written here once, for every executor:
+//!
+//! * [`crate::sync_engine::SyncEngine`] is one dispatcher holding every
+//!   stage, driven by the caller — no rings, a virtual tick clock and a
+//!   zero-tick merge deadline;
+//! * [`crate::engine::Engine`] is one dispatcher per
+//!   [`crate::exec::plan_pipeline_groups`] group, each on its own thread.
+//!
+//! A message whose target stage is in the set is queued locally (a plain
+//! per-stage queue, drained by that stage's next burst pass); a message
+//! for a stage outside it is pushed onto that edge's SPSC ring — a ring
+//! exists only where the group plan *cuts* an edge of the wiring plan.
+//! Sends never block: cut-edge messages are pushed as one burst per ring
+//! when the sending stage's pass ends, and a full ring leaves them in a
+//! per-edge stash (bounded by the closed-loop in-flight window) that the
+//! next pass retries — which is what keeps any grouping deadlock-free.
+
+use crate::actions::{Deliver, Msg};
+use crate::classifier::{AdmitError, Classifier, Refusal};
+use crate::cores::{collector, AgentCore, MergerCore, Outcome};
+use crate::ring::{Consumer, Producer};
+use crate::runtime::{FailureKind, NfRuntime};
+use crate::stats::{EngineStats, StageStats};
+use crate::swap::{ProgramHandle, TablesResolver};
+use crate::telemetry::Telemetry;
+use nfp_nf::NetworkFunction;
+use nfp_orchestrator::tables::{DropBehavior, Target};
+use nfp_orchestrator::Stage;
+use nfp_packet::pool::PacketPool;
+use nfp_packet::Packet;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Burst size for ring drains and emissions (the DPDK sweet spot).
+pub(crate) const BURST: usize = 32;
+
+/// Full-ring retries before a stall is recorded as a backpressure event.
+const RETRY_LIMIT: u32 = 64;
+
+/// An NF runtime as the engines hold it.
+pub(crate) type Runtime = NfRuntime<Box<dyn NetworkFunction>>;
+
+/// Pipeline-order numbering of a program's stages: classifier, NFs by
+/// `NodeId`, agent, merger instances, collector. A stage's *slot* indexes
+/// the per-stage stats, and group plans are ranges of slots.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    pub nfs: usize,
+    pub mergers: usize,
+}
+
+impl Layout {
+    /// Number of stages.
+    pub fn len(&self) -> usize {
+        3 + self.nfs + self.mergers
+    }
+
+    /// Every stage, in slot order.
+    pub fn stages(&self) -> impl Iterator<Item = Stage> {
+        let (nfs, mergers) = (self.nfs, self.mergers);
+        std::iter::once(Stage::Classifier)
+            .chain((0..nfs).map(Stage::Nf))
+            .chain(std::iter::once(Stage::Agent))
+            .chain((0..mergers).map(Stage::Merger))
+            .chain(std::iter::once(Stage::Collector))
+    }
+
+    /// The slot of `stage`.
+    pub fn slot(&self, stage: Stage) -> usize {
+        match stage {
+            Stage::Classifier => 0,
+            Stage::Nf(i) => 1 + i,
+            Stage::Agent => 1 + self.nfs,
+            Stage::Merger(m) => 2 + self.nfs + m,
+            Stage::Collector => 2 + self.nfs + self.mergers,
+        }
+    }
+
+    /// The ids `i` of a run of `count` same-kind stages starting at
+    /// `first` (`Nf(0)` or `Merger(0)`) whose slots fall in `owned`.
+    fn ids_in(&self, owned: &Range<usize>, first: Stage, count: usize) -> Range<usize> {
+        let base = self.slot(first);
+        let lo = owned.start.max(base);
+        let hi = owned.end.min(base + count).max(lo);
+        lo - base..hi - base
+    }
+}
+
+/// The merge-deadline clock: virtual ticks (one per
+/// [`crate::sync_engine::SyncEngine::process`] call) or milliseconds
+/// since the run started.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Clock {
+    Tick(u64),
+    Wall(Instant),
+}
+
+/// Watchdog flags for one NF: `busy` brackets the time spent inside the
+/// NF, so the watchdog only ever blames an NF that is actually holding a
+/// packet; `failed` is the stall verdict the watchdog hands down.
+#[derive(Debug, Default)]
+pub(crate) struct NfWatch {
+    pub busy: AtomicBool,
+    pub failed: AtomicBool,
+}
+
+/// What every dispatcher of one engine shares: the pool, the swappable
+/// program, telemetry, per-stage counters (by [`Layout::slot`]) and the
+/// closed-loop completion counters.
+pub(crate) struct Shared {
+    pub layout: Layout,
+    pub pool: PacketPool,
+    pub handle: Arc<ProgramHandle>,
+    pub telemetry: Telemetry,
+    pub stats: Vec<StageStats>,
+    pub delivered: AtomicU64,
+    pub dropped: AtomicU64,
+    pub clock: Clock,
+    /// How long (in [`Clock`] units) an accumulating-table entry may wait
+    /// for sibling copies before it is resolved from what arrived.
+    pub merge_deadline: u64,
+    pub watch: Vec<NfWatch>,
+}
+
+impl Shared {
+    pub fn new(
+        layout: Layout,
+        pool_size: usize,
+        handle: Arc<ProgramHandle>,
+        telemetry: Telemetry,
+        clock: Clock,
+        merge_deadline: u64,
+    ) -> Self {
+        Shared {
+            layout,
+            pool: PacketPool::new(pool_size),
+            handle,
+            telemetry,
+            stats: (0..layout.len()).map(|_| StageStats::new()).collect(),
+            delivered: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            clock,
+            merge_deadline,
+            watch: (0..layout.nfs).map(|_| NfWatch::default()).collect(),
+        }
+    }
+
+    /// The counters of `stage`.
+    pub fn stats_of(&self, stage: Stage) -> &StageStats {
+        &self.stats[self.layout.slot(stage)]
+    }
+
+    /// Packets finished so far (delivered + dropped).
+    pub fn finished(&self) -> u64 {
+        self.delivered.load(Ordering::Acquire) + self.dropped.load(Ordering::Acquire)
+    }
+
+    /// A packet ended in a drop: settle it against the epoch that
+    /// classified it, then count it for the closed loop.
+    fn settle_drop(&self, epoch: u64) {
+        self.handle.finish(epoch);
+        self.dropped.fetch_add(1, Ordering::Release);
+    }
+
+    /// Per-stage counter snapshot in report shape.
+    pub fn engine_stats(&self) -> EngineStats {
+        let snap = |s: Stage| self.stats_of(s).snapshot();
+        EngineStats {
+            classifier: snap(Stage::Classifier),
+            nfs: (0..self.layout.nfs).map(|i| snap(Stage::Nf(i))).collect(),
+            agent: snap(Stage::Agent),
+            mergers: (0..self.layout.mergers)
+                .map(|m| snap(Stage::Merger(m)))
+                .collect(),
+            collector: snap(Stage::Collector),
+        }
+    }
+}
+
+/// The sending half of one cut edge: the ring producer plus an overflow
+/// stash drained from `off` (so a partial burst push does not shift the
+/// remainder).
+struct Stash<T> {
+    tx: Producer<T>,
+    buf: Vec<T>,
+    off: usize,
+    attempts: u32,
+}
+
+impl<T: Copy + Send> Stash<T> {
+    fn new(tx: Producer<T>) -> Self {
+        Stash {
+            tx,
+            buf: Vec::new(),
+            off: 0,
+            attempts: 0,
+        }
+    }
+
+    /// Buffer `item`, pushing a burst once one has accumulated.
+    fn push(&mut self, item: T, stats: &StageStats) {
+        self.buf.push(item);
+        if self.buf.len() - self.off >= BURST {
+            self.flush(stats);
+        }
+    }
+
+    /// One non-blocking burst push; returns true on any progress. A ring
+    /// that stays full for [`RETRY_LIMIT`] consecutive attempts is
+    /// recorded as one backpressure event on the producing stage.
+    fn flush(&mut self, stats: &StageStats) -> bool {
+        if self.is_empty() {
+            return false;
+        }
+        let n = self.tx.push_burst(&self.buf[self.off..]);
+        self.off += n;
+        if self.is_empty() {
+            self.buf.clear();
+            self.off = 0;
+        }
+        if n == 0 {
+            self.attempts += 1;
+            if self.attempts == RETRY_LIMIT {
+                stats.note_backpressure();
+            }
+            false
+        } else {
+            self.attempts = 0;
+            true
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.off >= self.buf.len()
+    }
+}
+
+/// One stage's plumbing inside a dispatcher: a plain queue for messages
+/// from stages of the same set, and a ring per cut edge of the wiring plan
+/// that ends or starts here.
+struct Port {
+    stage: Stage,
+    /// Messages from stages of the same set.
+    queue: Vec<Msg>,
+    /// Rings from stages outside the set.
+    rings: Vec<Consumer<Msg>>,
+    /// Stashed rings to stages outside the set, by target stage.
+    out: Vec<(Stage, Stash<Msg>)>,
+}
+
+/// The ports of a dispatcher's stages, in slot order from `first`.
+struct Ports {
+    layout: Layout,
+    first: usize,
+    ports: Vec<Port>,
+}
+
+impl Ports {
+    /// The index of `stage`'s port, if the set holds it.
+    fn index(&self, stage: Stage) -> Option<usize> {
+        let k = self.layout.slot(stage).checked_sub(self.first)?;
+        (k < self.ports.len()).then_some(k)
+    }
+
+    /// The port of `stage`, if the set holds it.
+    fn of(&mut self, stage: Stage) -> Option<&mut Port> {
+        self.index(stage).map(|k| &mut self.ports[k])
+    }
+
+    /// Queue `msg` locally when `to` is in the set, else push it onto the
+    /// `from → to` edge's ring.
+    fn send(&mut self, cx: &Shared, from: Stage, to: Stage, msg: Msg) {
+        if let Some(port) = self.of(to) {
+            port.queue.push(msg);
+            return;
+        }
+        // Linear scan: a stage has at most a handful of targets.
+        let edge = self
+            .of(from)
+            .and_then(|port| port.out.iter_mut().find(|(t, _)| *t == to));
+        match edge {
+            Some((_, stash)) => stash.push(msg, cx.stats_of(from)),
+            None => {
+                // Misrouted: a sealed program's wiring plan is derived
+                // from the very tables that emit its messages, so this
+                // cannot happen — but release and account the packet
+                // instead of panicking, so the closed loop terminates
+                // even if that invariant is ever violated.
+                let epoch = cx.pool.with(msg.r, |p| p.meta().epoch());
+                cx.pool.release(msg.r);
+                cx.stats_of(from).note_misroute();
+                cx.settle_drop(epoch);
+            }
+        }
+    }
+
+    /// Retry the stashed sends of the stage at port `k`; returns true on
+    /// any progress.
+    fn pump(&mut self, cx: &Shared, k: usize) -> bool {
+        let port = &mut self.ports[k];
+        if port.out.is_empty() {
+            return false;
+        }
+        let stats = cx.stats_of(port.stage);
+        let out = port.out.iter_mut();
+        out.fold(false, |progress, (_, stash)| stash.flush(stats) | progress)
+    }
+}
+
+/// One stage's sending view of the [`Ports`] for the duration of a step.
+struct Sink<'a> {
+    ports: &'a mut Ports,
+    cx: &'a Shared,
+    from: Stage,
+}
+
+impl Deliver for Sink<'_> {
+    fn deliver(&mut self, target: Target, msg: Msg) {
+        // `Target::Merger` routes through the agent: a merger-bound copy
+        // needs its sequence assignment and instance pick first.
+        self.ports.send(self.cx, self.from, Stage::of(target), msg);
+    }
+
+    fn flush_hint(&mut self) {
+        if let Some(k) = self.ports.index(self.from) {
+            self.ports.pump(self.cx, k);
+        }
+    }
+}
+
+/// The ring ends of one dispatcher: message rings in and out, plus the
+/// typed merger → agent outcome rings where the plan separates them.
+#[derive(Default)]
+pub(crate) struct Rings {
+    /// `(consuming stage, ring)` for every cut edge entering the set.
+    pub inputs: Vec<(Stage, Consumer<Msg>)>,
+    /// `(from, to, ring)` for every cut edge leaving the set.
+    pub outputs: Vec<(Stage, Stage, Producer<Msg>)>,
+    /// Outcome rings into the agent, when this set holds it.
+    pub outcome_inputs: Vec<Consumer<Outcome>>,
+    /// `(merger instance, ring)` for each merger of this set whose agent
+    /// lives elsewhere.
+    pub outcome_outputs: Vec<(usize, Producer<Outcome>)>,
+}
+
+/// Executes a set of stages of a sealed program — see the module docs.
+pub(crate) struct Dispatcher {
+    ports: Ports,
+    classifier: Classifier,
+    /// Runtimes of the NFs in the set, `NodeId` order from `nf_base`; the
+    /// driver takes them back when the run ends.
+    pub runtimes: Vec<Runtime>,
+    nf_base: usize,
+    agent: Option<AgentCore>,
+    /// Merger instances in the set, from `merger_base`.
+    mergers: Vec<MergerCore>,
+    merger_base: usize,
+    resolver: TablesResolver,
+    outcome_inputs: Vec<Consumer<Outcome>>,
+    outcome_outputs: Vec<(usize, Stash<Outcome>)>,
+    /// Outcomes in hand: the merges a merger stage's burst completed, or
+    /// a burst popped from an outcome ring (always empty between stages).
+    outcomes: Vec<Outcome>,
+    /// The [`Clock`] reading of this pass, taken at most once between NF
+    /// invocations (the only steps of unbounded duration).
+    now: Option<u64>,
+    /// Packets the collector finished, oldest first; the driver drains it.
+    pub outputs: Vec<Packet>,
+}
+
+impl Dispatcher {
+    /// A dispatcher for the stages in slot range `owned`. It takes the
+    /// runtimes of that range's NFs from the front of `runtimes` (which
+    /// the caller walks in `NodeId` order, group by group).
+    pub fn new(
+        cx: &Shared,
+        owned: Range<usize>,
+        runtimes: &mut impl Iterator<Item = Runtime>,
+        rings: Rings,
+    ) -> Self {
+        let layout = cx.layout;
+        let nf_ids = layout.ids_in(&owned, Stage::Nf(0), layout.nfs);
+        let merger_ids = layout.ids_in(&owned, Stage::Merger(0), layout.mergers);
+        let runtimes: Vec<Runtime> = runtimes.take(nf_ids.len()).collect();
+        assert_eq!(
+            runtimes.len(),
+            nf_ids.len(),
+            "one runtime per NF of the set"
+        );
+        let holds_agent = owned.contains(&layout.slot(Stage::Agent));
+        let mut ports = Ports {
+            layout,
+            first: owned.start,
+            ports: layout
+                .stages()
+                .skip(owned.start)
+                .take(owned.len())
+                .map(|stage| Port {
+                    stage,
+                    queue: Vec::new(),
+                    rings: Vec::new(),
+                    out: Vec::new(),
+                })
+                .collect(),
+        };
+        for (to, rx) in rings.inputs {
+            ports.of(to).expect("ring into the set").rings.push(rx);
+        }
+        for (from, to, tx) in rings.outputs {
+            let port = ports.of(from).expect("ring out of the set");
+            port.out.push((to, Stash::new(tx)));
+        }
+        Dispatcher {
+            ports,
+            classifier: Classifier::live(Arc::clone(&cx.handle)),
+            runtimes,
+            nf_base: nf_ids.start,
+            agent: holds_agent.then(|| AgentCore::new(layout.mergers)),
+            mergers: merger_ids.clone().map(|_| MergerCore::new()).collect(),
+            merger_base: merger_ids.start,
+            resolver: TablesResolver::new(Arc::clone(&cx.handle)),
+            outcome_inputs: rings.outcome_inputs,
+            outcome_outputs: rings
+                .outcome_outputs
+                .into_iter()
+                .map(|(m, tx)| (m, Stash::new(tx)))
+                .collect(),
+            outcomes: Vec::new(),
+            now: None,
+            outputs: Vec::new(),
+        }
+    }
+
+    /// The classifier step: admit one packet under the current epoch and
+    /// queue its entry actions. A terminal rejection (malformed, no
+    /// match) finishes the packet here, so it is counted for the closed
+    /// loop; pool backpressure is not terminal — the packet comes back
+    /// for the caller to retry.
+    pub fn admit(&mut self, cx: &Shared, pkt: Packet) -> Result<(), Refusal> {
+        let mut sink = Sink {
+            ports: &mut self.ports,
+            cx,
+            from: Stage::Classifier,
+        };
+        let admitted = self.classifier.admit_observed(
+            pkt,
+            &cx.pool,
+            &mut sink,
+            cx.stats_of(Stage::Classifier),
+            Some(&cx.telemetry),
+        );
+        match admitted {
+            Ok(_) => Ok(()),
+            Err(refusal) => {
+                if refusal.0 != AdmitError::PoolExhausted {
+                    cx.dropped.fetch_add(1, Ordering::Release);
+                }
+                Err(refusal)
+            }
+        }
+    }
+
+    /// One message step of `stage`.
+    fn step(&mut self, cx: &Shared, stage: Stage, msg: Msg) {
+        let stats = cx.stats_of(stage);
+        let tele = &cx.telemetry;
+        match stage {
+            Stage::Nf(i) => {
+                let rt = &mut self.runtimes[i - self.nf_base];
+                // Resolve the NF's config by the packet's stamped epoch,
+                // so a mid-swap packet is processed under the policy that
+                // classified it.
+                let epoch = cx.pool.with(msg.r, |p| p.meta().epoch());
+                let tables = self.resolver.get(epoch, stats);
+                let cfg = &tables.nf_configs[i];
+                let before = rt.dropped + rt.errors + rt.policy_drops;
+                tele.trace_ref(stage, &cx.pool, msg.r);
+                let mut sink = Sink {
+                    ports: &mut self.ports,
+                    cx,
+                    from: stage,
+                };
+                cx.watch[i].busy.store(true, Ordering::Release);
+                rt.handle_with(cfg, msg, &cx.pool, &mut sink, stats);
+                cx.watch[i].busy.store(false, Ordering::Release);
+                self.now = None;
+                if matches!(cfg.on_drop, DropBehavior::Discard) {
+                    // A silent discard finishes the packet right here
+                    // (≤ 1 drop per message by construction).
+                    let after = rt.dropped + rt.errors + rt.policy_drops;
+                    for _ in before..after {
+                        cx.settle_drop(epoch);
+                    }
+                }
+            }
+            Stage::Agent => {
+                let mut msg = msg;
+                tele.trace_ref(stage, &cx.pool, msg.r);
+                let agent = self.agent.as_mut().expect("set holds the agent");
+                let pick = agent.route(&mut msg, &cx.pool, &mut self.resolver, stats);
+                self.ports.send(cx, stage, Stage::Merger(pick), msg);
+            }
+            Stage::Merger(m) => {
+                tele.trace_ref(stage, &cx.pool, msg.r);
+                let now = self.now(cx);
+                let merger = &mut self.mergers[m - self.merger_base];
+                // Completed merges wait until the burst's timed span ends.
+                self.outcomes
+                    .extend(merger.offer(msg, &cx.pool, &mut self.resolver, stats, now));
+            }
+            Stage::Collector => {
+                let pkt = collector::collect(msg, &cx.pool, stats);
+                tele.hop_if_traced(stage, pkt.meta(), pkt.is_nil());
+                // Delivery settles the packet against the epoch that
+                // classified it.
+                cx.handle.finish(pkt.meta().epoch());
+                cx.delivered.fetch_add(1, Ordering::Release);
+                self.outputs.push(pkt);
+            }
+            Stage::Classifier => unreachable!("the classifier takes packets, not messages"),
+        }
+    }
+
+    /// Hand merger `m`'s outcome to the agent: inline when the agent is in
+    /// this set, over the outcome ring when it is not.
+    fn outcome(&mut self, cx: &Shared, m: usize, outcome: Outcome) {
+        if self.agent.is_some() {
+            return self.release(cx, outcome);
+        }
+        let (_, stash) = self
+            .outcome_outputs
+            .iter_mut()
+            .find(|(inst, _)| *inst == m)
+            .expect("outcome ring for a merger whose agent is elsewhere");
+        stash.push(outcome, cx.stats_of(Stage::Merger(m)));
+    }
+
+    /// Release merge outcomes in sequence order. Each merge-resolved drop
+    /// settles against the epoch that classified the packet.
+    fn release(&mut self, cx: &Shared, outcome: Outcome) {
+        let agent = self.agent.as_mut().expect("set holds the agent");
+        let mut sink = Sink {
+            ports: &mut self.ports,
+            cx,
+            from: Stage::Agent,
+        };
+        let drops = agent.release(
+            outcome,
+            &cx.pool,
+            &mut self.resolver,
+            &mut sink,
+            cx.stats_of(Stage::Agent),
+        );
+        for epoch in drops {
+            cx.settle_drop(epoch);
+        }
+    }
+
+    fn now(&mut self, cx: &Shared) -> u64 {
+        *self.now.get_or_insert_with(|| match cx.clock {
+            Clock::Tick(t) => t,
+            Clock::Wall(started) => started.elapsed().as_millis() as u64,
+        })
+    }
+
+    /// One burst pass of the stage at port `k`: step everything queued
+    /// locally plus a burst from each of its rings, then push what it
+    /// sent across a cut edge as one burst per ring.
+    fn run_stage(&mut self, cx: &Shared, k: usize) -> bool {
+        let port = &mut self.ports.ports[k];
+        let stage = port.stage;
+        if port.queue.is_empty() && port.rings.is_empty() && port.out.is_empty() {
+            // Nothing queued and no ring to poll or retry (outcome rings
+            // only ever accompany a cut edge out of the agent).
+            return false;
+        }
+        for rx in &port.rings {
+            cx.stats_of(stage).note_occupancy(rx.len());
+            rx.pop_burst(&mut port.queue, BURST);
+        }
+        let burst = port.queue.len();
+        if burst > 0 {
+            // One clock pair per burst, split across its messages: the
+            // histogram count advances by exactly one per message, at
+            // 1/burst of the cost.
+            let t0 = cx.telemetry.clock();
+            for i in 0..burst {
+                let msg = self.ports.ports[k].queue[i];
+                self.step(cx, stage, msg);
+            }
+            cx.telemetry.record_split(stage, t0, burst as u64);
+            // Usually the whole queue; anything behind the burst is what
+            // the steps just sent to this very stage.
+            let queue = &mut self.ports.ports[k].queue;
+            if queue.len() == burst {
+                queue.clear();
+            } else {
+                queue.drain(..burst);
+            }
+        }
+        let mut progress = burst > 0;
+        if let Stage::Merger(m) = stage {
+            let mut outcomes = std::mem::take(&mut self.outcomes);
+            for outcome in outcomes.drain(..) {
+                self.outcome(cx, m, outcome);
+            }
+            self.outcomes = outcomes;
+        } else if stage == Stage::Agent && !self.outcome_inputs.is_empty() {
+            let mut outcomes = std::mem::take(&mut self.outcomes);
+            for k in 0..self.outcome_inputs.len() {
+                progress |= self.outcome_inputs[k].pop_burst(&mut outcomes, BURST) > 0;
+                for outcome in outcomes.drain(..) {
+                    self.release(cx, outcome);
+                }
+            }
+            self.outcomes = outcomes;
+        }
+        progress | self.ports.pump(cx, k)
+    }
+
+    /// Resolve every accumulating-table entry past its deadline — its
+    /// siblings stopped coming (a failed NF never sends its copy). The
+    /// driver calls this between passes, traffic or not, so a wedged
+    /// merge cannot outlive its deadline just because traffic stopped.
+    pub fn expire(&mut self, cx: &Shared) -> bool {
+        if self.merge_pending() == 0 {
+            return false;
+        }
+        let Some(cutoff) = self.now(cx).checked_sub(cx.merge_deadline) else {
+            return false;
+        };
+        let mut progress = false;
+        for k in 0..self.mergers.len() {
+            let m = self.merger_base + k;
+            let stats = cx.stats_of(Stage::Merger(m));
+            for outcome in self.mergers[k].expire(cutoff, &cx.pool, &mut self.resolver, stats) {
+                progress = true;
+                self.outcome(cx, m, outcome);
+            }
+        }
+        progress
+    }
+
+    /// One scheduling pass: a burst pass of every stage in pipeline
+    /// order, so a burst flows through the whole set without waiting on
+    /// anything. Returns true if anything happened.
+    pub fn pass(&mut self, cx: &Shared) -> bool {
+        self.now = None;
+        let mut progress = false;
+        for k in 0..self.ports.ports.len() {
+            progress |= self.run_stage(cx, k);
+        }
+        for (m, stash) in &mut self.outcome_outputs {
+            progress |= stash.flush(cx.stats_of(Stage::Merger(*m)));
+        }
+        progress
+    }
+
+    /// Nothing queued on any input and nothing stashed on any output
+    /// (the quiesce condition, and the pre-park re-check).
+    pub fn idle(&self) -> bool {
+        self.ports.ports.iter().all(|p| {
+            p.queue.is_empty()
+                && p.rings.iter().all(|rx| rx.is_empty())
+                && p.out.iter().all(|(_, stash)| stash.is_empty())
+        }) && self.outcome_inputs.iter().all(|rx| rx.is_empty())
+            && self.outcome_outputs.iter().all(|(_, s)| s.is_empty())
+    }
+
+    /// Honor the watchdog's stall verdicts: a failed NF's runtime stops
+    /// invoking it and applies its failure policy instead.
+    pub fn fail_stalled(&mut self, cx: &Shared) {
+        for (k, rt) in self.runtimes.iter_mut().enumerate() {
+            if cx.watch[self.nf_base + k].failed.load(Ordering::Acquire) {
+                rt.force_fail(FailureKind::Stalled);
+            }
+        }
+    }
+
+    /// Accumulating-table entries still waiting for sibling copies.
+    pub fn merge_pending(&self) -> usize {
+        self.mergers.iter().map(MergerCore::pending_len).sum()
+    }
+}

@@ -1,67 +1,56 @@
 //! The multi-threaded NFP engine.
 //!
 //! Mirrors the paper's deployment (Figure 3): a classifier stage pulls
-//! packets from the input ring, each NF runs its own stage core (the
-//! paper's one-container-per-core), merger-bound traffic flows through a
+//! packets from the input ring, each NF runs its own stage (the paper's
+//! one-container-per-core), merger-bound traffic flows through a
 //! **merger agent** that load-balances by PID hash onto N merger
 //! instances, and merged/finished packets reach a collector.
 //!
-//! The engine executes a sealed [`Program`]: the ring mesh is instantiated
-//! straight from the program's [`nfp_orchestrator::WiringPlan`], and each
-//! stage drives the corresponding core from [`crate::cores`] — the
-//! same cores the deterministic [`crate::sync_engine`] dispatches inline,
-//! so the two engines cannot drift semantically. This module owns only the
-//! *executor*: stage tasks, SPSC rings ([`crate::ring`]), burst batching,
-//! backpressure and stop conditions.
+//! The engine executes a sealed [`Program`] through the stage dispatcher
+//! of [`crate::dispatch`] — the same code the deterministic
+//! [`crate::sync_engine`] runs inline, so the two engines cannot drift
+//! semantically. This module owns only what a *threaded* run adds:
 //!
-//! **Burst-driven stage cores.** Every stage is a [`crate::exec::StageCore`]
-//! whose `pass` drains a full burst (`pop_burst`), processes the whole
-//! slice, then pushes downstream (`push_burst`): one atomic publish, one
-//! telemetry clock pair and one stats update per burst instead of one per
-//! packet. No stage ever blocks mid-pass — sends that hit a full ring
-//! spill to a per-target overflow stash (`StashSink`, bounded by the
-//! closed-loop in-flight window), which keeps the mesh deadlock-free even
-//! when several stages share one thread.
+//! **Core-budgeted grouping.** The stages are partitioned, in pipeline
+//! order, into at most [`EngineConfig::core_budget`] groups
+//! ([`crate::exec::plan_pipeline_groups`]); each group is one dispatcher
+//! on one OS thread, optionally pinned ([`EngineConfig::pin_cpus`]). An
+//! SPSC ring ([`crate::ring`]) is built only for a wiring-plan edge the
+//! grouping *cuts*, plus the injection ring: `core_budget = 1` is the
+//! sync engine's loop behind one ring, `core_budget ≥ stages` is the
+//! paper's fully distributed mesh. Messages between stages of one group
+//! never touch a ring.
 //!
-//! **Core-budgeted threading.** Stage tasks are packed onto at most
-//! [`EngineConfig::core_budget`] OS threads ([`crate::exec::plan_groups`])
-//! in pipeline order, optionally pinned ([`EngineConfig::pin_cpus`]). One
-//! engine no longer costs `stages` threads: on a small host (or a many-
-//! shard deployment) the whole pipeline coalesces onto a few
-//! run-to-completion threads instead of oversubscribing the cores.
+//! **Never blocking.** A dispatcher drains a burst from each input ring,
+//! runs it to completion through its own stages and pushes what leaves
+//! the group in bursts; a full ring leaves the messages stashed for the
+//! next pass instead of blocking, which keeps every grouping
+//! deadlock-free.
 //!
-//! **Adaptive idling.** Idle stages back off spin → yield → park
+//! **Adaptive idling.** Idle groups back off spin → yield → park
 //! ([`EngineConfig::idle_policy`]); parked threads are woken through the
-//! engine's [`crate::exec::WakeHub`] whenever any stage (or the injector)
+//! engine's [`crate::exec::WakeHub`] whenever any group (or the injector)
 //! makes progress, so an idle engine burns no core while a late burst
 //! still gets service immediately. Merge-order sequencing (§4.3 result
 //! correctness) lives in [`crate::cores::AgentCore`], unchanged.
 
-use crate::actions::{Deliver, Msg};
-use crate::classifier::Classifier;
-use crate::cores::{collector, AgentCore, MergerCore, Outcome};
-use crate::ring::{self, Consumer, Producer};
+use crate::classifier::AdmitError;
+use crate::dispatch::{Clock, Dispatcher, Layout, Rings, Runtime, Shared, BURST};
+use crate::exec::{Idler, WakeHub};
+use crate::ring::{self, Consumer};
 use crate::runtime::{FailureKind, NfRuntime};
-use crate::stats::{EngineStats, StageStats};
-use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError, TablesResolver};
+use crate::stats::EngineStats;
+use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 use nfp_nf::{FlowSnapshot, NetworkFunction};
-use nfp_orchestrator::tables::{DropBehavior, FtAction, GraphTables, Target};
 use nfp_orchestrator::{FailurePolicy, Program, Stage};
 use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
-use nfp_packet::pool::PacketPool;
 use nfp_packet::Packet;
 use nfp_traffic::{LatencyRecorder, LatencySummary};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Burst size for ring drains and emissions (the DPDK sweet spot).
-const BURST: usize = 32;
-
-/// Full-ring retries before a stall is recorded as a backpressure event.
-const RETRY_LIMIT: u32 = 64;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -166,16 +155,6 @@ pub enum EngineError {
         /// Worst-case slots per admitted packet (from the program).
         slots_per_packet: usize,
     },
-    /// The program's tables can emit a message along a stage edge the
-    /// wiring plan does not provide a ring for. A run would have had to
-    /// drop that packet mid-graph (it used to panic); the inconsistency is
-    /// rejected here instead.
-    MissingRing {
-        /// Producing stage.
-        from: Stage,
-        /// Target stage with no ring from `from`.
-        to: Stage,
-    },
     /// `core_budget` was zero — the engine would have no thread to run
     /// its stages on.
     ZeroCoreBudget,
@@ -211,12 +190,6 @@ impl core::fmt::Display for EngineError {
                 "pool of {pool_size} slots cannot cover max_in_flight {max_in_flight} × \
                  {slots_per_packet} slots/packet = {required}"
             ),
-            EngineError::MissingRing { from, to } => {
-                write!(
-                    f,
-                    "tables emit {from:?} → {to:?} but the wiring plan has no such ring"
-                )
-            }
             EngineError::ZeroCoreBudget => {
                 write!(f, "core_budget must be at least 1")
             }
@@ -330,582 +303,156 @@ impl EngineReport {
     }
 }
 
-/// One per-target output queue of a [`StashSink`]: the ring producer plus
-/// an overflow buffer drained from `off` (so a partial burst push does not
-/// shift the remainder).
-struct TargetQueue {
-    to: Stage,
-    p: Producer<Msg>,
-    buf: Vec<Msg>,
-    off: usize,
-    attempts: u32,
-}
-
-/// Every stage's sink: maps abstract targets onto this stage's ring
-/// producers, buffers messages per target and pushes them as bursts —
-/// and **never blocks**. When a ring stays full the messages simply wait
-/// in the per-target buffer (bounded in practice by the closed-loop
-/// in-flight window) until the next [`StashSink::pump`]. Not blocking is
-/// what makes stage coalescing safe: the consumer that would relieve the
-/// full ring may be scheduled on this very thread, after this stage's
-/// pass returns.
-///
-/// A message for a stage with no ring is *misrouted*: the wiring plan is
-/// validated against the tables at [`Engine::new`], so this cannot happen
-/// for a sealed program, but the fallback still releases the reference and
-/// accounts the packet (instead of panicking the stage thread) so the
-/// closed loop terminates even if an invariant is ever violated.
-struct StashSink<'a> {
-    out: Vec<TargetQueue>,
-    stats: &'a StageStats,
-    pool: &'a PacketPool,
-    dropped: &'a AtomicU64,
-    handle: &'a ProgramHandle,
-}
-
-impl<'a> StashSink<'a> {
-    fn new(
-        targets: Vec<(Stage, Producer<Msg>)>,
-        stats: &'a StageStats,
-        pool: &'a PacketPool,
-        dropped: &'a AtomicU64,
-        handle: &'a ProgramHandle,
-    ) -> Self {
-        StashSink {
-            out: targets
-                .into_iter()
-                .map(|(to, p)| TargetQueue {
-                    to,
-                    p,
-                    buf: Vec::new(),
-                    off: 0,
-                    attempts: 0,
-                })
-                .collect(),
-            stats,
-            pool,
-            dropped,
-            handle,
-        }
-    }
-
-    fn send(&mut self, stage: Stage, msg: Msg) {
-        // Linear scan: a stage has at most a handful of targets, and the
-        // Vec avoids hashing a Stage per message.
-        let Some(q) = self.out.iter_mut().find(|q| q.to == stage) else {
-            // Settle the packet against its stamped epoch before the
-            // reference is released (the slot may be reused immediately).
-            let epoch = self.pool.with(msg.r, |p| p.meta().epoch());
-            self.pool.release(msg.r);
-            self.stats.note_misroute();
-            self.handle.finish(epoch);
-            self.dropped.fetch_add(1, Ordering::Release);
-            return;
-        };
-        q.buf.push(msg);
-        if q.buf.len() - q.off >= BURST {
-            Self::flush_queue(q, self.stats);
-        }
-    }
-
-    /// One non-blocking burst push for `q`; returns true on any progress.
-    /// A ring that stays full for [`RETRY_LIMIT`] consecutive attempts is
-    /// recorded as one backpressure event.
-    fn flush_queue(q: &mut TargetQueue, stats: &StageStats) -> bool {
-        if q.off >= q.buf.len() {
-            return false;
-        }
-        let n = q.p.push_burst(&q.buf[q.off..]);
-        q.off += n;
-        if q.off >= q.buf.len() {
-            q.buf.clear();
-            q.off = 0;
-        }
-        if n == 0 {
-            q.attempts += 1;
-            if q.attempts == RETRY_LIMIT {
-                stats.note_backpressure();
-            }
-            false
-        } else {
-            q.attempts = 0;
-            true
-        }
-    }
-
-    /// Retry every per-target buffer; returns true on any progress.
-    fn pump(&mut self) -> bool {
-        let mut progress = false;
-        for q in &mut self.out {
-            progress |= Self::flush_queue(q, self.stats);
-        }
-        progress
-    }
-
-    /// Nothing buffered anywhere (quiesce condition).
-    fn all_empty(&self) -> bool {
-        self.out.iter().all(|q| q.off >= q.buf.len())
-    }
-}
-
-impl Deliver for StashSink<'_> {
-    fn deliver(&mut self, target: Target, msg: Msg) {
-        // `Target::Merger` routes back through the agent itself (the
-        // Agent→Agent self-ring): a next-segment copy needs its own
-        // sequence assignment and instance pick.
-        self.send(Stage::of(target), msg);
-    }
-
-    fn flush_hint(&mut self) {
-        self.pump();
-    }
-}
-
-/// Classifier stage task: drains the injection ring into a pending queue
-/// and admits it in bursts, in live mode — each admission is pinned to
-/// the then-current epoch. A pool-exhausted admission leaves the packet
-/// at the front of the queue for the next pass (FIFO and dense-PID order
-/// preserved) instead of blocking the thread.
-struct ClassifierTask<'a> {
-    classifier: Classifier,
-    inject_rx: Consumer<Packet>,
+/// The classifier's feed, run by the group that holds the classifier:
+/// drains the injection ring into a pending queue and admits from its
+/// front. A pool-exhausted admission puts the packet back at the front
+/// for the next pass (FIFO and dense-PID order preserved) instead of
+/// blocking the thread.
+struct Intake {
+    rx: Consumer<Packet>,
     pending: VecDeque<Packet>,
     scratch: Vec<Packet>,
-    sink: StashSink<'a>,
-    pool: Arc<PacketPool>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    stop: &'a AtomicBool,
-    dropped: &'a AtomicU64,
+    /// Packets taken off the ring and finished with (admitted or
+    /// rejected) — the injection ordinal of the next one.
+    seen: u64,
+    /// Injection ordinals of rejected packets, ascending. A reject takes
+    /// an injection slot but no PID; the latency pairing skips these.
+    rejected_at: Vec<u64>,
 }
 
-impl crate::exec::StageCore for ClassifierTask<'_> {
-    fn pass(&mut self) -> bool {
-        self.stats.note_occupancy(self.inject_rx.len());
+impl Intake {
+    fn pull(&mut self, dispatcher: &mut Dispatcher, cx: &Shared) -> bool {
+        cx.stats_of(Stage::Classifier).note_occupancy(self.rx.len());
         let mut progress = false;
         if self.pending.len() < BURST {
             self.scratch.clear();
-            if self.inject_rx.pop_burst(&mut self.scratch, BURST) > 0 {
+            if self.rx.pop_burst(&mut self.scratch, BURST) > 0 {
                 progress = true;
                 self.pending.extend(self.scratch.drain(..));
             }
         }
-        if !self.pending.is_empty() {
-            let batch = self.classifier.admit_burst(
-                &mut self.pending,
-                &self.pool,
-                &mut self.sink,
-                self.stats,
-                Some(self.tele),
-            );
-            // Malformed / unmatched packets are finished here, and the
-            // closed loop must account for them.
-            if batch.rejected > 0 {
-                self.dropped.fetch_add(batch.rejected, Ordering::Release);
+        while let Some(pkt) = self.pending.pop_front() {
+            match dispatcher.admit(cx, pkt) {
+                Ok(()) => {}
+                Err((AdmitError::PoolExhausted, back)) => {
+                    self.pending
+                        .push_front(*back.expect("pool backpressure hands the packet back"));
+                    break;
+                }
+                Err(_) => self.rejected_at.push(self.seen),
             }
-            progress |= batch.admitted > 0 || batch.rejected > 0;
+            self.seen += 1;
+            progress = true;
         }
-        progress |= self.sink.pump();
         progress
     }
 
-    fn ready(&self) -> bool {
-        !self.inject_rx.is_empty() || !self.pending.is_empty() || !self.sink.all_empty()
-    }
-
-    fn done(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-            && self.inject_rx.is_empty()
-            && self.pending.is_empty()
-            && self.sink.all_empty()
+    fn is_empty(&self) -> bool {
+        self.rx.is_empty() && self.pending.is_empty()
     }
 }
-
-/// Hand-back slot for an NF runtime: the stage thread parks the runtime
-/// here at `finish` so the engine can harvest failure reports.
-type RtSlot = Mutex<Option<NfRuntime<Box<dyn NetworkFunction>>>>;
 
 /// One delivered packet: pid, collection timestamp, optional payload.
 type OutputRow = (u64, Instant, Option<Packet>);
 
-/// NF stage task: drives one NF runtime core. Each pass bumps the
-/// watchdog heartbeat and honors a stall verdict before touching more
-/// traffic; the busy flag brackets time spent inside the NF so the
-/// watchdog only ever blames an NF that is actually holding a packet.
-struct NfTask<'a> {
-    i: usize,
-    rt: Option<NfRuntime<Box<dyn NetworkFunction>>>,
-    rxs: Vec<Consumer<Msg>>,
-    sink: StashSink<'a>,
-    resolver: TablesResolver,
-    batch: Vec<Msg>,
-    pool: Arc<PacketPool>,
-    handle: Arc<ProgramHandle>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    hb: &'a AtomicU64,
-    busy: &'a AtomicBool,
-    failed: &'a AtomicBool,
-    quiesce: &'a AtomicBool,
-    dropped: &'a AtomicU64,
-    slot: &'a RtSlot,
-}
-
-impl crate::exec::StageCore for NfTask<'_> {
-    fn pass(&mut self) -> bool {
-        self.hb.fetch_add(1, Ordering::Relaxed);
-        let rt = self.rt.as_mut().expect("runtime present until finish");
-        if self.failed.load(Ordering::Acquire) {
-            rt.force_fail(FailureKind::Stalled);
-        }
-        let mut progress = false;
-        for rx in &self.rxs {
-            self.stats.note_occupancy(rx.len());
-            self.batch.clear();
-            if rx.pop_burst(&mut self.batch, BURST) == 0 {
-                continue;
-            }
-            progress = true;
-            self.busy.store(true, Ordering::Release);
-            let t0 = self.tele.clock();
-            let n = self.batch.len() as u64;
-            for msg in self.batch.drain(..) {
-                // Resolve this packet's NF config by its stamped epoch, so
-                // a mid-swap packet is processed under the policy that
-                // classified it.
-                let epoch = self.pool.with(msg.r, |p| p.meta().epoch());
-                let tables = self.resolver.get(epoch, self.stats);
-                let cfg = &tables.nf_configs[self.i];
-                let before = rt.dropped + rt.errors + rt.policy_drops;
-                self.tele.trace_ref(Stage::Nf(self.i), &self.pool, msg.r);
-                rt.handle_with(cfg, msg, &self.pool, &mut self.sink, self.stats);
-                let after = rt.dropped + rt.errors + rt.policy_drops;
-                if matches!(cfg.on_drop, DropBehavior::Discard) && after > before {
-                    // A silent discard finishes the packet right here:
-                    // settle it against its epoch (≤ 1 drop per message
-                    // by construction).
-                    for _ in 0..(after - before) {
-                        self.handle.finish(epoch);
-                    }
-                    self.dropped.fetch_add(after - before, Ordering::Release);
-                }
-            }
-            self.tele.record_split(Stage::Nf(self.i), t0, n);
-            self.busy.store(false, Ordering::Release);
-        }
-        progress |= self.sink.pump();
-        progress
-    }
-
-    fn ready(&self) -> bool {
-        self.rxs.iter().any(|r| !r.is_empty()) || !self.sink.all_empty()
-    }
-
-    fn done(&self) -> bool {
-        self.quiesce.load(Ordering::Acquire)
-            && self.rxs.iter().all(|r| r.is_empty())
-            && self.sink.all_empty()
-    }
-
-    fn finish(&mut self) {
-        // Hand the runtime back for rerun and failure harvesting.
-        *self.slot.lock().unwrap() = self.rt.take();
-    }
-}
-
-/// Merger agent stage task: drives the agent/sequencer core — PID-hash
-/// routing (§5.3), dense sequence assignment and in-order outcome
-/// release.
-struct AgentTask<'a> {
-    core: AgentCore,
-    rxs: Vec<Consumer<Msg>>,
-    outcome_rxs: Vec<Consumer<Outcome>>,
-    sink: StashSink<'a>,
-    resolver: TablesResolver,
-    batch: Vec<Msg>,
-    obatch: Vec<Outcome>,
-    picks: Vec<usize>,
-    pool: Arc<PacketPool>,
-    handle: Arc<ProgramHandle>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    quiesce: &'a AtomicBool,
-    dropped: &'a AtomicU64,
-}
-
-impl crate::exec::StageCore for AgentTask<'_> {
-    fn pass(&mut self) -> bool {
-        let mut progress = false;
-        // 1. Route inbound copies/nils, stamping sequence numbers.
-        for rx in &self.rxs {
-            self.stats.note_occupancy(rx.len());
-            self.batch.clear();
-            if rx.pop_burst(&mut self.batch, BURST) == 0 {
-                continue;
-            }
-            progress = true;
-            for msg in self.batch.iter() {
-                self.tele.trace_ref(Stage::Agent, &self.pool, msg.r);
-            }
-            let t0 = self.tele.clock();
-            self.picks.clear();
-            self.core.route_burst(
-                &mut self.batch,
-                &self.pool,
-                &mut self.resolver,
-                self.stats,
-                &mut self.picks,
-            );
-            self.tele
-                .record_split(Stage::Agent, t0, self.batch.len() as u64);
-            for (msg, &pick) in self.batch.drain(..).zip(self.picks.iter()) {
-                self.sink.send(Stage::Merger(pick), msg);
-            }
-        }
-        // 2. Release merge outcomes in sequence order. Each merge-resolved
-        // drop settles against the epoch that classified the packet.
-        for orx in &self.outcome_rxs {
-            self.obatch.clear();
-            if orx.pop_burst(&mut self.obatch, BURST) == 0 {
-                continue;
-            }
-            progress = true;
-            for o in self.obatch.drain(..) {
-                let drops = self.core.release(
-                    o,
-                    &self.pool,
-                    &mut self.resolver,
-                    &mut self.sink,
-                    self.stats,
-                );
-                for epoch in drops {
-                    self.handle.finish(epoch);
-                    self.dropped.fetch_add(1, Ordering::Release);
-                }
-            }
-        }
-        // 3. Retry stalled sends — the agent never blocks.
-        progress |= self.sink.pump();
-        progress
-    }
-
-    fn ready(&self) -> bool {
-        self.rxs.iter().any(|r| !r.is_empty())
-            || self.outcome_rxs.iter().any(|r| !r.is_empty())
-            || !self.sink.all_empty()
-    }
-
-    fn done(&self) -> bool {
-        self.quiesce.load(Ordering::Acquire)
-            && self.rxs.iter().all(|r| r.is_empty())
-            && self.outcome_rxs.iter().all(|r| r.is_empty())
-            && self.sink.all_empty()
-    }
-}
-
-/// Merger instance stage task: accumulate → merge → return outcomes to
-/// the agent. The outcome push is non-blocking (stash with a drain
-/// offset), and the deadline pass runs even on otherwise idle passes so a
-/// wedged merge cannot outlive its deadline just because traffic stopped.
-struct MergerTask<'a> {
-    m: usize,
-    core: MergerCore,
-    rxs: Vec<Consumer<Msg>>,
-    outcome_tx: Producer<Outcome>,
-    outcomes: Vec<Outcome>,
-    out_off: usize,
-    out_attempts: u32,
-    resolver: TablesResolver,
-    batch: Vec<Msg>,
-    pool: Arc<PacketPool>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    quiesce: &'a AtomicBool,
-    started: Instant,
-    merge_deadline_ms: u64,
-}
-
-impl crate::exec::StageCore for MergerTask<'_> {
-    fn pass(&mut self) -> bool {
-        let mut progress = false;
-        for rx in &self.rxs {
-            self.stats.note_occupancy(rx.len());
-            self.batch.clear();
-            if rx.pop_burst(&mut self.batch, BURST) == 0 {
-                continue;
-            }
-            progress = true;
-            for msg in self.batch.iter() {
-                self.tele
-                    .trace_ref(Stage::Merger(self.m), &self.pool, msg.r);
-            }
-            let now_ms = self.started.elapsed().as_millis() as u64;
-            let t0 = self.tele.clock();
-            self.core.offer_burst(
-                &self.batch,
-                &self.pool,
-                &mut self.resolver,
-                self.stats,
-                now_ms,
-                &mut self.outcomes,
-            );
-            self.tele
-                .record_split(Stage::Merger(self.m), t0, self.batch.len() as u64);
-        }
-        // Deadline pass: resolve entries whose siblings stopped coming (a
-        // failed NF never sends its copy).
-        if self.core.pending_len() > 0 {
-            if let Some(cutoff) =
-                (self.started.elapsed().as_millis() as u64).checked_sub(self.merge_deadline_ms)
-            {
-                let expired = self
-                    .core
-                    .expire(cutoff, &self.pool, &mut self.resolver, self.stats);
-                if !expired.is_empty() {
-                    progress = true;
-                    self.outcomes.extend(expired);
-                }
-            }
-        }
-        // Return outcomes as a non-blocking burst; the agent always
-        // drains, so the stash is bounded by the in-flight window.
-        if self.out_off < self.outcomes.len() {
-            let n = self.outcome_tx.push_burst(&self.outcomes[self.out_off..]);
-            self.out_off += n;
-            if self.out_off >= self.outcomes.len() {
-                self.outcomes.clear();
-                self.out_off = 0;
-            }
-            if n == 0 {
-                self.out_attempts += 1;
-                if self.out_attempts == RETRY_LIMIT {
-                    self.stats.note_backpressure();
-                }
-            } else {
-                self.out_attempts = 0;
-                progress = true;
-            }
-        }
-        progress
-    }
-
-    fn ready(&self) -> bool {
-        self.rxs.iter().any(|r| !r.is_empty()) || self.out_off < self.outcomes.len()
-    }
-
-    fn done(&self) -> bool {
-        self.quiesce.load(Ordering::Acquire)
-            && self.rxs.iter().all(|r| r.is_empty())
-            && self.out_off >= self.outcomes.len()
-    }
-}
-
-/// Collector stage task: take finished packets out of the pool in bursts,
-/// timestamp, count — and hand the outputs back through a shared slot at
-/// finish.
-struct CollectorTask<'a> {
-    rxs: Vec<Consumer<Msg>>,
-    batch: Vec<Msg>,
-    pkts: Vec<Packet>,
+/// What a stage group's thread hands back when it exits.
+struct GroupExit {
+    runtimes: Vec<Runtime>,
     outputs: Vec<OutputRow>,
-    pool: Arc<PacketPool>,
-    handle: Arc<ProgramHandle>,
-    stats: &'a StageStats,
-    tele: &'a Telemetry,
-    quiesce: &'a AtomicBool,
-    delivered: &'a AtomicU64,
-    keep_packets: bool,
-    slot: &'a Mutex<Vec<OutputRow>>,
+    rejected_at: Vec<u64>,
 }
 
-impl crate::exec::StageCore for CollectorTask<'_> {
-    fn pass(&mut self) -> bool {
-        let mut progress = false;
-        for rx in &self.rxs {
-            self.stats.note_occupancy(rx.len());
-            self.batch.clear();
-            if rx.pop_burst(&mut self.batch, BURST) == 0 {
-                continue;
-            }
-            progress = true;
-            let t0 = self.tele.clock();
-            self.pkts.clear();
-            collector::collect_burst(&self.batch, &self.pool, self.stats, &mut self.pkts);
-            self.tele
-                .record_split(Stage::Collector, t0, self.batch.len() as u64);
+/// What every group thread of one run shares, besides the dispatchers'
+/// [`Shared`] state.
+struct GroupCtl<'a> {
+    cx: &'a Shared,
+    config: &'a EngineConfig,
+    hub: WakeHub,
+    /// Two-phase shutdown. `stop` ends injection (the intake is done once
+    /// its ring drains). `quiesce` releases the groups — it is raised only
+    /// after the pool is empty, because a deadline-expired merge accounts
+    /// its packet while a straggler copy from the stalled NF may still be
+    /// in flight toward the merger's tombstone; stages must keep draining
+    /// until that last reference is released or it would leak.
+    stop: AtomicBool,
+    quiesce: AtomicBool,
+    /// Watchdog: one heartbeat per group, bumped once per scheduling
+    /// pass (the per-NF busy flags and stall verdicts are in `cx.watch`).
+    heartbeats: Vec<AtomicU64>,
+}
+
+/// Scheduling passes a group makes per step of its idle backoff. The
+/// policy's spin and yield budgets are counted in steps, and were tuned
+/// when a step cost a round-robin over five ring-polling stage tasks; a
+/// dispatcher pass over idle stages is about four times cheaper. Polling
+/// this many times per step keeps the budgets' wall-clock length — how
+/// soon a group parks relative to the injector's wake-up latency — where
+/// it was.
+const POLLS_PER_IDLE_STEP: u32 = 4;
+
+/// A stage group's thread: drive `dispatcher` (and the classifier's
+/// `intake`, for the group that holds it) until the run quiesces, idling
+/// per the engine's policy on no-progress passes.
+fn drive_group(
+    ctl: &GroupCtl<'_>,
+    g: usize,
+    mut dispatcher: Dispatcher,
+    mut intake: Option<Intake>,
+) -> GroupExit {
+    let (cx, config) = (ctl.cx, ctl.config);
+    if !config.pin_cpus.is_empty() {
+        crate::exec::pin_current_thread(config.pin_cpus[g % config.pin_cpus.len()]);
+    }
+    let mut idler = Idler::new(&ctl.hub, config.idle_policy);
+    let mut outputs: Vec<OutputRow> = Vec::new();
+    let mut idle_polls = 0u32;
+    loop {
+        // The heartbeat tells the watchdog this thread is scheduling, not
+        // stuck inside an NF; a stall verdict is honored before touching
+        // more traffic.
+        ctl.heartbeats[g].fetch_add(1, Ordering::Relaxed);
+        dispatcher.fail_stalled(cx);
+        let mut progress = intake
+            .as_mut()
+            .is_some_and(|intake| intake.pull(&mut dispatcher, cx));
+        progress |= dispatcher.pass(cx);
+        progress |= dispatcher.expire(cx);
+        if !dispatcher.outputs.is_empty() {
             let t_out = Instant::now();
-            let n = self.pkts.len() as u64;
-            for pkt in self.pkts.drain(..) {
-                self.tele
-                    .hop_if_traced(Stage::Collector, pkt.meta(), pkt.is_nil());
+            outputs.extend(dispatcher.outputs.drain(..).map(|pkt| {
                 let pid = pkt.meta().pid();
-                // Delivery settles the packet against the epoch that
-                // classified it.
-                self.handle.finish(pkt.meta().epoch());
-                self.outputs
-                    .push((pid, t_out, self.keep_packets.then_some(pkt)));
-            }
-            self.delivered.fetch_add(n, Ordering::Release);
+                (pid, t_out, config.keep_packets.then_some(pkt))
+            }));
         }
-        progress
-    }
-
-    fn ready(&self) -> bool {
-        self.rxs.iter().any(|r| !r.is_empty())
-    }
-
-    fn done(&self) -> bool {
-        self.quiesce.load(Ordering::Acquire) && self.rxs.iter().all(|r| r.is_empty())
-    }
-
-    fn finish(&mut self) {
-        *self.slot.lock().unwrap() = std::mem::take(&mut self.outputs);
-    }
-}
-
-/// Stages a list of forwarding actions can deliver messages to.
-fn action_stages(actions: &[FtAction]) -> Vec<Stage> {
-    let mut out = Vec::new();
-    for a in actions {
-        match a {
-            FtAction::Distribute { targets, .. } => {
-                out.extend(targets.iter().map(|&t| Stage::of(t)));
-            }
-            FtAction::Output { .. } => out.push(Stage::Collector),
-            FtAction::Copy { .. } => {}
+        let fed = match &intake {
+            Some(intake) => ctl.stop.load(Ordering::Acquire) && intake.is_empty(),
+            None => true,
+        };
+        if fed && ctl.quiesce.load(Ordering::Acquire) && dispatcher.idle() {
+            break;
         }
-    }
-    out
-}
-
-/// Check that every stage edge the tables can emit a message along has a
-/// ring in the wiring plan, so a run can never misroute (the sinks used to
-/// panic on this; now it cannot build).
-fn validate_wiring(program: &Program, mergers: usize) -> Result<(), EngineError> {
-    let tables: &GraphTables = program.tables();
-    let check = |from: Stage, needed: Vec<Stage>| -> Result<(), EngineError> {
-        let have = program.wiring().targets_of(from, mergers);
-        needed.into_iter().try_for_each(|to| {
-            if have.contains(&to) {
-                Ok(())
+        if progress {
+            idler.reset();
+            idle_polls = 0;
+            // Work we produced may feed a group parked on another thread
+            // (or the injector, waiting on the in-flight window).
+            ctl.hub.notify();
+        } else {
+            idle_polls += 1;
+            if idle_polls.is_multiple_of(POLLS_PER_IDLE_STEP) {
+                idler.idle(|| !dispatcher.idle() || intake.as_ref().is_some_and(|i| !i.is_empty()));
             } else {
-                Err(EngineError::MissingRing { from, to })
+                std::hint::spin_loop();
             }
-        })
-    };
-    check(Stage::Classifier, action_stages(&tables.entry_actions))?;
-    for (i, cfg) in tables.nf_configs.iter().enumerate() {
-        let mut needed = action_stages(&cfg.actions);
-        if matches!(cfg.on_drop, DropBehavior::NilToMerger { .. }) {
-            needed.push(Stage::Agent);
         }
-        check(Stage::Nf(i), needed)?;
     }
-    let mut agent_needed: Vec<Stage> = (0..mergers).map(Stage::Merger).collect();
-    for spec in &tables.merge_specs {
-        agent_needed.extend(action_stages(&spec.next));
+    // Peers may be parked waiting on state we just flushed.
+    ctl.hub.notify();
+    GroupExit {
+        runtimes: dispatcher.runtimes,
+        outputs,
+        rejected_at: intake.map(|i| i.rejected_at).unwrap_or_default(),
     }
-    check(Stage::Agent, agent_needed)
 }
 
 /// A cloneable, thread-safe handle for reconfiguring a running [`Engine`]
@@ -935,127 +482,36 @@ impl EngineController {
     /// returned [`EpochReport`] records the diff, the install-to-retire
     /// latency and the old epoch's final accounting.
     pub fn reconfigure(&self, program: Program) -> Result<EpochReport, ReconfigError> {
-        let slots = program.slots_per_packet();
-        let required = self.max_in_flight.max(1) * slots;
-        if self.pool_size < required {
-            return Err(ReconfigError::PoolTooSmall {
-                pool_size: self.pool_size,
-                required,
-                max_in_flight: self.max_in_flight,
-                slots_per_packet: slots,
-            });
-        }
-        let started = Instant::now();
-        let swap = self.handle.install(program)?;
-        let drained = swap.old.in_flight();
-        let deadline = started + self.drain_timeout;
-        let mut spins = 0u32;
-        while !swap.old.drained() {
-            if Instant::now() >= deadline {
-                return Err(ReconfigError::DrainTimeout {
-                    epoch: swap.old.epoch(),
-                    in_flight: swap.old.in_flight(),
-                });
-            }
-            // Back off: drains take packet-scale time, not cycle-scale,
-            // and this controller thread must not steal the engine's core.
-            spins += 1;
-            if spins < 16 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        }
-        self.handle.retire();
-        Ok(EpochReport {
-            from_epoch: swap.old.epoch(),
-            to_epoch: self.handle.epoch(),
-            update: swap.update,
-            swap_latency: started.elapsed(),
-            drained,
-            completed: swap.old.completed(),
-            shards: Vec::new(),
-        })
+        self.handle.swap(
+            program,
+            self.pool_size,
+            self.max_in_flight,
+            self.drain_timeout,
+        )
     }
 }
 
-/// What the injector loop pulls from: a pre-materialized batch (the
-/// historical closed-loop entry points) or a live [`Ingress`] pulled in
-/// bursts. Streaming keeps the burst buffered locally so backpressure
-/// (`max_in_flight`, ring-full retries) applies per packet, exactly as
-/// in the batch path.
-enum Feed<'a> {
-    Batch(std::vec::IntoIter<Packet>),
-    Stream {
-        ingress: &'a mut dyn Ingress,
-        burst: usize,
-        buf: VecDeque<Packet>,
-        done: bool,
-        error: Option<IoError>,
-    },
-}
-
-impl<'a> Feed<'a> {
-    fn batch(packets: Vec<Packet>) -> Self {
-        Feed::Batch(packets.into_iter())
+/// Emit a finished run's delivered packets to `egress` and derive the I/O
+/// accounting from its report; the packets stay in the report only when
+/// the caller asked to `keep` them.
+pub(crate) fn emit_report(
+    mut report: EngineReport,
+    egress: &mut dyn Egress,
+    keep: bool,
+) -> Result<(EngineReport, IoRunStats), IoError> {
+    egress.emit_burst(&report.packets)?;
+    egress.flush()?;
+    let rejected = report.stats.classifier.rejects();
+    let io = IoRunStats {
+        pulled: report.injected,
+        delivered: report.delivered,
+        dropped: report.dropped.saturating_sub(rejected),
+        rejected,
+    };
+    if !keep {
+        report.packets.clear();
     }
-
-    fn stream(ingress: &'a mut dyn Ingress, burst: usize) -> Self {
-        Feed::Stream {
-            ingress,
-            burst,
-            buf: VecDeque::new(),
-            done: false,
-            error: None,
-        }
-    }
-
-    /// Next packet to inject, or `None` when the source is exhausted
-    /// (batch empty, ingress end-of-stream, or ingress error — the error
-    /// is parked for [`Feed::take_error`] so the run still drains what
-    /// was already injected).
-    fn next(&mut self) -> Option<Packet> {
-        match self {
-            Feed::Batch(it) => it.next(),
-            Feed::Stream {
-                ingress,
-                burst,
-                buf,
-                done,
-                error,
-            } => loop {
-                if let Some(pkt) = buf.pop_front() {
-                    return Some(pkt);
-                }
-                if *done {
-                    return None;
-                }
-                match ingress.next_burst(*burst) {
-                    Ok(Some(pkts)) => buf.extend(pkts),
-                    Ok(None) => *done = true,
-                    Err(e) => {
-                        *error = Some(e);
-                        *done = true;
-                    }
-                }
-            },
-        }
-    }
-
-    /// Capacity hint for the latency recorder and injection-time table.
-    fn size_hint(&self) -> usize {
-        match self {
-            Feed::Batch(it) => it.len(),
-            Feed::Stream { burst, .. } => *burst * 32,
-        }
-    }
-
-    fn take_error(&mut self) -> Option<IoError> {
-        match self {
-            Feed::Batch(_) => None,
-            Feed::Stream { error, .. } => error.take(),
-        }
-    }
+    Ok((report, io))
 }
 
 /// The threaded engine: one executor for a sealed [`Program`]. Build once,
@@ -1098,7 +554,6 @@ impl Engine {
                 return Err(EngineError::ZeroParkTimeout);
             }
         }
-        validate_wiring(&program, config.mergers)?;
         let slots = program.slots_per_packet();
         let required = config.max_in_flight.max(1) * slots;
         if config.pool_size < required {
@@ -1153,16 +608,18 @@ impl Engine {
         &mut self,
         packets: Vec<Packet>,
     ) -> (EngineReport, LatencyRecorder) {
-        let (report, recorder, err) = self.run_feed(Feed::batch(packets));
-        debug_assert!(err.is_none(), "batch feeds cannot fail");
-        (report, recorder)
+        let expected = packets.len();
+        let mut packets = packets.into_iter();
+        self.run_feed(&mut || packets.next(), expected)
     }
 
     /// Run the engine against a pluggable [`Ingress`]/[`Egress`] backend
     /// pair: bursts of [`EngineConfig::io_burst`] packets are pulled and
     /// injected on the caller thread until the ingress reports end of
     /// stream, then every delivered packet is emitted to `egress` (in
-    /// collector completion order) and the egress is flushed.
+    /// collector completion order) and the egress is flushed. An ingress
+    /// error stops injection; everything already injected still drains
+    /// before the error is returned.
     ///
     /// `keep_packets` is forced on for the duration of the call so
     /// delivered frames exist to emit; the caller's setting is restored
@@ -1172,320 +629,203 @@ impl Engine {
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
     ) -> Result<(EngineReport, IoRunStats), IoError> {
-        let keep = self.config.keep_packets;
-        self.config.keep_packets = true;
+        let keep = self.set_keep_packets(true);
         let burst = self.config.io_burst.max(1);
-        let (mut report, _recorder, err) = self.run_feed(Feed::stream(ingress, burst));
-        self.config.keep_packets = keep;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        egress.emit_burst(&report.packets)?;
-        egress.flush()?;
-        let rejected = report.stats.classifier.rejects();
-        let io = IoRunStats {
-            pulled: report.injected,
-            delivered: report.delivered,
-            dropped: report.dropped.saturating_sub(rejected),
-            rejected,
+        // The pulled burst is buffered here so backpressure
+        // (`max_in_flight`, ring-full retries) applies per packet,
+        // exactly as in the batch path.
+        let mut buffered = VecDeque::new();
+        let mut error = None;
+        let mut next = || loop {
+            if let Some(pkt) = buffered.pop_front() {
+                return Some(pkt);
+            }
+            match ingress.next_burst(burst) {
+                Ok(Some(pkts)) => buffered.extend(pkts),
+                Ok(None) => return None,
+                Err(e) => {
+                    error = Some(e);
+                    return None;
+                }
+            }
         };
-        if !keep {
-            report.packets.clear();
+        let (report, _) = self.run_feed(&mut next, burst * 32);
+        self.set_keep_packets(keep);
+        match error {
+            Some(e) => Err(e),
+            None => emit_report(report, egress, keep),
         }
-        Ok((report, io))
     }
 
-    /// Crate-internal toggle for the sharded front-end's I/O entry
-    /// point: force delivered packets to materialize for the run, then
-    /// restore. Returns the previous setting.
+    /// Crate-internal toggle for the I/O entry points: force delivered
+    /// packets to materialize for the run, then restore. Returns the
+    /// previous setting.
     pub(crate) fn set_keep_packets(&mut self, keep: bool) -> bool {
         std::mem::replace(&mut self.config.keep_packets, keep)
     }
 
-    /// The engine core shared by the batch and streaming entry points.
-    /// Returns the report, the raw latency recorder, and — for streaming
-    /// feeds — the first ingress error, if any (injection stops at the
-    /// error; everything already injected is still accounted).
-    fn run_feed(&mut self, mut feed: Feed<'_>) -> (EngineReport, LatencyRecorder, Option<IoError>) {
-        let pool = Arc::new(PacketPool::new(self.config.pool_size));
-        let n_nfs = self.nfs.len();
-        let n_mergers = self.config.mergers;
+    /// The engine core shared by the batch and streaming entry points:
+    /// inject what `next` yields until it runs dry (`expected` sizes the
+    /// bookkeeping), drain, and report with the raw latency recorder.
+    fn run_feed(
+        &mut self,
+        next: &mut dyn FnMut() -> Option<Packet>,
+        expected: usize,
+    ) -> (EngineReport, LatencyRecorder) {
+        let config = &self.config;
+        let layout = Layout {
+            nfs: self.nfs.len(),
+            mergers: config.mergers,
+        };
         // Snapshot the current program for executor construction (ring
         // mesh, runtime configs). A mid-run hot swap only ever installs a
         // topology-identical successor, so the mesh built here stays valid
         // across epochs; per-packet table lookups go through epoch-keyed
-        // [`TablesResolver`]s instead of this snapshot.
+        // [`crate::swap::TablesResolver`]s instead of this snapshot.
         let handle = Arc::clone(&self.handle);
         let program = handle.current().program().clone();
+        let cx = Shared::new(
+            layout,
+            config.pool_size,
+            Arc::clone(&handle),
+            Telemetry::new(config.telemetry.clone(), layout.nfs, layout.mergers),
+            Clock::Wall(Instant::now()),
+            config.merge_deadline.as_millis() as u64,
+        );
 
-        // Per-stage counters, borrowed by the worker threads for the
-        // duration of the scoped run and snapshotted into the report.
-        let classifier_stats = StageStats::new();
-        let nf_stats: Vec<StageStats> = (0..n_nfs).map(|_| StageStats::new()).collect();
-        let agent_stats = StageStats::new();
-        let merger_stats: Vec<StageStats> = (0..n_mergers).map(|_| StageStats::new()).collect();
-        let collector_stats = StageStats::new();
-        // Shared telemetry recorder, borrowed by every stage thread like
-        // the stats above.
-        let telemetry = Telemetry::new(self.config.telemetry.clone(), n_nfs, n_mergers);
+        // Threading model: one dispatcher per group of stages. Front
+        // section: classifier + NFs. Back section: agent + mergers +
+        // collector. Budgets ≥ 2 never mix the sections, so a blocking NF
+        // cannot starve merge-deadline enforcement.
+        let groups = crate::exec::plan_pipeline_groups(
+            1 + layout.nfs,
+            2 + layout.mergers,
+            config.core_budget.max(1),
+        );
+        let group_of = |stage: Stage| {
+            let slot = layout.slot(stage);
+            groups
+                .iter()
+                .position(|g| g.contains(&slot))
+                .expect("the group plan covers every stage")
+        };
 
         // Instantiate the program's wiring plan: one SPSC ring per
-        // (producer stage, consumer stage) edge.
-        let mut producers: HashMap<(Stage, Stage), Producer<Msg>> = HashMap::new();
-        let mut consumers: HashMap<Stage, Vec<Consumer<Msg>>> = HashMap::new();
-        let mut stages = vec![Stage::Classifier, Stage::Agent, Stage::Collector];
-        stages.extend((0..n_nfs).map(Stage::Nf));
-        stages.extend((0..n_mergers).map(Stage::Merger));
-        for &from in &stages {
-            for to in program.wiring().targets_of(from, n_mergers) {
-                let (tx, rx) = ring::channel(self.config.ring_capacity);
-                producers.insert((from, to), tx);
-                consumers.entry(to).or_default().push(rx);
+        // (producer stage, consumer stage) edge the grouping cuts, and a
+        // typed outcome ring per merger instance separated from the
+        // agent. Edges inside a group need no ring.
+        let mut rings: Vec<Rings> = groups.iter().map(|_| Rings::default()).collect();
+        for from in layout.stages() {
+            for to in program.wiring().targets_of(from, layout.mergers) {
+                let (gf, gt) = (group_of(from), group_of(to));
+                if gf != gt {
+                    let (tx, rx) = ring::channel(config.ring_capacity);
+                    rings[gf].outputs.push((from, to, tx));
+                    rings[gt].inputs.push((to, rx));
+                }
             }
         }
-        let producers_from =
-            |from: Stage, producers: &mut HashMap<(Stage, Stage), Producer<Msg>>| {
-                let keys: Vec<(Stage, Stage)> = producers
-                    .keys()
-                    .filter(|(f, _)| *f == from)
-                    .copied()
-                    .collect();
-                keys.into_iter()
-                    .map(|key| (key.1, producers.remove(&key).unwrap()))
-                    .collect::<Vec<_>>()
-            };
-
-        // Typed outcome rings: merger instance → agent.
-        let mut outcome_txs: Vec<Producer<Outcome>> = Vec::with_capacity(n_mergers);
-        let mut outcome_rxs: Vec<Consumer<Outcome>> = Vec::with_capacity(n_mergers);
-        for _ in 0..n_mergers {
-            let (tx, rx) = ring::channel(self.config.ring_capacity);
-            outcome_txs.push(tx);
-            outcome_rxs.push(rx);
+        let agent_group = group_of(Stage::Agent);
+        for m in 0..layout.mergers {
+            let gm = group_of(Stage::Merger(m));
+            if gm != agent_group {
+                let (tx, rx) = ring::channel(config.ring_capacity);
+                rings[gm].outcome_outputs.push((m, tx));
+                rings[agent_group].outcome_inputs.push(rx);
+            }
         }
+        // Injection ring into the classifier's group (always the first).
+        let (inject_tx, inject_rx) = ring::channel::<Packet>(config.ring_capacity);
+        let mut intake = Some(Intake {
+            rx: inject_rx,
+            pending: VecDeque::new(),
+            scratch: Vec::new(),
+            seen: 0,
+            rejected_at: Vec::new(),
+        });
 
-        // Injection ring into the classifier.
-        let (inject_tx, inject_rx) = ring::channel::<Packet>(self.config.ring_capacity);
-
-        // Two-phase shutdown. `stop` ends injection (the classifier exits
-        // once its ring drains). `quiesce` releases everything else — it is
-        // raised only after the pool is empty, because a deadline-expired
-        // merge accounts its packet while a straggler copy from the
-        // stalled NF may still be in flight toward the merger's tombstone;
-        // stages must keep draining until that last reference is released
-        // or it would leak.
-        let stop = AtomicBool::new(false);
-        let quiesce = AtomicBool::new(false);
-        let delivered = AtomicU64::new(0);
-        let dropped = AtomicU64::new(0);
-        // Known up front for batch feeds; for streams, assigned once the
-        // source is exhausted (the scope body runs on this thread, so the
-        // completion loop below always sees the final value).
-        let mut injected_total = 0u64;
-
-        // Watchdog state: per-NF heartbeats (bumped once per drain loop),
-        // busy flags (set while inside `handle`), and the failed verdicts
-        // the watchdog hands down.
-        let heartbeats: Vec<AtomicU64> = (0..n_nfs).map(|_| AtomicU64::new(0)).collect();
-        let nf_busy: Vec<AtomicBool> = (0..n_nfs).map(|_| AtomicBool::new(false)).collect();
-        let nf_failed: Vec<AtomicBool> = (0..n_nfs).map(|_| AtomicBool::new(false)).collect();
-        let stall_timeout = self.config.stall_timeout;
-        let merge_deadline_ms = self.config.merge_deadline.as_millis() as u64;
-
-        let classifier_sink = StashSink::new(
-            producers_from(Stage::Classifier, &mut producers),
-            &classifier_stats,
-            pool.as_ref(),
-            &dropped,
-            handle.as_ref(),
-        );
-        let mut nf_sinks: Vec<StashSink> = (0..n_nfs)
-            .map(|i| {
-                StashSink::new(
-                    producers_from(Stage::Nf(i), &mut producers),
-                    &nf_stats[i],
-                    pool.as_ref(),
-                    &dropped,
-                    handle.as_ref(),
-                )
-            })
+        // Take the NFs out for the duration of the run; each group's
+        // dispatcher takes the runtimes of its own NFs.
+        let mut runtimes = std::mem::take(&mut self.nfs)
+            .into_iter()
+            .zip(program.tables().nf_configs.iter().cloned())
+            .map(|(nf, cfg)| NfRuntime::new(nf, cfg));
+        let dispatchers: Vec<Dispatcher> = groups
+            .iter()
+            .zip(rings)
+            .map(|(group, rings)| Dispatcher::new(&cx, group.clone(), &mut runtimes, rings))
             .collect();
-        let agent_sink = StashSink::new(
-            producers_from(Stage::Agent, &mut producers),
-            &agent_stats,
-            pool.as_ref(),
-            &dropped,
-            handle.as_ref(),
-        );
-        let mut nf_rx: Vec<Vec<Consumer<Msg>>> = (0..n_nfs)
-            .map(|i| consumers.remove(&Stage::Nf(i)).unwrap_or_default())
-            .collect();
-        let agent_rx = consumers.remove(&Stage::Agent).unwrap_or_default();
-        let mut merger_rx: Vec<Vec<Consumer<Msg>>> = (0..n_mergers)
-            .map(|m| consumers.remove(&Stage::Merger(m)).unwrap_or_default())
-            .collect();
-        let collector_rx = consumers.remove(&Stage::Collector).unwrap_or_default();
 
-        let tables = Arc::clone(program.tables());
-        let keep_packets = self.config.keep_packets;
-        let max_in_flight = self.config.max_in_flight.max(1);
+        let nf_group: Vec<usize> = (0..layout.nfs).map(|i| group_of(Stage::Nf(i))).collect();
+        let stall_timeout = config.stall_timeout;
+        let max_in_flight = config.max_in_flight.max(1) as u64;
 
         // Live-audit gauges: one slot per run, budget = the closed-loop
         // window's worst-case pool footprint.
-        let gauges = self.config.probe.as_ref().map(|p| p.register());
+        let gauges = config.probe.as_ref().map(|p| p.register());
         if let Some(g) = &gauges {
             g.pool_budget.store(
-                (max_in_flight * program.slots_per_packet()) as u64,
+                max_in_flight * program.slots_per_packet() as u64,
                 Ordering::Relaxed,
             );
             g.active.store(true, Ordering::Release);
         }
-
-        // Take the NFs out for the duration of the scoped run.
-        let nfs = std::mem::take(&mut self.nfs);
-        let mut runtimes: Vec<NfRuntime<Box<dyn NetworkFunction>>> = nfs
-            .into_iter()
-            .zip(tables.nf_configs.iter().cloned())
-            .map(|(nf, cfg)| NfRuntime::new(nf, cfg))
-            .collect();
-
-        // Threading model: pack the stage tasks onto at most `core_budget`
-        // threads, coalescing in pipeline order, with a shared wake hub
-        // for adaptive idling. Result hand-back goes through slots the
-        // tasks fill at finish.
-        let hub = crate::exec::WakeHub::new();
-        let idle_policy = self.config.idle_policy;
-        let core_budget = self.config.core_budget.max(1);
-        let pin_cpus = self.config.pin_cpus.clone();
-        let rt_slots: Vec<RtSlot> = (0..n_nfs).map(|_| Mutex::new(None)).collect();
-        let outputs_slot: Mutex<Vec<OutputRow>> = Mutex::new(Vec::new());
-
-        let mut report_latency = LatencyRecorder::with_capacity(feed.size_hint());
-        let mut report_packets = Vec::new();
-        let mut nf_failures: Vec<NfFailure> = Vec::new();
-        let started = Instant::now();
-
-        // Stage tasks in pipeline order; contiguous grouping then keeps
-        // producer→consumer pairs together when coalescing.
-        let mut tasks: Vec<Box<dyn crate::exec::StageCore + '_>> =
-            Vec::with_capacity(3 + n_nfs + n_mergers);
-        tasks.push(Box::new(ClassifierTask {
-            classifier: Classifier::live(Arc::clone(&handle)),
-            inject_rx,
-            pending: VecDeque::new(),
-            scratch: Vec::new(),
-            sink: classifier_sink,
-            pool: Arc::clone(&pool),
-            stats: &classifier_stats,
-            tele: &telemetry,
-            stop: &stop,
-            dropped: &dropped,
-        }));
-        for (i, (rt, sink)) in runtimes.drain(..).zip(nf_sinks.drain(..)).enumerate() {
-            tasks.push(Box::new(NfTask {
-                i,
-                rt: Some(rt),
-                rxs: std::mem::take(&mut nf_rx[i]),
-                sink,
-                resolver: TablesResolver::new(Arc::clone(&handle)),
-                batch: Vec::new(),
-                pool: Arc::clone(&pool),
-                handle: Arc::clone(&handle),
-                stats: &nf_stats[i],
-                tele: &telemetry,
-                hb: &heartbeats[i],
-                busy: &nf_busy[i],
-                failed: &nf_failed[i],
-                quiesce: &quiesce,
-                dropped: &dropped,
-                slot: &rt_slots[i],
-            }));
-        }
-        tasks.push(Box::new(AgentTask {
-            core: AgentCore::new(n_mergers),
-            rxs: agent_rx,
-            outcome_rxs,
-            sink: agent_sink,
-            resolver: TablesResolver::new(Arc::clone(&handle)),
-            batch: Vec::new(),
-            obatch: Vec::new(),
-            picks: Vec::new(),
-            pool: Arc::clone(&pool),
-            handle: Arc::clone(&handle),
-            stats: &agent_stats,
-            tele: &telemetry,
-            quiesce: &quiesce,
-            dropped: &dropped,
-        }));
-        for (m, outcome_tx) in outcome_txs.drain(..).enumerate() {
-            tasks.push(Box::new(MergerTask {
-                m,
-                core: MergerCore::new(),
-                rxs: std::mem::take(&mut merger_rx[m]),
-                outcome_tx,
-                outcomes: Vec::new(),
-                out_off: 0,
-                out_attempts: 0,
-                resolver: TablesResolver::new(Arc::clone(&handle)),
-                batch: Vec::new(),
-                pool: Arc::clone(&pool),
-                stats: &merger_stats[m],
-                tele: &telemetry,
-                quiesce: &quiesce,
-                started,
-                merge_deadline_ms,
-            }));
-        }
-        tasks.push(Box::new(CollectorTask {
-            rxs: collector_rx,
-            batch: Vec::new(),
-            pkts: Vec::new(),
-            outputs: Vec::new(),
-            pool: Arc::clone(&pool),
-            handle: Arc::clone(&handle),
-            stats: &collector_stats,
-            tele: &telemetry,
-            quiesce: &quiesce,
-            delivered: &delivered,
-            keep_packets,
-            slot: &outputs_slot,
-        }));
-        // Front section: classifier + NFs. Back section: agent + mergers
-        // + collector. Budgets ≥ 2 never mix the sections, so a blocking
-        // NF cannot starve merge-deadline enforcement.
-        let groups = crate::exec::plan_pipeline_groups(1 + n_nfs, 2 + n_mergers, core_budget);
-
-        crossbeam::thread::scope(|scope| {
-            // One thread per group, each round-robining its stage tasks.
-            let mut group_handles = Vec::with_capacity(groups.len());
-            let mut task_iter = tasks.into_iter();
-            for (g, range) in groups.iter().enumerate() {
-                let mut cores: Vec<Box<dyn crate::exec::StageCore + '_>> =
-                    task_iter.by_ref().take(range.len()).collect();
-                let hub_ref = &hub;
-                let pin = (!pin_cpus.is_empty()).then(|| pin_cpus[g % pin_cpus.len()]);
-                group_handles.push(scope.spawn(move |_| {
-                    crate::exec::drive(&mut cores, hub_ref, idle_policy, pin);
-                }));
+        // Publish the run's live gauges (no-op without a probe); the
+        // injector loop is the one place that sees every counter.
+        let publish = |cx: &Shared, injected_now: u64| {
+            if let Some(g) = &gauges {
+                g.publish(
+                    injected_now,
+                    cx.delivered.load(Ordering::Relaxed),
+                    cx.dropped.load(Ordering::Relaxed),
+                    cx.pool.in_use() as u64,
+                    handle.epoch(),
+                );
             }
+        };
+
+        let mut inject_times: Vec<Instant> = Vec::with_capacity(expected);
+        let started = Instant::now();
+        let cx = &cx;
+        let ctl = GroupCtl {
+            cx,
+            config,
+            hub: WakeHub::new(),
+            stop: AtomicBool::new(false),
+            quiesce: AtomicBool::new(false),
+            heartbeats: groups.iter().map(|_| AtomicU64::new(0)).collect(),
+        };
+        let (hub, heartbeats) = (&ctl.hub, &ctl.heartbeats);
+
+        let exits: Vec<GroupExit> = std::thread::scope(|scope| {
+            // One thread per group, each driving its dispatcher.
+            let group_handles: Vec<_> = dispatchers
+                .into_iter()
+                .enumerate()
+                .map(|(g, dispatcher)| {
+                    let (ctl, intake) = (&ctl, intake.take());
+                    scope.spawn(move || drive_group(ctl, g, dispatcher, intake))
+                })
+                .collect();
 
             // Cooperative stall watchdog, polled from this thread's wait
             // loops: when the whole engine makes no progress for
-            // `stall_timeout` while some NF sits busy with a static
-            // heartbeat, that NF is holding the pipeline hostage — hand
-            // down a failed verdict so its task force-fails the runtime
-            // the next time the NF yields control back (an NF that never
-            // returns at all is unrecoverable; see DESIGN.md).
+            // `stall_timeout` while some NF sits busy on a thread whose
+            // heartbeat is static, that NF is holding the pipeline hostage
+            // — hand down a failed verdict so its dispatcher force-fails
+            // the runtime the next time the NF yields control back (an NF
+            // that never returns at all is unrecoverable; see DESIGN.md).
             let mut wd_total: (u64, Instant) = (0, Instant::now());
-            let mut wd_hb: Vec<(u64, Instant)> = (0..n_nfs).map(|_| (0, Instant::now())).collect();
+            let mut wd_hb: Vec<(u64, Instant)> =
+                heartbeats.iter().map(|_| (0, Instant::now())).collect();
             let mut check_stall = || {
                 let now = Instant::now();
-                let total = delivered.load(Ordering::Acquire) + dropped.load(Ordering::Acquire);
+                let total = cx.finished();
                 if total != wd_total.0 {
                     wd_total = (total, now);
                 }
-                for (i, slot) in wd_hb.iter_mut().enumerate() {
-                    let hb = heartbeats[i].load(Ordering::Relaxed);
+                for (hb, slot) in heartbeats.iter().zip(wd_hb.iter_mut()) {
+                    let hb = hb.load(Ordering::Relaxed);
                     if hb != slot.0 {
                         *slot = (hb, now);
                     }
@@ -1493,153 +833,128 @@ impl Engine {
                 if now.duration_since(wd_total.1) < stall_timeout {
                     return;
                 }
-                for (i, slot) in wd_hb.iter().enumerate() {
-                    if nf_busy[i].load(Ordering::Acquire)
-                        && now.duration_since(slot.1) >= stall_timeout
+                for (watch, &g) in cx.watch.iter().zip(&nf_group) {
+                    if watch.busy.load(Ordering::Acquire)
+                        && now.duration_since(wd_hb[g].1) >= stall_timeout
                     {
-                        nf_failed[i].store(true, Ordering::Release);
+                        watch.failed.store(true, Ordering::Release);
                     }
                 }
             };
 
             // Closed-loop injection on this thread, idling adaptively
-            // like the stages (the bounded park keeps the watchdog
-            // running; any stage progress notifies the hub and wakes us).
-            let mut idler = crate::exec::Idler::new(&hub, idle_policy);
-            let finished = || delivered.load(Ordering::Acquire) + dropped.load(Ordering::Acquire);
-            // Publish the run's live gauges (no-op without a probe); the
-            // injector loop is the one place that sees every counter.
-            let publish = |injected_now: u64| {
-                if let Some(g) = &gauges {
-                    g.publish(
-                        injected_now,
-                        delivered.load(Ordering::Relaxed),
-                        dropped.load(Ordering::Relaxed),
-                        pool.in_use() as u64,
-                        handle.epoch(),
-                    );
-                }
+            // like the groups (the bounded park keeps the watchdog
+            // running; any group's progress notifies the hub and wakes us).
+            let mut idler = Idler::new(hub, config.idle_policy);
+            let mut idle_step = |idler: &mut Idler<'_>, injected: u64, ready: &dyn Fn() -> bool| {
+                check_stall();
+                publish(cx, injected);
+                idler.idle(ready);
             };
-            let mut inject_times: Vec<Instant> = Vec::with_capacity(feed.size_hint());
-            while let Some(pkt) = feed.next() {
-                while (inject_times.len() as u64).saturating_sub(finished()) >= max_in_flight as u64
-                {
-                    check_stall();
-                    publish(inject_times.len() as u64);
-                    idler.idle(|| {
-                        (inject_times.len() as u64).saturating_sub(finished())
-                            < max_in_flight as u64
-                    });
+            while let Some(pkt) = next() {
+                let injected = inject_times.len() as u64;
+                let window_full = || injected.saturating_sub(cx.finished()) >= max_in_flight;
+                while window_full() {
+                    idle_step(&mut idler, injected, &|| !window_full());
                 }
                 inject_times.push(Instant::now());
                 let mut item = pkt;
-                loop {
-                    match inject_tx.push(item) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            item = back;
-                            check_stall();
-                            idler.idle(|| false);
-                        }
-                    }
+                while let Err(back) = inject_tx.push(item) {
+                    item = back;
+                    idle_step(&mut idler, injected, &|| false);
                 }
-                publish(inject_times.len() as u64);
+                publish(cx, injected + 1);
                 idler.reset();
-                // The classifier may be parked; its work predicate cannot
-                // see the push without a generation bump.
+                // The classifier's group may be parked; its work predicate
+                // cannot see the push without a generation bump.
                 hub.notify();
             }
-            injected_total = inject_times.len() as u64;
+            let injected = inject_times.len() as u64;
             // Wait for completion, then stop injection.
-            while finished() < injected_total {
-                check_stall();
-                publish(injected_total);
-                idler.idle(|| finished() >= injected_total);
+            while cx.finished() < injected {
+                idle_step(&mut idler, injected, &|| cx.finished() >= injected);
             }
-            stop.store(true, Ordering::Release);
+            ctl.stop.store(true, Ordering::Release);
             hub.notify();
             // Every packet is accounted, but straggler copies of
             // deadline-expired merges may still be in flight toward their
-            // tombstones. Hold the worker stages until the pool is empty —
-            // only then is it safe to let them exit without leaking.
-            while pool.in_use() > 0 {
-                check_stall();
-                publish(injected_total);
-                idler.idle(|| pool.in_use() == 0);
+            // tombstones. Hold the groups until the pool is empty — only
+            // then is it safe to let them exit without leaking.
+            while cx.pool.in_use() > 0 {
+                idle_step(&mut idler, injected, &|| cx.pool.in_use() == 0);
             }
-            quiesce.store(true, Ordering::Release);
+            ctl.quiesce.store(true, Ordering::Release);
             hub.notify();
             drop(inject_tx);
 
-            for h in group_handles {
-                h.join().expect("engine stage group");
-            }
-
-            let outputs = std::mem::take(&mut *outputs_slot.lock().unwrap());
-            for (pid, t_out, pkt) in outputs {
-                if let Some(t_in) = inject_times.get(pid as usize) {
-                    report_latency.record(t_out.duration_since(*t_in));
-                }
-                if let Some(p) = pkt {
-                    report_packets.push(p);
-                }
-            }
-            // Recover the NFs for subsequent runs, harvesting failure
-            // records on the way out.
-            for (i, slot) in rt_slots.iter().enumerate() {
-                let rt = slot.lock().unwrap().take().expect("nf runtime returned");
-                let failure = rt.failure().cloned();
-                let policy = rt.failure_policy();
-                let (bypassed, policy_drops) = (rt.bypassed, rt.policy_drops);
-                let nf = rt.into_nf();
-                if let Some(kind) = failure {
-                    nf_failures.push(NfFailure {
-                        node: i,
-                        nf: nf.name().to_string(),
-                        kind,
-                        policy,
-                        bypassed,
-                        policy_drops,
-                    });
-                }
-                self.nfs.push(nf);
-            }
-        })
-        .expect("engine scope");
-
+            group_handles
+                .into_iter()
+                .map(|h| h.join().expect("engine stage group"))
+                .collect()
+        });
+        let elapsed = started.elapsed();
+        let injected = inject_times.len() as u64;
+        publish(cx, injected);
         if let Some(g) = &gauges {
-            g.publish(
-                injected_total,
-                delivered.load(Ordering::Acquire),
-                dropped.load(Ordering::Acquire),
-                pool.in_use() as u64,
-                handle.epoch(),
-            );
             g.active.store(false, Ordering::Release);
         }
 
+        // Pair each delivery with its own injection. PIDs are dense over
+        // *admitted* packets, while a rejected packet took an injection
+        // slot and no PID: drop the rejected ordinals (ascending) from the
+        // injection times and what is left is indexed by PID.
+        let mut rejected = exits[0].rejected_at.iter().copied().peekable();
+        inject_times = inject_times
+            .into_iter()
+            .zip(0u64..)
+            .filter(|&(_, ordinal)| rejected.next_if_eq(&ordinal).is_none())
+            .map(|(t_in, _)| t_in)
+            .collect();
+        let mut latency = LatencyRecorder::with_capacity(inject_times.len());
+        let mut packets = Vec::new();
+        let mut failures: Vec<NfFailure> = Vec::new();
+        // Groups are contiguous in pipeline order, so their runtimes
+        // concatenate back into `NodeId` order.
+        for exit in exits {
+            for (pid, t_out, pkt) in exit.outputs {
+                if let Some(t_in) = inject_times.get(pid as usize) {
+                    latency.record(t_out.duration_since(*t_in));
+                }
+                packets.extend(pkt);
+            }
+            // Recover the NFs for subsequent runs, harvesting failure
+            // records on the way out.
+            for rt in exit.runtimes {
+                if let Some(kind) = rt.failure().cloned() {
+                    failures.push(NfFailure {
+                        node: self.nfs.len(),
+                        nf: rt.nf().name().to_string(),
+                        kind,
+                        policy: rt.failure_policy(),
+                        bypassed: rt.bypassed,
+                        policy_drops: rt.policy_drops,
+                    });
+                }
+                self.nfs.push(rt.into_nf());
+            }
+        }
+
         let report = EngineReport {
-            injected: injected_total,
-            delivered: delivered.load(Ordering::Acquire),
-            dropped: dropped.load(Ordering::Acquire),
-            elapsed: started.elapsed(),
-            latency: report_latency.summary(),
-            packets: report_packets,
-            stats: EngineStats {
-                classifier: classifier_stats.snapshot(),
-                nfs: nf_stats.iter().map(StageStats::snapshot).collect(),
-                agent: agent_stats.snapshot(),
-                mergers: merger_stats.iter().map(StageStats::snapshot).collect(),
-                collector: collector_stats.snapshot(),
-            },
-            failures: nf_failures,
-            pool_in_use: pool.in_use(),
+            injected,
+            delivered: cx.delivered.load(Ordering::Acquire),
+            dropped: cx.dropped.load(Ordering::Acquire),
+            elapsed,
+            latency: latency.summary(),
+            packets,
+            stats: cx.engine_stats(),
+            failures,
+            pool_in_use: cx.pool.in_use(),
             epoch: handle.epoch(),
             epochs: handle.tallies(),
-            telemetry: telemetry.snapshot(),
+            telemetry: cx.telemetry.snapshot(),
             migration: MigrationStats::default(),
         };
-        (report, report_latency, feed.take_error())
+        (report, latency)
     }
 
     /// Export each NF's per-flow state, one [`FlowSnapshot`] per NF
@@ -1981,39 +1296,5 @@ mod tests {
             },
         )
         .is_ok());
-    }
-
-    #[test]
-    fn coalesced_single_thread_engine_delivers_everything() {
-        // The whole pipeline on one thread: every stage shares a core and
-        // no send may block, or this test deadlocks.
-        let mut e = build(
-            &["Monitor", "Firewall"],
-            EngineConfig {
-                keep_packets: true,
-                max_in_flight: 8,
-                core_budget: 1,
-                ..EngineConfig::default()
-            },
-        );
-        let report = e.run(traffic(150));
-        assert_eq!(report.delivered, 150);
-        assert_eq!(report.dropped, 0);
-        assert_eq!(report.pool_in_use, 0);
-    }
-
-    #[test]
-    fn spin_policy_engine_still_works() {
-        let mut e = build(
-            &["Monitor", "Firewall"],
-            EngineConfig {
-                max_in_flight: 8,
-                idle_policy: crate::exec::IdlePolicy::Spin,
-                core_budget: 2,
-                ..EngineConfig::default()
-            },
-        );
-        let report = e.run(traffic(60));
-        assert_eq!(report.delivered, 60);
     }
 }

@@ -1,20 +1,15 @@
-//! Threading model for the dataplane: core budgets, stage coalescing,
+//! Threading model for the dataplane: core budgets, stage grouping,
 //! adaptive idling and cache-line padding.
 //!
-//! The threaded engine used to spawn one thread per stage (classifier,
-//! each NF, agent, each merger, collector) and busy-poll `yield_now`
-//! whenever a ring was empty. With `shards × stages` threads that
-//! oversubscribes any real host long before four shards — the observed
-//! 4-shard throughput *inversion* — and the idle spinning burns exactly
-//! the cores the busy shards need.
+//! One thread per stage (classifier, each NF, agent, each merger,
+//! collector) busy-polling its rings oversubscribes any real host long
+//! before four shards — the observed 4-shard throughput *inversion* —
+//! and the idle spinning burns exactly the cores the busy shards need.
+//! This module owns what the engine uses instead:
 //!
-//! This module owns the replacement:
-//!
-//! * [`plan_groups`] — partition the pipeline's stage tasks into at most
-//!   `core_budget` contiguous groups, one OS thread per group;
-//! * [`StageCore`] + [`drive`] — the run-to-completion scheduling loop
-//!   that round-robins a group's stages, passing a full burst through
-//!   each stage per pass;
+//! * [`plan_pipeline_groups`] — partition the pipeline's stages into at
+//!   most `core_budget` contiguous groups, one OS thread (and one
+//!   [`crate::dispatch`] dispatcher) per group;
 //! * [`IdlePolicy`] / [`Idler`] / [`WakeHub`] — the shared spin → yield
 //!   → park backoff, with an eventcount so ring producers can wake
 //!   parked consumers without a lost-wakeup window;
@@ -287,60 +282,6 @@ pub fn pin_current_thread(cpu: usize) -> bool {
         let _ = cpu;
         false
     }
-}
-
-/// One stage task (classifier, NF, agent, merger, collector) as seen by
-/// the group scheduler. A `pass` drains a burst from the stage's input
-/// rings and pushes the results downstream without blocking; blocking
-/// would deadlock a group whose consumer stage lives on the same thread.
-pub trait StageCore: Send {
-    /// Run one burst pass. Returns `true` if any work was done.
-    fn pass(&mut self) -> bool;
-    /// Work is visibly available (used as the pre-park re-check).
-    fn ready(&self) -> bool;
-    /// The stage has been told to quiesce and has nothing buffered.
-    fn done(&self) -> bool;
-    /// Called exactly once after the group loop exits; hand results
-    /// (runtimes, collected outputs) back to the engine.
-    fn finish(&mut self) {}
-}
-
-/// Group scheduling loop: round-robin `cores` until all report done,
-/// idling per `policy` on no-progress passes. Producers elsewhere (and
-/// this loop itself, after a productive pass) notify `hub`.
-pub fn drive(
-    cores: &mut [Box<dyn StageCore + '_>],
-    hub: &WakeHub,
-    policy: IdlePolicy,
-    pin: Option<usize>,
-) {
-    if let Some(cpu) = pin {
-        pin_current_thread(cpu);
-    }
-    let mut idler = Idler::new(hub, policy);
-    loop {
-        let mut progress = false;
-        for core in cores.iter_mut() {
-            if core.pass() {
-                progress = true;
-            }
-        }
-        if cores.iter().all(|c| c.done()) {
-            break;
-        }
-        if progress {
-            idler.reset();
-            // Work we produced may feed a stage parked on another thread.
-            hub.notify();
-        } else {
-            idler.idle(|| cores.iter().any(|c| c.ready()));
-        }
-    }
-    for core in cores.iter_mut() {
-        core.finish();
-    }
-    // Peers may be parked waiting on state we just flushed.
-    hub.notify();
 }
 
 /// Ring index cache: a consumer-or-producer-local copy of the *other*

@@ -20,18 +20,20 @@
 //!   packets in/out, copies, nils, merges, drops by cause, backpressure
 //!   stalls and ring high-water marks, aggregated per engine run (and
 //!   across shards).
-//! * [`cores`] — the shared per-stage cores (agent/sequencer, merger,
-//!   collector): each stage's semantics lives here exactly once, and every
-//!   executor drives the same cores off the same sealed
-//!   [`nfp_orchestrator::Program`].
-//! * [`sync_engine`] — a deterministic single-threaded executor driving
-//!   the cores from one FIFO queue; the reference for correctness tests
-//!   (paper §6.4's replay experiment) and property tests.
-//! * [`engine`] — the multi-threaded engine: burst-driven stage cores for
-//!   the classifier, NFs, merger agent, N merger instances and collector,
-//!   wired with SPSC rings and scheduled onto a bounded set of threads.
-//! * [`exec`] — the threading model: core budgets and stage coalescing
-//!   ([`exec::plan_groups`]), the spin→yield→park idle strategy
+//! * [`cores`] — the per-stage cores (agent/sequencer, merger,
+//!   collector): each stage's semantics lives here exactly once.
+//! * [`dispatch`] — the stage dispatcher, the one interpreter of a sealed
+//!   [`nfp_orchestrator::Program`]: it owns a set of stages, performs one
+//!   message step per stage kind over the cores, queues messages between
+//!   its own stages and puts a ring only on an edge that leaves the set.
+//! * [`sync_engine`] — one dispatcher holding every stage, driven by the
+//!   caller: deterministic, the reference for correctness tests (paper
+//!   §6.4's replay experiment) and property tests.
+//! * [`engine`] — the multi-threaded engine: one dispatcher per group of
+//!   stages, each group on its own thread, SPSC rings on the edges the
+//!   grouping cuts (DESIGN.md §11).
+//! * [`exec`] — the threading model: core budgets and stage grouping
+//!   ([`exec::plan_pipeline_groups`]), the spin→yield→park idle strategy
 //!   ([`exec::IdlePolicy`], [`exec::WakeHub`]), optional core pinning,
 //!   and the [`exec::CachePadded`] false-sharing guard.
 //! * [`swap`] — epoch-based live reconfiguration: the swappable
@@ -67,6 +69,7 @@ pub mod autoscale;
 pub mod chaos_schedule;
 pub mod classifier;
 pub mod cores;
+pub mod dispatch;
 pub mod engine;
 pub mod exec;
 pub mod merger;

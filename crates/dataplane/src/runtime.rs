@@ -232,13 +232,16 @@ impl<N: NetworkFunction> NfRuntime<N> {
             }
             FailurePolicy::FailClosed => {
                 self.policy_drops += 1;
-                self.emit_failure_drop(cfg, r, pool, sink, stats);
+                self.emit_drop(cfg, r, pool, sink, stats, DropCause::NfFailed);
             }
         }
     }
 
     /// Implement the drop intention: discard in sequential positions, nil
-    /// packet to the merger in parallel positions (§5.2 `ignore`).
+    /// packet to the merger in parallel positions (§5.2 `ignore`). With
+    /// cause [`DropCause::NfFailed`] — the fail-closed policy path — the
+    /// nil is flagged as a failure nil, so the merger drops
+    /// unconditionally instead of applying drop-conflict priorities.
     fn emit_drop(
         &mut self,
         cfg: &NfConfig,
@@ -248,34 +251,6 @@ impl<N: NetworkFunction> NfRuntime<N> {
         stats: &StageStats,
         cause: DropCause,
     ) {
-        self.emit_drop_inner(cfg, r, pool, sink, stats, cause);
-    }
-
-    /// The fail-closed drop path: like [`NfRuntime::emit_drop`] but the
-    /// nil is flagged as a failure nil so the merger drops unconditionally
-    /// instead of applying drop-conflict priorities.
-    fn emit_failure_drop(
-        &mut self,
-        cfg: &NfConfig,
-        r: nfp_packet::pool::PacketRef,
-        pool: &PacketPool,
-        sink: &mut impl Deliver,
-        stats: &StageStats,
-    ) {
-        self.emit_drop_inner(cfg, r, pool, sink, stats, DropCause::NfFailed);
-    }
-
-    fn emit_drop_inner(
-        &mut self,
-        cfg: &NfConfig,
-        r: nfp_packet::pool::PacketRef,
-        pool: &PacketPool,
-        sink: &mut impl Deliver,
-        stats: &StageStats,
-        cause: DropCause,
-    ) {
-        // `NfFailed` is emitted only by the fail-closed policy path, whose
-        // nils the merger must drop unconditionally.
         let failure_nil = matches!(cause, DropCause::NfFailed);
         let meta: Metadata = pool.with(r, |p| p.meta());
         pool.release(r);

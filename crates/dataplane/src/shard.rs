@@ -338,21 +338,8 @@ impl ShardedEngine {
     /// [`EngineReport::pps`] reflects actual scale-out, not a sum of
     /// per-shard rates).
     pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
-        let parts = partition_by_flow(packets, self.shards.len());
         let started = Instant::now();
-        let mut results: Vec<(EngineReport, LatencyRecorder)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(parts)
-                .map(|(engine, part)| scope.spawn(move |_| engine.run_with_recorder(part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread"))
-                .collect()
-        })
-        .expect("shard scope");
+        let mut results = self.fan_out(packets, Engine::run_with_recorder);
         let elapsed = started.elapsed();
 
         let mut injected = 0;
@@ -430,23 +417,11 @@ impl ShardedEngine {
             .iter_mut()
             .map(|e| e.set_keep_packets(true))
             .collect();
-        let mut report = self.run(all);
+        let report = self.run(all);
         for (e, keep) in self.shards.iter_mut().zip(prev) {
             e.set_keep_packets(keep);
         }
-        egress.emit_burst(&report.packets)?;
-        egress.flush()?;
-        let rejected = report.stats.classifier.rejects();
-        let io = IoRunStats {
-            pulled: report.injected,
-            delivered: report.delivered,
-            dropped: report.dropped.saturating_sub(rejected),
-            rejected,
-        };
-        if !self.config.keep_packets {
-            report.packets.clear();
-        }
-        Ok((report, io))
+        crate::engine::emit_report(report, egress, self.config.keep_packets)
     }
 
     /// Like [`ShardedEngine::run`] but keeping the per-shard reports
@@ -454,20 +429,30 @@ impl ShardedEngine {
     /// delivered packets against a sequential reference fed the same
     /// sub-stream.
     pub fn run_per_shard(&mut self, packets: Vec<Packet>) -> Vec<EngineReport> {
+        self.fan_out(packets, Engine::run)
+    }
+
+    /// Dispatch `packets` to their shards and run `run` on every replica
+    /// concurrently, one scoped thread each; results in shard order.
+    fn fan_out<R: Send>(
+        &mut self,
+        packets: Vec<Packet>,
+        run: impl Fn(&mut Engine, Vec<Packet>) -> R + Sync,
+    ) -> Vec<R> {
         let parts = partition_by_flow(packets, self.shards.len());
-        crossbeam::thread::scope(|scope| {
+        let run = &run;
+        std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
                 .zip(parts)
-                .map(|(engine, part)| scope.spawn(move |_| engine.run(part)))
+                .map(|(engine, part)| scope.spawn(move || run(engine, part)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard thread"))
                 .collect()
         })
-        .expect("shard scope")
     }
 }
 

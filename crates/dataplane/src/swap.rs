@@ -32,7 +32,7 @@ use nfp_orchestrator::tables::GraphTables;
 use nfp_orchestrator::{Program, ProgramUpdate, UpdateRejection};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One live program epoch and its in-flight accounting.
 ///
@@ -326,6 +326,64 @@ impl ProgramHandle {
         slots.current = Arc::new(EpochState::new(program));
         slots.prev = Some(Arc::clone(&old));
         Ok(InstalledSwap { update, old })
+    }
+
+    /// The whole hot swap, as every engine performs it: check the
+    /// candidate's worst-case footprint (`max_in_flight ×
+    /// slots_per_packet`) against the engine's fixed pool, run the
+    /// compatibility diff and [`install`](ProgramHandle::install), wait up
+    /// to `drain_timeout` for the superseded epoch to drain, and
+    /// [`retire`](ProgramHandle::retire) it. Any rejection leaves the
+    /// running program untouched; the returned [`EpochReport`] records the
+    /// diff, the install-to-retire latency and the old epoch's final
+    /// accounting.
+    pub fn swap(
+        &self,
+        program: Program,
+        pool_size: usize,
+        max_in_flight: usize,
+        drain_timeout: Duration,
+    ) -> Result<EpochReport, ReconfigError> {
+        let slots_per_packet = program.slots_per_packet();
+        let required = max_in_flight.max(1) * slots_per_packet;
+        if pool_size < required {
+            return Err(ReconfigError::PoolTooSmall {
+                pool_size,
+                required,
+                max_in_flight,
+                slots_per_packet,
+            });
+        }
+        let started = Instant::now();
+        let swap = self.install(program)?;
+        let drained = swap.old.in_flight();
+        let mut spins = 0u32;
+        while !swap.old.drained() {
+            if started.elapsed() >= drain_timeout {
+                return Err(ReconfigError::DrainTimeout {
+                    epoch: swap.old.epoch(),
+                    in_flight: swap.old.in_flight(),
+                });
+            }
+            // Back off: drains take packet-scale time, not cycle-scale,
+            // and the caller's thread must not steal the engine's core.
+            spins += 1;
+            if spins < 16 {
+                std::thread::yield_now();
+            } else {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+        self.retire();
+        Ok(EpochReport {
+            from_epoch: swap.old.epoch(),
+            to_epoch: self.epoch(),
+            update: swap.update,
+            swap_latency: started.elapsed(),
+            drained,
+            completed: swap.old.completed(),
+            shards: Vec::new(),
+        })
     }
 
     /// Retire the drained predecessor epoch into the tally history.

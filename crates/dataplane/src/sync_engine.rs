@@ -1,29 +1,27 @@
 //! Deterministic single-threaded execution of a sealed [`Program`].
 //!
-//! The sync engine drives exactly the same stage cores ([`crate::cores`])
-//! as the threaded engine — the same classifier, forwarding actions,
-//! runtime drop handling, agent sequencing and merger semantics — but from
-//! one FIFO event queue, so a packet's journey is fully deterministic. It
-//! is the reference executor for the paper's §6.4 result-correctness
-//! replay and for property tests; the threaded (and sharded) engines are
-//! correct precisely when their output matches this one byte-for-byte.
+//! The sync engine is one stage dispatcher ([`crate::dispatch`]) holding
+//! *every* stage, driven by the caller: no rings, no threads, plain
+//! per-stage queues drained in pipeline order, so a packet's journey is
+//! fully deterministic. The threaded [`crate::engine::Engine`] runs the
+//! very same dispatcher code, one instance per thread group — the two
+//! cannot drift semantically. It is the reference executor for the
+//! paper's §6.4 result-correctness replay and for property tests; the
+//! threaded (and sharded) engines are correct precisely when their output
+//! matches this one byte-for-byte.
 
-use crate::actions::{Deliver, Msg};
-use crate::classifier::{AdmitError, Classifier};
-use crate::cores::{collector, AgentCore, MergerCore};
+use crate::classifier::AdmitError;
+use crate::dispatch::{Clock, Dispatcher, Layout, Rings, Shared};
 use crate::runtime::{FailureKind, NfRuntime};
-use crate::stats::{StageSnapshot, StageStats};
-use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError, TablesResolver};
+use crate::stats::StageSnapshot;
+use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 use nfp_nf::NetworkFunction;
-use nfp_orchestrator::tables::Target;
-use nfp_orchestrator::{Program, Stage};
+use nfp_orchestrator::Program;
 use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
-use nfp_packet::pool::PacketPool;
 use nfp_packet::Packet;
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 /// What happened to a processed packet.
 #[derive(Debug)]
@@ -46,47 +44,23 @@ impl ProcessOutcome {
 
 /// Single-threaded reference executor for a sealed [`Program`].
 pub struct SyncEngine {
-    pool: Arc<PacketPool>,
-    classifier: Classifier,
-    runtimes: Vec<NfRuntime<Box<dyn NetworkFunction>>>,
-    /// One agent instance: sequencing is trivially in-order here, but
-    /// running the same core keeps the reference path identical.
-    agent: AgentCore,
-    merger: MergerCore,
-    /// The swappable program slot; [`SyncEngine::reconfigure`] installs
-    /// successors into it between `process()` calls.
-    handle: Arc<ProgramHandle>,
-    /// Epoch-keyed table lookups for every stage dispatched inline.
-    resolver: TablesResolver,
-    stats: StageStats,
-    /// Per-stage latency histograms and trace sampling, recorded at the
-    /// same points as the threaded engine's stage threads (the sync
-    /// engine's one merger instance records as `merger0`).
-    telemetry: Telemetry,
-    /// Virtual clock: one tick per `process()` call. Accumulating-table
+    /// Pool, swappable program slot, telemetry and per-stage counters —
+    /// recorded at the same points as the threaded engine's stage threads
+    /// (one merger instance, so merges record as `merger0`) — and the
+    /// virtual clock: one tick per `process()` call. Accumulating-table
     /// entries are stamped with it, and every entry still pending at the
     /// end of the call that created it is expired — the sync engine's
     /// merge deadline is zero ticks, preserving the per-packet semantics
     /// of `process()` even when a failed NF never sends its copy.
-    tick: u64,
+    cx: Shared,
+    /// The one dispatcher, holding every stage. One agent and one merger
+    /// instance: sequencing is trivially in-order here, but running the
+    /// same cores keeps the reference path identical.
+    dispatcher: Dispatcher,
     /// Packets delivered.
     pub delivered: u64,
     /// Packets dropped.
     pub dropped: u64,
-    /// Event-queue allocation reused across `process()` calls (the queue
-    /// itself always drains before a call returns).
-    scratch: VecDeque<(Target, Msg)>,
-}
-
-#[derive(Default)]
-struct QueueSink {
-    events: VecDeque<(Target, Msg)>,
-}
-
-impl Deliver for QueueSink {
-    fn deliver(&mut self, target: Target, msg: Msg) {
-        self.events.push_back((target, msg));
-    }
 }
 
 impl SyncEngine {
@@ -98,39 +72,40 @@ impl SyncEngine {
             program.nf_count(),
             "one NF instance per graph node"
         );
-        let n_nfs = nfs.len();
-        let runtimes = nfs
+        let layout = Layout {
+            nfs: nfs.len(),
+            mergers: 1,
+        };
+        let tables = Arc::clone(program.tables());
+        let mut runtimes = nfs
             .into_iter()
-            .zip(program.tables().nf_configs.iter().cloned())
-            .map(|(nf, config)| NfRuntime::new(nf, config))
-            .collect();
-        let handle = Arc::new(ProgramHandle::new(program));
+            .zip(tables.nf_configs.iter().cloned())
+            .map(|(nf, config)| NfRuntime::new(nf, config));
+        let cx = Shared::new(
+            layout,
+            pool_size,
+            Arc::new(ProgramHandle::new(program)),
+            Telemetry::new(TelemetryConfig::default(), layout.nfs, 1),
+            Clock::Tick(0),
+            0,
+        );
         Self {
-            telemetry: Telemetry::new(TelemetryConfig::default(), n_nfs, 1),
-            pool: Arc::new(PacketPool::new(pool_size)),
-            classifier: Classifier::live(Arc::clone(&handle)),
-            runtimes,
-            agent: AgentCore::new(1),
-            merger: MergerCore::new(),
-            resolver: TablesResolver::new(Arc::clone(&handle)),
-            handle,
-            stats: StageStats::new(),
-            tick: 0,
+            dispatcher: Dispatcher::new(&cx, 0..layout.len(), &mut runtimes, Rings::default()),
+            cx,
             delivered: 0,
             dropped: 0,
-            scratch: VecDeque::new(),
         }
     }
 
     /// The current program epoch.
     pub fn epoch(&self) -> u64 {
-        self.handle.epoch()
+        self.cx.handle.epoch()
     }
 
     /// Per-epoch completion tallies over the engine's lifetime, sorted by
     /// epoch — every delivered or dropped packet counts under exactly one.
     pub fn epochs(&self) -> Vec<EpochTally> {
-        self.handle.tallies()
+        self.cx.handle.tallies()
     }
 
     /// Hot-swap to `program`: validate its footprint against the fixed
@@ -139,38 +114,19 @@ impl SyncEngine {
     /// flight, so the superseded epoch drains instantly and is retired
     /// before this returns. Rejections leave the running engine untouched.
     pub fn reconfigure(&mut self, program: Program) -> Result<EpochReport, ReconfigError> {
-        let slots = program.slots_per_packet();
-        if self.pool.capacity() < slots {
-            return Err(ReconfigError::PoolTooSmall {
-                pool_size: self.pool.capacity(),
-                required: slots,
-                max_in_flight: 1,
-                slots_per_packet: slots,
-            });
-        }
-        let started = Instant::now();
-        let swap = self.handle.install(program)?;
-        debug_assert!(swap.old.drained(), "sync engine is idle between packets");
-        self.handle.retire();
-        Ok(EpochReport {
-            from_epoch: swap.old.epoch(),
-            to_epoch: self.handle.epoch(),
-            update: swap.update,
-            swap_latency: started.elapsed(),
-            drained: 0,
-            completed: swap.old.completed(),
-            shards: Vec::new(),
-        })
+        let pool_size = self.cx.pool.capacity();
+        self.cx.handle.swap(program, pool_size, 1, Duration::ZERO)
     }
 
     /// Access an NF runtime (stats inspection).
     pub fn runtime(&self, node: usize) -> &NfRuntime<Box<dyn NetworkFunction>> {
-        &self.runtimes[node]
+        &self.dispatcher.runtimes[node]
     }
 
     /// NFs that have failed so far, as `(node id, failure kind)` pairs.
     pub fn failures(&self) -> Vec<(usize, FailureKind)> {
-        self.runtimes
+        self.dispatcher
+            .runtimes
             .iter()
             .enumerate()
             .filter_map(|(i, rt)| rt.failure().map(|f| (i, f.clone())))
@@ -179,23 +135,28 @@ impl SyncEngine {
 
     /// Accumulating-table entries still waiting for sibling copies.
     pub fn pending(&self) -> usize {
-        self.merger.pending_len()
+        self.dispatcher.merge_pending()
     }
 
-    /// Snapshot of the engine-wide counters (the sync engine is one stage).
+    /// Engine-wide counters: every stage's counters folded into one
+    /// snapshot (sums; `ring_high_water` stays 0 — there are no rings).
     pub fn stats(&self) -> StageSnapshot {
-        self.stats.snapshot()
+        let mut all = StageSnapshot::default();
+        for stage in &self.cx.stats {
+            all.absorb(&stage.snapshot());
+        }
+        all
     }
 
     /// Replace the telemetry configuration, resetting the recorder (the
     /// number of NF and merger histograms is preserved).
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
-        self.telemetry = Telemetry::new(config, self.runtimes.len(), 1);
+        self.cx.telemetry = Telemetry::new(config, self.cx.layout.nfs, 1);
     }
 
     /// Snapshot of the per-stage latency histograms and recorded traces.
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        self.telemetry.snapshot()
+        self.cx.telemetry.snapshot()
     }
 
     /// Process a batch of packets, collecting delivered outputs in order.
@@ -219,133 +180,38 @@ impl SyncEngine {
     /// the epoch current at admission and every stage resolves its tables
     /// against that epoch; the pin settles exactly once before returning.
     pub fn process(&mut self, pkt: Packet) -> Result<ProcessOutcome, AdmitError> {
-        let mut sink = QueueSink {
-            events: std::mem::take(&mut self.scratch),
-        };
-        self.tick += 1;
-        let epoch = self.handle.epoch();
-        if let Err(e) = self.classifier.admit_observed(
-            pkt,
-            &self.pool,
-            &mut sink,
-            &self.stats,
-            Some(&self.telemetry),
-        ) {
-            self.scratch = sink.events;
-            return Err(e);
+        if let Clock::Tick(tick) = &mut self.cx.clock {
+            *tick += 1;
         }
-        let mut output: Option<Packet> = None;
-        let mut was_dropped = false;
+        self.dispatcher
+            .admit(&self.cx, pkt)
+            .map_err(|(why, _)| why)?;
         loop {
-            while let Some((target, msg)) = sink.events.pop_front() {
-                match target {
-                    Target::Nf(id) => {
-                        // Resolve the NF's config by the packet's stamped
-                        // epoch — identical to the threaded NF threads.
-                        let e = self.pool.with(msg.r, |p| p.meta().epoch());
-                        let tables = self.resolver.get(e, &self.stats);
-                        self.telemetry.trace_ref(Stage::Nf(id), &self.pool, msg.r);
-                        let t0 = self.telemetry.clock();
-                        self.runtimes[id].handle_with(
-                            &tables.nf_configs[id],
-                            msg,
-                            &self.pool,
-                            &mut sink,
-                            &self.stats,
-                        );
-                        self.telemetry.record(Stage::Nf(id), t0);
-                    }
-                    Target::Merger(_) => {
-                        // The same route → offer → ordered-release path as
-                        // the threaded engine, just inline: with one merger
-                        // instance and FIFO dispatch, release order is
-                        // always immediate.
-                        let mut msg = msg;
-                        self.telemetry.trace_ref(Stage::Agent, &self.pool, msg.r);
-                        let t0 = self.telemetry.clock();
-                        let _instance =
-                            self.agent
-                                .route(&mut msg, &self.pool, &mut self.resolver, &self.stats);
-                        self.telemetry.record(Stage::Agent, t0);
-                        self.telemetry
-                            .trace_ref(Stage::Merger(0), &self.pool, msg.r);
-                        let t0 = self.telemetry.clock();
-                        let offered = self.merger.offer(
-                            msg,
-                            &self.pool,
-                            &mut self.resolver,
-                            &self.stats,
-                            self.tick,
-                        );
-                        self.telemetry.record(Stage::Merger(0), t0);
-                        if let Some(outcome) = offered {
-                            let drops = self.agent.release(
-                                outcome,
-                                &self.pool,
-                                &mut self.resolver,
-                                &mut sink,
-                                &self.stats,
-                            );
-                            if !drops.is_empty() {
-                                was_dropped = true;
-                            }
-                        }
-                    }
-                    Target::Output => {
-                        let t0 = self.telemetry.clock();
-                        let pkt = collector::collect(msg, &self.pool, &self.stats);
-                        self.telemetry.record(Stage::Collector, t0);
-                        self.telemetry
-                            .hop_if_traced(Stage::Collector, pkt.meta(), pkt.is_nil());
-                        debug_assert!(output.is_none(), "one output per packet");
-                        output = Some(pkt);
-                    }
-                }
+            while !self.dispatcher.idle() {
+                self.dispatcher.pass(&self.cx);
             }
-            // All events drained. Any entry still accumulating can never
+            // All queues dry. Any entry still accumulating can never
             // complete inside this call (a failed NF swallowed its copy),
             // so it has hit the zero-tick deadline: resolve it from the
             // copies that arrived. Partial forwards enqueue the merge
             // spec's next actions, so loop until expiry yields nothing.
-            let outcomes =
-                self.merger
-                    .expire(self.tick, &self.pool, &mut self.resolver, &self.stats);
-            if outcomes.is_empty() {
+            if !self.dispatcher.expire(&self.cx) {
                 break;
-            }
-            for outcome in outcomes {
-                let drops = self.agent.release(
-                    outcome,
-                    &self.pool,
-                    &mut self.resolver,
-                    &mut sink,
-                    &self.stats,
-                );
-                if !drops.is_empty() {
-                    was_dropped = true;
-                }
             }
         }
         debug_assert_eq!(
-            self.merger.pending_len(),
+            self.dispatcher.merge_pending(),
             0,
             "a packet's copies must all merge or expire before process() returns"
         );
-        // The packet is finished (delivered or dropped): settle its epoch
-        // pin exactly once, and keep the drained queue's allocation for
-        // the next call.
-        self.scratch = sink.events;
-        self.handle.finish(epoch);
+        let output = self.dispatcher.outputs.pop();
+        debug_assert!(self.dispatcher.outputs.is_empty(), "one output per packet");
         match output {
             Some(p) => {
                 self.delivered += 1;
                 Ok(ProcessOutcome::Delivered(Box::new(p)))
             }
             None => {
-                debug_assert!(
-                    was_dropped || self.pool.in_use() == 0,
-                    "no output and no drop: leaked references"
-                );
                 self.dropped += 1;
                 Ok(ProcessOutcome::Dropped)
             }
@@ -354,7 +220,7 @@ impl SyncEngine {
 
     /// Pool occupancy (leak detection in tests).
     pub fn pool_in_use(&self) -> usize {
-        self.pool.in_use()
+        self.cx.pool.in_use()
     }
 
     /// Stream an [`Ingress`] through the engine and emit every delivered

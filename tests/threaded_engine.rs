@@ -13,14 +13,26 @@ fn make(name: &str) -> Box<dyn NetworkFunction> {
         "Monitor" => Box::new(monitor::Monitor::new(name)),
         "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
         "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 8)),
+        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
+            name,
+            50,
+            ids::IdsMode::Inline,
+        )),
+        "VPN" => Box::new(vpn::Vpn::new(name, [1; 16], 5, vpn::VpnMode::Encapsulate)),
+        "Caching" => Box::new(extra::Caching::new(name, 32)),
+        "Gateway" => Box::new(extra::Gateway::new(name)),
         other => unreachable!("{other}"),
     }
 }
 
 fn build(chain: &[&str]) -> (nfp_orchestrator::Compiled, Program) {
+    let mut registry = Registry::paper_table2();
+    let mut ids = registry.get("NIDS").unwrap().clone().drops();
+    ids.nf_type = "IDS".into();
+    registry.register(ids);
     let compiled = compile(
         &Policy::from_chain(chain.iter().copied()),
-        &Registry::paper_table2(),
+        &registry,
         &[],
         &CompileOptions::default(),
     )
@@ -262,5 +274,206 @@ fn parked_engine_wakes_for_late_burst() {
         report.elapsed < Duration::from_secs(5),
         "late-burst delivery took {:?}: parked threads likely missed a wakeup",
         report.elapsed
+    );
+}
+
+/// The seed graphs of the paper's evaluation: east-west (`IDS ->
+/// [Monitor | LB]`, a header copy and a merge), north-south (`VPN ->
+/// [Monitor | Firewall] -> LB`, stateful per-packet VPN sequence numbers)
+/// and a two-segment chain that merges twice per packet.
+const SEED_GRAPHS: [&[&str]; 3] = [
+    &["IDS", "Monitor", "LoadBalancer"],
+    &["VPN", "Monitor", "Firewall", "LoadBalancer"],
+    &["Monitor", "LoadBalancer", "Caching", "Gateway"],
+];
+
+fn nfs_of(compiled: &nfp_orchestrator::Compiled) -> Vec<Box<dyn NetworkFunction>> {
+    let nodes = compiled.graph.nodes.iter();
+    nodes.map(|n| make(n.name.as_str())).collect()
+}
+
+/// Firewall-deniable and IDS-triggering traffic with a malformed frame
+/// after every seventh packet, so NF drops, merge-resolved drops and
+/// classifier rejects all occur.
+fn hostile_traffic(n: usize) -> Vec<Packet> {
+    let mut gen = TrafficGenerator::new(TrafficSpec {
+        flows: 16,
+        sizes: SizeDistribution::Fixed(200),
+        malicious_fraction: 0.3,
+        ..TrafficSpec::default()
+    });
+    let mut pkts = Vec::new();
+    for (i, mut p) in gen.batch(n).into_iter().enumerate() {
+        if i % 5 == 0 {
+            let x = (i % 100) as u16;
+            p.set_dip(Ipv4Addr::new(172, 16, (x % 256) as u8, 1))
+                .unwrap();
+            p.set_dport(7000 + x).unwrap();
+            p.finalize_checksums().unwrap();
+        }
+        pkts.push(p);
+        if i % 7 == 6 {
+            pkts.push(Packet::from_bytes(&[0u8; 60]).unwrap());
+        }
+    }
+    pkts
+}
+
+/// The 8-way drop taxonomy of a snapshot.
+fn taxonomy(s: &nfp_dataplane::stats::StageSnapshot) -> [u64; 8] {
+    [
+        s.drop_admit_rejected,
+        s.drop_admit_malformed,
+        s.drop_nf_verdict,
+        s.drop_nf_error,
+        s.drop_nf_failed,
+        s.drop_merge_resolved,
+        s.drop_merge_error,
+        s.drop_merge_expired,
+    ]
+}
+
+/// `core_budget = 1` is the sync engine's loop behind one ring: every
+/// stage is local to one dispatcher, so delivery order — not just the
+/// delivered set — is exactly `SyncEngine::process_batch`'s.
+#[test]
+fn single_group_engine_delivers_in_sync_engine_order() {
+    for chain in SEED_GRAPHS {
+        let (compiled, program) = build(chain);
+        let pkts = hostile_traffic(300);
+        let mut sync = SyncEngine::new(program.clone(), nfs_of(&compiled), 128);
+        let expected: Vec<Vec<u8>> = sync
+            .process_batch(pkts.clone())
+            .iter()
+            .map(|p| p.data().to_vec())
+            .collect();
+        assert!(!expected.is_empty() && expected.len() < pkts.len());
+
+        let mut engine = Engine::new(
+            program,
+            nfs_of(&compiled),
+            EngineConfig {
+                keep_packets: true,
+                max_in_flight: 32,
+                core_budget: 1,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let report = engine.run(pkts);
+        let got: Vec<Vec<u8>> = report.packets.iter().map(|p| p.data().to_vec()).collect();
+        assert_eq!(got, expected, "delivery order diverges on {chain:?}");
+    }
+}
+
+/// However the stages are grouped onto threads — from one group to one
+/// thread per stage — the engine delivers the sync engine's byte
+/// multiset, attributes every drop to the same cause, and its per-stage
+/// counters balance exactly.
+#[test]
+fn every_core_budget_agrees_with_sync_engine() {
+    for chain in SEED_GRAPHS {
+        let (compiled, program) = build(chain);
+        let pkts = hostile_traffic(300);
+        let mut sync = SyncEngine::new(program.clone(), nfs_of(&compiled), 128);
+        let mut expected: Vec<Vec<u8>> = sync
+            .process_batch(pkts.clone())
+            .iter()
+            .map(|p| p.data().to_vec())
+            .collect();
+        expected.sort();
+        let reference = sync.stats();
+
+        let mergers = 2;
+        let stages = 3 + compiled.graph.nodes.len() + mergers;
+        for core_budget in 1..=stages {
+            let mut engine = Engine::new(
+                program.clone(),
+                nfs_of(&compiled),
+                EngineConfig {
+                    keep_packets: true,
+                    max_in_flight: 16,
+                    mergers,
+                    core_budget,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let report = engine.run(pkts.clone());
+            let at = format!("{chain:?} at core_budget {core_budget}");
+
+            let mut got: Vec<Vec<u8>> = report.packets.iter().map(|p| p.data().to_vec()).collect();
+            got.sort();
+            assert_eq!(got, expected, "delivered bytes diverge on {at}");
+
+            let s = &report.stats;
+            let mut folded = nfp_dataplane::stats::StageSnapshot::default();
+            for (_, stage) in s.stages() {
+                folded.absorb(stage);
+            }
+            assert_eq!(taxonomy(&folded), taxonomy(&reference), "drop causes, {at}");
+            assert_eq!(folded.copies, reference.copies, "copies, {at}");
+            assert_eq!(folded.merges, reference.merges, "merges, {at}");
+
+            // The balance of `stage_counters_balance_exactly`.
+            assert_eq!(report.injected, pkts.len() as u64, "{at}");
+            assert_eq!(report.injected, report.delivered + report.dropped, "{at}");
+            assert_eq!(s.total_drops(), report.dropped, "{at}");
+            assert_eq!(s.classifier.packets_in, report.injected, "{at}");
+            assert_eq!(s.collector.packets_out, report.delivered, "{at}");
+            let merger_in: u64 = s.mergers.iter().map(|m| m.packets_in).sum();
+            assert_eq!(merger_in, s.agent.packets_in, "{at}");
+            let nf_nils: u64 = s.nfs.iter().map(|n| n.nil_packets).sum();
+            let merger_nils: u64 = s.mergers.iter().map(|m| m.nil_packets).sum();
+            assert_eq!(nf_nils, merger_nils, "{at}");
+            assert_eq!(report.pool_in_use, 0, "{at}");
+            assert!(report.failures.is_empty(), "{at}");
+        }
+    }
+}
+
+/// `EngineReport.latency` pairs each delivery with its own injection. A
+/// rejected packet takes an injection slot but no PID, so pairing by PID
+/// alone shifts every later sample by one more packet per reject — a
+/// trace with interleaved malformed frames then reads milliseconds for a
+/// microsecond path. Its median must stay within 2x of the same trace
+/// with the rejects removed.
+#[test]
+fn rejected_packets_do_not_skew_latency_pairing() {
+    let (compiled, program) = build(&["Monitor", "Firewall"]);
+    let clean = traffic(3000);
+    let mut interleaved = Vec::new();
+    for (i, p) in clean.iter().enumerate() {
+        interleaved.push(p.clone());
+        if i % 3 == 2 {
+            interleaved.push(Packet::from_bytes(&[0u8; 60]).unwrap());
+        }
+    }
+    // Best of three runs each, so one scheduling hiccup cannot decide it.
+    let p50 = |pkts: &[Packet], rejects: u64| {
+        let runs = (0..3).map(|_| {
+            let nfs = compiled.graph.nodes.iter();
+            let mut engine = Engine::new(
+                program.clone(),
+                nfs.map(|n| make(n.name.as_str())).collect(),
+                EngineConfig {
+                    max_in_flight: 4,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            let report = engine.run(pkts.to_vec());
+            assert_eq!(report.stats.classifier.rejects(), rejects);
+            let latency = report.latency.expect("packets were delivered");
+            assert_eq!(latency.count as u64, report.delivered);
+            latency.p50
+        });
+        runs.min().unwrap()
+    };
+    let base = p50(&clean, 0);
+    let with_rejects = p50(&interleaved, 1000);
+    assert!(
+        with_rejects <= base * 2,
+        "p50 {with_rejects:?} with interleaved rejects vs {base:?} without"
     );
 }
