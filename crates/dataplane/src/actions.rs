@@ -10,6 +10,7 @@
 use crate::stats::StageStats;
 use nfp_orchestrator::graph::CopyKind;
 use nfp_orchestrator::tables::{FtAction, Target};
+use nfp_packet::meta::{VERSION_BITS, VERSION_MAX};
 use nfp_packet::pool::{PacketPool, PacketRef};
 use nfp_packet::PacketError;
 
@@ -69,40 +70,37 @@ pub enum ActionError {
     CopyFailed,
 }
 
-/// A small version→reference map (versions are 4 bits).
+/// The version→reference map of one action list: an inline table indexed
+/// by version (versions are [`VERSION_BITS`] wide), so building one per
+/// classifier entry, NF step and merge release costs no allocation.
 #[derive(Debug, Default, Clone)]
 pub struct VersionMap {
-    entries: Vec<(u8, PacketRef)>,
+    refs: [Option<PacketRef>; 1 << VERSION_BITS],
 }
 
 impl VersionMap {
     /// Map with a single version.
     pub fn single(version: u8, r: PacketRef) -> Self {
-        Self {
-            entries: vec![(version, r)],
-        }
+        let mut map = Self::default();
+        map.insert(version, r);
+        map
     }
 
     /// Look up a version.
     pub fn get(&self, version: u8) -> Option<PacketRef> {
-        self.entries
-            .iter()
-            .find(|(v, _)| *v == version)
-            .map(|(_, r)| *r)
+        self.refs.get(usize::from(version)).copied().flatten()
     }
 
-    /// Insert or replace a version.
+    /// Insert or replace a version (truncated to the metadata's version
+    /// field, as [`nfp_packet::Metadata`] stamps it).
     pub fn insert(&mut self, version: u8, r: PacketRef) {
-        if let Some(e) = self.entries.iter_mut().find(|(v, _)| *v == version) {
-            e.1 = r;
-        } else {
-            self.entries.push((version, r));
-        }
+        debug_assert!(version <= VERSION_MAX, "version overflows 4 bits");
+        self.refs[usize::from(version & VERSION_MAX)] = Some(r);
     }
 
     /// All mapped references (rollback on failed action lists).
     pub fn refs(&self) -> impl Iterator<Item = PacketRef> + '_ {
-        self.entries.iter().map(|(_, r)| *r)
+        self.refs.iter().flatten().copied()
     }
 }
 

@@ -34,9 +34,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Live counters one engine run publishes while it executes. All loads
-/// and stores are relaxed: the auditor tolerates torn cross-field reads
-/// (each field is individually consistent and monotone where it matters).
+/// Live counters one engine run publishes while it executes. A sample
+/// may mix fields of different publications, but never so that settled
+/// packets outnumber injected ones: [`ProbeGauges::publish`] stores
+/// `injected` before the settled counters (release), and
+/// [`EngineProbe::sample`] loads the settled counters before `injected`
+/// (acquire), so the `injected` it reads is at least as new as they are.
+/// The gauges (`pool_in_use`, `epoch`) are relaxed.
 #[derive(Debug, Default)]
 pub struct ProbeGauges {
     /// Packets handed to the engine so far.
@@ -68,8 +72,8 @@ impl ProbeGauges {
         epoch: u64,
     ) {
         self.injected.store(injected, Ordering::Relaxed);
-        self.delivered.store(delivered, Ordering::Relaxed);
-        self.dropped.store(dropped, Ordering::Relaxed);
+        self.delivered.store(delivered, Ordering::Release);
+        self.dropped.store(dropped, Ordering::Release);
         self.pool_in_use.store(pool_in_use, Ordering::Relaxed);
         self.epoch.store(epoch, Ordering::Relaxed);
     }
@@ -139,9 +143,9 @@ impl EngineProbe {
             ..ProbeSample::default()
         };
         for g in slots.iter() {
+            s.dropped += g.dropped.load(Ordering::Acquire);
+            s.delivered += g.delivered.load(Ordering::Acquire);
             s.injected += g.injected.load(Ordering::Relaxed);
-            s.delivered += g.delivered.load(Ordering::Relaxed);
-            s.dropped += g.dropped.load(Ordering::Relaxed);
             s.pool_in_use += g.pool_in_use.load(Ordering::Relaxed);
             s.pool_budget += g.pool_budget.load(Ordering::Relaxed);
             s.epoch = s.epoch.max(g.epoch.load(Ordering::Relaxed));

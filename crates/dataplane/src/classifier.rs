@@ -173,7 +173,8 @@ impl Classifier {
 
     /// Admit one packet: find its graph, tag MID/PID/v1 metadata (plus
     /// the pinned epoch in live mode), move it into the pool and run the
-    /// graph's entry actions against `sink`.
+    /// graph's entry actions against `sink`. Returns the tables of the
+    /// graph that matched.
     pub fn admit(
         &mut self,
         pkt: Packet,
@@ -181,7 +182,7 @@ impl Classifier {
         sink: &mut impl Deliver,
         stats: &StageStats,
     ) -> Result<Arc<GraphTables>, AdmitError> {
-        self.admit_observed(pkt, pool, sink, stats, None)
+        self.admit_as(pkt, pool, sink, stats, None, Arc::clone)
             .map_err(|(e, _)| e)
     }
 
@@ -200,12 +201,28 @@ impl Classifier {
     /// the PID only advances on success.
     pub fn admit_observed(
         &mut self,
+        pkt: Packet,
+        pool: &PacketPool,
+        sink: &mut impl Deliver,
+        stats: &StageStats,
+        tele: Option<&Telemetry>,
+    ) -> Result<(), Refusal> {
+        self.admit_as(pkt, pool, sink, stats, tele, |_| ())
+    }
+
+    /// Admission proper. The matched tables are only ever *borrowed* here —
+    /// from the pinned epoch or the CT entry; `matched` turns that borrow
+    /// into what the caller wants back (a clone for [`Classifier::admit`],
+    /// nothing for the engines).
+    fn admit_as<T>(
+        &mut self,
         mut pkt: Packet,
         pool: &PacketPool,
         sink: &mut impl Deliver,
         stats: &StageStats,
         tele: Option<&Telemetry>,
-    ) -> Result<Arc<GraphTables>, Refusal> {
+        matched: impl FnOnce(&Arc<GraphTables>) -> T,
+    ) -> Result<T, Refusal> {
         let t0 = tele.and_then(|t| t.clock());
         if let Err(e) = pkt.parse() {
             // Hostile framing is rejected with its own cause so soak runs
@@ -221,43 +238,42 @@ impl Classifier {
             };
             return Err((why, None));
         }
-        let res = if let Some(handle) = self.handle.as_ref().map(Arc::clone) {
+        // The PID only advances on success, so retried packets (pool
+        // backpressure) keep a dense injection-order numbering.
+        let pid = self.next_pid;
+        let res = if let Some(handle) = &self.handle {
             // Pin the current epoch for the packet's whole lifetime. Any
             // admission failure aborts the pin — the caller either drops
             // the packet (already counted at this stage) or retries, and
             // a retry re-pins.
             let pinned = handle.admit_current();
-            let res = self.admit_tables(
-                pkt,
-                pool,
-                sink,
-                stats,
-                pinned.tables(),
-                pinned.epoch(),
-                tele,
-            );
+            let (tables, epoch) = (pinned.tables(), pinned.epoch());
+            let res = Self::admit_tables(pkt, pid, pool, sink, stats, tables, epoch, tele);
             if res.is_err() {
                 handle.abort(&pinned);
             }
-            res
+            res.map(|()| matched(tables))
         } else {
-            let entry = self
-                .entries
-                .iter()
-                .find(|e| e.matcher.matches(&pkt))
-                .cloned();
-            let Some(entry) = entry else {
+            let Some(entry) = self.entries.iter().find(|e| e.matcher.matches(&pkt)) else {
                 self.rejected += 1;
                 stats.note_in(1);
                 stats.note_drop(DropCause::AdmitRejected);
                 return Err((AdmitError::NoMatch, None));
             };
-            self.admit_tables(pkt, pool, sink, stats, entry.tables, 0, tele)
+            Self::admit_tables(pkt, pid, pool, sink, stats, &entry.tables, 0, tele)
+                .map(|()| matched(&entry.tables))
         };
-        if res.is_ok() {
-            if let Some(t) = tele {
-                t.record(Stage::Classifier, t0);
+        match &res {
+            Ok(_) => {
+                self.next_pid = (pid + 1) & PID_MAX;
+                self.admitted += 1;
+                if let Some(t) = tele {
+                    t.record(Stage::Classifier, t0);
+                }
             }
+            Err((AdmitError::ActionFailed, _)) => self.rejected += 1,
+            // Pool backpressure: the caller retries the packet.
+            Err(_) => {}
         }
         res
     }
@@ -266,18 +282,15 @@ impl Classifier {
     /// entry actions. `pkt` is already parsed.
     #[allow(clippy::too_many_arguments)]
     fn admit_tables(
-        &mut self,
         mut pkt: Packet,
+        pid: u64,
         pool: &PacketPool,
         sink: &mut impl Deliver,
         stats: &StageStats,
-        tables: Arc<GraphTables>,
+        tables: &GraphTables,
         epoch: u64,
         tele: Option<&Telemetry>,
-    ) -> Result<Arc<GraphTables>, Refusal> {
-        // The PID only advances on success, so retried packets (pool
-        // backpressure) keep a dense injection-order numbering.
-        let pid = self.next_pid;
+    ) -> Result<(), Refusal> {
         // Sampling keys off the PID (dense on success), so a retried
         // packet keeps its sampling decision across attempts.
         let traced = tele.is_some_and(|t| {
@@ -314,15 +327,13 @@ impl Classifier {
         match actions::execute(&tables.entry_actions, pool, &mut versions, sink, stats) {
             Ok(()) => {
                 stats.note_in(1);
-                self.next_pid = (pid + 1) & PID_MAX;
-                self.admitted += 1;
                 // Feed the inter-arrival gap once per *successful*
                 // admission, so pool-backpressure retries never
                 // double-count a stamp.
                 if let Some(t) = tele {
                     t.note_ingress(meta.ingress_ns());
                 }
-                Ok(tables)
+                Ok(())
             }
             Err(actions::ActionError::PoolExhausted) => {
                 // Entry copies ran out of slots. Generated entry actions
@@ -348,7 +359,6 @@ impl Classifier {
                 // the sink's problem only on success paths, but entry
                 // actions fail before any delivery of the failed version.
                 pool.release(r);
-                self.rejected += 1;
                 stats.note_in(1);
                 stats.note_drop(DropCause::AdmitRejected);
                 Err((AdmitError::ActionFailed, None))

@@ -28,12 +28,12 @@
 //! tombstone without producing a second outcome.
 
 use crate::actions::{self, Deliver, Msg, VersionMap};
+use crate::idmap::IdMap;
 use crate::merger;
 use crate::stats::StageStats;
 use crate::swap::TablesResolver;
 use nfp_packet::meta::VERSION_ORIGINAL;
 use nfp_packet::pool::{PacketPool, PacketRef};
-use std::collections::HashMap;
 
 /// A merge outcome returned from a merger instance to the agent.
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +62,7 @@ struct AssignState {
     /// PID → (assigned seq, copies routed so far). Entries are removed
     /// once all `total_count` copies have passed through, so the map holds
     /// at most the in-flight window.
-    by_pid: HashMap<u64, (u64, usize)>,
+    by_pid: IdMap<u64, (u64, usize)>,
 }
 
 /// Per-(MID, segment) in-order release of merge outcomes. Each pending
@@ -72,7 +72,8 @@ struct AssignState {
 #[derive(Default)]
 struct ReleaseState {
     next_seq: u64,
-    ready: HashMap<u64, (Option<PacketRef>, bool, u64)>,
+    /// Outcomes that arrived ahead of `next_seq`: seq → (forward, epoch).
+    ready: IdMap<u64, (Option<PacketRef>, u64)>,
 }
 
 /// The agent/sequencer core. One per execution domain (engine or shard);
@@ -80,8 +81,8 @@ struct ReleaseState {
 /// preserve result correctness.
 pub struct AgentCore {
     instances: usize,
-    assign: HashMap<(u32, u32), AssignState>,
-    release: HashMap<(u32, u32), ReleaseState>,
+    assign: IdMap<(u32, u32), AssignState>,
+    release: IdMap<(u32, u32), ReleaseState>,
 }
 
 impl AgentCore {
@@ -90,8 +91,8 @@ impl AgentCore {
         assert!(instances >= 1, "at least one merger instance");
         Self {
             instances,
-            assign: HashMap::new(),
-            release: HashMap::new(),
+            assign: IdMap::default(),
+            release: IdMap::default(),
         }
     }
 
@@ -108,8 +109,8 @@ impl AgentCore {
         let (mid, pid, epoch) = pool.with(msg.r, |p| {
             (p.meta().mid(), p.meta().pid(), p.meta().epoch())
         });
-        let tables = resolver.get(epoch, stats);
-        let total = tables
+        let total = resolver
+            .tables(epoch, stats)
             .merge_spec_for(msg.segment as usize)
             .expect("merger msg implies spec")
             .total_count;
@@ -130,9 +131,9 @@ impl AgentCore {
 
     /// Accept one merge outcome and release every outcome that is now in
     /// sequence order, executing the merge spec's `next` actions into
-    /// `sink`. Returns the epoch of every merge-resolved drop surfaced
-    /// (the closed loop must account each against the epoch that admitted
-    /// it).
+    /// `sink`. The epoch of every merge-resolved drop surfaced is pushed
+    /// onto `drops` (the closed loop must account each against the epoch
+    /// that admitted it).
     pub fn release(
         &mut self,
         o: Outcome,
@@ -140,25 +141,35 @@ impl AgentCore {
         resolver: &mut TablesResolver,
         sink: &mut impl Deliver,
         stats: &StageStats,
-    ) -> Vec<u64> {
+        drops: &mut Vec<u64>,
+    ) {
         let rs = self.release.entry((o.mid, o.segment)).or_default();
-        rs.ready.insert(o.seq, (o.forward, o.error, o.epoch));
-        let mut drops = Vec::new();
-        while let Some((fwd, _err, epoch)) = rs.ready.remove(&rs.next_seq) {
+        if o.seq != rs.next_seq {
+            // Ahead of its turn: park it until the cursor gets there.
+            rs.ready.insert(o.seq, (o.forward, o.epoch));
+            return;
+        }
+        // The outcome the cursor is waiting for goes straight out, and
+        // takes with it whatever was parked right behind it.
+        let mut due = (o.forward, o.epoch);
+        loop {
             rs.next_seq += 1;
-            match fwd {
-                Some(v1) => {
-                    let tables = resolver.get(epoch, stats);
-                    let spec = tables
+            match due {
+                (Some(v1), epoch) => {
+                    let spec = resolver
+                        .tables(epoch, stats)
                         .merge_spec_for(o.segment as usize)
                         .expect("outcome implies spec");
                     let mut versions = VersionMap::single(VERSION_ORIGINAL, v1);
                     actions::execute(&spec.next, pool, &mut versions, sink, stats)
                         .expect("merger next actions");
                 }
-                None => drops.push(epoch),
+                (None, epoch) => drops.push(epoch),
+            }
+            match rs.ready.remove(&rs.next_seq) {
+                Some(parked) => due = parked,
+                None => break,
             }
         }
-        drops
     }
 }

@@ -18,11 +18,11 @@
 
 use crate::actions::Msg;
 use crate::cores::agent::Outcome;
+use crate::idmap::IdMap;
 use crate::merger::{self, Accumulator, MergeOutcome};
 use crate::stats::{DropCause, StageStats};
 use crate::swap::TablesResolver;
 use nfp_packet::pool::PacketPool;
-use std::collections::HashMap;
 
 /// The merger core: accumulate arrivals, merge when complete, expire when
 /// overdue.
@@ -31,7 +31,7 @@ pub struct MergerCore {
     at: Accumulator,
     /// Expired entries still owed arrivals: (mid, segment, pid) → how many
     /// stragglers to swallow before the tombstone itself is dropped.
-    tombstones: HashMap<(u32, u32, u64), usize>,
+    tombstones: IdMap<(u32, u32, u64), usize>,
 }
 
 impl MergerCore {
@@ -58,8 +58,8 @@ impl MergerCore {
         let (mid, pid, epoch) = pool.with(msg.r, |p| {
             (p.meta().mid(), p.meta().pid(), p.meta().epoch())
         });
-        let tables = resolver.get(epoch, stats);
-        let spec = tables
+        let spec = resolver
+            .tables(epoch, stats)
             .merge_spec_for(msg.segment as usize)
             .expect("merger msg implies spec");
         let key = (mid, msg.segment, pid);
@@ -80,7 +80,9 @@ impl MergerCore {
             .at
             .offer(key, arrival, spec.total_count, now, msg.seq, epoch)?;
         stats.note_merge();
-        let (forward, error) = match merger::resolve_and_merge(spec, &arrivals, pool) {
+        let resolved = merger::resolve_and_merge(spec, &arrivals, pool);
+        self.at.recycle(arrivals);
+        let (forward, error) = match resolved {
             Ok(MergeOutcome::Forward(v1)) => (Some(v1), false),
             Ok(MergeOutcome::Dropped) => {
                 stats.note_drop(DropCause::MergeResolved);
@@ -122,8 +124,8 @@ impl MergerCore {
         }
         let mut outcomes = Vec::new();
         for entry in self.at.take_expired(cutoff) {
-            let tables = resolver.get(entry.epoch, stats);
-            let spec = tables
+            let spec = resolver
+                .tables(entry.epoch, stats)
                 .merge_spec_for(entry.segment as usize)
                 .expect("AT entry implies spec");
             let owed = spec.total_count.saturating_sub(entry.arrivals.len());
@@ -142,6 +144,7 @@ impl MergerCore {
                     None
                 }
             };
+            self.at.recycle(entry.arrivals);
             outcomes.push(Outcome {
                 mid: entry.mid,
                 segment: entry.segment,

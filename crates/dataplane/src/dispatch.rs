@@ -165,13 +165,6 @@ impl Shared {
         self.delivered.load(Ordering::Acquire) + self.dropped.load(Ordering::Acquire)
     }
 
-    /// A packet ended in a drop: settle it against the epoch that
-    /// classified it, then count it for the closed loop.
-    fn settle_drop(&self, epoch: u64) {
-        self.handle.finish(epoch);
-        self.dropped.fetch_add(1, Ordering::Release);
-    }
-
     /// Per-stage counter snapshot in report shape.
     pub fn engine_stats(&self) -> EngineStats {
         let snap = |s: Stage| self.stats_of(s).snapshot();
@@ -296,10 +289,13 @@ impl Ports {
                 // cannot happen — but release and account the packet
                 // instead of panicking, so the closed loop terminates
                 // even if that invariant is ever violated.
+                // (Off the packet path, so it may settle through the
+                // handle's lock rather than a resolver.)
                 let epoch = cx.pool.with(msg.r, |p| p.meta().epoch());
                 cx.pool.release(msg.r);
                 cx.stats_of(from).note_misroute();
-                cx.settle_drop(epoch);
+                cx.handle.finish(epoch);
+                cx.dropped.fetch_add(1, Ordering::Release);
             }
         }
     }
@@ -371,6 +367,9 @@ pub(crate) struct Dispatcher {
     /// Outcomes in hand: the merges a merger stage's burst completed, or
     /// a burst popped from an outcome ring (always empty between stages).
     outcomes: Vec<Outcome>,
+    /// Epochs of the merge-resolved drops one outcome release surfaced
+    /// (always empty between releases).
+    drops: Vec<u64>,
     /// The [`Clock`] reading of this pass, taken at most once between NF
     /// invocations (the only steps of unbounded duration).
     now: Option<u64>,
@@ -436,6 +435,7 @@ impl Dispatcher {
                 .map(|(m, tx)| (m, Stash::new(tx)))
                 .collect(),
             outcomes: Vec::new(),
+            drops: Vec::new(),
             now: None,
             outputs: Vec::new(),
         }
@@ -481,8 +481,7 @@ impl Dispatcher {
                 // so a mid-swap packet is processed under the policy that
                 // classified it.
                 let epoch = cx.pool.with(msg.r, |p| p.meta().epoch());
-                let tables = self.resolver.get(epoch, stats);
-                let cfg = &tables.nf_configs[i];
+                let cfg = &self.resolver.tables(epoch, stats).nf_configs[i];
                 let before = rt.dropped + rt.errors + rt.policy_drops;
                 tele.trace_ref(stage, &cx.pool, msg.r);
                 let mut sink = Sink {
@@ -499,7 +498,7 @@ impl Dispatcher {
                     // (≤ 1 drop per message by construction).
                     let after = rt.dropped + rt.errors + rt.policy_drops;
                     for _ in before..after {
-                        cx.settle_drop(epoch);
+                        self.settle_drop(cx, epoch);
                     }
                 }
             }
@@ -523,7 +522,7 @@ impl Dispatcher {
                 tele.hop_if_traced(stage, pkt.meta(), pkt.is_nil());
                 // Delivery settles the packet against the epoch that
                 // classified it.
-                cx.handle.finish(pkt.meta().epoch());
+                self.resolver.settle(pkt.meta().epoch());
                 cx.delivered.fetch_add(1, Ordering::Release);
                 self.outputs.push(pkt);
             }
@@ -554,16 +553,24 @@ impl Dispatcher {
             cx,
             from: Stage::Agent,
         };
-        let drops = agent.release(
+        agent.release(
             outcome,
             &cx.pool,
             &mut self.resolver,
             &mut sink,
             cx.stats_of(Stage::Agent),
+            &mut self.drops,
         );
-        for epoch in drops {
-            cx.settle_drop(epoch);
+        while let Some(epoch) = self.drops.pop() {
+            self.settle_drop(cx, epoch);
         }
+    }
+
+    /// A packet ended in a drop: settle it against the epoch that
+    /// classified it, then count it for the closed loop.
+    fn settle_drop(&mut self, cx: &Shared, epoch: u64) {
+        self.resolver.settle(epoch);
+        cx.dropped.fetch_add(1, Ordering::Release);
     }
 
     fn now(&mut self, cx: &Shared) -> u64 {

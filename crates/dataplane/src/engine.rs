@@ -33,11 +33,18 @@
 //! makes progress, so an idle engine burns no core while a late burst
 //! still gets service immediately. Merge-order sequencing (§4.3 result
 //! correctness) lives in [`crate::cores::AgentCore`], unchanged.
+//!
+//! **Deliveries leave as they complete.** When the caller wants the
+//! delivered packets ([`EngineConfig::keep_packets`], [`Engine::run_io`])
+//! the collector's group hands each one back over an SPSC ring and the
+//! injecting thread takes them off between injections — into the report,
+//! or straight to the [`Egress`]. The engine never holds more than a
+//! window of packets, so a run's memory does not grow with its length.
 
 use crate::classifier::AdmitError;
 use crate::dispatch::{Clock, Dispatcher, Layout, Rings, Runtime, Shared, BURST};
 use crate::exec::{Idler, WakeHub};
-use crate::ring::{self, Consumer};
+use crate::ring::{self, Consumer, Producer};
 use crate::runtime::{FailureKind, NfRuntime};
 use crate::stats::EngineStats;
 use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError};
@@ -352,14 +359,38 @@ impl Intake {
     }
 }
 
-/// One delivered packet: pid, collection timestamp, optional payload.
-type OutputRow = (u64, Instant, Option<Packet>);
+/// One delivery's latency stamp: pid and collection time.
+type Stamp = (u64, Instant);
 
 /// What a stage group's thread hands back when it exits.
 struct GroupExit {
     runtimes: Vec<Runtime>,
-    outputs: Vec<OutputRow>,
+    stamps: Vec<Stamp>,
     rejected_at: Vec<u64>,
+}
+
+/// The injecting thread's end of the delivery ring: takes delivered
+/// packets off it in bursts and hands each burst to the run's sink.
+struct Outlet<'a> {
+    rx: Consumer<Packet>,
+    burst: Vec<Packet>,
+    /// Packets taken off the ring so far; the run is over when this
+    /// catches up with the collector's delivered count.
+    received: u64,
+    sink: &'a mut dyn FnMut(&mut Vec<Packet>),
+}
+
+impl Outlet<'_> {
+    /// Take what is on the ring; true if there was anything.
+    fn drain(&mut self) -> bool {
+        if self.rx.pop_burst(&mut self.burst, BURST) == 0 {
+            return false;
+        }
+        self.received += self.burst.len() as u64;
+        (self.sink)(&mut self.burst);
+        self.burst.clear();
+        true
+    }
 }
 
 /// What every group thread of one run shares, besides the dispatchers'
@@ -392,19 +423,24 @@ const POLLS_PER_IDLE_STEP: u32 = 4;
 
 /// A stage group's thread: drive `dispatcher` (and the classifier's
 /// `intake`, for the group that holds it) until the run quiesces, idling
-/// per the engine's policy on no-progress passes.
+/// per the engine's policy on no-progress passes. The collector's group
+/// gets `deliver`, the ring delivered packets go back on, when the caller
+/// wants them; a full ring leaves them in a local backlog for the next
+/// pass, like every other ring of the engine.
 fn drive_group(
     ctl: &GroupCtl<'_>,
     g: usize,
     mut dispatcher: Dispatcher,
     mut intake: Option<Intake>,
+    deliver: Option<Producer<Packet>>,
 ) -> GroupExit {
     let (cx, config) = (ctl.cx, ctl.config);
     if !config.pin_cpus.is_empty() {
         crate::exec::pin_current_thread(config.pin_cpus[g % config.pin_cpus.len()]);
     }
     let mut idler = Idler::new(&ctl.hub, config.idle_policy);
-    let mut outputs: Vec<OutputRow> = Vec::new();
+    let mut stamps: Vec<Stamp> = Vec::new();
+    let mut backlog: VecDeque<Packet> = VecDeque::new();
     let mut idle_polls = 0u32;
     loop {
         // The heartbeat tells the watchdog this thread is scheduling, not
@@ -419,16 +455,33 @@ fn drive_group(
         progress |= dispatcher.expire(cx);
         if !dispatcher.outputs.is_empty() {
             let t_out = Instant::now();
-            outputs.extend(dispatcher.outputs.drain(..).map(|pkt| {
-                let pid = pkt.meta().pid();
-                (pid, t_out, config.keep_packets.then_some(pkt))
-            }));
+            stamps.extend(
+                dispatcher
+                    .outputs
+                    .iter()
+                    .map(|pkt| (pkt.meta().pid(), t_out)),
+            );
+            match &deliver {
+                Some(_) => backlog.extend(dispatcher.outputs.drain(..)),
+                None => dispatcher.outputs.clear(),
+            }
+        }
+        if let Some(tx) = &deliver {
+            while let Some(pkt) = backlog.pop_front() {
+                match tx.push(pkt) {
+                    Ok(()) => progress = true,
+                    Err(back) => {
+                        backlog.push_front(back);
+                        break;
+                    }
+                }
+            }
         }
         let fed = match &intake {
             Some(intake) => ctl.stop.load(Ordering::Acquire) && intake.is_empty(),
             None => true,
         };
-        if fed && ctl.quiesce.load(Ordering::Acquire) && dispatcher.idle() {
+        if fed && ctl.quiesce.load(Ordering::Acquire) && dispatcher.idle() && backlog.is_empty() {
             break;
         }
         if progress {
@@ -440,7 +493,11 @@ fn drive_group(
         } else {
             idle_polls += 1;
             if idle_polls.is_multiple_of(POLLS_PER_IDLE_STEP) {
-                idler.idle(|| !dispatcher.idle() || intake.as_ref().is_some_and(|i| !i.is_empty()));
+                idler.idle(|| {
+                    !dispatcher.idle()
+                        || !backlog.is_empty()
+                        || intake.as_ref().is_some_and(|i| !i.is_empty())
+                });
             } else {
                 std::hint::spin_loop();
             }
@@ -450,7 +507,7 @@ fn drive_group(
     ctl.hub.notify();
     GroupExit {
         runtimes: dispatcher.runtimes,
-        outputs,
+        stamps,
         rejected_at: intake.map(|i| i.rejected_at).unwrap_or_default(),
     }
 }
@@ -491,6 +548,17 @@ impl EngineController {
     }
 }
 
+/// The I/O accounting of a finished run, from its report.
+fn io_stats(report: &EngineReport) -> IoRunStats {
+    let rejected = report.stats.classifier.rejects();
+    IoRunStats {
+        pulled: report.injected,
+        delivered: report.delivered,
+        dropped: report.dropped.saturating_sub(rejected),
+        rejected,
+    }
+}
+
 /// Emit a finished run's delivered packets to `egress` and derive the I/O
 /// accounting from its report; the packets stay in the report only when
 /// the caller asked to `keep` them.
@@ -501,13 +569,7 @@ pub(crate) fn emit_report(
 ) -> Result<(EngineReport, IoRunStats), IoError> {
     egress.emit_burst(&report.packets)?;
     egress.flush()?;
-    let rejected = report.stats.classifier.rejects();
-    let io = IoRunStats {
-        pulled: report.injected,
-        delivered: report.delivered,
-        dropped: report.dropped.saturating_sub(rejected),
-        rejected,
-    };
+    let io = io_stats(&report);
     if !keep {
         report.packets.clear();
     }
@@ -610,20 +672,28 @@ impl Engine {
     ) -> (EngineReport, LatencyRecorder) {
         let expected = packets.len();
         let mut packets = packets.into_iter();
-        self.run_feed(&mut || packets.next(), expected)
+        let mut kept = Vec::new();
+        let (mut report, latency) = self.run_feed(&mut || packets.next(), expected, &mut |burst| {
+            kept.append(burst)
+        });
+        report.packets = kept;
+        (report, latency)
     }
 
     /// Run the engine against a pluggable [`Ingress`]/[`Egress`] backend
     /// pair: bursts of [`EngineConfig::io_burst`] packets are pulled and
     /// injected on the caller thread until the ingress reports end of
-    /// stream, then every delivered packet is emitted to `egress` (in
-    /// collector completion order) and the egress is flushed. An ingress
-    /// error stops injection; everything already injected still drains
-    /// before the error is returned.
+    /// stream, and every delivered packet is emitted to `egress` on the
+    /// same thread as it completes (in collector completion order), so the
+    /// run holds a window of packets, not the stream; the egress is flushed
+    /// at the end. An ingress or egress error stops injection or emission;
+    /// everything already injected still drains before the first error is
+    /// returned.
     ///
     /// `keep_packets` is forced on for the duration of the call so
-    /// delivered frames exist to emit; the caller's setting is restored
-    /// (and the packets dropped from the report) afterwards.
+    /// delivered frames come back to the caller thread; the caller's
+    /// setting is restored afterwards, and only if it was on do the
+    /// packets also stay in the report.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
@@ -649,12 +719,25 @@ impl Engine {
                 }
             }
         };
-        let (report, _) = self.run_feed(&mut next, burst * 32);
+        let mut kept = Vec::new();
+        let mut emit_error = None;
+        let mut emit = |out: &mut Vec<Packet>| {
+            if emit_error.is_none() {
+                emit_error = egress.emit_burst(out).err();
+            }
+            if keep {
+                kept.append(out);
+            }
+        };
+        let (mut report, _) = self.run_feed(&mut next, burst * 32, &mut emit);
         self.set_keep_packets(keep);
-        match error {
-            Some(e) => Err(e),
-            None => emit_report(report, egress, keep),
+        report.packets = kept;
+        if let Some(e) = error.or(emit_error) {
+            return Err(e);
         }
+        egress.flush()?;
+        let io = io_stats(&report);
+        Ok((report, io))
     }
 
     /// Crate-internal toggle for the I/O entry points: force delivered
@@ -667,10 +750,15 @@ impl Engine {
     /// The engine core shared by the batch and streaming entry points:
     /// inject what `next` yields until it runs dry (`expected` sizes the
     /// bookkeeping), drain, and report with the raw latency recorder.
+    /// With `keep_packets` on, `sink` is handed every delivered packet on
+    /// the calling thread, in bursts, in collector completion order, while
+    /// the run is going (it takes what it wants out of the burst; the rest
+    /// is dropped); the report's own `packets` stays empty.
     fn run_feed(
         &mut self,
         next: &mut dyn FnMut() -> Option<Packet>,
         expected: usize,
+        sink: &mut dyn FnMut(&mut Vec<Packet>),
     ) -> (EngineReport, LatencyRecorder) {
         let config = &self.config;
         let layout = Layout {
@@ -743,6 +831,20 @@ impl Engine {
             seen: 0,
             rejected_at: Vec::new(),
         });
+        // Delivery ring out of the collector's group (always the last),
+        // when the caller wants the packets.
+        let (mut deliver_tx, mut outlet) = (None, None);
+        if config.keep_packets {
+            let (tx, rx) = ring::channel::<Packet>(config.ring_capacity);
+            deliver_tx = Some(tx);
+            outlet = Some(Outlet {
+                rx,
+                burst: Vec::with_capacity(BURST),
+                received: 0,
+                sink,
+            });
+        }
+        let collector_group = group_of(Stage::Collector);
 
         // Take the NFs out for the duration of the run; each group's
         // dispatcher takes the runtimes of its own NFs.
@@ -804,7 +906,8 @@ impl Engine {
                 .enumerate()
                 .map(|(g, dispatcher)| {
                     let (ctl, intake) = (&ctl, intake.take());
-                    scope.spawn(move || drive_group(ctl, g, dispatcher, intake))
+                    let deliver = deliver_tx.take_if(|_| g == collector_group);
+                    scope.spawn(move || drive_group(ctl, g, dispatcher, intake, deliver))
                 })
                 .collect();
 
@@ -845,34 +948,54 @@ impl Engine {
             // Closed-loop injection on this thread, idling adaptively
             // like the groups (the bounded park keeps the watchdog
             // running; any group's progress notifies the hub and wakes us).
+            // Every wait takes deliveries off their ring first, and only
+            // idles when there were none.
             let mut idler = Idler::new(hub, config.idle_policy);
-            let mut idle_step = |idler: &mut Idler<'_>, injected: u64, ready: &dyn Fn() -> bool| {
+            let mut idle_step = |idler: &mut Idler<'_>,
+                                 outlet: &mut Option<Outlet<'_>>,
+                                 injected: u64,
+                                 ready: &dyn Fn() -> bool| {
                 check_stall();
                 publish(cx, injected);
-                idler.idle(ready);
+                if outlet.as_mut().is_some_and(Outlet::drain) {
+                    idler.reset();
+                } else {
+                    idler.idle(|| ready() || outlet.as_ref().is_some_and(|o| !o.rx.is_empty()));
+                }
             };
             while let Some(pkt) = next() {
                 let injected = inject_times.len() as u64;
                 let window_full = || injected.saturating_sub(cx.finished()) >= max_in_flight;
                 while window_full() {
-                    idle_step(&mut idler, injected, &|| !window_full());
+                    idle_step(&mut idler, &mut outlet, injected, &|| !window_full());
                 }
                 inject_times.push(Instant::now());
                 let mut item = pkt;
                 while let Err(back) = inject_tx.push(item) {
                     item = back;
-                    idle_step(&mut idler, injected, &|| false);
+                    idle_step(&mut idler, &mut outlet, injected, &|| false);
                 }
                 publish(cx, injected + 1);
                 idler.reset();
                 // The classifier's group may be parked; its work predicate
                 // cannot see the push without a generation bump.
                 hub.notify();
+                if let Some(outlet) = &mut outlet {
+                    outlet.drain();
+                }
             }
             let injected = inject_times.len() as u64;
-            // Wait for completion, then stop injection.
-            while cx.finished() < injected {
-                idle_step(&mut idler, injected, &|| cx.finished() >= injected);
+            // Wait for completion — every packet accounted, every delivery
+            // taken off its ring — then stop injection.
+            let all_out = |outlet: &Option<Outlet<'_>>| {
+                outlet
+                    .as_ref()
+                    .is_none_or(|o| o.received >= cx.delivered.load(Ordering::Acquire))
+            };
+            while cx.finished() < injected || !all_out(&outlet) {
+                idle_step(&mut idler, &mut outlet, injected, &|| {
+                    cx.finished() >= injected
+                });
             }
             ctl.stop.store(true, Ordering::Release);
             hub.notify();
@@ -881,7 +1004,7 @@ impl Engine {
             // tombstones. Hold the groups until the pool is empty — only
             // then is it safe to let them exit without leaking.
             while cx.pool.in_use() > 0 {
-                idle_step(&mut idler, injected, &|| cx.pool.in_use() == 0);
+                idle_step(&mut idler, &mut outlet, injected, &|| cx.pool.in_use() == 0);
             }
             ctl.quiesce.store(true, Ordering::Release);
             hub.notify();
@@ -911,16 +1034,14 @@ impl Engine {
             .map(|(t_in, _)| t_in)
             .collect();
         let mut latency = LatencyRecorder::with_capacity(inject_times.len());
-        let mut packets = Vec::new();
         let mut failures: Vec<NfFailure> = Vec::new();
         // Groups are contiguous in pipeline order, so their runtimes
         // concatenate back into `NodeId` order.
         for exit in exits {
-            for (pid, t_out, pkt) in exit.outputs {
+            for (pid, t_out) in exit.stamps {
                 if let Some(t_in) = inject_times.get(pid as usize) {
                     latency.record(t_out.duration_since(*t_in));
                 }
-                packets.extend(pkt);
             }
             // Recover the NFs for subsequent runs, harvesting failure
             // records on the way out.
@@ -945,7 +1066,7 @@ impl Engine {
             dropped: cx.dropped.load(Ordering::Acquire),
             elapsed,
             latency: latency.summary(),
-            packets,
+            packets: Vec::new(),
             stats: cx.engine_stats(),
             failures,
             pool_in_use: cx.pool.in_use(),
@@ -1067,6 +1188,59 @@ mod tests {
             assert_eq!(p.dip().unwrap().0[0], 192, "LB rewrite merged in");
             assert_eq!(p.sip().unwrap(), Ipv4Addr::new(10, 255, 0, 1));
         }
+    }
+
+    /// `run_io` emits deliveries while it is still pulling: the egress
+    /// sees its first packet long before the ingress runs dry, and no
+    /// packet stays behind in the report the caller did not ask to keep.
+    #[test]
+    fn run_io_emits_while_the_ingress_is_still_feeding() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        struct Counted(nfp_packet::io::VecIngress, Rc<Cell<u64>>);
+        impl Ingress for Counted {
+            fn next_burst(&mut self, max: usize) -> Result<Option<Vec<Packet>>, IoError> {
+                let burst = self.0.next_burst(max)?;
+                self.1
+                    .set(self.1.get() + burst.as_ref().map_or(0, |b| b.len() as u64));
+                Ok(burst)
+            }
+        }
+        /// Records how many packets had been pulled at its first emission.
+        struct FirstEmit(Rc<Cell<u64>>, Option<u64>, u64);
+        impl Egress for FirstEmit {
+            fn emit_burst(&mut self, pkts: &[Packet]) -> Result<(), IoError> {
+                self.1.get_or_insert(self.0.get());
+                self.2 += pkts.len() as u64;
+                Ok(())
+            }
+        }
+
+        const TOTAL: u64 = 4096;
+        let mut e = build(
+            &["Monitor", "Firewall"],
+            EngineConfig {
+                max_in_flight: 8,
+                io_burst: 32,
+                ..EngineConfig::default()
+            },
+        );
+        let pulled = Rc::new(Cell::new(0));
+        let mut ingress = Counted(
+            nfp_packet::io::VecIngress::new(traffic(TOTAL as usize)),
+            Rc::clone(&pulled),
+        );
+        let mut egress = FirstEmit(pulled, None, 0);
+        let (report, io) = e.run_io(&mut ingress, &mut egress).unwrap();
+        assert_eq!((io.pulled, io.delivered, egress.2), (TOTAL, TOTAL, TOTAL));
+        // Window 8 plus one pulled burst of 32 bound what can be in hand.
+        let at_first = egress.1.expect("something was emitted");
+        assert!(
+            at_first <= 8 + 2 * 32,
+            "first emission after {at_first} pulls"
+        );
+        assert!(report.packets.is_empty());
     }
 
     #[test]

@@ -72,6 +72,7 @@ pub mod cores;
 pub mod dispatch;
 pub mod engine;
 pub mod exec;
+mod idmap;
 pub mod merger;
 pub mod ring;
 pub mod runtime;

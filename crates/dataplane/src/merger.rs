@@ -13,13 +13,13 @@
 //! instance while different packets of a flow may spread.
 
 use crate::actions::Msg;
+use crate::idmap::IdMap;
 use nfp_orchestrator::graph::{HeaderKind, MergeOp};
 use nfp_orchestrator::tables::MergeSpec;
 use nfp_orchestrator::FailurePolicy;
 use nfp_packet::meta::VERSION_ORIGINAL;
 use nfp_packet::pool::{PacketPool, PacketRef};
-use nfp_packet::{ah, ipv4, Packet};
-use std::collections::HashMap;
+use nfp_packet::{ah, ipv4};
 
 /// One packet copy (or nil marker) received by a merger.
 #[derive(Debug, Clone, Copy)]
@@ -71,9 +71,15 @@ pub struct ExpiredEntry {
 }
 
 /// The Accumulating Table: (mid, segment, pid) → arrivals so far.
+///
+/// Entry storage is recycled: a completed or expired entry's arrival list
+/// comes back through [`Accumulator::recycle`] and backs a later entry, so
+/// a warm table opens and closes entries without allocating.
 #[derive(Debug, Default)]
 pub struct Accumulator {
-    pending: HashMap<(u32, u32, u64), PendingEntry>,
+    pending: IdMap<(u32, u32, u64), PendingEntry>,
+    /// Emptied arrival lists awaiting reuse.
+    spare: Vec<Vec<Arrival>>,
 }
 
 impl Accumulator {
@@ -83,7 +89,8 @@ impl Accumulator {
     }
 
     /// Record an arrival; returns the full arrival set once `expected`
-    /// copies are present. `now` stamps the entry on first arrival (the
+    /// copies are present (hand it back with [`Accumulator::recycle`] when
+    /// done). `now` stamps the entry on first arrival (the
     /// deadline clock: virtual ticks in the sync engine, elapsed
     /// milliseconds in the threaded engine); `seq` is the agent-assigned
     /// merge-order number carried by the message; `epoch` is the program
@@ -98,8 +105,9 @@ impl Accumulator {
         seq: u64,
         epoch: u64,
     ) -> Option<Vec<Arrival>> {
+        let spare = &mut self.spare;
         let entry = self.pending.entry(key).or_insert_with(|| PendingEntry {
-            arrivals: Vec::new(),
+            arrivals: spare.pop().unwrap_or_default(),
             first_seen: now,
             seq,
             epoch,
@@ -110,6 +118,12 @@ impl Accumulator {
         } else {
             None
         }
+    }
+
+    /// Take back the arrival list of a finished entry for reuse.
+    pub fn recycle(&mut self, mut arrivals: Vec<Arrival>) {
+        arrivals.clear();
+        self.spare.push(arrivals);
     }
 
     /// Packets currently awaiting more copies.
@@ -272,8 +286,7 @@ pub fn resolve_and_merge(
             }
             None => None,
         };
-        let applied = pool.with_mut(v1, |dst| apply_op(op, dst, src, pool));
-        if applied.is_err() {
+        if apply_op(op, v1, src, pool).is_err() {
             result = Err(MergeError::OpFailed);
             break;
         }
@@ -421,10 +434,7 @@ pub fn resolve_partial(spec: &MergeSpec, arrivals: &[Arrival], pool: &PacketPool
             },
             None => None,
         };
-        if pool
-            .with_mut(v1, |dst| apply_op(op, dst, src, pool))
-            .is_err()
-        {
+        if apply_op(op, v1, src, pool).is_err() {
             // A malformed partial copy: safest total resolution is a drop.
             release_copies(pool, arrivals);
             pool.release(v1);
@@ -451,52 +461,62 @@ fn release_copies(pool: &PacketPool, arrivals: &[Arrival]) {
     }
 }
 
-/// Apply one merge operation to the original packet.
+/// Apply one merge operation to the original packet `v1`, reading the
+/// source copy's bytes straight out of its slot.
+///
+/// `src` must not be `v1` itself: the op would then read the slot it holds
+/// exclusively, which the pool's aliasing contract forbids. Sealing rejects
+/// such ops (`ProgramError::MergeFromOriginal`); if one gets here anyway it
+/// fails like any other malformed op instead of forming the second
+/// reference.
 fn apply_op(
     op: &MergeOp,
-    dst: &mut Packet,
+    v1: PacketRef,
     src: Option<PacketRef>,
     pool: &PacketPool,
 ) -> Result<(), ()> {
-    match op {
+    if src == Some(v1) {
+        return Err(());
+    }
+    pool.with_mut(v1, |dst| match op {
         MergeOp::Modify {
             field,
             from_version: _,
         } => {
             let src = src.ok_or(())?;
-            let value = pool.with(src, |s| s.field_bytes(*field).map(<[u8]>::to_vec));
-            let value = value.map_err(|_| ())?;
-            // Payload rewrites may change the length (e.g. a compression
-            // NF); headers are fixed-width.
-            if *field == nfp_packet::FieldId::Payload {
-                dst.replace_payload(&value).map_err(|_| ())
-            } else {
-                dst.set_field_bytes(*field, &value).map_err(|_| ())
-            }
+            pool.with(src, |s| {
+                let value = s.field_bytes(*field).map_err(|_| ())?;
+                // Payload rewrites may change the length (e.g. a
+                // compression NF); headers are fixed-width.
+                if *field == nfp_packet::FieldId::Payload {
+                    dst.replace_payload(value).map_err(|_| ())
+                } else {
+                    dst.set_field_bytes(*field, value).map_err(|_| ())
+                }
+            })
         }
         MergeOp::AddHeader {
             header: HeaderKind::AuthHeader,
             from_version: _,
         } => {
             let src = src.ok_or(())?;
-            // Graft the copy's AH (bytes between IPv4 and L4) into v1.
-            let ah_bytes: Result<Vec<u8>, ()> = pool.with(src, |s| {
-                let l = s.parsed().map_err(|_| ())?;
-                let off = l.ah.ok_or(())?;
-                Ok(s.data()[off..off + ah::HEADER_LEN].to_vec())
-            });
-            let ah_bytes = ah_bytes?;
             let l = dst.parse().map_err(|_| ())?;
             if l.ah.is_some() {
                 return Err(()); // already has one; tables bug
             }
             let insert_at = l.l4;
             let old_proto = l.l4_proto;
-            dst.insert_bytes(insert_at, ah::HEADER_LEN)
-                .map_err(|_| ())?;
-            let data = dst.data_mut();
-            data[insert_at..insert_at + ah::HEADER_LEN].copy_from_slice(&ah_bytes);
+            // Graft the copy's AH (bytes between IPv4 and L4) into v1.
+            pool.with(src, |s| {
+                let off = s.parsed().map_err(|_| ())?.ah.ok_or(())?;
+                dst.insert_bytes(insert_at, ah::HEADER_LEN)
+                    .map_err(|_| ())?;
+                dst.data_mut()[insert_at..insert_at + ah::HEADER_LEN]
+                    .copy_from_slice(&s.data()[off..off + ah::HEADER_LEN]);
+                Ok(())
+            })?;
             // Ensure the AH's next-header matches and chain IPv4 → AH.
+            let data = dst.data_mut();
             data[insert_at] = old_proto;
             data[14 + ipv4::offsets::PROTOCOL] = ipv4::PROTO_AH;
             dst.invalidate();
@@ -517,7 +537,7 @@ fn apply_op(
             dst.invalidate();
             dst.sync_ip_total_len().map_err(|_| ())
         }
-    }
+    })
 }
 
 /// The merger agent's load-balancing hash: FNV-1a over the immutable PID.
@@ -531,16 +551,6 @@ pub fn agent_pick(pid: u64, instances: usize) -> usize {
     (h % instances as u64) as usize
 }
 
-/// Build the nil packet a runtime sends when its NF drops (§5.2): same
-/// metadata as the data packet, no frame, tagged with the member priority.
-pub fn make_nil(meta: nfp_packet::Metadata, priority: u32) -> Packet {
-    let mut nil = Packet::new();
-    nil.set_meta(meta);
-    nil.set_nil(true);
-    nil.set_nil_priority(priority);
-    nil
-}
-
 /// Convenience: classify a merger-bound [`Msg`] into an [`Arrival`].
 pub fn arrival_of_msg(pool: &PacketPool, msg: Msg) -> Arrival {
     arrival_from(pool, msg.r)
@@ -551,7 +561,7 @@ mod tests {
     use super::*;
     use nfp_orchestrator::tables::{FtAction, MemberSpec};
     use nfp_packet::ipv4::Ipv4Addr;
-    use nfp_packet::{FieldId, Metadata};
+    use nfp_packet::{FieldId, Metadata, Packet};
 
     fn packet(dport: u16) -> Packet {
         nfp_traffic::gen::build_tcp_frame(
@@ -588,6 +598,16 @@ mod tests {
             .unwrap();
         assert_eq!(done.len(), 2);
         assert_eq!(at.pending_len(), 0);
+        // A recycled arrival list backs the next entry.
+        let storage = done.as_ptr();
+        at.recycle(done);
+        assert!(at
+            .offer((1, 1, 43), arrival_from(&pool, r1), 2, 0, 1, 0)
+            .is_none());
+        let again = at
+            .offer((1, 1, 43), arrival_from(&pool, r2), 2, 0, 1, 0)
+            .unwrap();
+        assert_eq!((again.len(), again.as_ptr()), (2, storage));
     }
 
     #[test]
@@ -646,7 +666,7 @@ mod tests {
         // The dropping member's runtime already released its v1 share when
         // it emitted the nil, so only one share arrives here.
         let v1 = pool.insert(original).unwrap();
-        let nil = pool.insert(make_nil(Metadata::new(1, 9, 1), 1)).unwrap();
+        let nil = pool.insert_nil(Metadata::new(1, 9, 1), 1, false).unwrap();
         let spec = spec(
             2,
             vec![],
@@ -684,7 +704,7 @@ mod tests {
         original.set_meta(Metadata::new(1, 11, 1));
         let v1 = pool.insert(original).unwrap();
         // v1 share for the surviving member only; FW sent a nil instead.
-        let nil = pool.insert(make_nil(Metadata::new(1, 11, 1), 0)).unwrap();
+        let nil = pool.insert_nil(Metadata::new(1, 11, 1), 0, false).unwrap();
         let spec = spec(
             2,
             vec![],
@@ -803,6 +823,39 @@ mod tests {
         assert_eq!(
             resolve_and_merge(&spec, &arrivals, &pool).unwrap_err(),
             MergeError::MissingOriginal
+        );
+        assert_eq!(pool.in_use(), 0);
+    }
+
+    #[test]
+    fn op_sourced_from_the_original_fails_instead_of_aliasing() {
+        // Sealing rejects `from_version == v1`; a hand-built spec that
+        // carries one anyway must fail the op, not read v1 while holding
+        // it exclusively. Both resolvers consume every reference.
+        let pool = PacketPool::new(4);
+        let spec = spec(
+            1,
+            vec![MergeOp::Modify {
+                field: FieldId::Dip,
+                from_version: VERSION_ORIGINAL,
+            }],
+            vec![member(1, 0, false, false)],
+        );
+        let original = |pid| {
+            let mut p = packet(80);
+            p.set_meta(Metadata::new(1, pid, 1));
+            pool.insert(p).unwrap()
+        };
+        let arrivals = [arrival_from(&pool, original(1))];
+        assert_eq!(
+            resolve_and_merge(&spec, &arrivals, &pool).unwrap_err(),
+            MergeError::OpFailed
+        );
+        assert_eq!(pool.in_use(), 0);
+        let arrivals = [arrival_from(&pool, original(2))];
+        assert_eq!(
+            resolve_partial(&spec, &arrivals, &pool),
+            MergeOutcome::Dropped
         );
         assert_eq!(pool.in_use(), 0);
     }
@@ -934,9 +987,7 @@ mod tests {
         let mut original = packet(80);
         original.set_meta(Metadata::new(1, 11, 1));
         let v1 = pool.insert(original).unwrap();
-        let mut nil = make_nil(Metadata::new(1, 11, 1), 0);
-        nil.set_nil_failure(true);
-        let niland = pool.insert(nil).unwrap();
+        let niland = pool.insert_nil(Metadata::new(1, 11, 1), 0, true).unwrap();
         let spec = spec(
             2,
             vec![],
@@ -1071,7 +1122,7 @@ mod tests {
         let mut original = packet(80);
         original.set_meta(Metadata::new(1, 8, 1));
         let v1 = pool.insert(original).unwrap();
-        let nil = pool.insert(make_nil(Metadata::new(1, 8, 1), 1)).unwrap();
+        let nil = pool.insert_nil(Metadata::new(1, 8, 1), 1, false).unwrap();
         let spec3 = spec(
             3,
             vec![],

@@ -9,7 +9,6 @@
 //! field-scoped shared) the compiled graph granted this NF.
 
 use crate::actions::{self, Deliver, Msg, VersionMap};
-use crate::merger::make_nil;
 use crate::stats::{DropCause, StageStats};
 use nfp_nf::{NetworkFunction, PacketView, Verdict};
 use nfp_orchestrator::tables::{AccessMode, DropBehavior, FtAction, NfConfig, Target};
@@ -260,17 +259,15 @@ impl<N: NetworkFunction> NfRuntime<N> {
                 stats.note_drop(cause);
             }
             DropBehavior::NilToMerger { segment, priority } => {
-                // Nil packets come from the same pre-allocated pool; under
-                // transient exhaustion we wait for the mergers to drain —
-                // a nil *must* arrive or the merger's count never closes.
-                let mut nil = make_nil(meta, priority);
-                nil.set_nil_failure(failure_nil);
+                // Nil packets are written into a free slot of the same
+                // pool; under transient exhaustion we wait for the mergers
+                // to drain — a nil *must* arrive or the merger's count
+                // never closes.
                 let mut stalled = false;
                 let nil_ref = loop {
-                    match pool.insert(nil) {
+                    match pool.insert_nil(meta, priority, failure_nil) {
                         Ok(nr) => break nr,
-                        Err(back) => {
-                            nil = back;
+                        Err(_) => {
                             if !stalled {
                                 stats.note_backpressure();
                                 stalled = true;

@@ -2,7 +2,8 @@
 //!
 //! Every pipeline stage (classifier, each NF runtime, the merger agent,
 //! each merger instance, the collector) owns a [`StageStats`]: a set of
-//! relaxed atomic counters cheap enough to bump on the fast path. The
+//! relaxed atomic counters cheap enough to bump on the fast path (see
+//! *Single-writer counters* below). The
 //! engine aggregates them into an [`EngineStats`] snapshot on the
 //! [`crate::engine::EngineReport`], so a correctness failure can be
 //! localized by inspecting where the counters stop balancing
@@ -13,6 +14,24 @@
 //! [`DropCause`]. Ring backpressure is *never* a drop — full rings are
 //! waited out (the mesh is deadlock-free) and surface as `backpressure`
 //! stall events instead.
+//!
+//! # Single-writer counters
+//!
+//! A stage belongs to exactly one dispatcher, and a dispatcher to exactly
+//! one thread, so the per-message counters of a [`StageStats`] —
+//! [`note_in`](StageStats::note_in), [`note_out`](StageStats::note_out),
+//! [`note_copy`](StageStats::note_copy), [`note_nil`](StageStats::note_nil),
+//! [`note_merge`](StageStats::note_merge) and
+//! [`note_drop`](StageStats::note_drop) — have **one writer each**: the
+//! thread that owns the stage. They are bumped with a relaxed load and a
+//! relaxed store, not a locked read-modify-write; readers on other threads
+//! (reports, the auditor) see a value that is at most one bump behind, and
+//! exact once the owning thread has been joined. Whoever calls these from a
+//! second thread loses counts — a new caller off the owning thread must use
+//! its own `StageStats`. Cells that *do* have a second writer keep their
+//! atomic read-modify-write: `ring_high_water` ([`atomic_max`]), the
+//! engine-wide delivered/dropped totals, epoch pin counts, pool reference
+//! counts and the pool free list.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,6 +49,14 @@ pub fn atomic_max(slot: &AtomicU64, value: u64) {
             Err(seen) => current = seen,
         }
     }
+}
+
+/// Advance a counter that only the calling thread ever writes: a relaxed
+/// load and store instead of a locked `fetch_add` (module docs,
+/// "Single-writer counters").
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// Why a stage dropped a packet. Every drop in the engine is attributed to
@@ -59,7 +86,8 @@ pub enum DropCause {
     MergeExpired,
 }
 
-/// Atomic counters for one pipeline stage.
+/// Atomic counters for one pipeline stage, written by the one thread that
+/// owns the stage (module docs, "Single-writer counters").
 ///
 /// Aligned to a cache line: stage stats live in arrays (one entry per NF
 /// or merger) and are hammered from different threads, so adjacent
@@ -111,27 +139,27 @@ impl StageStats {
 
     /// Count `n` messages entering the stage.
     pub fn note_in(&self, n: u64) {
-        self.packets_in.fetch_add(n, Ordering::Relaxed);
+        bump(&self.packets_in, n);
     }
 
     /// Count `n` messages emitted downstream.
     pub fn note_out(&self, n: u64) {
-        self.packets_out.fetch_add(n, Ordering::Relaxed);
+        bump(&self.packets_out, n);
     }
 
     /// Count one packet copy (OP#2).
     pub fn note_copy(&self) {
-        self.copies.fetch_add(1, Ordering::Relaxed);
+        bump(&self.copies, 1);
     }
 
     /// Count one nil packet.
     pub fn note_nil(&self) {
-        self.nil_packets.fetch_add(1, Ordering::Relaxed);
+        bump(&self.nil_packets, 1);
     }
 
     /// Count one completed merge resolution.
     pub fn note_merge(&self) {
-        self.merges.fetch_add(1, Ordering::Relaxed);
+        bump(&self.merges, 1);
     }
 
     /// Count one full-ring stall event.
@@ -178,7 +206,7 @@ impl StageStats {
             DropCause::NfFailed => &self.drop_nf_failed,
             DropCause::MergeExpired => &self.drop_merge_expired,
         };
-        c.fetch_add(1, Ordering::Relaxed);
+        bump(c, 1);
     }
 
     /// Plain-value snapshot of the counters.

@@ -13,10 +13,20 @@
 //!    [`TablesResolver`], never through a shared "latest" pointer. A
 //!    packet classified under epoch N is forwarded and merged under
 //!    epoch N even if epoch N+1 installs mid-flight.
-//! 3. **Settle** — when the engine delivers or drops the packet it calls
-//!    [`ProgramHandle::finish`] with the stamped epoch (or
+//! 3. **Settle** — when the engine delivers or drops the packet it settles
+//!    the stamped epoch ([`TablesResolver::settle`]; or
 //!    [`ProgramHandle::abort`] if admission itself failed after pinning),
 //!    lowering the epoch's in-flight count.
+//!
+//! Only step 1 takes the handle's lock. The resolver caches the
+//! `Arc<EpochState>` of each epoch it has seen, hands the tables out as a
+//! borrow and settles on the cached state directly, so between admission
+//! and settle a packet takes no lock and clones no `Arc`. That is sound
+//! because a pinned packet keeps its epoch live: an epoch is retired only
+//! once `attempts == settled`, and the packet being resolved or settled
+//! has not settled yet — so the state the resolver cached under that epoch
+//! id *is* the state [`ProgramHandle`] still holds (epoch ids strictly
+//! increase, so an id never names two states).
 //!
 //! [`ProgramHandle::install`] swaps a compatible successor in under a
 //! write lock: new admissions pin the new epoch immediately, the old
@@ -70,8 +80,15 @@ impl EpochState {
     }
 
     /// The epoch's sealed tables.
-    pub fn tables(&self) -> Arc<GraphTables> {
-        Arc::clone(self.program.tables())
+    pub fn tables(&self) -> &Arc<GraphTables> {
+        self.program.tables()
+    }
+
+    /// One packet pinned to this epoch was delivered or dropped.
+    #[inline]
+    fn settle(&self) {
+        self.completed.fetch_add(1, Ordering::AcqRel);
+        self.settled.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Packets currently pinned to this epoch (admitted, not yet settled).
@@ -214,8 +231,8 @@ pub struct EpochReport {
 
 /// The shared, swappable program slot every engine stage hangs off.
 ///
-/// Reads (admission, epoch-keyed table resolution, settle) take the read
-/// lock; only [`install`](ProgramHandle::install) and
+/// Reads (admission, and a [`TablesResolver`]'s first sight of an epoch)
+/// take the read lock; only [`install`](ProgramHandle::install) and
 /// [`retire`](ProgramHandle::retire) take the write lock. Admission
 /// increments the pin count *under* the read lock, so an install (which
 /// holds the write lock) can never miss a pin: after `install` returns,
@@ -266,36 +283,30 @@ impl ProgramHandle {
     }
 
     /// Settle one packet under `epoch`: it was delivered or dropped. Pairs
-    /// 1:1 with [`admit_current`](ProgramHandle::admit_current).
-    #[inline]
+    /// 1:1 with [`admit_current`](ProgramHandle::admit_current). Takes the
+    /// read lock to find the epoch; stages settle through
+    /// [`TablesResolver::settle`], which does not.
     pub fn finish(&self, epoch: u64) {
-        let slots = self.slots.read().unwrap();
-        let state = if slots.current.epoch() == epoch {
-            Some(&slots.current)
-        } else {
-            slots.prev.as_ref().filter(|p| p.epoch() == epoch)
-        };
-        match state {
-            Some(s) => {
-                s.completed.fetch_add(1, Ordering::AcqRel);
-                s.settled.fetch_add(1, Ordering::AcqRel);
-            }
+        match self.state_for(epoch) {
+            Some(state) => state.settle(),
             None => debug_assert!(false, "finish({epoch}) matches no live epoch"),
         }
+    }
+
+    /// The state of `epoch`, if that epoch is still live.
+    fn state_for(&self, epoch: u64) -> Option<Arc<EpochState>> {
+        let slots = self.slots.read().unwrap();
+        if slots.current.epoch() == epoch {
+            return Some(Arc::clone(&slots.current));
+        }
+        slots.prev.as_ref().filter(|p| p.epoch() == epoch).cloned()
     }
 
     /// The tables that classified packets of `epoch`, if that epoch is
     /// still live.
     pub fn tables_for(&self, epoch: u64) -> Option<Arc<GraphTables>> {
-        let slots = self.slots.read().unwrap();
-        if slots.current.epoch() == epoch {
-            return Some(slots.current.tables());
-        }
-        slots
-            .prev
-            .as_ref()
-            .filter(|p| p.epoch() == epoch)
-            .map(|p| p.tables())
+        self.state_for(epoch)
+            .map(|state| Arc::clone(state.tables()))
     }
 
     /// Atomically swap `program` in as the new current epoch.
@@ -424,20 +435,26 @@ impl ProgramHandle {
 }
 
 /// Most packets resolve under a handful of epochs, so the resolver keeps
-/// this many `(epoch, tables)` pairs before evicting the oldest.
+/// this many epoch states before evicting the oldest.
 const RESOLVER_CACHE: usize = 4;
 
-/// A per-stage epoch→tables cache over a shared [`ProgramHandle`].
+/// A per-dispatcher cache of live [`EpochState`]s over a shared
+/// [`ProgramHandle`].
 ///
 /// Stages resolve forwarding and merge tables by each packet's *stamped*
 /// epoch, not by whatever is current — that is what keeps a mid-swap
-/// packet on the tables that classified it. The cache makes the common
-/// case (same epoch as the last packet) two compares and no lock.
+/// packet on the tables that classified it — and settle finished packets
+/// against that same epoch. Both go through the cached state: the common
+/// case (an epoch seen before) is a compare per cached epoch, a borrow,
+/// and for settle the two counter bumps; no lock, no `Arc` clone (module
+/// docs: why a pinned packet's cached state cannot be stale).
 #[derive(Debug)]
 pub struct TablesResolver {
     handle: Arc<ProgramHandle>,
-    cache: Vec<(u64, Arc<GraphTables>)>,
+    cache: Vec<Arc<EpochState>>,
     newest: u64,
+    /// What a lookup of a no-longer-live epoch borrows from.
+    fallback: Option<Arc<EpochState>>,
 }
 
 impl TablesResolver {
@@ -447,12 +464,31 @@ impl TablesResolver {
             handle,
             cache: Vec::with_capacity(RESOLVER_CACHE),
             newest: 0,
+            fallback: None,
         }
     }
 
     /// The shared handle this resolver reads.
     pub fn handle(&self) -> &Arc<ProgramHandle> {
         &self.handle
+    }
+
+    /// Index of `epoch`'s state in the cache, fetching it from the handle
+    /// (one read lock) the first time the epoch is seen.
+    fn cached(&mut self, epoch: u64) -> Option<usize> {
+        if let Some(i) = self.cache.iter().position(|s| s.epoch() == epoch) {
+            return Some(i);
+        }
+        let state = self.handle.state_for(epoch)?;
+        self.newest = self.newest.max(epoch);
+        if self.cache.len() >= RESOLVER_CACHE {
+            // Evict the oldest epoch — the least likely to recur.
+            if let Some(i) = (0..self.cache.len()).min_by_key(|&i| self.cache[i].epoch()) {
+                self.cache.swap_remove(i);
+            }
+        }
+        self.cache.push(state);
+        Some(self.cache.len() - 1)
     }
 
     /// The tables for `epoch`. A packet stamped with a no-longer-live
@@ -462,35 +498,28 @@ impl TablesResolver {
     /// resolving under a non-newest (draining) epoch counts a stale-epoch
     /// observation.
     #[inline]
-    pub fn get(&mut self, epoch: u64, stats: &StageStats) -> Arc<GraphTables> {
+    pub fn tables(&mut self, epoch: u64, stats: &StageStats) -> &GraphTables {
         if epoch < self.newest {
             stats.note_stale_epoch();
         }
-        if let Some((_, t)) = self.cache.iter().find(|(e, _)| *e == epoch) {
-            return Arc::clone(t);
-        }
-        match self.handle.tables_for(epoch) {
-            Some(t) => {
-                self.newest = self.newest.max(epoch);
-                if self.cache.len() >= RESOLVER_CACHE {
-                    // Evict the oldest epoch — the least likely to recur.
-                    if let Some(i) = self
-                        .cache
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (e, _))| *e)
-                        .map(|(i, _)| i)
-                    {
-                        self.cache.swap_remove(i);
-                    }
-                }
-                self.cache.push((epoch, Arc::clone(&t)));
-                t
-            }
+        match self.cached(epoch) {
+            Some(i) => self.cache[i].tables(),
             None => {
                 stats.note_epoch_conflict();
-                self.handle.current().tables()
+                self.fallback.insert(self.handle.current()).tables()
             }
+        }
+    }
+
+    /// Settle one packet under `epoch`: it was delivered or dropped. Pairs
+    /// 1:1 with the [`ProgramHandle::admit_current`] that pinned it, and
+    /// goes straight to the cached state of the epoch the packet has been
+    /// resolving under all along.
+    #[inline]
+    pub fn settle(&mut self, epoch: u64) {
+        match self.cached(epoch) {
+            Some(i) => self.cache[i].settle(),
+            None => debug_assert!(false, "settle({epoch}) matches no live epoch"),
         }
     }
 }
@@ -599,19 +628,54 @@ mod tests {
         let h = Arc::new(ProgramHandle::new(program(&["Monitor", "Firewall"], 1, 0)));
         let mut r = TablesResolver::new(Arc::clone(&h));
         let stats = StageStats::new();
-        let t0 = r.get(0, &stats);
-        assert!(Arc::ptr_eq(&t0, &h.current().tables()));
+        let current_tables = |h: &ProgramHandle| Arc::as_ptr(h.current().tables());
+        let t0 = std::ptr::from_ref(r.tables(0, &stats));
+        assert_eq!(t0, current_tables(&h));
         h.install(program(&["Monitor", "Firewall"], 1, 3)).unwrap();
-        let t3 = r.get(3, &stats);
-        assert!(!Arc::ptr_eq(&t0, &t3));
+        let t3 = std::ptr::from_ref(r.tables(3, &stats));
+        assert_ne!(t0, t3);
         // Resolving the draining epoch counts a stale observation.
         assert_eq!(stats.snapshot().stale_epochs, 0);
-        let t0_again = r.get(0, &stats);
-        assert!(Arc::ptr_eq(&t0, &t0_again));
+        assert_eq!(std::ptr::from_ref(r.tables(0, &stats)), t0);
         assert_eq!(stats.snapshot().stale_epochs, 1);
         // An epoch nobody has counts a conflict and falls back to current.
-        let t9 = r.get(9, &stats);
-        assert!(Arc::ptr_eq(&t9, &t3));
+        assert_eq!(std::ptr::from_ref(r.tables(9, &stats)), t3);
         assert_eq!(stats.snapshot().epoch_conflicts, 1);
+    }
+
+    #[test]
+    fn resolver_settles_on_the_epoch_that_pinned() {
+        let h = Arc::new(ProgramHandle::new(program(&["Monitor", "Firewall"], 1, 0)));
+        let mut r = TablesResolver::new(Arc::clone(&h));
+        let old = h.admit_current();
+        let swap = h.install(program(&["Monitor", "Firewall"], 1, 1)).unwrap();
+        let new = h.admit_current();
+        // A packet pinned to the draining epoch settles there, one pinned
+        // to the new epoch settles there — same counters `finish` moves.
+        r.settle(old.epoch());
+        assert!(swap.old.drained());
+        assert_eq!(swap.old.completed(), 1);
+        assert_eq!(new.in_flight(), 1);
+        r.settle(new.epoch());
+        assert!(new.drained());
+        assert_eq!(
+            h.tallies(),
+            vec![
+                EpochTally {
+                    epoch: 0,
+                    completed: 1
+                },
+                EpochTally {
+                    epoch: 1,
+                    completed: 1
+                }
+            ]
+        );
+        // The drained predecessor retires; a later packet of the current
+        // epoch still settles through the cache.
+        assert!(h.retire().is_some());
+        let again = h.admit_current();
+        r.settle(again.epoch());
+        assert_eq!(h.current().completed(), 2);
     }
 }

@@ -21,7 +21,7 @@
 //! seals successfully can be executed — or replicated per flow shard —
 //! without any engine-side re-validation.
 
-use crate::graph::{Segment, ServiceGraph};
+use crate::graph::{MergeOp, Segment, ServiceGraph};
 use crate::tables::{self, DropBehavior, FtAction, GraphTables, Target};
 use nfp_packet::meta::VERSION_ORIGINAL;
 use nfp_packet::FieldMask;
@@ -220,6 +220,13 @@ pub enum ProgramError {
         /// The never-produced version.
         version: u8,
     },
+    /// A merge op names the original `v1` as its *source* version. Merge
+    /// ops fold a copy's changes into v1; an op reading v1 would have the
+    /// merger read the very slot it holds exclusively to write.
+    MergeFromOriginal {
+        /// The offending segment.
+        segment: usize,
+    },
     /// The tables configure a different NF count than the graph has nodes.
     NfConfigCountMismatch {
         /// Graph nodes.
@@ -268,6 +275,9 @@ impl core::fmt::Display for ProgramError {
                 f,
                 "segment {segment}: member version {version} is never produced by a copy"
             ),
+            ProgramError::MergeFromOriginal { segment } => {
+                write!(f, "segment {segment}: a merge op reads from v1 itself")
+            }
             ProgramError::NfConfigCountMismatch { expected, got } => {
                 write!(
                     f,
@@ -701,6 +711,18 @@ fn validate_tables(t: &GraphTables) -> Result<(), ProgramError> {
                 });
             }
         }
+        let reads_original = |op: &MergeOp| {
+            matches!(
+                op,
+                MergeOp::Modify { from_version, .. } | MergeOp::AddHeader { from_version, .. }
+                    if *from_version == VERSION_ORIGINAL
+            )
+        };
+        if spec.ops.iter().any(reads_original) {
+            return Err(ProgramError::MergeFromOriginal {
+                segment: spec.segment,
+            });
+        }
         for m in &spec.members {
             if m.version != VERSION_ORIGINAL && !all_copies.contains(&m.version) {
                 return Err(ProgramError::UnclosableCopy {
@@ -818,6 +840,24 @@ mod tests {
             Program::seal(t, &g).unwrap_err(),
             ProgramError::UnclosableCopy { .. }
         ));
+    }
+
+    #[test]
+    fn merge_op_reading_the_original_rejected() {
+        // Monitor ∥ LB folds the LB's rewrites from its copy (v2) into v1.
+        // Re-pointing one op at v1 would make the merger read the slot it
+        // is writing.
+        let g = graph(&["Monitor", "LoadBalancer"]);
+        let mut t = tables::generate(&g, 1);
+        let segment = t.merge_specs[0].segment;
+        match t.merge_specs[0].ops.first_mut() {
+            Some(MergeOp::Modify { from_version, .. }) => *from_version = VERSION_ORIGINAL,
+            other => panic!("expected a Modify op, got {other:?}"),
+        }
+        assert_eq!(
+            Program::seal(t, &g).unwrap_err(),
+            ProgramError::MergeFromOriginal { segment }
+        );
     }
 
     #[test]

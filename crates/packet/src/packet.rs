@@ -505,28 +505,73 @@ impl Packet {
         Ok(())
     }
 
-    /// Produce a **header-only copy** (paper OP#2): copies bytes up to the
-    /// payload, truncates, rewrites the IPv4 total length to "the length of
-    /// the header itself" so parallel NFs receive a valid packet, and tags
-    /// the copy with `version`.
+    /// Overwrite this packet, in place, with a copy of `src` tagged
+    /// `version` — the one copy routine behind the by-value
+    /// [`Packet::header_only_copy`] / [`Packet::full_copy`] and the pool's
+    /// copies into a free slot's own buffer. Every field is rewritten, so
+    /// nothing of what the buffer held before survives into the copy.
+    ///
+    /// A `header_only` copy (paper OP#2) takes the bytes up to the payload,
+    /// rewrites the IPv4 total length to "the length of the header itself"
+    /// so parallel NFs receive a valid packet, and caches the parse; a full
+    /// copy takes the whole frame and inherits `src`'s header-only flag.
+    /// On `Err` this packet's contents are unspecified.
+    pub fn copy_from(&mut self, src: &Packet, version: u8, header_only: bool) -> Result<()> {
+        let len = if header_only {
+            src.parsed()?.payload
+        } else {
+            src.len
+        };
+        self.set_frame(&src.data()[..len])?;
+        self.meta = src.meta.with_version(version);
+        self.nil_priority = 0;
+        self.header_only = header_only || src.header_only;
+        if header_only {
+            self.parse()?;
+            self.sync_ip_total_len()?;
+        }
+        Ok(())
+    }
+
+    /// Produce a **header-only copy** (paper OP#2) tagged with `version`;
+    /// see [`Packet::copy_from`].
     pub fn header_only_copy(&self, version: u8) -> Result<Packet> {
-        let l = self.parsed()?;
-        let hdr_len = l.payload;
         let mut copy = Packet::new();
-        copy.set_frame(&self.data()[..hdr_len])?;
-        copy.meta = self.meta.with_version(version);
-        copy.header_only = true;
-        copy.parse()?;
-        copy.sync_ip_total_len()?;
+        copy.copy_from(self, version, true)?;
         Ok(copy)
     }
 
-    /// Produce a full copy tagged with `version`.
+    /// Produce a full copy tagged with `version`; see [`Packet::copy_from`].
     pub fn full_copy(&self, version: u8) -> Result<Packet> {
-        let mut copy = Packet::from_bytes(self.data())?;
-        copy.meta = self.meta.with_version(version);
-        copy.header_only = self.header_only;
+        let mut copy = Packet::new();
+        copy.copy_from(self, version, false)?;
         Ok(copy)
+    }
+
+    /// Overwrite this packet, in place, with the *nil packet* a runtime
+    /// sends to the merger when its NF drops (§5.2): `meta` of the data
+    /// packet, no frame, tagged with the emitting member's conflict
+    /// `priority`; `failure` marks a fail-closed NF's failure nil.
+    pub fn set_nil_packet(&mut self, meta: Metadata, priority: u32, failure: bool) {
+        self.reset();
+        self.meta = meta;
+        self.nil = true;
+        self.nil_priority = priority;
+        self.nil_failure = failure;
+    }
+
+    /// Back to the state of [`Packet::new`], keeping the buffer: an empty
+    /// frame behind full headroom, default metadata, every flag clear. The
+    /// old bytes stay in the buffer but no accessor reaches past `len`.
+    pub(crate) fn reset(&mut self) {
+        self.start = HEADROOM;
+        self.len = 0;
+        self.meta = Metadata::default();
+        self.layers = None;
+        self.nil = false;
+        self.nil_priority = 0;
+        self.nil_failure = false;
+        self.header_only = false;
     }
 
     /// Length of all headers (Ethernet through L4) in bytes.

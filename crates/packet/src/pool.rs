@@ -5,9 +5,10 @@
 //! between NFs instead of copying (paper §5, NetVM-style zero-copy
 //! delivery). [`PacketPool`] reproduces that substrate in user space:
 //!
-//! * a fixed number of pre-allocated packet slots ("we prepare memory blocks
-//!   to store input or copied packets during the system initialization", so
-//!   copies never allocate on the datapath);
+//! * a fixed number of packet slots, each created with its own packet buffer
+//!   ("we prepare memory blocks to store input or copied packets during the
+//!   system initialization", so the datapath never allocates — see *Who owns
+//!   a buffer* below);
 //! * cheap [`PacketRef`] handles that rings carry between NF threads;
 //! * per-slot reference counts so one packet can be *distributed* to several
 //!   parallel NFs without copying, and freed exactly when the merger is done
@@ -35,8 +36,37 @@
 //!
 //! The free list is a lock-free Treiber stack with an ABA tag, so alloc and
 //! release never take a lock on the datapath.
+//!
+//! # Who owns a buffer
+//!
+//! "Pre-allocated" means: [`PacketPool::new`] allocates one buffer per slot,
+//! and after that the pool allocates nothing — buffers only change hands.
+//!
+//! * **copy / nil** ([`PacketPool::header_only_copy`],
+//!   [`PacketPool::full_copy`], [`PacketPool::insert_nil`]) write *into the
+//!   free slot's own buffer* ([`Packet::copy_from`],
+//!   [`Packet::set_nil_packet`]); no buffer moves.
+//! * **insert** moves the caller's packet — buffer included — into the slot.
+//!   The slot's own buffer is displaced into the slot's *spare* (or freed,
+//!   if a spare is already there), so a slot holds at most two buffers and
+//!   the pool at most 2 × `capacity`.
+//! * **take** moves the packet back out to the caller and leaves the spare
+//!   behind as the slot's buffer: what `insert` displaced is what the next
+//!   `take` of that slot leaves. (A slot filled in place has no spare; taking
+//!   it clones the packet out — the one allocating case, and off the
+//!   engines' path, which only ever take originals that entered by `insert`.)
+//! * **release** frees no memory: the slot goes back on the free list with
+//!   whatever buffers it holds.
+//!
+//! **No stale bytes.** A recycled buffer still holds its previous frame, but
+//! nothing can read it: every operation that claims a free slot rewrites
+//! every packet field, `Packet::data` ends at `len`, and the only ways to
+//! extend `len` — `set_frame` and `insert_bytes` — write every byte they
+//! expose. `take` additionally resets the slot it leaves to the state of
+//! `Packet::new`.
 
 use crate::field::FieldId;
+use crate::meta::Metadata;
 use crate::packet::Packet;
 use crate::{PacketError, Result};
 use core::cell::UnsafeCell;
@@ -68,12 +98,17 @@ struct Slot {
     /// Free-list link (valid only while free).
     next: AtomicU32,
     pkt: UnsafeCell<Packet>,
+    /// The slot's own buffer while an inserted packet occupies `pkt` (see
+    /// "Who owns a buffer" in the module docs).
+    spare: UnsafeCell<Option<Packet>>,
 }
 
 // SAFETY: concurrent access to `pkt` is governed by the contract documented
 // in the module docs: exclusive access is runtime-checked via `refcount`,
 // and shared field-level access is restricted to disjoint byte ranges by
-// the orchestrator's compiled graph.
+// the orchestrator's compiled graph. `spare` is touched only with exclusive
+// access to the slot: by `insert` on a slot it just popped off the free
+// list, and by `take` under its sole-owner assertion.
 unsafe impl Sync for Slot {}
 unsafe impl Send for Slot {}
 
@@ -83,7 +118,7 @@ pub struct PacketPool {
     slots: Box<[Slot]>,
     /// Treiber stack head: (index, aba-tag) packed into 64 bits.
     free_head: AtomicU64,
-    /// High-water mark of concurrently live slots (diagnostics).
+    /// Slots currently allocated (the live count, not a peak).
     in_use: AtomicU32,
 }
 
@@ -96,7 +131,7 @@ fn unpack(v: u64) -> (u32, u32) {
 }
 
 impl PacketPool {
-    /// Create a pool with `capacity` packet slots, all pre-allocated.
+    /// Create a pool with `capacity` packet slots, each with its own buffer.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0 && capacity < NIL as usize, "bad pool capacity");
         let slots: Box<[Slot]> = (0..capacity)
@@ -104,6 +139,7 @@ impl PacketPool {
                 refcount: AtomicU32::new(0),
                 next: AtomicU32::new(if i + 1 < capacity { i as u32 + 1 } else { NIL }),
                 pkt: UnsafeCell::new(Packet::new()),
+                spare: UnsafeCell::new(None),
             })
             .collect();
         Self {
@@ -162,6 +198,33 @@ impl PacketPool {
         }
     }
 
+    /// Publish a slot popped off the free list, now filled, with one owner.
+    fn publish(&self, idx: u32) -> PacketRef {
+        self.slots[idx as usize]
+            .refcount
+            .store(1, Ordering::Release);
+        self.in_use.fetch_add(1, Ordering::Relaxed);
+        PacketRef(idx)
+    }
+
+    /// Pop a free slot, let `fill` write its packet in place — into the
+    /// slot's own buffer — and publish it. A refused fill puts the slot
+    /// straight back: `in_use` and the free list's order are as they were.
+    fn fill_free_slot(&self, fill: impl FnOnce(&mut Packet) -> Result<()>) -> Result<PacketRef> {
+        let idx = self.pop_free().ok_or(PacketError::PoolExhausted)?;
+        let slot = &self.slots[idx as usize];
+        debug_assert_eq!(slot.refcount.load(Ordering::Relaxed), 0);
+        // SAFETY: the slot was on the free list, so no other thread holds a
+        // reference to it; we have exclusive access until it is published.
+        match fill(unsafe { &mut *slot.pkt.get() }) {
+            Ok(()) => Ok(self.publish(idx)),
+            Err(e) => {
+                self.push_free(idx);
+                Err(e)
+            }
+        }
+    }
+
     /// Move `pkt` into a fresh slot. On pool exhaustion the packet is handed
     /// back so the caller can apply backpressure instead of dropping.
     // Returning the whole Packet in Err is the point of the API — the
@@ -169,19 +232,30 @@ impl PacketPool {
     // allocation on the backpressure path.
     #[allow(clippy::result_large_err)]
     pub fn insert(&self, pkt: Packet) -> core::result::Result<PacketRef, Packet> {
-        match self.pop_free() {
-            Some(idx) => {
-                let slot = &self.slots[idx as usize];
-                debug_assert_eq!(slot.refcount.load(Ordering::Relaxed), 0);
-                // SAFETY: the slot was on the free list, so no other thread
-                // holds a reference to it; we have exclusive access.
-                unsafe { *slot.pkt.get() = pkt };
-                slot.refcount.store(1, Ordering::Release);
-                self.in_use.fetch_add(1, Ordering::Relaxed);
-                Ok(PacketRef(idx))
-            }
-            None => Err(pkt),
+        let Some(idx) = self.pop_free() else {
+            return Err(pkt);
+        };
+        let slot = &self.slots[idx as usize];
+        debug_assert_eq!(slot.refcount.load(Ordering::Relaxed), 0);
+        // SAFETY: the slot was on the free list, so no other thread holds a
+        // reference to it; we have exclusive access until it is published.
+        let (own, spare) = unsafe { (&mut *slot.pkt.get(), &mut *slot.spare.get()) };
+        let displaced = core::mem::replace(own, pkt);
+        if spare.is_none() {
+            *spare = Some(displaced);
         }
+        Ok(self.publish(idx))
+    }
+
+    /// Allocate the nil packet a runtime sends to the merger in place of a
+    /// packet its NF dropped ([`Packet::set_nil_packet`]), written into a
+    /// free slot's own buffer. Fails with [`PacketError::PoolExhausted`]
+    /// when no slot is free.
+    pub fn insert_nil(&self, meta: Metadata, priority: u32, failure: bool) -> Result<PacketRef> {
+        self.fill_free_slot(|nil| {
+            nil.set_nil_packet(meta, priority, failure);
+            Ok(())
+        })
     }
 
     /// Add one logical owner (used by `distribute` to several parallel NFs
@@ -282,13 +356,27 @@ impl PacketPool {
     }
 
     /// Move the packet out of its slot (requires exclusive ownership) and
-    /// free the slot.
+    /// free the slot, which is left in the state of [`Packet::new`].
     pub fn take(&self, r: PacketRef) -> Packet {
         let slot = &self.slots[r.0 as usize];
         let rc = slot.refcount.load(Ordering::Acquire);
         assert_eq!(rc, 1, "take on a slot with refcount {rc}");
         // SAFETY: sole owner, as asserted.
-        let pkt = unsafe { core::mem::take(&mut *slot.pkt.get()) };
+        let (own, spare) = unsafe { (&mut *slot.pkt.get(), &mut *slot.spare.get()) };
+        let pkt = match spare.take() {
+            // The packet entered by `insert`: hand it back with the buffer
+            // it came in, and leave the buffer it displaced.
+            Some(mut left) => {
+                left.reset();
+                core::mem::replace(own, left)
+            }
+            // Filled in place: the only buffer here is the slot's own.
+            None => {
+                let pkt = own.clone();
+                own.reset();
+                pkt
+            }
+        };
         slot.refcount.store(0, Ordering::Release);
         self.in_use.fetch_sub(1, Ordering::Relaxed);
         self.push_free(r.0);
@@ -296,19 +384,18 @@ impl PacketPool {
     }
 
     /// Allocate a **header-only copy** (paper OP#2) of `r`, tagged with
-    /// `version`. Fails with [`PacketError::PoolExhausted`] when no free
-    /// slot is available — the caller decides between backpressure and
-    /// dropping.
+    /// `version`, written into a free slot's own buffer. Fails with
+    /// [`PacketError::PoolExhausted`] when no free slot is available — the
+    /// caller decides between backpressure and dropping.
     pub fn header_only_copy(&self, r: PacketRef, version: u8) -> Result<PacketRef> {
-        let copied = self.with(r, |p| p.header_only_copy(version))?;
-        self.insert(copied).map_err(|_| PacketError::PoolExhausted)
+        self.fill_free_slot(|copy| self.with(r, |p| copy.copy_from(p, version, true)))
     }
 
-    /// Allocate a full copy of `r`, tagged with `version`. Fails with
-    /// [`PacketError::PoolExhausted`] when no free slot is available.
+    /// Allocate a full copy of `r`, tagged with `version`, written into a
+    /// free slot's own buffer. Fails with [`PacketError::PoolExhausted`]
+    /// when no free slot is available.
     pub fn full_copy(&self, r: PacketRef, version: u8) -> Result<PacketRef> {
-        let copied = self.with(r, |p| p.full_copy(version))?;
-        self.insert(copied).map_err(|_| PacketError::PoolExhausted)
+        self.fill_free_slot(|copy| self.with(r, |p| copy.copy_from(p, version, false)))
     }
 }
 
@@ -324,6 +411,7 @@ impl core::fmt::Debug for PacketPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::observable;
     use std::sync::Arc;
 
     #[test]
@@ -415,6 +503,177 @@ mod tests {
         let r = pool.insert(tcp_packet()).unwrap();
         assert_eq!(pool.full_copy(r, 2), Err(PacketError::PoolExhausted));
         pool.release(r);
+    }
+
+    /// The packet in slot `index`, free or not (test-only peek).
+    fn slot_packet(pool: &PacketPool, index: u32) -> &Packet {
+        // SAFETY: single-threaded test; nothing else touches the slot.
+        unsafe { &*pool.slots[index as usize].pkt.get() }
+    }
+
+    /// Two-slot pools, both slots free again, with slot 1 left dirty in each
+    /// of the ways a slot gets recycled. The next two allocations pop slot
+    /// 0, then slot 1.
+    fn pools_with_dirty_slot() -> Vec<(&'static str, PacketPool)> {
+        let long = || {
+            let mut p = Packet::from_bytes(&crate::packet::tests::tcp_frame(1400)).unwrap();
+            p.set_meta(crate::Metadata::new(9, 99, 3));
+            p
+        };
+        let mut out = Vec::new();
+        for label in [
+            "longer frame",
+            "nil",
+            "failure nil",
+            "header-only copy",
+            "taken",
+        ] {
+            let pool = PacketPool::new(2);
+            let busy = pool.insert(long()).unwrap();
+            let dirty = match label {
+                "longer frame" | "taken" => pool.insert(long()).unwrap(),
+                "nil" => pool
+                    .insert_nil(crate::Metadata::new(9, 99, 3), 7, false)
+                    .unwrap(),
+                "failure nil" => pool
+                    .insert_nil(crate::Metadata::new(9, 99, 3), 7, true)
+                    .unwrap(),
+                _ => pool.header_only_copy(busy, 5).unwrap(),
+            };
+            assert_eq!(dirty.index(), 1);
+            if label == "taken" {
+                pool.take(dirty);
+            } else {
+                pool.release(dirty);
+            }
+            pool.release(busy);
+            out.push((label, pool));
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_copies_equal_by_value_copies_whatever_the_slot_held() {
+        let mut src = tcp_packet();
+        src.set_meta(crate::Metadata::new(3, 41, 1).with_epoch(6));
+        for header_only in [true, false] {
+            let expect = if header_only {
+                src.header_only_copy(2).unwrap()
+            } else {
+                src.full_copy(2).unwrap()
+            };
+            for (label, pool) in pools_with_dirty_slot() {
+                let r = pool.insert(src.clone()).unwrap();
+                let c = if header_only {
+                    pool.header_only_copy(r, 2).unwrap()
+                } else {
+                    pool.full_copy(r, 2).unwrap()
+                };
+                assert_eq!(c.index(), 1, "{label}: the dirty slot is reused");
+                pool.with(c, |copy| {
+                    assert_eq!(
+                        observable(copy),
+                        observable(&expect),
+                        "header_only={header_only} into a slot that held: {label}"
+                    );
+                });
+                // Growing the copy exposes zeros, never the old frame.
+                pool.with_mut(c, |copy| {
+                    let end = copy.len();
+                    copy.insert_bytes(end, 64).unwrap();
+                    assert_eq!(&copy.data()[end..], &[0u8; 64], "{label}");
+                    copy.insert_bytes(0, 32).unwrap();
+                    assert_eq!(&copy.data()[..32], &[0u8; 32], "{label}");
+                });
+                pool.release(r);
+                pool.release(c);
+                assert_eq!(pool.in_use(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_nil_carries_nothing_over() {
+        let meta = crate::Metadata::new(3, 41, 1).with_epoch(2);
+        for (label, pool) in pools_with_dirty_slot() {
+            let _busy = pool.insert(tcp_packet()).unwrap();
+            let nil = pool.insert_nil(meta, 4, label == "nil").unwrap();
+            assert_eq!(nil.index(), 1);
+            pool.with(nil, |p| {
+                assert!(p.is_empty(), "{label}");
+                assert_eq!(p.meta(), meta);
+                assert!(p.is_nil());
+                assert_eq!(p.nil_priority(), 4);
+                assert_eq!(p.is_nil_failure(), label == "nil");
+                assert!(!p.is_header_only(), "{label}");
+                assert!(p.parsed().is_err(), "{label}: no cached layers survive");
+            });
+        }
+    }
+
+    #[test]
+    fn insert_take_roundtrip_is_identity_and_leaves_a_pristine_slot() {
+        for (label, pool) in pools_with_dirty_slot() {
+            let _busy = pool.insert(Packet::new()).unwrap();
+            let mut p = tcp_packet();
+            p.set_meta(crate::Metadata::new(7, 9, 1).with_traced(true));
+            let r = pool.insert(p.clone()).unwrap();
+            assert_eq!(r.index(), 1);
+            let out = pool.take(r);
+            assert_eq!(observable(&out), observable(&p), "{label}");
+            let fresh = Packet::new();
+            assert_eq!(
+                observable(slot_packet(&pool, 1)),
+                observable(&fresh),
+                "{label}: the slot left behind"
+            );
+        }
+    }
+
+    #[test]
+    fn take_of_a_slot_filled_in_place_clones_it_out() {
+        let pool = PacketPool::new(2);
+        let r = pool.insert(tcp_packet()).unwrap();
+        let c = pool.full_copy(r, 2).unwrap();
+        let expect = pool.with(r, |p| p.full_copy(2).unwrap());
+        let out = pool.take(c);
+        assert_eq!(observable(&out), observable(&expect));
+        let fresh = Packet::new();
+        assert_eq!(
+            observable(slot_packet(&pool, c.index())),
+            observable(&fresh)
+        );
+        // The slot kept its buffer: it can be copied into again.
+        let again = pool.header_only_copy(r, 3).unwrap();
+        assert_eq!(again.index(), c.index());
+        pool.with(again, |p| assert!(p.is_header_only()));
+    }
+
+    #[test]
+    fn refused_copies_leave_the_pool_as_it_was() {
+        // An unparseable source cannot be header-only copied.
+        let pool = PacketPool::new(3);
+        let garbage = pool
+            .insert(Packet::from_bytes(&[0u8; 60]).unwrap())
+            .unwrap();
+        assert_eq!(garbage.index(), 0);
+        assert!(pool.header_only_copy(garbage, 2).is_err());
+        assert_eq!(pool.in_use(), 1);
+        // The free list still hands out slot 1, then slot 2.
+        let a = pool.insert(tcp_packet()).unwrap();
+        let b = pool.full_copy(a, 2).unwrap();
+        assert_eq!((a.index(), b.index()), (1, 2));
+        // Exhausted: every kind of allocation is refused, nothing moves.
+        assert_eq!(pool.full_copy(a, 3), Err(PacketError::PoolExhausted));
+        assert_eq!(pool.header_only_copy(a, 3), Err(PacketError::PoolExhausted));
+        assert_eq!(
+            pool.insert_nil(crate::Metadata::default(), 0, false),
+            Err(PacketError::PoolExhausted)
+        );
+        assert!(pool.insert(Packet::new()).is_err());
+        assert_eq!(pool.in_use(), 3);
+        pool.release(b);
+        assert_eq!(pool.full_copy(a, 3).unwrap().index(), 2);
     }
 
     #[test]

@@ -49,6 +49,19 @@ pub fn tag_payload_index(payload: &mut [u8], index: u64) {
     }
 }
 
+/// Everything the public API can tell about a packet — frame bytes,
+/// metadata, layer offsets and every flag — as one comparable value, for
+/// tests asserting two packets cannot be told apart.
+pub fn observable(p: &Packet) -> impl PartialEq + core::fmt::Debug + '_ {
+    (
+        p.data(),
+        p.meta(),
+        p.parsed().ok(),
+        (p.is_nil(), p.nil_priority(), p.is_nil_failure()),
+        p.is_header_only(),
+    )
+}
+
 /// Build a checksum-valid Ethernet/IPv4/TCP frame as raw bytes.
 pub fn tcp_frame_bytes(
     sip: Ipv4Addr,

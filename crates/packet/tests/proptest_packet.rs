@@ -1,13 +1,38 @@
 //! Property tests for the packet substrate: parse/emit roundtrips,
-//! checksum soundness, structural-edit inverses, field-mask algebra and
-//! metadata packing over arbitrary inputs.
+//! checksum soundness, structural-edit inverses, field-mask algebra,
+//! metadata packing and pool-slot recycling over arbitrary inputs.
 
 use nfp_packet::checksum::checksum;
 use nfp_packet::ipv4::{self, Ipv4Addr};
 use nfp_packet::meta::{Metadata, MID_MAX, PID_MAX, VERSION_MAX};
 use nfp_packet::tcp;
-use nfp_packet::{FieldId, FieldMask, Packet};
+use nfp_packet::testutil::observable;
+use nfp_packet::{FieldId, FieldMask, Packet, PacketError, PacketPool, PacketRef};
 use proptest::prelude::*;
+
+/// A three-slot pool whose slots 0 and 1 are free again after holding
+/// `prev` — slot 1 in the shape `how` picks: `prev` itself, a nil, a
+/// failure nil, a header-only copy of `prev`, or `prev` taken back out.
+/// The next two allocations pop slot 0, then slot 1.
+fn recycled_pool(prev: &[u8], how: u8) -> PacketPool {
+    let pool = PacketPool::new(3);
+    let mut p = Packet::from_bytes(prev).unwrap();
+    p.set_meta(Metadata::new(MID_MAX, PID_MAX, VERSION_MAX).with_traced(true));
+    let first = pool.insert(p.clone()).unwrap();
+    let dirty: PacketRef = match how {
+        0 | 4 => pool.insert(p).unwrap(),
+        1 => pool.insert_nil(p.meta(), u32::MAX, false).unwrap(),
+        2 => pool.insert_nil(p.meta(), u32::MAX, true).unwrap(),
+        _ => pool.header_only_copy(first, VERSION_MAX).unwrap(),
+    };
+    if how == 4 {
+        pool.take(dirty);
+    } else {
+        pool.release(dirty);
+    }
+    pool.release(first);
+    pool
+}
 
 fn frame_strategy() -> impl Strategy<Value = Vec<u8>> {
     (
@@ -89,6 +114,77 @@ proptest! {
         let ip = ipv4::Ipv4View::new(&c.data()[l.l3..]).unwrap();
         prop_assert_eq!(ip.total_len() as usize, c.len() - 14);
         prop_assert!(ip.verify_checksum());
+    }
+
+    #[test]
+    fn pooled_copy_into_a_recycled_slot_equals_the_by_value_copy(
+        prev in frame_strategy(),
+        frame in frame_strategy(),
+        how in 0u8..5,
+        header_only in 0u8..2,
+        ver in 2u8..=15,
+        pid in 0u64..=PID_MAX,
+    ) {
+        let header_only = header_only == 1;
+        let mut src = Packet::from_bytes(&frame).unwrap();
+        src.set_meta(Metadata::new(1, pid, 1).with_epoch(pid % 7));
+        let expect = if header_only { src.header_only_copy(ver) } else { src.full_copy(ver) }.unwrap();
+        let pool = recycled_pool(&prev, how);
+        let r = pool.insert(src).unwrap();
+        let c = if header_only { pool.header_only_copy(r, ver) } else { pool.full_copy(r, ver) }.unwrap();
+        prop_assert_eq!((r.index(), c.index()), (0, 1));
+        pool.with(c, |copy| assert_eq!(observable(copy), observable(&expect)));
+        // Whatever the slot held, growing the copy exposes only zeros.
+        pool.with_mut(c, |copy| {
+            let end = copy.len();
+            copy.insert_bytes(end, 48).unwrap();
+            assert_eq!(&copy.data()[end..], &[0u8; 48]);
+        });
+        pool.release(c);
+        pool.release(r);
+        prop_assert_eq!(pool.in_use(), 0);
+    }
+
+    #[test]
+    fn insert_then_take_returns_the_packet_unchanged(
+        prev in frame_strategy(),
+        frame in frame_strategy(),
+        how in 0u8..5,
+        pid in 0u64..=PID_MAX,
+    ) {
+        let pool = recycled_pool(&prev, how);
+        let _busy = pool.insert(Packet::new()).unwrap();
+        let mut p = Packet::from_bytes(&frame).unwrap();
+        p.parse().unwrap();
+        p.set_meta(Metadata::new(2, pid, 1).with_ingress_ns(pid));
+        let r = pool.insert(p.clone()).unwrap();
+        prop_assert_eq!(r.index(), 1);
+        let out = pool.take(r);
+        assert_eq!(observable(&out), observable(&p));
+        // What the packet left behind in the slot cannot be told from a
+        // fresh buffer: a nil written there carries none of it.
+        let nil = pool.insert_nil(Metadata::new(2, pid, 1), 3, false).unwrap();
+        prop_assert_eq!(nil.index(), 1);
+        let mut expect = Packet::new();
+        expect.set_nil_packet(Metadata::new(2, pid, 1), 3, false);
+        pool.with(nil, |n| assert_eq!(observable(n), observable(&expect)));
+    }
+
+    #[test]
+    fn refused_copy_changes_nothing(frame in frame_strategy(), cut in 14usize..54, ver in 2u8..=15) {
+        // A frame cut inside its headers parses no further than Ethernet:
+        // it can be pooled, but not header-only copied.
+        let pool = PacketPool::new(2);
+        let r = pool.insert(Packet::from_bytes(&frame[..cut]).unwrap()).unwrap();
+        prop_assert!(pool.header_only_copy(r, ver).is_err());
+        prop_assert_eq!(pool.in_use(), 1);
+        let c = pool.full_copy(r, ver).unwrap();
+        prop_assert_eq!(c.index(), 1);
+        // Now exhausted: refused again, and still nothing moved.
+        prop_assert_eq!(pool.full_copy(r, ver), Err(PacketError::PoolExhausted));
+        prop_assert_eq!(pool.in_use(), 2);
+        pool.release(c);
+        prop_assert_eq!(pool.full_copy(r, ver).unwrap().index(), 1);
     }
 
     #[test]

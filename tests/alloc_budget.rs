@@ -1,0 +1,191 @@
+//! Allocation budget of the steady-state packet path.
+//!
+//! The paper's infrastructure prepares its packet memory "during the
+//! system initialization" so the datapath never allocates (§5; DESIGN.md
+//! §4). This binary installs a counting global allocator and holds the
+//! engines to that: once warm, `SyncEngine::process` may allocate only the
+//! `Box<Packet>` its `ProcessOutcome::Delivered` signature mandates, and a
+//! threaded `Engine::run` allocates per run (pool, rings, threads, report),
+//! never per packet.
+//!
+//! Everything runs inside ONE `#[test]`: the counter is process-wide, so a
+//! second test running beside it would be counted too.
+
+use nfp_bench::setups::{compile_chain, forced_sequential, make_nf};
+use nfp_core::prelude::*;
+use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
+use nfp_packet::ipv4::Ipv4Addr;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Heap allocations (including growing reallocations) since process start.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a relaxed atomic and allocates nothing itself.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made while `f` runs (on any thread).
+fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+}
+
+/// 64-byte frames over 32 flows; every `deny_every`-th one rewritten to hit
+/// a deny rule of the synthetic firewall ACL (0 = none).
+fn traffic(n: usize, deny_every: usize) -> Vec<Packet> {
+    let mut pkts = TrafficGenerator::new(TrafficSpec {
+        flows: 32,
+        sizes: SizeDistribution::Fixed(64),
+        ..TrafficSpec::default()
+    })
+    .batch(n);
+    if deny_every > 0 {
+        for p in pkts.iter_mut().step_by(deny_every) {
+            p.set_dip(Ipv4Addr::new(172, 16, 3, 9)).unwrap();
+            p.set_dport(7003).unwrap();
+            p.finalize_checksums().unwrap();
+        }
+    }
+    pkts
+}
+
+/// A sealed program with its NF instances, in `NodeId` order.
+type Seed = (Program, Vec<Box<dyn NetworkFunction>>);
+type SeedFn = fn() -> Seed;
+
+/// The sequential seed graph: three forwarders, hand-built (Fig 7).
+fn sequential() -> Seed {
+    let graph = forced_sequential("Forwarder", 3);
+    let nfs = (0..3).map(|_| make_nf("Forwarder")).collect();
+    (Program::compile(&graph, 1).unwrap(), nfs)
+}
+
+/// A seed graph compiled from a chain policy with the evaluation registry.
+fn compiled(chain: &[&str]) -> Seed {
+    let compiled = compile_chain(chain);
+    let nfs = compiled
+        .graph
+        .nodes
+        .iter()
+        .map(|n| make_nf(n.name.as_str()))
+        .collect();
+    (compiled.program(1).unwrap(), nfs)
+}
+
+/// East-west (Fig 13): `IDS -> [Monitor | LB(v2)]` — one copy, one merge.
+fn east_west() -> Seed {
+    compiled(&["IDS", "Monitor", "LB"])
+}
+
+/// North-south (Fig 13): `VPN -> [Monitor | Firewall] -> LB` — the firewall
+/// sits in a parallel position, so its drops travel as nil packets.
+fn north_south() -> Seed {
+    compiled(&["VPN", "Monitor", "Firewall", "LB"])
+}
+
+/// Warm a `SyncEngine` with one pass over `pkts` (NF flow tables, pool
+/// buffers, queue capacities), then count the allocations of a second
+/// pass. Returns `(allocations, delivered, dropped)` of the counted pass.
+fn sync_pass((program, nfs): Seed, pkts: &[Packet]) -> (u64, u64, u64) {
+    let mut engine = SyncEngine::new(program, nfs, 64);
+    for pkt in pkts.iter().cloned() {
+        engine.process(pkt).unwrap();
+    }
+    let batch = pkts.to_vec();
+    let mut outcomes = Vec::with_capacity(batch.len());
+    let (allocs, ()) = allocations_during(|| {
+        for pkt in batch {
+            outcomes.push(engine.process(pkt).unwrap());
+        }
+    });
+    let delivered = outcomes
+        .iter()
+        .filter(|o| matches!(o, ProcessOutcome::Delivered(_)))
+        .count() as u64;
+    assert_eq!(engine.pool_in_use(), 0);
+    (allocs, delivered, outcomes.len() as u64 - delivered)
+}
+
+/// Allocations per packet of a warm `Engine::run` over 16 k packets on one
+/// stage thread.
+fn threaded_per_packet((program, nfs): Seed) -> f64 {
+    const N: usize = 16_384;
+    let config = EngineConfig {
+        core_budget: 1,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(program, nfs, config).unwrap();
+    let pkts = traffic(N, 0);
+    engine.run(pkts.clone());
+    let (allocs, report) = allocations_during(|| engine.run(pkts));
+    assert_eq!(report.delivered + report.dropped, N as u64);
+    assert_eq!(report.pool_in_use, 0);
+    allocs as f64 / N as f64
+}
+
+#[test]
+fn steady_state_packet_path_stays_within_its_allocation_budget() {
+    // SyncEngine: at most the mandated Box<Packet> per delivered packet,
+    // nothing for a dropped one — including the nil path, where the
+    // firewall drops in a parallel position (north-south graph).
+    let cases: [(&str, SeedFn, usize); 4] = [
+        ("sequential", sequential, 0),
+        ("east-west", east_west, 0),
+        ("north-south", north_south, 0),
+        ("north-south with parallel-position drops", north_south, 3),
+    ];
+    for (label, seed, deny_every) in cases {
+        let pkts = traffic(512, deny_every);
+        let (allocs, delivered, dropped) = sync_pass(seed(), &pkts);
+        if deny_every > 0 {
+            assert!(dropped > 0, "{label}: the nil path never ran");
+        } else {
+            assert_eq!(dropped, 0, "{label}");
+        }
+        assert!(
+            allocs <= delivered,
+            "{label}: {allocs} allocations for {delivered} delivered + {dropped} dropped packets \
+             ({:.2} per packet; budget: one Box<Packet> per delivery)",
+            allocs as f64 / pkts.len() as f64
+        );
+    }
+
+    // Engine::run: per-run set-up only.
+    for (label, seed) in [("sequential", sequential()), ("east-west", east_west())] {
+        let per_packet = threaded_per_packet(seed);
+        assert!(
+            per_packet < 0.1,
+            "{label}: Engine::run at core_budget 1 allocates {per_packet:.2} times per packet"
+        );
+    }
+}
