@@ -119,22 +119,23 @@ fn bench_alg1(c: &mut Criterion) {
 fn bench_telemetry(c: &mut Criterion) {
     use nfp_orchestrator::Stage;
     // The zero-sampling hot path: telemetry constructed but fully off.
-    // `clock` must not touch the monotonic clock and `record` must no-op —
+    // `begin` must not touch the monotonic clock and `end` must no-op —
     // this is what every engine stage pays when telemetry is disabled.
     let off = Telemetry::off();
-    c.bench_function("telemetry_disabled_clock_record", |b| {
+    c.bench_function("telemetry_disabled_begin_end", |b| {
         b.iter(|| {
-            let t0 = black_box(&off).clock();
-            off.record(black_box(Stage::Classifier), t0);
+            let t0 = black_box(&off).begin(Stage::Classifier, 1);
+            off.end(black_box(Stage::Classifier), t0, 1);
         })
     });
-    // The enabled path: a real Instant::now pair plus one relaxed
-    // fetch_add chain into the log2 histogram.
+    // The enabled path over one-message bursts: a count per burst, and a
+    // real Instant::now pair plus the histogram cells once per
+    // `CLOCK_PERIOD` bursts.
     let on = Telemetry::new(TelemetryConfig::default(), 2, 1);
-    c.bench_function("telemetry_histogram_clock_record", |b| {
+    c.bench_function("telemetry_histogram_begin_end", |b| {
         b.iter(|| {
-            let t0 = black_box(&on).clock();
-            on.record(black_box(Stage::Classifier), t0);
+            let t0 = black_box(&on).begin(Stage::Classifier, 1);
+            on.end(black_box(Stage::Classifier), t0, 1);
         })
     });
     let hist = LatencyHistogram::new();
@@ -170,20 +171,21 @@ fn bench_stage_pass(c: &mut Criterion) {
         })
     });
 
-    // Telemetry per stage pass: 32 scalar records vs one split record.
+    // Telemetry per stage pass: 32 one-message bursts (clocked once per
+    // period) vs one 32-message burst (always clocked).
     let tele = Telemetry::new(TelemetryConfig::default(), 2, 1);
-    c.bench_function("telemetry_pass_32_per_packet", |b| {
+    c.bench_function("telemetry_pass_32_one_message_bursts", |b| {
         b.iter(|| {
             for _ in 0..32 {
-                let t0 = tele.clock();
-                tele.record(black_box(Stage::Nf(0)), t0);
+                let t0 = tele.begin(black_box(Stage::Nf(0)), 1);
+                tele.end(black_box(Stage::Nf(0)), t0, 1);
             }
         })
     });
-    c.bench_function("telemetry_pass_32_burst_split", |b| {
+    c.bench_function("telemetry_pass_32_one_burst", |b| {
         b.iter(|| {
-            let t0 = tele.clock();
-            tele.record_split(black_box(Stage::Nf(0)), t0, 32);
+            let t0 = tele.begin(black_box(Stage::Nf(0)), 32);
+            tele.end(black_box(Stage::Nf(0)), t0, 32);
         })
     });
 }

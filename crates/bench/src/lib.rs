@@ -22,7 +22,7 @@ pub use calibrate::Calibration;
 
 /// Render a [`nfp_dataplane::TelemetrySnapshot`]'s per-stage latency
 /// quantiles as a compact JSON object — `{"classifier": {"count": …,
-/// "p50_ns": …, "p99_ns": …}, …}` — for embedding in `BENCH_*.json`.
+/// "timed": …, "p50_ns": …, "p99_ns": …}, …}` — for embedding in `BENCH_*.json`.
 /// Stages that recorded nothing are skipped.
 pub fn stage_latency_json(snap: &nfp_dataplane::TelemetrySnapshot) -> String {
     use std::fmt::Write as _;
@@ -38,9 +38,10 @@ pub fn stage_latency_json(snap: &nfp_dataplane::TelemetrySnapshot) -> String {
         first = false;
         let _ = write!(
             out,
-            "\"{}\": {{\"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}",
+            "\"{}\": {{\"count\": {}, \"timed\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}",
             st.label,
             st.hist.count,
+            st.hist.timed,
             st.hist.p50_ns(),
             st.hist.p99_ns()
         );

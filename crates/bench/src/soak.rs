@@ -382,6 +382,7 @@ fn run_sync(
             delivered,
             dropped + rejected,
             engine.pool_in_use() as u64,
+            0, // the budget here is the whole pool: stragglers need no slack
             engine.epoch(),
         );
     }

@@ -13,8 +13,9 @@
 //! * [`spawn_auditor`] — a sampling thread that polls the probe on an
 //!   interval and records violations of the *live* invariants: finished
 //!   counts never exceed injected, never regress, pool occupancy stays
-//!   within the closed-loop window budget, and packet-level progress
-//!   keeps advancing while work is pending (no wedged engine).
+//!   within the closed-loop window budget plus the straggler debt of
+//!   deadline-expired merges, and packet-level progress keeps advancing
+//!   while work is pending (no wedged engine).
 //! * [`InvariantReport`] — the end-of-run verdict over the five soak
 //!   invariants (pool census, exact accounting, no stale epochs, no
 //!   wedge, migration census), combining the final counters with
@@ -34,13 +35,18 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// The occupancy half of [`ProbeGauges::pool`]; the debt sits above it.
+const POOL_LOW: u64 = u32::MAX as u64;
+
 /// Live counters one engine run publishes while it executes. A sample
 /// may mix fields of different publications, but never so that settled
 /// packets outnumber injected ones: [`ProbeGauges::publish`] stores
 /// `injected` before the settled counters (release), and
 /// [`EngineProbe::sample`] loads the settled counters before `injected`
 /// (acquire), so the `injected` it reads is at least as new as they are.
-/// The gauges (`pool_in_use`, `epoch`) are relaxed.
+/// Pool occupancy and the straggler debt that excuses part of it share
+/// one cell, so a sample never pairs one publication's occupancy with
+/// another's debt. The gauges (`pool`, `epoch`) are relaxed.
 #[derive(Debug, Default)]
 pub struct ProbeGauges {
     /// Packets handed to the engine so far.
@@ -50,8 +56,11 @@ pub struct ProbeGauges {
     /// Packets settled as dropped (every cause, classifier rejects
     /// included) so far.
     pub dropped: AtomicU64,
-    /// Current pool occupancy (a gauge, not a counter).
-    pub pool_in_use: AtomicU64,
+    /// Current pool occupancy (low 32 bits) and straggler debt (high 32
+    /// bits): gauges, not counters. The debt is how many copies
+    /// deadline-expired merges are still owed — each may hold a pool slot
+    /// for a packet the window already counts as finished.
+    pub pool: AtomicU64,
     /// Upper bound the closed-loop window may legally occupy:
     /// `max_in_flight × slots_per_packet` (0 = unknown, check disabled).
     pub pool_budget: AtomicU64,
@@ -69,12 +78,16 @@ impl ProbeGauges {
         delivered: u64,
         dropped: u64,
         pool_in_use: u64,
+        stragglers: u64,
         epoch: u64,
     ) {
         self.injected.store(injected, Ordering::Relaxed);
         self.delivered.store(delivered, Ordering::Release);
         self.dropped.store(dropped, Ordering::Release);
-        self.pool_in_use.store(pool_in_use, Ordering::Relaxed);
+        self.pool.store(
+            pool_in_use.min(POOL_LOW) | stragglers.min(POOL_LOW) << 32,
+            Ordering::Relaxed,
+        );
         self.epoch.store(epoch, Ordering::Relaxed);
     }
 }
@@ -90,6 +103,8 @@ pub struct ProbeSample {
     pub dropped: u64,
     /// Sum of current pool occupancies.
     pub pool_in_use: u64,
+    /// Sum of straggler debts: slots the window budget does not cover.
+    pub stragglers: u64,
     /// Sum of per-run window budgets.
     pub pool_budget: u64,
     /// Highest epoch any run is admitting under.
@@ -105,6 +120,15 @@ impl ProbeSample {
     /// Packets settled so far (delivered + dropped).
     pub fn finished(&self) -> u64 {
         self.delivered + self.dropped
+    }
+
+    /// The live pool invariant: occupancy stays within the closed-loop
+    /// window budget plus the straggler debt. A deadline-expired merge is
+    /// accounted finished while its straggler copy still holds a slot, so
+    /// the window legally admits one packet more per straggler. (An
+    /// unknown budget, 0, disables the check.)
+    pub fn pool_within_budget(&self) -> bool {
+        self.pool_budget == 0 || self.pool_in_use <= self.pool_budget + self.stragglers
     }
 }
 
@@ -146,7 +170,9 @@ impl EngineProbe {
             s.dropped += g.dropped.load(Ordering::Acquire);
             s.delivered += g.delivered.load(Ordering::Acquire);
             s.injected += g.injected.load(Ordering::Relaxed);
-            s.pool_in_use += g.pool_in_use.load(Ordering::Relaxed);
+            let pool = g.pool.load(Ordering::Relaxed);
+            s.pool_in_use += pool & POOL_LOW;
+            s.stragglers += pool >> 32;
             s.pool_budget += g.pool_budget.load(Ordering::Relaxed);
             s.epoch = s.epoch.max(g.epoch.load(Ordering::Relaxed));
             s.active |= g.active.load(Ordering::Relaxed);
@@ -249,10 +275,10 @@ pub fn spawn_auditor(probe: Arc<EngineProbe>, cfg: AuditConfig) -> AuditorHandle
                 }
                 last_finished = last_finished.max(finished);
                 audit.peak_pool_in_use = audit.peak_pool_in_use.max(s.pool_in_use);
-                if s.pool_budget > 0 && s.pool_in_use > s.pool_budget {
+                if !s.pool_within_budget() {
                     audit.note(format!(
-                        "pool: occupancy {} exceeds window budget {}",
-                        s.pool_in_use, s.pool_budget
+                        "pool: occupancy {} exceeds window budget {} + {} straggler(s)",
+                        s.pool_in_use, s.pool_budget, s.stragglers
                     ));
                 }
                 let progress = s.injected + finished;
@@ -432,16 +458,17 @@ mod tests {
         assert!(!probe.sample().started);
         let a = probe.register();
         let b = probe.register();
-        a.publish(10, 4, 2, 3, 1);
+        a.publish(10, 4, 2, 3, 1, 1);
         a.pool_budget.store(64, Ordering::Relaxed);
         a.active.store(true, Ordering::Relaxed);
-        b.publish(5, 1, 1, 2, 2);
+        b.publish(5, 1, 1, 2, 0, 2);
         b.pool_budget.store(64, Ordering::Relaxed);
         let s = probe.sample();
         assert!(s.started && s.active);
         assert_eq!(s.injected, 15);
         assert_eq!(s.finished(), 8);
         assert_eq!(s.pool_in_use, 5);
+        assert_eq!(s.stragglers, 1);
         assert_eq!(s.pool_budget, 128);
         assert_eq!(s.epoch, 2);
     }
@@ -460,13 +487,32 @@ mod tests {
             },
         );
         // delivered + dropped > injected, pool over budget.
-        g.publish(2, 3, 1, 9, 0);
+        g.publish(2, 3, 1, 9, 0, 0);
         std::thread::sleep(Duration::from_millis(20));
         let audit = handle.finish();
         assert!(audit.samples > 0);
         assert!(audit.has("accounting:"), "{:?}", audit.violations);
         assert!(audit.has("pool:"), "{:?}", audit.violations);
         assert_eq!(audit.peak_pool_in_use, 9);
+    }
+
+    #[test]
+    fn pool_budget_allows_exactly_the_straggler_debt() {
+        let probe = EngineProbe::new();
+        let g = probe.register();
+        g.pool_budget.store(64, Ordering::Relaxed);
+        let occupancy = |in_use, stragglers| {
+            g.publish(100, 30, 5, in_use, stragglers, 0);
+            probe.sample()
+        };
+        assert!(occupancy(64, 0).pool_within_budget());
+        assert!(!occupancy(65, 0).pool_within_budget());
+        // Two expired merges still owed a copy each: two slots of slack.
+        assert!(occupancy(66, 2).pool_within_budget());
+        assert!(!occupancy(67, 2).pool_within_budget());
+        // Unknown budget: check disabled.
+        g.pool_budget.store(0, Ordering::Relaxed);
+        assert!(occupancy(500, 0).pool_within_budget());
     }
 
     #[test]
@@ -479,7 +525,7 @@ mod tests {
             wedge_timeout: Duration::from_millis(10),
         };
         // Work pending (injected > finished), no progress: wedge.
-        g.publish(10, 2, 2, 1, 0);
+        g.publish(10, 2, 2, 1, 0, 0);
         let handle = spawn_auditor(Arc::clone(&probe), cfg);
         std::thread::sleep(Duration::from_millis(40));
         let audit = handle.finish();
@@ -489,7 +535,7 @@ mod tests {
         let probe2 = EngineProbe::new();
         let g2 = probe2.register();
         g2.active.store(true, Ordering::Relaxed);
-        g2.publish(4, 3, 1, 0, 0);
+        g2.publish(4, 3, 1, 0, 0, 0);
         let handle2 = spawn_auditor(Arc::clone(&probe2), cfg);
         std::thread::sleep(Duration::from_millis(40));
         let audit2 = handle2.finish();

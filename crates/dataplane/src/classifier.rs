@@ -223,7 +223,7 @@ impl Classifier {
         tele: Option<&Telemetry>,
         matched: impl FnOnce(&Arc<GraphTables>) -> T,
     ) -> Result<T, Refusal> {
-        let t0 = tele.and_then(|t| t.clock());
+        let t0 = tele.and_then(|t| t.begin(Stage::Classifier, 1));
         if let Err(e) = pkt.parse() {
             // Hostile framing is rejected with its own cause so soak runs
             // can distinguish malformed-input pressure from policy
@@ -268,7 +268,7 @@ impl Classifier {
                 self.next_pid = (pid + 1) & PID_MAX;
                 self.admitted += 1;
                 if let Some(t) = tele {
-                    t.record(Stage::Classifier, t0);
+                    t.end(Stage::Classifier, t0, 1);
                 }
             }
             Err((AdmitError::ActionFailed, _)) => self.rejected += 1,

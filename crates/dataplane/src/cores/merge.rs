@@ -132,6 +132,10 @@ impl MergerCore {
             if owed > 0 {
                 self.tombstones
                     .insert((entry.mid, entry.segment, entry.pid), owed);
+                // Before the outcome below finishes the packet: whoever
+                // sees the window open also sees the debt that excuses
+                // the stragglers' slots (`audit`, pool invariant).
+                stats.note_stragglers_owed(owed as u64);
             }
             let forward = match merger::resolve_partial(spec, &entry.arrivals, pool) {
                 MergeOutcome::Forward(v1) => {

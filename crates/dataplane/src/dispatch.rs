@@ -597,15 +597,14 @@ impl Dispatcher {
         }
         let burst = port.queue.len();
         if burst > 0 {
-            // One clock pair per burst, split across its messages: the
-            // histogram count advances by exactly one per message, at
-            // 1/burst of the cost.
-            let t0 = cx.telemetry.clock();
+            // The histogram count advances by exactly one per message; the
+            // clock is read for the bursts that are due for it only.
+            let t0 = cx.telemetry.begin(stage, burst as u64);
             for i in 0..burst {
                 let msg = self.ports.ports[k].queue[i];
                 self.step(cx, stage, msg);
             }
-            cx.telemetry.record_split(stage, t0, burst as u64);
+            cx.telemetry.end(stage, t0, burst as u64);
             // Usually the whole queue; anything behind the burst is what
             // the steps just sent to this very stage.
             let queue = &mut self.ports.ports[k].queue;

@@ -876,11 +876,28 @@ impl Engine {
         // injector loop is the one place that sees every counter.
         let publish = |cx: &Shared, injected_now: u64| {
             if let Some(g) = &gauges {
+                // Straggler debt = copies expired merges were owed minus
+                // the ones that arrived since; both only grow. `arrived`
+                // is read before the occupancy (a straggler's slot is
+                // released before it is counted as arrived, release /
+                // acquire), and `owed` was counted before the expiry let
+                // this thread inject the window's extra packet — so the
+                // difference never understates the slots stragglers held
+                // when the occupancy was read.
+                let mergers = || (0..layout.mergers).map(|m| cx.stats_of(Stage::Merger(m)));
+                let arrived: u64 = mergers()
+                    .map(|s| s.late_arrivals.load(Ordering::Acquire))
+                    .sum();
+                let in_use = cx.pool.in_use() as u64;
+                let owed: u64 = mergers()
+                    .map(|s| s.stragglers_owed.load(Ordering::Relaxed))
+                    .sum();
                 g.publish(
                     injected_now,
                     cx.delivered.load(Ordering::Relaxed),
                     cx.dropped.load(Ordering::Relaxed),
-                    cx.pool.in_use() as u64,
+                    in_use,
+                    owed.saturating_sub(arrived),
                     handle.epoch(),
                 );
             }

@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// max loop. A plain `store` would let two concurrent drainers race —
 /// the smaller observation could land last and erase the true peak; the
 /// CAS loop only ever moves the value up. Used for every "keep the
-/// maximum" cell (ring high-water marks, histogram maxima).
+/// maximum" cell with more than one writer (ring high-water marks).
 #[inline]
 pub fn atomic_max(slot: &AtomicU64, value: u64) {
     let mut current = slot.load(Ordering::Relaxed);
@@ -55,7 +55,7 @@ pub fn atomic_max(slot: &AtomicU64, value: u64) {
 /// load and store instead of a locked `fetch_add` (module docs,
 /// "Single-writer counters").
 #[inline]
-fn bump(counter: &AtomicU64, n: u64) {
+pub(crate) fn bump(counter: &AtomicU64, n: u64) {
     counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
@@ -115,6 +115,10 @@ pub struct StageStats {
     /// Copies that arrived for an already-expired merge entry (released
     /// against the expiry tombstone; the packet was accounted at expiry).
     pub late_arrivals: AtomicU64,
+    /// Copies deadline-expired merge entries were still waiting for when
+    /// they were resolved. Minus `late_arrivals`, it is the stragglers
+    /// that may still hold a pool slot for a packet already accounted.
+    pub stragglers_owed: AtomicU64,
     /// Packets this stage resolved under a draining (non-newest) epoch —
     /// the expected transient during a live swap, not an error.
     pub stale_epochs: AtomicU64,
@@ -179,9 +183,16 @@ impl StageStats {
         self.misroutes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one arrival for an already-expired merge entry.
+    /// Count one arrival for an already-expired merge entry. Release:
+    /// the arrival's pool slot was released first, and the engine's probe
+    /// publication reads this (acquire) before the pool occupancy.
     pub fn note_late_arrival(&self) {
-        self.late_arrivals.fetch_add(1, Ordering::Relaxed);
+        self.late_arrivals.fetch_add(1, Ordering::Release);
+    }
+
+    /// Count `n` copies an expired merge entry was still waiting for.
+    pub fn note_stragglers_owed(&self, n: u64) {
+        bump(&self.stragglers_owed, n);
     }
 
     /// Count one packet resolved under a draining (non-newest) epoch.
@@ -221,6 +232,7 @@ impl StageStats {
             ring_high_water: self.ring_high_water.load(Ordering::Relaxed),
             misroutes: self.misroutes.load(Ordering::Relaxed),
             late_arrivals: self.late_arrivals.load(Ordering::Relaxed),
+            stragglers_owed: self.stragglers_owed.load(Ordering::Relaxed),
             stale_epochs: self.stale_epochs.load(Ordering::Relaxed),
             epoch_conflicts: self.epoch_conflicts.load(Ordering::Relaxed),
             drop_nf_verdict: self.drop_nf_verdict.load(Ordering::Relaxed),
@@ -256,6 +268,8 @@ pub struct StageSnapshot {
     pub misroutes: u64,
     /// Arrivals released against an expired merge entry's tombstone.
     pub late_arrivals: u64,
+    /// Copies expired merge entries were still waiting for.
+    pub stragglers_owed: u64,
     /// Packets resolved under a draining (non-newest) epoch.
     pub stale_epochs: u64,
     /// Epoch lookups that matched no live epoch (fell back to current).
@@ -312,6 +326,7 @@ impl StageSnapshot {
         self.ring_high_water = self.ring_high_water.max(other.ring_high_water);
         self.misroutes += other.misroutes;
         self.late_arrivals += other.late_arrivals;
+        self.stragglers_owed += other.stragglers_owed;
         self.stale_epochs += other.stale_epochs;
         self.epoch_conflicts += other.epoch_conflicts;
         self.drop_nf_verdict += other.drop_nf_verdict;

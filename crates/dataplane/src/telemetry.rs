@@ -4,12 +4,12 @@
 //! Two independent signals, both cheap enough for the fast path:
 //!
 //! * **Latency histograms** — every stage (classifier, each NF runtime,
-//!   the merger agent, each merger instance, the collector) records the
-//!   wall time of each unit of work into a fixed-size log₂-bucketed
-//!   [`LatencyHistogram`]: 40 relaxed atomic counters, lock-free to
-//!   record, mergeable across shards. Quantiles (p50/p90/p99) are read
-//!   from the bucket upper bounds, so they are conservative to within one
-//!   power of two.
+//!   the merger agent, each merger instance, the collector) counts each
+//!   unit of work and clocks a sample of its bursts into a fixed-size
+//!   log₂-bucketed [`LatencyHistogram`]: 40 relaxed single-writer cells,
+//!   mergeable across shards (*What a histogram holds* below). Quantiles
+//!   (p50/p90/p99) are read from the bucket upper bounds, so they are
+//!   conservative to within one power of two.
 //! * **Sampled traces** — when [`TelemetryConfig::trace_every`] is `N > 0`
 //!   the classifier stamps every Nth admitted packet `traced` in its
 //!   [`Metadata`] sidecar; copies and nils inherit the flag, and every
@@ -23,13 +23,54 @@
 //! configuration costs nearly nothing (see `telemetry_overhead` in
 //! `crates/bench` and the `zero_sampling_overhead` test).
 //!
+//! # What a histogram holds
+//!
+//! A stage brackets each burst of messages with [`Telemetry::begin`] /
+//! [`Telemetry::end`]. `end` always advances `count` by the burst's
+//! length, so **`count` is exact per message**. The clock is read only
+//! for a burst that is *due*: the one carrying the stage's first message,
+//! and every burst during which `count` crosses a multiple of
+//! [`CLOCK_PERIOD`]. A burst of `CLOCK_PERIOD` messages or more is
+//! therefore always clocked (the threaded engine under load: one clock
+//! pair per burst, as before), and one-message bursts
+//! ([`SyncEngine::process`](crate::sync_engine::SyncEngine::process)) are
+//! clocked once per period instead of every time.
+//!
+//! A clocked burst's mean stands for its own `n` messages *and* for the
+//! unclocked messages the stage counted since its previous clocked burst:
+//! all of them land in the mean's bucket and `sum_ns` grows by the
+//! measured span plus the mean once per such unclocked message, so
+//! `Σ buckets == count` after every clocked burst.
+//! Messages counted after the last clocked burst are the *tail*; a
+//! snapshot credits the tail to the last observed mean (the live cells
+//! are not touched, so the next clocked burst still credits those
+//! messages once), which keeps `Σ buckets == count` in every snapshot.
+//! [`HistogramSnapshot::timed`] says how many of the `count` messages sat
+//! in a clocked burst. Quantiles are those of the clocked sample,
+//! weighted by the messages each sample stands for: with `timed ≪ count`
+//! p99 is the 99th percentile over roughly `timed` systematic samples —
+//! it needs `timed` in the hundreds before a single slow burst stops
+//! deciding it — and a stall that falls entirely between two samples is
+//! invisible to the histogram (the sampled traces see it).
+//!
+//! **Single writer.** Every cell of a stage's histogram is written by one
+//! thread only — the dispatcher that owns the stage calls `begin`/`end`
+//! for it ([`Dispatcher::run_stage`](crate::dispatch), and the classifier
+//! stage's `Classifier::admit_observed`, which that same dispatcher
+//! drives; the `ingress` gap histogram is fed from the same admission) —
+//! so cells advance with a relaxed load and store, not a locked
+//! read-modify-write, under the rule [`crate::stats`] states for
+//! `StageStats`. Snapshots may be taken from any thread: they see values
+//! at most one burst behind, exact once the owning thread is joined. A
+//! second writer would lose counts; give it its own histogram.
+//!
 //! [`Telemetry`] is the live recorder the engines share across stage
 //! threads; [`TelemetrySnapshot`] is the plain-value export carried on
 //! [`EngineReport`](crate::engine::EngineReport), serializable to JSON
 //! ([`TelemetrySnapshot::to_json`]) and Prometheus text exposition
 //! ([`TelemetrySnapshot::to_prometheus`]).
 
-use crate::stats::atomic_max;
+use crate::stats::bump;
 use nfp_orchestrator::Stage;
 use nfp_packet::meta::Metadata;
 use nfp_packet::pool::{PacketPool, PacketRef};
@@ -62,9 +103,27 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// A lock-free log₂ latency histogram: relaxed atomic bucket counters
-/// plus count/sum/max, recordable from any stage thread and snapshot-able
-/// without stopping the engine.
+/// One stage burst is clocked each time a stage's message count crosses a
+/// multiple of this; the bursts in between are only counted (module docs,
+/// "What a histogram holds").
+///
+/// A constant, not a [`TelemetryConfig`] field: the value trades sample
+/// density against clock reads, and nothing a caller knows changes that
+/// trade. Prime, so a power-of-two round-robin flow set cannot line up
+/// with it and have one flow's packets be the only ones ever timed.
+/// Measured with `telemetry_overhead 50000` (Monitor|Firewall through
+/// `SyncEngine::process`: nine one-message stage bursts per packet, a
+/// clock pair ~64 ns on the build host; median of 8 runs, each the best
+/// of 9 interleaved rounds, runs spreading ±4 points): histograms-on over
+/// telemetry-off costs +44% per packet with this set to 1 (every burst
+/// clocked), +5% at 17 and +4% at 31 — past ~16 the per-burst count and
+/// due test are what is left, so the denser sample was kept.
+pub const CLOCK_PERIOD: u64 = 17;
+
+/// A log₂ latency histogram: relaxed bucket counters plus
+/// count/sum/max, written by the one thread that owns its stage (module
+/// docs, "Single writer") and snapshot-able from any thread without
+/// stopping the engine.
 ///
 /// Cache-line aligned: per-stage histograms sit side by side in vectors
 /// (one per NF, one per merger) and are written from different threads;
@@ -76,6 +135,13 @@ pub struct LatencyHistogram {
     count: AtomicU64,
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
+    /// `count` as of the last clocked burst: `Σ buckets`. What `count`
+    /// has advanced past it is the tail the next clocked burst credits.
+    credited: AtomicU64,
+    /// The last clocked burst's mean — where a snapshot puts the tail.
+    last_ns: AtomicU64,
+    /// Messages that sat in a clocked burst.
+    timed: AtomicU64,
 }
 
 impl Default for LatencyHistogram {
@@ -92,56 +158,84 @@ impl LatencyHistogram {
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
+            credited: AtomicU64::new(0),
+            last_ns: AtomicU64::new(0),
+            timed: AtomicU64::new(0),
         }
     }
 
-    /// Record one latency observation.
+    /// Record one latency observation (a clocked one-message burst).
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        atomic_max(&self.max_ns, ns);
+        self.record_burst(ns, 1);
     }
 
-    /// Record the elapsed time since `t0`, if a clock was taken
-    /// ([`Telemetry::clock`] returns `None` when histograms are off, and
-    /// then this is a no-op).
+    /// Whether a burst of `n` messages is to be clocked: it carries the
+    /// first message, or `count` crosses a multiple of [`CLOCK_PERIOD`]
+    /// during it.
     #[inline]
-    pub fn record_from(&self, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            self.record_ns(t0.elapsed().as_nanos() as u64);
-        }
+    fn due(&self, n: u64) -> bool {
+        let seen = self.count.load(Ordering::Relaxed);
+        n > 0 && (seen == 0 || seen % CLOCK_PERIOD + n >= CLOCK_PERIOD)
     }
 
-    /// Record `n` observations that together took `total_ns`, using the
-    /// burst's mean as the representative sample. This is the
-    /// burst-amortized path: one clock pair per burst instead of one per
-    /// packet, with the observation **count** (what the sync/threaded
-    /// differential harness compares) exactly preserved.
+    /// Count a burst of `n` messages that was not clocked.
     #[inline]
-    pub fn record_split(&self, total_ns: u64, n: u64) {
+    fn count_only(&self, n: u64) {
+        bump(&self.count, n);
+    }
+
+    /// Record a clocked burst: `n` messages that together took
+    /// `total_ns`. The burst's mean is the representative sample for
+    /// them and for the tail of messages counted since the previous
+    /// clocked burst.
+    fn record_burst(&self, total_ns: u64, n: u64) {
         if n == 0 {
             return;
         }
         let mean = total_ns / n;
-        self.buckets[bucket_of(mean)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum_ns.fetch_add(total_ns, Ordering::Relaxed);
-        atomic_max(&self.max_ns, mean);
+        let count = self.count.load(Ordering::Relaxed) + n;
+        let tail = count - n - self.credited.load(Ordering::Relaxed);
+        bump(&self.buckets[bucket_of(mean)], n + tail);
+        self.count.store(count, Ordering::Relaxed);
+        self.credited.store(count, Ordering::Relaxed);
+        bump(&self.sum_ns, total_ns + mean * tail);
+        if mean > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.store(mean, Ordering::Relaxed);
+        }
+        self.last_ns.store(mean, Ordering::Relaxed);
+        bump(&self.timed, n);
     }
 
-    /// Plain-value snapshot.
+    /// The clocked half of [`Telemetry::end`]. Out of line: the callers'
+    /// hot loops keep only the count-and-branch of an unclocked burst.
+    #[cold]
+    #[inline(never)]
+    fn record_since(&self, t0: Instant, n: u64) {
+        self.record_burst(t0.elapsed().as_nanos() as u64, n);
+    }
+
+    /// Plain-value snapshot. The tail (messages counted since the last
+    /// clocked burst) is credited to that burst's mean in the copy only.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        // `credited` before `count`: a snapshot racing the owning thread
+        // may see a stale pair, never a negative tail.
+        let credited = self.credited.load(Ordering::Relaxed);
+        let count = self.count.load(Ordering::Relaxed);
+        let last_ns = self.last_ns.load(Ordering::Relaxed);
+        let tail = count.saturating_sub(credited);
+        let mut buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        buckets[bucket_of(last_ns)] += tail;
         HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
+            buckets,
+            count,
+            sum_ns: self.sum_ns.load(Ordering::Relaxed) + last_ns * tail,
             max_ns: self.max_ns.load(Ordering::Relaxed),
+            timed: self.timed.load(Ordering::Relaxed),
         }
     }
 }
@@ -157,11 +251,16 @@ pub struct HistogramSnapshot {
     pub sum_ns: u64,
     /// Largest single observation.
     pub max_ns: u64,
+    /// How many of the `count` observations sat in a clocked burst — the
+    /// real clock samples behind the buckets (`timed <= count`; the rest
+    /// were credited a neighbouring burst's mean).
+    pub timed: u64,
 }
 
 impl HistogramSnapshot {
-    /// Fold another histogram of the same stage into this one (buckets and
-    /// count/sum add; max keeps the maximum). Used for per-shard roll-up.
+    /// Fold another histogram of the same stage into this one (buckets,
+    /// count/sum and timed add; max keeps the maximum). Used for per-shard
+    /// roll-up.
     pub fn absorb(&mut self, other: &HistogramSnapshot) {
         if self.buckets.len() < other.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
@@ -172,6 +271,7 @@ impl HistogramSnapshot {
         self.count += other.count;
         self.sum_ns += other.sum_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
+        self.timed += other.timed;
     }
 
     /// The nearest-rank `q`-quantile in nanoseconds, reported as the upper
@@ -291,7 +391,16 @@ pub fn stage_label(stage: Stage) -> String {
     }
 }
 
-/// The live telemetry recorder one engine's stage threads share.
+/// The clock read of a due burst, kept out of line with the rest of the
+/// clocked path ([`LatencyHistogram::record_since`]).
+#[cold]
+#[inline(never)]
+fn read_clock() -> Instant {
+    Instant::now()
+}
+
+/// The live telemetry recorder one engine's stage threads share (each
+/// stage's histogram is written by the stage's own thread only).
 #[derive(Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
@@ -341,18 +450,6 @@ impl Telemetry {
         &self.config
     }
 
-    /// Take a stage-latency start timestamp — `None` when histograms are
-    /// off, so the disabled path never reads the clock. Pair with
-    /// [`Telemetry::record`].
-    #[inline]
-    pub fn clock(&self) -> Option<Instant> {
-        if self.config.histograms {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
     /// Whether trace sampling is enabled.
     #[inline]
     pub fn tracing(&self) -> bool {
@@ -374,22 +471,34 @@ impl Telemetry {
         }
     }
 
-    /// Record the elapsed time since `t0` into `stage`'s histogram. A
-    /// `None` clock (histograms off) makes this a no-op.
+    /// Open a burst of `n` messages at `stage`. Returns a clock reading
+    /// only when histograms are on **and** the burst is due for one
+    /// (module docs, "What a histogram holds"); hand whatever comes back
+    /// to [`Telemetry::end`] once the burst is done. A burst that is
+    /// abandoned (no `end`) leaves the histogram untouched, so the next
+    /// one is due in its place.
     #[inline]
-    pub fn record(&self, stage: Stage, t0: Option<Instant>) {
-        if let (Some(t0), Some(h)) = (t0, self.hist(stage)) {
-            h.record_ns(t0.elapsed().as_nanos() as u64);
+    pub fn begin(&self, stage: Stage, n: u64) -> Option<Instant> {
+        if self.config.histograms && self.hist(stage)?.due(n) {
+            Some(read_clock())
+        } else {
+            None
         }
     }
 
-    /// Burst-amortized form of [`Telemetry::record`]: one elapsed-time
-    /// measurement split across the `n` packets of a burst. Histogram
-    /// counts advance by exactly `n`, as if each packet were recorded.
+    /// Close the burst [`Telemetry::begin`] opened: `stage`'s count
+    /// advances by exactly `n`, and a clocked burst (`t0` is `Some`)
+    /// credits its mean to those `n` messages plus the unclocked ones
+    /// before it. A no-op with histograms off.
     #[inline]
-    pub fn record_split(&self, stage: Stage, t0: Option<Instant>, n: u64) {
-        if let (Some(t0), Some(h)) = (t0, self.hist(stage)) {
-            h.record_split(t0.elapsed().as_nanos() as u64, n);
+    pub fn end(&self, stage: Stage, t0: Option<Instant>, n: u64) {
+        if !self.config.histograms {
+            return;
+        }
+        let Some(h) = self.hist(stage) else { return };
+        match t0 {
+            Some(t0) => h.record_since(t0, n),
+            None => h.count_only(n),
         }
     }
 
@@ -404,7 +513,9 @@ impl Telemetry {
         if ingress_ns == 0 || !self.config.histograms {
             return;
         }
-        let prev = self.ingress_prev.swap(ingress_ns, Ordering::Relaxed);
+        // Single writer (the admitting dispatcher): load + store, no swap.
+        let prev = self.ingress_prev.load(Ordering::Relaxed);
+        self.ingress_prev.store(ingress_ns, Ordering::Relaxed);
         if prev != 0 {
             self.ingress.record_ns(ingress_ns.saturating_sub(prev));
         }
@@ -614,9 +725,10 @@ impl TelemetrySnapshot {
                 .collect();
             let _ = write!(
                 out,
-                "    {{\"stage\":\"{}\",\"count\":{},\"sum_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"buckets\":[{}]}}{}",
+                "    {{\"stage\":\"{}\",\"count\":{},\"timed\":{},\"sum_ns\":{},\"max_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"buckets\":[{}]}}{}",
                 s.label,
                 s.hist.count,
+                s.hist.timed,
                 s.hist.sum_ns,
                 s.hist.max_ns,
                 s.hist.p50_ns(),
@@ -647,8 +759,8 @@ impl TelemetrySnapshot {
     }
 
     /// Serialize to Prometheus text exposition (cumulative `le` buckets
-    /// per stage plus `_sum`/`_count`, a per-stage max gauge, and trace
-    /// counters).
+    /// per stage plus `_sum`/`_count`, the per-stage clocked-message
+    /// counter `_timed_total` and max gauge, and trace counters).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         out.push_str("# TYPE nfp_stage_latency_ns histogram\n");
@@ -679,6 +791,14 @@ impl TelemetrySnapshot {
                 out,
                 "nfp_stage_latency_ns_count{{stage=\"{}\"}} {}",
                 s.label, s.hist.count
+            );
+        }
+        out.push_str("# TYPE nfp_stage_latency_ns_timed_total counter\n");
+        for s in &self.stages {
+            let _ = writeln!(
+                out,
+                "nfp_stage_latency_ns_timed_total{{stage=\"{}\"}} {}",
+                s.label, s.hist.timed
             );
         }
         out.push_str("# TYPE nfp_stage_latency_max_ns gauge\n");
@@ -737,17 +857,73 @@ mod tests {
     }
 
     #[test]
-    fn record_split_preserves_counts_and_totals() {
+    fn clocked_burst_preserves_counts_and_totals() {
         let h = LatencyHistogram::new();
-        h.record_split(3200, 32); // a 32-packet burst, mean 100 ns
-        h.record_split(0, 0); // empty burst is a no-op
+        h.record_burst(3200, 32); // a 32-packet burst, mean 100 ns
+        h.record_burst(0, 0); // empty burst is a no-op
         let s = h.snapshot();
         assert_eq!(s.count, 32, "one count per packet of the burst");
+        assert_eq!(s.timed, 32);
         assert_eq!(s.sum_ns, 3200);
         assert_eq!(s.max_ns, 100);
         assert_eq!(s.buckets.iter().sum::<u64>(), 32);
         // All 32 land in the mean's bucket.
         assert_eq!(s.buckets[bucket_of(100)], 32);
+    }
+
+    #[test]
+    fn first_message_and_every_period_crossing_are_due() {
+        let h = LatencyHistogram::new();
+        assert!(!h.due(0), "an empty burst is never clocked");
+        assert!(h.due(1), "the first message is clocked");
+        h.record_burst(100, 1);
+        // One-message bursts: due exactly when count reaches a multiple
+        // of the period.
+        for seen in 1..3 * CLOCK_PERIOD {
+            assert_eq!(
+                h.due(1),
+                (seen + 1).is_multiple_of(CLOCK_PERIOD),
+                "after {seen}"
+            );
+            // A burst of a whole period crosses a multiple wherever it
+            // starts; one message short of that does not, right after one.
+            assert!(h.due(CLOCK_PERIOD) && h.due(4 * CLOCK_PERIOD));
+            if seen.is_multiple_of(CLOCK_PERIOD) {
+                assert!(!h.due(CLOCK_PERIOD - 1));
+            }
+            h.count_only(1);
+        }
+    }
+
+    #[test]
+    fn clocked_burst_credits_the_unclocked_tail_before_it() {
+        let h = LatencyHistogram::new();
+        h.record_burst(40, 1); // first message, 40 ns
+        let k = 9;
+        for _ in 0..k {
+            h.count_only(1);
+        }
+        // Mid-period snapshot: the tail rides the last observed mean, in
+        // the copy only.
+        let mid = h.snapshot();
+        assert_eq!((mid.count, mid.timed), (1 + k, 1));
+        assert_eq!(mid.buckets[bucket_of(40)], 1 + k);
+        assert_eq!(mid.sum_ns, 40 * (1 + k));
+        // The next clocked burst (n = 4, mean 1000 ns) takes the tail:
+        // n + k in one bucket, mean x (n + k) in the sum.
+        let n = 4;
+        h.record_burst(4000, n);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.timed), (1 + k + n, 1 + n));
+        assert_eq!(
+            s.buckets[bucket_of(40)],
+            1,
+            "the tail was not credited twice"
+        );
+        assert_eq!(s.buckets[bucket_of(1000)], n + k);
+        assert_eq!(s.sum_ns, 40 + 1000 * (n + k));
+        assert_eq!(s.max_ns, 1000);
+        assert_eq!(s.buckets.iter().sum::<u64>(), s.count);
     }
 
     #[test]
@@ -759,7 +935,7 @@ mod tests {
         b.record_ns(50_000);
         let mut s = a.snapshot();
         s.absorb(&b.snapshot());
-        assert_eq!(s.count, 3);
+        assert_eq!((s.count, s.timed), (3, 3));
         assert_eq!(s.sum_ns, 50_505);
         assert_eq!(s.max_ns, 50_000);
         assert_eq!(s.buckets.iter().sum::<u64>(), 3);
@@ -768,10 +944,10 @@ mod tests {
     #[test]
     fn disabled_clock_skips_recording() {
         let t = Telemetry::off();
-        assert!(t.clock().is_none());
+        assert!(t.begin(Stage::Classifier, 1).is_none());
         assert!(!t.tracing());
-        let t0 = t.clock();
-        t.record(Stage::Classifier, t0);
+        let t0 = t.begin(Stage::Classifier, 1);
+        t.end(Stage::Classifier, t0, 1);
         let pool = PacketPool::new(1);
         let r = pool
             .insert(nfp_packet::Packet::from_bytes(&[0u8; 60]).unwrap())
@@ -831,14 +1007,14 @@ mod tests {
     #[test]
     fn snapshot_merges_and_tags_shards() {
         let a = Telemetry::new(TelemetryConfig::sampled(1), 1, 1);
-        a.record(Stage::Nf(0), a.clock());
+        a.end(Stage::Nf(0), a.begin(Stage::Nf(0), 1), 1);
         a.hop_if_traced(
             Stage::Classifier,
             Metadata::new(1, 0, 1).with_traced(true),
             false,
         );
         let b = Telemetry::new(TelemetryConfig::sampled(1), 1, 1);
-        b.record(Stage::Nf(0), b.clock());
+        b.end(Stage::Nf(0), b.begin(Stage::Nf(0), 1), 1);
         b.hop_if_traced(
             Stage::Classifier,
             Metadata::new(1, 0, 1).with_traced(true),
@@ -857,7 +1033,7 @@ mod tests {
     #[test]
     fn serializers_emit_both_formats() {
         let t = Telemetry::new(TelemetryConfig::sampled(1), 1, 1);
-        t.record(Stage::Classifier, t.clock());
+        t.end(Stage::Classifier, t.begin(Stage::Classifier, 1), 1);
         t.hop_if_traced(
             Stage::Classifier,
             Metadata::new(5, 1, 1).with_traced(true),
@@ -871,6 +1047,8 @@ mod tests {
         let prom = snap.to_prometheus();
         assert!(prom.contains("nfp_stage_latency_ns_bucket{stage=\"classifier\",le=\"+Inf\"} 1"));
         assert!(prom.contains("nfp_stage_latency_ns_count{stage=\"nf0\"} 0"));
+        assert!(prom.contains("nfp_stage_latency_ns_timed_total{stage=\"classifier\"} 1"));
+        assert!(json.contains("\"count\":1,\"timed\":1,"));
         assert!(prom.contains("nfp_trace_hops_total 1"));
     }
 }

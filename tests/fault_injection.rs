@@ -269,6 +269,10 @@ fn stalled_member_merges_expire_at_deadline() {
         late >= 1,
         "the woken NF's copies arrived late into tombstones"
     );
+    // A stall, not a death: every copy an expiry was still owed arrived,
+    // so the straggler debt the live auditor allows for is back to zero.
+    let owed: u64 = report.stats.mergers.iter().map(|m| m.stragglers_owed).sum();
+    assert_eq!(owed, late, "straggler debt settled");
 }
 
 /// A stalled NF in a *sequential* position makes no merge progress the

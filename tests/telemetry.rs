@@ -21,8 +21,11 @@
 //! must be cheap enough to be invisible on the packet path.
 
 use nfp_core::prelude::*;
+use nfp_dataplane::shard::ShardedEngine;
 use nfp_dataplane::sync_engine::SyncEngine;
-use nfp_dataplane::telemetry::{stage_label, PacketTrace, Telemetry};
+use nfp_dataplane::telemetry::{
+    stage_label, HistogramSnapshot, PacketTrace, Telemetry, CLOCK_PERIOD,
+};
 use nfp_orchestrator::Stage;
 use nfp_packet::ipv4::Ipv4Addr;
 use proptest::prelude::*;
@@ -504,8 +507,159 @@ fn threaded_reconfigure_keeps_traces_epoch_constant() {
     );
 }
 
+/// East-west (Fig 13): `IDS -> [Monitor | LB]` — one copy, one merge.
+const EAST_WEST: [&str; 3] = ["IDS", "Monitor", "LoadBalancer"];
+
+/// Messages one packet brings to a stage of the east-west graph in one
+/// `SyncEngine::process` call, i.e. the stage's burst length there: both
+/// parallel members' outputs reach the agent, then the merger, together.
+fn east_west_burst(label: &str) -> u64 {
+    match label {
+        "agent" | "merger0" => 2,
+        _ => 1,
+    }
+}
+
+/// What every histogram snapshot must satisfy, clocked burst or not:
+/// the buckets hold exactly `count` observations and no more of them
+/// were clocked than one burst of `east_west_burst` messages per period.
+fn assert_histogram_identities(at: &str, label: &str, h: &HistogramSnapshot) {
+    let burst = east_west_burst(label);
+    let label = format!("{label} {at}");
+    assert_eq!(
+        h.buckets.iter().sum::<u64>(),
+        h.count,
+        "{label}: buckets do not add up to count"
+    );
+    if h.count > 0 {
+        assert!(
+            1 <= h.timed && h.timed <= (h.count / CLOCK_PERIOD + 1) * burst,
+            "{label}: timed {} of count {} at period {CLOCK_PERIOD}",
+            h.timed,
+            h.count
+        );
+        assert!(h.sum_ns >= h.max_ns, "{label}: sum below max");
+    } else {
+        assert_eq!(h.timed, 0, "{label}: timed without a count");
+    }
+}
+
+/// One-message bursts (`SyncEngine::process`): every message is counted,
+/// one burst per period is clocked. Around the period boundary and well
+/// past it, each stage's `count` equals the messages the stage stepped —
+/// the threaded engine's own per-stage `packets_in` for the same traffic
+/// (for the classifier: admitted packets).
+#[test]
+fn one_message_bursts_count_every_message_and_clock_one_per_period() {
+    let pkts = mixed_traffic(5000);
+    for n in [1usize, 15, 16, 17, 5000] {
+        let (snap, delivered, dropped) = run_sync(&EAST_WEST, &pkts[..n], 0);
+        let report = run_threaded(&EAST_WEST, &pkts[..n], 0);
+        assert_eq!((report.delivered, report.dropped), (delivered, dropped));
+        let stats = &report.stats;
+        let mut stepped = vec![
+            ("classifier".to_string(), report.injected),
+            ("agent".to_string(), stats.agent.packets_in),
+            ("merger0".to_string(), stats.mergers[0].packets_in),
+            ("collector".to_string(), stats.collector.packets_in),
+        ];
+        for (i, nf) in stats.nfs.iter().enumerate() {
+            stepped.push((format!("nf{i}"), nf.packets_in));
+        }
+        for (label, messages) in &stepped {
+            let hist = &snap.stage(label).unwrap().hist;
+            assert!(*messages > 0, "{label} is not traversed at n = {n}");
+            assert_eq!(hist.count, *messages, "{label} at n = {n}");
+            assert_histogram_identities(&format!("at n = {n}"), label, hist);
+        }
+    }
+}
+
+/// A snapshot taken mid-period carries the uncredited tail in the last
+/// observed bucket — in the copy only: more traffic and a second snapshot
+/// must not count those messages twice.
+#[test]
+fn mid_period_snapshot_credits_the_tail_exactly_once() {
+    let compiled = compile_graph(&EAST_WEST);
+    let nfs = compiled.graph.nodes.iter();
+    let nfs = nfs.map(|n| make(n.name.as_str())).collect();
+    let mut engine = SyncEngine::new(compiled.program(1).unwrap(), nfs, 256);
+    let first = CLOCK_PERIOD as usize + 5; // five messages past a clocked burst
+    let pkts = mixed_traffic(first + 100);
+
+    for pkt in &pkts[..first] {
+        engine.process(pkt.clone()).unwrap();
+    }
+    let mid = engine.telemetry();
+    for pkt in &pkts[first..] {
+        engine.process(pkt.clone()).unwrap();
+    }
+    let end = engine.telemetry();
+
+    let classifier = &mid.stage("classifier").unwrap().hist;
+    assert_eq!((classifier.count, classifier.timed), (first as u64, 2));
+    for (snap, sent) in [(&mid, first), (&end, pkts.len())] {
+        assert_eq!(snap.stage("classifier").unwrap().hist.count, sent as u64);
+        for st in &snap.stages {
+            assert_histogram_identities(&format!("after {sent}"), &st.label, &st.hist);
+        }
+    }
+}
+
+/// The two-shard roll-up (`absorb`) keeps the identities: per stage the
+/// fleet's `count` and `timed` are the sums over the shards and the
+/// buckets still add up to `count`.
+#[test]
+fn sharded_roll_up_keeps_buckets_equal_to_count_and_sums_timed() {
+    let compiled = compile_graph(&EAST_WEST);
+    let names = compiled.graph.nodes.iter();
+    let names: Vec<String> = names.map(|n| n.name.as_str().to_string()).collect();
+    let make_nfs = move || names.iter().map(|n| make(n)).collect();
+    let mut fleet = ShardedEngine::new(
+        &compiled.program(1).unwrap(),
+        make_nfs,
+        &EngineConfig {
+            max_in_flight: 8,
+            mergers: 1,
+            ..EngineConfig::default()
+        },
+        2,
+    )
+    .unwrap();
+    let shards = fleet.run_per_shard(mixed_traffic(600));
+    assert!(shards.iter().all(|r| r.injected > 0), "a shard sat idle");
+    let mut fleet_wide = TelemetrySnapshot::empty();
+    for shard in &shards {
+        fleet_wide.merge(&shard.telemetry);
+    }
+    for st in &fleet_wide.stages {
+        let parts = shards
+            .iter()
+            .map(|r| &r.telemetry.stage(&st.label).unwrap().hist);
+        let (count, timed) = parts.fold((0, 0), |(c, t), h| (c + h.count, t + h.timed));
+        assert_eq!(
+            (st.hist.count, st.hist.timed),
+            (count, timed),
+            "{}",
+            st.label
+        );
+        assert_eq!(
+            st.hist.buckets.iter().sum::<u64>(),
+            st.hist.count,
+            "{}: buckets do not add up after absorb",
+            st.label
+        );
+        assert!(st.hist.timed <= st.hist.count, "{}", st.label);
+    }
+    let admitted = shards
+        .iter()
+        .map(|r| r.injected - r.stats.classifier.rejects());
+    let classifier = &fleet_wide.stage("classifier").unwrap().hist;
+    assert_eq!(classifier.count, admitted.sum::<u64>());
+}
+
 /// The zero-sampling contract, structurally: a disabled `Telemetry` never
-/// reads the monotonic clock (`clock()` is `None`) and the three per-stage
+/// reads the monotonic clock (`begin()` is `None`) and the three per-stage
 /// calls the engines make are cheap enough to disappear on the packet
 /// path. The wall-clock bound is deliberately loose (hundreds of ns per
 /// call on any plausible host is still passing) — the real overhead
@@ -513,7 +667,10 @@ fn threaded_reconfigure_keeps_traces_epoch_constant() {
 #[test]
 fn zero_sampling_telemetry_is_near_free() {
     let tele = Telemetry::off();
-    assert!(tele.clock().is_none(), "disabled clock must not tick");
+    assert!(
+        tele.begin(Stage::Classifier, 1).is_none(),
+        "disabled clock must not tick"
+    );
     assert!(!tele.tracing());
 
     let pool = PacketPool::new(4);
@@ -523,8 +680,8 @@ fn zero_sampling_telemetry_is_near_free() {
     const ITERS: u64 = 2_000_000;
     let t0 = std::time::Instant::now();
     for _ in 0..ITERS {
-        let t = std::hint::black_box(&tele).clock();
-        tele.record(std::hint::black_box(Stage::Classifier), t);
+        let t = std::hint::black_box(&tele).begin(Stage::Classifier, 1);
+        tele.end(std::hint::black_box(Stage::Classifier), t, 1);
         tele.trace_ref(std::hint::black_box(Stage::Agent), &pool, r);
     }
     let per_iter_ns = t0.elapsed().as_nanos() as f64 / ITERS as f64;

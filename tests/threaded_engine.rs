@@ -436,8 +436,11 @@ fn every_core_budget_agrees_with_sync_engine() {
 /// rejected packet takes an injection slot but no PID, so pairing by PID
 /// alone shifts every later sample by one more packet per reject — a
 /// trace with interleaved malformed frames then reads milliseconds for a
-/// microsecond path. Its median must stay within 2x of the same trace
-/// with the rejects removed.
+/// microsecond path (14 ms against 94 us when the bug was found: 150x).
+/// Its median must stay within 8x of the same trace with the rejects
+/// removed: wide enough that the window-4 spin/park bistability of two
+/// shared vCPUs (either run can land in the ~2x slower mode) cannot fail
+/// it, far too narrow for a pairing error to pass.
 #[test]
 fn rejected_packets_do_not_skew_latency_pairing() {
     let (compiled, program) = build(&["Monitor", "Firewall"]);
@@ -473,7 +476,7 @@ fn rejected_packets_do_not_skew_latency_pairing() {
     let base = p50(&clean, 0);
     let with_rejects = p50(&interleaved, 1000);
     assert!(
-        with_rejects <= base * 2,
+        with_rejects <= base * 8,
         "p50 {with_rejects:?} with interleaved rejects vs {base:?} without"
     );
 }
