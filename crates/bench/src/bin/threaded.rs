@@ -5,12 +5,18 @@
 //! ring backs up, where packets drop and why, how hard OP#2 copying hits
 //! the pool, and how evenly the merger agent spreads load.
 //!
+//! It ends with what the thread boundary itself cost: the two 64 B seed
+//! graphs of the benchmark (three forwarders in sequence; east-west
+//! `IDS -> [Monitor | LB]`) on one stage thread at window 64, one JSON
+//! line each with the run's park and wake counts per packet
+//! ([`nfp_dataplane::WakeHub`]; DESIGN.md §11, "who pays for a wake").
+//!
 //! Usage: `cargo run --release --bin threaded [packets]`
 
-use nfp_bench::setups::fixed_traffic;
+use nfp_bench::setups::{compile_chain, fixed_traffic, forced_sequential, make_nf};
 use nfp_dataplane::engine::{Engine, EngineConfig};
 use nfp_nf::NetworkFunction;
-use nfp_orchestrator::{compile, CompileOptions, Registry};
+use nfp_orchestrator::{compile, CompileOptions, Program, Registry};
 use nfp_packet::ipv4::Ipv4Addr;
 use nfp_policy::Policy;
 
@@ -92,6 +98,32 @@ fn run_chain(chain: &[&str], n: usize, mergers: usize) {
     println!("{}", report.stats);
 }
 
+/// One warm run of `program` at 64 B on a single stage thread, closed
+/// loop at window 64, as one JSON line: throughput and the wake traffic
+/// between the injector and the stage thread, per packet.
+fn wake_traffic(label: &str, program: Program, nfs: Vec<Box<dyn NetworkFunction>>, n: usize) {
+    let config = EngineConfig {
+        core_budget: 1,
+        max_in_flight: 64,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(program, nfs, config).expect("engine config");
+    engine.run(fixed_traffic(n, 64));
+    let report = engine.run(fixed_traffic(n, 64));
+    let per_packet = |count: u64| count as f64 / report.injected.max(1) as f64;
+    println!(
+        "{{\"bench\": \"threaded\", \"graph\": \"{label}\", \"frame\": 64, \"core_budget\": 1, \
+         \"window\": 64, \"packets\": {}, \"pps\": {:.0}, \"parks\": {}, \"wakes\": {}, \
+         \"parks_per_packet\": {:.5}, \"wakes_per_packet\": {:.5}}}",
+        report.injected,
+        report.pps(),
+        report.parks,
+        report.wakes,
+        per_packet(report.parks),
+        per_packet(report.wakes),
+    );
+}
+
 fn main() {
     let n: usize = std::env::args()
         .nth(1)
@@ -99,4 +131,14 @@ fn main() {
         .unwrap_or(20_000);
     run_chain(&["Monitor", "Firewall"], n, 2);
     run_chain(&["Monitor", "Firewall", "VPN", "IDS"], n, 3);
+
+    let sequential = forced_sequential("Forwarder", 3);
+    let forwarders = (0..3).map(|_| make_nf("Forwarder")).collect();
+    let program = Program::compile(&sequential, 1).expect("sequential graph compiles");
+    wake_traffic("seq3", program, forwarders, n);
+    let east_west = compile_chain(&["IDS", "Monitor", "LB"]);
+    let nodes = east_west.graph.nodes.iter();
+    let nfs = nodes.map(|node| make_nf(node.name.as_str())).collect();
+    let program = east_west.program(1).expect("east-west graph compiles");
+    wake_traffic("east_west", program, nfs, n);
 }

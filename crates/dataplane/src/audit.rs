@@ -44,6 +44,13 @@ const POOL_LOW: u64 = u32::MAX as u64;
 /// `injected` before the settled counters (release), and
 /// [`EngineProbe::sample`] loads the settled counters before `injected`
 /// (acquire), so the `injected` it reads is at least as new as they are.
+/// The other way round — `injected` newer than the settled counters, so
+/// that more looks in flight than the window allows — is something a
+/// sampler can rule out itself: the engine publishes what was finished
+/// before it injects against it, `injected` is stored and loaded
+/// release / acquire too, and so two samples in a row whose settled
+/// counters agree bracket an `injected` no newer than those counters
+/// allowed (`tests/threaded_engine.rs` checks the window that way).
 /// Pool occupancy and the straggler debt that excuses part of it share
 /// one cell, so a sample never pairs one publication's occupancy with
 /// another's debt. The gauges (`pool`, `epoch`) are relaxed.
@@ -81,7 +88,7 @@ impl ProbeGauges {
         stragglers: u64,
         epoch: u64,
     ) {
-        self.injected.store(injected, Ordering::Relaxed);
+        self.injected.store(injected, Ordering::Release);
         self.delivered.store(delivered, Ordering::Release);
         self.dropped.store(dropped, Ordering::Release);
         self.pool.store(
@@ -169,7 +176,7 @@ impl EngineProbe {
         for g in slots.iter() {
             s.dropped += g.dropped.load(Ordering::Acquire);
             s.delivered += g.delivered.load(Ordering::Acquire);
-            s.injected += g.injected.load(Ordering::Relaxed);
+            s.injected += g.injected.load(Ordering::Acquire);
             let pool = g.pool.load(Ordering::Relaxed);
             s.pool_in_use += pool & POOL_LOW;
             s.stragglers += pool >> 32;

@@ -373,6 +373,8 @@ mod tests {
             epochs: Vec::new(),
             telemetry: TelemetrySnapshot::empty(),
             migration: MigrationStats::default(),
+            parks: 0,
+            wakes: 0,
         };
         let s = LoadSignals::from_report(&report, 64);
         assert!((s.ring_occupancy - 0.75).abs() < 1e-9);

@@ -26,6 +26,7 @@
 use crate::actions::{Deliver, Msg};
 use crate::classifier::{AdmitError, Classifier, Refusal};
 use crate::cores::{collector, AgentCore, MergerCore, Outcome};
+use crate::exec::CachePadded;
 use crate::ring::{Consumer, Producer};
 use crate::runtime::{FailureKind, NfRuntime};
 use crate::stats::{EngineStats, StageStats};
@@ -123,13 +124,20 @@ pub(crate) struct Shared {
     pub handle: Arc<ProgramHandle>,
     pub telemetry: Telemetry,
     pub stats: Vec<StageStats>,
-    pub delivered: AtomicU64,
-    pub dropped: AtomicU64,
+    /// Packets finished so far, by outcome. A dispatcher adds to them
+    /// once per stage burst ([`Dispatcher::publish`]), so a reader may
+    /// see them up to one burst behind the packets — never ahead. Each
+    /// has a line of its own: the injector polls both while the stage
+    /// threads work the pool, handle and stats fields beside them.
+    pub delivered: CachePadded<AtomicU64>,
+    pub dropped: CachePadded<AtomicU64>,
     pub clock: Clock,
     /// How long (in [`Clock`] units) an accumulating-table entry may wait
     /// for sibling copies before it is resolved from what arrived.
     pub merge_deadline: u64,
-    pub watch: Vec<NfWatch>,
+    /// Padded: two stores per NF call, from a different thread per NF
+    /// once the budget separates them.
+    pub watch: Vec<CachePadded<NfWatch>>,
 }
 
 impl Shared {
@@ -147,11 +155,11 @@ impl Shared {
             handle,
             telemetry,
             stats: (0..layout.len()).map(|_| StageStats::new()).collect(),
-            delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            delivered: CachePadded::default(),
+            dropped: CachePadded::default(),
             clock,
             merge_deadline,
-            watch: (0..layout.nfs).map(|_| NfWatch::default()).collect(),
+            watch: (0..layout.nfs).map(|_| CachePadded::default()).collect(),
         }
     }
 
@@ -373,6 +381,10 @@ pub(crate) struct Dispatcher {
     /// The [`Clock`] reading of this pass, taken at most once between NF
     /// invocations (the only steps of unbounded duration).
     now: Option<u64>,
+    /// Packets delivered / dropped since the last [`Dispatcher::publish`],
+    /// which every stage burst ends with.
+    delivered: u64,
+    dropped: u64,
     /// Packets the collector finished, oldest first; the driver drains it.
     pub outputs: Vec<Packet>,
 }
@@ -437,6 +449,8 @@ impl Dispatcher {
             outcomes: Vec::new(),
             drops: Vec::new(),
             now: None,
+            delivered: 0,
+            dropped: 0,
             outputs: Vec::new(),
         }
     }
@@ -444,8 +458,9 @@ impl Dispatcher {
     /// The classifier step: admit one packet under the current epoch and
     /// queue its entry actions. A terminal rejection (malformed, no
     /// match) finishes the packet here, so it is counted for the closed
-    /// loop; pool backpressure is not terminal — the packet comes back
-    /// for the caller to retry.
+    /// loop (the caller [`publish`](Dispatcher::publish)es when its
+    /// admission burst ends); pool backpressure is not terminal — the
+    /// packet comes back for the caller to retry.
     pub fn admit(&mut self, cx: &Shared, pkt: Packet) -> Result<(), Refusal> {
         let mut sink = Sink {
             ports: &mut self.ports,
@@ -463,7 +478,7 @@ impl Dispatcher {
             Ok(_) => Ok(()),
             Err(refusal) => {
                 if refusal.0 != AdmitError::PoolExhausted {
-                    cx.dropped.fetch_add(1, Ordering::Release);
+                    self.dropped += 1;
                 }
                 Err(refusal)
             }
@@ -498,7 +513,7 @@ impl Dispatcher {
                     // (≤ 1 drop per message by construction).
                     let after = rt.dropped + rt.errors + rt.policy_drops;
                     for _ in before..after {
-                        self.settle_drop(cx, epoch);
+                        self.settle_drop(epoch);
                     }
                 }
             }
@@ -523,7 +538,7 @@ impl Dispatcher {
                 // Delivery settles the packet against the epoch that
                 // classified it.
                 self.resolver.settle(pkt.meta().epoch());
-                cx.delivered.fetch_add(1, Ordering::Release);
+                self.delivered += 1;
                 self.outputs.push(pkt);
             }
             Stage::Classifier => unreachable!("the classifier takes packets, not messages"),
@@ -562,15 +577,30 @@ impl Dispatcher {
             &mut self.drops,
         );
         while let Some(epoch) = self.drops.pop() {
-            self.settle_drop(cx, epoch);
+            self.settle_drop(epoch);
         }
     }
 
     /// A packet ended in a drop: settle it against the epoch that
     /// classified it, then count it for the closed loop.
-    fn settle_drop(&mut self, cx: &Shared, epoch: u64) {
+    fn settle_drop(&mut self, epoch: u64) {
         self.resolver.settle(epoch);
-        cx.dropped.fetch_add(1, Ordering::Release);
+        self.dropped += 1;
+    }
+
+    /// Add what the burst just ended finished to the shared totals: one
+    /// read-modify-write per burst and outcome on the lines the injector
+    /// polls, not one per packet. Release: whoever reads a total sees the
+    /// pool releases and epoch settlements of every packet it counts.
+    pub fn publish(&mut self, cx: &Shared) {
+        if self.delivered > 0 {
+            let n = std::mem::take(&mut self.delivered);
+            cx.delivered.fetch_add(n, Ordering::Release);
+        }
+        if self.dropped > 0 {
+            let n = std::mem::take(&mut self.dropped);
+            cx.dropped.fetch_add(n, Ordering::Release);
+        }
     }
 
     fn now(&mut self, cx: &Shared) -> u64 {
@@ -631,6 +661,7 @@ impl Dispatcher {
             }
             self.outcomes = outcomes;
         }
+        self.publish(cx);
         progress | self.ports.pump(cx, k)
     }
 
@@ -654,6 +685,7 @@ impl Dispatcher {
                 self.outcome(cx, m, outcome);
             }
         }
+        self.publish(cx);
         progress
     }
 

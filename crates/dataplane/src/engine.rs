@@ -27,11 +27,24 @@
 //! next pass instead of blocking, which keeps every grouping
 //! deadlock-free.
 //!
-//! **Adaptive idling.** Idle groups back off spin → yield → park
-//! ([`EngineConfig::idle_policy`]); parked threads are woken through the
-//! engine's [`crate::exec::WakeHub`] whenever any group (or the injector)
-//! makes progress, so an idle engine burns no core while a late burst
-//! still gets service immediately. Merge-order sequencing (§4.3 result
+//! **A thread boundary the stage thread does not pay for.** The calling
+//! thread injects in bursts: one read of the finished count gives the
+//! window's room, up to `min(room, 32)` packets go onto the injection
+//! ring, then one wake-up notification and one drain of the delivery
+//! ring. The classifier's group admits straight off that ring. Every
+//! dispatcher adds what it finished to the shared delivered / dropped
+//! totals once per stage burst, so the injector may see them up to a
+//! burst late — never early: the window stays a hard bound.
+//!
+//! **Adaptive idling, by the clock.** A thread that makes no progress
+//! backs off spin → yield → park ([`EngineConfig::idle_policy`]) on the
+//! time since its last progress, the same bound for the injector and the
+//! groups however long their passes are. The bound exceeds the time the
+//! other side of a ring needs to serve a burst, so in a steady closed
+//! loop nobody parks and the thread that makes progress pays no futex
+//! wake for it ([`EngineReport::wakes`]); an idle engine still parks and
+//! burns no core, and a late burst wakes it through the engine's
+//! [`crate::exec::WakeHub`] at once. Merge-order sequencing (§4.3 result
 //! correctness) lives in [`crate::cores::AgentCore`], unchanged.
 //!
 //! **Deliveries leave as they complete.** When the caller wants the
@@ -43,7 +56,7 @@
 
 use crate::classifier::AdmitError;
 use crate::dispatch::{Clock, Dispatcher, Layout, Rings, Runtime, Shared, BURST};
-use crate::exec::{Idler, WakeHub};
+use crate::exec::{CachePadded, Idler, WakeHub};
 use crate::ring::{self, Consumer, Producer};
 use crate::runtime::{FailureKind, NfRuntime};
 use crate::stats::EngineStats;
@@ -98,9 +111,10 @@ pub struct EngineConfig {
     /// Empty (the default) disables pinning. Every listed CPU must be
     /// below [`host_parallelism`](crate::exec::host_parallelism).
     pub pin_cpus: Vec<usize>,
-    /// What an idle stage thread does when a scheduling pass makes no
-    /// progress — see [`IdlePolicy`](crate::exec::IdlePolicy). The
-    /// default backs off spin → yield → park.
+    /// What a thread of the run (stage group or injector) does when a
+    /// pass makes no progress — see [`IdlePolicy`](crate::exec::IdlePolicy).
+    /// The default backs off spin → yield → park on the time since the
+    /// thread's last progress.
     pub idle_policy: crate::exec::IdlePolicy,
     /// Live audit probe: when set, every run registers a gauge slot on
     /// it and publishes injected/delivered/dropped/pool/epoch counters
@@ -269,6 +283,13 @@ pub struct EngineReport {
     /// Always zero for a lone [`Engine`] (nothing to migrate); a
     /// [`crate::shard::ShardedEngine`] fills in its rescale history.
     pub migration: MigrationStats,
+    /// Times a thread of this run (injector or stage group) went to
+    /// sleep on the engine's [`WakeHub`] ([`WakeHub::parks`]).
+    pub parks: u64,
+    /// Times a thread that had just made progress found a sleeper and
+    /// paid for a futex broadcast ([`WakeHub::wakes`]). In a steady
+    /// closed loop both stay near zero per packet.
+    pub wakes: u64,
 }
 
 /// Cumulative flow-state migration counters for an elastic fleet.
@@ -311,14 +332,14 @@ impl EngineReport {
 }
 
 /// The classifier's feed, run by the group that holds the classifier:
-/// drains the injection ring into a pending queue and admits from its
-/// front. A pool-exhausted admission puts the packet back at the front
-/// for the next pass (FIFO and dense-PID order preserved) instead of
-/// blocking the thread.
+/// admits straight off the injection ring, at most a burst per pass, with
+/// no buffer in between. A pool-exhausted admission holds its packet for
+/// the next pass and leaves the rest on the ring (FIFO and dense-PID
+/// order preserved) instead of blocking the thread.
 struct Intake {
     rx: Consumer<Packet>,
-    pending: VecDeque<Packet>,
-    scratch: Vec<Packet>,
+    /// The packet a pool-exhausted admission handed back.
+    held: Option<Packet>,
     /// Packets taken off the ring and finished with (admitted or
     /// rejected) — the injection ordinal of the next one.
     seen: u64,
@@ -330,32 +351,28 @@ struct Intake {
 impl Intake {
     fn pull(&mut self, dispatcher: &mut Dispatcher, cx: &Shared) -> bool {
         cx.stats_of(Stage::Classifier).note_occupancy(self.rx.len());
-        let mut progress = false;
-        if self.pending.len() < BURST {
-            self.scratch.clear();
-            if self.rx.pop_burst(&mut self.scratch, BURST) > 0 {
-                progress = true;
-                self.pending.extend(self.scratch.drain(..));
-            }
-        }
-        while let Some(pkt) = self.pending.pop_front() {
+        let before = self.seen;
+        for _ in 0..BURST {
+            let Some(pkt) = self.held.take().or_else(|| self.rx.pop()) else {
+                break;
+            };
             match dispatcher.admit(cx, pkt) {
                 Ok(()) => {}
                 Err((AdmitError::PoolExhausted, back)) => {
-                    self.pending
-                        .push_front(*back.expect("pool backpressure hands the packet back"));
+                    self.held = Some(*back.expect("pool backpressure hands the packet back"));
                     break;
                 }
                 Err(_) => self.rejected_at.push(self.seen),
             }
             self.seen += 1;
-            progress = true;
         }
-        progress
+        // The rejects of this burst finished here.
+        dispatcher.publish(cx);
+        self.seen > before
     }
 
     fn is_empty(&self) -> bool {
-        self.rx.is_empty() && self.pending.is_empty()
+        self.rx.is_empty() && self.held.is_none()
     }
 }
 
@@ -409,17 +426,9 @@ struct GroupCtl<'a> {
     quiesce: AtomicBool,
     /// Watchdog: one heartbeat per group, bumped once per scheduling
     /// pass (the per-NF busy flags and stall verdicts are in `cx.watch`).
-    heartbeats: Vec<AtomicU64>,
+    /// Padded: every group writes its own on every pass.
+    heartbeats: Vec<CachePadded<AtomicU64>>,
 }
-
-/// Scheduling passes a group makes per step of its idle backoff. The
-/// policy's spin and yield budgets are counted in steps, and were tuned
-/// when a step cost a round-robin over five ring-polling stage tasks; a
-/// dispatcher pass over idle stages is about four times cheaper. Polling
-/// this many times per step keeps the budgets' wall-clock length — how
-/// soon a group parks relative to the injector's wake-up latency — where
-/// it was.
-const POLLS_PER_IDLE_STEP: u32 = 4;
 
 /// A stage group's thread: drive `dispatcher` (and the classifier's
 /// `intake`, for the group that holds it) until the run quiesces, idling
@@ -441,7 +450,6 @@ fn drive_group(
     let mut idler = Idler::new(&ctl.hub, config.idle_policy);
     let mut stamps: Vec<Stamp> = Vec::new();
     let mut backlog: VecDeque<Packet> = VecDeque::new();
-    let mut idle_polls = 0u32;
     loop {
         // The heartbeat tells the watchdog this thread is scheduling, not
         // stuck inside an NF; a stall verdict is honored before touching
@@ -486,21 +494,15 @@ fn drive_group(
         }
         if progress {
             idler.reset();
-            idle_polls = 0;
             // Work we produced may feed a group parked on another thread
             // (or the injector, waiting on the in-flight window).
             ctl.hub.notify();
         } else {
-            idle_polls += 1;
-            if idle_polls.is_multiple_of(POLLS_PER_IDLE_STEP) {
-                idler.idle(|| {
-                    !dispatcher.idle()
-                        || !backlog.is_empty()
-                        || intake.as_ref().is_some_and(|i| !i.is_empty())
-                });
-            } else {
-                std::hint::spin_loop();
-            }
+            idler.idle(|| {
+                !dispatcher.idle()
+                    || !backlog.is_empty()
+                    || intake.as_ref().is_some_and(|i| !i.is_empty())
+            });
         }
     }
     // Peers may be parked waiting on state we just flushed.
@@ -826,8 +828,7 @@ impl Engine {
         let (inject_tx, inject_rx) = ring::channel::<Packet>(config.ring_capacity);
         let mut intake = Some(Intake {
             rx: inject_rx,
-            pending: VecDeque::new(),
-            scratch: Vec::new(),
+            held: None,
             seen: 0,
             rejected_at: Vec::new(),
         });
@@ -912,7 +913,7 @@ impl Engine {
             hub: WakeHub::new(),
             stop: AtomicBool::new(false),
             quiesce: AtomicBool::new(false),
-            heartbeats: groups.iter().map(|_| AtomicU64::new(0)).collect(),
+            heartbeats: groups.iter().map(|_| CachePadded::default()).collect(),
         };
         let (hub, heartbeats) = (&ctl.hub, &ctl.heartbeats);
 
@@ -980,25 +981,60 @@ impl Engine {
                     idler.idle(|| ready() || outlet.as_ref().is_some_and(|o| !o.rx.is_empty()));
                 }
             };
-            while let Some(pkt) = next() {
+            // A burst at a time: one read of the finished count says how
+            // much room the window has, at most that many packets (and at
+            // most a burst) go onto the ring, and only then is the hub
+            // notified and the delivery ring drained. The finished count
+            // only grows, so the window is a hard bound; it may lag the
+            // packets by a stage burst, which only makes the room smaller.
+            // `held` is a packet the ring had no room for, with the time
+            // it was first offered.
+            let mut held: Option<(Packet, Instant)> = None;
+            let mut fed = false;
+            while !fed {
                 let injected = inject_times.len() as u64;
-                let window_full = || injected.saturating_sub(cx.finished()) >= max_in_flight;
-                while window_full() {
-                    idle_step(&mut idler, &mut outlet, injected, &|| !window_full());
+                let finished = cx.finished();
+                let room = max_in_flight
+                    .saturating_sub(injected.saturating_sub(finished))
+                    .min(BURST as u64);
+                if room == 0 {
+                    idle_step(&mut idler, &mut outlet, injected, &|| {
+                        cx.finished() > finished
+                    });
+                    continue;
                 }
-                inject_times.push(Instant::now());
-                let mut item = pkt;
-                while let Err(back) = inject_tx.push(item) {
-                    item = back;
-                    idle_step(&mut idler, &mut outlet, injected, &|| false);
+                // After the read the room came from and before the burst:
+                // what the gauges say was finished is then never older
+                // than what let the packets they count as injected in.
+                publish(cx, injected);
+                let mut pushed = 0;
+                while pushed < room {
+                    let offered = held
+                        .take()
+                        .or_else(|| next().map(|pkt| (pkt, Instant::now())));
+                    let Some((pkt, t_in)) = offered else {
+                        fed = true;
+                        break;
+                    };
+                    if let Err(back) = inject_tx.push(pkt) {
+                        held = Some((back, t_in));
+                        break;
+                    }
+                    inject_times.push(t_in);
+                    pushed += 1;
                 }
-                publish(cx, injected + 1);
-                idler.reset();
-                // The classifier's group may be parked; its work predicate
-                // cannot see the push without a generation bump.
-                hub.notify();
-                if let Some(outlet) = &mut outlet {
-                    outlet.drain();
+                if pushed > 0 {
+                    idler.reset();
+                    // The classifier's group may be parked: wake it.
+                    hub.notify();
+                    if let Some(outlet) = &mut outlet {
+                        outlet.drain();
+                    }
+                } else if held.is_some() {
+                    let queued = inject_tx.len();
+                    idle_step(&mut idler, &mut outlet, injected, &|| {
+                        inject_tx.len() < queued
+                    });
                 }
             }
             let injected = inject_times.len() as u64;
@@ -1091,6 +1127,8 @@ impl Engine {
             epochs: handle.tallies(),
             telemetry: cx.telemetry.snapshot(),
             migration: MigrationStats::default(),
+            parks: ctl.hub.parks(),
+            wakes: ctl.hub.wakes(),
         };
         (report, latency)
     }
@@ -1467,8 +1505,8 @@ mod tests {
             nfs(),
             EngineConfig {
                 idle_policy: crate::exec::IdlePolicy::Backoff {
-                    spin: 4,
-                    yields: 4,
+                    spin: Duration::from_micros(4),
+                    yields: Duration::from_micros(4),
                     park_timeout: Duration::ZERO,
                 },
                 ..EngineConfig::default()

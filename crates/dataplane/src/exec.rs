@@ -11,8 +11,9 @@
 //!   most `core_budget` contiguous groups, one OS thread (and one
 //!   [`crate::dispatch`] dispatcher) per group;
 //! * [`IdlePolicy`] / [`Idler`] / [`WakeHub`] — the shared spin → yield
-//!   → park backoff, with an eventcount so ring producers can wake
-//!   parked consumers without a lost-wakeup window;
+//!   → park backoff, timed by the clock since a thread's last progress,
+//!   with an eventcount so ring producers can wake parked consumers
+//!   without a lost-wakeup window;
 //! * [`CachePadded`] — 64-byte alignment wrapper used by the
 //!   false-sharing audit (ring indices, stage stats, histograms);
 //! * [`host_parallelism`] / [`pin_current_thread`] — placement helpers.
@@ -21,7 +22,7 @@ use std::cell::Cell;
 use std::ops::{Deref, DerefMut, Range};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Pads and aligns a value to a 64-byte cache line so two adjacent
 /// values never share a line (the false-sharing audit's workhorse).
@@ -57,14 +58,27 @@ pub enum IdlePolicy {
     /// Always `yield_now` — the pre-refactor behaviour, kept for A/B
     /// benchmarking. Burns a core while idle.
     Spin,
-    /// Escalating backoff: `spin` passes of `spin_loop` hints, then
-    /// `yields` passes of `yield_now`, then park on the engine's
-    /// [`WakeHub`] for at most `park_timeout` per pass.
+    /// Escalating backoff, by the clock: a thread that has made no
+    /// progress for less than `spin` polls on with `spin_loop` hints, for
+    /// the next `yields` it hands the CPU over with `yield_now` between
+    /// polls, and after that it parks on the engine's [`WakeHub`] for at
+    /// most `park_timeout` per pass.
+    ///
+    /// The bounds are wall-clock time since the thread's last progress,
+    /// not pass counts, because the threads that share a policy do not
+    /// share a pass length: an idle injector pass is a pair of loads, an
+    /// idle stage-group pass polls every stage. Whoever parks makes the
+    /// thread on the other side of the ring pay a futex wake, so
+    /// `spin + yields` should exceed the time the other side needs to
+    /// serve one burst (DESIGN.md §11); near-zero values park almost at
+    /// once.
     Backoff {
-        /// Number of no-progress passes spent spinning before yielding.
-        spin: u32,
-        /// Number of no-progress passes spent yielding before parking.
-        yields: u32,
+        /// How long after its last progress a thread polls without
+        /// giving up the CPU.
+        spin: Duration,
+        /// How long after that it keeps polling, yielding the CPU
+        /// between polls, before it parks.
+        yields: Duration,
         /// Upper bound on a single park; bounds any wakeup race and
         /// keeps watchdog checks running. Must be non-zero.
         park_timeout: Duration,
@@ -74,15 +88,17 @@ pub enum IdlePolicy {
 impl Default for IdlePolicy {
     fn default() -> Self {
         IdlePolicy::Backoff {
-            spin: 64,
-            yields: 16,
+            spin: Duration::from_micros(20),
+            yields: Duration::from_micros(80),
             park_timeout: Duration::from_micros(200),
         }
     }
 }
 
 /// Eventcount used to park idle engine threads and wake them when a
-/// producer makes progress.
+/// producer makes progress. Its slow paths count themselves
+/// ([`WakeHub::parks`], [`WakeHub::wakes`]) so a run can report what its
+/// thread boundaries cost.
 ///
 /// Wakeup protocol (all `SeqCst`, see DESIGN.md §11):
 ///
@@ -102,6 +118,11 @@ pub struct WakeHub {
     sleepers: AtomicU32,
     lock: Mutex<()>,
     cv: Condvar,
+    /// Times a thread went to sleep on the condvar (slow path only).
+    parks: AtomicU64,
+    /// Times a notifier found sleepers and broadcast (slow path only):
+    /// each is a futex wake paid by the thread that made progress.
+    wakes: AtomicU64,
 }
 
 impl WakeHub {
@@ -114,6 +135,7 @@ impl WakeHub {
     pub fn notify(&self) {
         self.generation.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
             // Serialize with parkers between their generation check and
             // their wait, so the broadcast cannot land in the gap.
             drop(self.lock.lock().unwrap());
@@ -134,6 +156,7 @@ impl WakeHub {
         {
             let guard = self.lock.lock().unwrap();
             if self.generation.load(Ordering::SeqCst) == gen && !ready() {
+                self.parks.fetch_add(1, Ordering::Relaxed);
                 let _ = self.cv.wait_timeout(guard, timeout);
             }
         }
@@ -144,6 +167,16 @@ impl WakeHub {
     pub fn sleepers(&self) -> u32 {
         self.sleepers.load(Ordering::SeqCst)
     }
+
+    /// Times a thread actually slept in [`WakeHub::park`] so far.
+    pub fn parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed)
+    }
+
+    /// Times [`WakeHub::notify`] found a sleeper and broadcast so far.
+    pub fn wakes(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
+    }
 }
 
 /// Per-thread idle state machine driving an [`IdlePolicy`] against a
@@ -152,7 +185,9 @@ impl WakeHub {
 pub struct Idler<'a> {
     hub: &'a WakeHub,
     policy: IdlePolicy,
-    streak: u32,
+    /// When the current no-progress streak was first noticed; `None`
+    /// right after progress, so a productive pass never reads the clock.
+    since: Option<Instant>,
 }
 
 impl<'a> Idler<'a> {
@@ -161,19 +196,19 @@ impl<'a> Idler<'a> {
         Idler {
             hub,
             policy,
-            streak: 0,
+            since: None,
         }
     }
 
     /// Call after a pass that made progress: restart the backoff.
     pub fn reset(&mut self) {
-        self.streak = 0;
+        self.since = None;
     }
 
     /// Call after a pass that made no progress. Spins, yields or parks
-    /// according to the policy and the current no-progress streak.
-    /// `ready` is the caller's "work is visible" predicate, re-checked
-    /// race-free before any park.
+    /// according to the policy and how long the no-progress streak has
+    /// lasted. `ready` is the caller's "work is visible" predicate,
+    /// re-checked race-free before any park.
     pub fn idle(&mut self, ready: impl Fn() -> bool) {
         match self.policy {
             IdlePolicy::Spin => std::thread::yield_now(),
@@ -182,10 +217,11 @@ impl<'a> Idler<'a> {
                 yields,
                 park_timeout,
             } => {
-                self.streak = self.streak.saturating_add(1);
-                if self.streak <= spin {
+                let now = Instant::now();
+                let waited = now.duration_since(*self.since.get_or_insert(now));
+                if waited < spin {
                     std::hint::spin_loop();
-                } else if self.streak <= spin + yields {
+                } else if waited < spin + yields {
                     std::thread::yield_now();
                 } else {
                     self.hub.park(park_timeout, ready);
@@ -340,6 +376,16 @@ mod tests {
         assert!(std::mem::size_of::<CachePadded<u64>>() >= 64);
         let p = CachePadded::new(41u64);
         assert_eq!(*p + 1, 42);
+        // The padded elements of the engine's shared vectors and
+        // counters: each fills whole lines, so neighbours in a `Vec`
+        // (group heartbeats, per-NF watchdog flags) or in a struct (the
+        // delivered / dropped totals) never share one.
+        fn fills_its_lines<T>() {
+            assert_eq!(std::mem::align_of::<CachePadded<T>>(), 64);
+            assert_eq!(std::mem::size_of::<CachePadded<T>>(), 64);
+        }
+        fills_its_lines::<AtomicU64>();
+        fills_its_lines::<crate::dispatch::NfWatch>();
     }
 
     #[test]
@@ -388,14 +434,62 @@ mod tests {
         );
     }
 
+    /// The lost-wakeup test under the waiting rule the engine runs with:
+    /// two threads hand a turn back and forth, each parking almost at
+    /// once (near-zero wait bounds) for up to 2 s. Every hand-off is a
+    /// publish-then-notify against a check-then-park; one lost wakeup
+    /// costs a whole park timeout, so the run only finishes in under 2 s
+    /// if none was lost.
+    #[test]
+    fn ping_pong_handoffs_lose_no_wakeup() {
+        const HANDOFFS: u64 = 2_000;
+        let policy = IdlePolicy::Backoff {
+            spin: Duration::from_nanos(1),
+            yields: Duration::from_nanos(1),
+            park_timeout: Duration::from_secs(2),
+        };
+        let hub = WakeHub::new();
+        let turn = AtomicU64::new(0);
+        // Player `me` moves whenever `turn % 2 == me`.
+        let play = |me: u64| {
+            let mut idler = Idler::new(&hub, policy);
+            loop {
+                let t = turn.load(Ordering::Acquire);
+                if t >= HANDOFFS {
+                    break;
+                }
+                if t % 2 == me {
+                    turn.store(t + 1, Ordering::Release);
+                    hub.notify();
+                    idler.reset();
+                } else {
+                    idler.idle(|| turn.load(Ordering::Acquire) != t);
+                }
+            }
+        };
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| play(0));
+            play(1);
+        });
+        let took = t0.elapsed();
+        assert!(hub.parks() > 0, "no thread ever slept: nothing was tested");
+        assert!(
+            took < Duration::from_secs(2),
+            "{HANDOFFS} hand-offs took {took:?} ({} parks, {} wakes): a wakeup was lost",
+            hub.parks(),
+            hub.wakes()
+        );
+    }
+
     #[test]
     fn idler_escalates_spin_yield_park() {
         let hub = WakeHub::new();
         let mut idler = Idler::new(
             &hub,
             IdlePolicy::Backoff {
-                spin: 2,
-                yields: 2,
+                spin: Duration::from_millis(200),
+                yields: Duration::from_millis(200),
                 park_timeout: Duration::from_millis(5),
             },
         );
@@ -405,12 +499,15 @@ mod tests {
             idler.idle(|| false);
         }
         assert!(t0.elapsed() < Duration::from_millis(100));
-        // Fifth pass parks; bounded by the timeout.
+        assert_eq!(hub.parks(), 0);
+        // Past both bounds the next pass parks; bounded by the timeout.
+        idler.since = Some(t0 - Duration::from_millis(400));
         let t1 = Instant::now();
         idler.idle(|| false);
         assert!(t1.elapsed() < Duration::from_secs(1));
+        assert_eq!(hub.parks(), 1);
         idler.reset();
-        assert_eq!(idler.streak, 0);
+        assert!(idler.since.is_none());
     }
 
     #[test]

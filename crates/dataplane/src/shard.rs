@@ -353,6 +353,7 @@ impl ShardedEngine {
         let mut epoch = 0;
         let mut epochs: Vec<EpochTally> = Vec::new();
         let mut telemetry = TelemetrySnapshot::empty();
+        let (mut parks, mut wakes) = (0, 0);
         for (shard, (report, recorder)) in results.iter_mut().enumerate() {
             // Tag each shard's trace hops before folding: PIDs are dense
             // per shard, so the shard index keeps fleet-wide traces from
@@ -368,6 +369,8 @@ impl ShardedEngine {
             failures.append(&mut report.failures);
             pool_in_use += report.pool_in_use;
             epoch = epoch.max(report.epoch);
+            parks += report.parks;
+            wakes += report.wakes;
             // Fold per-shard tallies: completions sum per epoch.
             for t in &report.epochs {
                 match epochs.iter_mut().find(|e| e.epoch == t.epoch) {
@@ -391,6 +394,8 @@ impl ShardedEngine {
             epochs,
             telemetry,
             migration: self.migration,
+            parks,
+            wakes,
         }
     }
 

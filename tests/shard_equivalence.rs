@@ -134,8 +134,8 @@ proptest! {
                 core_budget: core_budget * shards,
                 idle_policy: if aggressive_park {
                     IdlePolicy::Backoff {
-                        spin: 1,
-                        yields: 1,
+                        spin: Duration::from_nanos(1),
+                        yields: Duration::from_nanos(1),
                         park_timeout: Duration::from_millis(5),
                     }
                 } else {

@@ -255,8 +255,8 @@ fn parked_engine_wakes_for_late_burst() {
             // longer than the stall, so delivery depends on the wakeup
             // protocol rather than the timeout.
             idle_policy: IdlePolicy::Backoff {
-                spin: 1,
-                yields: 1,
+                spin: Duration::from_nanos(1),
+                yields: Duration::from_nanos(1),
                 park_timeout: Duration::from_secs(1),
             },
             // Two threads: the stalled NF blocks the front section while
@@ -479,4 +479,87 @@ fn rejected_packets_do_not_skew_latency_pairing() {
         with_rejects <= base * 8,
         "p50 {with_rejects:?} with interleaved rejects vs {base:?} without"
     );
+}
+
+/// The injector pushes a burst per read of the finished count, and the
+/// window still bounds what is in flight — at every instant, not just on
+/// average. An `EngineProbe` sampler runs beside `Engine::run` (hostile
+/// traffic: deliveries, drops and rejects) and never sees `injected −
+/// delivered − dropped` above `max_in_flight`. A sample's fields may come
+/// from different publications, so only samples whose settled counters
+/// did not move across the `injected` read count (`ProbeGauges`): the
+/// engine publishes what was finished before it injects against it, so
+/// in such a sample `injected` is no newer than the settled counters
+/// allowed. At window 1 the engine is the sync engine one packet at a
+/// time, at any budget: same deliveries, same order.
+#[test]
+fn burst_injection_keeps_the_window() {
+    use nfp_dataplane::audit::EngineProbe;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let chain = SEED_GRAPHS[0];
+    let (compiled, program) = build(chain);
+    let pkts = hostile_traffic(3000);
+    let mut sync = SyncEngine::new(program.clone(), nfs_of(&compiled), 128);
+    let expected: Vec<Vec<u8>> = sync
+        .process_batch(pkts.clone())
+        .iter()
+        .map(|p| p.data().to_vec())
+        .collect();
+
+    let mut sampled = 0;
+    for window in [1usize, 4, 64] {
+        let probe = EngineProbe::new();
+        let mut engine = Engine::new(
+            program.clone(),
+            nfs_of(&compiled),
+            EngineConfig {
+                keep_packets: true,
+                max_in_flight: window,
+                probe: Some(probe.clone()),
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let (sampling, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (report, (samples, peak)) = std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let (mut samples, mut peak) = (0u64, 0u64);
+                while !done.load(Ordering::Acquire) {
+                    let (a, b) = (probe.sample(), probe.sample());
+                    if a.active && (a.delivered, a.dropped) == (b.delivered, b.dropped) {
+                        samples += 1;
+                        peak = peak.max(a.injected - a.delivered - a.dropped);
+                    }
+                    sampling.store(true, Ordering::Release);
+                    std::thread::yield_now();
+                }
+                (samples, peak)
+            });
+            while !sampling.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let report = engine.run(pkts.clone());
+            done.store(true, Ordering::Release);
+            (report, sampler.join().unwrap())
+        });
+        sampled += samples;
+        assert!(
+            peak <= window as u64,
+            "window {window}: {peak} packets seen in flight ({samples} samples)"
+        );
+        assert_eq!(report.injected, pkts.len() as u64);
+        assert_eq!(report.injected, report.delivered + report.dropped);
+        assert_eq!(report.pool_in_use, 0);
+        let mut got: Vec<Vec<u8>> = report.packets.iter().map(|p| p.data().to_vec()).collect();
+        if window > 1 {
+            got.sort();
+            let mut expected = expected.clone();
+            expected.sort();
+            assert_eq!(got, expected, "window {window}: delivered bytes diverge");
+        } else {
+            assert_eq!(got, expected, "window 1: delivery order diverges");
+        }
+    }
+    assert!(sampled > 0, "no run was ever sampled: nothing was checked");
 }
