@@ -9,9 +9,12 @@ use nfp_dataplane::ring;
 use nfp_dataplane::telemetry::{LatencyHistogram, Telemetry, TelemetryConfig};
 use nfp_nf::aes::Aes128;
 use nfp_nf::aho::AhoCorasick;
+use nfp_nf::forwarder::L3Forwarder;
 use nfp_nf::lpm::LpmTable;
+use nfp_nf::FlowTable;
 use nfp_orchestrator::{identify, DependencyTable, IdentifyOptions, Registry};
 use nfp_packet::checksum::checksum;
+use nfp_packet::flow::FlowKey;
 use nfp_packet::ipv4::Ipv4Addr;
 use nfp_packet::pool::PacketPool;
 
@@ -80,6 +83,57 @@ fn bench_lpm(c: &mut Criterion) {
             black_box(t.lookup(Ipv4Addr::from_u32((10 << 24) | ((x % 1000) << 8) | 5)))
         })
     });
+    // The paper's forwarder table (the 1000 /24s plus a default route)
+    // under the two access patterns the benchmark workloads produce: 32
+    // hot destinations (`seq3_64b`: the walked nodes stay in L1) and 4096
+    // destinations spread over every route and the default (cold: every
+    // lookup walks different entries of the table's 18 KiB).
+    t.insert(Ipv4Addr::new(0, 0, 0, 0), 0, u32::MAX);
+    for (name, dsts) in [("hot32", 32u32), ("cold4096", 4096)] {
+        let dsts: Vec<Ipv4Addr> = (0..dsts)
+            .map(|i| Ipv4Addr::from_u32((10 << 24) | (i.wrapping_mul(2_654_435_761) >> 12)))
+            .collect();
+        c.bench_function(&format!("lpm_lookup_paper_table_{name}"), |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 1) % dsts.len();
+                black_box(t.lookup(black_box(dsts[i])))
+            })
+        });
+    }
+    c.bench_function("lpm_build_paper_table", |b| {
+        b.iter(|| black_box(L3Forwarder::with_uniform_table("fwd", 1000)))
+    });
+}
+
+/// What Monitor / LB / IDS pay per packet: one `FlowTable::entry` on a
+/// live flow. 32 flows (the 64 B workloads) sit in L1; 4096 flows that
+/// differ only in `sport` (`ns_dc`) do not.
+fn bench_flow_table(c: &mut Criterion) {
+    for flows in [32u16, 4096] {
+        let keys: Vec<FlowKey> = (0..flows)
+            .map(|sport| {
+                FlowKey::new(
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    Ipv4Addr::new(10, 9, 9, 9),
+                    sport,
+                    80,
+                    6,
+                )
+            })
+            .collect();
+        let mut table: FlowTable<u64> = FlowTable::new();
+        for k in &keys {
+            table.insert(*k, 0);
+        }
+        c.bench_function(&format!("flow_table_entry_{flows}_flows"), |b| {
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 1) % keys.len();
+                *table.entry(black_box(keys[i])) += 1;
+            })
+        });
+    }
 }
 
 fn bench_aho(c: &mut Criterion) {
@@ -199,6 +253,6 @@ fn bench_compile(c: &mut Criterion) {
 criterion_group! {
     name = micro;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(800)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = bench_ring, bench_pool, bench_checksum, bench_lpm, bench_aho, bench_aes, bench_telemetry, bench_stage_pass, bench_alg1, bench_compile
+    targets = bench_ring, bench_pool, bench_checksum, bench_lpm, bench_flow_table, bench_aho, bench_aes, bench_telemetry, bench_stage_pass, bench_alg1, bench_compile
 }
 criterion_main!(micro);

@@ -77,7 +77,18 @@ pub struct Firewall {
 
 impl Firewall {
     /// Create a firewall with explicit rules and a default action.
+    ///
+    /// Panics if a rule's source or destination prefix is longer than 32
+    /// bits: the mask `prefix_matches` shifts for it does not exist, and
+    /// the packet path is no place to find that out.
     pub fn new(name: impl Into<String>, rules: Vec<AclRule>, default_action: AclAction) -> Self {
+        if let Some(i) = rules.iter().position(|r| r.src.1.max(r.dst.1) > 32) {
+            let (what, len) = match rules[i].src.1 {
+                len if len > 32 => ("source", len),
+                _ => ("destination", rules[i].dst.1),
+            };
+            panic!("ACL rule {i}: {what} prefix length {len} > 32");
+        }
         Self {
             name: name.into(),
             rules,
@@ -198,6 +209,39 @@ mod tests {
             ..AclRule::any(AclAction::Deny)
         };
         assert!(r0.matches(ip(1, 2, 3, 4), ip(0, 0, 0, 0), 1, 1));
+    }
+
+    #[test]
+    fn host_prefixes_are_the_longest_accepted() {
+        let rule = AclRule {
+            dst: (ip(2, 2, 2, 2), 32),
+            ..AclRule::any(AclAction::Deny)
+        };
+        let mut fw = Firewall::new("fw", vec![rule], AclAction::Allow);
+        let mut hit = tcp_packet(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2, b"");
+        let mut miss = tcp_packet(ip(1, 1, 1, 1), ip(2, 2, 2, 3), 1, 2, b"");
+        assert_eq!(
+            fw.process(&mut PacketView::Exclusive(&mut hit)),
+            Verdict::Drop
+        );
+        assert_eq!(
+            fw.process(&mut PacketView::Exclusive(&mut miss)),
+            Verdict::Pass
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ACL rule 1: destination prefix length 33 > 32")]
+    fn overlong_prefix_is_refused_at_construction() {
+        let bad = AclRule {
+            dst: (ip(2, 2, 2, 2), 33),
+            ..AclRule::any(AclAction::Deny)
+        };
+        Firewall::new(
+            "fw",
+            vec![AclRule::any(AclAction::Allow), bad],
+            AclAction::Allow,
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! evaluation uses (§6.1) plus a NAT, all built from scratch:
 //!
 //! * [`forwarder::L3Forwarder`] — longest-prefix-match forwarding over a
-//!   1000-entry table (binary trie in [`lpm`]).
+//!   1000-entry table (stride-8 multibit trie in [`lpm`]).
 //! * [`lb::LoadBalancer`] — the "commonly used ECMP mechanism in data
 //!   centers" hashing the 5-tuple.
 //! * [`firewall::Firewall`] — Click-IPFilter-style ACL with 100 rules.
@@ -41,6 +41,7 @@ pub mod cycles;
 pub mod extra;
 pub mod firewall;
 pub mod forwarder;
+mod hash;
 pub mod ids;
 pub mod inspector;
 pub mod lb;

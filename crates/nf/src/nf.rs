@@ -52,6 +52,7 @@ pub enum PacketView<'a> {
 
 impl<'a> PacketView<'a> {
     /// Read a header field as raw bytes into `buf`; returns the length.
+    #[inline]
     pub fn read_bytes(&self, field: FieldId, buf: &mut [u8]) -> Result<usize, PacketError> {
         fn read_from(p: &Packet, field: FieldId, buf: &mut [u8]) -> Result<usize, PacketError> {
             let bytes = p.field_bytes(field)?;
@@ -75,20 +76,20 @@ impl<'a> PacketView<'a> {
     }
 
     /// Read a scalar header field (≤ 8 bytes) as a big-endian integer.
+    /// The sole owner of a packet gets one fixed-width load
+    /// ([`Packet::field_scalar`]); the other arms copy the field out first.
+    #[inline]
     pub fn read_scalar(&self, field: FieldId) -> Result<u64, PacketError> {
+        if let PacketView::Exclusive(p) = self {
+            return p.field_scalar(field);
+        }
         let mut buf = [0u8; 8];
         let n = self.read_bytes(field, &mut buf)?;
-        if n > 8 {
-            return Err(PacketError::FieldUnavailable(field));
-        }
-        let mut v = 0u64;
-        for &b in &buf[..n] {
-            v = (v << 8) | u64::from(b);
-        }
-        Ok(v)
+        Ok(buf[..n].iter().fold(0, |v, &b| (v << 8) | u64::from(b)))
     }
 
     /// Overwrite a header field.
+    #[inline]
     pub fn write(&mut self, field: FieldId, value: &[u8]) -> Result<(), PacketError> {
         match self {
             PacketView::Exclusive(p) => p.set_field_bytes(field, value),
@@ -105,6 +106,7 @@ impl<'a> PacketView<'a> {
     /// In shared mode this is sound only for NFs whose profile reads the
     /// touched bytes — which is exactly what the compiled graph enforces.
     /// Under inspection this records a conservative whole-packet read.
+    #[inline]
     pub fn with_packet<R>(&self, f: impl FnOnce(&Packet) -> R) -> R {
         match self {
             PacketView::Exclusive(p) => f(p),
@@ -119,6 +121,7 @@ impl<'a> PacketView<'a> {
     /// Mutable access to the whole packet — only when the NF owns it.
     /// Structural operations (header add/remove, payload rewrites) require
     /// this; the graph compiler guarantees Add/Rm NFs own their copy.
+    #[inline]
     pub fn exclusive_mut(&mut self) -> Option<&mut Packet> {
         match self {
             PacketView::Exclusive(p) => Some(p),
@@ -132,6 +135,7 @@ impl<'a> PacketView<'a> {
 
     /// The packet's 5-tuple (sip, dip, sport, dport, proto). Recorded as
     /// reads of the four tuple fields under inspection.
+    #[inline]
     pub fn five_tuple(
         &self,
     ) -> Result<
@@ -159,6 +163,7 @@ impl<'a> PacketView<'a> {
     }
 
     /// Frame length in bytes (not recorded as a field access).
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             PacketView::Exclusive(p) => p.len(),
@@ -168,11 +173,13 @@ impl<'a> PacketView<'a> {
     }
 
     /// True when the frame is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// NFP metadata attached to the packet (not recorded).
+    #[inline]
     pub fn meta(&self) -> Metadata {
         match self {
             PacketView::Exclusive(p) => p.meta(),

@@ -21,6 +21,7 @@
 //! 5-tuple hashes to — NFs key by the metadata flow sidecar, never by
 //! re-parsing (possibly rewritten) headers.
 
+use crate::hash::FoldState;
 use nfp_packet::flow::FlowKey;
 use std::collections::HashMap;
 
@@ -73,20 +74,33 @@ impl FlowSnapshot {
 /// a shard-partition binding with debug-build ownership assertions, and
 /// serialization hooks ([`FlowTable::snapshot_with`] /
 /// [`FlowTable::restore_with`]) that the migration machinery drives.
-#[derive(Debug, Clone, Default)]
+///
+/// Every stateful NF probes its table once per packet, with a key the
+/// sender of the packet chose. The map therefore hashes the key's two
+/// packed words through a folded multiply keyed per table (DESIGN §4,
+/// "Per-packet lookups"): a few cycles a probe, bucket placement that
+/// cannot be computed without the table's keys. Iteration order is
+/// arbitrary and differs between tables; snapshots sort.
+#[derive(Debug, Clone)]
 pub struct FlowTable<T> {
-    flows: HashMap<FlowKey, T>,
+    flows: HashMap<FlowKey, T, FoldState>,
     /// `(shard index, shard count)` this table serves, when bound.
     partition: Option<(usize, usize)>,
     /// Flows imported via [`FlowTable::restore_with`] (migration census).
     pub migrated_in: u64,
 }
 
+impl<T> Default for FlowTable<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T> FlowTable<T> {
     /// An empty, unbound table (sees every flow — single-engine use).
     pub fn new() -> Self {
         Self {
-            flows: HashMap::new(),
+            flows: HashMap::default(),
             partition: None,
             migrated_in: 0,
         }
@@ -123,40 +137,47 @@ impl<T> FlowTable<T> {
     }
 
     /// Number of live flows.
+    #[inline]
     pub fn len(&self) -> usize {
         self.flows.len()
     }
 
     /// True when no flow has state.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.flows.is_empty()
     }
 
     /// Shared access to a flow's state.
+    #[inline]
     pub fn get(&self, key: &FlowKey) -> Option<&T> {
         self.assert_owned(key);
         self.flows.get(key)
     }
 
     /// Mutable access to a flow's state.
+    #[inline]
     pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut T> {
         self.assert_owned(key);
         self.flows.get_mut(key)
     }
 
     /// True when the flow has state.
+    #[inline]
     pub fn contains(&self, key: &FlowKey) -> bool {
         self.assert_owned(key);
         self.flows.contains_key(key)
     }
 
     /// Insert or replace a flow's state.
+    #[inline]
     pub fn insert(&mut self, key: FlowKey, value: T) -> Option<T> {
         self.assert_owned(&key);
         self.flows.insert(key, value)
     }
 
     /// Remove a flow's state.
+    #[inline]
     pub fn remove(&mut self, key: &FlowKey) -> Option<T> {
         self.assert_owned(key);
         self.flows.remove(key)
@@ -212,6 +233,7 @@ impl<T> FlowTable<T> {
 impl<T: Default> FlowTable<T> {
     /// Mutable access to a flow's state, default-constructing it on
     /// first touch.
+    #[inline]
     pub fn entry(&mut self, key: FlowKey) -> &mut T {
         self.assert_owned(&key);
         self.flows.entry(key).or_default()

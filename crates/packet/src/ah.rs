@@ -22,6 +22,7 @@ pub struct AhView<'a> {
 
 impl<'a> AhView<'a> {
     /// Parse an AH at the start of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
         if bytes.len() < HEADER_LEN {
             return Err(PacketError::Truncated {
@@ -41,26 +42,31 @@ impl<'a> AhView<'a> {
     }
 
     /// Protocol number of the next header.
+    #[inline]
     pub fn next_header(&self) -> u8 {
         self.bytes[0]
     }
 
     /// Security Parameters Index.
+    #[inline]
     pub fn spi(&self) -> u32 {
         u32::from_be_bytes(self.bytes[4..8].try_into().unwrap())
     }
 
     /// Anti-replay sequence number.
+    #[inline]
     pub fn seq(&self) -> u32 {
         u32::from_be_bytes(self.bytes[8..12].try_into().unwrap())
     }
 
     /// Integrity check value bytes.
+    #[inline]
     pub fn icv(&self) -> &'a [u8] {
         &self.bytes[12..HEADER_LEN]
     }
 
     /// Bytes after the AH.
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.bytes[HEADER_LEN..]
     }

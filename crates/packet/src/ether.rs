@@ -23,11 +23,13 @@ impl MacAddr {
     pub const ZERO: MacAddr = MacAddr([0; 6]);
 
     /// True if this is a group (multicast/broadcast) address.
+    #[inline]
     pub fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
 
     /// True if this is the broadcast address.
+    #[inline]
     pub fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
     }
@@ -75,6 +77,7 @@ pub struct EtherView<'a> {
 
 impl<'a> EtherView<'a> {
     /// Parse an Ethernet header at the start of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
         if bytes.len() < HEADER_LEN {
             return Err(PacketError::Truncated {
@@ -87,21 +90,25 @@ impl<'a> EtherView<'a> {
     }
 
     /// Destination MAC address.
+    #[inline]
     pub fn dst(&self) -> MacAddr {
         MacAddr(self.bytes[0..6].try_into().unwrap())
     }
 
     /// Source MAC address.
+    #[inline]
     pub fn src(&self) -> MacAddr {
         MacAddr(self.bytes[6..12].try_into().unwrap())
     }
 
     /// EtherType of the encapsulated protocol.
+    #[inline]
     pub fn ethertype(&self) -> u16 {
         u16::from_be_bytes([self.bytes[12], self.bytes[13]])
     }
 
     /// The bytes after the Ethernet header.
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.bytes[HEADER_LEN..]
     }

@@ -83,12 +83,27 @@ impl FieldId {
         FieldId::ALL.into_iter().find(|f| f.name() == s)
     }
 
+    /// Width in bytes of a header field; `None` for the payload, the one
+    /// field whose length the frame decides.
+    #[inline]
+    pub const fn width(self) -> Option<usize> {
+        match self {
+            FieldId::Sip | FieldId::Dip => Some(4),
+            FieldId::Sport | FieldId::Dport | FieldId::L4Checksum => Some(2),
+            FieldId::Smac | FieldId::Dmac => Some(6),
+            FieldId::Ttl | FieldId::Tos => Some(1),
+            FieldId::Payload => None,
+        }
+    }
+
     /// True if the field lives in packet headers (vs. the payload).
+    #[inline]
     pub fn is_header(self) -> bool {
         !matches!(self, FieldId::Payload)
     }
 
     /// The bit this field occupies in a [`FieldMask`].
+    #[inline]
     pub fn bit(self) -> u16 {
         1 << (self as u8)
     }

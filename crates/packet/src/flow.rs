@@ -23,7 +23,7 @@ use crate::packet::Packet;
 pub const FLOW_KEY_BYTES: usize = 13;
 
 /// The immutable 5-tuple identifying one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source address.
     pub sip: Ipv4Addr,
@@ -37,8 +37,24 @@ pub struct FlowKey {
     pub proto: u8,
 }
 
+/// In-memory maps hash a key as two packed words — both addresses, then
+/// ports and protocol — so a word-at-a-time hasher mixes twice per key
+/// instead of once per field. Equal keys pack equally, which is all
+/// `Hash` owes `Eq`. Not to be confused with [`FlowKey::hash`], the RSS
+/// wire contract, which this does not touch.
+impl core::hash::Hash for FlowKey {
+    #[inline]
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.sip.to_u32()) << 32 | u64::from(self.dip.to_u32()));
+        state.write_u64(
+            u64::from(self.sport) << 24 | u64::from(self.dport) << 8 | u64::from(self.proto),
+        );
+    }
+}
+
 impl FlowKey {
     /// Build a key from explicit tuple parts.
+    #[inline]
     pub fn new(sip: Ipv4Addr, dip: Ipv4Addr, sport: u16, dport: u16, proto: u8) -> Self {
         Self {
             sip,
@@ -52,6 +68,7 @@ impl FlowKey {
     /// Extract the key from a parseable packet; `None` when the frame
     /// does not carry an Ethernet/IPv4/TCP|UDP 5-tuple (such packets all
     /// land on shard 0 and carry no flow sidecar).
+    #[inline]
     pub fn of(pkt: &Packet) -> Option<Self> {
         let (sip, dip, sport, dport, proto) = pkt.five_tuple().ok()?;
         Some(Self::new(sip, dip, sport, dport, proto))
@@ -60,6 +77,7 @@ impl FlowKey {
     /// FNV-1a over the tuple bytes — the RSS hash. Byte order matches
     /// the original dataplane `shard_of`: address octets as they sit on
     /// the wire, ports big-endian, protocol last.
+    #[inline]
     pub fn hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |b: u8| {
@@ -82,6 +100,7 @@ impl FlowKey {
     }
 
     /// The shard this flow belongs to in a `shards`-way fleet.
+    #[inline]
     pub fn shard(&self, shards: usize) -> usize {
         if shards <= 1 {
             0
@@ -152,6 +171,46 @@ mod tests {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         assert_eq!(k.hash(), h, "to_bytes order and hash order must agree");
+    }
+
+    #[test]
+    fn map_hash_agrees_with_eq_and_sees_every_field() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let h = |k: &FlowKey| {
+            let mut s = DefaultHasher::new();
+            Hash::hash(k, &mut s); // not the inherent RSS `FlowKey::hash`
+            s.finish()
+        };
+        let k = key(1234);
+        // Equal keys — copied, rebuilt from parts, round-tripped — hash alike.
+        assert_eq!(h(&k), h(&{ k }));
+        assert_eq!(h(&k), h(&FlowKey::from_bytes(&k.to_bytes())));
+        assert_eq!(
+            h(&k),
+            h(&FlowKey::new(k.sip, k.dip, k.sport, k.dport, k.proto))
+        );
+        // Keys unequal in exactly one field hash apart: the packing drops
+        // no field and lets no two overlap (extremes included).
+        let edits: [fn(&mut FlowKey); 7] = [
+            |k| k.sip.0[0] ^= 0x80,
+            |k| k.sip.0[3] ^= 1,
+            |k| k.dip.0[0] ^= 0x80,
+            |k| k.dip.0[3] ^= 1,
+            |k| k.sport ^= 0x8001,
+            |k| k.dport ^= 0x8001,
+            |k| k.proto ^= 0x81,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut other = k;
+            edit(&mut other);
+            assert_ne!(other, k);
+            assert_ne!(h(&other), h(&k), "edit {i} invisible to the map hash");
+        }
+        // A set keyed by the hand-written impl finds what it stored.
+        let set: std::collections::HashSet<FlowKey> = (0..512).map(key).collect();
+        assert_eq!(set.len(), 512);
+        assert!((0..512).all(|s| set.contains(&key(s))));
     }
 
     #[test]

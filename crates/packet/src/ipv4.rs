@@ -1,6 +1,6 @@
 //! IPv4 header parsing and emission.
 
-use crate::checksum::checksum;
+use crate::checksum::{checksum, Checksum};
 use crate::{PacketError, Result};
 
 /// Minimum (and, for NFP-generated traffic, typical) IPv4 header length.
@@ -22,16 +22,19 @@ pub struct Ipv4Addr(pub [u8; 4]);
 
 impl Ipv4Addr {
     /// Construct from four dotted-quad octets.
+    #[inline]
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Self([a, b, c, d])
     }
 
     /// The address as a host-order `u32`.
+    #[inline]
     pub fn to_u32(self) -> u32 {
         u32::from_be_bytes(self.0)
     }
 
     /// Construct from a host-order `u32`.
+    #[inline]
     pub fn from_u32(v: u32) -> Self {
         Self(v.to_be_bytes())
     }
@@ -99,6 +102,7 @@ pub struct Ipv4View<'a> {
 impl<'a> Ipv4View<'a> {
     /// Parse an IPv4 header at the start of `bytes`, validating version, IHL
     /// and length consistency.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
         if bytes.len() < MIN_HEADER_LEN {
             return Err(PacketError::Truncated {
@@ -130,11 +134,13 @@ impl<'a> Ipv4View<'a> {
     }
 
     /// Header length in bytes (IHL × 4).
+    #[inline]
     pub fn header_len(&self) -> usize {
         (self.bytes[0] & 0x0f) as usize * 4
     }
 
     /// Total datagram length from the header.
+    #[inline]
     pub fn total_len(&self) -> u16 {
         u16::from_be_bytes([
             self.bytes[offsets::TOTAL_LEN],
@@ -143,16 +149,19 @@ impl<'a> Ipv4View<'a> {
     }
 
     /// Time to live.
+    #[inline]
     pub fn ttl(&self) -> u8 {
         self.bytes[offsets::TTL]
     }
 
     /// Encapsulated protocol number.
+    #[inline]
     pub fn protocol(&self) -> u8 {
         self.bytes[offsets::PROTOCOL]
     }
 
     /// Header checksum field.
+    #[inline]
     pub fn header_checksum(&self) -> u16 {
         u16::from_be_bytes([
             self.bytes[offsets::CHECKSUM],
@@ -161,6 +170,7 @@ impl<'a> Ipv4View<'a> {
     }
 
     /// Source address.
+    #[inline]
     pub fn src(&self) -> Ipv4Addr {
         Ipv4Addr(
             self.bytes[offsets::SRC..offsets::SRC + 4]
@@ -170,6 +180,7 @@ impl<'a> Ipv4View<'a> {
     }
 
     /// Destination address.
+    #[inline]
     pub fn dst(&self) -> Ipv4Addr {
         Ipv4Addr(
             self.bytes[offsets::DST..offsets::DST + 4]
@@ -185,6 +196,7 @@ impl<'a> Ipv4View<'a> {
     }
 
     /// Bytes after the IPv4 header, bounded by `total_len` when consistent.
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         let hl = self.header_len();
         let total = self.total_len() as usize;
@@ -250,10 +262,9 @@ pub fn emit(buf: &mut [u8], params: &Ipv4Emit) -> Result<()> {
 pub fn refresh_checksum(hdr: &mut [u8]) {
     debug_assert!(hdr.len() >= MIN_HEADER_LEN);
     let hl = ((hdr[0] & 0x0f) as usize * 4).min(hdr.len());
-    hdr[offsets::CHECKSUM] = 0;
-    hdr[offsets::CHECKSUM + 1] = 0;
-    let sum = checksum(&hdr[..hl]);
-    hdr[offsets::CHECKSUM..offsets::CHECKSUM + 2].copy_from_slice(&sum.to_be_bytes());
+    let mut c = Checksum::new();
+    c.add_bytes_without(&hdr[..hl], offsets::CHECKSUM);
+    hdr[offsets::CHECKSUM..offsets::CHECKSUM + 2].copy_from_slice(&c.finish().to_be_bytes());
 }
 
 #[cfg(test)]

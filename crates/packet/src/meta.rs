@@ -68,6 +68,7 @@ pub struct Metadata {
 impl Metadata {
     /// Pack a metadata word (epoch 0). Values are masked to their field
     /// widths in release builds and asserted in debug builds.
+    #[inline]
     pub fn new(mid: u32, pid: u64, version: u8) -> Self {
         debug_assert!(mid <= MID_MAX, "MID overflows 20 bits");
         debug_assert!(pid <= PID_MAX, "PID overflows 40 bits");
@@ -85,23 +86,27 @@ impl Metadata {
     }
 
     /// The match ID: which service graph this packet follows.
+    #[inline]
     pub fn mid(self) -> u32 {
         ((self.word >> (PID_BITS + VERSION_BITS)) & u64::from(MID_MAX)) as u32
     }
 
     /// The packet ID: immutable per-packet identity used by the merger and
     /// by the merger agent's load-balancing hash.
+    #[inline]
     pub fn pid(self) -> u64 {
         (self.word >> VERSION_BITS) & PID_MAX
     }
 
     /// The copy version (v1 = original).
+    #[inline]
     pub fn version(self) -> u8 {
         (self.word & u64::from(VERSION_MAX)) as u8
     }
 
     /// The program epoch whose tables classified this packet (host-side
     /// sidecar; 0 until the classifier stamps it).
+    #[inline]
     pub fn epoch(self) -> u64 {
         self.epoch
     }
@@ -109,6 +114,7 @@ impl Metadata {
     /// Same metadata tagged with the given program epoch — used by the
     /// classifier when admitting a packet under the current program
     /// snapshot.
+    #[inline]
     pub fn with_epoch(self, epoch: u64) -> Self {
         Self { epoch, ..self }
     }
@@ -116,12 +122,14 @@ impl Metadata {
     /// Whether this packet was selected for path tracing by the classifier
     /// (host-side sidecar; copies and nils inherit it with the rest of the
     /// metadata, so a sampled packet's whole fan-out is traced).
+    #[inline]
     pub fn traced(self) -> bool {
         self.traced
     }
 
     /// Same metadata with the trace-sampling flag set to `traced` — used
     /// by the classifier on every Nth admission.
+    #[inline]
     pub fn with_traced(self, traced: bool) -> Self {
         Self { traced, ..self }
     }
@@ -129,6 +137,7 @@ impl Metadata {
     /// The admission-time flow key (host-side sidecar; `None` until the
     /// classifier stamps it, and always `None` for frames without a
     /// parseable 5-tuple).
+    #[inline]
     pub fn flow(self) -> Option<FlowKey> {
         self.flow
     }
@@ -136,6 +145,7 @@ impl Metadata {
     /// Same metadata carrying the admission-time flow key — stamped by
     /// the classifier so downstream stateful NFs key their per-flow
     /// state by the *original* tuple even after header rewrites.
+    #[inline]
     pub fn with_flow(self, flow: Option<FlowKey>) -> Self {
         Self { flow, ..self }
     }
@@ -143,6 +153,7 @@ impl Metadata {
     /// The backend arrival timestamp in nanoseconds (host-side sidecar;
     /// 0 until a packet I/O backend stamps it — synthetic traffic never
     /// is).
+    #[inline]
     pub fn ingress_ns(self) -> u64 {
         self.ingress_ns
     }
@@ -150,6 +161,7 @@ impl Metadata {
     /// Same metadata carrying the backend arrival timestamp — stamped by
     /// pcap/raw-socket ingress backends so replayed traces keep their
     /// capture timing through the dataplane.
+    #[inline]
     pub fn with_ingress_ns(self, ingress_ns: u64) -> Self {
         Self { ingress_ns, ..self }
     }
@@ -158,6 +170,7 @@ impl Metadata {
     /// executes a `copy(v1, v2)` action. The epoch and trace sidecars are
     /// preserved: copies of a packet always belong to the epoch that
     /// admitted the original, and a traced packet's copies stay traced.
+    #[inline]
     pub fn with_version(self, version: u8) -> Self {
         Self {
             word: Self::new(self.mid(), self.pid(), version).word,
@@ -168,6 +181,7 @@ impl Metadata {
     /// The raw 64-bit representation (what would sit in front of the packet
     /// buffer on the wire between NFP modules). The epoch sidecar is not
     /// part of the wire word.
+    #[inline]
     pub fn to_raw(self) -> u64 {
         self.word
     }
@@ -175,6 +189,7 @@ impl Metadata {
     /// Rebuild from the raw representation (epoch resets to 0, traced to
     /// false and flow to `None`: the sidecars are host-side tags, never
     /// serialized).
+    #[inline]
     pub fn from_raw(raw: u64) -> Self {
         Self {
             word: raw,

@@ -106,43 +106,51 @@ impl Packet {
     }
 
     /// The frame bytes.
+    #[inline]
     pub fn data(&self) -> &[u8] {
         &self.buf[self.start..self.start + self.len]
     }
 
     /// Mutable frame bytes (clears cached parse state on header-structure
     /// changes is the caller's responsibility via [`Packet::invalidate`]).
+    #[inline]
     pub fn data_mut(&mut self) -> &mut [u8] {
         &mut self.buf[self.start..self.start + self.len]
     }
 
     /// Frame length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// True when the frame is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// NFP metadata word.
+    #[inline]
     pub fn meta(&self) -> Metadata {
         self.meta
     }
 
     /// Set the NFP metadata word.
+    #[inline]
     pub fn set_meta(&mut self, meta: Metadata) {
         self.meta = meta;
     }
 
     /// Mark this packet as a *nil packet*: the runtime sends one to the
     /// merger in place of a dropped packet so drops propagate (§5.2/§5.3).
+    #[inline]
     pub fn set_nil(&mut self, nil: bool) {
         self.nil = nil;
     }
 
     /// True if this is a nil (drop-intention) packet.
+    #[inline]
     pub fn is_nil(&self) -> bool {
         self.nil
     }
@@ -150,11 +158,13 @@ impl Packet {
     /// Conflict priority of the parallel member that emitted this nil
     /// packet — the merger resolves drop disagreements with it (§5.3 plus
     /// the `Priority` rule semantics of §3).
+    #[inline]
     pub fn nil_priority(&self) -> u32 {
         self.nil_priority
     }
 
     /// Set the emitting member's conflict priority on a nil packet.
+    #[inline]
     pub fn set_nil_priority(&mut self, priority: u32) {
         self.nil_priority = priority;
     }
@@ -164,27 +174,32 @@ impl Packet {
     /// Unlike verdict nils, failure nils drop the packet unconditionally
     /// at merge time — the drop-conflict priority rules do not apply,
     /// because no higher-priority NF can "overrule" a crash.
+    #[inline]
     pub fn set_nil_failure(&mut self, failure: bool) {
         self.nil_failure = failure;
     }
 
     /// True if this nil packet was emitted by the failed-NF path rather
     /// than by a drop verdict.
+    #[inline]
     pub fn is_nil_failure(&self) -> bool {
         self.nil_failure
     }
 
     /// True if this copy carries only headers (OP#2 Header-Only Copying).
+    #[inline]
     pub fn is_header_only(&self) -> bool {
         self.header_only
     }
 
     /// Forget cached layer offsets (call after structural edits).
+    #[inline]
     pub fn invalidate(&mut self) {
         self.layers = None;
     }
 
     /// Parse Ethernet → IPv4 → (optional AH) → TCP/UDP and cache the offsets.
+    #[inline]
     pub fn parse(&mut self) -> Result<Layers> {
         if let Some(l) = self.layers {
             return Ok(l);
@@ -195,6 +210,7 @@ impl Packet {
     }
 
     /// Parse without caching (for immutable contexts).
+    #[inline]
     pub fn parsed(&self) -> Result<Layers> {
         match self.layers {
             Some(l) => Ok(l),
@@ -244,43 +260,107 @@ impl Packet {
         })
     }
 
-    /// Byte range (relative to the frame start) occupied by `field`.
-    pub fn field_range(&self, field: FieldId) -> Result<Range<usize>> {
-        let l = self.parsed()?;
-        let r = match field {
-            FieldId::Smac => 6..12,
-            FieldId::Dmac => 0..6,
-            FieldId::Sip => l.l3 + ipv4::offsets::SRC..l.l3 + ipv4::offsets::SRC + 4,
-            FieldId::Dip => l.l3 + ipv4::offsets::DST..l.l3 + ipv4::offsets::DST + 4,
-            FieldId::Ttl => l.l3 + ipv4::offsets::TTL..l.l3 + ipv4::offsets::TTL + 1,
-            FieldId::Tos => l.l3 + ipv4::offsets::TOS..l.l3 + ipv4::offsets::TOS + 1,
-            FieldId::Sport => l.l4..l.l4 + 2,
-            FieldId::Dport => l.l4 + 2..l.l4 + 4,
+    /// Frame-relative offset of `field`'s first byte under `l` — the one
+    /// table of where header fields live. Width is [`FieldId::width`].
+    #[inline]
+    fn field_offset(l: &Layers, field: FieldId) -> Result<usize> {
+        Ok(match field {
+            FieldId::Dmac => 0,
+            FieldId::Smac => 6,
+            FieldId::Sip => l.l3 + ipv4::offsets::SRC,
+            FieldId::Dip => l.l3 + ipv4::offsets::DST,
+            FieldId::Ttl => l.l3 + ipv4::offsets::TTL,
+            FieldId::Tos => l.l3 + ipv4::offsets::TOS,
+            FieldId::Sport => l.l4,
+            FieldId::Dport => l.l4 + 2,
             FieldId::L4Checksum => match l.l4_proto {
-                ipv4::PROTO_TCP => l.l4 + tcp::offsets::CHECKSUM..l.l4 + tcp::offsets::CHECKSUM + 2,
-                ipv4::PROTO_UDP => l.l4 + udp::offsets::CHECKSUM..l.l4 + udp::offsets::CHECKSUM + 2,
+                ipv4::PROTO_TCP => l.l4 + tcp::offsets::CHECKSUM,
+                ipv4::PROTO_UDP => l.l4 + udp::offsets::CHECKSUM,
                 _ => return Err(PacketError::FieldUnavailable(field)),
             },
-            FieldId::Payload => l.payload..self.len,
+            FieldId::Payload => l.payload,
+        })
+    }
+
+    /// Byte range (relative to the frame start) occupied by `field`.
+    #[inline]
+    pub fn field_range(&self, field: FieldId) -> Result<Range<usize>> {
+        let l = self.parsed()?;
+        let start = Self::field_offset(&l, field)?;
+        let end = match field.width() {
+            Some(w) => start + w,
+            None => self.len,
         };
-        if r.end > self.len {
-            return Err(PacketError::Truncated {
-                what: "field range",
-                needed: r.end,
-                available: self.len,
-            });
+        if end > self.len {
+            return Err(self.short_of(end));
         }
-        Ok(r)
+        Ok(start..end)
+    }
+
+    /// The error for a field that would end at frame offset `needed`.
+    #[cold]
+    fn short_of(&self, needed: usize) -> PacketError {
+        PacketError::Truncated {
+            what: "field range",
+            needed,
+            available: self.len,
+        }
+    }
+
+    /// The `N` bytes of the fixed-width header field `field`: one bounds
+    /// check against the frame, one load — no range, no slice copy.
+    #[inline]
+    fn load<const N: usize>(&self, l: &Layers, field: FieldId) -> Result<[u8; N]> {
+        debug_assert_eq!(field.width(), Some(N));
+        let off = Self::field_offset(l, field)?;
+        match self.data().get(off..off + N) {
+            Some(bytes) => Ok(bytes.try_into().expect("a slice of N bytes")),
+            None => Err(self.short_of(off + N)),
+        }
     }
 
     /// Read a header field as raw bytes.
+    #[inline]
     pub fn field_bytes(&self, field: FieldId) -> Result<&[u8]> {
         let r = self.field_range(field)?;
         Ok(&self.data()[r])
     }
 
+    /// Read a field of at most 8 bytes as a big-endian integer — what
+    /// folding [`Packet::field_bytes`] would give, as one fixed-width load
+    /// for every header field. A payload longer than 8 bytes is
+    /// [`PacketError::NoCapacity`].
+    #[inline]
+    pub fn field_scalar(&self, field: FieldId) -> Result<u64> {
+        let l = self.parsed()?;
+        Ok(match field {
+            FieldId::Sip | FieldId::Dip => u32::from_be_bytes(self.load(&l, field)?).into(),
+            FieldId::Sport | FieldId::Dport | FieldId::L4Checksum => {
+                u16::from_be_bytes(self.load(&l, field)?).into()
+            }
+            FieldId::Ttl | FieldId::Tos => self.load::<1>(&l, field)?[0].into(),
+            FieldId::Smac | FieldId::Dmac => {
+                let mac: [u8; 6] = self.load(&l, field)?;
+                let mut wide = [0u8; 8];
+                wide[2..].copy_from_slice(&mac);
+                u64::from_be_bytes(wide)
+            }
+            FieldId::Payload => {
+                let bytes = self.field_bytes(field)?;
+                if bytes.len() > 8 {
+                    return Err(PacketError::NoCapacity {
+                        requested: bytes.len(),
+                        capacity: 8,
+                    });
+                }
+                bytes.iter().fold(0, |v, &b| v << 8 | u64::from(b))
+            }
+        })
+    }
+
     /// Overwrite a field with raw bytes (must match the field width; the
     /// payload may shrink or grow within the current frame length only).
+    #[inline]
     pub fn set_field_bytes(&mut self, field: FieldId, value: &[u8]) -> Result<()> {
         let r = self.field_range(field)?;
         if r.len() != value.len() {
@@ -288,104 +368,124 @@ impl Packet {
                 what: "field value width mismatch",
             });
         }
-        let start = self.start;
-        self.buf[start + r.start..start + r.end].copy_from_slice(value);
+        // Header fields are 1, 2, 4 or 6 bytes wide: each width gets its
+        // own fixed-size store, wherever this ends up inlined or not; only
+        // the payload pays a `memmove` call of run-time length.
+        fn put<const N: usize>(dst: &mut [u8], value: &[u8]) {
+            let dst: &mut [u8; N] = dst.try_into().expect("widths were compared");
+            *dst = *<&[u8; N]>::try_from(value).expect("widths were compared");
+        }
+        let dst = &mut self.data_mut()[r];
+        match value.len() {
+            1 => put::<1>(dst, value),
+            2 => put::<2>(dst, value),
+            4 => put::<4>(dst, value),
+            6 => put::<6>(dst, value),
+            _ => dst.copy_from_slice(value),
+        }
         Ok(())
     }
 
     // -- typed convenience accessors ------------------------------------
 
     /// Source IPv4 address.
+    #[inline]
     pub fn sip(&self) -> Result<Ipv4Addr> {
-        Ok(Ipv4Addr(
-            self.field_bytes(FieldId::Sip)?.try_into().unwrap(),
-        ))
+        Ok(Ipv4Addr(self.load(&self.parsed()?, FieldId::Sip)?))
     }
 
     /// Destination IPv4 address.
+    #[inline]
     pub fn dip(&self) -> Result<Ipv4Addr> {
-        Ok(Ipv4Addr(
-            self.field_bytes(FieldId::Dip)?.try_into().unwrap(),
-        ))
+        Ok(Ipv4Addr(self.load(&self.parsed()?, FieldId::Dip)?))
     }
 
     /// L4 source port.
+    #[inline]
     pub fn sport(&self) -> Result<u16> {
         Ok(u16::from_be_bytes(
-            self.field_bytes(FieldId::Sport)?.try_into().unwrap(),
+            self.load(&self.parsed()?, FieldId::Sport)?,
         ))
     }
 
     /// L4 destination port.
+    #[inline]
     pub fn dport(&self) -> Result<u16> {
         Ok(u16::from_be_bytes(
-            self.field_bytes(FieldId::Dport)?.try_into().unwrap(),
+            self.load(&self.parsed()?, FieldId::Dport)?,
         ))
     }
 
     /// Set the source IPv4 address (checksums refreshed separately).
+    #[inline]
     pub fn set_sip(&mut self, a: Ipv4Addr) -> Result<()> {
         self.set_field_bytes(FieldId::Sip, &a.0)
     }
 
     /// Set the destination IPv4 address.
+    #[inline]
     pub fn set_dip(&mut self, a: Ipv4Addr) -> Result<()> {
         self.set_field_bytes(FieldId::Dip, &a.0)
     }
 
     /// Set the L4 source port.
+    #[inline]
     pub fn set_sport(&mut self, p: u16) -> Result<()> {
         self.set_field_bytes(FieldId::Sport, &p.to_be_bytes())
     }
 
     /// Set the L4 destination port.
+    #[inline]
     pub fn set_dport(&mut self, p: u16) -> Result<()> {
         self.set_field_bytes(FieldId::Dport, &p.to_be_bytes())
     }
 
     /// IPv4 TTL.
+    #[inline]
     pub fn ttl(&self) -> Result<u8> {
-        Ok(self.field_bytes(FieldId::Ttl)?[0])
+        Ok(self.load::<1>(&self.parsed()?, FieldId::Ttl)?[0])
     }
 
     /// Set the IPv4 TTL.
+    #[inline]
     pub fn set_ttl(&mut self, ttl: u8) -> Result<()> {
         self.set_field_bytes(FieldId::Ttl, &[ttl])
     }
 
     /// Source MAC address.
+    #[inline]
     pub fn smac(&self) -> Result<MacAddr> {
-        Ok(MacAddr(
-            self.field_bytes(FieldId::Smac)?.try_into().unwrap(),
-        ))
+        Ok(MacAddr(self.load(&self.parsed()?, FieldId::Smac)?))
     }
 
     /// Destination MAC address.
+    #[inline]
     pub fn dmac(&self) -> Result<MacAddr> {
-        Ok(MacAddr(
-            self.field_bytes(FieldId::Dmac)?.try_into().unwrap(),
-        ))
+        Ok(MacAddr(self.load(&self.parsed()?, FieldId::Dmac)?))
     }
 
     /// The 5-tuple (sip, dip, sport, dport, proto) used for flow hashing.
+    #[inline]
     pub fn five_tuple(&self) -> Result<(Ipv4Addr, Ipv4Addr, u16, u16, u8)> {
         let l = self.parsed()?;
         Ok((
-            self.sip()?,
-            self.dip()?,
-            self.sport()?,
-            self.dport()?,
+            Ipv4Addr(self.load(&l, FieldId::Sip)?),
+            Ipv4Addr(self.load(&l, FieldId::Dip)?),
+            u16::from_be_bytes(self.load(&l, FieldId::Sport)?),
+            u16::from_be_bytes(self.load(&l, FieldId::Dport)?),
             l.l4_proto,
         ))
     }
 
     /// Application payload bytes.
+    #[inline]
     pub fn payload(&self) -> Result<&[u8]> {
         let l = self.parsed()?;
         Ok(&self.data()[l.payload..])
     }
 
     /// Mutable application payload bytes.
+    #[inline]
     pub fn payload_mut(&mut self) -> Result<&mut [u8]> {
         let l = self.parse()?;
         let range = l.payload..self.len;
@@ -575,12 +675,14 @@ impl Packet {
     }
 
     /// Length of all headers (Ethernet through L4) in bytes.
+    #[inline]
     pub fn header_len(&self) -> Result<usize> {
         Ok(self.parsed()?.payload)
     }
 
     /// Raw pointer to the first frame byte. Used by the pool's field-scoped
     /// writers; see the aliasing contract in [`crate::pool`].
+    #[inline]
     pub(crate) fn frame_ptr(&self) -> *const u8 {
         self.buf[self.start..].as_ptr()
     }

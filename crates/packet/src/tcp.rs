@@ -49,6 +49,7 @@ pub struct TcpView<'a> {
 
 impl<'a> TcpView<'a> {
     /// Parse a TCP header at the start of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
         if bytes.len() < MIN_HEADER_LEN {
             return Err(PacketError::Truncated {
@@ -74,46 +75,55 @@ impl<'a> TcpView<'a> {
     }
 
     /// Source port.
+    #[inline]
     pub fn sport(&self) -> u16 {
         u16::from_be_bytes([self.bytes[0], self.bytes[1]])
     }
 
     /// Destination port.
+    #[inline]
     pub fn dport(&self) -> u16 {
         u16::from_be_bytes([self.bytes[2], self.bytes[3]])
     }
 
     /// Sequence number.
+    #[inline]
     pub fn seq(&self) -> u32 {
         u32::from_be_bytes(self.bytes[4..8].try_into().unwrap())
     }
 
     /// Acknowledgment number.
+    #[inline]
     pub fn ack(&self) -> u32 {
         u32::from_be_bytes(self.bytes[8..12].try_into().unwrap())
     }
 
     /// Header length in bytes.
+    #[inline]
     pub fn header_len(&self) -> usize {
         (self.bytes[offsets::DATA_OFF] >> 4) as usize * 4
     }
 
     /// Flags byte.
+    #[inline]
     pub fn flags(&self) -> u8 {
         self.bytes[offsets::FLAGS]
     }
 
     /// Window size.
+    #[inline]
     pub fn window(&self) -> u16 {
         u16::from_be_bytes([self.bytes[14], self.bytes[15]])
     }
 
     /// Checksum field.
+    #[inline]
     pub fn checksum(&self) -> u16 {
         u16::from_be_bytes([self.bytes[16], self.bytes[17]])
     }
 
     /// Payload after the TCP header.
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         &self.bytes[self.header_len()..]
     }
@@ -173,10 +183,8 @@ pub fn emit(buf: &mut [u8], params: &TcpEmit) -> Result<()> {
 /// segment `seg` (header + payload).
 pub fn fill_checksum(seg: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
     debug_assert!(seg.len() >= MIN_HEADER_LEN);
-    seg[offsets::CHECKSUM] = 0;
-    seg[offsets::CHECKSUM + 1] = 0;
     let mut c = pseudo_header(src.0, dst.0, crate::ipv4::PROTO_TCP, seg.len() as u16);
-    c.add_bytes(seg);
+    c.add_bytes_without(seg, offsets::CHECKSUM);
     let sum = c.finish();
     seg[offsets::CHECKSUM..offsets::CHECKSUM + 2].copy_from_slice(&sum.to_be_bytes());
 }

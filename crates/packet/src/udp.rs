@@ -27,6 +27,7 @@ pub struct UdpView<'a> {
 
 impl<'a> UdpView<'a> {
     /// Parse a UDP header at the start of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Result<Self> {
         if bytes.len() < HEADER_LEN {
             return Err(PacketError::Truncated {
@@ -39,31 +40,37 @@ impl<'a> UdpView<'a> {
     }
 
     /// Source port.
+    #[inline]
     pub fn sport(&self) -> u16 {
         u16::from_be_bytes([self.bytes[0], self.bytes[1]])
     }
 
     /// Destination port.
+    #[inline]
     pub fn dport(&self) -> u16 {
         u16::from_be_bytes([self.bytes[2], self.bytes[3]])
     }
 
     /// Datagram length from the header.
+    #[inline]
     pub fn len(&self) -> u16 {
         u16::from_be_bytes([self.bytes[4], self.bytes[5]])
     }
 
     /// True when the length field is the minimum (header only).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() as usize <= HEADER_LEN
     }
 
     /// Checksum field.
+    #[inline]
     pub fn checksum(&self) -> u16 {
         u16::from_be_bytes([self.bytes[6], self.bytes[7]])
     }
 
     /// Payload after the UDP header, bounded by the length field.
+    #[inline]
     pub fn payload(&self) -> &'a [u8] {
         let end = (self.len() as usize).clamp(HEADER_LEN, self.bytes.len());
         &self.bytes[HEADER_LEN..end]
@@ -89,10 +96,8 @@ pub fn emit(buf: &mut [u8], sport: u16, dport: u16, datagram_len: u16) -> Result
 /// Compute and patch the UDP checksum over datagram `dgram` (header+payload).
 pub fn fill_checksum(dgram: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
     debug_assert!(dgram.len() >= HEADER_LEN);
-    dgram[offsets::CHECKSUM] = 0;
-    dgram[offsets::CHECKSUM + 1] = 0;
     let mut c = pseudo_header(src.0, dst.0, crate::ipv4::PROTO_UDP, dgram.len() as u16);
-    c.add_bytes(dgram);
+    c.add_bytes_without(dgram, offsets::CHECKSUM);
     let mut sum = c.finish();
     if sum == 0 {
         sum = 0xffff; // RFC 768: transmitted zero means "no checksum"

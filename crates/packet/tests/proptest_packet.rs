@@ -2,13 +2,15 @@
 //! checksum soundness, structural-edit inverses, field-mask algebra,
 //! metadata packing and pool-slot recycling over arbitrary inputs.
 
-use nfp_packet::checksum::checksum;
+use nfp_packet::checksum::{checksum, Checksum};
+use nfp_packet::ether::MacAddr;
 use nfp_packet::ipv4::{self, Ipv4Addr};
 use nfp_packet::meta::{Metadata, MID_MAX, PID_MAX, VERSION_MAX};
-use nfp_packet::tcp;
 use nfp_packet::testutil::observable;
+use nfp_packet::{ah, tcp, udp};
 use nfp_packet::{FieldId, FieldMask, Packet, PacketError, PacketPool, PacketRef};
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// A three-slot pool whose slots 0 and 1 are free again after holding
 /// `prev` — slot 1 in the shape `how` picks: `prev` itself, a nil, a
@@ -32,6 +34,164 @@ fn recycled_pool(prev: &[u8], how: u8) -> PacketPool {
     }
     pool.release(first);
     pool
+}
+
+/// The Internet checksum as `Checksum` computed it before it went eight
+/// bytes a step: one big-endian byte pair at a time, the odd byte padded.
+fn byte_pair_checksum(data: &[u8]) -> u16 {
+    let mut sum = 0u32;
+    for pair in data.chunks(2) {
+        sum += u32::from(u16::from_be_bytes([pair[0], *pair.get(1).unwrap_or(&0)]));
+    }
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+/// Where `field` lives, derived from the parse alone — the table
+/// `Packet::field_range` used to carry inline, kept here as the
+/// reference the direct-load accessors are held to.
+fn reference_range(p: &Packet, field: FieldId) -> Result<Range<usize>, PacketError> {
+    let l = p.parsed()?;
+    let r = match field {
+        FieldId::Smac => 6..12,
+        FieldId::Dmac => 0..6,
+        FieldId::Sip => l.l3 + ipv4::offsets::SRC..l.l3 + ipv4::offsets::SRC + 4,
+        FieldId::Dip => l.l3 + ipv4::offsets::DST..l.l3 + ipv4::offsets::DST + 4,
+        FieldId::Ttl => l.l3 + ipv4::offsets::TTL..l.l3 + ipv4::offsets::TTL + 1,
+        FieldId::Tos => l.l3 + ipv4::offsets::TOS..l.l3 + ipv4::offsets::TOS + 1,
+        FieldId::Sport => l.l4..l.l4 + 2,
+        FieldId::Dport => l.l4 + 2..l.l4 + 4,
+        FieldId::L4Checksum => match l.l4_proto {
+            ipv4::PROTO_TCP => l.l4 + tcp::offsets::CHECKSUM..l.l4 + tcp::offsets::CHECKSUM + 2,
+            ipv4::PROTO_UDP => l.l4 + udp::offsets::CHECKSUM..l.l4 + udp::offsets::CHECKSUM + 2,
+            _ => return Err(PacketError::FieldUnavailable(field)),
+        },
+        FieldId::Payload => l.payload..p.len(),
+    };
+    if r.end > p.len() {
+        return Err(PacketError::Truncated {
+            what: "field range",
+            needed: r.end,
+            available: p.len(),
+        });
+    }
+    Ok(r)
+}
+
+fn reference_bytes(p: &Packet, field: FieldId) -> Result<Vec<u8>, PacketError> {
+    Ok(p.data()[reference_range(p, field)?].to_vec())
+}
+
+fn be(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0, |v, &b| v << 8 | u64::from(b))
+}
+
+/// Every read accessor of `p` against the reference: same value or the
+/// same error, field by field.
+fn assert_reads_match_reference(p: &Packet) {
+    for f in FieldId::ALL {
+        let expect = reference_bytes(p, f);
+        assert_eq!(p.field_range(f), reference_range(p, f), "{f} range");
+        assert_eq!(p.field_bytes(f).map(<[u8]>::to_vec), expect, "{f} bytes");
+        let scalar = match &expect {
+            Ok(b) if b.len() > 8 => Err(PacketError::NoCapacity {
+                requested: b.len(),
+                capacity: 8,
+            }),
+            other => other.as_deref().map(be).map_err(|e| *e),
+        };
+        assert_eq!(p.field_scalar(f), scalar, "{f} scalar");
+    }
+    let addr = |f| reference_bytes(p, f).map(|b| Ipv4Addr(b.try_into().unwrap()));
+    let port = |f| reference_bytes(p, f).map(|b| be(&b) as u16);
+    let mac = |f| reference_bytes(p, f).map(|b| MacAddr(b.try_into().unwrap()));
+    assert_eq!(p.sip(), addr(FieldId::Sip));
+    assert_eq!(p.dip(), addr(FieldId::Dip));
+    assert_eq!(p.sport(), port(FieldId::Sport));
+    assert_eq!(p.dport(), port(FieldId::Dport));
+    assert_eq!(p.ttl(), reference_bytes(p, FieldId::Ttl).map(|b| b[0]));
+    assert_eq!(p.smac(), mac(FieldId::Smac));
+    assert_eq!(p.dmac(), mac(FieldId::Dmac));
+    let tuple = p.parsed().and_then(|l| {
+        Ok((
+            addr(FieldId::Sip)?,
+            addr(FieldId::Dip)?,
+            port(FieldId::Sport)?,
+            port(FieldId::Dport)?,
+            l.l4_proto,
+        ))
+    });
+    assert_eq!(p.five_tuple(), tuple);
+}
+
+/// Every field of `p` overwritten with `fill`: the write lands on the
+/// reference range and nowhere else, a value of the wrong width is
+/// refused, and an unreachable field refuses with the reader's error.
+fn assert_writes_match_reference(p: &mut Packet, fill: u8) {
+    for f in FieldId::ALL {
+        let before = p.data().to_vec();
+        match reference_range(p, f) {
+            Ok(r) => {
+                let value = vec![fill ^ f as u8; r.len()];
+                let mut wrong = value.clone();
+                wrong.push(0);
+                assert_eq!(
+                    p.set_field_bytes(f, &wrong),
+                    Err(PacketError::Malformed {
+                        what: "field value width mismatch"
+                    }),
+                    "{f} width"
+                );
+                assert_eq!(p.data(), &before[..], "{f} refused write moved bytes");
+                assert_eq!(p.set_field_bytes(f, &value), Ok(()), "{f} write");
+                let mut expect = before;
+                expect[r].copy_from_slice(&value);
+                assert_eq!(p.data(), &expect[..], "{f} write landed elsewhere");
+            }
+            Err(e) => {
+                assert_eq!(p.set_field_bytes(f, &[fill]), Err(e), "{f} write error");
+                assert_eq!(p.data(), &before[..]);
+            }
+        }
+    }
+}
+
+/// `assert_reads_match_reference` and the writes, with the parse uncached
+/// and cached, then across the structural edits that drop the cache: an
+/// Authentication Header inserted (and chained) in front of L4, removed
+/// again, and a bare `invalidate`.
+fn assert_field_paths_agree(mut p: Packet, fill: u8) {
+    let check = |p: &mut Packet| {
+        assert_reads_match_reference(p);
+        let _ = p.parse();
+        assert_reads_match_reference(p);
+        assert_writes_match_reference(&mut p.clone(), fill);
+    };
+    check(&mut p);
+    let Ok(l) = p.parsed() else { return };
+    if l.ah.is_none() {
+        p.insert_bytes(l.l4, ah::HEADER_LEN).unwrap();
+        assert_reads_match_reference(&p);
+        let at = l.l3 + ipv4::offsets::PROTOCOL;
+        ah::emit(
+            &mut p.data_mut()[l.l4..],
+            l.l4_proto,
+            7,
+            1,
+            &[fill; ah::ICV_LEN],
+        )
+        .unwrap();
+        p.data_mut()[at] = ipv4::PROTO_AH;
+        check(&mut p);
+        assert_eq!(p.parsed().unwrap().ah, Some(l.l4));
+        p.remove_bytes(l.l4..l.l4 + ah::HEADER_LEN).unwrap();
+        p.data_mut()[at] = l.l4_proto;
+        check(&mut p);
+    }
+    p.invalidate();
+    check(&mut p);
 }
 
 fn frame_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -214,6 +374,59 @@ proptest! {
         prop_assert_eq!(a.is_disjoint(b), a.intersection(b).is_empty());
         // Length via iteration agrees with count.
         prop_assert_eq!(a.iter().count(), a.len());
+    }
+
+    #[test]
+    fn checksum_equals_byte_pair_reference_at_every_split(data in proptest::collection::vec(any::<u8>(), 0..96)) {
+        // Short inputs, every split: the 8-byte steps, the byte-pair tail
+        // and the pending odd byte meet in every combination.
+        let expect = byte_pair_checksum(&data);
+        prop_assert_eq!(checksum(&data), expect);
+        for a in 0..=data.len() {
+            for b in a..=data.len() {
+                let mut c = Checksum::new();
+                c.add_bytes(&data[..a]);
+                c.add_bytes(&data[a..b]);
+                c.add_bytes(&data[b..]);
+                prop_assert_eq!(c.finish(), expect, "split at {} and {}", a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_equals_byte_pair_reference_on_frame_sized_input(
+        data in proptest::collection::vec(any::<u8>(), 1300..1515),
+        ones in 0u8..3,
+    ) {
+        // All-ones words are where an accumulator that folds early or
+        // too narrowly shows.
+        let data: Vec<u8> = data.into_iter().map(|b| if ones == 0 { 0xff } else { b }).collect();
+        prop_assert_eq!(checksum(&data), byte_pair_checksum(&data));
+        prop_assert_eq!(checksum(&data[1..]), byte_pair_checksum(&data[1..]));
+    }
+
+    #[test]
+    fn direct_field_accessors_equal_the_reference_paths(
+        frame in frame_strategy(),
+        udp in 0u8..2,
+        cut in prop_oneof![0usize..64, 0usize..1300],
+        fill in any::<u8>(),
+    ) {
+        let frame = if udp == 1 {
+            let tuple = Packet::from_bytes(&frame).unwrap().five_tuple().unwrap();
+            nfp_packet::testutil::udp_frame_bytes(tuple.0, tuple.1, tuple.2, tuple.3, &frame[54..])
+        } else {
+            frame
+        };
+        let whole = Packet::from_bytes(&frame).unwrap();
+        // Header-only copies of the plain and of the AH-encapsulated frame
+        // ride along: `assert_field_paths_agree` encapsulates what it gets.
+        assert_field_paths_agree(whole.header_only_copy(2).unwrap(), fill);
+        assert_field_paths_agree(whole, fill);
+        // A snaplen cut anywhere from "no Ethernet header" to "payload
+        // shortened": unparseable cuts must fail identically everywhere.
+        let cut = cut.min(frame.len());
+        assert_field_paths_agree(Packet::from_bytes(&frame[..cut]).unwrap(), fill);
     }
 
     #[test]
