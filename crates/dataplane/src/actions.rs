@@ -9,7 +9,7 @@
 
 use crate::stats::StageStats;
 use nfp_orchestrator::graph::CopyKind;
-use nfp_orchestrator::tables::{FtAction, Target};
+use nfp_orchestrator::tables::{FtAction, Target, SEGMENT_BITS};
 use nfp_packet::meta::{VERSION_BITS, VERSION_MAX};
 use nfp_packet::pool::{PacketPool, PacketRef};
 use nfp_packet::PacketError;
@@ -26,35 +26,60 @@ pub trait Deliver {
     fn flush_hint(&mut self) {}
 }
 
-/// The unit rings carry: a packet reference plus the parallel segment it
-/// is heading to (meaningful only for merger-bound messages).
+/// Bits of merge-order sequence number a [`Msg`] carries.
+pub const SEQ_BITS: u32 = 64 - SEGMENT_BITS;
+
+/// The largest sequence number, and the mask the agent's sequence
+/// arithmetic wraps with.
+pub const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+
+/// The unit rings carry: a packet reference plus one tag word holding the
+/// parallel segment and merge-order sequence number of a merger-bound
+/// message. Two scalars, so a message travels in registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Msg {
     /// Pooled packet reference.
     pub r: PacketRef,
-    /// Parallel segment index for merger-bound messages.
-    pub segment: u32,
+    /// `segment << SEQ_BITS | seq`.
+    tag: u64,
+}
+
+impl Msg {
+    /// A message not bound for a merger.
+    #[inline]
+    pub fn plain(r: PacketRef) -> Self {
+        Self { r, tag: 0 }
+    }
+
+    /// A merger-bound message (sequence not yet assigned). Sealing
+    /// guarantees the segment fits its [`SEGMENT_BITS`].
+    #[inline]
+    pub fn to_segment(r: PacketRef, segment: u32) -> Self {
+        debug_assert!(segment >> SEGMENT_BITS == 0, "segment {segment} overflows");
+        let tag = u64::from(segment) << SEQ_BITS;
+        Self { r, tag }
+    }
+
+    /// Parallel segment index of a merger-bound message.
+    #[inline]
+    pub fn segment(self) -> u32 {
+        (self.tag >> SEQ_BITS) as u32
+    }
+
     /// Merge-order sequence number. The merger agent assigns a dense
     /// per-(MID, segment) sequence at the first copy of each PID, so
     /// merged packets can be released downstream in arrival order even
     /// when several merger instances finish out of order. Zero everywhere
     /// the agent has not stamped it.
-    pub seq: u64,
-}
-
-impl Msg {
-    /// A message not bound for a merger.
-    pub fn plain(r: PacketRef) -> Self {
-        Self {
-            r,
-            segment: 0,
-            seq: 0,
-        }
+    #[inline]
+    pub fn seq(self) -> u64 {
+        self.tag & SEQ_MASK
     }
 
-    /// A merger-bound message (sequence not yet assigned).
-    pub fn to_segment(r: PacketRef, segment: u32) -> Self {
-        Self { r, segment, seq: 0 }
+    /// Stamp the merge-order sequence number, wrapped to [`SEQ_BITS`].
+    #[inline]
+    pub fn set_seq(&mut self, seq: u64) {
+        self.tag = (self.tag & !SEQ_MASK) | (seq & SEQ_MASK);
     }
 }
 
@@ -267,7 +292,7 @@ mod tests {
             &StageStats::new(),
         )
         .unwrap();
-        assert_eq!(sink.delivered[0].1.segment, 3);
+        assert_eq!(sink.delivered[0].1.segment(), 3);
     }
 
     #[test]
@@ -312,5 +337,31 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, ActionError::PoolExhausted);
+    }
+
+    /// The tag holds every segment sealing admits and every sequence
+    /// number up to its wrap point, without either bleeding into the
+    /// other; a stamp past the wrap point wraps.
+    #[test]
+    fn msg_tag_round_trips_segment_and_seq() {
+        let r = pool_with_packet().1;
+        let max_segment = (1u32 << SEGMENT_BITS) - 1;
+        for segment in [0, 1, 3, max_segment] {
+            for seq in [0, 1, SEQ_MASK - 1, SEQ_MASK] {
+                let mut msg = Msg::to_segment(r, segment);
+                assert_eq!((msg.segment(), msg.seq()), (segment, 0));
+                msg.set_seq(seq);
+                assert_eq!((msg.r, msg.segment(), msg.seq()), (r, segment, seq));
+            }
+            let mut msg = Msg::to_segment(r, segment);
+            msg.set_seq(SEQ_MASK + 1);
+            assert_eq!((msg.segment(), msg.seq()), (segment, 0), "wraps at 2^48");
+            msg.set_seq(SEQ_MASK + 6);
+            assert_eq!((msg.segment(), msg.seq()), (segment, 5));
+        }
+        assert_eq!(SEQ_BITS, 48);
+        assert_eq!(Msg::plain(r), Msg::to_segment(r, 0));
+        // Two scalars: a message travels in a register pair.
+        assert_eq!(std::mem::size_of::<Msg>(), 16);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::actions::{self, Deliver, VersionMap};
 use crate::stats::{DropCause, StageStats};
-use crate::swap::ProgramHandle;
+use crate::swap::{EpochState, ProgramHandle};
 use crate::telemetry::Telemetry;
 use nfp_orchestrator::tables::GraphTables;
 use nfp_orchestrator::Stage;
@@ -115,14 +115,16 @@ pub type Refusal = (AdmitError, Option<Box<Packet>>);
 /// * **Static** ([`Classifier::new`] / [`Classifier::single`]) — a fixed
 ///   CT; admitted packets carry epoch 0.
 /// * **Live** ([`Classifier::live`]) — a single-graph classifier over a
-///   swappable [`ProgramHandle`]: each admission pins the handle's
-///   current epoch, classifies against that epoch's tables, and stamps
-///   the epoch into the packet metadata so every downstream stage
-///   resolves the same tables.
+///   swappable [`ProgramHandle`]: each admission burst pins the handle's
+///   current epoch, and its packets classify against that epoch's tables
+///   and carry it, so every downstream stage resolves the same tables.
 #[derive(Debug)]
 pub struct Classifier {
     entries: Vec<CtEntry>,
     handle: Option<Arc<ProgramHandle>>,
+    /// Live mode, inside a burst: the epoch the burst pinned and how many
+    /// of its reserved pins are still unused.
+    pins: Option<(Arc<EpochState>, u64)>,
     next_pid: u64,
     /// Packets admitted (diagnostics).
     pub admitted: u64,
@@ -136,6 +138,7 @@ impl Classifier {
         Self {
             entries,
             handle: None,
+            pins: None,
             next_pid: 0,
             admitted: 0,
             rejected: 0,
@@ -151,30 +154,38 @@ impl Classifier {
     }
 
     /// Single-graph classifier over a swappable program handle: every
-    /// packet matches, classifies under the handle's current epoch, and
-    /// is stamped with it. The pin taken at admission must be settled by
-    /// the engine ([`ProgramHandle::finish`] on delivery/drop); failed
-    /// admissions are aborted here, so a retried packet (pool
-    /// backpressure) re-pins whatever epoch is current at the retry.
+    /// packet matches, classifies under the epoch its admission burst
+    /// pinned, and is stamped with it. The engine settles each admitted
+    /// packet's pin on delivery/drop; failed admissions' pins go back when
+    /// the burst ends, so a retried packet re-pins the epoch then current.
     pub fn live(handle: Arc<ProgramHandle>) -> Self {
         Self {
-            entries: Vec::new(),
             handle: Some(handle),
-            next_pid: 0,
-            admitted: 0,
-            rejected: 0,
+            ..Self::new(Vec::new())
         }
     }
 
-    /// Number of CT entries (0 in live mode — the handle is the table).
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
+    /// Open an admission burst of at most `n` packets: in live mode, one
+    /// [`ProgramHandle::reserve`] for all of them.
+    pub fn begin_burst(&mut self, n: usize) {
+        debug_assert!(self.pins.is_none(), "admission bursts do not nest");
+        if let Some(handle) = &self.handle {
+            self.pins = Some((handle.reserve(n as u64), n as u64));
+        }
     }
 
-    /// Admit one packet: find its graph, tag MID/PID/v1 metadata (plus
-    /// the pinned epoch in live mode), move it into the pool and run the
-    /// graph's entry actions against `sink`. Returns the tables of the
-    /// graph that matched.
+    /// Close the admission burst: the pins no admission used go back to
+    /// their epoch ([`ProgramHandle::abort`]).
+    pub fn end_burst(&mut self) {
+        if let (Some(handle), Some((state, unused))) = (&self.handle, self.pins.take()) {
+            handle.abort(&state, unused);
+        }
+    }
+
+    /// Admit one packet — a burst of one: find its graph, tag MID/PID/v1
+    /// metadata (plus the pinned epoch in live mode), move it into the
+    /// pool and run the graph's entry actions against `sink`. Returns the
+    /// tables of the graph that matched.
     pub fn admit(
         &mut self,
         pkt: Packet,
@@ -182,41 +193,35 @@ impl Classifier {
         sink: &mut impl Deliver,
         stats: &StageStats,
     ) -> Result<Arc<GraphTables>, AdmitError> {
-        self.admit_as(pkt, pool, sink, stats, None, Arc::clone)
-            .map_err(|(e, _)| e)
+        self.begin_burst(1);
+        let res = self.admit_observed(pkt, pool, sink, stats, None, Arc::clone);
+        self.end_burst();
+        res.map_err(|(e, _)| e)
     }
 
-    /// [`Classifier::admit`] with telemetry: times the admission into the
-    /// classifier histogram, stamps every
+    /// One admission of the burst in progress ([`Classifier::admit`]
+    /// without the burst bracket), with telemetry: times the admission
+    /// into the classifier histogram, stamps every
     /// [`trace_every`](crate::telemetry::TelemetryConfig::trace_every)-th
     /// packet `traced` (by PID, so pool-backpressure retries sample the
-    /// same packets) and records its first trace hop.
+    /// same packets) and records its first trace hop. The matched tables
+    /// are only ever *borrowed* here; `matched` turns that borrow into
+    /// what the caller wants back (a clone for [`Classifier::admit`],
+    /// nothing for the engines).
     ///
-    /// A refusal for [`AdmitError::PoolExhausted`] — the one cause worth
-    /// retrying — hands the packet back, so the caller can re-offer it
-    /// once downstream drains without having kept a copy (boxed: the
-    /// allocation is paid on the backpressure path only, and the error
-    /// stays two words on the admission path). FIFO admission order (and
-    /// therefore dense PID numbering) is preserved across retries because
-    /// the PID only advances on success.
-    pub fn admit_observed(
+    /// The packet moves once: into its pool slot, first thing, where it is
+    /// parsed, classified and tagged in place. A refusal for
+    /// [`AdmitError::PoolExhausted`] — the one cause worth retrying —
+    /// hands the packet back, so the caller can re-offer it once
+    /// downstream drains without having kept a copy (boxed: the allocation
+    /// is paid on the backpressure path only, and the error stays two
+    /// words on the admission path). FIFO admission order (and therefore
+    /// dense PID numbering) is preserved across retries because the PID
+    /// only advances on success.
+    #[inline]
+    pub fn admit_observed<T>(
         &mut self,
         pkt: Packet,
-        pool: &PacketPool,
-        sink: &mut impl Deliver,
-        stats: &StageStats,
-        tele: Option<&Telemetry>,
-    ) -> Result<(), Refusal> {
-        self.admit_as(pkt, pool, sink, stats, tele, |_| ())
-    }
-
-    /// Admission proper. The matched tables are only ever *borrowed* here —
-    /// from the pinned epoch or the CT entry; `matched` turns that borrow
-    /// into what the caller wants back (a clone for [`Classifier::admit`],
-    /// nothing for the engines).
-    fn admit_as<T>(
-        &mut self,
-        mut pkt: Packet,
         pool: &PacketPool,
         sink: &mut impl Deliver,
         stats: &StageStats,
@@ -224,75 +229,39 @@ impl Classifier {
         matched: impl FnOnce(&Arc<GraphTables>) -> T,
     ) -> Result<T, Refusal> {
         let t0 = tele.and_then(|t| t.begin(Stage::Classifier, 1));
-        if let Err(e) = pkt.parse() {
-            // Hostile framing is rejected with its own cause so soak runs
-            // can distinguish malformed-input pressure from policy
-            // rejections; the telemetry histograms stay untouched (only
-            // admitted packets are timed).
-            self.rejected += 1;
-            stats.note_in(1);
-            stats.note_drop(DropCause::AdmitMalformed);
-            let why = match e {
-                nfp_packet::PacketError::Truncated { .. } => AdmitError::Truncated,
-                _ => AdmitError::Unparseable,
-            };
-            return Err((why, None));
-        }
-        // The PID only advances on success, so retried packets (pool
-        // backpressure) keep a dense injection-order numbering.
-        let pid = self.next_pid;
-        let res = if let Some(handle) = &self.handle {
-            // Pin the current epoch for the packet's whole lifetime. Any
-            // admission failure aborts the pin — the caller either drops
-            // the packet (already counted at this stage) or retries, and
-            // a retry re-pins.
-            let pinned = handle.admit_current();
-            let (tables, epoch) = (pinned.tables(), pinned.epoch());
-            let res = Self::admit_tables(pkt, pid, pool, sink, stats, tables, epoch, tele);
-            if res.is_err() {
-                handle.abort(&pinned);
-            }
-            res.map(|()| matched(tables))
-        } else {
-            let Some(entry) = self.entries.iter().find(|e| e.matcher.matches(&pkt)) else {
-                self.rejected += 1;
-                stats.note_in(1);
-                stats.note_drop(DropCause::AdmitRejected);
-                return Err((AdmitError::NoMatch, None));
-            };
-            Self::admit_tables(pkt, pid, pool, sink, stats, &entry.tables, 0, tele)
-                .map(|()| matched(&entry.tables))
+        let r = match pool.insert(pkt) {
+            Ok(r) => r,
+            Err(back) => return Err(self.refuse(back, stats)),
         };
-        match &res {
-            Ok(_) => {
-                self.next_pid = (pid + 1) & PID_MAX;
-                self.admitted += 1;
-                if let Some(t) = tele {
-                    t.end(Stage::Classifier, t0, 1);
-                }
-            }
-            Err((AdmitError::ActionFailed, _)) => self.rejected += 1,
-            // Pool backpressure: the caller retries the packet.
-            Err(_) => {}
+        if let Err(e) = pool.with_mut(r, Packet::parse) {
+            // The telemetry histograms stay untouched by rejects (only
+            // admitted packets are timed).
+            drop(pool.take(r));
+            return Err(self.reject(stats, malformed(e)));
         }
-        res
-    }
-
-    /// Shared tail of admission: tag metadata, pool the packet, launch
-    /// entry actions. `pkt` is already parsed.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_tables(
-        mut pkt: Packet,
-        pid: u64,
-        pool: &PacketPool,
-        sink: &mut impl Deliver,
-        stats: &StageStats,
-        tables: &GraphTables,
-        epoch: u64,
-        tele: Option<&Telemetry>,
-    ) -> Result<(), Refusal> {
-        // Sampling keys off the PID (dense on success), so a retried
-        // packet keeps its sampling decision across attempts.
+        // Live mode classifies under the burst's pinned epoch and uses one
+        // of its pins — only on success: a failed admission leaves its pin
+        // to go back when the burst ends, and a retry re-pins.
+        let (tables, epoch, pins_left) = match &mut self.pins {
+            Some((state, left)) => {
+                assert!(*left > 0, "more admissions than the burst reserved");
+                (state.tables(), state.epoch(), Some(left))
+            }
+            None => {
+                assert!(self.handle.is_none(), "live admission outside a burst");
+                let entries = &self.entries;
+                let matched = pool.with(r, |p| entries.iter().find(|e| e.matcher.matches(p)));
+                let Some(entry) = matched else {
+                    drop(pool.take(r));
+                    return Err(self.reject(stats, AdmitError::NoMatch));
+                };
+                (&entry.tables, 0, None)
+            }
+        };
+        // The PID only advances on success, so retried packets (pool
+        // backpressure) keep a dense injection-order numbering — and,
+        // since sampling keys off it, their sampling decision too.
+        let pid = self.next_pid;
         let traced = tele.is_some_and(|t| {
             let n = t.trace_every();
             n > 0 && pid.is_multiple_of(n)
@@ -303,21 +272,15 @@ impl Classifier {
         // The backend arrival stamp (pcap capture time, raw-socket
         // receive time) survives the fresh admission metadata so trace
         // timing stays visible downstream; 0 for synthetic traffic.
-        let meta = Metadata::new(tables.mid, pid, VERSION_ORIGINAL)
-            .with_epoch(epoch)
-            .with_traced(traced)
-            .with_flow(nfp_packet::flow::FlowKey::of(&pkt))
-            .with_ingress_ns(pkt.meta().ingress_ns());
-        pkt.set_meta(meta);
-        let r = match pool.insert(pkt) {
-            Ok(r) => r,
-            Err(back) => {
-                // The caller retries this packet, so it is not counted as
-                // "in" yet — only the stall is recorded.
-                stats.note_backpressure();
-                return Err((AdmitError::PoolExhausted, Some(Box::new(back))));
-            }
-        };
+        let meta = pool.with_mut(r, |p| {
+            let meta = Metadata::new(tables.mid, pid, VERSION_ORIGINAL)
+                .with_epoch(epoch)
+                .with_traced(traced)
+                .with_flow(nfp_packet::flow::FlowKey::of(p))
+                .with_ingress_ns(p.meta().ingress_ns());
+            p.set_meta(meta);
+            meta
+        });
         // The first hop is recorded before entry actions run: a sink may
         // flush mid-execute, and the NF hop must never precede this one.
         if let Some(t) = tele {
@@ -327,13 +290,19 @@ impl Classifier {
         match actions::execute(&tables.entry_actions, pool, &mut versions, sink, stats) {
             Ok(()) => {
                 stats.note_in(1);
-                // Feed the inter-arrival gap once per *successful*
-                // admission, so pool-backpressure retries never
-                // double-count a stamp.
-                if let Some(t) = tele {
-                    t.note_ingress(meta.ingress_ns());
+                if let Some(left) = pins_left {
+                    *left -= 1;
                 }
-                Ok(())
+                self.next_pid = (pid + 1) & PID_MAX;
+                self.admitted += 1;
+                if let Some(t) = tele {
+                    // Feed the inter-arrival gap once per *successful*
+                    // admission, so pool-backpressure retries never
+                    // double-count a stamp.
+                    t.note_ingress(meta.ingress_ns());
+                    t.end(Stage::Classifier, t0, 1);
+                }
+                Ok(matched(tables))
             }
             Err(actions::ActionError::PoolExhausted) => {
                 // Entry copies ran out of slots. Generated entry actions
@@ -359,11 +328,44 @@ impl Classifier {
                 // the sink's problem only on success paths, but entry
                 // actions fail before any delivery of the failed version.
                 pool.release(r);
-                stats.note_in(1);
-                stats.note_drop(DropCause::AdmitRejected);
-                Err((AdmitError::ActionFailed, None))
+                Err(self.reject(stats, AdmitError::ActionFailed))
             }
         }
+    }
+
+    /// The pool has no free slot. A packet that would be rejected needs
+    /// none, so it is rejected now; anything else is backpressure, handed
+    /// back for a retry (not counted as "in" yet — only the stall is).
+    #[cold]
+    fn refuse(&mut self, mut back: Packet, stats: &StageStats) -> Refusal {
+        if let Err(e) = back.parse() {
+            return self.reject(stats, malformed(e));
+        }
+        if self.pins.is_none() && !self.entries.iter().any(|e| e.matcher.matches(&back)) {
+            return self.reject(stats, AdmitError::NoMatch);
+        }
+        stats.note_backpressure();
+        (AdmitError::PoolExhausted, Some(Box::new(back)))
+    }
+
+    /// Count a terminal rejection. Hostile framing has its own drop cause,
+    /// so soak runs can tell malformed-input pressure from policy rejects.
+    fn reject(&mut self, stats: &StageStats, why: AdmitError) -> Refusal {
+        self.rejected += 1;
+        stats.note_in(1);
+        stats.note_drop(match why {
+            AdmitError::Truncated | AdmitError::Unparseable => DropCause::AdmitMalformed,
+            _ => DropCause::AdmitRejected,
+        });
+        (why, None)
+    }
+}
+
+/// Why a frame failed to parse, as an admission error.
+fn malformed(e: nfp_packet::PacketError) -> AdmitError {
+    match e {
+        nfp_packet::PacketError::Truncated { .. } => AdmitError::Truncated,
+        _ => AdmitError::Unparseable,
     }
 }
 
@@ -516,6 +518,28 @@ mod tests {
                 .unwrap_err(),
             AdmitError::Unparseable
         );
+    }
+
+    /// A reject never needs a pool slot: with the pool full, a malformed
+    /// or unmatched packet is still rejected outright, not held back as
+    /// backpressure.
+    #[test]
+    fn rejects_never_touch_a_full_pool() {
+        let pool = PacketPool::new(1);
+        let mut cl = Classifier::new(vec![CtEntry {
+            matcher: FlowMatch::Dport(80),
+            tables: tables(&["Monitor", "Firewall"]),
+        }]);
+        let mut sink = Capture::default();
+        let stats = StageStats::new();
+        cl.admit(pkt(80), &pool, &mut sink, &stats).unwrap();
+        let garbage = Packet::from_bytes(&[0u8; 60]).unwrap();
+        let err = cl.admit(garbage, &pool, &mut sink, &stats).unwrap_err();
+        assert_eq!(err, AdmitError::Unparseable);
+        let err = cl.admit(pkt(81), &pool, &mut sink, &stats).unwrap_err();
+        assert_eq!(err, AdmitError::NoMatch);
+        assert_eq!(stats.snapshot().backpressure, 0);
+        assert_eq!(pool.in_use(), 1);
     }
 
     #[test]

@@ -40,70 +40,77 @@ impl MergerCore {
         Self::default()
     }
 
-    /// Offer one arrival (copy or nil), stamped with the caller's clock.
-    /// Returns the merge [`Outcome`] when this arrival completed the
-    /// packet's expected count, `None` while the accumulating table is
-    /// still waiting for siblings — or when the arrival was a straggler
-    /// for an already-expired entry (released against its tombstone; the
-    /// packet was fully accounted at expiry).
+    /// Offer a burst of arrivals (copies or nils), stamped with the
+    /// caller's clock, and hand each merge [`Outcome`] they complete to
+    /// `done`, in arrival order. An arrival completes its packet when it
+    /// is the last of the expected count; a straggler for an
+    /// already-expired entry is released against its tombstone instead
+    /// (the packet was fully accounted at expiry).
     pub fn offer(
         &mut self,
-        msg: Msg,
+        msgs: &[Msg],
         pool: &PacketPool,
         resolver: &mut TablesResolver,
         stats: &StageStats,
         now: u64,
-    ) -> Option<Outcome> {
-        stats.note_in(1);
-        let (mid, pid, epoch) = pool.with(msg.r, |p| {
-            (p.meta().mid(), p.meta().pid(), p.meta().epoch())
-        });
-        let spec = resolver
-            .tables(epoch, stats)
-            .merge_spec_for(msg.segment as usize)
-            .expect("merger msg implies spec");
-        let key = (mid, msg.segment, pid);
-        if let Some(remaining) = self.tombstones.get_mut(&key) {
-            pool.release(msg.r);
-            stats.note_late_arrival();
-            *remaining -= 1;
-            if *remaining == 0 {
-                self.tombstones.remove(&key);
+        mut done: impl FnMut(Outcome),
+    ) {
+        for &msg in msgs {
+            stats.note_in(1);
+            let (mid, pid, epoch) = pool.with(msg.r, |p| {
+                (p.meta().mid(), p.meta().pid(), p.meta().epoch())
+            });
+            let segment = msg.segment();
+            let spec = resolver
+                .tables(epoch, stats)
+                .merge_spec_for(segment as usize)
+                .expect("merger msg implies spec");
+            let key = (mid, segment, pid);
+            if let Some(remaining) = self.tombstones.get_mut(&key) {
+                pool.release(msg.r);
+                stats.note_late_arrival();
+                *remaining -= 1;
+                if *remaining == 0 {
+                    self.tombstones.remove(&key);
+                }
+                continue;
             }
-            return None;
-        }
-        let arrival = merger::arrival_from(pool, msg.r);
-        if arrival.nil {
-            stats.note_nil();
-        }
-        let arrivals = self
-            .at
-            .offer(key, arrival, spec.total_count, now, msg.seq, epoch)?;
-        stats.note_merge();
-        let resolved = merger::resolve_and_merge(spec, &arrivals, pool);
-        self.at.recycle(arrivals);
-        let (forward, error) = match resolved {
-            Ok(MergeOutcome::Forward(v1)) => (Some(v1), false),
-            Ok(MergeOutcome::Dropped) => {
-                stats.note_drop(DropCause::MergeResolved);
-                (None, false)
+            let arrival = merger::arrival_from(pool, msg.r);
+            if arrival.nil {
+                stats.note_nil();
             }
-            Err(_) => {
-                stats.note_drop(DropCause::MergeError);
-                (None, true)
+            let offered = self
+                .at
+                .offer(key, arrival, spec.total_count, now, msg.seq(), epoch);
+            let Some(arrivals) = offered else {
+                continue;
+            };
+            stats.note_merge();
+            let resolved = merger::resolve_and_merge(spec, &arrivals, pool);
+            self.at.recycle(arrivals);
+            let (forward, error) = match resolved {
+                Ok(MergeOutcome::Forward(v1)) => (Some(v1), false),
+                Ok(MergeOutcome::Dropped) => {
+                    stats.note_drop(DropCause::MergeResolved);
+                    (None, false)
+                }
+                Err(_) => {
+                    stats.note_drop(DropCause::MergeError);
+                    (None, true)
+                }
+            };
+            if forward.is_some() {
+                stats.note_out(1);
             }
-        };
-        if forward.is_some() {
-            stats.note_out(1);
+            done(Outcome {
+                mid,
+                segment,
+                seq: msg.seq(),
+                epoch,
+                forward,
+                error,
+            });
         }
-        Some(Outcome {
-            mid,
-            segment: msg.segment,
-            seq: msg.seq,
-            epoch,
-            forward,
-            error,
-        })
     }
 
     /// Resolve every AT entry whose first arrival is at or before
@@ -164,11 +171,5 @@ impl MergerCore {
     /// Packets waiting in the accumulating table (leak detection).
     pub fn pending_len(&self) -> usize {
         self.at.pending_len()
-    }
-
-    /// Expired entries still owed straggler arrivals (leak detection: a
-    /// tombstone holds no references, only a count).
-    pub fn tombstone_len(&self) -> usize {
-        self.tombstones.len()
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! The cores are deliberately synchronous and allocation-light: the
 //! dispatcher owns the loop (queues, rings, bursts, stop conditions) and
-//! calls into the cores per message.
+//! hands the agent and merger cores a stage's whole queued burst.
 
 pub mod agent;
 pub mod collector;

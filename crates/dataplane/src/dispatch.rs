@@ -3,10 +3,11 @@
 //!
 //! A `Dispatcher` owns a contiguous *set* of the program's stages (in
 //! pipeline order: classifier, NFs by `NodeId`, agent, merger instances,
-//! collector) and performs one message step per stage kind over the
-//! shared cores ([`Classifier`], [`NfRuntime`], [`crate::cores`]). Epoch
-//! resolution, telemetry, drop accounting and epoch settlement are
-//! written here once, for every executor:
+//! collector) and runs one *kernel* per stage kind over the shared cores
+//! ([`Classifier`], [`NfRuntime`], [`crate::cores`]): a kernel takes the
+//! stage's whole queued burst, with one `Sink` and one watchdog bracket
+//! per burst. Epoch resolution, telemetry, drop accounting and epoch
+//! settlement are written here once, for every executor:
 //!
 //! * [`crate::sync_engine::SyncEngine`] is one dispatcher holding every
 //!   stage, driven by the caller — no rings, a virtual tick clock and a
@@ -279,12 +280,19 @@ impl Ports {
     }
 
     /// Queue `msg` locally when `to` is in the set, else push it onto the
-    /// `from → to` edge's ring.
+    /// `from → to` edge's ring. Always inlined: it is the hop every
+    /// message pays, and LLVM's size heuristics drop it out of
+    /// `actions::execute` whenever the kernels around it grow.
+    #[inline(always)]
     fn send(&mut self, cx: &Shared, from: Stage, to: Stage, msg: Msg) {
-        if let Some(port) = self.of(to) {
-            port.queue.push(msg);
-            return;
+        match self.index(to) {
+            Some(k) => self.ports[k].queue.push(msg),
+            None => self.send_out(cx, from, to, msg),
         }
+    }
+
+    /// [`Ports::send`] across a cut edge.
+    fn send_out(&mut self, cx: &Shared, from: Stage, to: Stage, msg: Msg) {
         // Linear scan: a stage has at most a handful of targets.
         let edge = self
             .of(from)
@@ -321,7 +329,7 @@ impl Ports {
     }
 }
 
-/// One stage's sending view of the [`Ports`] for the duration of a step.
+/// One stage's sending view of the [`Ports`] for the duration of a burst.
 struct Sink<'a> {
     ports: &'a mut Ports,
     cx: &'a Shared,
@@ -360,7 +368,8 @@ pub(crate) struct Rings {
 /// Executes a set of stages of a sealed program — see the module docs.
 pub(crate) struct Dispatcher {
     ports: Ports,
-    classifier: Classifier,
+    /// The driver brackets each admission burst on it.
+    pub classifier: Classifier,
     /// Runtimes of the NFs in the set, `NodeId` order from `nf_base`; the
     /// driver takes them back when the run ends.
     pub runtimes: Vec<Runtime>,
@@ -370,6 +379,9 @@ pub(crate) struct Dispatcher {
     mergers: Vec<MergerCore>,
     merger_base: usize,
     resolver: TablesResolver,
+    /// The queue a stage's kernel hands its port while it works the burst
+    /// it took (so steady state allocates no queue).
+    spare: Vec<Msg>,
     outcome_inputs: Vec<Consumer<Outcome>>,
     outcome_outputs: Vec<(usize, Stash<Outcome>)>,
     /// Outcomes in hand: the merges a merger stage's burst completed, or
@@ -440,6 +452,7 @@ impl Dispatcher {
             mergers: merger_ids.clone().map(|_| MergerCore::new()).collect(),
             merger_base: merger_ids.start,
             resolver: TablesResolver::new(Arc::clone(&cx.handle)),
+            spare: Vec::new(),
             outcome_inputs: rings.outcome_inputs,
             outcome_outputs: rings
                 .outcome_outputs
@@ -455,12 +468,14 @@ impl Dispatcher {
         }
     }
 
-    /// The classifier step: admit one packet under the current epoch and
-    /// queue its entry actions. A terminal rejection (malformed, no
-    /// match) finishes the packet here, so it is counted for the closed
-    /// loop (the caller [`publish`](Dispatcher::publish)es when its
-    /// admission burst ends); pool backpressure is not terminal — the
-    /// packet comes back for the caller to retry.
+    /// The classifier kernel, one packet of the admission burst the driver
+    /// opened on [`Dispatcher::classifier`]: admit it under the burst's
+    /// epoch and queue its entry actions. A terminal rejection (malformed,
+    /// no match) finishes the packet here, so it is counted for the closed
+    /// loop (the caller [`publish`](Dispatcher::publish)es when it closes
+    /// the burst); pool backpressure is not terminal — the packet comes
+    /// back for the caller to retry.
+    #[inline]
     pub fn admit(&mut self, cx: &Shared, pkt: Packet) -> Result<(), Refusal> {
         let mut sink = Sink {
             ports: &mut self.ports,
@@ -473,73 +488,82 @@ impl Dispatcher {
             &mut sink,
             cx.stats_of(Stage::Classifier),
             Some(&cx.telemetry),
+            |_| (),
         );
-        match admitted {
-            Ok(_) => Ok(()),
-            Err(refusal) => {
-                if refusal.0 != AdmitError::PoolExhausted {
-                    self.dropped += 1;
-                }
-                Err(refusal)
-            }
+        if matches!(&admitted, Err((why, _)) if *why != AdmitError::PoolExhausted) {
+            self.dropped += 1;
         }
+        admitted
     }
 
-    /// One message step of `stage`.
-    fn step(&mut self, cx: &Shared, stage: Stage, msg: Msg) {
+    /// The NF kernel: a burst through NF `i` with one `Sink` and one
+    /// watchdog `busy` bracket. The NF's config is resolved by each
+    /// packet's stamped epoch, so a mid-swap packet is processed under
+    /// the policy that classified it.
+    fn nf_kernel(&mut self, cx: &Shared, i: usize, msgs: &[Msg]) {
+        let stage = Stage::Nf(i);
         let stats = cx.stats_of(stage);
-        let tele = &cx.telemetry;
-        match stage {
-            Stage::Nf(i) => {
-                let rt = &mut self.runtimes[i - self.nf_base];
-                // Resolve the NF's config by the packet's stamped epoch,
-                // so a mid-swap packet is processed under the policy that
-                // classified it.
-                let epoch = cx.pool.with(msg.r, |p| p.meta().epoch());
-                let cfg = &self.resolver.tables(epoch, stats).nf_configs[i];
-                let before = rt.dropped + rt.errors + rt.policy_drops;
-                tele.trace_ref(stage, &cx.pool, msg.r);
-                let mut sink = Sink {
-                    ports: &mut self.ports,
-                    cx,
-                    from: stage,
-                };
-                cx.watch[i].busy.store(true, Ordering::Release);
-                rt.handle_with(cfg, msg, &cx.pool, &mut sink, stats);
-                cx.watch[i].busy.store(false, Ordering::Release);
-                self.now = None;
-                if matches!(cfg.on_drop, DropBehavior::Discard) {
-                    // A silent discard finishes the packet right here
-                    // (≤ 1 drop per message by construction).
-                    let after = rt.dropped + rt.errors + rt.policy_drops;
-                    for _ in before..after {
-                        self.settle_drop(epoch);
-                    }
-                }
+        let rt = &mut self.runtimes[i - self.nf_base];
+        let mut sink = Sink {
+            ports: &mut self.ports,
+            cx,
+            from: stage,
+        };
+        cx.watch[i].busy.store(true, Ordering::Release);
+        for &msg in msgs {
+            cx.telemetry.trace_ref(stage, &cx.pool, msg.r);
+            let epoch = cx.pool.with(msg.r, |p| p.meta().epoch());
+            let cfg = &self.resolver.tables(epoch, stats).nf_configs[i];
+            let before = rt.dropped + rt.errors + rt.policy_drops;
+            rt.handle_with(cfg, msg, &cx.pool, &mut sink, stats);
+            if matches!(cfg.on_drop, DropBehavior::Discard) {
+                // A silent discard finishes the packet right here (≤ 1
+                // drop per message by construction).
+                let n = rt.dropped + rt.errors + rt.policy_drops - before;
+                self.resolver.settle(epoch, n);
+                self.dropped += n;
             }
+        }
+        cx.watch[i].busy.store(false, Ordering::Release);
+        self.now = None;
+    }
+
+    /// Run `stage`'s kernel over `msgs`.
+    fn kernel(&mut self, cx: &Shared, stage: Stage, msgs: &[Msg]) {
+        if cx.telemetry.tracing() && matches!(stage, Stage::Agent | Stage::Merger(_)) {
+            for &msg in msgs {
+                cx.telemetry.trace_ref(stage, &cx.pool, msg.r);
+            }
+        }
+        let stats = cx.stats_of(stage);
+        match stage {
+            Stage::Nf(i) => self.nf_kernel(cx, i, msgs),
             Stage::Agent => {
-                let mut msg = msg;
-                tele.trace_ref(stage, &cx.pool, msg.r);
                 let agent = self.agent.as_mut().expect("set holds the agent");
-                let pick = agent.route(&mut msg, &cx.pool, &mut self.resolver, stats);
-                self.ports.send(cx, stage, Stage::Merger(pick), msg);
+                let ports = &mut self.ports;
+                agent.route(msgs, &cx.pool, &mut self.resolver, stats, |pick, msg| {
+                    ports.send(cx, Stage::Agent, Stage::Merger(pick), msg)
+                });
             }
             Stage::Merger(m) => {
-                tele.trace_ref(stage, &cx.pool, msg.r);
                 let now = self.now(cx);
                 let merger = &mut self.mergers[m - self.merger_base];
                 // Completed merges wait until the burst's timed span ends.
-                self.outcomes
-                    .extend(merger.offer(msg, &cx.pool, &mut self.resolver, stats, now));
+                let outcomes = &mut self.outcomes;
+                merger.offer(msgs, &cx.pool, &mut self.resolver, stats, now, |o| {
+                    outcomes.push(o)
+                });
             }
             Stage::Collector => {
-                let pkt = collector::collect(msg, &cx.pool, stats);
-                tele.hop_if_traced(stage, pkt.meta(), pkt.is_nil());
-                // Delivery settles the packet against the epoch that
-                // classified it.
-                self.resolver.settle(pkt.meta().epoch());
-                self.delivered += 1;
-                self.outputs.push(pkt);
+                for &msg in msgs {
+                    let pkt = collector::collect(msg, &cx.pool, stats);
+                    cx.telemetry.hop_if_traced(stage, pkt.meta(), pkt.is_nil());
+                    // Delivery settles the packet against the epoch that
+                    // classified it.
+                    self.resolver.settle(pkt.meta().epoch(), 1);
+                    self.outputs.push(pkt);
+                }
+                self.delivered += msgs.len() as u64;
             }
             Stage::Classifier => unreachable!("the classifier takes packets, not messages"),
         }
@@ -576,23 +600,19 @@ impl Dispatcher {
             cx.stats_of(Stage::Agent),
             &mut self.drops,
         );
-        while let Some(epoch) = self.drops.pop() {
-            self.settle_drop(epoch);
+        self.dropped += self.drops.len() as u64;
+        for epoch in self.drops.drain(..) {
+            self.resolver.settle(epoch, 1);
         }
     }
 
-    /// A packet ended in a drop: settle it against the epoch that
-    /// classified it, then count it for the closed loop.
-    fn settle_drop(&mut self, epoch: u64) {
-        self.resolver.settle(epoch);
-        self.dropped += 1;
-    }
-
-    /// Add what the burst just ended finished to the shared totals: one
-    /// read-modify-write per burst and outcome on the lines the injector
-    /// polls, not one per packet. Release: whoever reads a total sees the
-    /// pool releases and epoch settlements of every packet it counts.
+    /// Add what the burst just ended finished to the shared totals: pay
+    /// the epoch settlements the burst owes, then one read-modify-write
+    /// per burst and outcome on the lines the injector polls, not one per
+    /// packet. Release, after the settlements: whoever reads a total sees
+    /// the pool releases and epoch settlements of every packet it counts.
     pub fn publish(&mut self, cx: &Shared) {
+        self.resolver.flush();
         if self.delivered > 0 {
             let n = std::mem::take(&mut self.delivered);
             cx.delivered.fetch_add(n, Ordering::Release);
@@ -610,9 +630,9 @@ impl Dispatcher {
         })
     }
 
-    /// One burst pass of the stage at port `k`: step everything queued
-    /// locally plus a burst from each of its rings, then push what it
-    /// sent across a cut edge as one burst per ring.
+    /// One burst pass of the stage at port `k`: run its kernel over
+    /// everything queued locally plus a burst from each of its rings, then
+    /// push what it sent across a cut edge as one burst per ring.
     fn run_stage(&mut self, cx: &Shared, k: usize) -> bool {
         let port = &mut self.ports.ports[k];
         let stage = port.stage;
@@ -625,26 +645,20 @@ impl Dispatcher {
             cx.stats_of(stage).note_occupancy(rx.len());
             rx.pop_burst(&mut port.queue, BURST);
         }
-        let burst = port.queue.len();
-        if burst > 0 {
+        // The kernel works the burst it takes while the port queues, in
+        // the spare, what the burst sends to this very stage.
+        let burst = std::mem::replace(&mut port.queue, std::mem::take(&mut self.spare));
+        if !burst.is_empty() {
+            let n = burst.len() as u64;
             // The histogram count advances by exactly one per message; the
             // clock is read for the bursts that are due for it only.
-            let t0 = cx.telemetry.begin(stage, burst as u64);
-            for i in 0..burst {
-                let msg = self.ports.ports[k].queue[i];
-                self.step(cx, stage, msg);
-            }
-            cx.telemetry.end(stage, t0, burst as u64);
-            // Usually the whole queue; anything behind the burst is what
-            // the steps just sent to this very stage.
-            let queue = &mut self.ports.ports[k].queue;
-            if queue.len() == burst {
-                queue.clear();
-            } else {
-                queue.drain(..burst);
-            }
+            let t0 = cx.telemetry.begin(stage, n);
+            self.kernel(cx, stage, &burst);
+            cx.telemetry.end(stage, t0, n);
         }
-        let mut progress = burst > 0;
+        let mut progress = !burst.is_empty();
+        self.spare = burst;
+        self.spare.clear();
         if let Stage::Merger(m) = stage {
             let mut outcomes = std::mem::take(&mut self.outcomes);
             for outcome in outcomes.drain(..) {
@@ -728,5 +742,172 @@ impl Dispatcher {
     /// Accumulating-table entries still waiting for sibling copies.
     pub fn merge_pending(&self) -> usize {
         self.mergers.iter().map(MergerCore::pending_len).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::NfRuntime;
+    use nfp_nf::chaos::PanicAfter;
+    use nfp_nf::firewall::Firewall;
+    use nfp_nf::monitor::Monitor;
+    use nfp_orchestrator::{compile, CompileOptions, FailurePolicy, Program, Registry};
+    use nfp_packet::ipv4::Ipv4Addr;
+    use nfp_packet::meta::{Metadata, VERSION_ORIGINAL};
+    use nfp_packet::pool::PacketRef;
+    use nfp_policy::Policy;
+
+    /// Monitor ∥ Firewall, with the Firewall failing closed (Table 2) or,
+    /// as the canonical hot-swappable policy edit, open.
+    fn program(firewall: FailurePolicy, epoch: u64) -> Program {
+        let mut registry = Registry::paper_table2();
+        let mut fw = registry.get("Firewall").unwrap().clone();
+        fw.failure = Some(firewall);
+        registry.register(fw);
+        let policy = Policy::from_chain(["Monitor", "Firewall"]);
+        let compiled = compile(&policy, &registry, &[], &CompileOptions::default()).unwrap();
+        compiled.program(1).unwrap().with_epoch(epoch)
+    }
+
+    /// One dispatcher holding every stage of `handle`'s program, as the
+    /// sync engine builds it, over `nfs` (Monitor, Firewall by `NodeId`).
+    fn dispatcher(
+        handle: &Arc<ProgramHandle>,
+        nfs: Vec<Box<dyn NetworkFunction>>,
+    ) -> (Shared, Dispatcher) {
+        let layout = Layout {
+            nfs: nfs.len(),
+            mergers: 1,
+        };
+        let program = handle.current().program().clone();
+        let configs = program.tables().nf_configs.iter().cloned();
+        let mut runtimes = nfs
+            .into_iter()
+            .zip(configs)
+            .map(|(nf, c)| NfRuntime::new(nf, c));
+        let cx = Shared::new(
+            layout,
+            64,
+            Arc::clone(handle),
+            Telemetry::off(),
+            Clock::Tick(0),
+            0,
+        );
+        let d = Dispatcher::new(&cx, 0..layout.len(), &mut runtimes, Rings::default());
+        (cx, d)
+    }
+
+    /// A parsed packet of `pid`, stamped as the classifier would under
+    /// `epoch`, pooled.
+    fn stamped(cx: &Shared, pid: u64, epoch: u64) -> Msg {
+        let mut p = nfp_traffic::gen::build_tcp_frame(
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 9, 9, 9),
+            1234,
+            80,
+            b"x",
+        );
+        p.parse().unwrap();
+        p.set_meta(Metadata::new(1, pid, VERSION_ORIGINAL).with_epoch(epoch));
+        Msg::plain(cx.pool.insert(p).unwrap())
+    }
+
+    /// Queue `msgs` on `stage` and run that stage's kernel over them as
+    /// one burst; returns what it queued for the agent.
+    fn burst(cx: &Shared, d: &mut Dispatcher, stage: Stage, msgs: &[Msg]) -> Vec<Msg> {
+        let k = d.ports.index(stage).unwrap();
+        d.ports.ports[k].queue.extend_from_slice(msgs);
+        d.run_stage(cx, k);
+        let agent = d.ports.index(Stage::Agent).unwrap();
+        std::mem::take(&mut d.ports.ports[agent].queue)
+    }
+
+    /// A burst that straddles a live swap — packets of the draining epoch
+    /// and of its successor interleaved — runs each packet under the
+    /// tables that classified it, and counts a stale-epoch observation for
+    /// every packet of the old epoch resolved after the new one was seen,
+    /// exactly as one lookup per packet did. The failed Firewall makes the
+    /// epochs observable: epoch 0 fails it closed (a failure nil to the
+    /// merger), epoch 1 open (the packet goes on untouched).
+    #[test]
+    fn mixed_epoch_burst_runs_each_packet_under_its_own_tables() {
+        let handle = Arc::new(ProgramHandle::new(program(FailurePolicy::FailClosed, 0)));
+        let nfs: Vec<Box<dyn NetworkFunction>> = vec![
+            Box::new(Monitor::new("Monitor")),
+            Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
+        ];
+        let fw = handle
+            .current()
+            .program()
+            .nf_names()
+            .iter()
+            .position(|n| n == "Firewall");
+        let fw = fw.unwrap();
+        let (cx, mut d) = dispatcher(&handle, nfs);
+        handle.install(program(FailurePolicy::FailOpen, 1)).unwrap();
+        d.runtimes[fw].force_fail(FailureKind::Stalled);
+
+        let epochs = [0, 1, 0, 1, 1, 0];
+        let msgs: Vec<Msg> = (0..)
+            .zip(epochs)
+            .map(|(pid, e)| stamped(&cx, pid, e))
+            .collect();
+        let out = burst(&cx, &mut d, Stage::Nf(fw), &msgs);
+        let nils: Vec<bool> = out
+            .iter()
+            .map(|m| cx.pool.with(m.r, |p| p.is_nil()))
+            .collect();
+        assert_eq!(
+            nils,
+            epochs.map(|e| e == 0),
+            "epoch 0 fails closed, epoch 1 open"
+        );
+        assert_eq!(
+            (d.runtimes[fw].policy_drops, d.runtimes[fw].bypassed),
+            (3, 3)
+        );
+        // One lookup per packet would have found epoch 0 stale at the
+        // third and sixth packets (epoch 1 seen by then), not the first.
+        let stats = cx.stats_of(Stage::Nf(fw)).snapshot();
+        assert_eq!((stats.stale_epochs, stats.epoch_conflicts), (2, 0));
+
+        // A burst that opens on the new epoch finds every old packet stale.
+        let msgs: Vec<Msg> = (10..)
+            .zip([1, 0, 0])
+            .map(|(pid, e)| stamped(&cx, pid, e))
+            .collect();
+        burst(&cx, &mut d, Stage::Nf(fw), &msgs);
+        assert_eq!(cx.stats_of(Stage::Nf(fw)).snapshot().stale_epochs, 4);
+    }
+
+    /// An NF that panics on the k-th packet of a burst fails from that
+    /// packet on: the packets before it ran through the NF, the panicking
+    /// one and every later one take the failure policy (here fail-open:
+    /// forwarded untouched), and the burst's order is kept.
+    #[test]
+    fn nf_panicking_mid_burst_fails_from_that_packet_on() {
+        let handle = Arc::new(ProgramHandle::new(program(FailurePolicy::FailClosed, 0)));
+        let mon = handle
+            .current()
+            .program()
+            .nf_names()
+            .iter()
+            .position(|n| n == "Monitor");
+        let mon = mon.unwrap();
+        let mut nfs: Vec<Box<dyn NetworkFunction>> = vec![
+            Box::new(Monitor::new("Monitor")),
+            Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
+        ];
+        nfs[mon] = Box::new(PanicAfter::new(Monitor::new("Monitor"), 3));
+        let (cx, mut d) = dispatcher(&handle, nfs);
+        let msgs: Vec<Msg> = (0..8).map(|pid| stamped(&cx, pid, 0)).collect();
+        let out = burst(&cx, &mut d, Stage::Nf(mon), &msgs);
+        let rt = &d.runtimes[mon];
+        assert!(matches!(rt.failure(), Some(FailureKind::Panicked(_))));
+        assert_eq!((rt.processed, rt.bypassed, rt.policy_drops), (3, 5, 0));
+        let refs: Vec<PacketRef> = out.iter().map(|m| m.r).collect();
+        assert_eq!(refs, msgs.iter().map(|m| m.r).collect::<Vec<_>>());
+        assert!(!cx.watch[mon].busy.load(Ordering::Acquire));
     }
 }

@@ -350,9 +350,16 @@ struct Intake {
 
 impl Intake {
     fn pull(&mut self, dispatcher: &mut Dispatcher, cx: &Shared) -> bool {
-        cx.stats_of(Stage::Classifier).note_occupancy(self.rx.len());
+        let queued = self.rx.len();
+        cx.stats_of(Stage::Classifier).note_occupancy(queued);
+        let burst = (queued + usize::from(self.held.is_some())).min(BURST);
+        if burst == 0 {
+            return false;
+        }
         let before = self.seen;
-        for _ in 0..BURST {
+        // One epoch pin per packet the burst may admit, reserved at once.
+        dispatcher.classifier.begin_burst(burst);
+        for _ in 0..burst {
             let Some(pkt) = self.held.take().or_else(|| self.rx.pop()) else {
                 break;
             };
@@ -366,7 +373,8 @@ impl Intake {
             }
             self.seen += 1;
         }
-        // The rejects of this burst finished here.
+        // Unused pins go back; the rejects of this burst finished here.
+        dispatcher.classifier.end_burst();
         dispatcher.publish(cx);
         self.seen > before
     }

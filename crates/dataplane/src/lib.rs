@@ -23,9 +23,9 @@
 //! * [`cores`] — the per-stage cores (agent/sequencer, merger,
 //!   collector): each stage's semantics lives here exactly once.
 //! * [`dispatch`] — the stage dispatcher, the one interpreter of a sealed
-//!   [`nfp_orchestrator::Program`]: it owns a set of stages, performs one
-//!   message step per stage kind over the cores, queues messages between
-//!   its own stages and puts a ring only on an edge that leaves the set.
+//!   [`nfp_orchestrator::Program`]: it owns a set of stages, runs one
+//!   kernel per stage kind over each queued burst, and puts a ring only
+//!   on an edge that leaves the set.
 //! * [`sync_engine`] — one dispatcher holding every stage, driven by the
 //!   caller: deterministic, the reference for correctness tests (paper
 //!   §6.4's replay experiment) and property tests.
@@ -37,7 +37,7 @@
 //!   ([`exec::IdlePolicy`], [`exec::WakeHub`]), optional core pinning,
 //!   and the [`exec::CachePadded`] false-sharing guard.
 //! * [`swap`] — epoch-based live reconfiguration: the swappable
-//!   [`swap::ProgramHandle`] every stage hangs off, per-packet epoch
+//!   [`swap::ProgramHandle`] every stage hangs off, per-burst epoch
 //!   pinning, drain/retire accounting, and the per-stage
 //!   [`swap::TablesResolver`] that keeps mid-swap packets on the tables
 //!   that classified them.

@@ -12,7 +12,6 @@
 //! hashing the immutable PID, so all copies of one packet land on the same
 //! instance while different packets of a flow may spread.
 
-use crate::actions::Msg;
 use crate::idmap::IdMap;
 use nfp_orchestrator::graph::{HeaderKind, MergeOp};
 use nfp_orchestrator::tables::MergeSpec;
@@ -20,6 +19,7 @@ use nfp_orchestrator::FailurePolicy;
 use nfp_packet::meta::VERSION_ORIGINAL;
 use nfp_packet::pool::{PacketPool, PacketRef};
 use nfp_packet::{ah, ipv4};
+use std::collections::hash_map::Entry;
 
 /// One packet copy (or nil marker) received by a merger.
 #[derive(Debug, Clone, Copy)]
@@ -105,18 +105,27 @@ impl Accumulator {
         seq: u64,
         epoch: u64,
     ) -> Option<Vec<Arrival>> {
-        let spare = &mut self.spare;
-        let entry = self.pending.entry(key).or_insert_with(|| PendingEntry {
-            arrivals: spare.pop().unwrap_or_default(),
-            first_seen: now,
-            seq,
-            epoch,
-        });
-        entry.arrivals.push(arrival);
-        if entry.arrivals.len() >= expected {
-            self.pending.remove(&key).map(|e| e.arrivals)
-        } else {
-            None
+        // One probe per arrival: the first opens the entry, the last takes
+        // it out.
+        match self.pending.entry(key) {
+            Entry::Occupied(mut e) => {
+                e.get_mut().arrivals.push(arrival);
+                (e.get().arrivals.len() >= expected).then(|| e.remove().arrivals)
+            }
+            Entry::Vacant(e) => {
+                let mut arrivals = self.spare.pop().unwrap_or_default();
+                arrivals.push(arrival);
+                if expected <= 1 {
+                    return Some(arrivals);
+                }
+                e.insert(PendingEntry {
+                    arrivals,
+                    first_seen: now,
+                    seq,
+                    epoch,
+                });
+                None
+            }
         }
     }
 
@@ -549,11 +558,6 @@ pub fn agent_pick(pid: u64, instances: usize) -> usize {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     (h % instances as u64) as usize
-}
-
-/// Convenience: classify a merger-bound [`Msg`] into an [`Arrival`].
-pub fn arrival_of_msg(pool: &PacketPool, msg: Msg) -> Arrival {
-    arrival_from(pool, msg.r)
 }
 
 #[cfg(test)]

@@ -51,11 +51,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// One NF plus its installed forwarding-table slice.
 ///
-/// The config passed at construction is the *install-time* slice; under
-/// live reconfiguration the engine resolves each packet's epoch to its
-/// tables and drives [`NfRuntime::handle_with`] with that epoch's config,
-/// so a runtime can serve two epochs' policies during a swap without
-/// being reconstructed.
+/// The config passed at construction is the *install-time* slice (it
+/// names the failure policy the run's report records); the engine
+/// resolves each packet's epoch to its tables and drives
+/// [`NfRuntime::handle_with`] with that epoch's config, so a runtime can
+/// serve two epochs' policies during a swap without being reconstructed.
 pub struct NfRuntime<N: NetworkFunction> {
     nf: N,
     config: Arc<NfConfig>,
@@ -127,20 +127,6 @@ impl<N: NetworkFunction> NfRuntime<N> {
             Some(FtAction::Copy { from, .. }) => *from,
             None => nfp_packet::meta::VERSION_ORIGINAL,
         }
-    }
-
-    /// Handle one packet reference popped from a receive ring, under the
-    /// install-time config. Engines that support live reconfiguration use
-    /// [`NfRuntime::handle_with`] instead.
-    pub fn handle(
-        &mut self,
-        msg: Msg,
-        pool: &PacketPool,
-        sink: &mut impl Deliver,
-        stats: &StageStats,
-    ) {
-        let cfg = Arc::clone(&self.config);
-        self.handle_with(&cfg, msg, pool, sink, stats);
     }
 
     /// Handle one packet reference under `cfg` — the forwarding-table
@@ -336,9 +322,11 @@ mod tests {
     fn pass_forwards_along_table() {
         let pool = PacketPool::new(4);
         let mut rt = NfRuntime::new(Monitor::new("mon"), seq_config(Target::Nf(3)));
+        // Every test drives the runtime under its install-time config.
+        let cfg = Arc::clone(&rt.config);
         let mut sink = Capture::default();
         let r = pooled(&pool, 80);
-        rt.handle(Msg::plain(r), &pool, &mut sink, &StageStats::new());
+        rt.handle_with(&cfg, Msg::plain(r), &pool, &mut sink, &StageStats::new());
         assert_eq!(rt.processed, 1);
         assert_eq!(sink.0, vec![(Target::Nf(3), Msg::plain(r))]);
         assert_eq!(rt.nf().total_packets, 1);
@@ -351,9 +339,10 @@ mod tests {
             Firewall::with_synthetic_acl("fw", 100),
             seq_config(Target::Nf(1)),
         );
+        let cfg = Arc::clone(&rt.config);
         let mut sink = Capture::default();
         let r = pooled(&pool, 7003); // matches a deny rule
-        rt.handle(Msg::plain(r), &pool, &mut sink, &StageStats::new());
+        rt.handle_with(&cfg, Msg::plain(r), &pool, &mut sink, &StageStats::new());
         assert_eq!(rt.dropped, 1);
         assert!(sink.0.is_empty());
         assert_eq!(pool.in_use(), 0);
@@ -376,9 +365,10 @@ mod tests {
             stateful: false,
         };
         let mut rt = NfRuntime::new(Firewall::with_synthetic_acl("fw", 100), config);
+        let cfg = Arc::clone(&rt.config);
         let mut sink = Capture::default();
         let r = pooled(&pool, 7003);
-        rt.handle(Msg::plain(r), &pool, &mut sink, &StageStats::new());
+        rt.handle_with(&cfg, Msg::plain(r), &pool, &mut sink, &StageStats::new());
         assert_eq!(rt.dropped, 1);
         assert_eq!(sink.0.len(), 1);
         let (target, msg) = sink.0[0];
@@ -400,16 +390,18 @@ mod tests {
             PanicAfter::new(Monitor::new("mon"), 1),
             seq_config(Target::Nf(3)),
         );
+        let cfg = Arc::clone(&rt.config);
         let mut sink = Capture::default();
         let stats = StageStats::new();
-        rt.handle(Msg::plain(pooled(&pool, 80)), &pool, &mut sink, &stats);
+        let fresh = || Msg::plain(pooled(&pool, 80));
+        rt.handle_with(&cfg, fresh(), &pool, &mut sink, &stats);
         assert!(rt.failure().is_none());
         // Second packet panics; fail-open forwards it unprocessed.
-        rt.handle(Msg::plain(pooled(&pool, 80)), &pool, &mut sink, &stats);
+        rt.handle_with(&cfg, fresh(), &pool, &mut sink, &stats);
         assert!(matches!(rt.failure(), Some(FailureKind::Panicked(_))));
         assert_eq!(rt.bypassed, 1);
         // Third packet bypasses without invoking the NF at all.
-        rt.handle(Msg::plain(pooled(&pool, 80)), &pool, &mut sink, &stats);
+        rt.handle_with(&cfg, fresh(), &pool, &mut sink, &stats);
         assert_eq!(rt.bypassed, 2);
         assert_eq!(sink.0.len(), 3, "all three delivered downstream");
         assert_eq!(rt.nf().inner().total_packets, 1, "NF saw only the first");
@@ -424,10 +416,12 @@ mod tests {
             ..seq_config(Target::Nf(3))
         };
         let mut rt = NfRuntime::new(PanicAfter::new(Monitor::new("mon"), 0), config);
+        let cfg = Arc::clone(&rt.config);
         let mut sink = Capture::default();
         let stats = StageStats::new();
+        let fresh = || Msg::plain(pooled(&pool, 80));
         for _ in 0..3 {
-            rt.handle(Msg::plain(pooled(&pool, 80)), &pool, &mut sink, &stats);
+            rt.handle_with(&cfg, fresh(), &pool, &mut sink, &stats);
         }
         assert!(rt.failure().is_some());
         assert_eq!(rt.policy_drops, 3);
@@ -454,9 +448,10 @@ mod tests {
             stateful: false,
         };
         let mut rt = NfRuntime::new(PanicAfter::new(Monitor::new("mon"), 0), config);
+        let cfg = Arc::clone(&rt.config);
         let mut sink = Capture::default();
         let r = pooled(&pool, 80);
-        rt.handle(Msg::plain(r), &pool, &mut sink, &StageStats::new());
+        rt.handle_with(&cfg, Msg::plain(r), &pool, &mut sink, &StageStats::new());
         let (target, msg) = sink.0[0];
         assert_eq!(target, Target::Merger(1));
         pool.with(msg.r, |p| {
@@ -472,12 +467,14 @@ mod tests {
     fn force_fail_keeps_first_failure() {
         let pool = PacketPool::new(4);
         let mut rt = NfRuntime::new(Monitor::new("mon"), seq_config(Target::Nf(1)));
+        let cfg = Arc::clone(&rt.config);
         rt.force_fail(FailureKind::Stalled);
         rt.force_fail(FailureKind::Panicked("later".into()));
         assert_eq!(rt.failure(), Some(&FailureKind::Stalled));
         // Traffic bypasses (fail-open default) without touching the NF.
         let mut sink = Capture::default();
-        rt.handle(
+        rt.handle_with(
+            &cfg,
             Msg::plain(pooled(&pool, 80)),
             &pool,
             &mut sink,
@@ -504,10 +501,11 @@ mod tests {
             stateful: false,
         };
         let mut rt = NfRuntime::new(Monitor::new("mon"), config);
+        let cfg = Arc::clone(&rt.config);
         let mut sink = Capture::default();
         let r = pooled(&pool, 80);
         pool.retain(r); // simulate a second concurrent sharer
-        rt.handle(Msg::plain(r), &pool, &mut sink, &StageStats::new());
+        rt.handle_with(&cfg, Msg::plain(r), &pool, &mut sink, &StageStats::new());
         assert_eq!(rt.nf().total_packets, 1);
         assert_eq!(sink.0.len(), 1);
         pool.release(r);

@@ -4,19 +4,17 @@
 //! one *draining* predecessor. The lifecycle of a packet against this
 //! module is:
 //!
-//! 1. **Admit** — the classifier pins the packet to the current epoch via
-//!    [`ProgramHandle::admit_current`]; the epoch's `attempts` counter
-//!    rises and the packet's [`nfp_packet::meta::Metadata`] is stamped
-//!    with the epoch id.
+//! 1. **Admit** — the classifier pins the packet to the current epoch
+//!    (reserved once per intake burst, [`ProgramHandle::reserve`]) and
+//!    stamps its [`nfp_packet::meta::Metadata`] with the epoch id.
 //! 2. **Resolve** — every downstream stage (NF runtime, agent, merger)
 //!    looks its tables up *by the packet's stamped epoch* through a
 //!    [`TablesResolver`], never through a shared "latest" pointer. A
 //!    packet classified under epoch N is forwarded and merged under
 //!    epoch N even if epoch N+1 installs mid-flight.
 //! 3. **Settle** — when the engine delivers or drops the packet it settles
-//!    the stamped epoch ([`TablesResolver::settle`]; or
-//!    [`ProgramHandle::abort`] if admission itself failed after pinning),
-//!    lowering the epoch's in-flight count.
+//!    the stamped epoch ([`TablesResolver::settle`], paid once per stage
+//!    burst), lowering the epoch's in-flight count.
 //!
 //! Only step 1 takes the handle's lock. The resolver caches the
 //! `Arc<EpochState>` of each epoch it has seen, hands the tables out as a
@@ -24,9 +22,13 @@
 //! and settle a packet takes no lock and clones no `Arc`. That is sound
 //! because a pinned packet keeps its epoch live: an epoch is retired only
 //! once `attempts == settled`, and the packet being resolved or settled
-//! has not settled yet — so the state the resolver cached under that epoch
-//! id *is* the state [`ProgramHandle`] still holds (epoch ids strictly
-//! increase, so an id never names two states).
+//! has not been paid for yet — so the state the resolver cached under
+//! that epoch id *is* the state [`ProgramHandle`] still holds (epoch ids
+//! strictly increase, so an id never names two states).
+//!
+//! Batching only *delays* `settled`: a pin reserved but not yet used or
+//! returned, or a settlement not yet paid, keeps its epoch undrained, so
+//! a drain wait grows by at most one intake and one stage burst.
 //!
 //! [`ProgramHandle::install`] swaps a compatible successor in under a
 //! write lock: new admissions pin the new epoch immediately, the old
@@ -46,17 +48,16 @@ use std::time::{Duration, Instant};
 
 /// One live program epoch and its in-flight accounting.
 ///
-/// `attempts` counts packets pinned to this epoch at admission;
+/// `attempts` counts pins reserved for admissions to this epoch;
 /// `settled` counts pins released (delivered, dropped, or aborted);
-/// `completed` counts the subset that were real deliveries/drops (i.e.
-/// packets the engine accounted, excluding admission aborts). The epoch
-/// is drained when every attempt has settled.
+/// `aborted` counts the subset returned unused. The epoch is drained
+/// when every attempt has settled.
 #[derive(Debug)]
 pub struct EpochState {
     program: Program,
     attempts: AtomicU64,
     settled: AtomicU64,
-    completed: AtomicU64,
+    aborted: AtomicU64,
 }
 
 impl EpochState {
@@ -65,7 +66,7 @@ impl EpochState {
             program,
             attempts: AtomicU64::new(0),
             settled: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
+            aborted: AtomicU64::new(0),
         }
     }
 
@@ -84,11 +85,10 @@ impl EpochState {
         self.program.tables()
     }
 
-    /// One packet pinned to this epoch was delivered or dropped.
+    /// `n` packets pinned to this epoch were delivered or dropped.
     #[inline]
-    fn settle(&self) {
-        self.completed.fetch_add(1, Ordering::AcqRel);
-        self.settled.fetch_add(1, Ordering::AcqRel);
+    fn settle(&self, n: u64) {
+        self.settled.fetch_add(n, Ordering::AcqRel);
     }
 
     /// Packets currently pinned to this epoch (admitted, not yet settled).
@@ -105,7 +105,8 @@ impl EpochState {
 
     /// Packets fully processed (delivered or dropped) under this epoch.
     pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Acquire)
+        let settled = self.settled.load(Ordering::Acquire);
+        settled.saturating_sub(self.aborted.load(Ordering::Acquire))
     }
 }
 
@@ -231,13 +232,12 @@ pub struct EpochReport {
 
 /// The shared, swappable program slot every engine stage hangs off.
 ///
-/// Reads (admission, and a [`TablesResolver`]'s first sight of an epoch)
-/// take the read lock; only [`install`](ProgramHandle::install) and
-/// [`retire`](ProgramHandle::retire) take the write lock. Admission
-/// increments the pin count *under* the read lock, so an install (which
-/// holds the write lock) can never miss a pin: after `install` returns,
-/// every packet is pinned either to the old epoch (counted in its
-/// `attempts`) or to the new one.
+/// Reads (a [`reserve`](ProgramHandle::reserve), and a [`TablesResolver`]'s
+/// first sight of an epoch) take the read lock; only
+/// [`install`](ProgramHandle::install) and [`retire`](ProgramHandle::retire)
+/// take the write lock. A reservation raises the pin count *under* the
+/// read lock, so an install (which holds the write lock) can never miss a
+/// pin: every reserved pin counts in the old epoch's `attempts` or the new.
 #[derive(Debug)]
 pub struct ProgramHandle {
     slots: RwLock<Slots>,
@@ -266,29 +266,32 @@ impl ProgramHandle {
         self.slots.read().unwrap().current.epoch()
     }
 
-    /// Pin one admission to the current epoch: increments its attempt
-    /// count and returns it. The caller must guarantee exactly one
-    /// matching [`finish`](ProgramHandle::finish) (packet delivered or
-    /// dropped) or [`abort`](ProgramHandle::abort) (admission failed).
-    pub fn admit_current(&self) -> Arc<EpochState> {
+    /// Pin `n` admissions (an intake burst) to the current epoch at once
+    /// and return it. Every pin must be released exactly once: by a
+    /// [`finish`](ProgramHandle::finish) or [`TablesResolver::settle`]
+    /// (delivered or dropped), or by an [`abort`](ProgramHandle::abort)
+    /// (unused).
+    pub fn reserve(&self, n: u64) -> Arc<EpochState> {
         let slots = self.slots.read().unwrap();
-        slots.current.attempts.fetch_add(1, Ordering::AcqRel);
+        slots.current.attempts.fetch_add(n, Ordering::AcqRel);
         Arc::clone(&slots.current)
     }
 
-    /// Release a pin without completing the packet — the admission failed
-    /// before the packet entered the graph.
-    pub fn abort(&self, state: &EpochState) {
-        state.settled.fetch_add(1, Ordering::AcqRel);
+    /// Return `n` pins of `state` unused. `aborted` moves first, so a
+    /// reader that sees them settled never counts them completed.
+    pub fn abort(&self, state: &EpochState, n: u64) {
+        if n > 0 {
+            state.aborted.fetch_add(n, Ordering::AcqRel);
+            state.settle(n);
+        }
     }
 
-    /// Settle one packet under `epoch`: it was delivered or dropped. Pairs
-    /// 1:1 with [`admit_current`](ProgramHandle::admit_current). Takes the
-    /// read lock to find the epoch; stages settle through
+    /// Settle one packet under `epoch`: it was delivered or dropped. Takes
+    /// the read lock to find the epoch; stages settle through
     /// [`TablesResolver::settle`], which does not.
     pub fn finish(&self, epoch: u64) {
         match self.state_for(epoch) {
-            Some(state) => state.settle(),
+            Some(state) => state.settle(1),
             None => debug_assert!(false, "finish({epoch}) matches no live epoch"),
         }
     }
@@ -300,13 +303,6 @@ impl ProgramHandle {
             return Some(Arc::clone(&slots.current));
         }
         slots.prev.as_ref().filter(|p| p.epoch() == epoch).cloned()
-    }
-
-    /// The tables that classified packets of `epoch`, if that epoch is
-    /// still live.
-    pub fn tables_for(&self, epoch: u64) -> Option<Arc<GraphTables>> {
-        self.state_for(epoch)
-            .map(|state| Arc::clone(state.tables()))
     }
 
     /// Atomically swap `program` in as the new current epoch.
@@ -445,13 +441,18 @@ const RESOLVER_CACHE: usize = 4;
 /// epoch, not by whatever is current — that is what keeps a mid-swap
 /// packet on the tables that classified it — and settle finished packets
 /// against that same epoch. Both go through the cached state: the common
-/// case (an epoch seen before) is a compare per cached epoch, a borrow,
-/// and for settle the two counter bumps; no lock, no `Arc` clone (module
-/// docs: why a pinned packet's cached state cannot be stale).
+/// case (the epoch the last lookup found) is one compare and a borrow; a
+/// settlement is an add to the epoch's owed count, paid by
+/// [`flush`](TablesResolver::flush), on eviction or on drop. No lock, no
+/// `Arc` clone (module docs: why a pinned packet's cached state cannot be
+/// stale).
 #[derive(Debug)]
 pub struct TablesResolver {
     handle: Arc<ProgramHandle>,
-    cache: Vec<Arc<EpochState>>,
+    /// Each cached epoch's state and the settlements owed to it.
+    cache: Vec<(Arc<EpochState>, u64)>,
+    /// Index of the epoch the last lookup found.
+    last: usize,
     newest: u64,
     /// What a lookup of a no-longer-live epoch borrows from.
     fallback: Option<Arc<EpochState>>,
@@ -463,32 +464,44 @@ impl TablesResolver {
         Self {
             handle,
             cache: Vec::with_capacity(RESOLVER_CACHE),
+            last: 0,
             newest: 0,
             fallback: None,
         }
     }
 
-    /// The shared handle this resolver reads.
-    pub fn handle(&self) -> &Arc<ProgramHandle> {
-        &self.handle
+    /// Index of `epoch`'s state in the cache: the last lookup's, or
+    /// [`find`](TablesResolver::find)'s.
+    #[inline]
+    fn cached(&mut self, epoch: u64) -> Option<usize> {
+        match self.cache.get(self.last) {
+            Some((state, _)) if state.epoch() == epoch => Some(self.last),
+            _ => self.find(epoch),
+        }
     }
 
-    /// Index of `epoch`'s state in the cache, fetching it from the handle
-    /// (one read lock) the first time the epoch is seen.
-    fn cached(&mut self, epoch: u64) -> Option<usize> {
-        if let Some(i) = self.cache.iter().position(|s| s.epoch() == epoch) {
+    /// Scan the cache for `epoch`, fetching its state from the handle (one
+    /// read lock) the first time the epoch is seen, if it is live.
+    #[cold]
+    fn find(&mut self, epoch: u64) -> Option<usize> {
+        if let Some(i) = self.cache.iter().position(|c| c.0.epoch() == epoch) {
+            self.last = i;
             return Some(i);
         }
         let state = self.handle.state_for(epoch)?;
         self.newest = self.newest.max(epoch);
         if self.cache.len() >= RESOLVER_CACHE {
-            // Evict the oldest epoch — the least likely to recur.
-            if let Some(i) = (0..self.cache.len()).min_by_key(|&i| self.cache[i].epoch()) {
-                self.cache.swap_remove(i);
+            // Evict the oldest epoch — the least likely to recur — paying
+            // what it is owed first.
+            let oldest = (0..self.cache.len()).min_by_key(|&i| self.cache[i].0.epoch());
+            if let Some(i) = oldest {
+                let (gone, owed) = self.cache.swap_remove(i);
+                gone.settle(owed);
             }
         }
-        self.cache.push(state);
-        Some(self.cache.len() - 1)
+        self.cache.push((state, 0));
+        self.last = self.cache.len() - 1;
+        Some(self.last)
     }
 
     /// The tables for `epoch`. A packet stamped with a no-longer-live
@@ -503,24 +516,44 @@ impl TablesResolver {
             stats.note_stale_epoch();
         }
         match self.cached(epoch) {
-            Some(i) => self.cache[i].tables(),
-            None => {
-                stats.note_epoch_conflict();
-                self.fallback.insert(self.handle.current()).tables()
-            }
+            Some(i) => self.cache[i].0.tables(),
+            None => self.conflict(stats),
         }
     }
 
-    /// Settle one packet under `epoch`: it was delivered or dropped. Pairs
-    /// 1:1 with the [`ProgramHandle::admit_current`] that pinned it, and
-    /// goes straight to the cached state of the epoch the packet has been
-    /// resolving under all along.
+    /// The current tables, for a packet whose epoch is no longer live.
+    #[cold]
+    fn conflict(&mut self, stats: &StageStats) -> &GraphTables {
+        stats.note_epoch_conflict();
+        self.fallback.insert(self.handle.current()).tables()
+    }
+
+    /// Settle `n` packets under `epoch` (delivered or dropped), each
+    /// pairing with its admission's pin; owed until the next
+    /// [`flush`](TablesResolver::flush).
     #[inline]
-    pub fn settle(&mut self, epoch: u64) {
+    pub fn settle(&mut self, epoch: u64, n: u64) {
         match self.cached(epoch) {
-            Some(i) => self.cache[i].settle(),
+            Some(i) => self.cache[i].1 += n,
             None => debug_assert!(false, "settle({epoch}) matches no live epoch"),
         }
+    }
+
+    /// Pay every owed settlement, one read-modify-write per epoch owed
+    /// any (the dispatcher's `publish`, once per stage burst).
+    #[inline]
+    pub fn flush(&mut self) {
+        for (state, owed) in &mut self.cache {
+            if *owed > 0 {
+                state.settle(std::mem::take(owed));
+            }
+        }
+    }
+}
+
+impl Drop for TablesResolver {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -543,32 +576,33 @@ mod tests {
     }
 
     #[test]
-    fn admit_finish_drains() {
+    fn reserve_finish_drains() {
         let h = ProgramHandle::new(program(&["Monitor", "Firewall"], 1, 0));
         assert_eq!(h.epoch(), 0);
-        let e = h.admit_current();
+        let e = h.reserve(1);
         assert_eq!(e.in_flight(), 1);
         assert!(!e.drained());
         h.finish(0);
         assert!(e.drained());
         assert_eq!(e.completed(), 1);
         // Aborts settle without completing.
-        let e = h.admit_current();
-        h.abort(&e);
+        let e = h.reserve(3);
+        h.finish(0);
+        h.abort(&e, 2);
         assert!(e.drained());
-        assert_eq!(e.completed(), 1);
+        assert_eq!(e.completed(), 2);
     }
 
     #[test]
     fn install_swaps_and_retires() {
         let h = ProgramHandle::new(program(&["Monitor", "Firewall"], 1, 0));
-        let pinned = h.admit_current();
+        let pinned = h.reserve(1);
         let swap = h.install(program(&["Monitor", "Firewall"], 1, 1)).unwrap();
         assert_eq!(h.epoch(), 1);
         assert_eq!(swap.old.epoch(), 0);
         assert_eq!(swap.old.in_flight(), 1);
         // Old epoch still resolves while draining.
-        assert!(h.tables_for(0).is_some());
+        assert!(h.state_for(0).is_some());
         assert!(h.retire().is_none()); // not drained yet
         h.finish(pinned.epoch());
         assert_eq!(
@@ -578,7 +612,7 @@ mod tests {
                 completed: 1
             })
         );
-        assert!(h.tables_for(0).is_none());
+        assert!(h.state_for(0).is_none());
         let tallies = h.tallies();
         assert_eq!(tallies.len(), 2);
         assert_eq!(
@@ -594,7 +628,7 @@ mod tests {
     #[test]
     fn second_swap_waits_for_drain() {
         let h = ProgramHandle::new(program(&["Monitor", "Firewall"], 1, 0));
-        let _pinned = h.admit_current();
+        let _pinned = h.reserve(1);
         h.install(program(&["Monitor", "Firewall"], 1, 1)).unwrap();
         assert_eq!(
             h.install(program(&["Monitor", "Firewall"], 1, 2))
@@ -647,16 +681,20 @@ mod tests {
     fn resolver_settles_on_the_epoch_that_pinned() {
         let h = Arc::new(ProgramHandle::new(program(&["Monitor", "Firewall"], 1, 0)));
         let mut r = TablesResolver::new(Arc::clone(&h));
-        let old = h.admit_current();
+        let old = h.reserve(1);
         let swap = h.install(program(&["Monitor", "Firewall"], 1, 1)).unwrap();
-        let new = h.admit_current();
+        let new = h.reserve(1);
         // A packet pinned to the draining epoch settles there, one pinned
-        // to the new epoch settles there — same counters `finish` moves.
-        r.settle(old.epoch());
+        // to the new epoch settles there — same counters `finish` moves,
+        // once the resolver pays what it owes.
+        r.settle(old.epoch(), 1);
+        assert!(!swap.old.drained(), "owed, not yet paid");
+        r.flush();
         assert!(swap.old.drained());
         assert_eq!(swap.old.completed(), 1);
         assert_eq!(new.in_flight(), 1);
-        r.settle(new.epoch());
+        r.settle(new.epoch(), 1);
+        r.flush();
         assert!(new.drained());
         assert_eq!(
             h.tallies(),
@@ -674,8 +712,91 @@ mod tests {
         // The drained predecessor retires; a later packet of the current
         // epoch still settles through the cache.
         assert!(h.retire().is_some());
-        let again = h.admit_current();
-        r.settle(again.epoch());
+        let again = h.reserve(1);
+        r.settle(again.epoch(), 1);
+        r.flush();
         assert_eq!(h.current().completed(), 2);
+    }
+
+    /// `attempts` and `settled` of `e`, read the way a drain check reads
+    /// them.
+    fn counts(e: &EpochState) -> (u64, u64) {
+        (
+            e.attempts.load(Ordering::Acquire),
+            e.settled.load(Ordering::Acquire),
+        )
+    }
+
+    /// Pins reserved for a burst and not yet used or returned hold their
+    /// epoch undrained across an install: a second swap is refused until
+    /// the burst gives them back, and `settled ≤ attempts` at every step.
+    #[test]
+    fn outstanding_reservation_holds_the_old_epoch() {
+        let h = Arc::new(ProgramHandle::new(program(&["Monitor", "Firewall"], 1, 0)));
+        let mut r = TablesResolver::new(Arc::clone(&h));
+        let burst = h.reserve(8);
+        let check = |e: &EpochState| {
+            let (attempts, settled) = counts(e);
+            assert!(
+                settled <= attempts,
+                "settled {settled} > attempts {attempts}"
+            );
+        };
+        check(&burst);
+        let swap = h.install(program(&["Monitor", "Firewall"], 1, 1)).unwrap();
+        // Three of the burst's pins admitted packets that finished; the
+        // settlements are owed, so the epoch is not drained yet.
+        r.settle(0, 3);
+        check(&burst);
+        assert_eq!(swap.old.in_flight(), 8);
+        assert_eq!(
+            h.install(program(&["Monitor", "Firewall"], 1, 2))
+                .unwrap_err(),
+            ReconfigError::SwapInProgress { draining: 0 }
+        );
+        r.flush();
+        check(&burst);
+        assert_eq!(swap.old.in_flight(), 5);
+        assert!(h.retire().is_none(), "five pins still out");
+        // The burst ends: its five unused pins come back.
+        h.abort(&burst, 5);
+        check(&burst);
+        assert!(swap.old.drained());
+        assert_eq!(
+            h.retire(),
+            Some(EpochTally {
+                epoch: 0,
+                completed: 3
+            })
+        );
+        h.install(program(&["Monitor", "Firewall"], 1, 2)).unwrap();
+        assert_eq!(h.epoch(), 2);
+    }
+
+    /// A settlement owed to an epoch the resolver evicts is paid on the
+    /// way out, not lost: the epoch drains without a flush. (Under the
+    /// swap protocol an owed epoch is never the oldest of a full cache —
+    /// it holds its successors back — so the cache is filled by hand with
+    /// states of newer epochs.)
+    #[test]
+    fn owed_settlements_survive_cache_eviction() {
+        let h = Arc::new(ProgramHandle::new(program(&["Monitor", "Firewall"], 1, 0)));
+        let mut r = TablesResolver::new(Arc::clone(&h));
+        let stats = StageStats::new();
+        let first = h.reserve(2);
+        r.settle(0, 2);
+        for epoch in 5..5 + RESOLVER_CACHE as u64 - 1 {
+            let state = Arc::new(EpochState::new(program(&["Monitor", "Firewall"], 1, epoch)));
+            r.cache.push((state, 0));
+        }
+        h.install(program(&["Monitor", "Firewall"], 1, 1)).unwrap();
+        assert_eq!(first.in_flight(), 2, "owed, not yet paid");
+        // Resolving epoch 1 fills the cache past its size: epoch 0, the
+        // oldest, is evicted and paid.
+        r.tables(1, &stats);
+        assert!(r.cache.iter().all(|c| c.0.epoch() != 0));
+        assert!(first.drained());
+        assert_eq!(first.completed(), 2);
+        assert!(h.retire().is_some());
     }
 }

@@ -164,28 +164,31 @@ impl SyncEngine {
     pub fn process_batch(&mut self, pkts: Vec<Packet>) -> Vec<Packet> {
         let mut out = Vec::with_capacity(pkts.len());
         for pkt in pkts {
-            match self.process(pkt) {
-                Ok(outcome) => {
-                    if let Some(p) = outcome.delivered() {
-                        out.push(p);
-                    }
-                }
-                Err(_) => self.dropped += 1,
+            if let Ok(ProcessOutcome::Delivered(p)) = self.process(pkt) {
+                out.push(*p);
             }
         }
         out
     }
 
-    /// Process one packet through the whole graph. The packet is pinned to
-    /// the epoch current at admission and every stage resolves its tables
-    /// against that epoch; the pin settles exactly once before returning.
+    /// Process one packet through the whole graph — an admission burst of
+    /// one. The packet is pinned to the epoch current at admission and
+    /// every stage resolves its tables against that epoch; the pin
+    /// settles exactly once before returning. An admission reject counts
+    /// toward `dropped` here, like every other packet that does not come
+    /// out.
     pub fn process(&mut self, pkt: Packet) -> Result<ProcessOutcome, AdmitError> {
         if let Clock::Tick(tick) = &mut self.cx.clock {
             *tick += 1;
         }
-        self.dispatcher
-            .admit(&self.cx, pkt)
-            .map_err(|(why, _)| why)?;
+        self.dispatcher.classifier.begin_burst(1);
+        let admitted = self.dispatcher.admit(&self.cx, pkt);
+        self.dispatcher.classifier.end_burst();
+        self.dispatcher.publish(&self.cx);
+        if let Err((why, _)) = admitted {
+            self.dropped += 1;
+            return Err(why);
+        }
         loop {
             while !self.dispatcher.idle() {
                 self.dispatcher.pass(&self.cx);
@@ -242,14 +245,11 @@ impl SyncEngine {
                 match self.process(pkt) {
                     Ok(ProcessOutcome::Delivered(p)) => out.push(*p),
                     Ok(ProcessOutcome::Dropped) => io.dropped += 1,
-                    Err(_) => {
-                        // Terminal admit rejects (malformed, no match)
-                        // are already counted in the stage stats; pool
-                        // exhaustion cannot happen in the closed
-                        // one-at-a-time loop.
-                        self.dropped += 1;
-                        io.rejected += 1;
-                    }
+                    // Terminal admit rejects (malformed, no match) are
+                    // already counted in the stage stats and `dropped`;
+                    // pool exhaustion cannot happen in the closed
+                    // one-at-a-time loop.
+                    Err(_) => io.rejected += 1,
                 }
             }
             if !out.is_empty() {

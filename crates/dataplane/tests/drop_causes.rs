@@ -220,7 +220,11 @@ fn merge_error_bumps_only_its_counter() {
         let mut pkt = valid_frame(443);
         pkt.set_meta(Metadata::new(mid, 0, (i + 2) as u8));
         let r = pool.insert(pkt).unwrap();
-        let offered = core.offer(Msg::to_segment(r, segment), &pool, &mut resolver, &stats, 0);
+        let mut offered = None;
+        let msg = Msg::to_segment(r, segment);
+        core.offer(&[msg], &pool, &mut resolver, &stats, 0, |o| {
+            offered = Some(o)
+        });
         if i + 1 < spec.total_count {
             assert!(offered.is_none(), "entry resolved before all siblings");
         } else {

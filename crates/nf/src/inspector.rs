@@ -37,9 +37,6 @@ pub struct UsageLog {
     pub exclusive_taken: bool,
 }
 
-/// Back-compat alias: the instrumented view is just [`PacketView::Inspect`].
-pub type InspectingView<'a> = PacketView<'a>;
-
 /// Run the inspector: process every sample through `nf` and derive its
 /// action profile.
 pub fn inspect(nf: &mut dyn NetworkFunction, samples: Vec<Packet>) -> ActionProfile {

@@ -53,6 +53,6 @@ pub mod nf;
 pub mod state;
 pub mod vpn;
 
-pub use inspector::{inspect, InspectingView};
+pub use inspector::inspect;
 pub use nf::{NetworkFunction, PacketView, Verdict};
 pub use state::{FlowSnapshot, FlowTable};

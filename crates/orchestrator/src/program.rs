@@ -234,6 +234,12 @@ pub enum ProgramError {
         /// Table NF configs.
         got: usize,
     },
+    /// A merge spec's segment index does not fit the
+    /// [`tables::SEGMENT_BITS`] a merger-bound message carries.
+    SegmentOutOfRange {
+        /// The offending segment.
+        segment: usize,
+    },
 }
 
 impl core::fmt::Display for ProgramError {
@@ -284,6 +290,11 @@ impl core::fmt::Display for ProgramError {
                     "graph has {expected} nodes but tables configure {got} NFs"
                 )
             }
+            ProgramError::SegmentOutOfRange { segment } => write!(
+                f,
+                "segment {segment} does not fit {} bits of message tag",
+                tables::SEGMENT_BITS
+            ),
         }
     }
 }
@@ -346,7 +357,9 @@ impl Program {
         })
     }
 
-    /// This program's version id. Fresh seals are epoch 0.
+    /// This program's version id. Fresh seals are epoch 0. (Read per
+    /// message by the dataplane's epoch resolver, hence `#[inline]`.)
+    #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -366,6 +379,7 @@ impl Program {
     }
 
     /// The sealed tables (shared with classifiers and engine stages).
+    #[inline]
     pub fn tables(&self) -> &Arc<GraphTables> {
         &self.tables
     }
@@ -606,6 +620,15 @@ fn slots_per_packet(graph: &ServiceGraph) -> usize {
 }
 
 fn validate_tables(t: &GraphTables) -> Result<(), ProgramError> {
+    if let Some(spec) = t
+        .merge_specs
+        .iter()
+        .find(|spec| spec.segment >> tables::SEGMENT_BITS != 0)
+    {
+        return Err(ProgramError::SegmentOutOfRange {
+            segment: spec.segment,
+        });
+    }
     let nf_count = t.nf_configs.len();
     let check_targets = |actions: &[FtAction]| -> Result<(), ProgramError> {
         for a in actions {
@@ -869,6 +892,42 @@ mod tests {
             Program::seal(t, &g).unwrap_err(),
             ProgramError::MissingMergeSpec { .. }
         ));
+    }
+
+    /// A merger-bound message carries its segment in 16 bits of tag, so
+    /// sealing refuses a segment index that would not fit — the highest
+    /// that does still seals.
+    #[test]
+    fn segment_beyond_the_message_tag_rejected() {
+        let g = graph(&["Monitor", "Firewall"]);
+        let retarget = |segment: usize| {
+            let mut t = tables::generate(&g, 1);
+            let old = t.merge_specs[0].segment;
+            t.merge_specs[0].segment = segment;
+            let actions = t
+                .entry_actions
+                .iter_mut()
+                .chain(t.nf_configs.iter_mut().flat_map(|c| c.actions.iter_mut()));
+            for action in actions {
+                if let FtAction::Distribute { targets, .. } = action {
+                    for target in targets.iter_mut().filter(|t| **t == Target::Merger(old)) {
+                        *target = Target::Merger(segment);
+                    }
+                }
+            }
+            for cfg in &mut t.nf_configs {
+                if let DropBehavior::NilToMerger { segment: s, .. } = &mut cfg.on_drop {
+                    *s = segment;
+                }
+            }
+            Program::seal(t, &g)
+        };
+        let max = (1 << tables::SEGMENT_BITS) - 1;
+        assert!(retarget(max).is_ok());
+        assert_eq!(
+            retarget(max + 1).unwrap_err(),
+            ProgramError::SegmentOutOfRange { segment: max + 1 }
+        );
     }
 
     #[test]

@@ -87,6 +87,11 @@ pub struct MemberSpec {
     pub stateful: bool,
 }
 
+/// Bits of segment index a merger-bound dataplane message carries (the
+/// rest of its 64-bit tag is the merge-order sequence number), so the
+/// highest segment a sealed program may merge is `2^SEGMENT_BITS − 1`.
+pub const SEGMENT_BITS: u32 = 16;
+
 /// Merge specification for one parallel segment — the Classification
 /// Table's "Total Count" and "MOs" columns plus drop resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,6 +174,7 @@ pub struct GraphTables {
 impl GraphTables {
     /// The merge spec serving segment `segment`, if that segment is
     /// parallel.
+    #[inline]
     pub fn merge_spec_for(&self, segment: usize) -> Option<&MergeSpec> {
         self.merge_specs.iter().find(|m| m.segment == segment)
     }

@@ -432,6 +432,80 @@ fn every_core_budget_agrees_with_sync_engine() {
     }
 }
 
+/// Epoch bookkeeping by the burst under a swap storm: the east-west chain
+/// on one stage thread at window 64, hot-swapped to an identical successor
+/// about every 500 packets while it runs. Admission pins a whole intake
+/// burst to one epoch and stages pay their settlements once per burst, so
+/// every swap's drain waits on pins and settlements in flight — and still
+/// no packet resolves against a retired epoch, every finished packet is
+/// tallied under exactly one epoch, no pool slot leaks, and the delivered
+/// bytes are the sync engine's.
+#[test]
+fn per_burst_epoch_bookkeeping_survives_a_swap_storm() {
+    use nfp_dataplane::audit::EngineProbe;
+    use nfp_dataplane::chaos_schedule::{drive_swaps, ChaosScript};
+
+    const PACKETS: usize = 12_000;
+    let (compiled, program) = build(SEED_GRAPHS[0]);
+    let pkts = traffic(PACKETS);
+    let mut sync = SyncEngine::new(program.clone(), nfs_of(&compiled), 128);
+    let mut expected: Vec<Vec<u8>> = sync
+        .process_batch(pkts.clone())
+        .iter()
+        .map(|p| p.data().to_vec())
+        .collect();
+    expected.sort();
+    let script = ChaosScript::swap_storm(PACKETS as u64, PACKETS * 3 / 5 / 500);
+
+    let probe = EngineProbe::new();
+    let mut engine = Engine::new(
+        program.clone(),
+        nfs_of(&compiled),
+        EngineConfig {
+            keep_packets: true,
+            max_in_flight: 64,
+            core_budget: 1,
+            probe: Some(probe.clone()),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let controller = engine.controller();
+    let (report, log) = std::thread::scope(|s| {
+        let storm = s.spawn(|| {
+            drive_swaps(&[controller], &probe, &script.swap_points(), |epoch| {
+                program.clone().with_epoch(epoch)
+            })
+        });
+        let report = engine.run(pkts.clone());
+        (report, storm.join().unwrap())
+    });
+    assert!(log.completed > 0, "no swap landed inside the run");
+    assert_eq!(log.rejected, 0, "{:?}", log.failures);
+
+    let mut folded = nfp_dataplane::stats::StageSnapshot::default();
+    for (_, stage) in report.stats.stages() {
+        folded.absorb(stage);
+    }
+    assert_eq!(folded.epoch_conflicts, 0, "a packet outlived its epoch");
+    assert_eq!(report.injected, report.delivered + report.dropped);
+    let tallied: u64 = report.epochs.iter().map(|t| t.completed).sum();
+    assert_eq!(
+        tallied,
+        report.delivered + report.dropped,
+        "{:?}",
+        report.epochs
+    );
+    assert_eq!(report.epochs.len() as u64, 1 + log.completed);
+    assert_eq!(report.pool_in_use, 0);
+    let mut got: Vec<Vec<u8>> = report.packets.iter().map(|p| p.data().to_vec()).collect();
+    got.sort();
+    assert_eq!(
+        got, expected,
+        "delivered bytes diverge from the sync engine"
+    );
+}
+
 /// `EngineReport.latency` pairs each delivery with its own injection. A
 /// rejected packet takes an injection slot but no PID, so pairing by PID
 /// alone shifts every later sample by one more packet per reject — a
