@@ -416,9 +416,8 @@ fn run_threaded(
     let config = soak_engine_config(probe, 1);
     let mut engine =
         Engine::new(variants(0), script.wrap_nfs(soak_nfs()), config.clone()).expect("engine");
-    let controllers = vec![engine.controller()];
     let auditor = spawn_auditor(Arc::clone(probe), audit_config(script, &config));
-    let driver = spawn_swap_driver(controllers, probe, script, variants);
+    let driver = spawn_swap_driver(engine.controller(), probe, script, variants);
 
     let start = Instant::now();
     let report = engine.run(packets);
@@ -435,8 +434,8 @@ fn run_threaded(
 }
 
 /// Sharded cell: every shard gets its own chaos-wrapped NF instances, the
-/// probe aggregates per-shard gauges, and the swap driver advances every
-/// shard's epoch sequence at each scripted point.
+/// probe aggregates per-shard gauges, and the swap driver advances the
+/// fleet's one epoch sequence at each scripted point.
 ///
 /// Scripted rescales cannot fire from a controller thread the way swaps
 /// do — `rescale` quiesces and rebuilds the fleet, so it needs `&mut`
@@ -465,9 +464,8 @@ fn run_sharded(
         shards,
     )
     .expect("sharded engine");
-    let controllers = engine.controllers();
     let auditor = spawn_auditor(Arc::clone(probe), audit_config(script, &config));
-    let driver = spawn_swap_driver(controllers, probe, script, variants);
+    let driver = spawn_swap_driver(engine.controller(), probe, script, variants);
 
     // Split the stream at each scripted rescale threshold (cumulative
     // injected counts), keeping the remainder as the final chunk.
@@ -525,7 +523,7 @@ fn run_sharded(
 }
 
 fn spawn_swap_driver(
-    controllers: Vec<nfp_dataplane::EngineController>,
+    controller: nfp_dataplane::EngineController,
     probe: &Arc<EngineProbe>,
     script: &ChaosScript,
     variants: &(impl Fn(u64) -> Program + Clone + Send + 'static),
@@ -533,7 +531,7 @@ fn spawn_swap_driver(
     let probe = Arc::clone(probe);
     let points = script.swap_points();
     let variants = variants.clone();
-    std::thread::spawn(move || drive_swaps(&controllers, &probe, &points, variants))
+    std::thread::spawn(move || drive_swaps(&[controller], &probe, &points, variants))
 }
 
 #[cfg(test)]

@@ -148,7 +148,7 @@ impl ProbeSample {
 /// repeated runs of the same engine otherwise.
 #[derive(Debug, Default)]
 pub struct EngineProbe {
-    slots: Mutex<Vec<Arc<ProbeGauges>>>,
+    pub(crate) slots: Mutex<Vec<Arc<ProbeGauges>>>,
     started: AtomicBool,
 }
 

@@ -298,8 +298,8 @@ pub struct SwapLog {
 /// in `points` (ascending injected-packet thresholds), waits until the
 /// probe reports that many packets injected — or the run ends — then
 /// fires `controller.reconfigure(make_program(next_epoch))` on every
-/// controller (one per shard for a sharded fleet; each shard advances
-/// its own epoch sequence).
+/// controller: one per engine, and a sharded fleet is one engine (its
+/// replicas share one program handle, so one swap reaches them all).
 pub fn drive_swaps(
     controllers: &[EngineController],
     probe: &EngineProbe,

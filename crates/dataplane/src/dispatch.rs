@@ -291,29 +291,20 @@ impl Ports {
         }
     }
 
-    /// [`Ports::send`] across a cut edge.
+    /// [`Ports::send`] across a cut edge. Never inlined: inlined into
+    /// every send site it grows the kernels of a one-group set, which
+    /// never take it, by hundreds of bytes.
+    #[inline(never)]
     fn send_out(&mut self, cx: &Shared, from: Stage, to: Stage, msg: Msg) {
         // Linear scan: a stage has at most a handful of targets.
-        let edge = self
+        let (_, stash) = self
             .of(from)
-            .and_then(|port| port.out.iter_mut().find(|(t, _)| *t == to));
-        match edge {
-            Some((_, stash)) => stash.push(msg, cx.stats_of(from)),
-            None => {
-                // Misrouted: a sealed program's wiring plan is derived
-                // from the very tables that emit its messages, so this
-                // cannot happen — but release and account the packet
-                // instead of panicking, so the closed loop terminates
-                // even if that invariant is ever violated.
-                // (Off the packet path, so it may settle through the
-                // handle's lock rather than a resolver.)
-                let epoch = cx.pool.with(msg.r, |p| p.meta().epoch());
-                cx.pool.release(msg.r);
-                cx.stats_of(from).note_misroute();
-                cx.handle.finish(epoch);
-                cx.dropped.fetch_add(1, Ordering::Release);
-            }
-        }
+            .and_then(|port| port.out.iter_mut().find(|(t, _)| *t == to))
+            .expect(
+                "a sealed program's wiring plan is derived from the tables that emit \
+                 its messages, so every cut edge a message takes has a ring",
+            );
+        stash.push(msg, cx.stats_of(from));
     }
 
     /// Retry the stashed sends of the stage at port `k`; returns true on

@@ -9,56 +9,40 @@
 //! The engine executes a sealed [`Program`] through the stage dispatcher
 //! of [`crate::dispatch`] — the same code the deterministic
 //! [`crate::sync_engine`] runs inline, so the two engines cannot drift
-//! semantically. This module owns only what a *threaded* run adds:
+//! semantically. This module owns only what a *threaded* run adds
+//! (DESIGN.md §11 is the full account):
 //!
-//! **Core-budgeted grouping.** The stages are partitioned, in pipeline
-//! order, into at most [`EngineConfig::core_budget`] groups
-//! ([`crate::exec::plan_pipeline_groups`]); each group is one dispatcher
-//! on one OS thread, optionally pinned ([`EngineConfig::pin_cpus`]). An
-//! SPSC ring ([`crate::ring`]) is built only for a wiring-plan edge the
-//! grouping *cuts*, plus the injection ring: `core_budget = 1` is the
-//! sync engine's loop behind one ring, `core_budget ≥ stages` is the
-//! paper's fully distributed mesh. Messages between stages of one group
-//! never touch a ring.
-//!
-//! **Never blocking.** A dispatcher drains a burst from each input ring,
-//! runs it to completion through its own stages and pushes what leaves
-//! the group in bursts; a full ring leaves the messages stashed for the
-//! next pass instead of blocking, which keeps every grouping
-//! deadlock-free.
-//!
-//! **A thread boundary the stage thread does not pay for.** The calling
-//! thread injects in bursts: one read of the finished count gives the
-//! window's room, up to `min(room, 32)` packets go onto the injection
-//! ring, then one wake-up notification and one drain of the delivery
-//! ring. The classifier's group admits straight off that ring. Every
-//! dispatcher adds what it finished to the shared delivered / dropped
-//! totals once per stage burst, so the injector may see them up to a
-//! burst late — never early: the window stays a hard bound.
-//!
-//! **Adaptive idling, by the clock.** A thread that makes no progress
-//! backs off spin → yield → park ([`EngineConfig::idle_policy`]) on the
-//! time since its last progress, the same bound for the injector and the
-//! groups however long their passes are. The bound exceeds the time the
-//! other side of a ring needs to serve a burst, so in a steady closed
-//! loop nobody parks and the thread that makes progress pays no futex
-//! wake for it ([`EngineReport::wakes`]); an idle engine still parks and
-//! burns no core, and a late burst wakes it through the engine's
-//! [`crate::exec::WakeHub`] at once. Merge-order sequencing (§4.3 result
-//! correctness) lives in [`crate::cores::AgentCore`], unchanged.
-//!
-//! **Deliveries leave as they complete.** When the caller wants the
-//! delivered packets ([`EngineConfig::keep_packets`], [`Engine::run_io`])
-//! the collector's group hands each one back over an SPSC ring and the
-//! injecting thread takes them off between injections — into the report,
-//! or straight to the [`Egress`]. The engine never holds more than a
-//! window of packets, so a run's memory does not grow with its length.
+//! * **Core-budgeted grouping.** The stages are partitioned, in pipeline
+//!   order, into at most [`EngineConfig::core_budget`] groups, one
+//!   dispatcher per OS thread; an SPSC ring exists only on a wiring-plan
+//!   edge the grouping cuts, plus the injection ring. No send ever blocks:
+//!   a full ring leaves its messages stashed for the next pass.
+//! * **The injector ⇄ group boundary, per burst.** The calling thread
+//!   reads the finished count once, pushes up to `min(room, 32)` packets,
+//!   then notifies once and drains the delivery ring once. Dispatchers
+//!   publish what they finished once per stage burst, so the injector may
+//!   see it late — never early: the window stays a hard bound.
+//! * **Adaptive idling, by the clock** ([`EngineConfig::idle_policy`]):
+//!   spin → yield → park on the time since a thread's last progress, so a
+//!   steady closed loop pays no futex wake and an idle engine burns no core.
+//! * **Deliveries leave as they complete** over a ring back to the calling
+//!   thread — into the report or straight to the [`Egress`] — so a run
+//!   holds a window of packets, not its length.
+//! * **One injector for a fleet.** An engine may hold several replicas of
+//!   the program (a [`crate::shard::ShardedEngine`] has one per shard),
+//!   each with its own NFs, pool, counters and stage groups, all on the one
+//!   [`ProgramHandle`]. The calling thread routes each packet by
+//!   [`shard_of`] to its replica's injection ring under that replica's own
+//!   window, holding it — and everything behind it — while that replica
+//!   has no room, and drains every replica's delivery ring.
 
+use crate::audit::ProbeGauges;
 use crate::classifier::AdmitError;
 use crate::dispatch::{Clock, Dispatcher, Layout, Rings, Runtime, Shared, BURST};
 use crate::exec::{CachePadded, Idler, WakeHub};
 use crate::ring::{self, Consumer, Producer};
 use crate::runtime::{FailureKind, NfRuntime};
+use crate::shard::shard_of;
 use crate::stats::EngineStats;
 use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
@@ -246,7 +230,7 @@ pub struct NfFailure {
 }
 
 /// Result of one engine run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EngineReport {
     /// Packets injected.
     pub injected: u64,
@@ -394,34 +378,98 @@ struct GroupExit {
     rejected_at: Vec<u64>,
 }
 
-/// The injecting thread's end of the delivery ring: takes delivered
-/// packets off it in bursts and hands each burst to the run's sink.
-struct Outlet<'a> {
-    rx: Consumer<Packet>,
-    burst: Vec<Packet>,
-    /// Packets taken off the ring so far; the run is over when this
-    /// catches up with the collector's delivered count.
+/// The injecting thread's end of one replica: its injection ring and
+/// window, the ring its deliveries come back on (when the caller wants
+/// them), and the injection time of every packet it was handed.
+struct Lane<'a> {
+    cx: &'a Shared,
+    tx: Producer<Packet>,
+    rx: Option<Consumer<Packet>>,
+    /// Deliveries taken off `rx` so far.
     received: u64,
-    sink: &'a mut dyn FnMut(&mut Vec<Packet>),
+    inject_times: Vec<Instant>,
+    /// The finished count the current burst's room was read from, and
+    /// what is left of that room.
+    finished: u64,
+    room: u64,
+    gauges: Option<Arc<ProbeGauges>>,
 }
 
-impl Outlet<'_> {
-    /// Take what is on the ring; true if there was anything.
+impl Lane<'_> {
+    fn injected(&self) -> u64 {
+        self.inject_times.len() as u64
+    }
+
+    /// Read the finished count once and size the window's room from it,
+    /// at most a burst. The count only grows, so the window is a hard
+    /// bound; it may lag the packets by a stage burst, which only makes
+    /// the room smaller.
+    fn open(&mut self, window: u64) {
+        self.finished = self.cx.finished();
+        let in_flight = self.injected().saturating_sub(self.finished);
+        self.room = window.saturating_sub(in_flight).min(BURST as u64);
+    }
+
+    /// Publish the replica's live gauges (no-op without a probe).
+    fn publish(&self, handle: &ProgramHandle) {
+        let Some(g) = &self.gauges else { return };
+        let cx = self.cx;
+        // Straggler debt = copies expired merges were owed minus the ones
+        // that arrived since; both only grow. `arrived` is read before the
+        // occupancy (a straggler's slot is released before it is counted
+        // as arrived, release / acquire), and `owed` was counted before the
+        // expiry let this thread inject the window's extra packet — so the
+        // difference never understates the slots stragglers held when the
+        // occupancy was read.
+        let mergers = || (0..cx.layout.mergers).map(|m| cx.stats_of(Stage::Merger(m)));
+        let arrived: u64 = mergers()
+            .map(|s| s.late_arrivals.load(Ordering::Acquire))
+            .sum();
+        let in_use = cx.pool.in_use() as u64;
+        let owed: u64 = mergers()
+            .map(|s| s.stragglers_owed.load(Ordering::Relaxed))
+            .sum();
+        g.publish(
+            self.injected(),
+            cx.delivered.load(Ordering::Relaxed),
+            cx.dropped.load(Ordering::Relaxed),
+            in_use,
+            owed.saturating_sub(arrived),
+            handle.epoch(),
+        );
+    }
+}
+
+/// The calling thread's side of a run: a lane per replica and the sink
+/// their deliveries go to.
+struct Injector<'a, 's> {
+    lanes: Vec<Lane<'a>>,
+    burst: Vec<Packet>,
+    sink: &'s mut dyn FnMut(usize, &mut Vec<Packet>),
+}
+
+impl Injector<'_, '_> {
+    /// Take a burst off every delivery ring to the sink; true if there was
+    /// anything.
     fn drain(&mut self) -> bool {
-        if self.rx.pop_burst(&mut self.burst, BURST) == 0 {
-            return false;
+        let mut any = false;
+        for (r, lane) in self.lanes.iter_mut().enumerate() {
+            if let Some(rx) = &lane.rx {
+                if rx.pop_burst(&mut self.burst, BURST) > 0 {
+                    lane.received += self.burst.len() as u64;
+                    (self.sink)(r, &mut self.burst);
+                    self.burst.clear();
+                    any = true;
+                }
+            }
         }
-        self.received += self.burst.len() as u64;
-        (self.sink)(&mut self.burst);
-        self.burst.clear();
-        true
+        any
     }
 }
 
 /// What every group thread of one run shares, besides the dispatchers'
 /// [`Shared`] state.
 struct GroupCtl<'a> {
-    cx: &'a Shared,
     config: &'a EngineConfig,
     hub: WakeHub,
     /// Two-phase shutdown. `stop` ends injection (the intake is done once
@@ -432,26 +480,29 @@ struct GroupCtl<'a> {
     /// until that last reference is released or it would leak.
     stop: AtomicBool,
     quiesce: AtomicBool,
-    /// Watchdog: one heartbeat per group, bumped once per scheduling
-    /// pass (the per-NF busy flags and stall verdicts are in `cx.watch`).
-    /// Padded: every group writes its own on every pass.
+    /// Watchdog: one heartbeat per group of every replica, bumped once
+    /// per scheduling pass (the per-NF busy flags and stall verdicts are
+    /// in each replica's `Shared::watch`). Padded: every group writes its
+    /// own on every pass.
     heartbeats: Vec<CachePadded<AtomicU64>>,
 }
 
-/// A stage group's thread: drive `dispatcher` (and the classifier's
-/// `intake`, for the group that holds it) until the run quiesces, idling
-/// per the engine's policy on no-progress passes. The collector's group
-/// gets `deliver`, the ring delivered packets go back on, when the caller
-/// wants them; a full ring leaves them in a local backlog for the next
-/// pass, like every other ring of the engine.
+/// A stage group's thread: drive `dispatcher` over its replica's `cx`
+/// (and the classifier's `intake`, for the group that holds it) until the
+/// run quiesces, idling per the engine's policy on no-progress passes.
+/// `g` numbers the group across the replicas. The collector's group gets
+/// `deliver`, the ring delivered packets go back on, when the caller wants
+/// them; a full ring leaves them in a local backlog for the next pass,
+/// like every other ring of the engine.
 fn drive_group(
     ctl: &GroupCtl<'_>,
+    cx: &Shared,
     g: usize,
     mut dispatcher: Dispatcher,
     mut intake: Option<Intake>,
     deliver: Option<Producer<Packet>>,
 ) -> GroupExit {
-    let (cx, config) = (ctl.cx, ctl.config);
+    let config = ctl.config;
     if !config.pin_cpus.is_empty() {
         crate::exec::pin_current_thread(config.pin_cpus[g % config.pin_cpus.len()]);
     }
@@ -569,29 +620,19 @@ fn io_stats(report: &EngineReport) -> IoRunStats {
     }
 }
 
-/// Emit a finished run's delivered packets to `egress` and derive the I/O
-/// accounting from its report; the packets stay in the report only when
-/// the caller asked to `keep` them.
-pub(crate) fn emit_report(
-    mut report: EngineReport,
-    egress: &mut dyn Egress,
-    keep: bool,
-) -> Result<(EngineReport, IoRunStats), IoError> {
-    egress.emit_burst(&report.packets)?;
-    egress.flush()?;
-    let io = io_stats(&report);
-    if !keep {
-        report.packets.clear();
-    }
-    Ok((report, io))
-}
-
 /// The threaded engine: one executor for a sealed [`Program`]. Build once,
 /// run many times — and [`reconfigure`](Engine::reconfigure) between or
 /// during runs.
+///
+/// An engine runs one or more *replicas* of the program (a
+/// [`ShardedEngine`](crate::shard::ShardedEngine) is one engine with a
+/// replica per shard): each has its own NF instances and, per run, its own
+/// pool, counters, telemetry and stage groups, all on one [`ProgramHandle`].
 pub struct Engine {
     handle: Arc<ProgramHandle>,
-    nfs: Vec<Box<dyn NetworkFunction>>,
+    /// Each replica's NF instances, in `NodeId` order.
+    replicas: Vec<Vec<Box<dyn NetworkFunction>>>,
+    /// Every replica's configuration (pool, window, core budget).
     config: EngineConfig,
 }
 
@@ -605,7 +646,16 @@ impl Engine {
         nfs: Vec<Box<dyn NetworkFunction>>,
         config: EngineConfig,
     ) -> Result<Engine, EngineError> {
-        if nfs.len() != program.nf_count() {
+        Self::fleet(program, vec![nfs], config)
+    }
+
+    /// [`Engine::new`] with one replica per NF set of `replicas`.
+    pub(crate) fn fleet(
+        program: Program,
+        replicas: Vec<Vec<Box<dyn NetworkFunction>>>,
+        config: EngineConfig,
+    ) -> Result<Engine, EngineError> {
+        if let Some(nfs) = replicas.iter().find(|nfs| nfs.len() != program.nf_count()) {
             return Err(EngineError::NfCountMismatch {
                 expected: program.nf_count(),
                 got: nfs.len(),
@@ -638,7 +688,7 @@ impl Engine {
         }
         Ok(Self {
             handle: Arc::new(ProgramHandle::new(program)),
-            nfs,
+            replicas,
             config,
         })
     }
@@ -651,6 +701,11 @@ impl Engine {
     /// The current program epoch.
     pub fn epoch(&self) -> u64 {
         self.handle.epoch()
+    }
+
+    /// Number of replicas.
+    pub(crate) fn replicas(&self) -> usize {
+        self.replicas.len()
     }
 
     /// A detached controller for reconfiguring this engine — including
@@ -671,23 +726,34 @@ impl Engine {
 
     /// Run the engine over `packets` (closed loop) and report.
     pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
-        self.run_with_recorder(packets).0
+        let mut kept = Vec::new();
+        let mut reports = self.run_batch(packets, false, &mut |_, burst| kept.append(burst));
+        EngineReport {
+            packets: kept,
+            ..reports.remove(0)
+        }
     }
 
-    /// Like [`Engine::run`], also returning the raw latency recorder so a
-    /// sharded front-end can merge per-shard samples into one summary.
-    pub(crate) fn run_with_recorder(
+    /// [`Engine::run`] with a report per replica, in replica order.
+    pub(crate) fn run_per_replica(&mut self, packets: Vec<Packet>) -> Vec<EngineReport> {
+        let mut kept: Vec<Vec<Packet>> = self.replicas.iter().map(|_| Vec::new()).collect();
+        let reports = self.run_batch(packets, true, &mut |r, burst| kept[r].append(burst));
+        let reports = reports.into_iter().zip(kept);
+        reports
+            .map(|(report, packets)| EngineReport { packets, ..report })
+            .collect()
+    }
+
+    fn run_batch(
         &mut self,
         packets: Vec<Packet>,
-    ) -> (EngineReport, LatencyRecorder) {
+        split: bool,
+        sink: &mut dyn FnMut(usize, &mut Vec<Packet>),
+    ) -> Vec<EngineReport> {
         let expected = packets.len();
         let mut packets = packets.into_iter();
-        let mut kept = Vec::new();
-        let (mut report, latency) = self.run_feed(&mut || packets.next(), expected, &mut |burst| {
-            kept.append(burst)
-        });
-        report.packets = kept;
-        (report, latency)
+        let keep = self.config.keep_packets;
+        self.run_feed(&mut || packets.next(), expected, keep, split, sink)
     }
 
     /// Run the engine against a pluggable [`Ingress`]/[`Egress`] backend
@@ -695,21 +761,17 @@ impl Engine {
     /// injected on the caller thread until the ingress reports end of
     /// stream, and every delivered packet is emitted to `egress` on the
     /// same thread as it completes (in collector completion order), so the
-    /// run holds a window of packets, not the stream; the egress is flushed
-    /// at the end. An ingress or egress error stops injection or emission;
-    /// everything already injected still drains before the first error is
-    /// returned.
-    ///
-    /// `keep_packets` is forced on for the duration of the call so
-    /// delivered frames come back to the caller thread; the caller's
-    /// setting is restored afterwards, and only if it was on do the
-    /// packets also stay in the report.
+    /// run holds a window of packets per replica, not the stream; the
+    /// egress is flushed at the end. An ingress or egress error stops
+    /// injection or emission; everything already injected still drains
+    /// before the first error is returned. The delivered packets also stay
+    /// in the report when [`EngineConfig::keep_packets`] is on.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
     ) -> Result<(EngineReport, IoRunStats), IoError> {
-        let keep = self.set_keep_packets(true);
+        let keep = self.config.keep_packets;
         let burst = self.config.io_burst.max(1);
         // The pulled burst is buffered here so backpressure
         // (`max_in_flight`, ring-full retries) applies per packet,
@@ -731,7 +793,7 @@ impl Engine {
         };
         let mut kept = Vec::new();
         let mut emit_error = None;
-        let mut emit = |out: &mut Vec<Packet>| {
+        let mut emit = |_, out: &mut Vec<Packet>| {
             if emit_error.is_none() {
                 emit_error = egress.emit_burst(out).err();
             }
@@ -739,9 +801,11 @@ impl Engine {
                 kept.append(out);
             }
         };
-        let (mut report, _) = self.run_feed(&mut next, burst * 32, &mut emit);
-        self.set_keep_packets(keep);
-        report.packets = kept;
+        let mut reports = self.run_feed(&mut next, burst * 32, true, false, &mut emit);
+        let report = EngineReport {
+            packets: kept,
+            ..reports.remove(0)
+        };
         if let Some(e) = error.or(emit_error) {
             return Err(e);
         }
@@ -750,29 +814,27 @@ impl Engine {
         Ok((report, io))
     }
 
-    /// Crate-internal toggle for the I/O entry points: force delivered
-    /// packets to materialize for the run, then restore. Returns the
-    /// previous setting.
-    pub(crate) fn set_keep_packets(&mut self, keep: bool) -> bool {
-        std::mem::replace(&mut self.config.keep_packets, keep)
-    }
-
-    /// The engine core shared by the batch and streaming entry points:
-    /// inject what `next` yields until it runs dry (`expected` sizes the
-    /// bookkeeping), drain, and report with the raw latency recorder.
-    /// With `keep_packets` on, `sink` is handed every delivered packet on
-    /// the calling thread, in bursts, in collector completion order, while
-    /// the run is going (it takes what it wants out of the burst; the rest
-    /// is dropped); the report's own `packets` stays empty.
+    /// The run loop every entry point shares: inject what `next` yields
+    /// until it runs dry (`expected` sizes the bookkeeping), drain, and
+    /// report — once for the engine, or per replica with `split`. Each
+    /// packet goes onto its replica's injection ring ([`shard_of`], with
+    /// more than one replica) under that replica's window. With `deliver`,
+    /// `sink` is handed every delivered packet on the calling thread, in
+    /// bursts tagged with their replica, in collector completion order,
+    /// while the run is going (it takes what it wants out of the burst; the
+    /// rest is dropped).
     fn run_feed(
         &mut self,
         next: &mut dyn FnMut() -> Option<Packet>,
         expected: usize,
-        sink: &mut dyn FnMut(&mut Vec<Packet>),
-    ) -> (EngineReport, LatencyRecorder) {
+        deliver: bool,
+        split: bool,
+        sink: &mut dyn FnMut(usize, &mut Vec<Packet>),
+    ) -> Vec<EngineReport> {
         let config = &self.config;
+        let n = self.replicas.len();
         let layout = Layout {
-            nfs: self.nfs.len(),
+            nfs: self.replicas[0].len(),
             mergers: config.mergers,
         };
         // Snapshot the current program for executor construction (ring
@@ -780,26 +842,20 @@ impl Engine {
         // topology-identical successor, so the mesh built here stays valid
         // across epochs; per-packet table lookups go through epoch-keyed
         // [`crate::swap::TablesResolver`]s instead of this snapshot.
-        let handle = Arc::clone(&self.handle);
+        let handle = &self.handle;
         let program = handle.current().program().clone();
-        let cx = Shared::new(
-            layout,
-            config.pool_size,
-            Arc::clone(&handle),
-            Telemetry::new(config.telemetry.clone(), layout.nfs, layout.mergers),
-            Clock::Wall(Instant::now()),
-            config.merge_deadline.as_millis() as u64,
-        );
 
-        // Threading model: one dispatcher per group of stages. Front
-        // section: classifier + NFs. Back section: agent + mergers +
-        // collector. Budgets ≥ 2 never mix the sections, so a blocking NF
-        // cannot starve merge-deadline enforcement.
+        // Threading model: one dispatcher per group of stages, the same
+        // plan for every replica. Front section: classifier + NFs. Back
+        // section: agent + mergers + collector. Budgets ≥ 2 never mix the
+        // sections, so a blocking NF cannot starve merge-deadline
+        // enforcement.
         let groups = crate::exec::plan_pipeline_groups(
             1 + layout.nfs,
             2 + layout.mergers,
             config.core_budget.max(1),
         );
+        let per = groups.len();
         let group_of = |stage: Stage| {
             let slot = layout.slot(stage);
             groups
@@ -807,135 +863,112 @@ impl Engine {
                 .position(|g| g.contains(&slot))
                 .expect("the group plan covers every stage")
         };
-
-        // Instantiate the program's wiring plan: one SPSC ring per
-        // (producer stage, consumer stage) edge the grouping cuts, and a
-        // typed outcome ring per merger instance separated from the
-        // agent. Edges inside a group need no ring.
-        let mut rings: Vec<Rings> = groups.iter().map(|_| Rings::default()).collect();
-        for from in layout.stages() {
-            for to in program.wiring().targets_of(from, layout.mergers) {
-                let (gf, gt) = (group_of(from), group_of(to));
-                if gf != gt {
-                    let (tx, rx) = ring::channel(config.ring_capacity);
-                    rings[gf].outputs.push((from, to, tx));
-                    rings[gt].inputs.push((to, rx));
-                }
-            }
-        }
-        let agent_group = group_of(Stage::Agent);
-        for m in 0..layout.mergers {
-            let gm = group_of(Stage::Merger(m));
-            if gm != agent_group {
-                let (tx, rx) = ring::channel(config.ring_capacity);
-                rings[gm].outcome_outputs.push((m, tx));
-                rings[agent_group].outcome_inputs.push(rx);
-            }
-        }
-        // Injection ring into the classifier's group (always the first).
-        let (inject_tx, inject_rx) = ring::channel::<Packet>(config.ring_capacity);
-        let mut intake = Some(Intake {
-            rx: inject_rx,
-            held: None,
-            seen: 0,
-            rejected_at: Vec::new(),
-        });
-        // Delivery ring out of the collector's group (always the last),
-        // when the caller wants the packets.
-        let (mut deliver_tx, mut outlet) = (None, None);
-        if config.keep_packets {
-            let (tx, rx) = ring::channel::<Packet>(config.ring_capacity);
-            deliver_tx = Some(tx);
-            outlet = Some(Outlet {
-                rx,
-                burst: Vec::with_capacity(BURST),
-                received: 0,
-                sink,
-            });
-        }
-        let collector_group = group_of(Stage::Collector);
-
-        // Take the NFs out for the duration of the run; each group's
-        // dispatcher takes the runtimes of its own NFs.
-        let mut runtimes = std::mem::take(&mut self.nfs)
-            .into_iter()
-            .zip(program.tables().nf_configs.iter().cloned())
-            .map(|(nf, cfg)| NfRuntime::new(nf, cfg));
-        let dispatchers: Vec<Dispatcher> = groups
-            .iter()
-            .zip(rings)
-            .map(|(group, rings)| Dispatcher::new(&cx, group.clone(), &mut runtimes, rings))
-            .collect();
-
         let nf_group: Vec<usize> = (0..layout.nfs).map(|i| group_of(Stage::Nf(i))).collect();
         let stall_timeout = config.stall_timeout;
         let max_in_flight = config.max_in_flight.max(1) as u64;
+        let cxs: Vec<Shared> = (0..n)
+            .map(|_| {
+                Shared::new(
+                    layout,
+                    config.pool_size,
+                    Arc::clone(handle),
+                    Telemetry::new(config.telemetry.clone(), layout.nfs, layout.mergers),
+                    Clock::Wall(Instant::now()),
+                    config.merge_deadline.as_millis() as u64,
+                )
+            })
+            .collect();
 
-        // Live-audit gauges: one slot per run, budget = the closed-loop
-        // window's worst-case pool footprint.
-        let gauges = config.probe.as_ref().map(|p| p.register());
-        if let Some(g) = &gauges {
-            g.pool_budget.store(
-                max_in_flight * program.slots_per_packet() as u64,
-                Ordering::Relaxed,
-            );
-            g.active.store(true, Ordering::Release);
-        }
-        // Publish the run's live gauges (no-op without a probe); the
-        // injector loop is the one place that sees every counter.
-        let publish = |cx: &Shared, injected_now: u64| {
-            if let Some(g) = &gauges {
-                // Straggler debt = copies expired merges were owed minus
-                // the ones that arrived since; both only grow. `arrived`
-                // is read before the occupancy (a straggler's slot is
-                // released before it is counted as arrived, release /
-                // acquire), and `owed` was counted before the expiry let
-                // this thread inject the window's extra packet — so the
-                // difference never understates the slots stragglers held
-                // when the occupancy was read.
-                let mergers = || (0..layout.mergers).map(|m| cx.stats_of(Stage::Merger(m)));
-                let arrived: u64 = mergers()
-                    .map(|s| s.late_arrivals.load(Ordering::Acquire))
-                    .sum();
-                let in_use = cx.pool.in_use() as u64;
-                let owed: u64 = mergers()
-                    .map(|s| s.stragglers_owed.load(Ordering::Relaxed))
-                    .sum();
-                g.publish(
-                    injected_now,
-                    cx.delivered.load(Ordering::Relaxed),
-                    cx.dropped.load(Ordering::Relaxed),
-                    in_use,
-                    owed.saturating_sub(arrived),
-                    handle.epoch(),
-                );
-            }
-        };
-
-        let mut inject_times: Vec<Instant> = Vec::with_capacity(expected);
         let started = Instant::now();
-        let cx = &cx;
         let ctl = GroupCtl {
-            cx,
             config,
             hub: WakeHub::new(),
             stop: AtomicBool::new(false),
             quiesce: AtomicBool::new(false),
-            heartbeats: groups.iter().map(|_| CachePadded::default()).collect(),
+            heartbeats: (0..n * per).map(|_| CachePadded::default()).collect(),
         };
         let (hub, heartbeats) = (&ctl.hub, &ctl.heartbeats);
+        let mut inj = Injector {
+            lanes: Vec::with_capacity(n),
+            burst: Vec::with_capacity(BURST),
+            sink,
+        };
 
         let exits: Vec<GroupExit> = std::thread::scope(|scope| {
-            // One thread per group, each driving its dispatcher.
-            let group_handles: Vec<_> = dispatchers
-                .into_iter()
-                .enumerate()
-                .map(|(g, dispatcher)| {
+            let mut group_handles = Vec::with_capacity(n * per);
+            for (r, (cx, nfs)) in cxs.iter().zip(&mut self.replicas).enumerate() {
+                // Instantiate the program's wiring plan: one SPSC ring per
+                // (producer stage, consumer stage) edge the grouping cuts,
+                // and a typed outcome ring per merger instance separated
+                // from the agent. Edges inside a group need no ring.
+                let mut rings: Vec<Rings> = groups.iter().map(|_| Rings::default()).collect();
+                for from in layout.stages() {
+                    for to in program.wiring().targets_of(from, layout.mergers) {
+                        let (gf, gt) = (group_of(from), group_of(to));
+                        if gf != gt {
+                            let (tx, rx) = ring::channel(config.ring_capacity);
+                            rings[gf].outputs.push((from, to, tx));
+                            rings[gt].inputs.push((to, rx));
+                        }
+                    }
+                }
+                let agent_group = group_of(Stage::Agent);
+                for m in 0..layout.mergers {
+                    let gm = group_of(Stage::Merger(m));
+                    if gm != agent_group {
+                        let (tx, rx) = ring::channel(config.ring_capacity);
+                        rings[gm].outcome_outputs.push((m, tx));
+                        rings[agent_group].outcome_inputs.push(rx);
+                    }
+                }
+                // The injection ring into the classifier's group (always
+                // the first), and the delivery ring out of the collector's
+                // group (always the last) when the caller wants the packets.
+                let (tx, rx) = ring::channel::<Packet>(config.ring_capacity);
+                let mut intake = Some(Intake {
+                    rx,
+                    held: None,
+                    seen: 0,
+                    rejected_at: Vec::new(),
+                });
+                let (mut deliver_tx, deliver_rx) = deliver
+                    .then(|| ring::channel::<Packet>(config.ring_capacity))
+                    .unzip();
+                // Take the NFs out for the duration of the run; each
+                // group's dispatcher takes the runtimes of its own NFs.
+                let mut runtimes = std::mem::take(nfs)
+                    .into_iter()
+                    .zip(program.tables().nf_configs.iter().cloned())
+                    .map(|(nf, cfg)| NfRuntime::new(nf, cfg));
+                // One thread per group of every replica, each driving its
+                // dispatcher; replica `r`'s group `k` is group `r × per + k`.
+                for (k, (group, rings)) in groups.iter().zip(rings).enumerate() {
+                    let dispatcher = Dispatcher::new(cx, group.clone(), &mut runtimes, rings);
                     let (ctl, intake) = (&ctl, intake.take());
-                    let deliver = deliver_tx.take_if(|_| g == collector_group);
-                    scope.spawn(move || drive_group(ctl, g, dispatcher, intake, deliver))
-                })
-                .collect();
+                    let deliver = deliver_tx.take_if(|_| k == per - 1);
+                    group_handles.push(scope.spawn(move || {
+                        drive_group(ctl, cx, r * per + k, dispatcher, intake, deliver)
+                    }));
+                }
+                // Live-audit gauges: one slot per replica, budget = its
+                // window's worst-case pool footprint.
+                let gauges = config.probe.as_ref().map(|p| p.register());
+                if let Some(g) = &gauges {
+                    let budget = max_in_flight * program.slots_per_packet() as u64;
+                    g.pool_budget.store(budget, Ordering::Relaxed);
+                    g.active.store(true, Ordering::Release);
+                }
+                inj.lanes.push(Lane {
+                    cx,
+                    tx,
+                    rx: deliver_rx,
+                    received: 0,
+                    inject_times: Vec::with_capacity(expected.div_ceil(n)),
+                    finished: 0,
+                    room: 0,
+                    gauges,
+                });
+            }
 
             // Cooperative stall watchdog, polled from this thread's wait
             // loops: when the whole engine makes no progress for
@@ -949,7 +982,7 @@ impl Engine {
                 heartbeats.iter().map(|_| (0, Instant::now())).collect();
             let mut check_stall = || {
                 let now = Instant::now();
-                let total = cx.finished();
+                let total: u64 = cxs.iter().map(Shared::finished).sum();
                 if total != wd_total.0 {
                     wd_total = (total, now);
                 }
@@ -962,11 +995,13 @@ impl Engine {
                 if now.duration_since(wd_total.1) < stall_timeout {
                     return;
                 }
-                for (watch, &g) in cx.watch.iter().zip(&nf_group) {
-                    if watch.busy.load(Ordering::Acquire)
-                        && now.duration_since(wd_hb[g].1) >= stall_timeout
-                    {
-                        watch.failed.store(true, Ordering::Release);
+                for (r, cx) in cxs.iter().enumerate() {
+                    for (watch, &g) in cx.watch.iter().zip(&nf_group) {
+                        if watch.busy.load(Ordering::Acquire)
+                            && now.duration_since(wd_hb[r * per + g].1) >= stall_timeout
+                        {
+                            watch.failed.store(true, Ordering::Release);
+                        }
                     }
                 }
             };
@@ -974,102 +1009,114 @@ impl Engine {
             // Closed-loop injection on this thread, idling adaptively
             // like the groups (the bounded park keeps the watchdog
             // running; any group's progress notifies the hub and wakes us).
-            // Every wait takes deliveries off their ring first, and only
-            // idles when there were none.
+            // Every wait publishes the gauges and takes deliveries off
+            // their rings first, and only idles when there were none.
             let mut idler = Idler::new(hub, config.idle_policy);
-            let mut idle_step = |idler: &mut Idler<'_>,
-                                 outlet: &mut Option<Outlet<'_>>,
-                                 injected: u64,
-                                 ready: &dyn Fn() -> bool| {
-                check_stall();
-                publish(cx, injected);
-                if outlet.as_mut().is_some_and(Outlet::drain) {
-                    idler.reset();
-                } else {
-                    idler.idle(|| ready() || outlet.as_ref().is_some_and(|o| !o.rx.is_empty()));
-                }
-            };
-            // A burst at a time: one read of the finished count says how
-            // much room the window has, at most that many packets (and at
-            // most a burst) go onto the ring, and only then is the hub
-            // notified and the delivery ring drained. The finished count
-            // only grows, so the window is a hard bound; it may lag the
-            // packets by a stage burst, which only makes the room smaller.
-            // `held` is a packet the ring had no room for, with the time
-            // it was first offered.
-            let mut held: Option<(Packet, Instant)> = None;
+            let mut idle_step =
+                |inj: &mut Injector, idler: &mut Idler, ready: &dyn Fn(&[Lane]) -> bool| {
+                    check_stall();
+                    inj.lanes.iter().for_each(|lane| lane.publish(handle));
+                    if inj.drain() {
+                        idler.reset();
+                    } else {
+                        let delivering =
+                            |lane: &Lane| lane.rx.as_ref().is_some_and(|rx| !rx.is_empty());
+                        idler.idle(|| ready(&inj.lanes) || inj.lanes.iter().any(delivering));
+                    }
+                };
+            // A burst at a time: one read of each replica's finished count
+            // says how much room its window has; packets go onto their
+            // replica's ring, at most a burst in all, and only then is the
+            // hub notified and the delivery rings drained. A packet its
+            // replica has no room or no ring space for is `held` — with the
+            // time it was first offered to a ring, if it was — and nothing
+            // behind it goes in before it does, so no flow is reordered.
+            let mut held: Option<(Packet, usize, Option<Instant>)> = None;
             let mut fed = false;
             while !fed {
-                let injected = inject_times.len() as u64;
-                let finished = cx.finished();
-                let room = max_in_flight
-                    .saturating_sub(injected.saturating_sub(finished))
-                    .min(BURST as u64);
-                if room == 0 {
-                    idle_step(&mut idler, &mut outlet, injected, &|| {
-                        cx.finished() > finished
+                for lane in &mut inj.lanes {
+                    lane.open(max_in_flight);
+                }
+                let blocked = match &held {
+                    Some((_, r, _)) => inj.lanes[*r].room == 0,
+                    None => inj.lanes.iter().all(|lane| lane.room == 0),
+                };
+                if blocked {
+                    idle_step(&mut inj, &mut idler, &|lanes| {
+                        lanes.iter().any(|lane| lane.cx.finished() > lane.finished)
                     });
                     continue;
                 }
-                // After the read the room came from and before the burst:
+                // After the reads the room came from and before the burst:
                 // what the gauges say was finished is then never older
                 // than what let the packets they count as injected in.
-                publish(cx, injected);
+                inj.lanes.iter().for_each(|lane| lane.publish(handle));
                 let mut pushed = 0;
-                while pushed < room {
-                    let offered = held
-                        .take()
-                        .or_else(|| next().map(|pkt| (pkt, Instant::now())));
-                    let Some((pkt, t_in)) = offered else {
-                        fed = true;
-                        break;
+                while pushed < BURST {
+                    let (pkt, r, offered) = match held.take().or_else(|| {
+                        let pkt = next()?;
+                        let r = if n > 1 { shard_of(&pkt, n) } else { 0 };
+                        Some((pkt, r, None))
+                    }) {
+                        Some(packet) => packet,
+                        None => {
+                            fed = true;
+                            break;
+                        }
                     };
-                    if let Err(back) = inject_tx.push(pkt) {
-                        held = Some((back, t_in));
+                    let lane = &mut inj.lanes[r];
+                    if lane.room == 0 {
+                        held = Some((pkt, r, offered));
                         break;
                     }
-                    inject_times.push(t_in);
+                    let t_in = offered.unwrap_or_else(Instant::now);
+                    if let Err(back) = lane.tx.push(pkt) {
+                        held = Some((back, r, Some(t_in)));
+                        break;
+                    }
+                    lane.inject_times.push(t_in);
+                    lane.room -= 1;
                     pushed += 1;
                 }
                 if pushed > 0 {
                     idler.reset();
-                    // The classifier's group may be parked: wake it.
+                    // The classifiers' groups may be parked: wake them.
                     hub.notify();
-                    if let Some(outlet) = &mut outlet {
-                        outlet.drain();
-                    }
-                } else if held.is_some() {
-                    let queued = inject_tx.len();
-                    idle_step(&mut idler, &mut outlet, injected, &|| {
-                        inject_tx.len() < queued
+                    inj.drain();
+                } else if let Some(&(_, r, _)) = held.as_ref() {
+                    let queued = inj.lanes[r].tx.len();
+                    idle_step(&mut inj, &mut idler, &|lanes| {
+                        let lane = &lanes[r];
+                        lane.tx.len() < queued || lane.cx.finished() > lane.finished
                     });
                 }
             }
-            let injected = inject_times.len() as u64;
             // Wait for completion — every packet accounted, every delivery
-            // taken off its ring — then stop injection.
-            let all_out = |outlet: &Option<Outlet<'_>>| {
-                outlet
-                    .as_ref()
-                    .is_none_or(|o| o.received >= cx.delivered.load(Ordering::Acquire))
+            // taken off its ring — then stop injection. The delivered count
+            // is read after the finished count: read before it, it could
+            // predate the last deliveries that the finished count includes.
+            let done = |lanes: &[Lane]| {
+                lanes.iter().all(|lane| {
+                    lane.cx.finished() >= lane.injected()
+                        && (lane.rx.is_none()
+                            || lane.received >= lane.cx.delivered.load(Ordering::Acquire))
+                })
             };
-            while cx.finished() < injected || !all_out(&outlet) {
-                idle_step(&mut idler, &mut outlet, injected, &|| {
-                    cx.finished() >= injected
-                });
+            while !done(&inj.lanes) {
+                idle_step(&mut inj, &mut idler, &done);
             }
             ctl.stop.store(true, Ordering::Release);
             hub.notify();
             // Every packet is accounted, but straggler copies of
             // deadline-expired merges may still be in flight toward their
-            // tombstones. Hold the groups until the pool is empty — only
+            // tombstones. Hold the groups until every pool is empty — only
             // then is it safe to let them exit without leaking.
-            while cx.pool.in_use() > 0 {
-                idle_step(&mut idler, &mut outlet, injected, &|| cx.pool.in_use() == 0);
+            let drained = |lanes: &[Lane]| lanes.iter().all(|lane| lane.cx.pool.in_use() == 0);
+            while !drained(&inj.lanes) {
+                idle_step(&mut inj, &mut idler, &drained);
             }
             ctl.quiesce.store(true, Ordering::Release);
             hub.notify();
-            drop(inject_tx);
 
             group_handles
                 .into_iter()
@@ -1077,87 +1124,130 @@ impl Engine {
                 .collect()
         });
         let elapsed = started.elapsed();
-        let injected = inject_times.len() as u64;
-        publish(cx, injected);
-        if let Some(g) = &gauges {
-            g.active.store(false, Ordering::Release);
+        for lane in &inj.lanes {
+            lane.publish(handle);
+            if let Some(g) = &lane.gauges {
+                g.active.store(false, Ordering::Release);
+            }
         }
 
-        // Pair each delivery with its own injection. PIDs are dense over
-        // *admitted* packets, while a rejected packet took an injection
-        // slot and no PID: drop the rejected ordinals (ascending) from the
-        // injection times and what is left is indexed by PID.
-        let mut rejected = exits[0].rejected_at.iter().copied().peekable();
-        inject_times = inject_times
-            .into_iter()
-            .zip(0u64..)
-            .filter(|&(_, ordinal)| rejected.next_if_eq(&ordinal).is_none())
-            .map(|(t_in, _)| t_in)
+        // One report per replica with `split`, else one for the engine:
+        // counters add up over the replicas a report covers, stage
+        // counters and histograms fold stage by stage, and each replica's
+        // trace hops carry its index (PIDs are dense per replica).
+        let injected = inj.lanes.iter().map(|lane| lane.inject_times.len()).sum();
+        let mut reports: Vec<_> = (0..if split { n } else { 1 })
+            .map(|_| {
+                (
+                    EngineReport::default(),
+                    LatencyRecorder::with_capacity(injected),
+                )
+            })
             .collect();
-        let mut latency = LatencyRecorder::with_capacity(inject_times.len());
-        let mut failures: Vec<NfFailure> = Vec::new();
-        // Groups are contiguous in pipeline order, so their runtimes
-        // concatenate back into `NodeId` order.
-        for exit in exits {
-            for (pid, t_out) in exit.stamps {
-                if let Some(t_in) = inject_times.get(pid as usize) {
-                    latency.record(t_out.duration_since(*t_in));
+        let mut exits = exits.into_iter();
+        let lanes = inj.lanes.into_iter().zip(&mut self.replicas).enumerate();
+        for (r, (lane, nfs)) in lanes {
+            let (report, latency) = &mut reports[if split { r } else { 0 }];
+            let exits: Vec<GroupExit> = exits.by_ref().take(per).collect();
+            let cx = lane.cx;
+            report.injected += lane.injected();
+            report.delivered += cx.delivered.load(Ordering::Acquire);
+            report.dropped += cx.dropped.load(Ordering::Acquire);
+            report.stats.merge(&cx.engine_stats());
+            report.pool_in_use += cx.pool.in_use();
+            let mut telemetry = cx.telemetry.snapshot();
+            telemetry.tag_shard(r as u32);
+            report.telemetry.merge(&telemetry);
+            // Pair each delivery with its own injection. PIDs are dense
+            // over *admitted* packets, while a rejected packet took an
+            // injection slot and no PID: drop the rejected ordinals
+            // (ascending) from the injection times and what is left is
+            // indexed by PID.
+            let mut rejected = exits[0].rejected_at.iter().copied().peekable();
+            let admitted_at: Vec<Instant> = lane
+                .inject_times
+                .into_iter()
+                .zip(0u64..)
+                .filter(|&(_, ordinal)| rejected.next_if_eq(&ordinal).is_none())
+                .map(|(t_in, _)| t_in)
+                .collect();
+            // Groups are contiguous in pipeline order, so their runtimes
+            // concatenate back into `NodeId` order.
+            for exit in exits {
+                for (pid, t_out) in exit.stamps {
+                    if let Some(t_in) = admitted_at.get(pid as usize) {
+                        latency.record(t_out.duration_since(*t_in));
+                    }
                 }
-            }
-            // Recover the NFs for subsequent runs, harvesting failure
-            // records on the way out.
-            for rt in exit.runtimes {
-                if let Some(kind) = rt.failure().cloned() {
-                    failures.push(NfFailure {
-                        node: self.nfs.len(),
-                        nf: rt.nf().name().to_string(),
-                        kind,
-                        policy: rt.failure_policy(),
-                        bypassed: rt.bypassed,
-                        policy_drops: rt.policy_drops,
-                    });
+                // Recover the NFs for subsequent runs, harvesting failure
+                // records on the way out.
+                for rt in exit.runtimes {
+                    if let Some(kind) = rt.failure().cloned() {
+                        report.failures.push(NfFailure {
+                            node: nfs.len(),
+                            nf: rt.nf().name().to_string(),
+                            kind,
+                            policy: rt.failure_policy(),
+                            bypassed: rt.bypassed,
+                            policy_drops: rt.policy_drops,
+                        });
+                    }
+                    nfs.push(rt.into_nf());
                 }
-                self.nfs.push(rt.into_nf());
             }
         }
-
-        let report = EngineReport {
-            injected,
-            delivered: cx.delivered.load(Ordering::Acquire),
-            dropped: cx.dropped.load(Ordering::Acquire),
-            elapsed,
-            latency: latency.summary(),
-            packets: Vec::new(),
-            stats: cx.engine_stats(),
-            failures,
-            pool_in_use: cx.pool.in_use(),
-            epoch: handle.epoch(),
-            epochs: handle.tallies(),
-            telemetry: cx.telemetry.snapshot(),
-            migration: MigrationStats::default(),
-            parks: ctl.hub.parks(),
-            wakes: ctl.hub.wakes(),
-        };
-        (report, latency)
+        // The epoch history is read last: a swap fired as the run winds
+        // down has the whole pairing pass above to land and show in it
+        // (`tests/threaded_engine.rs` expects a tally per completed swap).
+        let reports = reports.into_iter();
+        reports
+            .map(|(report, latency)| EngineReport {
+                elapsed,
+                latency: latency.summary(),
+                epoch: handle.epoch(),
+                epochs: handle.tallies(),
+                parks: ctl.hub.parks(),
+                wakes: ctl.hub.wakes(),
+                ..report
+            })
+            .collect()
     }
 
     /// Export each NF's per-flow state, one [`FlowSnapshot`] per NF
     /// position (in `NodeId` order, matching the program's node
-    /// numbering). Stateless positions export empty snapshots. Call
-    /// between runs — the closed loop guarantees no packet is in flight
-    /// then, so the snapshot is a consistent cut.
+    /// numbering), every replica's entries merged and sorted by flow key.
+    /// Stateless positions export empty snapshots. Call between runs — the
+    /// closed loop guarantees no packet is in flight then, so the snapshot
+    /// is a consistent cut.
     pub fn export_flow_state(&self) -> Vec<FlowSnapshot> {
-        self.nfs.iter().map(|nf| nf.snapshot_state()).collect()
+        let mut merged: Vec<FlowSnapshot> = self.replicas[0]
+            .iter()
+            .map(|nf| nf.snapshot_state())
+            .collect();
+        for nfs in &self.replicas[1..] {
+            for (snap, nf) in merged.iter_mut().zip(nfs) {
+                snap.merge(nf.snapshot_state());
+            }
+        }
+        for snap in &mut merged {
+            snap.entries.sort_by_key(|(k, _)| *k);
+        }
+        merged
     }
 
-    /// Restore per-position snapshots exported by [`Engine::export_flow_state`]
-    /// (after the caller partition-filtered them to this engine's shard).
-    /// Positions beyond the snapshot vector, and empty snapshots, are
-    /// left untouched.
+    /// Restore per-position snapshots exported by [`Engine::export_flow_state`]:
+    /// replica `i` of `n` takes the flows of its RSS partition
+    /// ([`FlowSnapshot::retain_shard`]). Positions beyond the snapshot
+    /// vector, and empty snapshots, are left untouched.
     pub fn import_flow_state(&mut self, snaps: &[FlowSnapshot]) {
-        for (nf, snap) in self.nfs.iter_mut().zip(snaps) {
-            if !snap.is_empty() {
-                nf.restore_state(snap);
+        let n = self.replicas.len();
+        for (i, nfs) in self.replicas.iter_mut().enumerate() {
+            for (nf, snap) in nfs.iter_mut().zip(snaps) {
+                let mut part = snap.clone();
+                part.retain_shard(i, n);
+                if !part.is_empty() {
+                    nf.restore_state(&part);
+                }
             }
         }
     }
@@ -1165,14 +1255,14 @@ impl Engine {
     /// Tell every NF which shard partition this engine serves, arming
     /// the debug-build RSS-ownership assertions on their flow tables.
     pub fn bind_partition(&mut self, index: usize, total: usize) {
-        for nf in &mut self.nfs {
+        for nf in self.replicas.iter_mut().flatten() {
             nf.bind_partition(index, total);
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nfp_nf::firewall::Firewall;
     use nfp_nf::lb::LoadBalancer;
@@ -1182,39 +1272,40 @@ mod tests {
     use nfp_policy::Policy;
     use nfp_traffic::{SizeDistribution, TrafficGenerator, TrafficSpec};
 
-    fn build(chain: &[&str], config: EngineConfig) -> Engine {
+    /// `chain` compiled and sealed, with fresh NF instances by `NodeId`.
+    pub(crate) fn program_and_nfs(chain: &[&str]) -> (Program, Vec<Box<dyn NetworkFunction>>) {
         let reg = Registry::paper_table2();
-        let compiled = compile(
-            &Policy::from_chain(chain.iter().copied()),
-            &reg,
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        let program = compiled.program(1).unwrap();
-        let nfs: Vec<Box<dyn NetworkFunction>> = compiled
-            .graph
-            .nodes
-            .iter()
-            .map(|n| -> Box<dyn NetworkFunction> {
-                match n.name.as_str() {
-                    "Monitor" => Box::new(Monitor::new("Monitor")),
-                    "Firewall" => Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-                    "LoadBalancer" => Box::new(LoadBalancer::with_uniform_backends("LB", 4)),
-                    other => panic!("{other}"),
-                }
-            })
-            .collect();
+        let policy = Policy::from_chain(chain.iter().copied());
+        let compiled = compile(&policy, &reg, &[], &CompileOptions::default()).unwrap();
+        let nfs = compiled.graph.nodes.iter();
+        let nfs = nfs.map(|n| -> Box<dyn NetworkFunction> {
+            match n.name.as_str() {
+                "Monitor" => Box::new(Monitor::new("Monitor")),
+                "Firewall" => Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
+                "LoadBalancer" => Box::new(LoadBalancer::with_uniform_backends("LB", 4)),
+                other => panic!("{other}"),
+            }
+        });
+        (compiled.program(1).unwrap(), nfs.collect())
+    }
+
+    fn build(chain: &[&str], config: EngineConfig) -> Engine {
+        let (program, nfs) = program_and_nfs(chain);
         Engine::new(program, nfs, config).unwrap()
     }
 
-    fn traffic(n: usize) -> Vec<Packet> {
+    /// `n` 128-byte packets over `flows` flows.
+    pub(crate) fn flows(n: usize, flows: usize) -> Vec<Packet> {
         TrafficGenerator::new(TrafficSpec {
-            flows: 16,
+            flows,
             sizes: SizeDistribution::Fixed(128),
             ..TrafficSpec::default()
         })
         .batch(n)
+    }
+
+    fn traffic(n: usize) -> Vec<Packet> {
+        flows(n, 16)
     }
 
     #[test]
@@ -1253,11 +1344,17 @@ mod tests {
         }
     }
 
-    /// `run_io` emits deliveries while it is still pulling: the egress
-    /// sees its first packet long before the ingress runs dry, and no
-    /// packet stays behind in the report the caller did not ask to keep.
-    #[test]
-    fn run_io_emits_while_the_ingress_is_still_feeding() {
+    /// Stream `pkts` through `run_io` from a counting ingress to an
+    /// egress that notes how many packets had been pulled at its first
+    /// emission; checks the I/O accounting and returns that count with the
+    /// report.
+    pub(crate) fn first_emission(
+        pkts: Vec<Packet>,
+        run_io: impl FnOnce(
+            &mut dyn Ingress,
+            &mut dyn Egress,
+        ) -> Result<(EngineReport, IoRunStats), IoError>,
+    ) -> (u64, EngineReport) {
         use std::cell::Cell;
         use std::rc::Rc;
 
@@ -1270,7 +1367,6 @@ mod tests {
                 Ok(burst)
             }
         }
-        /// Records how many packets had been pulled at its first emission.
         struct FirstEmit(Rc<Cell<u64>>, Option<u64>, u64);
         impl Egress for FirstEmit {
             fn emit_burst(&mut self, pkts: &[Packet]) -> Result<(), IoError> {
@@ -1280,7 +1376,20 @@ mod tests {
             }
         }
 
-        const TOTAL: u64 = 4096;
+        let total = pkts.len() as u64;
+        let pulled = Rc::new(Cell::new(0));
+        let mut ingress = Counted(nfp_packet::io::VecIngress::new(pkts), Rc::clone(&pulled));
+        let mut egress = FirstEmit(pulled, None, 0);
+        let (report, io) = run_io(&mut ingress, &mut egress).unwrap();
+        assert_eq!((io.pulled, io.delivered, egress.2), (total, total, total));
+        (egress.1.expect("something was emitted"), report)
+    }
+
+    /// `run_io` emits deliveries while it is still pulling: the egress
+    /// sees its first packet long before the ingress runs dry, and no
+    /// packet stays behind in the report the caller did not ask to keep.
+    #[test]
+    fn run_io_emits_while_the_ingress_is_still_feeding() {
         let mut e = build(
             &["Monitor", "Firewall"],
             EngineConfig {
@@ -1289,16 +1398,8 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let pulled = Rc::new(Cell::new(0));
-        let mut ingress = Counted(
-            nfp_packet::io::VecIngress::new(traffic(TOTAL as usize)),
-            Rc::clone(&pulled),
-        );
-        let mut egress = FirstEmit(pulled, None, 0);
-        let (report, io) = e.run_io(&mut ingress, &mut egress).unwrap();
-        assert_eq!((io.pulled, io.delivered, egress.2), (TOTAL, TOTAL, TOTAL));
+        let (at_first, report) = first_emission(traffic(4096), |i, o| e.run_io(i, o));
         // Window 8 plus one pulled burst of 32 bound what can be in hand.
-        let at_first = egress.1.expect("something was emitted");
         assert!(
             at_first <= 8 + 2 * 32,
             "first emission after {at_first} pulls"

@@ -18,7 +18,6 @@
 //!   false-sharing audit (ring indices, stage stats, histograms);
 //! * [`host_parallelism`] / [`pin_current_thread`] — placement helpers.
 
-use std::cell::Cell;
 use std::ops::{Deref, DerefMut, Range};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -161,11 +160,6 @@ impl WakeHub {
             }
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Number of threads currently registered as (possibly) parked.
-    pub fn sleepers(&self) -> u32 {
-        self.sleepers.load(Ordering::SeqCst)
     }
 
     /// Times a thread actually slept in [`WakeHub::park`] so far.
@@ -319,12 +313,6 @@ pub fn pin_current_thread(cpu: usize) -> bool {
         false
     }
 }
-
-/// Ring index cache: a consumer-or-producer-local copy of the *other*
-/// side's position, refreshed only when the cached view would stall the
-/// operation. Lives in [`Cell`] because each ring endpoint is owned by
-/// exactly one thread.
-pub type IndexCache = Cell<usize>;
 
 #[cfg(test)]
 mod tests {

@@ -41,11 +41,11 @@
 //!   pinning, drain/retire accounting, and the per-stage
 //!   [`swap::TablesResolver`] that keeps mid-swap packets on the tables
 //!   that classified them.
-//! * [`shard`] — RSS-style flow sharding: a 5-tuple hash front-end over N
-//!   full engine replicas for multi-core scale-out, per-flow FIFO
-//!   preserved — and elastic: [`shard::ShardedEngine::rescale`] changes
-//!   the shard count between runs, migrating every stateful NF's
-//!   per-flow state with its flows.
+//! * [`shard`] — RSS-style flow sharding: one engine with a replica per
+//!   shard, its injector the 5-tuple hash front-end, for multi-core
+//!   scale-out, per-flow FIFO preserved — and elastic:
+//!   [`shard::ShardedEngine::rescale`] changes the shard count between
+//!   runs, migrating every stateful NF's per-flow state with its flows.
 //! * [`autoscale`] — the policy loop over that elasticity: distills
 //!   grow/hold/shrink decisions from the p99 stage histograms and ring
 //!   high-water backpressure gauges, with hysteresis and cooldown.
@@ -96,9 +96,7 @@ pub use exec::{host_parallelism, IdlePolicy, WakeHub};
 pub use runtime::FailureKind;
 pub use shard::{ScaleReport, ShardMigration, ShardedEngine};
 pub use stats::{EngineStats, StageStats};
-pub use swap::{
-    EpochReport, EpochState, EpochTally, ProgramHandle, ReconfigError, ShardSwap, TablesResolver,
-};
+pub use swap::{EpochReport, EpochState, EpochTally, ProgramHandle, ReconfigError, TablesResolver};
 pub use sync_engine::SyncEngine;
 pub use telemetry::{
     LatencyHistogram, PacketTrace, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceHop,

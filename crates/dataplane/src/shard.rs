@@ -1,33 +1,34 @@
-//! RSS-style flow sharding: N engine replicas, one per shard.
+//! RSS-style flow sharding: a placement of one [`Engine`] over N replicas.
 //!
 //! The paper's deployment scales out the way hardware RSS does: a
 //! front-end hashes each packet's **immutable 5-tuple** to one of N
-//! shards, and each shard runs a full engine replica — its own classifier,
-//! NF instances, merger agent and merger instances over its own pool
-//! partition. Because every packet of a flow hashes to the same shard and
-//! traverses that shard FIFO, the §4.3 result-correctness argument is
-//! preserved per flow: a shard's output is byte-identical to a sequential
-//! reference fed the same sub-stream, and flows never interleave across
-//! shards. Only *cross-flow* output order is unspecified — exactly the
-//! freedom hardware RSS takes.
+//! shards, and each shard runs a full replica of the sealed [`Program`] —
+//! its own classifier, NF instances, merger agent and merger instances over
+//! its own pool partition. Because every packet of a flow hashes to the
+//! same shard and traverses that shard FIFO, the §4.3 result-correctness
+//! argument is preserved per flow: a shard's output is byte-identical to a
+//! sequential reference fed the same sub-stream, and flows never
+//! interleave across shards. Only *cross-flow* output order is unspecified
+//! — exactly the freedom hardware RSS takes.
 //!
-//! All shard replicas execute the same sealed [`Program`] (cheap to
-//! clone: the tables are behind an `Arc`), while agent sequencing and
-//! merger accumulation state
-//! stay shard-local by construction — each replica owns its cores.
+//! The fan-out is not a runtime of its own. A [`ShardedEngine`] is one
+//! [`Engine`] holding a replica per shard: its run loop's injector is the
+//! RSS front-end ([`shard_of`] per packet, each replica under its own
+//! window), every replica hangs off the engine's one program handle, and
+//! runs, I/O, reconfiguration and reports are the engine's. What this
+//! module adds is the placement: how the fleet budgets divide, which
+//! partition each replica's NFs are bound to, and how flow state moves
+//! when the shard count changes ([`ShardedEngine::rescale`]).
 
 use crate::engine::{
     Engine, EngineConfig, EngineController, EngineError, EngineReport, MigrationStats,
 };
-use crate::stats::EngineStats;
-use crate::swap::{EpochReport, EpochTally, ReconfigError, ShardSwap};
-use crate::telemetry::TelemetrySnapshot;
+use crate::swap::{EpochReport, ReconfigError};
 use nfp_nf::{FlowSnapshot, NetworkFunction};
 use nfp_orchestrator::Program;
 use nfp_packet::flow::FlowKey;
 use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
 use nfp_packet::Packet;
-use nfp_traffic::LatencyRecorder;
 use std::time::{Duration, Instant};
 
 /// The shard a packet's flow belongs to: the canonical
@@ -87,21 +88,18 @@ pub struct ShardMigration {
     pub flows_in: u64,
 }
 
-/// N sharded engine replicas behind an RSS-style 5-tuple dispatcher.
+/// N engine replicas behind an RSS-style 5-tuple front-end.
 ///
 /// The fleet is **elastic**: [`ShardedEngine::rescale`] changes the
 /// shard count between runs, re-partitioning every stateful NF's flow
-/// tables by the same [`FlowKey::shard`] hash the dispatcher routes
+/// tables by the same [`FlowKey::shard`] hash the front-end routes
 /// packets with, so a flow's state is always on the shard its packets
 /// reach next run.
 pub struct ShardedEngine {
-    shards: Vec<Engine>,
-    /// The program the fleet currently executes — updated by
-    /// [`ShardedEngine::reconfigure`] so a rescale rebuilds replicas at
-    /// the rolled-out epoch, not the boot program.
-    program: Program,
-    /// Replica NF factory, retained so a rescale can build fresh shard
-    /// engines and restore migrated state into them.
+    /// The fleet: one engine, a replica per shard.
+    engine: Engine,
+    /// Replica NF factory, retained so a rescale can build a fresh fleet
+    /// and restore migrated state into it.
     make_nfs: Box<dyn Fn() -> Vec<Box<dyn NetworkFunction>> + Send>,
     /// Fleet-level config (total pool and core budgets, re-partitioned
     /// on every shard-count change).
@@ -111,19 +109,15 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Build `shards` engine replicas of `program`. `make_nfs` is called
-    /// once per shard so each replica gets fresh (shard-local) NF state;
-    /// `config.pool_size` is the *total* pool budget, partitioned evenly
-    /// across shards — a partition too small for the in-flight window
-    /// fails with [`EngineError::PoolTooSmall`], exactly as a lone engine
-    /// would. `config.core_budget` is likewise the *fleet* budget: each
-    /// replica gets an even share (at least one thread), so `shards ×
-    /// stages` threads can never be spawned against a smaller host — the
-    /// oversubscription that used to invert 4-shard throughput.
-    ///
-    /// Every replica is partition-bound ([`Engine::bind_partition`]):
-    /// in debug builds a stateful NF panics the moment it is handed a
-    /// flow that does not hash to its shard.
+    /// Build `shards` replicas of `program`, each with fresh NFs from
+    /// `make_nfs`, bound to its partition
+    /// ([`NetworkFunction::bind_partition`]: in debug builds a stateful NF
+    /// panics on a flow that does not hash to its shard).
+    /// `config.pool_size` and `config.core_budget` are *fleet* budgets,
+    /// divided evenly (at least one stage thread per replica, so shard
+    /// count never multiplies threads past the host); a pool partition too
+    /// small for the window fails with [`EngineError::PoolTooSmall`], as a
+    /// lone engine would. `config.max_in_flight` is each replica's window.
     pub fn new(
         program: &Program,
         make_nfs: impl Fn() -> Vec<Box<dyn NetworkFunction>> + Send + 'static,
@@ -131,167 +125,101 @@ impl ShardedEngine {
         shards: usize,
     ) -> Result<ShardedEngine, EngineError> {
         let make_nfs: Box<dyn Fn() -> Vec<Box<dyn NetworkFunction>> + Send> = Box::new(make_nfs);
-        let engines = Self::build_fleet(program, make_nfs.as_ref(), config, shards)?;
+        let engine = Self::build(program.clone(), make_nfs.as_ref(), config, shards)?;
         Ok(ShardedEngine {
-            shards: engines,
-            program: program.clone(),
+            engine,
             make_nfs,
             config: config.clone(),
             migration: MigrationStats::default(),
         })
     }
 
-    /// Build a partition-bound fleet of `shards` replicas. Shared by
-    /// [`ShardedEngine::new`] and [`ShardedEngine::rescale`] so both
-    /// paths divide the pool/core budgets and arm the RSS-ownership
-    /// assertions identically.
-    fn build_fleet(
-        program: &Program,
+    /// Build a partition-bound fleet of `shards` replicas under a fresh
+    /// program handle. Shared by [`ShardedEngine::new`] and
+    /// [`ShardedEngine::rescale`] so both paths divide the pool/core
+    /// budgets and arm the RSS-ownership assertions identically.
+    fn build(
+        program: Program,
         make_nfs: &dyn Fn() -> Vec<Box<dyn NetworkFunction>>,
         config: &EngineConfig,
         shards: usize,
-    ) -> Result<Vec<Engine>, EngineError> {
+    ) -> Result<Engine, EngineError> {
         assert!(shards >= 1, "at least one shard");
         if config.core_budget == 0 {
             // Validate the fleet-level knob here: the per-shard division
             // below floors at 1 and would otherwise mask the bad config.
             return Err(EngineError::ZeroCoreBudget);
         }
-        let shard_config = EngineConfig {
+        let replicas = (0..shards)
+            .map(|s| {
+                let mut nfs = make_nfs();
+                for nf in &mut nfs {
+                    nf.bind_partition(s, shards);
+                }
+                nfs
+            })
+            .collect();
+        let replica_config = EngineConfig {
             pool_size: config.pool_size / shards,
             core_budget: (config.core_budget / shards).max(1),
             ..config.clone()
         };
-        (0..shards)
-            .map(|s| {
-                let mut engine = Engine::new(program.clone(), make_nfs(), shard_config.clone())?;
-                engine.bind_partition(s, shards);
-                Ok(engine)
-            })
-            .collect()
+        Engine::fleet(program, replicas, replica_config)
     }
 
     /// Number of shard replicas.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.engine.replicas()
     }
 
-    /// One detached [`EngineController`] per shard, in shard order — for
-    /// driving a rollout from another thread while the fleet is live.
-    pub fn controllers(&self) -> Vec<EngineController> {
-        self.shards.iter().map(Engine::controller).collect()
+    /// A detached [`EngineController`] for the whole fleet — for driving
+    /// a rollout from another thread while the fleet is live. Every
+    /// replica executes the one program handle, so one swap reaches them
+    /// all.
+    pub fn controller(&self) -> EngineController {
+        self.engine.controller()
     }
 
-    /// Roll `program` out across the fleet, one shard at a time: each
-    /// shard hot-swaps and drains its old epoch before the next begins
-    /// (a failure therefore leaves a *prefix* of shards on the new epoch;
-    /// re-issue the same program to converge the rest — already-swapped
-    /// shards reject it as a no-op [`nfp_orchestrator::UpdateRejection::StaleEpoch`]).
-    ///
-    /// The aggregated [`EpochReport`] sums per-shard drain/completion
-    /// counts, records the whole rollout's wall time as `swap_latency`,
-    /// and carries the per-shard breakdown in `shards`.
+    /// Hot-swap `program` in across the fleet: one install and one drain
+    /// of the old epoch over every replica ([`Engine::reconfigure`]).
     pub fn reconfigure(&mut self, program: Program) -> Result<EpochReport, ReconfigError> {
-        let started = Instant::now();
-        let mut shards = Vec::with_capacity(self.shards.len());
-        let mut drained = 0;
-        let mut completed = 0;
-        let mut first: Option<EpochReport> = None;
-        for (i, engine) in self.shards.iter_mut().enumerate() {
-            let r = engine.reconfigure(program.clone())?;
-            drained += r.drained;
-            completed += r.completed;
-            shards.push(ShardSwap {
-                shard: i,
-                swap_latency: r.swap_latency,
-                drained: r.drained,
-            });
-            first.get_or_insert(r);
-        }
-        let first = first.expect("at least one shard");
-        // Remember the rolled-out program: a later rescale must rebuild
-        // replicas at this epoch, not the boot program.
-        self.program = program;
-        Ok(EpochReport {
-            from_epoch: first.from_epoch,
-            to_epoch: first.to_epoch,
-            update: first.update,
-            swap_latency: started.elapsed(),
-            drained,
-            completed,
-            shards,
-        })
+        self.engine.reconfigure(program)
     }
 
     /// Change the fleet to `new_shards` replicas, migrating every
     /// stateful NF's per-flow state with its flows.
     ///
     /// Call between runs — the closed-loop run leaves nothing in flight,
-    /// so the gap between two bursts *is* the drain window. The
-    /// migration is export → merge → re-partition → import:
-    ///
-    /// 1. every retiring shard exports one [`FlowSnapshot`] per NF
-    ///    position ([`Engine::export_flow_state`]);
-    /// 2. snapshots merge per position into one fleet-wide view;
-    /// 3. a replacement fleet is built from the stored NF factory at the
-    ///    current program (and epoch), with the pool/core budgets
-    ///    re-divided by the new shard count;
-    /// 4. each position's merged snapshot is filtered to each new
-    ///    shard's partition ([`FlowSnapshot::retain_shard`] under the
-    ///    same [`FlowKey::shard`] hash the dispatcher uses) and imported.
-    ///
-    /// The replacement fleet is built *before* the old one is dropped: a
-    /// config rejection (e.g. the per-shard pool partition becomes too
-    /// small for the in-flight window) leaves the running fleet — and
-    /// its state — untouched. NF instances themselves are rebuilt fresh
-    /// from the factory; only their per-flow state survives, which is
-    /// exactly the contract [`nfp_nf::NetworkFunction::snapshot_state`]
-    /// defines. Failure tallies and chaos-wrapper arming restart.
+    /// so the gap between two runs *is* the drain window. The fleet's
+    /// state is exported ([`Engine::export_flow_state`]), a replacement
+    /// fleet is built from the NF factory at the current program under a
+    /// fresh program handle (its epoch history starts over; DESIGN.md §13)
+    /// and each new replica imports its partition
+    /// ([`Engine::import_flow_state`]). The replacement is built *before*
+    /// the old fleet is dropped, so a config rejection (e.g. a pool
+    /// partition too small for the window) leaves the running fleet and
+    /// its state untouched. Only per-flow state survives
+    /// ([`NetworkFunction::snapshot_state`]); failure tallies and
+    /// chaos-wrapper arming restart.
     pub fn rescale(&mut self, new_shards: usize) -> Result<ScaleReport, EngineError> {
         let started = Instant::now();
-        let from_shards = self.shards.len();
-        let n_nfs = self.program.nf_count();
-        let stateful_nfs = self.program.stateful_nodes().len();
-
-        // Export and merge per NF position across the retiring fleet.
-        let mut merged: Vec<FlowSnapshot> = (0..n_nfs).map(|_| FlowSnapshot::default()).collect();
-        let mut flows_exported = 0u64;
-        for engine in &self.shards {
-            for (i, snap) in engine.export_flow_state().into_iter().enumerate() {
-                flows_exported += snap.len() as u64;
-                merged[i].merge(snap);
-            }
-        }
+        let program = self.engine.handle().current().program().clone();
+        let stateful_nfs = program.stateful_nodes().len();
+        let merged = self.engine.export_flow_state();
+        let flows_exported = merged.iter().map(|snap| snap.len() as u64).sum();
 
         // Build the replacement fleet before touching the old one.
-        let mut fleet = Self::build_fleet(
-            &self.program,
-            self.make_nfs.as_ref(),
-            &self.config,
-            new_shards,
-        )?;
-
-        // Re-partition and import: each new shard gets exactly the flows
-        // that hash to it under the new shard count.
-        let mut flows_imported = 0u64;
-        let mut shard_migrations = Vec::with_capacity(new_shards);
-        for (s, engine) in fleet.iter_mut().enumerate() {
-            let mut flows_in = 0u64;
-            let parts: Vec<FlowSnapshot> = merged
-                .iter()
-                .map(|m| {
-                    let mut part = m.clone();
-                    part.retain_shard(s, new_shards);
-                    flows_in += part.len() as u64;
-                    part
-                })
-                .collect();
-            engine.import_flow_state(&parts);
-            flows_imported += flows_in;
-            shard_migrations.push(ShardMigration { shard: s, flows_in });
+        let mut fleet = Self::build(program, self.make_nfs.as_ref(), &self.config, new_shards)?;
+        fleet.import_flow_state(&merged);
+        let mut shards: Vec<ShardMigration> = (0..new_shards)
+            .map(|shard| ShardMigration { shard, flows_in: 0 })
+            .collect();
+        for (key, _) in merged.iter().flat_map(|snap| &snap.entries) {
+            shards[key.shard(new_shards)].flows_in += 1;
         }
+        let flows_imported = shards.iter().map(|s| s.flows_in).sum();
 
-        self.shards = fleet;
+        let from_shards = std::mem::replace(&mut self.engine, fleet).replicas();
         self.migration.rescales += 1;
         self.migration.flows_exported += flows_exported;
         self.migration.flows_imported += flows_imported;
@@ -302,7 +230,7 @@ impl ShardedEngine {
             flows_exported,
             flows_imported,
             latency: started.elapsed(),
-            shards: shard_migrations,
+            shards,
         })
     }
 
@@ -312,189 +240,59 @@ impl ShardedEngine {
         self.migration
     }
 
-    /// Checkpoint the whole fleet's flow state: every shard's
-    /// per-position snapshots merged into one vector of fleet-wide
-    /// [`FlowSnapshot`]s (same shape as [`Engine::export_flow_state`]),
-    /// entries sorted by flow key for deterministic comparison.
+    /// Checkpoint the whole fleet's flow state
+    /// ([`Engine::export_flow_state`]): one fleet-wide [`FlowSnapshot`] per
+    /// NF position, entries sorted by flow key.
     pub fn export_flow_state(&self) -> Vec<FlowSnapshot> {
-        let n_nfs = self.program.nf_count();
-        let mut merged: Vec<FlowSnapshot> = (0..n_nfs).map(|_| FlowSnapshot::default()).collect();
-        for engine in &self.shards {
-            for (i, snap) in engine.export_flow_state().into_iter().enumerate() {
-                merged[i].merge(snap);
-            }
-        }
-        for snap in &mut merged {
-            snap.entries.sort_by_key(|(k, _)| *k);
-        }
-        merged
+        self.engine.export_flow_state()
     }
 
-    /// Dispatch `packets` to their shards and run every replica
-    /// concurrently, aggregating the per-shard results into one report:
-    /// counters sum, per-stage counters fold stage-by-stage
-    /// ([`EngineStats::merge`]), latency samples merge into one summary,
-    /// and `elapsed` is the wall-clock of the whole sharded run (so
-    /// [`EngineReport::pps`] reflects actual scale-out, not a sum of
-    /// per-shard rates).
+    /// Run the fleet over `packets` ([`Engine::run`]): one report, whose
+    /// `elapsed` is the wall-clock of the whole run (so
+    /// [`EngineReport::pps`] reflects actual scale-out) and which carries
+    /// the migration census.
     pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
-        let started = Instant::now();
-        let mut results = self.fan_out(packets, Engine::run_with_recorder);
-        let elapsed = started.elapsed();
-
-        let mut injected = 0;
-        let mut delivered = 0;
-        let mut dropped = 0;
-        let mut stats = EngineStats::default();
-        let mut latency = LatencyRecorder::new();
-        let mut packets_out = Vec::new();
-        let mut failures = Vec::new();
-        let mut pool_in_use = 0;
-        let mut epoch = 0;
-        let mut epochs: Vec<EpochTally> = Vec::new();
-        let mut telemetry = TelemetrySnapshot::empty();
-        let (mut parks, mut wakes) = (0, 0);
-        for (shard, (report, recorder)) in results.iter_mut().enumerate() {
-            // Tag each shard's trace hops before folding: PIDs are dense
-            // per shard, so the shard index keeps fleet-wide traces from
-            // colliding.
-            report.telemetry.tag_shard(shard as u32);
-            telemetry.merge(&report.telemetry);
-            injected += report.injected;
-            delivered += report.delivered;
-            dropped += report.dropped;
-            stats.merge(&report.stats);
-            latency.merge(recorder);
-            packets_out.append(&mut report.packets);
-            failures.append(&mut report.failures);
-            pool_in_use += report.pool_in_use;
-            epoch = epoch.max(report.epoch);
-            parks += report.parks;
-            wakes += report.wakes;
-            // Fold per-shard tallies: completions sum per epoch.
-            for t in &report.epochs {
-                match epochs.iter_mut().find(|e| e.epoch == t.epoch) {
-                    Some(e) => e.completed += t.completed,
-                    None => epochs.push(*t),
-                }
-            }
-        }
-        epochs.sort_by_key(|t| t.epoch);
         EngineReport {
-            injected,
-            delivered,
-            dropped,
-            elapsed,
-            latency: latency.summary(),
-            packets: packets_out,
-            stats,
-            failures,
-            pool_in_use,
-            epoch,
-            epochs,
-            telemetry,
             migration: self.migration,
-            parks,
-            wakes,
+            ..self.engine.run(packets)
         }
     }
 
-    /// Stream a pluggable [`Ingress`] through the whole fleet. The RSS
-    /// front-end must see the full stream to partition it, so the
-    /// ingress is drained first (in [`EngineConfig::io_burst`]-sized
-    /// pulls), every shard then runs concurrently as in
-    /// [`ShardedEngine::run`], and the fleet's delivered packets are
-    /// emitted to `egress` in folded shard order. Delivered packets are
-    /// forced to materialize for the emission and the caller's
-    /// `keep_packets` setting restored afterwards.
+    /// Stream a pluggable [`Ingress`] through the fleet ([`Engine::run_io`]):
+    /// deliveries reach `egress` as they complete, so the fleet holds a
+    /// window per replica, not the trace.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
     ) -> Result<(EngineReport, IoRunStats), IoError> {
-        let burst = self.config.io_burst.max(1);
-        let mut all = Vec::new();
-        while let Some(pkts) = ingress.next_burst(burst)? {
-            all.extend(pkts);
-        }
-        let prev: Vec<bool> = self
-            .shards
-            .iter_mut()
-            .map(|e| e.set_keep_packets(true))
-            .collect();
-        let report = self.run(all);
-        for (e, keep) in self.shards.iter_mut().zip(prev) {
-            e.set_keep_packets(keep);
-        }
-        crate::engine::emit_report(report, egress, self.config.keep_packets)
+        let (report, io) = self.engine.run_io(ingress, egress)?;
+        let report = EngineReport {
+            migration: self.migration,
+            ..report
+        };
+        Ok((report, io))
     }
 
-    /// Like [`ShardedEngine::run`] but keeping the per-shard reports
-    /// separate, in shard order. Equivalence tests compare each shard's
-    /// delivered packets against a sequential reference fed the same
-    /// sub-stream.
+    /// Like [`ShardedEngine::run`] but with one report per shard, in
+    /// shard order. Equivalence tests compare each shard's delivered
+    /// packets against a sequential reference fed the same sub-stream.
     pub fn run_per_shard(&mut self, packets: Vec<Packet>) -> Vec<EngineReport> {
-        self.fan_out(packets, Engine::run)
-    }
-
-    /// Dispatch `packets` to their shards and run `run` on every replica
-    /// concurrently, one scoped thread each; results in shard order.
-    fn fan_out<R: Send>(
-        &mut self,
-        packets: Vec<Packet>,
-        run: impl Fn(&mut Engine, Vec<Packet>) -> R + Sync,
-    ) -> Vec<R> {
-        let parts = partition_by_flow(packets, self.shards.len());
-        let run = &run;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(parts)
-                .map(|(engine, part)| scope.spawn(move || run(engine, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread"))
-                .collect()
-        })
+        self.engine.run_per_replica(packets)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_nf::firewall::Firewall;
-    use nfp_nf::monitor::Monitor;
-    use nfp_orchestrator::{compile, CompileOptions, Registry};
-    use nfp_policy::Policy;
-    use nfp_traffic::{SizeDistribution, TrafficGenerator, TrafficSpec};
+    use crate::engine::tests::{first_emission, flows as traffic, program_and_nfs};
 
     fn firewall_program() -> Program {
-        let compiled = compile(
-            &Policy::from_chain(["Monitor", "Firewall"]),
-            &Registry::paper_table2(),
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        compiled.program(1).unwrap()
+        program_and_nfs(&["Monitor", "Firewall"]).0
     }
 
     fn nfs() -> Vec<Box<dyn NetworkFunction>> {
-        vec![
-            Box::new(Monitor::new("Monitor")),
-            Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-        ]
-    }
-
-    fn traffic(n: usize, flows: usize) -> Vec<Packet> {
-        TrafficGenerator::new(TrafficSpec {
-            flows,
-            sizes: SizeDistribution::Fixed(128),
-            ..TrafficSpec::default()
-        })
-        .batch(n)
+        program_and_nfs(&["Monitor", "Firewall"]).1
     }
 
     #[test]
@@ -557,6 +355,109 @@ mod tests {
         // Merged stage counters still balance across the fleet.
         assert_eq!(report.stats.classifier.packets_in, 120);
         assert_eq!(report.stats.collector.packets_out, 120);
+    }
+
+    /// `run_io` streams for a fleet as it does for one engine: the egress
+    /// sees its first packet while the ingress is still feeding — within
+    /// a window per replica plus the pulled bursts — and no packet stays
+    /// behind in a report the caller did not ask to keep.
+    #[test]
+    fn sharded_run_io_emits_while_the_ingress_is_still_feeding() {
+        const WINDOW: u64 = 8;
+        const IO_BURST: u64 = 32;
+        for shards in [2, 3] {
+            let config = EngineConfig {
+                max_in_flight: WINDOW as usize,
+                io_burst: IO_BURST as usize,
+                ..EngineConfig::default()
+            };
+            let mut fleet = ShardedEngine::new(&firewall_program(), nfs, &config, shards).unwrap();
+            let (at_first, report) = first_emission(traffic(4096, 16), |i, o| fleet.run_io(i, o));
+            let bound = shards as u64 * WINDOW + 2 * IO_BURST;
+            assert!(
+                at_first <= bound,
+                "{shards} shards: first emission after {at_first} pulls (bound {bound})"
+            );
+            assert!(report.packets.is_empty());
+        }
+    }
+
+    /// The one injector keeps every replica's window: a sampler beside a
+    /// 2-shard run over hostile traffic (deliveries, firewall drops and
+    /// malformed rejects) never sees a replica's gauge slot hold more than
+    /// its window in flight. As in `tests/threaded_engine.rs`'s
+    /// `burst_injection_keeps_the_window`, a sample counts only if the
+    /// slot's settled counters did not move across its `injected` read
+    /// ([`crate::audit::ProbeGauges`]).
+    #[test]
+    fn one_injector_keeps_every_replica_window() {
+        use crate::audit::EngineProbe;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        const WINDOW: u64 = 4;
+        let mut pkts = Vec::new();
+        for (i, mut p) in traffic(3000, 16).into_iter().enumerate() {
+            if i % 5 == 0 {
+                let x = (i % 100) as u16;
+                p.set_dip(nfp_packet::ipv4::Ipv4Addr::new(172, 16, x as u8, 1))
+                    .unwrap();
+                p.set_dport(7000 + x).unwrap();
+                p.finalize_checksums().unwrap();
+            }
+            pkts.push(p);
+            if i % 7 == 6 {
+                pkts.push(Packet::from_bytes(&[0u8; 60]).unwrap());
+            }
+        }
+        let probe = EngineProbe::new();
+        let config = EngineConfig {
+            max_in_flight: WINDOW as usize,
+            probe: Some(probe.clone()),
+            ..EngineConfig::default()
+        };
+        let mut fleet = ShardedEngine::new(&firewall_program(), nfs, &config, 2).unwrap();
+        let (sampling, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (report, (samples, peak)) = std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let (mut samples, mut peak) = (0u64, 0u64);
+                while !done.load(Ordering::Acquire) {
+                    let slots = probe.slots.lock().unwrap().clone();
+                    for g in &slots {
+                        let settled = || {
+                            let dropped = g.dropped.load(Ordering::Acquire);
+                            dropped + g.delivered.load(Ordering::Acquire)
+                        };
+                        let before = settled();
+                        let injected = g.injected.load(Ordering::Acquire);
+                        if g.active.load(Ordering::Relaxed) && settled() == before {
+                            samples += 1;
+                            peak = peak.max(injected - before);
+                        }
+                    }
+                    sampling.store(true, Ordering::Release);
+                    std::thread::yield_now();
+                }
+                (samples, peak)
+            });
+            while !sampling.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let report = fleet.run(pkts.clone());
+            done.store(true, Ordering::Release);
+            (report, sampler.join().unwrap())
+        });
+        assert!(
+            samples > 0,
+            "no replica was ever sampled: nothing was checked"
+        );
+        assert!(
+            peak <= WINDOW,
+            "{peak} packets seen in flight on one replica ({samples} samples)"
+        );
+        assert!(report.dropped > 0 && report.stats.classifier.rejects() > 0);
+        assert_eq!(report.injected, pkts.len() as u64);
+        assert_eq!(report.injected, report.delivered + report.dropped);
+        assert_eq!(report.pool_in_use, 0);
     }
 
     #[test]

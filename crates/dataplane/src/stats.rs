@@ -109,9 +109,6 @@ pub struct StageStats {
     pub backpressure: AtomicU64,
     /// Highest receive-ring occupancy observed when draining.
     pub ring_high_water: AtomicU64,
-    /// References that arrived at a stage with no ring to their target
-    /// (released defensively; the wiring validator makes this unreachable).
-    pub misroutes: AtomicU64,
     /// Copies that arrived for an already-expired merge entry (released
     /// against the expiry tombstone; the packet was accounted at expiry).
     pub late_arrivals: AtomicU64,
@@ -178,11 +175,6 @@ impl StageStats {
         atomic_max(&self.ring_high_water, n as u64);
     }
 
-    /// Count one misrouted reference (no ring to the target stage).
-    pub fn note_misroute(&self) {
-        self.misroutes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Count one arrival for an already-expired merge entry. Release:
     /// the arrival's pool slot was released first, and the engine's probe
     /// publication reads this (acquire) before the pool occupancy.
@@ -230,7 +222,6 @@ impl StageStats {
             merges: self.merges.load(Ordering::Relaxed),
             backpressure: self.backpressure.load(Ordering::Relaxed),
             ring_high_water: self.ring_high_water.load(Ordering::Relaxed),
-            misroutes: self.misroutes.load(Ordering::Relaxed),
             late_arrivals: self.late_arrivals.load(Ordering::Relaxed),
             stragglers_owed: self.stragglers_owed.load(Ordering::Relaxed),
             stale_epochs: self.stale_epochs.load(Ordering::Relaxed),
@@ -264,8 +255,6 @@ pub struct StageSnapshot {
     pub backpressure: u64,
     /// Highest receive-ring occupancy observed.
     pub ring_high_water: u64,
-    /// References defensively released for want of a ring to their target.
-    pub misroutes: u64,
     /// Arrivals released against an expired merge entry's tombstone.
     pub late_arrivals: u64,
     /// Copies expired merge entries were still waiting for.
@@ -324,7 +313,6 @@ impl StageSnapshot {
         self.merges += other.merges;
         self.backpressure += other.backpressure;
         self.ring_high_water = self.ring_high_water.max(other.ring_high_water);
-        self.misroutes += other.misroutes;
         self.late_arrivals += other.late_arrivals;
         self.stragglers_owed += other.stragglers_owed;
         self.stale_epochs += other.stale_epochs;
@@ -450,7 +438,6 @@ mod tests {
         s.note_drop(DropCause::NfFailed);
         s.note_drop(DropCause::MergeExpired);
         s.note_late_arrival();
-        s.note_misroute();
         let snap = s.snapshot();
         assert_eq!(snap.packets_in, 5);
         assert_eq!(snap.packets_out, 3);
@@ -461,7 +448,6 @@ mod tests {
         assert_eq!(snap.ring_high_water, 7);
         assert_eq!(snap.drops(), 4); // failure causes count as drops
         assert_eq!(snap.late_arrivals, 1); // observations, not drops
-        assert_eq!(snap.misroutes, 1);
     }
 
     #[test]

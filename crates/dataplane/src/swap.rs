@@ -200,17 +200,6 @@ impl core::fmt::Display for ReconfigError {
 
 impl std::error::Error for ReconfigError {}
 
-/// Per-shard view of one live swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSwap {
-    /// The shard index.
-    pub shard: usize,
-    /// Install-to-retire latency on this shard.
-    pub swap_latency: Duration,
-    /// Old-epoch packets in flight at the moment of install.
-    pub drained: u64,
-}
-
 /// The outcome of a successful live reconfiguration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochReport {
@@ -226,8 +215,6 @@ pub struct EpochReport {
     pub drained: u64,
     /// Total packets completed under the old epoch over its lifetime.
     pub completed: u64,
-    /// Per-shard breakdown (empty for unsharded engines).
-    pub shards: Vec<ShardSwap>,
 }
 
 /// The shared, swappable program slot every engine stage hangs off.
@@ -389,7 +376,6 @@ impl ProgramHandle {
             swap_latency: started.elapsed(),
             drained,
             completed: swap.old.completed(),
-            shards: Vec::new(),
         })
     }
 

@@ -55,11 +55,6 @@ impl LatencyRecorder {
         self.samples.is_empty()
     }
 
-    /// Merge another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
     /// Summarize. Returns `None` when no samples were recorded — a run
     /// that delivered zero packets has no latency distribution, and
     /// callers must not see zeroed garbage in its place.
@@ -191,18 +186,6 @@ mod tests {
     #[test]
     fn empty_summary_is_none() {
         assert!(LatencyRecorder::new().summary().is_none());
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyRecorder::new();
-        a.record(Duration::from_micros(1));
-        let mut b = LatencyRecorder::new();
-        b.record(Duration::from_micros(3));
-        a.merge(&b);
-        let s = a.summary().unwrap();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.mean, Duration::from_micros(2));
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn main() {
 
     // 4. Run packets through the deterministic engine. (For multi-core
     //    scale-out, hand the same Program to `ShardedEngine::new` with a
-    //    shard count — see the `shard_scale` bench.)
+    //    shard count — DESIGN.md §11.)
     let mut engine = SyncEngine::new(program, nfs, 64);
     let mut gen = TrafficGenerator::new(TrafficSpec {
         flows: 4,
