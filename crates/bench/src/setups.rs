@@ -48,10 +48,11 @@ pub fn make_nf(name: &str) -> Box<dyn NetworkFunction> {
 /// drop-capable — that is what keeps it sequential in the east-west graph).
 pub fn eval_registry() -> Registry {
     let mut r = Registry::paper_table2();
-    let fw = r.get("Firewall").unwrap().clone();
+    // The forwarder decrements the TTL and drops on expiry.
     let mut fwd = ActionProfile::new("Forwarder")
-        .reads([FieldId::Dip])
-        .writes([FieldId::Dmac, FieldId::Smac, FieldId::Ttl]);
+        .reads([FieldId::Dip, FieldId::Ttl])
+        .writes([FieldId::Dmac, FieldId::Smac, FieldId::Ttl])
+        .drops();
     fwd.nf_type = "Forwarder".into();
     r.register(fwd);
     let mut lb = r.get("LoadBalancer").unwrap().clone();
@@ -60,7 +61,6 @@ pub fn eval_registry() -> Registry {
     let mut ids = r.get("NIDS").unwrap().clone().drops();
     ids.nf_type = "IDS".into();
     r.register(ids);
-    let _ = fw;
     r
 }
 

@@ -2,9 +2,11 @@
 //! encryption for the VPN NF ("encrypts a packet based on the AES
 //! algorithm", §6.1).
 //!
-//! This is a straightforward table-free software implementation (S-box +
-//! xtime); it is **not** constant-time and is meant for workload
-//! realism in a research prototype, not for protecting real traffic.
+//! This is the classic 32-bit T-table implementation (16 table loads per
+//! round over big-endian column words; S-box in the last round). It is
+//! **not** constant-time: its table indices depend on key and data, so
+//! the loads leak through cache timing, as the byte-wise S-box lookups it
+//! replaced did. It is for workload realism, not for real traffic.
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -28,57 +30,94 @@ const SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-fn xtime(x: u8) -> u8 {
-    (x << 1) ^ (((x >> 7) & 1) * 0x1b)
+/// `TE[i][x]` is the MixColumns image of a column holding `SBOX[x]` in row
+/// `i` and zeros elsewhere: SubBytes, ShiftRows and MixColumns for one
+/// byte in one load. Row 0 is a word's most significant byte.
+static TE: [[u32; 256]; 4] = te_tables();
+
+const fn te_tables() -> [[u32; 256]; 4] {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let s2 = (s << 1) ^ ((s >> 7) * 0x1b);
+        let w = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        te[0][x] = w;
+        te[1][x] = w.rotate_right(8);
+        te[2][x] = w.rotate_right(16);
+        te[3][x] = w.rotate_right(24);
+        x += 1;
+    }
+    te
 }
 
-/// An expanded AES-128 key schedule.
+/// The four big-endian column words of a 16-byte block.
+fn columns(block: &[u8; 16]) -> [u32; 4] {
+    let x = u128::from_be_bytes(*block);
+    [
+        (x >> 96) as u32,
+        (x >> 64) as u32,
+        (x >> 32) as u32,
+        x as u32,
+    ]
+}
+
+/// Column `c` of a full round: row `r` is read from column `c + r`
+/// (ShiftRows), and one `TE` load per row does the rest.
+#[inline(always)]
+fn round_column(s: &[u32; 4], c: usize) -> u32 {
+    TE[0][(s[c] >> 24) as u8 as usize]
+        ^ TE[1][(s[(c + 1) % 4] >> 16) as u8 as usize]
+        ^ TE[2][(s[(c + 2) % 4] >> 8) as u8 as usize]
+        ^ TE[3][s[(c + 3) % 4] as u8 as usize]
+}
+
+/// Column `c` of the last round (SubBytes and ShiftRows, no MixColumns);
+/// on four copies of one word it is the key schedule's SubWord.
+#[inline(always)]
+fn sub_column(s: &[u32; 4], c: usize) -> u32 {
+    u32::from_be_bytes([
+        SBOX[(s[c] >> 24) as u8 as usize],
+        SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
+        SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
+        SBOX[s[(c + 3) % 4] as u8 as usize],
+    ])
+}
+
+/// An expanded AES-128 key schedule: FIPS-197's words `w[0..44]`.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    round_keys: [u32; 44],
 }
 
 impl Aes128 {
     /// Expand a 128-bit key.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[4 * i..4 * i + 4]);
-        }
+        let mut w = [0u32; 44];
+        w[..4].copy_from_slice(&columns(key));
         for i in 4..44 {
             let mut t = w[i - 1];
             if i % 4 == 0 {
-                t.rotate_left(1);
-                for b in &mut t {
-                    *b = SBOX[*b as usize];
-                }
-                t[0] ^= RCON[i / 4 - 1];
+                t = sub_column(&[t.rotate_left(8); 4], 0) ^ (u32::from(RCON[i / 4 - 1]) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ t[j];
-            }
+            w[i] = w[i - 4] ^ t;
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                round_keys[r][4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
-        Self { round_keys }
+        Self { round_keys: w }
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+        let rk = &self.round_keys;
+        let mut s = columns(block);
+        s = core::array::from_fn(|c| s[c] ^ rk[c]);
+        for k in rk[4..40].chunks_exact(4) {
+            s = core::array::from_fn(|c| round_column(&s, c) ^ k[c]);
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[10]);
+        s = core::array::from_fn(|c| sub_column(&s, c) ^ rk[40 + c]);
+        *block = s
+            .iter()
+            .fold(0u128, |x, &w| x << 32 | u128::from(w))
+            .to_be_bytes();
     }
 
     /// Encrypt (or decrypt — CTR is symmetric) `data` in place with a
@@ -122,45 +161,6 @@ impl core::fmt::Debug for Aes128 {
     }
 }
 
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk.iter()) {
-        *s ^= k;
-    }
-}
-
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State layout: column-major (FIPS-197), i.e. state[r + 4c].
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        let orig0 = col[0];
-        state[4 * c] ^= t ^ xtime(col[0] ^ col[1]);
-        state[4 * c + 1] ^= t ^ xtime(col[1] ^ col[2]);
-        state[4 * c + 2] ^= t ^ xtime(col[2] ^ col[3]);
-        state[4 * c + 3] ^= t ^ xtime(col[3] ^ orig0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,18 +186,11 @@ mod tests {
 
     #[test]
     fn fips197_appendix_a_first_round_key() {
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let aes = Aes128::new(&key);
-        // w[4..8] from FIPS-197 Appendix A.1: a0fafe17 88542cb1 23a33939 2a6c7605
+        let aes = Aes128::new(&FIPS_KEY);
+        // w[4..8] from FIPS-197 Appendix A.1.
         assert_eq!(
-            aes.round_keys[1],
-            [
-                0xa0, 0xfa, 0xfe, 0x17, 0x88, 0x54, 0x2c, 0xb1, 0x23, 0xa3, 0x39, 0x39, 0x2a, 0x6c,
-                0x76, 0x05
-            ]
+            aes.round_keys[4..8],
+            [0xa0fa_fe17, 0x8854_2cb1, 0x23a3_3939, 0x2a6c_7605]
         );
     }
 
@@ -238,5 +231,83 @@ mod tests {
         // Different keys → different tags.
         let other = Aes128::new(&[10u8; 16]);
         assert_ne!(m1, other.mac96(b"hello world!"));
+    }
+
+    /// FNV-1a 64 over `bytes`, folded into `h`.
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// One digest over `ctr_apply` and one over `mac96`, for every length
+    /// 0..=1500 of a fixed message under `key`.
+    fn digests(key: &[u8; 16]) -> (u64, u64) {
+        let aes = Aes128::new(key);
+        let msg: Vec<u8> = (0..1500u32).map(|i| (i * 31 + 7) as u8).collect();
+        let (mut ctr, mut mac) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        for len in 0..=msg.len() {
+            let mut data = msg[..len].to_vec();
+            aes.ctr_apply(0x0123_4567_89ab_cdef ^ len as u64, &mut data);
+            ctr = fnv(ctr, &data);
+            mac = fnv(mac, &aes.mac96(&msg[..len]));
+        }
+        (ctr, mac)
+    }
+
+    const FIPS_KEY: [u8; 16] = [
+        0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
+        0x3c,
+    ];
+
+    fn hex16(s: &str) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        for (i, b) in out.iter_mut().enumerate() {
+            *b = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn sp800_38a_f11_ecb_aes128_vectors() {
+        // NIST SP 800-38A F.1.1, ECB-AES128.Encrypt, blocks 1-4.
+        let aes = Aes128::new(&FIPS_KEY);
+        for (plain, cipher) in [
+            (
+                "6bc1bee22e409f96e93d7e117393172a",
+                "3ad77bb40d7a3660a89ecaf32466ef97",
+            ),
+            (
+                "ae2d8a571e03ac9c9eb76fac45af8e51",
+                "f5d3d58503b9699de785895a96fdbaaf",
+            ),
+            (
+                "30c81c46a35ce411e5fbc1191a0a52ef",
+                "43b1cd7f598ece23881b00e3ed030688",
+            ),
+            (
+                "f69f2445df4f9b17ad2b417be66c3710",
+                "7b0c785e27e8ad3f8223207104725dd4",
+            ),
+        ] {
+            let mut block = hex16(plain);
+            aes.encrypt_block(&mut block);
+            assert_eq!(block, hex16(cipher), "plaintext {plain}");
+        }
+    }
+
+    #[test]
+    fn ctr_and_mac_bytes_match_the_byte_wise_cipher() {
+        // Digests captured from the byte-wise FIPS-197 implementation this
+        // T-table cipher replaced: the VPN's bytes must not move.
+        assert_eq!(
+            digests(&[7u8; 16]),
+            (0xb41a_d1ec_d56f_52b4, 0x0e9a_99a1_79de_8319)
+        );
+        assert_eq!(
+            digests(&FIPS_KEY),
+            (0x35f4_6e05_a836_cdc7, 0xb394_059e_3265_91a1)
+        );
     }
 }
