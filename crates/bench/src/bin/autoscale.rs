@@ -20,12 +20,11 @@
 //! unless the fleet grew under the ramp, shrank on idle, and both
 //! invariants held.
 
-use nfp_bench::setups::{compile_chain, make_nf};
+use nfp_bench::setups::{compile_chain, nf_factory};
 use nfp_dataplane::autoscale::{AutoscalePolicy, Autoscaler, LoadSignals, ScaleDecision};
 use nfp_dataplane::engine::EngineConfig;
 use nfp_dataplane::shard::ShardedEngine;
 use nfp_nf::monitor::FlowStats;
-use nfp_nf::NetworkFunction;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -92,14 +91,7 @@ fn main() {
         .iter()
         .position(|n| n.name.as_str() == "Monitor")
         .expect("Monitor in graph");
-    let names: Vec<String> = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|n| n.name.as_str().to_string())
-        .collect();
-    let make_nfs =
-        move || -> Vec<Box<dyn NetworkFunction>> { names.iter().map(|n| make_nf(n)).collect() };
+    let make_nfs = nf_factory(&compiled.graph);
 
     let policy = AutoscalePolicy {
         min_shards: 1,

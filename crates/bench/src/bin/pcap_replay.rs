@@ -13,14 +13,13 @@
 //!
 //! Usage: `cargo run --release -p nfp-bench --bin pcap_replay [--smoke] [packets] [trials]`
 
-use nfp_bench::setups::{compile_chain, make_nf};
+use nfp_bench::setups::{compile_chain, nf_factory};
 use nfp_dataplane::engine::{Engine, EngineConfig};
 use nfp_dataplane::shard::ShardedEngine;
 use nfp_dataplane::sync_engine::SyncEngine;
 use nfp_io::pcap::{read_pcap_bytes, write_pcap_bytes, PcapFormat};
 use nfp_io::trace::{build_golden_records, GoldenTraceSpec};
 use nfp_io::{IoRunStats, PcapEgress, PcapIngress};
-use nfp_nf::NetworkFunction;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -83,16 +82,7 @@ fn main() {
 
     let compiled = compile_chain(&["Monitor", "Firewall"]);
     let program = compiled.program(1).expect("program seals");
-    let names: Vec<String> = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|node| node.name.as_str().to_string())
-        .collect();
-    let nfs = {
-        let names = names.clone();
-        move || -> Vec<Box<dyn NetworkFunction>> { names.iter().map(|n| make_nf(n)).collect() }
-    };
+    let nfs = nf_factory(&compiled.graph);
     let config = EngineConfig {
         max_in_flight: 64,
         io_burst: 64,

@@ -16,36 +16,18 @@
 //! Usage: `cargo run --release --bin reconfig [packets]`
 
 use nfp_bench::setups::{fixed_traffic, make_nf};
+use nfp_bench::soak::{program_variants, SOAK_CHAIN};
 use nfp_bench::stage_latency_json;
 use nfp_dataplane::engine::{Engine, EngineConfig};
 use nfp_nf::NetworkFunction;
-use nfp_orchestrator::{compile, CompileOptions, Compiled, FailurePolicy, Program, Registry};
-use nfp_policy::Policy;
+use nfp_orchestrator::Program;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const CHAIN: [&str; 2] = ["Monitor", "Firewall"];
-
-fn compiled_variant(fail_open: bool) -> Compiled {
-    let mut reg = Registry::paper_table2();
-    if fail_open {
-        let mut fw = reg.get("Firewall").expect("profile").clone();
-        fw.failure = Some(FailurePolicy::FailOpen);
-        reg.register(fw);
-    }
-    compile(
-        &Policy::from_chain(CHAIN),
-        &reg,
-        &[],
-        &CompileOptions::default(),
-    )
-    .expect("chain compiles")
-}
-
 fn engine(program: Program) -> Engine {
-    let nfs: Vec<Box<dyn NetworkFunction>> = CHAIN.iter().map(|name| make_nf(name)).collect();
+    let nfs: Vec<Box<dyn NetworkFunction>> = SOAK_CHAIN.iter().map(|name| make_nf(name)).collect();
     Engine::new(
         program,
         nfs,
@@ -77,15 +59,7 @@ fn main() {
 
     // Two hot-swappable table variants of the same chain: the canonical
     // policy edit (opposite Firewall failure policy, identical topology).
-    let base = compiled_variant(false).program(1).expect("program seals");
-    let edit = compiled_variant(true).program(1).expect("program seals");
-    let variant = move |epoch: u64| -> Program {
-        if epoch.is_multiple_of(2) {
-            base.clone().with_epoch(epoch)
-        } else {
-            edit.clone().with_epoch(epoch)
-        }
-    };
+    let variant = program_variants();
     let pkts = fixed_traffic(n, 128);
 
     println!("== live reconfiguration: Monitor|Firewall policy edit ==");

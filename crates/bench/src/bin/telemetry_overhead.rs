@@ -24,11 +24,10 @@
 //! `--check` exits nonzero unless the zero-sampling overhead is ≤ 2% and
 //! the histogram overhead is ≤ [`HISTOGRAM_BOUND`].
 
-use nfp_bench::setups::{compile_chain, fixed_traffic, make_nf};
+use nfp_bench::setups::{compile_chain, fixed_traffic, nf_factory};
 use nfp_bench::stage_latency_json;
 use nfp_dataplane::sync_engine::SyncEngine;
 use nfp_dataplane::telemetry::{Telemetry, TelemetryConfig};
-use nfp_nf::NetworkFunction;
 use nfp_orchestrator::{Program, Stage};
 use nfp_packet::{Packet, PacketPool};
 use std::fmt::Write as _;
@@ -52,12 +51,7 @@ const HISTOGRAM_BOUND: f64 = 0.15;
 
 fn build_engine(program: &Program, config: TelemetryConfig) -> SyncEngine {
     let compiled = compile_chain(&["Monitor", "Firewall"]);
-    let nfs: Vec<Box<dyn NetworkFunction>> = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|node| make_nf(node.name.as_str()))
-        .collect();
+    let nfs = nf_factory(&compiled.graph)();
     let mut engine = SyncEngine::new(program.clone(), nfs, 256);
     engine.set_telemetry(config);
     engine

@@ -13,52 +13,16 @@
 //!
 //! Usage: `cargo run --release --bin threaded [packets]`
 
-use nfp_bench::setups::{compile_chain, fixed_traffic, forced_sequential, make_nf};
+use nfp_bench::setups::{compile_chain, fixed_traffic, forced_sequential, make_nf, nf_factory};
 use nfp_dataplane::engine::{Engine, EngineConfig};
 use nfp_nf::NetworkFunction;
-use nfp_orchestrator::{compile, CompileOptions, Program, Registry};
+use nfp_orchestrator::Program;
 use nfp_packet::ipv4::Ipv4Addr;
-use nfp_policy::Policy;
-
-fn registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            50,
-            ids::IdsMode::Inline,
-        )),
-        "VPN" => Box::new(vpn::Vpn::new(name, [1; 16], 5, vpn::VpnMode::Encapsulate)),
-        other => unreachable!("{other}"),
-    }
-}
 
 fn run_chain(chain: &[&str], n: usize, mergers: usize) {
-    let compiled = compile(
-        &Policy::from_chain(chain.iter().copied()),
-        &registry(),
-        &[],
-        &CompileOptions::default(),
-    )
-    .unwrap();
+    let compiled = compile_chain(chain);
     let program = compiled.program(1).unwrap();
-    let nfs: Vec<_> = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|node| make(node.name.as_str()))
-        .collect();
+    let nfs = nf_factory(&compiled.graph)();
     let mut engine = Engine::new(
         program,
         nfs,
@@ -137,8 +101,7 @@ fn main() {
     let program = Program::compile(&sequential, 1).expect("sequential graph compiles");
     wake_traffic("seq3", program, forwarders, n);
     let east_west = compile_chain(&["IDS", "Monitor", "LB"]);
-    let nodes = east_west.graph.nodes.iter();
-    let nfs = nodes.map(|node| make_nf(node.name.as_str())).collect();
+    let nfs = nf_factory(&east_west.graph)();
     let program = east_west.program(1).expect("east-west graph compiles");
     wake_traffic("east_west", program, nfs, n);
 }

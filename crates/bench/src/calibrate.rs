@@ -7,9 +7,7 @@
 use crate::setups::make_nf;
 use nfp_dataplane::ring;
 use nfp_nf::PacketView;
-use nfp_orchestrator::graph::ServiceGraph;
-use nfp_orchestrator::tables::{FtAction, MemberSpec, MergeSpec};
-use nfp_orchestrator::FailurePolicy;
+use nfp_orchestrator::tables::FtAction;
 use nfp_packet::pool::PacketPool;
 use nfp_packet::{Metadata, Packet};
 use nfp_sim::CostModel;
@@ -62,6 +60,25 @@ pub fn nf_service_ns(nf_type: &str, frame: usize) -> f64 {
     }) - clone_overhead_ns(&pkts)
 }
 
+/// Measure one header-only copy and one full copy of a `frame`-byte
+/// packet: `(header_ns, full_ns)`.
+pub fn copy_ns(frame: usize) -> (f64, f64) {
+    let pool = PacketPool::new(8);
+    let r = pool
+        .insert(crate::setups::fixed_traffic(1, frame).pop().unwrap())
+        .unwrap();
+    let header_ns = time_per_iter(20_000, || {
+        let c = pool.header_only_copy(r, 2).unwrap();
+        pool.release(c);
+    });
+    let full_ns = time_per_iter(20_000, || {
+        let c = pool.full_copy(r, 2).unwrap();
+        pool.release(c);
+    });
+    pool.release(r);
+    (header_ns, full_ns)
+}
+
 fn clone_overhead_ns(pkts: &[Packet]) -> f64 {
     let mut idx = 0usize;
     time_per_iter(2_000, || {
@@ -82,54 +99,13 @@ impl Calibration {
         });
 
         // Copies.
-        let pool = PacketPool::new(8);
-        let big = crate::setups::fixed_traffic(1, 1400).pop().unwrap();
-        let small = crate::setups::fixed_traffic(1, 64).pop().unwrap();
-        let r_big = pool.insert(big).unwrap();
-        let r_small = pool.insert(small).unwrap();
-        let copy_header_ns = time_per_iter(20_000, || {
-            let c = pool.header_only_copy(r_big, 2).unwrap();
-            pool.release(c);
-        });
-        let full_small = time_per_iter(20_000, || {
-            let c = pool.full_copy(r_small, 2).unwrap();
-            pool.release(c);
-        });
-        let full_big = time_per_iter(20_000, || {
-            let c = pool.full_copy(r_big, 2).unwrap();
-            pool.release(c);
-        });
+        let (copy_header_ns, full_big) = copy_ns(1400);
+        let (_, full_small) = copy_ns(64);
         let copy_per_byte_ns = ((full_big - full_small) / (1400.0 - 64.0)).max(0.0);
 
         // Merge: 2 arrivals, no ops vs one op.
         let merge = |ops: usize| -> f64 {
-            let spec = MergeSpec {
-                segment: 0,
-                total_count: 2,
-                ops: (0..ops)
-                    .map(|_| nfp_orchestrator::graph::MergeOp::Modify {
-                        field: nfp_packet::FieldId::Tos,
-                        from_version: 2,
-                    })
-                    .collect(),
-                members: vec![
-                    MemberSpec {
-                        version: 1,
-                        priority: 0,
-                        drop_capable: false,
-                        on_failure: FailurePolicy::FailOpen,
-                        stateful: false,
-                    },
-                    MemberSpec {
-                        version: 2,
-                        priority: 1,
-                        drop_capable: false,
-                        on_failure: FailurePolicy::FailOpen,
-                        stateful: false,
-                    },
-                ],
-                next: vec![FtAction::Output { version: 1 }],
-            };
+            let spec = crate::setups::merge_spec(2, ops);
             let mpool = PacketPool::new(8);
             let mut tmpl = crate::setups::fixed_traffic(1, 128).pop().unwrap();
             tmpl.set_meta(Metadata::new(1, 1, 1));
@@ -179,8 +155,6 @@ impl Calibration {
             })
         };
 
-        pool.release(r_big);
-        pool.release(r_small);
         Self {
             hop_ns,
             switch_ns: 2.0 * hop_ns + classify_ns, // relay + forwarding lookup
@@ -191,21 +165,6 @@ impl Calibration {
             merge_per_arrival_ns,
             merge_per_op_ns,
         }
-    }
-
-    /// Build a [`CostModel`] for `graph` by measuring each node's NF
-    /// service time at the given frame size.
-    pub fn model_for(&self, graph: &ServiceGraph, frame: usize) -> CostModel {
-        let services = graph
-            .nodes
-            .iter()
-            .map(|n| {
-                // Instance names like "Firewall#1" map to their type.
-                let ty = n.name.as_str().split('#').next().unwrap();
-                nf_service_ns(ty, frame)
-            })
-            .collect();
-        self.model_with_services(services)
     }
 
     /// Build a [`CostModel`] from explicit per-node service times.

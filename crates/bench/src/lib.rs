@@ -1,19 +1,20 @@
 //! # nfp-bench
 //!
 //! The benchmark harness regenerating **every table and figure** of the
-//! NFP paper's evaluation (§6). Each `src/bin/*` binary prints one
-//! table/figure's rows next to the paper's reported values; see
+//! NFP paper's evaluation (§6). The `figures` binary prints any row of
+//! the [`figures`] table next to the paper's reported values; see
 //! EXPERIMENTS.md for the index and methodology.
 //!
-//! Methodology on a single-core host (see DESIGN.md): real per-packet
-//! costs are **measured** here ([`calibrate`]) and loaded into
-//! `nfp-sim`'s virtual-time model, which evaluates the three systems'
-//! execution disciplines. The multi-threaded engines are exercised for
-//! semantics, not for wall-clock latency.
+//! Methodology (see DESIGN.md): real per-packet costs are **measured**
+//! here ([`calibrate`]) and loaded into `nfp-sim`'s virtual-time model,
+//! which evaluates the three systems' execution disciplines. The
+//! multi-threaded engines are exercised for semantics, not for
+//! wall-clock latency.
 
 #![warn(missing_docs)]
 
 pub mod calibrate;
+pub mod figures;
 pub mod setups;
 pub mod soak;
 pub mod table;

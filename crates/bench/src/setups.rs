@@ -12,7 +12,8 @@ use nfp_nf::NetworkFunction;
 use nfp_orchestrator::graph::{
     CopyKind, GraphNode, Member, MergeOp, ParallelGroup, Segment, ServiceGraph,
 };
-use nfp_orchestrator::{compile, ActionProfile, CompileOptions, Registry};
+use nfp_orchestrator::tables::{FtAction, MemberSpec, MergeSpec};
+use nfp_orchestrator::{compile, ActionProfile, CompileOptions, FailurePolicy, Registry};
 use nfp_packet::{FieldId, Packet};
 use nfp_policy::{NfName, Policy};
 
@@ -64,6 +65,15 @@ pub fn eval_registry() -> Registry {
     r
 }
 
+/// A factory for `graph`'s NFs, one per node, instantiated by node name:
+/// call it once per engine, or hand it to a fleet to call per replica.
+pub fn nf_factory(
+    graph: &ServiceGraph,
+) -> impl Fn() -> Vec<Box<dyn NetworkFunction>> + Clone + Send + 'static {
+    let names: Vec<String> = graph.nodes.iter().map(|n| n.name.to_string()).collect();
+    move || names.iter().map(|n| make_nf(n)).collect()
+}
+
 /// Compile a chain policy with the evaluation registry.
 pub fn compile_chain(chain: &[&str]) -> nfp_orchestrator::Compiled {
     compile(
@@ -111,6 +121,34 @@ pub fn forced_parallel(nf_type: &str, degree: usize, with_copy: bool) -> Service
     ServiceGraph {
         nodes,
         segments: vec![Segment::Parallel(ParallelGroup { members })],
+    }
+}
+
+/// The merge spec a merger instance resolves for a `degree`-way parallel
+/// segment: no drop-capable member, member `i` at priority `i`. Without
+/// `ops` every member shares the original (the paper's no-copy firewall
+/// setup); otherwise member 1 works on copy v2, and each of the `ops`
+/// merge operations folds its Tos back into v1.
+pub fn merge_spec(degree: usize, ops: usize) -> MergeSpec {
+    MergeSpec {
+        segment: 0,
+        total_count: degree,
+        ops: (0..ops)
+            .map(|_| MergeOp::Modify {
+                field: FieldId::Tos,
+                from_version: 2,
+            })
+            .collect(),
+        members: (0..degree)
+            .map(|i| MemberSpec {
+                version: if ops > 0 && i == 1 { 2 } else { 1 },
+                priority: i as u32,
+                drop_capable: false,
+                on_failure: FailurePolicy::FailOpen,
+                stateful: false,
+            })
+            .collect(),
+        next: vec![FtAction::Output { version: 1 }],
     }
 }
 

@@ -218,8 +218,8 @@ fn compiled_variant(fail_open: bool) -> Compiled {
 
 /// The epoch→program function every cell's swaps cycle through: even
 /// epochs run the fail-closed Firewall, odd epochs the fail-open edit —
-/// the canonical live policy edit from the reconfig bench, so each swap
-/// lands mid-storm with real table differences.
+/// the canonical live policy edit, which the reconfig bench times too, so
+/// each swap lands mid-storm with real table differences.
 pub fn program_variants() -> impl Fn(u64) -> Program + Clone + Send + 'static {
     let base = compiled_variant(false).program(1).expect("program seals");
     let edit = compiled_variant(true).program(1).expect("program seals");

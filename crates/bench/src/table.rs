@@ -1,4 +1,4 @@
-//! Plain-text table printing for bench binaries.
+//! Plain-text tables for the `figures` entries.
 
 /// A simple aligned table printer: fixed-width columns, one header row.
 pub struct TablePrinter {
@@ -46,11 +46,6 @@ impl TablePrinter {
             out.push_str(&fmt_row(row));
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
     }
 }
 
