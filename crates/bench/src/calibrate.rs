@@ -7,7 +7,6 @@
 use crate::setups::make_nf;
 use nfp_dataplane::ring;
 use nfp_nf::PacketView;
-use nfp_orchestrator::tables::FtAction;
 use nfp_packet::pool::PacketPool;
 use nfp_packet::{Metadata, Packet};
 use nfp_sim::CostModel;
@@ -129,7 +128,8 @@ impl Calibration {
         let merge_base_ns = (merge2 / 2.0).max(10.0);
         let merge_per_arrival_ns = (merge2 / 4.0).max(10.0);
 
-        // Classifier: admit into a null sink (entry action = Output).
+        // Classifier: admit into a null sink over a sealed one-Forwarder
+        // program, 32 admissions per burst as the engines' intake does.
         let classify_ns = {
             use nfp_dataplane::actions::{Deliver, Msg};
             use nfp_orchestrator::tables::Target;
@@ -139,20 +139,25 @@ impl Calibration {
                     self.0.release(msg.r);
                 }
             }
-            let tables = std::sync::Arc::new(nfp_orchestrator::tables::GraphTables {
-                mid: 1,
-                entry_actions: vec![FtAction::Output { version: 1 }],
-                nf_configs: vec![],
-                merge_specs: vec![],
-            });
+            const BURST: usize = 32;
+            let program = crate::setups::compile_chain(&["Forwarder"])
+                .program(1)
+                .expect("a one-Forwarder chain seals");
+            let handle = std::sync::Arc::new(nfp_dataplane::ProgramHandle::new(program));
             let cpool = PacketPool::new(8);
-            let mut cl = nfp_dataplane::Classifier::single(tables);
+            let mut cl = nfp_dataplane::Classifier::live(handle);
             let tmpl = crate::setups::fixed_traffic(1, 128).pop().unwrap();
             let cstats = nfp_dataplane::StageStats::new();
-            time_per_iter(20_000, || {
+            time_per_iter(20_000 / BURST, || {
                 let mut sink = Null(&cpool);
-                cl.admit(tmpl.clone(), &cpool, &mut sink, &cstats).unwrap();
-            })
+                cl.begin_burst(BURST);
+                for _ in 0..BURST {
+                    let admitted =
+                        cl.admit_observed(tmpl.clone(), &cpool, &mut sink, &cstats, None, |_| ());
+                    assert!(admitted.is_ok());
+                }
+                cl.end_burst();
+            }) / BURST as f64
         };
 
         Self {

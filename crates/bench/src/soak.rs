@@ -531,7 +531,7 @@ fn spawn_swap_driver(
     let probe = Arc::clone(probe);
     let points = script.swap_points();
     let variants = variants.clone();
-    std::thread::spawn(move || drive_swaps(&[controller], &probe, &points, variants))
+    std::thread::spawn(move || drive_swaps(&controller, &probe, &points, variants))
 }
 
 #[cfg(test)]

@@ -292,16 +292,16 @@ pub struct SwapLog {
     pub failures: Vec<String>,
 }
 
-/// Execute a script's swap timeline against live engines.
+/// Execute a script's swap timeline against a live engine.
 ///
-/// Call from a controller thread while the engine(s) run. For each point
+/// Call from a controller thread while the engine runs. For each point
 /// in `points` (ascending injected-packet thresholds), waits until the
 /// probe reports that many packets injected — or the run ends — then
-/// fires `controller.reconfigure(make_program(next_epoch))` on every
-/// controller: one per engine, and a sharded fleet is one engine (its
-/// replicas share one program handle, so one swap reaches them all).
+/// fires `controller.reconfigure(make_program(next_epoch))`. A sharded
+/// fleet is one engine (its replicas share one program handle, so one
+/// swap reaches them all).
 pub fn drive_swaps(
-    controllers: &[EngineController],
+    controller: &EngineController,
     probe: &EngineProbe,
     points: &[u64],
     mut make_program: impl FnMut(u64) -> Program,
@@ -320,15 +320,13 @@ pub fn drive_swaps(
             std::thread::sleep(Duration::from_micros(200));
         }
         log.attempted += 1;
-        for controller in controllers {
-            let next = controller.epoch() + 1;
-            match controller.reconfigure(make_program(next)) {
-                Ok(_) => log.completed += 1,
-                Err(e) => {
-                    log.rejected += 1;
-                    if log.failures.len() < 16 {
-                        log.failures.push(swap_failure_text(&e));
-                    }
+        let next = controller.epoch() + 1;
+        match controller.reconfigure(make_program(next)) {
+            Ok(_) => log.completed += 1,
+            Err(e) => {
+                log.rejected += 1;
+                if log.failures.len() < 16 {
+                    log.failures.push(swap_failure_text(&e));
                 }
             }
         }

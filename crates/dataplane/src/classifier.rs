@@ -12,86 +12,14 @@ use crate::swap::{EpochState, ProgramHandle};
 use crate::telemetry::Telemetry;
 use nfp_orchestrator::tables::GraphTables;
 use nfp_orchestrator::Stage;
-use nfp_packet::ipv4::Ipv4Addr;
 use nfp_packet::meta::{Metadata, PID_MAX, VERSION_ORIGINAL};
 use nfp_packet::pool::PacketPool;
 use nfp_packet::Packet;
 use std::sync::Arc;
 
-/// Classification-table match field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowMatch {
-    /// Match every packet (single-graph deployments).
-    Any,
-    /// Exact 5-tuple.
-    FiveTuple {
-        /// Source address.
-        sip: Ipv4Addr,
-        /// Destination address.
-        dip: Ipv4Addr,
-        /// Source port.
-        sport: u16,
-        /// Destination port.
-        dport: u16,
-        /// L4 protocol.
-        proto: u8,
-    },
-    /// Destination-port match (coarse service selection).
-    Dport(u16),
-    /// Destination-prefix match.
-    DipPrefix {
-        /// Prefix address.
-        prefix: Ipv4Addr,
-        /// Prefix length.
-        len: u8,
-    },
-}
-
-impl FlowMatch {
-    /// Does this matcher cover `pkt`?
-    pub fn matches(&self, pkt: &Packet) -> bool {
-        match self {
-            FlowMatch::Any => true,
-            FlowMatch::FiveTuple {
-                sip,
-                dip,
-                sport,
-                dport,
-                proto,
-            } => pkt
-                .five_tuple()
-                .map(|t| t == (*sip, *dip, *sport, *dport, *proto))
-                .unwrap_or(false),
-            FlowMatch::Dport(p) => pkt.dport().map(|d| d == *p).unwrap_or(false),
-            FlowMatch::DipPrefix { prefix, len } => match pkt.dip() {
-                Ok(d) => {
-                    if *len == 0 {
-                        true
-                    } else {
-                        let mask = u32::MAX << (32 - u32::from(*len));
-                        (d.to_u32() & mask) == (prefix.to_u32() & mask)
-                    }
-                }
-                Err(_) => false,
-            },
-        }
-    }
-}
-
-/// One Classification Table row: match → service graph tables.
-#[derive(Debug, Clone)]
-pub struct CtEntry {
-    /// The match field.
-    pub matcher: FlowMatch,
-    /// The graph's compiled tables (carrying its MID).
-    pub tables: Arc<GraphTables>,
-}
-
 /// Why a packet could not be admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitError {
-    /// No Classification Table entry matched.
-    NoMatch,
     /// The packet pool is exhausted (backpressure point).
     PoolExhausted,
     /// The frame ends before its headers do — cut short below the
@@ -107,52 +35,23 @@ pub enum AdmitError {
 /// itself, for the caller to retry.
 pub type Refusal = (AdmitError, Option<Box<Packet>>);
 
-/// The classifier: first-match CT lookup, metadata tagging, entry-action
-/// launch.
+/// The classifier: metadata tagging and entry-action launch for the one
+/// service graph of a swappable [`ProgramHandle`].
 ///
-/// Two construction modes:
-///
-/// * **Static** ([`Classifier::new`] / [`Classifier::single`]) — a fixed
-///   CT; admitted packets carry epoch 0.
-/// * **Live** ([`Classifier::live`]) — a single-graph classifier over a
-///   swappable [`ProgramHandle`]: each admission burst pins the handle's
-///   current epoch, and its packets classify against that epoch's tables
-///   and carry it, so every downstream stage resolves the same tables.
+/// Every packet that parses matches the graph. Each admission burst pins
+/// the handle's current epoch, and its packets classify against that
+/// epoch's tables and carry it, so every downstream stage resolves the
+/// same tables.
 #[derive(Debug)]
 pub struct Classifier {
-    entries: Vec<CtEntry>,
-    handle: Option<Arc<ProgramHandle>>,
-    /// Live mode, inside a burst: the epoch the burst pinned and how many
-    /// of its reserved pins are still unused.
+    handle: Arc<ProgramHandle>,
+    /// Inside a burst: the epoch the burst pinned and how many of its
+    /// reserved pins are still unused.
     pins: Option<(Arc<EpochState>, u64)>,
     next_pid: u64,
-    /// Packets admitted (diagnostics).
-    pub admitted: u64,
-    /// Packets rejected (diagnostics).
-    pub rejected: u64,
 }
 
 impl Classifier {
-    /// Build a classifier from CT entries (first match wins).
-    pub fn new(entries: Vec<CtEntry>) -> Self {
-        Self {
-            entries,
-            handle: None,
-            pins: None,
-            next_pid: 0,
-            admitted: 0,
-            rejected: 0,
-        }
-    }
-
-    /// Single-graph classifier matching everything.
-    pub fn single(tables: Arc<GraphTables>) -> Self {
-        Self::new(vec![CtEntry {
-            matcher: FlowMatch::Any,
-            tables,
-        }])
-    }
-
     /// Single-graph classifier over a swappable program handle: every
     /// packet matches, classifies under the epoch its admission burst
     /// pinned, and is stamped with it. The engine settles each admitted
@@ -160,32 +59,30 @@ impl Classifier {
     /// the burst ends, so a retried packet re-pins the epoch then current.
     pub fn live(handle: Arc<ProgramHandle>) -> Self {
         Self {
-            handle: Some(handle),
-            ..Self::new(Vec::new())
+            handle,
+            pins: None,
+            next_pid: 0,
         }
     }
 
-    /// Open an admission burst of at most `n` packets: in live mode, one
+    /// Open an admission burst of at most `n` packets: one
     /// [`ProgramHandle::reserve`] for all of them.
     pub fn begin_burst(&mut self, n: usize) {
         debug_assert!(self.pins.is_none(), "admission bursts do not nest");
-        if let Some(handle) = &self.handle {
-            self.pins = Some((handle.reserve(n as u64), n as u64));
-        }
+        self.pins = Some((self.handle.reserve(n as u64), n as u64));
     }
 
     /// Close the admission burst: the pins no admission used go back to
     /// their epoch ([`ProgramHandle::abort`]).
     pub fn end_burst(&mut self) {
-        if let (Some(handle), Some((state, unused))) = (&self.handle, self.pins.take()) {
-            handle.abort(&state, unused);
+        if let Some((state, unused)) = self.pins.take() {
+            self.handle.abort(&state, unused);
         }
     }
 
-    /// Admit one packet — a burst of one: find its graph, tag MID/PID/v1
-    /// metadata (plus the pinned epoch in live mode), move it into the
-    /// pool and run the graph's entry actions against `sink`. Returns the
-    /// tables of the graph that matched.
+    /// Admit one packet — a burst of one: tag MID/PID/v1 metadata and the
+    /// pinned epoch, move it into the pool and run the graph's entry
+    /// actions against `sink`. Returns the tables it classified under.
     pub fn admit(
         &mut self,
         pkt: Packet,
@@ -231,33 +128,22 @@ impl Classifier {
         let t0 = tele.and_then(|t| t.begin(Stage::Classifier, 1));
         let r = match pool.insert(pkt) {
             Ok(r) => r,
-            Err(back) => return Err(self.refuse(back, stats)),
+            Err(back) => return Err(refuse(back, stats)),
         };
         if let Err(e) = pool.with_mut(r, Packet::parse) {
             // The telemetry histograms stay untouched by rejects (only
             // admitted packets are timed).
             drop(pool.take(r));
-            return Err(self.reject(stats, malformed(e)));
+            return Err(reject(stats, malformed(e)));
         }
-        // Live mode classifies under the burst's pinned epoch and uses one
-        // of its pins — only on success: a failed admission leaves its pin
-        // to go back when the burst ends, and a retry re-pins.
-        let (tables, epoch, pins_left) = match &mut self.pins {
-            Some((state, left)) => {
-                assert!(*left > 0, "more admissions than the burst reserved");
-                (state.tables(), state.epoch(), Some(left))
-            }
-            None => {
-                assert!(self.handle.is_none(), "live admission outside a burst");
-                let entries = &self.entries;
-                let matched = pool.with(r, |p| entries.iter().find(|e| e.matcher.matches(p)));
-                let Some(entry) = matched else {
-                    drop(pool.take(r));
-                    return Err(self.reject(stats, AdmitError::NoMatch));
-                };
-                (&entry.tables, 0, None)
-            }
+        // Classify under the burst's pinned epoch and use one of its pins
+        // — only on success: a failed admission leaves its pin to go back
+        // when the burst ends, and a retry re-pins.
+        let Some((state, pins_left)) = &mut self.pins else {
+            panic!("admission outside a burst");
         };
+        assert!(*pins_left > 0, "more admissions than the burst reserved");
+        let (tables, epoch) = (state.tables(), state.epoch());
         // The PID only advances on success, so retried packets (pool
         // backpressure) keep a dense injection-order numbering — and,
         // since sampling keys off it, their sampling decision too.
@@ -269,9 +155,9 @@ impl Classifier {
         // The admission-time flow key rides the metadata sidecar so every
         // stateful NF downstream — even past a header-rewriting NAT —
         // keys its per-flow state by the same tuple RSS sharded on.
-        // The backend arrival stamp (pcap capture time, raw-socket
-        // receive time) survives the fresh admission metadata so trace
-        // timing stays visible downstream; 0 for synthetic traffic.
+        // The backend arrival stamp (pcap capture time) survives the
+        // fresh admission metadata so trace timing stays visible
+        // downstream; 0 for synthetic traffic.
         let meta = pool.with_mut(r, |p| {
             let meta = Metadata::new(tables.mid, pid, VERSION_ORIGINAL)
                 .with_epoch(epoch)
@@ -290,11 +176,8 @@ impl Classifier {
         match actions::execute(&tables.entry_actions, pool, &mut versions, sink, stats) {
             Ok(()) => {
                 stats.note_in(1);
-                if let Some(left) = pins_left {
-                    *left -= 1;
-                }
+                *pins_left -= 1;
                 self.next_pid = (pid + 1) & PID_MAX;
-                self.admitted += 1;
                 if let Some(t) = tele {
                     // Feed the inter-arrival gap once per *successful*
                     // admission, so pool-backpressure retries never
@@ -328,37 +211,33 @@ impl Classifier {
                 // the sink's problem only on success paths, but entry
                 // actions fail before any delivery of the failed version.
                 pool.release(r);
-                Err(self.reject(stats, AdmitError::ActionFailed))
+                Err(reject(stats, AdmitError::ActionFailed))
             }
         }
     }
+}
 
-    /// The pool has no free slot. A packet that would be rejected needs
-    /// none, so it is rejected now; anything else is backpressure, handed
-    /// back for a retry (not counted as "in" yet — only the stall is).
-    #[cold]
-    fn refuse(&mut self, mut back: Packet, stats: &StageStats) -> Refusal {
-        if let Err(e) = back.parse() {
-            return self.reject(stats, malformed(e));
-        }
-        if self.pins.is_none() && !self.entries.iter().any(|e| e.matcher.matches(&back)) {
-            return self.reject(stats, AdmitError::NoMatch);
-        }
-        stats.note_backpressure();
-        (AdmitError::PoolExhausted, Some(Box::new(back)))
+/// The pool has no free slot. A packet that would be rejected needs
+/// none, so it is rejected now; anything else is backpressure, handed
+/// back for a retry (not counted as "in" yet — only the stall is).
+#[cold]
+fn refuse(mut back: Packet, stats: &StageStats) -> Refusal {
+    if let Err(e) = back.parse() {
+        return reject(stats, malformed(e));
     }
+    stats.note_backpressure();
+    (AdmitError::PoolExhausted, Some(Box::new(back)))
+}
 
-    /// Count a terminal rejection. Hostile framing has its own drop cause,
-    /// so soak runs can tell malformed-input pressure from policy rejects.
-    fn reject(&mut self, stats: &StageStats, why: AdmitError) -> Refusal {
-        self.rejected += 1;
-        stats.note_in(1);
-        stats.note_drop(match why {
-            AdmitError::Truncated | AdmitError::Unparseable => DropCause::AdmitMalformed,
-            _ => DropCause::AdmitRejected,
-        });
-        (why, None)
-    }
+/// Count a terminal rejection. Hostile framing has its own drop cause,
+/// so soak runs can tell malformed-input pressure from policy rejects.
+fn reject(stats: &StageStats, why: AdmitError) -> Refusal {
+    stats.note_in(1);
+    stats.note_drop(match why {
+        AdmitError::Truncated | AdmitError::Unparseable => DropCause::AdmitMalformed,
+        _ => DropCause::AdmitRejected,
+    });
+    (why, None)
 }
 
 /// Why a frame failed to parse, as an admission error.
@@ -374,7 +253,8 @@ mod tests {
     use super::*;
     use crate::actions::Msg;
     use nfp_orchestrator::tables::{FtAction, Target};
-    use nfp_orchestrator::{compile, CompileOptions, Registry};
+    use nfp_orchestrator::{compile, CompileOptions, Program, Registry};
+    use nfp_packet::ipv4::Ipv4Addr;
     use nfp_policy::Policy;
 
     #[derive(Default)]
@@ -385,16 +265,20 @@ mod tests {
         }
     }
 
-    fn tables(chain: &[&str]) -> Arc<GraphTables> {
-        let reg = Registry::paper_table2();
+    fn live(program: Program) -> Classifier {
+        Classifier::live(Arc::new(ProgramHandle::new(program)))
+    }
+
+    /// A classifier over the sealed Monitor → Firewall graph, MID 5.
+    fn classifier() -> Classifier {
         let c = compile(
-            &Policy::from_chain(chain.iter().copied()),
-            &reg,
+            &Policy::from_chain(["Monitor", "Firewall"]),
+            &Registry::paper_table2(),
             &[],
             &CompileOptions::default(),
         )
         .unwrap();
-        Arc::new(nfp_orchestrator::tables::generate(&c.graph, 5))
+        live(c.program(5).unwrap())
     }
 
     fn pkt(dport: u16) -> Packet {
@@ -410,12 +294,11 @@ mod tests {
     #[test]
     fn admit_tags_metadata_and_launches_entry() {
         let pool = PacketPool::new(8);
-        let mut cl = Classifier::single(tables(&["Monitor", "Firewall"]));
+        let mut cl = classifier();
         let mut sink = Capture::default();
-        cl.admit(pkt(80), &pool, &mut sink, &StageStats::new())
-            .unwrap();
-        cl.admit(pkt(81), &pool, &mut sink, &StageStats::new())
-            .unwrap();
+        let stats = StageStats::new();
+        cl.admit(pkt(80), &pool, &mut sink, &stats).unwrap();
+        cl.admit(pkt(81), &pool, &mut sink, &stats).unwrap();
         // Parallel pair shares v1: one distribute of the same ref to both.
         assert_eq!(sink.0.len(), 4);
         let m0 = sink.0[0].1;
@@ -426,66 +309,13 @@ mod tests {
         });
         let m2 = sink.0[2].1;
         pool.with(m2.r, |p| assert_eq!(p.meta().pid(), 1));
-        assert_eq!(cl.admitted, 2);
-    }
-
-    #[test]
-    fn first_match_wins_and_no_match_rejects() {
-        let pool = PacketPool::new(8);
-        let t80 = tables(&["Monitor", "Firewall"]);
-        let t_other = tables(&["NAT", "LoadBalancer"]);
-        let mut cl = Classifier::new(vec![
-            CtEntry {
-                matcher: FlowMatch::Dport(80),
-                tables: Arc::clone(&t80),
-            },
-            CtEntry {
-                matcher: FlowMatch::DipPrefix {
-                    prefix: Ipv4Addr::new(10, 0, 0, 0),
-                    len: 8,
-                },
-                tables: Arc::clone(&t_other),
-            },
-        ]);
-        let mut sink = Capture::default();
-        let t = cl
-            .admit(pkt(80), &pool, &mut sink, &StageStats::new())
-            .unwrap();
-        assert_eq!(t.mid, t80.mid);
-        let t = cl
-            .admit(pkt(443), &pool, &mut sink, &StageStats::new())
-            .unwrap();
-        assert_eq!(t.mid, t_other.mid);
-        // Non-matching packet.
-        let mut cl2 = Classifier::new(vec![CtEntry {
-            matcher: FlowMatch::Dport(9),
-            tables: t80,
-        }]);
-        assert_eq!(
-            cl2.admit(pkt(80), &pool, &mut sink, &StageStats::new())
-                .unwrap_err(),
-            AdmitError::NoMatch
-        );
-        assert_eq!(cl2.rejected, 1);
-    }
-
-    #[test]
-    fn five_tuple_match() {
-        let m = FlowMatch::FiveTuple {
-            sip: Ipv4Addr::new(10, 0, 0, 1),
-            dip: Ipv4Addr::new(10, 9, 9, 9),
-            sport: 1234,
-            dport: 80,
-            proto: nfp_packet::ipv4::PROTO_TCP,
-        };
-        assert!(m.matches(&pkt(80)));
-        assert!(!m.matches(&pkt(81)));
+        assert_eq!(stats.snapshot().packets_in, 2);
     }
 
     #[test]
     fn pool_exhaustion_is_backpressure() {
         let pool = PacketPool::new(1);
-        let mut cl = Classifier::single(tables(&["Monitor", "Firewall"]));
+        let mut cl = classifier();
         let mut sink = Capture::default();
         cl.admit(pkt(80), &pool, &mut sink, &StageStats::new())
             .unwrap();
@@ -499,7 +329,7 @@ mod tests {
     #[test]
     fn pids_wrap_at_40_bits() {
         let pool = PacketPool::new(4);
-        let mut cl = Classifier::single(tables(&["Monitor", "Firewall"]));
+        let mut cl = classifier();
         cl.next_pid = PID_MAX;
         let mut sink = Capture::default();
         cl.admit(pkt(80), &pool, &mut sink, &StageStats::new())
@@ -510,7 +340,7 @@ mod tests {
     #[test]
     fn garbage_rejected() {
         let pool = PacketPool::new(4);
-        let mut cl = Classifier::single(tables(&["Monitor", "Firewall"]));
+        let mut cl = classifier();
         let mut sink = Capture::default();
         let garbage = Packet::from_bytes(&[0u8; 60]).unwrap();
         assert_eq!(
@@ -521,23 +351,17 @@ mod tests {
     }
 
     /// A reject never needs a pool slot: with the pool full, a malformed
-    /// or unmatched packet is still rejected outright, not held back as
-    /// backpressure.
+    /// packet is still rejected outright, not held back as backpressure.
     #[test]
     fn rejects_never_touch_a_full_pool() {
         let pool = PacketPool::new(1);
-        let mut cl = Classifier::new(vec![CtEntry {
-            matcher: FlowMatch::Dport(80),
-            tables: tables(&["Monitor", "Firewall"]),
-        }]);
+        let mut cl = classifier();
         let mut sink = Capture::default();
         let stats = StageStats::new();
         cl.admit(pkt(80), &pool, &mut sink, &stats).unwrap();
         let garbage = Packet::from_bytes(&[0u8; 60]).unwrap();
         let err = cl.admit(garbage, &pool, &mut sink, &stats).unwrap_err();
         assert_eq!(err, AdmitError::Unparseable);
-        let err = cl.admit(pkt(81), &pool, &mut sink, &stats).unwrap_err();
-        assert_eq!(err, AdmitError::NoMatch);
         assert_eq!(stats.snapshot().backpressure, 0);
         assert_eq!(pool.in_use(), 1);
     }
@@ -545,7 +369,7 @@ mod tests {
     #[test]
     fn truncated_frame_rejected_with_distinct_error() {
         let pool = PacketPool::new(4);
-        let mut cl = Classifier::single(tables(&["Monitor", "Firewall"]));
+        let mut cl = classifier();
         let mut sink = Capture::default();
         // A valid frame cut short mid-IPv4-header: the ethertype still
         // says IPv4, but the header bytes are missing.
@@ -556,8 +380,8 @@ mod tests {
             cl.admit(truncated, &pool, &mut sink, &stats).unwrap_err(),
             AdmitError::Truncated
         );
-        assert_eq!(cl.rejected, 1);
         let snap = stats.snapshot();
+        assert_eq!(snap.rejects(), 1);
         assert_eq!(snap.drop_admit_malformed, 1);
         assert_eq!(snap.drop_admit_rejected, 0);
         assert_eq!(pool.in_use(), 0);
@@ -582,12 +406,13 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        let t = Arc::new(nfp_orchestrator::tables::generate(&c.graph, 1));
-        assert!(t
+        let program = c.program(1).unwrap();
+        assert!(program
+            .tables()
             .entry_actions
             .iter()
             .any(|a| matches!(a, FtAction::Copy { .. })));
-        let mut cl = Classifier::single(t);
+        let mut cl = live(program);
         let mut sink = Capture::default();
         cl.admit(pkt(80), &pool, &mut sink, &StageStats::new())
             .unwrap();

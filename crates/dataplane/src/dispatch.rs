@@ -505,14 +505,11 @@ impl Dispatcher {
             cx.telemetry.trace_ref(stage, &cx.pool, msg.r);
             let epoch = cx.pool.with(msg.r, |p| p.meta().epoch());
             let cfg = &self.resolver.tables(epoch, stats).nf_configs[i];
-            let before = rt.dropped + rt.errors + rt.policy_drops;
-            rt.handle_with(cfg, msg, &cx.pool, &mut sink, stats);
-            if matches!(cfg.on_drop, DropBehavior::Discard) {
-                // A silent discard finishes the packet right here (≤ 1
-                // drop per message by construction).
-                let n = rt.dropped + rt.errors + rt.policy_drops - before;
-                self.resolver.settle(epoch, n);
-                self.dropped += n;
+            let dropped = rt.handle_with(cfg, msg, &cx.pool, &mut sink, stats);
+            if dropped && matches!(cfg.on_drop, DropBehavior::Discard) {
+                // A silent discard finishes the packet right here.
+                self.resolver.settle(epoch, 1);
+                self.dropped += 1;
             }
         }
         cx.watch[i].busy.store(false, Ordering::Release);

@@ -5,8 +5,8 @@
 //!
 //! * [`ring`] — from-scratch lock-free SPSC ring buffers; the stand-in for
 //!   the paper's per-NF receive/transmit rings in huge-page shared memory.
-//! * [`classifier`] — the Classification Table: matches arriving packets
-//!   to a service graph, assigns MID/PID/version metadata (paper Fig. 5)
+//! * [`classifier`] — admits arriving packets to the sealed program's
+//!   one service graph, assigns MID/PID/version metadata (paper Fig. 5)
 //!   and launches the graph's entry actions.
 //! * [`actions`] — the forwarding-action interpreter shared by classifier,
 //!   NF runtimes and mergers (`copy` / `distribute` / `output`).

@@ -130,7 +130,9 @@ impl<N: NetworkFunction> NfRuntime<N> {
     }
 
     /// Handle one packet reference under `cfg` — the forwarding-table
-    /// slice of the epoch the packet was classified under.
+    /// slice of the epoch the packet was classified under. Returns whether
+    /// the packet was dropped here (verdict, action error or fail-closed
+    /// policy): under [`DropBehavior::Discard`] that drop finishes it.
     pub fn handle_with(
         &mut self,
         cfg: &NfConfig,
@@ -138,14 +140,13 @@ impl<N: NetworkFunction> NfRuntime<N> {
         pool: &PacketPool,
         sink: &mut impl Deliver,
         stats: &StageStats,
-    ) {
+    ) -> bool {
         let r = msg.r;
         stats.note_in(1);
         if self.failure.is_some() {
             // The NF is dead: don't invoke it, route the packet per its
             // failure policy.
-            self.apply_failure_policy(cfg, r, pool, sink, stats);
-            return;
+            return self.apply_failure_policy(cfg, r, pool, sink, stats);
         }
         // Isolate the NF invocation: a panic must not take the engine
         // down or leak the in-flight reference. `AssertUnwindSafe` is
@@ -170,8 +171,7 @@ impl<N: NetworkFunction> NfRuntime<N> {
             Ok(v) => v,
             Err(payload) => {
                 self.failure = Some(FailureKind::Panicked(panic_message(payload)));
-                self.apply_failure_policy(cfg, r, pool, sink, stats);
-                return;
+                return self.apply_failure_policy(cfg, r, pool, sink, stats);
             }
         };
         self.processed += 1;
@@ -184,11 +184,14 @@ impl<N: NetworkFunction> NfRuntime<N> {
                     // an arrival, so fall through to the nil path.
                     self.errors += 1;
                     self.emit_drop(cfg, r, pool, sink, stats, DropCause::NfError);
+                    return true;
                 }
+                false
             }
             Verdict::Drop => {
                 self.dropped += 1;
                 self.emit_drop(cfg, r, pool, sink, stats, DropCause::NfVerdict);
+                true
             }
         }
     }
@@ -197,7 +200,8 @@ impl<N: NetworkFunction> NfRuntime<N> {
     /// unprocessed along the normal actions (parallel merges still close:
     /// the bypassed copy contributes unchanged bytes, so merge ops fold a
     /// no-op). Fail-closed drops it — in parallel positions via a
-    /// *failure nil*, which the merger honors unconditionally.
+    /// *failure nil*, which the merger honors unconditionally. Returns
+    /// whether the packet was dropped.
     fn apply_failure_policy(
         &mut self,
         cfg: &NfConfig,
@@ -205,7 +209,7 @@ impl<N: NetworkFunction> NfRuntime<N> {
         pool: &PacketPool,
         sink: &mut impl Deliver,
         stats: &StageStats,
-    ) {
+    ) -> bool {
         match cfg.on_failure {
             FailurePolicy::FailOpen => {
                 self.bypassed += 1;
@@ -213,11 +217,14 @@ impl<N: NetworkFunction> NfRuntime<N> {
                 if actions::execute(&cfg.actions, pool, &mut versions, sink, stats).is_err() {
                     self.errors += 1;
                     self.emit_drop(cfg, r, pool, sink, stats, DropCause::NfError);
+                    return true;
                 }
+                false
             }
             FailurePolicy::FailClosed => {
                 self.policy_drops += 1;
                 self.emit_drop(cfg, r, pool, sink, stats, DropCause::NfFailed);
+                true
             }
         }
     }

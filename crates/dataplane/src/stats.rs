@@ -71,8 +71,8 @@ pub enum DropCause {
     MergeResolved,
     /// A merge failed (missing version / malformed copy); packet released.
     MergeError,
-    /// The classifier rejected the packet on policy grounds (no matching
-    /// flow rule, pool pressure, or a failed admission action).
+    /// The classifier rejected a well-formed packet: its entry actions
+    /// failed (a table inconsistency).
     AdmitRejected,
     /// The classifier rejected the packet because the frame itself was
     /// hostile: truncated below header size or otherwise unparseable.
@@ -271,7 +271,8 @@ pub struct StageSnapshot {
     pub drop_merge_resolved: u64,
     /// Drops: merge failure.
     pub drop_merge_error: u64,
-    /// Drops: classifier policy rejection (no match / failed action).
+    /// Drops: classifier rejection of a well-formed frame (failed entry
+    /// action).
     pub drop_admit_rejected: u64,
     /// Drops: classifier rejection of a truncated or unparseable frame.
     pub drop_admit_malformed: u64,

@@ -411,7 +411,7 @@ pub struct Telemetry {
     mergers: Vec<LatencyHistogram>,
     collector: LatencyHistogram,
     /// Inter-arrival gaps between backend-stamped ingress timestamps
-    /// (pcap capture times, raw-socket receive times); empty for
+    /// (pcap capture times); empty for
     /// synthetic traffic, which carries no stamp.
     ingress: LatencyHistogram,
     /// The previous packet's ingress stamp (0 = none yet).

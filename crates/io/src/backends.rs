@@ -1,5 +1,5 @@
-//! Engine-facing [`Ingress`]/[`Egress`] adapters: the in-process traffic
-//! generators and the classic-pcap file codec.
+//! Engine-facing [`Ingress`]/[`Egress`] adapters over the classic-pcap
+//! file codec.
 //!
 //! Pcap ingress stamps every packet's metadata with the record's capture
 //! timestamp (`Metadata::with_ingress_ns`), which the classifier
@@ -12,82 +12,9 @@
 use crate::pcap::{PcapFormat, PcapReader, PcapRecord, PcapWriter};
 use nfp_packet::io::{Egress, Ingress, IoError};
 use nfp_packet::Packet;
-use nfp_traffic::gen::{TrafficGenerator, TrafficSpec};
-use nfp_traffic::hostile::{HostileGenerator, HostileSpec};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-
-/// The `nfp-traffic` flow generator as an ingress backend: emits exactly
-/// `total` packets, then ends the stream. All pre-existing closed-loop
-/// workloads are this backend with the engine's historical defaults.
-#[derive(Debug)]
-pub struct GeneratorIngress {
-    gen: TrafficGenerator,
-    remaining: u64,
-}
-
-impl GeneratorIngress {
-    /// A budgeted ingress over a fresh generator.
-    pub fn new(spec: TrafficSpec, total: u64) -> Self {
-        Self::from_generator(TrafficGenerator::new(spec), total)
-    }
-
-    /// Adopt an existing generator mid-stream.
-    pub fn from_generator(gen: TrafficGenerator, total: u64) -> Self {
-        Self {
-            gen,
-            remaining: total,
-        }
-    }
-}
-
-impl Ingress for GeneratorIngress {
-    fn next_burst(&mut self, max: usize) -> Result<Option<Vec<Packet>>, IoError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let n = (max.max(1) as u64).min(self.remaining);
-        self.remaining -= n;
-        Ok(Some(self.gen.batch(n as usize)))
-    }
-
-    fn label(&self) -> &'static str {
-        "generator"
-    }
-}
-
-/// The hostile-profile generator as an ingress backend (soak harness).
-#[derive(Debug)]
-pub struct HostileIngress {
-    gen: HostileGenerator,
-    remaining: u64,
-}
-
-impl HostileIngress {
-    /// A budgeted ingress over a fresh hostile generator.
-    pub fn new(spec: HostileSpec, total: u64) -> Self {
-        Self {
-            gen: HostileGenerator::new(spec),
-            remaining: total,
-        }
-    }
-}
-
-impl Ingress for HostileIngress {
-    fn next_burst(&mut self, max: usize) -> Result<Option<Vec<Packet>>, IoError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let n = (max.max(1) as u64).min(self.remaining);
-        self.remaining -= n;
-        Ok(Some(self.gen.batch(n as usize)))
-    }
-
-    fn label(&self) -> &'static str {
-        "hostile"
-    }
-}
 
 /// Build the in-memory packet a pcap record replays as: bytes as
 /// captured (snaplen cuts included — the classifier, not the reader,
@@ -265,32 +192,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn generator_ingress_respects_budget_and_matches_generator() {
-        let spec = TrafficSpec {
-            flows: 4,
-            seed: 7,
-            ..TrafficSpec::default()
-        };
-        let mut ing = GeneratorIngress::new(spec.clone(), 10);
-        let mut got = Vec::new();
-        while let Some(burst) = ing.next_burst(3).unwrap() {
-            got.extend(burst);
-        }
-        assert_eq!(got.len(), 10);
-        let want = TrafficGenerator::new(spec).batch(10);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.data(), w.data());
-        }
-    }
-
-    #[test]
-    fn hostile_ingress_ends_after_budget() {
-        let mut ing = HostileIngress::new(HostileSpec::syn_flood(3), 5);
-        assert_eq!(ing.next_burst(8).unwrap().unwrap().len(), 5);
-        assert!(ing.next_burst(8).unwrap().is_none());
     }
 
     #[test]

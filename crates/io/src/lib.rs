@@ -1,36 +1,32 @@
 //! # nfp-io
 //!
 //! Packet I/O backends for the NFP dataplane, implementing the
-//! [`nfp_packet::io`] `Ingress`/`Egress` contract three ways:
+//! [`nfp_packet::io`] `Ingress`/`Egress` contract over the from-scratch
+//! classic-pcap codec in [`pcap`]:
 //!
-//! * [`backends::GeneratorIngress`] / [`backends::HostileIngress`] — the
-//!   in-process `nfp-traffic` generators, so every pre-existing workload
-//!   runs unchanged behind the trait pair;
-//! * [`backends::PcapIngress`] / [`backends::PcapEgress`] over the
-//!   from-scratch classic-pcap codec in [`pcap`] — reproducible
+//! * [`backends::PcapIngress`] / [`backends::PcapEgress`] — reproducible
 //!   real-trace replay with capture timestamps stamped into packet
-//!   metadata, plus the seeded golden-trace builder in [`trace`] behind
-//!   the committed differential corpus;
-//! * [`raw::RawPort`] — AF_PACKET raw sockets (feature `af-packet`,
-//!   Linux), degrading gracefully to the [`raw::SocketPair`] loopback
-//!   shim when `CAP_NET_RAW` is absent so CI always exercises the live
-//!   path.
+//!   metadata, and delivered frames recorded back out as a capture;
+//! * the seeded golden-trace builder in [`trace`] behind the committed
+//!   differential corpus.
 //!
-//! No C capture library, no external crates: the pcap format and the
-//! syscall bindings are written by hand against what `std` already
-//! links.
+//! In-memory sources and sinks (`VecIngress`, `CollectEgress`,
+//! `NullEgress`) live beside the trait pair in `nfp-packet` and are
+//! re-exported here. A NIC backend would be one more `Ingress`/`Egress`
+//! pair.
+//!
+//! No C capture library, no external crates: the pcap format is written
+//! by hand against `std`.
 
 #![warn(missing_docs)]
 
 pub mod backends;
 pub mod pcap;
-pub mod raw;
 pub mod trace;
 
-pub use backends::{GeneratorIngress, HostileIngress, PcapEgress, PcapIngress};
+pub use backends::{PcapEgress, PcapIngress};
 pub use nfp_packet::io::{
     CollectEgress, Egress, Ingress, IoError, IoRunStats, NullEgress, VecIngress,
 };
 pub use pcap::{PcapFormat, PcapReader, PcapRecord, PcapWriter};
-pub use raw::{RawPort, SocketPair};
 pub use trace::{build_golden_pcap, build_golden_records, GoldenTraceSpec};

@@ -3,16 +3,16 @@
 //!
 //! The engines never know where their packets come from or go to — they
 //! pull bursts from an [`Ingress`] and push delivered frames into an
-//! [`Egress`]. Three backend families implement the pair (in `nfp-io`):
+//! [`Egress`]. Two backend families implement the pair:
 //!
-//! * the in-process `nfp-traffic` generators (the historical default),
-//! * a classic-pcap file reader/writer for reproducible trace replay,
-//! * a raw AF_PACKET socket (feature-gated), degrading to a loopback
-//!   socket-pair shim when `CAP_NET_RAW` is absent.
+//! * in-memory vectors ([`VecIngress`], [`CollectEgress`],
+//!   [`NullEgress`], below),
+//! * a classic-pcap file reader/writer for reproducible trace replay (in
+//!   `nfp-io`).
 //!
 //! The contract is deliberately burst-shaped: `next_burst(max)` returns
 //! up to `max` packets, mirroring NIC RX-ring semantics, and `None`
-//! signals end of stream (a file ran out; a generator hit its budget).
+//! signals end of stream (a file or a vector ran out).
 //! A backend with nothing available *right now* but more to come returns
 //! an empty burst — only `None` terminates a run.
 //!
@@ -40,12 +40,6 @@ pub enum IoError {
         /// `errno`-style code or 0.
         code: i32,
     },
-    /// The backend cannot run in this environment (e.g. AF_PACKET
-    /// without `CAP_NET_RAW`); callers may fall back to a shim.
-    Unsupported {
-        /// Why the backend is unavailable.
-        why: &'static str,
-    },
     /// A frame exceeds what a [`Packet`] buffer can hold.
     FrameTooLarge {
         /// The oversized frame's length.
@@ -58,7 +52,6 @@ impl core::fmt::Display for IoError {
         match self {
             IoError::Format { what, detail } => write!(f, "malformed {what} (at {detail})"),
             IoError::Os { op, code } => write!(f, "{op} failed (errno {code})"),
-            IoError::Unsupported { why } => write!(f, "backend unavailable: {why}"),
             IoError::FrameTooLarge { len } => write!(f, "frame of {len} bytes exceeds capacity"),
         }
     }
@@ -248,10 +241,5 @@ mod tests {
         }
         .to_string()
         .contains("pcap header"));
-        assert!(IoError::Unsupported {
-            why: "no CAP_NET_RAW"
-        }
-        .to_string()
-        .contains("CAP_NET_RAW"));
     }
 }

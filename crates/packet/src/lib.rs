@@ -20,7 +20,7 @@
 //!   dependency analysis and the Dirty Memory Reusing optimization.
 //! * The pluggable packet I/O contract ([`io`]): the burst-shaped
 //!   [`io::Ingress`]/[`io::Egress`] trait pair every traffic backend
-//!   (generator, pcap file, raw socket) implements, so engines never know
+//!   (in-memory vector, pcap file) implements, so engines never know
 //!   where packets come from or go to.
 //! * A pre-allocated shared [`pool::PacketPool`] standing in for the paper's
 //!   huge-page shared memory region: slots are reference-counted, packets are

@@ -28,8 +28,8 @@
 //!   rewriting the source tuple upstream cannot shift a downstream NF's
 //!   state onto the wrong shard.
 //! * **ingress_ns** — the capture/arrival timestamp stamped by the packet
-//!   I/O backend that produced the frame (pcap record time, raw-socket
-//!   receive time), in nanoseconds; 0 means "not stamped" (synthetic
+//!   I/O backend that produced the frame (pcap record time), in
+//!   nanoseconds; 0 means "not stamped" (synthetic
 //!   traffic). The classifier preserves it through admission and feeds
 //!   inter-arrival gaps into the telemetry `ingress` histogram.
 //!
@@ -159,7 +159,7 @@ impl Metadata {
     }
 
     /// Same metadata carrying the backend arrival timestamp — stamped by
-    /// pcap/raw-socket ingress backends so replayed traces keep their
+    /// the pcap ingress backend so replayed traces keep their
     /// capture timing through the dataplane.
     #[inline]
     pub fn with_ingress_ns(self, ingress_ns: u64) -> Self {

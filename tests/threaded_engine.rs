@@ -473,7 +473,7 @@ fn per_burst_epoch_bookkeeping_survives_a_swap_storm() {
     let controller = engine.controller();
     let (report, log) = std::thread::scope(|s| {
         let storm = s.spawn(|| {
-            drive_swaps(&[controller], &probe, &script.swap_points(), |epoch| {
+            drive_swaps(&controller, &probe, &script.swap_points(), |epoch| {
                 program.clone().with_epoch(epoch)
             })
         });
