@@ -8,7 +8,6 @@
 //! `n + 1` switch transits per packet, and the switch serializes all
 //! traffic (the hot spot NFP's distributed runtime removes).
 
-use crate::rtc::RunToCompletion;
 use nfp_dataplane::ring;
 use nfp_nf::{NetworkFunction, PacketView, Verdict};
 use nfp_packet::meta::Metadata;
@@ -65,7 +64,7 @@ impl OnvmPipeline {
     }
 
     /// Run the pipeline over `packets` and report. Also usable as a
-    /// *semantic* oracle: the output equals [`RunToCompletion`] over the
+    /// *semantic* oracle: the output equals [`crate::RunToCompletion`] over the
     /// same NFs (sequential chains have one semantics regardless of the
     /// execution substrate).
     pub fn run(&mut self, packets: Vec<Packet>) -> OnvmReport {
@@ -243,15 +242,10 @@ impl OnvmPipeline {
     }
 }
 
-/// Convenience: build the RTC equivalent of the same chain (for oracle
-/// comparisons in tests).
-pub fn rtc_of(nfs: Vec<Box<dyn NetworkFunction>>) -> RunToCompletion {
-    RunToCompletion::new(nfs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunToCompletion;
     use nfp_nf::firewall::Firewall;
     use nfp_nf::lb::LoadBalancer;
     use nfp_nf::monitor::Monitor;

@@ -15,11 +15,11 @@
 //!
 //! Usage: `cargo run --release --bin reconfig [packets]`
 
-use nfp_bench::setups::{fixed_traffic, make_nf};
+use nfp_bench::setups::fixed_traffic;
 use nfp_bench::soak::{program_variants, SOAK_CHAIN};
 use nfp_bench::stage_latency_json;
 use nfp_dataplane::engine::{Engine, EngineConfig};
-use nfp_nf::NetworkFunction;
+use nfp_nf::{catalogue, NetworkFunction};
 use nfp_orchestrator::Program;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +27,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn engine(program: Program) -> Engine {
-    let nfs: Vec<Box<dyn NetworkFunction>> = SOAK_CHAIN.iter().map(|name| make_nf(name)).collect();
+    let nfs: Vec<Box<dyn NetworkFunction>> = SOAK_CHAIN
+        .iter()
+        .map(|name| catalogue::make(name).unwrap())
+        .collect();
     Engine::new(
         program,
         nfs,

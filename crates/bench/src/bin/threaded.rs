@@ -13,7 +13,7 @@
 //!
 //! Usage: `cargo run --release --bin threaded [packets]`
 
-use nfp_bench::setups::{compile_chain, fixed_traffic, forced_sequential, make_nf, nf_factory};
+use nfp_bench::setups::{compile_chain, fixed_traffic, forced_sequential, nf_factory};
 use nfp_dataplane::engine::{Engine, EngineConfig};
 use nfp_nf::NetworkFunction;
 use nfp_orchestrator::Program;
@@ -97,7 +97,7 @@ fn main() {
     run_chain(&["Monitor", "Firewall", "VPN", "IDS"], n, 3);
 
     let sequential = forced_sequential("Forwarder", 3);
-    let forwarders = (0..3).map(|_| make_nf("Forwarder")).collect();
+    let forwarders = nf_factory(&sequential)();
     let program = Program::compile(&sequential, 1).expect("sequential graph compiles");
     wake_traffic("seq3", program, forwarders, n);
     let east_west = compile_chain(&["IDS", "Monitor", "LB"]);

@@ -4,9 +4,9 @@
 //! model needs, on this machine: NF service times, ring hops, header/full
 //! copies, merge operations and classification.
 
-use crate::setups::make_nf;
 use nfp_dataplane::ring;
-use nfp_nf::PacketView;
+use nfp_nf::cycles::CycleFirewall;
+use nfp_nf::{catalogue, NetworkFunction, PacketView};
 use nfp_packet::pool::PacketPool;
 use nfp_packet::{Metadata, Packet};
 use nfp_sim::CostModel;
@@ -46,8 +46,13 @@ pub fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Measure one NF's per-packet service time over representative traffic.
+/// `CycleFW:<n>` is the Figure 9/11 complexity knob: a firewall that
+/// burns `n` cycles a packet.
 pub fn nf_service_ns(nf_type: &str, frame: usize) -> f64 {
-    let mut nf = make_nf(nf_type);
+    let mut nf: Box<dyn NetworkFunction> = match nf_type.strip_prefix("CycleFW:") {
+        Some(cycles) => Box::new(CycleFirewall::new(nf_type, cycles.parse().unwrap())),
+        None => catalogue::make(nf_type).expect("a catalogue NF type"),
+    };
     let pkts = crate::setups::fixed_traffic(64, frame.max(64));
     let mut idx = 0usize;
     // VPN keeps growing packets; re-clone from pristine templates.

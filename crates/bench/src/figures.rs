@@ -11,8 +11,8 @@
 use crate::calibrate::{copy_ns, nf_service_ns, time_per_iter, Calibration};
 use crate::line_rate_pps;
 use crate::setups::{
-    compile_chain, eval_registry, figure14_structures, fixed_traffic, forced_parallel,
-    forced_sequential, merge_spec, EVAL_NFS,
+    compile_chain, figure14_structures, fixed_traffic, forced_parallel, forced_sequential,
+    merge_spec, EVAL_NFS,
 };
 use crate::table::{mpps, pct, us, TablePrinter};
 use nfp_dataplane::merger::{agent_pick, arrival_from, resolve_and_merge, MergeOutcome};
@@ -761,7 +761,7 @@ fn load_latency(o: &mut Text, cal: &Calibration) {
 ///   Measured as copy cost and resource overhead at data-center sizes.
 fn ablations(o: &mut Text) {
     o.line("== Ablation 1: OP#1 Dirty Memory Reusing ==\n");
-    let reg = eval_registry();
+    let reg = Registry::evaluated();
     let mut t = TablePrinter::new(["census (uniform)", "no-copy share", "copy share"]);
     for (label, op1) in [("OP#1 on", true), ("OP#1 off", false)] {
         let r = pair_census(

@@ -1,14 +1,7 @@
 //! Shared experiment setup: NF instantiation, compiled and hand-forced
 //! service graphs, traffic.
 
-use nfp_nf::cycles::{CycleBurner, CycleFirewall};
-use nfp_nf::firewall::Firewall;
-use nfp_nf::forwarder::L3Forwarder;
-use nfp_nf::ids::{Ids, IdsMode};
-use nfp_nf::lb::LoadBalancer;
-use nfp_nf::monitor::Monitor;
-use nfp_nf::vpn::{Vpn, VpnMode};
-use nfp_nf::NetworkFunction;
+use nfp_nf::{catalogue, NetworkFunction};
 use nfp_orchestrator::graph::{
     CopyKind, GraphNode, Member, MergeOp, ParallelGroup, Segment, ServiceGraph,
 };
@@ -20,65 +13,24 @@ use nfp_policy::{NfName, Policy};
 /// The six evaluated NF types of §6.1 (display order of Figure 8).
 pub const EVAL_NFS: [&str; 6] = ["Forwarder", "LB", "Firewall", "Monitor", "VPN", "IDS"];
 
-/// Instantiate an evaluated NF by type name. `CycleFW:<n>` and
-/// `Burner:<n>` give the Figure 9/11 complexity-knob NFs.
-pub fn make_nf(name: &str) -> Box<dyn NetworkFunction> {
-    if let Some(cycles) = name.strip_prefix("CycleFW:") {
-        return Box::new(CycleFirewall::new(
-            name.to_string(),
-            cycles.parse().unwrap(),
-        ));
-    }
-    if let Some(cycles) = name.strip_prefix("Burner:") {
-        return Box::new(CycleBurner::new(name.to_string(), cycles.parse().unwrap()));
-    }
-    match name {
-        "Forwarder" => Box::new(L3Forwarder::with_uniform_table(name, 1000)),
-        "LB" | "LoadBalancer" => Box::new(LoadBalancer::with_uniform_backends(name, 8)),
-        "Firewall" => Box::new(Firewall::with_synthetic_acl(name, 100)),
-        "Monitor" => Box::new(Monitor::new(name)),
-        "VPN" => Box::new(Vpn::new(name, [0x42; 16], 0x1001, VpnMode::Encapsulate)),
-        "IDS" => Box::new(Ids::with_synthetic_signatures(name, 100, IdsMode::Inline)),
-        "NIDS" => Box::new(Ids::with_synthetic_signatures(name, 100, IdsMode::Passive)),
-        other => panic!("unknown NF type `{other}`"),
-    }
-}
-
-/// The registry the experiments compile against: paper Table 2 plus the
-/// instance-name aliases used in §6 (the evaluated IDS is inline, i.e.
-/// drop-capable — that is what keeps it sequential in the east-west graph).
-pub fn eval_registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    // The forwarder decrements the TTL and drops on expiry.
-    let mut fwd = ActionProfile::new("Forwarder")
-        .reads([FieldId::Dip, FieldId::Ttl])
-        .writes([FieldId::Dmac, FieldId::Smac, FieldId::Ttl])
-        .drops();
-    fwd.nf_type = "Forwarder".into();
-    r.register(fwd);
-    let mut lb = r.get("LoadBalancer").unwrap().clone();
-    lb.nf_type = "LB".into();
-    r.register(lb);
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
-
-/// A factory for `graph`'s NFs, one per node, instantiated by node name:
-/// call it once per engine, or hand it to a fleet to call per replica.
+/// A factory for `graph`'s NFs, one per node, built by the catalogue
+/// from the node name: call it once per engine, or hand it to a fleet to
+/// call per replica.
 pub fn nf_factory(
     graph: &ServiceGraph,
 ) -> impl Fn() -> Vec<Box<dyn NetworkFunction>> + Clone + Send + 'static {
     let names: Vec<String> = graph.nodes.iter().map(|n| n.name.to_string()).collect();
-    move || names.iter().map(|n| make_nf(n)).collect()
+    move || {
+        let make = |n: &String| catalogue::make(n).unwrap_or_else(|| panic!("no NF type `{n}`"));
+        names.iter().map(make).collect()
+    }
 }
 
-/// Compile a chain policy with the evaluation registry.
+/// Compile a chain policy with the evaluated registry.
 pub fn compile_chain(chain: &[&str]) -> nfp_orchestrator::Compiled {
     compile(
         &Policy::from_chain(chain.iter().copied()),
-        &eval_registry(),
+        &Registry::evaluated(),
         &[],
         &CompileOptions::default(),
     )
@@ -240,16 +192,6 @@ pub fn fixed_traffic(n: usize, frame: usize) -> Vec<Packet> {
     .batch(n)
 }
 
-/// Data-center-mix traffic (Benson et al. sizes), as used in §6.4.
-pub fn datacenter_traffic(n: usize) -> Vec<Packet> {
-    nfp_traffic::TrafficGenerator::new(nfp_traffic::TrafficSpec {
-        flows: 64,
-        sizes: nfp_traffic::SizeDistribution::datacenter(),
-        ..nfp_traffic::TrafficSpec::default()
-    })
-    .batch(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,15 +215,6 @@ mod tests {
             })
             .collect();
         assert_eq!(lengths, vec![4, 1, 2, 3, 2, 2]);
-    }
-
-    #[test]
-    fn every_eval_nf_instantiates() {
-        for nf in EVAL_NFS {
-            let b = make_nf(nf);
-            assert_eq!(b.name(), nf);
-        }
-        assert!(make_nf("CycleFW:300").name().contains("300"));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use nfp_dataplane::shard::ShardedEngine;
 use nfp_dataplane::sync_engine::SyncEngine;
 use nfp_io::trace::{build_golden_pcap, GoldenTraceSpec};
 use nfp_io::{Ingress, PcapIngress};
-use nfp_nf::NetworkFunction;
+use nfp_nf::{catalogue, NetworkFunction};
 use nfp_orchestrator::{compile, CompileOptions, Compiled, FailurePolicy, Program, Registry};
 use nfp_packet::Packet;
 use nfp_policy::Policy;
@@ -33,8 +33,6 @@ use rand::SeedableRng;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crate::setups::make_nf;
 
 /// The service chain every soak cell runs: the same hot-swappable
 /// Monitor|Firewall pair the reconfig bench edits live.
@@ -233,7 +231,10 @@ pub fn program_variants() -> impl Fn(u64) -> Program + Clone + Send + 'static {
 }
 
 fn soak_nfs() -> Vec<Box<dyn NetworkFunction>> {
-    SOAK_CHAIN.iter().map(|name| make_nf(name)).collect()
+    SOAK_CHAIN
+        .iter()
+        .map(|name| catalogue::make(name).unwrap())
+        .collect()
 }
 
 fn soak_engine_config(probe: &Arc<EngineProbe>, shards: usize) -> EngineConfig {

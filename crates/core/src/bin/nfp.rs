@@ -18,9 +18,13 @@
 //!             [--shards=N]       …fleet width for --engine=sharded (default 2)
 //! ```
 //!
-//! Policies use the paper's §3 syntax (see `examples/policy_playground.rs`);
-//! NF names resolve against the built-in Table 2 registry.
+//! Policies use the paper's §3 syntax (see `examples/policy_playground.rs`).
+//! NF names resolve against the evaluated registry (`Registry::evaluated`:
+//! Table 2 plus the §6.1 Forwarder, LB and inline IDS), and every type
+//! there runs, built by `nf::catalogue`. `census` alone counts Table 2 as
+//! the paper prints it.
 
+use nfp_core::nf::catalogue;
 use nfp_core::orchestrator::census::{census, Weighting};
 use nfp_core::prelude::*;
 use nfp_core::sim::overhead;
@@ -167,42 +171,12 @@ fn cmd_check(path: &str) -> ExitCode {
     }
 }
 
-/// Instantiate a concrete NF for a Table 2 type name (the same set the
-/// cross-crate property tests replay).
-fn instantiate(name: &str) -> Option<Box<dyn NetworkFunction>> {
-    use nfp_core::nf::extra;
-    use nfp_core::nf::*;
-    Some(match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        "IDS" | "NIDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            50,
-            ids::IdsMode::Inline,
-        )),
-        "VPN" => Box::new(vpn::Vpn::new(name, [1; 16], 5, vpn::VpnMode::Encapsulate)),
-        "Proxy" => Box::new(extra::Proxy::new(
-            name,
-            nfp_core::packet::ipv4::Ipv4Addr::new(10, 0, 0, 99),
-            nfp_core::packet::ipv4::Ipv4Addr::new(10, 50, 0, 1),
-        )),
-        "Compression" => Box::new(extra::Compression::new(
-            name,
-            extra::CompressionMode::Compress,
-        )),
-        "Gateway" => Box::new(extra::Gateway::new(name)),
-        "Caching" => Box::new(extra::Caching::new(name, 64)),
-        _ => return None,
-    })
-}
-
 fn cmd_telemetry(path: &str, packets: u64, trace_every: u64, prometheus: bool) -> ExitCode {
     let policy = match read_policy(path) {
         Ok(p) => p,
         Err(code) => return code,
     };
-    let compiled = match compile(&policy, &Registry::paper_table2(), &[], &Default::default()) {
+    let compiled = match compile(&policy, &Registry::evaluated(), &[], &Default::default()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("compile error: {e}");
@@ -216,17 +190,10 @@ fn cmd_telemetry(path: &str, packets: u64, trace_every: u64, prometheus: bool) -
             return ExitCode::from(1);
         }
     };
-    let mut nfs = Vec::new();
-    for node in &compiled.graph.nodes {
-        match instantiate(node.name.as_str()) {
-            Some(nf) => nfs.push(nf),
-            None => {
-                eprintln!("error: no runnable implementation for NF `{}`", node.name);
-                return ExitCode::from(1);
-            }
-        }
-    }
-    let mut engine = SyncEngine::new(program, nfs, 256);
+    // Every type the evaluated registry compiles has a catalogue row.
+    let nfs = compiled.graph.nodes.iter();
+    let nfs = nfs.map(|n| catalogue::make(n.name.as_str()).expect("a registered NF type"));
+    let mut engine = SyncEngine::new(program, nfs.collect(), 256);
     engine.set_telemetry(TelemetryConfig {
         histograms: true,
         trace_every,
@@ -265,7 +232,7 @@ fn cmd_replay(
         Ok(p) => p,
         Err(code) => return code,
     };
-    let compiled = match compile(&policy, &Registry::paper_table2(), &[], &Default::default()) {
+    let compiled = match compile(&policy, &Registry::evaluated(), &[], &Default::default()) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("compile error: {e}");
@@ -285,16 +252,10 @@ fn cmd_replay(
         .iter()
         .map(|n| n.name.as_str().to_string())
         .collect();
-    let make_nfs = || -> Result<Vec<Box<dyn NetworkFunction>>, ExitCode> {
-        names
-            .iter()
-            .map(|n| {
-                instantiate(n).ok_or_else(|| {
-                    eprintln!("error: no runnable implementation for NF `{n}`");
-                    ExitCode::from(1)
-                })
-            })
-            .collect()
+    // Every type the evaluated registry compiles has a catalogue row.
+    let make_nfs = move || -> Vec<Box<dyn NetworkFunction>> {
+        let make = |n: &String| catalogue::make(n).expect("a registered NF type");
+        names.iter().map(make).collect()
     };
 
     let mut ingress = match PcapIngress::open(pcap_in) {
@@ -318,35 +279,19 @@ fn cmd_replay(
     let start = std::time::Instant::now();
     let io = match engine {
         "sync" => {
-            let nfs = match make_nfs() {
-                Ok(n) => n,
-                Err(code) => return code,
-            };
-            SyncEngine::new(program, nfs, 256).run_io(&mut ingress, egress.as_mut(), 64)
+            SyncEngine::new(program, make_nfs(), 256).run_io(&mut ingress, egress.as_mut(), 64)
         }
-        "threaded" => match make_nfs().and_then(|nfs| {
-            Engine::new(program, nfs, EngineConfig::default()).map_err(|e| {
-                eprintln!("engine error: {e}");
-                ExitCode::from(1)
-            })
-        }) {
+        "threaded" => match Engine::new(program, make_nfs(), EngineConfig::default()) {
             Ok(mut engine) => engine
                 .run_io(&mut ingress, egress.as_mut())
                 .map(|(_, io)| io),
-            Err(code) => return code,
+            Err(e) => {
+                eprintln!("engine error: {e}");
+                return ExitCode::from(1);
+            }
         },
         "sharded" => {
-            // The factory is infallible here: fail fast on unknown NFs once.
-            if let Err(code) = make_nfs() {
-                return code;
-            }
-            let factory = {
-                let names = names.clone();
-                move || -> Vec<Box<dyn NetworkFunction>> {
-                    names.iter().map(|n| instantiate(n).unwrap()).collect()
-                }
-            };
-            match ShardedEngine::new(&program, factory, &EngineConfig::default(), shards) {
+            match ShardedEngine::new(&program, make_nfs, &EngineConfig::default(), shards) {
                 Ok(mut fleet) => fleet
                     .run_io(&mut ingress, egress.as_mut())
                     .map(|(_, io)| io),
@@ -396,7 +341,7 @@ fn cmd_compile(path: &str, sequential: bool, no_dirty_reuse: bool, show_tables: 
             dirty_memory_reusing: !no_dirty_reuse,
         },
     };
-    let compiled = match compile(&policy, &Registry::paper_table2(), &[], &opts) {
+    let compiled = match compile(&policy, &Registry::evaluated(), &[], &opts) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("compile error: {e}");

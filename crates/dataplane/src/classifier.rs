@@ -392,16 +392,9 @@ mod tests {
         // Monitor∥LB needs a header-only copy from the very first hop when
         // the group opens the graph.
         let pool = PacketPool::new(8);
-        let reg = {
-            let mut r = Registry::paper_table2();
-            let mut ids = r.get("NIDS").unwrap().clone();
-            ids.nf_type = "IDS".into();
-            r.register(ids.drops());
-            r
-        };
         let c = compile(
             &Policy::from_chain(["Monitor", "LoadBalancer"]),
-            &reg,
+            &Registry::evaluated(),
             &[],
             &CompileOptions::default(),
         )

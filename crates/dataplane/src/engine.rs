@@ -1264,8 +1264,8 @@ impl Engine {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use nfp_nf::catalogue;
     use nfp_nf::firewall::Firewall;
-    use nfp_nf::lb::LoadBalancer;
     use nfp_nf::monitor::Monitor;
     use nfp_orchestrator::{compile, CompileOptions, Registry};
     use nfp_packet::ipv4::Ipv4Addr;
@@ -1278,14 +1278,7 @@ pub(crate) mod tests {
         let policy = Policy::from_chain(chain.iter().copied());
         let compiled = compile(&policy, &reg, &[], &CompileOptions::default()).unwrap();
         let nfs = compiled.graph.nodes.iter();
-        let nfs = nfs.map(|n| -> Box<dyn NetworkFunction> {
-            match n.name.as_str() {
-                "Monitor" => Box::new(Monitor::new("Monitor")),
-                "Firewall" => Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-                "LoadBalancer" => Box::new(LoadBalancer::with_uniform_backends("LB", 4)),
-                other => panic!("{other}"),
-            }
-        });
+        let nfs = nfs.map(|n| catalogue::make(n.name.as_str()).unwrap());
         (compiled.program(1).unwrap(), nfs.collect())
     }
 

@@ -216,100 +216,7 @@ pub fn resolve_and_merge(
     arrivals: &[Arrival],
     pool: &PacketPool,
 ) -> Result<MergeOutcome, MergeError> {
-    // A failure nil short-circuits everything: a fail-closed NF crashed,
-    // and no peer verdict — whatever its priority — can vouch for the
-    // processing that never happened.
-    if arrivals.iter().any(|a| a.nil && a.failure) {
-        release_all(pool, arrivals);
-        return Ok(MergeOutcome::Dropped);
-    }
-
-    // Drop resolution: "the system should adopt the processing result of
-    // [the highest-priority drop-capable NF] during conflicts" (§3).
-    let deciding = spec
-        .members
-        .iter()
-        .filter(|m| m.drop_capable)
-        .max_by_key(|m| m.priority);
-    let dropped = match deciding {
-        Some(decider) => {
-            let decider_nil = arrivals
-                .iter()
-                .any(|a| a.nil && a.nil_priority == decider.priority);
-            decider_nil
-        }
-        None => false,
-    };
-    if dropped {
-        // "We then remove the related AT entry and release the memory of
-        // all received packet copies."
-        release_all(pool, arrivals);
-        return Ok(MergeOutcome::Dropped);
-    }
-
-    // Locate the original. Several v1-sharing members may have forwarded
-    // the same reference; keep one share, release the duplicates.
-    let mut v1: Option<PacketRef> = None;
-    for a in arrivals {
-        if a.nil {
-            pool.release(a.r);
-            continue;
-        }
-        if a.version == VERSION_ORIGINAL {
-            match v1 {
-                None => v1 = Some(a.r),
-                Some(existing) => {
-                    debug_assert_eq!(existing, a.r, "distinct v1 packets for one pid");
-                    pool.release(a.r);
-                }
-            }
-        }
-    }
-    let Some(v1) = v1 else {
-        release_copies(pool, arrivals);
-        return Err(MergeError::MissingOriginal);
-    };
-
-    // Apply merge operations in spec order (already priority-sorted).
-    let mut result = Ok(());
-    for op in &spec.ops {
-        let from_version = match op {
-            MergeOp::Modify { from_version, .. } | MergeOp::AddHeader { from_version, .. } => {
-                Some(*from_version)
-            }
-            MergeOp::RemoveHeader { .. } => None,
-        };
-        let src = match from_version {
-            Some(v) => {
-                let found = arrivals
-                    .iter()
-                    .find(|a| !a.nil && a.version == v)
-                    .map(|a| a.r);
-                match found {
-                    Some(r) => Some(r),
-                    None => {
-                        result = Err(MergeError::MissingVersion(v));
-                        break;
-                    }
-                }
-            }
-            None => None,
-        };
-        if apply_op(op, v1, src, pool).is_err() {
-            result = Err(MergeError::OpFailed);
-            break;
-        }
-    }
-
-    // Release all copies (non-v1 arrivals) now that merging is done.
-    release_copies(pool, arrivals);
-    match result {
-        Ok(()) => Ok(MergeOutcome::Forward(v1)),
-        Err(e) => {
-            pool.release(v1);
-            Err(e)
-        }
-    }
+    merge(spec, arrivals, pool, false, false)
 }
 
 /// Resolve a deadline-expired AT entry using only the copies that arrived.
@@ -380,38 +287,58 @@ pub fn resolve_partial(spec: &MergeSpec, arrivals: &[Arrival], pool: &PacketPool
         .map(|(_, m)| m)
         .collect();
 
-    // Drop rules, in order: a failure nil (fail-closed NF crashed mid-
-    // segment), a missing fail-closed member (its verdict cannot default
-    // to pass), or an arrived drop verdict from the decider (the normal
-    // §3 conflict rule — a missing fail-open decider defaults to pass).
-    let failure_nil = arrivals.iter().any(|a| a.nil && a.failure);
-    let missing_closed = missing
+    // Drop rules beyond the ones every merge applies (a failure nil, the
+    // decider's drop verdict — a missing fail-open decider defaults to
+    // pass): a missing fail-closed member (its verdict cannot default to
+    // pass), and a missing v1 sharer, which still holds a share of the
+    // original, so it must not be forwarded (see the doc comment).
+    let veto = missing
         .iter()
-        .any(|m| m.on_failure == FailurePolicy::FailClosed);
-    let decider_nil = spec
-        .members
-        .iter()
-        .filter(|m| m.drop_capable)
-        .max_by_key(|m| m.priority)
-        .is_some_and(|d| {
-            arrivals
-                .iter()
-                .any(|a| a.nil && !a.failure && a.nil_priority == d.priority)
-        });
-    // Structural rules: no original, nothing to forward; a missing v1
-    // sharer still holds a share of the original, so it must not be
-    // forwarded (see the doc comment).
-    let v1_arrived = arrivals
-        .iter()
-        .any(|a| !a.nil && a.version == VERSION_ORIGINAL);
-    let missing_shares_v1 = missing.iter().any(|m| m.version == VERSION_ORIGINAL);
-    if failure_nil || missing_closed || decider_nil || !v1_arrived || missing_shares_v1 {
+        .any(|m| m.on_failure == FailurePolicy::FailClosed || m.version == VERSION_ORIGINAL);
+    // Forward a partial merge, skipping the ops of missing writers. With
+    // no original there is nothing to forward, and a malformed partial
+    // copy fails its op: the safest total resolution of either is a drop.
+    merge(spec, arrivals, pool, veto, true).unwrap_or(MergeOutcome::Dropped)
+}
+
+/// The resolution both merges share. Drops (releasing every arrival) on
+/// `veto`, on a failure nil, or on the decider's drop verdict; otherwise
+/// folds the copies into the one original in spec order. An op whose
+/// source copy never arrived is skipped when `skip_missing` (an expired
+/// writer) and fails the merge otherwise.
+fn merge(
+    spec: &MergeSpec,
+    arrivals: &[Arrival],
+    pool: &PacketPool,
+    veto: bool,
+    skip_missing: bool,
+) -> Result<MergeOutcome, MergeError> {
+    // A failure nil short-circuits everything: a fail-closed NF crashed,
+    // and no peer verdict — whatever its priority — can vouch for the
+    // processing that never happened.
+    let failure_nil = || arrivals.iter().any(|a| a.nil && a.failure);
+    // Drop resolution: "the system should adopt the processing result of
+    // [the highest-priority drop-capable NF] during conflicts" (§3).
+    let decider_nil = || {
+        spec.members
+            .iter()
+            .filter(|m| m.drop_capable)
+            .max_by_key(|m| m.priority)
+            .is_some_and(|d| {
+                arrivals
+                    .iter()
+                    .any(|a| a.nil && a.nil_priority == d.priority)
+            })
+    };
+    if veto || failure_nil() || decider_nil() {
+        // "We then remove the related AT entry and release the memory of
+        // all received packet copies."
         release_all(pool, arrivals);
-        return MergeOutcome::Dropped;
+        return Ok(MergeOutcome::Dropped);
     }
 
-    // Forward a partial merge: dedup v1 shares, fold the ops whose source
-    // version arrived, skip the ops of missing writers.
+    // Locate the original. Several v1-sharing members may have forwarded
+    // the same reference; keep one share, release the duplicates.
     let mut v1: Option<PacketRef> = None;
     for a in arrivals {
         if a.nil {
@@ -428,30 +355,45 @@ pub fn resolve_partial(spec: &MergeSpec, arrivals: &[Arrival], pool: &PacketPool
             }
         }
     }
-    let v1 = v1.expect("v1_arrived checked above");
+    let Some(v1) = v1 else {
+        release_copies(pool, arrivals);
+        return Err(MergeError::MissingOriginal);
+    };
+
+    // Apply merge operations in spec order (already priority-sorted).
+    let mut result = Ok(());
     for op in &spec.ops {
-        let from_version = match op {
+        let src = match op {
             MergeOp::Modify { from_version, .. } | MergeOp::AddHeader { from_version, .. } => {
-                Some(*from_version)
+                match arrivals
+                    .iter()
+                    .find(|a| !a.nil && a.version == *from_version)
+                {
+                    Some(a) => Some(a.r),
+                    None if skip_missing => continue,
+                    None => {
+                        result = Err(MergeError::MissingVersion(*from_version));
+                        break;
+                    }
+                }
             }
             MergeOp::RemoveHeader { .. } => None,
         };
-        let src = match from_version {
-            Some(v) => match arrivals.iter().find(|a| !a.nil && a.version == v) {
-                Some(a) => Some(a.r),
-                None => continue, // the writer never delivered; skip its op
-            },
-            None => None,
-        };
         if apply_op(op, v1, src, pool).is_err() {
-            // A malformed partial copy: safest total resolution is a drop.
-            release_copies(pool, arrivals);
-            pool.release(v1);
-            return MergeOutcome::Dropped;
+            result = Err(MergeError::OpFailed);
+            break;
         }
     }
+
+    // Release all copies (non-v1 arrivals) now that merging is done.
     release_copies(pool, arrivals);
-    MergeOutcome::Forward(v1)
+    match result {
+        Ok(()) => Ok(MergeOutcome::Forward(v1)),
+        Err(e) => {
+            pool.release(v1);
+            Err(e)
+        }
+    }
 }
 
 fn release_all(pool: &PacketPool, arrivals: &[Arrival]) {

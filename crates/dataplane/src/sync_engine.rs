@@ -266,10 +266,7 @@ impl SyncEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_nf::firewall::Firewall;
-    use nfp_nf::lb::LoadBalancer;
-    use nfp_nf::monitor::Monitor;
-    use nfp_nf::vpn::{Vpn, VpnMode};
+    use nfp_nf::catalogue;
     use nfp_orchestrator::{compile, CompileOptions, Registry};
     use nfp_packet::ipv4::Ipv4Addr;
     use nfp_policy::Policy;
@@ -288,19 +285,9 @@ mod tests {
             .graph
             .nodes
             .iter()
-            .map(|n| instantiate(n.name.as_str()))
+            .map(|n| catalogue::make(n.name.as_str()).unwrap())
             .collect();
         SyncEngine::new(program, nfs, 64)
-    }
-
-    fn instantiate(name: &str) -> Box<dyn NetworkFunction> {
-        match name {
-            "Monitor" => Box::new(Monitor::new(name)),
-            "Firewall" => Box::new(Firewall::with_synthetic_acl(name, 100)),
-            "LoadBalancer" => Box::new(LoadBalancer::with_uniform_backends(name, 4)),
-            "VPN" => Box::new(Vpn::new(name, [7u8; 16], 42, VpnMode::Encapsulate)),
-            other => panic!("no instantiation for {other}"),
-        }
     }
 
     fn pkt(dport: u16) -> Packet {

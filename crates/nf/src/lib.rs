@@ -22,6 +22,8 @@
 //! * [`extra`] — the remaining Table 2 rows: terminating proxy, LZSS
 //!   payload compression ([`lz`]), token-bucket traffic shaper, media
 //!   gateway and LRU request cache.
+//! * [`catalogue`] — one constructor per registered NF type: what the
+//!   engines, benches, CLI and tests run.
 //! * [`chaos`] — fault-injection wrappers (panic after N packets, stall
 //!   once) for exercising the failure model; not part of the paper.
 //!
@@ -36,6 +38,7 @@
 
 pub mod aes;
 pub mod aho;
+pub mod catalogue;
 pub mod chaos;
 pub mod cycles;
 pub mod extra;

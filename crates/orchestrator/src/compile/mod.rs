@@ -286,27 +286,14 @@ mod tests {
     use nfp_packet::meta::VERSION_ORIGINAL;
     use nfp_packet::FieldId;
 
+    /// The evaluated registry plus `FW`, the name the paper's example
+    /// policies give the firewall.
     fn registry() -> Registry {
-        let mut r = Registry::paper_table2();
-        // Instance-name aliases used by the paper's example policies. The
-        // evaluated IDS (Snort-like, §6.1) can drop, unlike the read-only
-        // NIDS row of Table 2 — that drop is what keeps the IDS sequential
-        // in the paper's east-west graph.
-        for (alias, ty) in [("FW", "Firewall"), ("LB", "LoadBalancer")] {
-            let p = r.get(ty).unwrap().clone_as(alias);
-            r.register(p);
-        }
-        let ids = r.get("NIDS").unwrap().clone_as("IDS").drops();
-        r.register(ids);
+        let mut r = Registry::evaluated();
+        let mut fw = r.get("Firewall").unwrap().clone();
+        fw.nf_type = "FW".to_string();
+        r.register(fw);
         r
-    }
-
-    impl ActionProfile {
-        fn clone_as(&self, name: &str) -> ActionProfile {
-            let mut p = self.clone();
-            p.nf_type = name.to_string();
-            p
-        }
     }
 
     fn compile_ok(policy: &Policy) -> Compiled {

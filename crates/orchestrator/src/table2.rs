@@ -116,6 +116,31 @@ impl Registry {
         r
     }
 
+    /// The registry every runnable NF compiles against: Table 2 plus the
+    /// three NF types the §6.1 evaluation adds. Each row names one arm of
+    /// `nfp_nf::catalogue::make`, which builds the instance that runs.
+    pub fn evaluated() -> Self {
+        let mut r = Self::paper_table2();
+        // The L3 forwarder decrements the TTL and drops on expiry.
+        r.register(
+            ActionProfile::new("Forwarder")
+                .reads([FieldId::Dip, FieldId::Ttl])
+                .writes([FieldId::Dmac, FieldId::Smac, FieldId::Ttl])
+                .drops(),
+        );
+        let mut lb = r.entries["LoadBalancer"].profile.clone();
+        lb.nf_type = "LB".into();
+        r.register(lb);
+        // The evaluated IDS is inline (Snort-like): unlike Table 2's
+        // read-only NIDS it can drop, so it fails closed by default, and
+        // that drop is what keeps it sequential in the paper's east-west
+        // graph.
+        let mut ids = r.entries["NIDS"].profile.clone().drops();
+        ids.nf_type = "IDS".into();
+        r.register(ids);
+        r
+    }
+
     /// Register (or replace) a profile without deployment share.
     pub fn register(&mut self, profile: ActionProfile) {
         self.register_with_share(profile, None);

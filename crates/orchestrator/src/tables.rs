@@ -340,16 +340,10 @@ mod tests {
     use nfp_policy::Policy;
 
     fn tables_for(chain: &[&str]) -> (GraphTables, ServiceGraph) {
-        let mut reg = Registry::paper_table2();
-        for (alias, ty) in [("FW", "Firewall"), ("LB", "LoadBalancer")] {
-            let mut p = reg.get(ty).unwrap().clone();
-            p.nf_type = alias.to_string();
-            reg.register(p);
-        }
-        // The evaluated IDS can drop (see compile.rs tests).
-        let mut ids = reg.get("NIDS").unwrap().clone().drops();
-        ids.nf_type = "IDS".to_string();
-        reg.register(ids);
+        let mut reg = Registry::evaluated();
+        let mut fw = reg.get("Firewall").unwrap().clone();
+        fw.nf_type = "FW".to_string();
+        reg.register(fw);
         let policy = Policy::from_chain(chain.iter().copied());
         let c = compile(&policy, &reg, &[], &CompileOptions::default()).unwrap();
         let t = generate(&c.graph, 7);

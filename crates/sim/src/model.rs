@@ -195,25 +195,6 @@ pub fn nfp_throughput(
     1e9 / worst_ns
 }
 
-/// NFP throughput with RSS-style flow sharding: `shards` full engine
-/// replicas, each running the per-shard pipeline of [`nfp_throughput`],
-/// fronted by a 5-tuple hash dispatcher. The dispatcher touches every
-/// packet once (one hash + one ring push ≈ one hop), so aggregate
-/// throughput is the smaller of `shards ×` the per-shard pipeline rate and
-/// the dispatcher's own rate — sharding scales until the front-end hash
-/// becomes the bottleneck, exactly like hardware RSS.
-pub fn nfp_sharded_throughput(
-    graph: &ServiceGraph,
-    model: &CostModel,
-    payload_bytes: usize,
-    merger_instances: usize,
-    shards: usize,
-) -> f64 {
-    let per_shard = nfp_throughput(graph, model, payload_bytes, merger_instances);
-    let dispatcher = 1e9 / model.hop_ns;
-    (shards.max(1) as f64 * per_shard).min(dispatcher)
-}
-
 /// OpenNetVM throughput: the centralized switch relays `n+1` hops per
 /// packet and is usually the bottleneck.
 pub fn onvm_throughput(service_ns: &[f64], model: &CostModel) -> f64 {
@@ -315,29 +296,6 @@ mod tests {
         let onvm = onvm_throughput(&services, &m);
         assert!(rtc > nfp, "rtc {rtc} <= nfp {nfp}");
         assert!(nfp > onvm, "nfp {nfp} <= onvm {onvm}");
-    }
-
-    #[test]
-    fn sharding_scales_until_the_dispatcher_saturates() {
-        let g = graph(&["Monitor", "Firewall"]);
-        let m = uniform_model(2, 10_000.0);
-        let one = nfp_sharded_throughput(&g, &m, 10, 2, 1);
-        let two = nfp_sharded_throughput(&g, &m, 10, 2, 2);
-        let four = nfp_sharded_throughput(&g, &m, 10, 2, 4);
-        assert!((one - nfp_throughput(&g, &m, 10, 2)).abs() < 1e-6);
-        // Heavy NFs: the pipeline, not the dispatcher, bounds each shard,
-        // so doubling shards doubles throughput.
-        assert!((two / one - 2.0).abs() < 1e-6, "two {two}, one {one}");
-        assert!((four / one - 4.0).abs() < 1e-6);
-        // Enough shards saturate the 5-tuple dispatcher: the curve goes
-        // flat at 1e9 / hop_ns regardless of shard count.
-        let dispatcher = 1e9 / m.hop_ns;
-        let many = nfp_sharded_throughput(&g, &m, 10, 2, 10_000);
-        assert!((many - dispatcher).abs() < 1e-6);
-        assert!(
-            nfp_sharded_throughput(&g, &m, 10, 2, 20_000) <= many + 1e-6,
-            "beyond saturation, more shards must not help"
-        );
     }
 
     #[test]

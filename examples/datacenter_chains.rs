@@ -7,36 +7,9 @@
 //! cargo run --release --example datacenter_chains
 //! ```
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use std::collections::HashMap;
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::*;
-    match name.split('#').next().unwrap() {
-        "VPN" => Box::new(vpn::Vpn::new(name, [9; 16], 7, vpn::VpnMode::Encapsulate)),
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LB" | "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 8)),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            100,
-            ids::IdsMode::Inline,
-        )),
-        other => unreachable!("{other}"),
-    }
-}
-
-fn registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    let mut lb = r.get("LoadBalancer").unwrap().clone();
-    lb.nf_type = "LB".into();
-    r.register(lb);
-    // The evaluated IDS is inline (drop-capable), per §6.1.
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
 
 fn main() {
     for (label, chain) in [
@@ -45,7 +18,9 @@ fn main() {
     ] {
         println!("== {label} chain: {chain:?} ==");
         let policy = Policy::from_chain(chain.iter().copied());
-        let compiled = compile(&policy, &registry(), &[], &CompileOptions::default()).unwrap();
+        // The §6.1 NF types (LB, the inline IDS) are evaluated-registry rows.
+        let registry = Registry::evaluated();
+        let compiled = compile(&policy, &registry, &[], &CompileOptions::default()).unwrap();
         println!("  graph: {}", compiled.graph.describe());
         for w in &compiled.warnings {
             println!("  warning: {w:?}");
@@ -57,7 +32,7 @@ fn main() {
             .graph
             .nodes
             .iter()
-            .map(|n| make(n.name.as_str()))
+            .map(|n| catalogue::make(n.name.as_str()).unwrap())
             .collect();
         // In-flight window of 1 keeps packet order identical to the
         // sequential oracle — the VPN's AH sequence numbers (and thus its
@@ -85,7 +60,8 @@ fn main() {
         );
 
         // Oracle: run-to-completion sequential semantics.
-        let mut rtc = RunToCompletion::new(chain.iter().map(|n| make(n)).collect());
+        let mut rtc =
+            RunToCompletion::new(chain.iter().map(|n| catalogue::make(n).unwrap()).collect());
         let expected = rtc.process_batch(traffic);
         let expect_by_payload: HashMap<Vec<u8>, Vec<u8>> = expected
             .iter()

@@ -15,13 +15,9 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     // IDS -> [Monitor | LB(copy)] — the east-west graph.
-    let mut registry = Registry::paper_table2();
-    let mut ids = registry.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    registry.register(ids);
     let compiled = compile(
         &Policy::from_chain(["IDS", "Monitor", "LoadBalancer"]),
-        &registry,
+        &Registry::evaluated(),
         &[],
         &CompileOptions::default(),
     )
@@ -33,20 +29,7 @@ fn main() {
         .graph
         .nodes
         .iter()
-        .map(|n| -> Box<dyn NetworkFunction> {
-            match n.name.as_str() {
-                "IDS" => Box::new(nfp_core::nf::ids::Ids::with_synthetic_signatures(
-                    "IDS",
-                    100,
-                    nfp_core::nf::ids::IdsMode::Inline,
-                )),
-                "Monitor" => Box::new(nfp_core::nf::monitor::Monitor::new("Monitor")),
-                "LoadBalancer" => Box::new(nfp_core::nf::lb::LoadBalancer::with_uniform_backends(
-                    "LB", 4,
-                )),
-                other => unreachable!("{other}"),
-            }
-        })
+        .map(|n| nfp_core::nf::catalogue::make(n.name.as_str()).unwrap())
         .collect();
     // A deliberately tiny pool: 8 slots for a graph needing 2 per packet.
     let mut engine = nfp_core::dataplane::SyncEngine::new(program, nfs, 8);

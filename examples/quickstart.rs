@@ -33,18 +33,7 @@ fn main() {
     let nfs: Vec<Box<dyn NetworkFunction>> = graph
         .nodes
         .iter()
-        .map(|n| -> Box<dyn NetworkFunction> {
-            match n.name.as_str() {
-                "Monitor" => Box::new(nfp_core::nf::monitor::Monitor::new("Monitor")),
-                "Firewall" => Box::new(nfp_core::nf::firewall::Firewall::with_synthetic_acl(
-                    "Firewall", 100,
-                )),
-                "LoadBalancer" => Box::new(nfp_core::nf::lb::LoadBalancer::with_uniform_backends(
-                    "LB", 4,
-                )),
-                other => unreachable!("{other}"),
-            }
-        })
+        .map(|n| nfp_core::nf::catalogue::make(n.name.as_str()).unwrap())
         .collect();
 
     // 4. Run packets through the deterministic engine. (For multi-core

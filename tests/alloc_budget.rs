@@ -11,7 +11,7 @@
 //! Everything runs inside ONE `#[test]`: the counter is process-wide, so a
 //! second test running beside it would be counted too.
 
-use nfp_bench::setups::{compile_chain, forced_sequential, make_nf};
+use nfp_bench::setups::{compile_chain, forced_sequential, nf_factory};
 use nfp_core::prelude::*;
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
 use nfp_packet::ipv4::Ipv4Addr;
@@ -86,19 +86,14 @@ type SeedFn = fn() -> Seed;
 /// The sequential seed graph: three forwarders, hand-built (Fig 7).
 fn sequential() -> Seed {
     let graph = forced_sequential("Forwarder", 3);
-    let nfs = (0..3).map(|_| make_nf("Forwarder")).collect();
+    let nfs = nf_factory(&graph)();
     (Program::compile(&graph, 1).unwrap(), nfs)
 }
 
 /// A seed graph compiled from a chain policy with the evaluation registry.
 fn compiled(chain: &[&str]) -> Seed {
     let compiled = compile_chain(chain);
-    let nfs = compiled
-        .graph
-        .nodes
-        .iter()
-        .map(|n| make_nf(n.name.as_str()))
-        .collect();
+    let nfs = nf_factory(&compiled.graph)();
     (compiled.program(1).unwrap(), nfs)
 }
 

@@ -17,6 +17,7 @@
 //!   offered per-flow packet counts: state accumulated monotonically
 //!   across every migration, never reset or dropped.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_dataplane::shard::ShardedEngine;
 use nfp_packet::flow::FlowKey;
@@ -25,16 +26,6 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 const CHAIN: [&str; 3] = ["Monitor", "NAT", "LoadBalancer"];
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "NAT" => Box::new(nat::Nat::new(name, Ipv4Addr::new(203, 0, 113, 1))),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        other => unreachable!("{other}"),
-    }
-}
 
 /// A fresh generator replays the same `flows` flows every chunk, so
 /// established flows keep offering traffic across rescales.
@@ -70,7 +61,7 @@ proptest! {
         let names: Vec<String> = compiled.graph.nodes.iter()
             .map(|n| n.name.as_str().to_string()).collect();
         let make_nfs = move || -> Vec<Box<dyn NetworkFunction>> {
-            names.iter().map(|n| make(n.as_str())).collect()
+            names.iter().map(|n| catalogue::make(n.as_str()).unwrap()).collect()
         };
 
         let mut fleet = ShardedEngine::new(

@@ -3,37 +3,10 @@
 //! outputs (and identical drop decisions) to sequential composition —
 //! including under traffic that triggers firewall denies and IDS alerts.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
 use nfp_packet::ipv4::Ipv4Addr;
-
-fn registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    let mut lb = r.get("LoadBalancer").unwrap().clone();
-    lb.nf_type = "LB".into();
-    r.register(lb);
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::*;
-    match name {
-        "VPN" => Box::new(vpn::Vpn::new(name, [3; 16], 11, vpn::VpnMode::Encapsulate)),
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LB" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 8)),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            100,
-            ids::IdsMode::Inline,
-        )),
-        "Gateway" => Box::new(monitor::Monitor::new(name)), // read-only stand-in
-        other => unreachable!("{other}"),
-    }
-}
 
 /// Traffic that exercises pass, firewall-deny and IDS-alert paths.
 fn adversarial_traffic(n: usize) -> Vec<Packet> {
@@ -60,7 +33,7 @@ fn adversarial_traffic(n: usize) -> Vec<Packet> {
 fn replay(chain: &[&str], packets: usize) {
     let compiled = compile(
         &Policy::from_chain(chain.iter().copied()),
-        &registry(),
+        &Registry::evaluated(),
         &[],
         &CompileOptions::default(),
     )
@@ -70,10 +43,11 @@ fn replay(chain: &[&str], packets: usize) {
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     let mut parallel = SyncEngine::new(program, nfs, 128);
-    let mut sequential = RunToCompletion::new(chain.iter().map(|n| make(n)).collect());
+    let mut sequential =
+        RunToCompletion::new(chain.iter().map(|n| catalogue::make(n).unwrap()).collect());
 
     let mut drops = 0u64;
     for (i, pkt) in adversarial_traffic(packets).into_iter().enumerate() {

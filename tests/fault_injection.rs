@@ -8,6 +8,7 @@
 //! exercise the failure paths the example's healthy NFs never reach, via
 //! the [`nfp_core::nf::chaos`] wrappers.
 
+use nfp_core::nf::catalogue;
 use nfp_core::nf::chaos::{PanicAfter, StallOnce};
 use nfp_core::prelude::*;
 use nfp_dataplane::runtime::FailureKind;
@@ -16,31 +17,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
-
-/// Registry with the paper's Table 2 rows plus an inline IDS (an NIDS
-/// variant that drops, and therefore defaults to fail-closed).
-fn registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            100,
-            ids::IdsMode::Inline,
-        )),
-        other => unreachable!("{other}"),
-    }
-}
 
 fn compile_chain(chain: &[&str], reg: &Registry) -> Compiled {
     compile(
@@ -67,13 +43,13 @@ fn clean_traffic(n: usize) -> Vec<Packet> {
 /// accounting, zero leakage after every single packet.
 #[test]
 fn hostile_inputs_degrade_gracefully() {
-    let compiled = compile_chain(&["IDS", "Monitor", "LoadBalancer"], &registry());
+    let compiled = compile_chain(&["IDS", "Monitor", "LoadBalancer"], &Registry::evaluated());
     let program = compiled.program(1).unwrap();
     let nfs: Vec<Box<dyn NetworkFunction>> = compiled
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     // A deliberately tiny pool: 8 slots for a graph needing 2 per packet.
     let mut engine = SyncEngine::new(program, nfs, 8);
@@ -114,7 +90,7 @@ fn hostile_inputs_degrade_gracefully() {
 /// is discarded rather than slipping past an enforcing NF.
 #[test]
 fn panicking_parallel_member_fail_closed() {
-    let compiled = compile_chain(&["Monitor", "Firewall"], &registry());
+    let compiled = compile_chain(&["Monitor", "Firewall"], &Registry::evaluated());
     let program = compiled.program(1).unwrap();
     let fw_node = compiled.graph.node_by_name("Firewall").unwrap();
     let nfs: Vec<Box<dyn NetworkFunction>> = compiled
@@ -128,7 +104,7 @@ fn panicking_parallel_member_fail_closed() {
                     50,
                 ))
             } else {
-                make(n.name.as_str())
+                catalogue::make(n.name.as_str()).unwrap()
             }
         })
         .collect();
@@ -166,7 +142,7 @@ fn panicking_parallel_member_fail_closed() {
 /// forwarded unprocessed, every merge completes, and nothing is lost.
 #[test]
 fn panicking_member_fail_open_bypasses() {
-    let mut reg = registry();
+    let mut reg = Registry::evaluated();
     let fw = reg.get("Firewall").unwrap().clone().fail_open();
     reg.register(fw);
     let compiled = compile_chain(&["Monitor", "Firewall"], &reg);
@@ -182,7 +158,7 @@ fn panicking_member_fail_open_bypasses() {
                     50,
                 ))
             } else {
-                make(n.name.as_str())
+                catalogue::make(n.name.as_str()).unwrap()
             }
         })
         .collect();
@@ -213,7 +189,7 @@ fn panicking_member_fail_open_bypasses() {
 /// copies are swallowed by tombstones, and the pool still drains to 0.
 #[test]
 fn stalled_member_merges_expire_at_deadline() {
-    let compiled = compile_chain(&["Monitor", "Firewall"], &registry());
+    let compiled = compile_chain(&["Monitor", "Firewall"], &Registry::evaluated());
     let program = compiled.program(1).unwrap();
     let nfs: Vec<Box<dyn NetworkFunction>> = compiled
         .graph
@@ -227,7 +203,7 @@ fn stalled_member_merges_expire_at_deadline() {
                     Duration::from_millis(500),
                 ))
             } else {
-                make(n.name.as_str())
+                catalogue::make(n.name.as_str()).unwrap()
             }
         })
         .collect();
@@ -281,7 +257,7 @@ fn stalled_member_merges_expire_at_deadline() {
 /// failure policy (monitor: fail-open bypass).
 #[test]
 fn watchdog_fails_stalled_sequential_nf() {
-    let compiled = compile_chain(&["Monitor"], &registry());
+    let compiled = compile_chain(&["Monitor"], &Registry::evaluated());
     let program = compiled.program(1).unwrap();
     let nfs: Vec<Box<dyn NetworkFunction>> = vec![Box::new(StallOnce::new(
         nfp_core::nf::monitor::Monitor::new("Monitor"),
@@ -329,7 +305,7 @@ proptest! {
         pins in proptest::collection::vec(0u8..3u8, 4),
         healthy_for in 0u64..30,
     ) {
-        let mut reg = registry();
+        let mut reg = Registry::evaluated();
         for (name, pin) in chain.iter().zip(&pins) {
             let p = reg.get(name).unwrap().clone();
             match pin {
@@ -346,7 +322,7 @@ proptest! {
             .iter()
             .map(|n| {
                 let pos = chain.iter().position(|c| *c == n.name.as_str()).unwrap();
-                let inner = make(n.name.as_str());
+                let inner = catalogue::make(n.name.as_str()).unwrap();
                 if fail_mask[pos] {
                     Box::new(PanicAfter::new(inner, healthy_for)) as Box<dyn NetworkFunction>
                 } else {

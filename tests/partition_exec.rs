@@ -3,23 +3,13 @@
 //! hand exactly one packet copy across each boundary, and verify the
 //! chained result equals the unpartitioned graph's output.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
 use nfp_orchestrator::graph::{GraphNode, Member, ParallelGroup, Segment, ServiceGraph};
 use nfp_orchestrator::partition::{inter_server_copies, partition};
 use nfp_orchestrator::Program;
 use std::collections::HashMap;
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::*;
-    match name {
-        "VPN" => Box::new(vpn::Vpn::new(name, [8; 16], 2, vpn::VpnMode::Encapsulate)),
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        other => unreachable!("{other}"),
-    }
-}
 
 /// Extract the sub-graph covering `segments`, remapping node ids densely.
 fn subgraph(graph: &ServiceGraph, range: core::ops::Range<usize>) -> ServiceGraph {
@@ -88,14 +78,22 @@ fn partitioned_graph_equals_whole_graph() {
         .map(|plan| {
             let sub = subgraph(graph, plan.segments.clone());
             let program = Program::compile(&sub, 1).unwrap();
-            let nfs: Vec<_> = sub.nodes.iter().map(|n| make(n.name.as_str())).collect();
+            let nfs: Vec<_> = sub
+                .nodes
+                .iter()
+                .map(|n| catalogue::make(n.name.as_str()).unwrap())
+                .collect();
             SyncEngine::new(program, nfs, 64)
         })
         .collect();
 
     // The oracle: one engine over the whole graph.
     let program = compiled.program(1).unwrap();
-    let nfs: Vec<_> = graph.nodes.iter().map(|n| make(n.name.as_str())).collect();
+    let nfs: Vec<_> = graph
+        .nodes
+        .iter()
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
+        .collect();
     let mut whole = SyncEngine::new(program, nfs, 64);
 
     let traffic = TrafficGenerator::new(TrafficSpec {

@@ -20,6 +20,7 @@
 //!    `reconfigure()` landing between two replay windows, cycling the
 //!    soak harness's fail-closed/fail-open program variants.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_dataplane::stats::StageSnapshot;
 use nfp_dataplane::sync_engine::SyncEngine;
@@ -44,32 +45,8 @@ const CHAINS: [&[&str]; 3] = [
     &["Monitor", "Firewall", "IDS", "Gateway"],
 ];
 
-fn registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::extra;
-    use nfp_core::nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            50,
-            ids::IdsMode::Inline,
-        )),
-        "Gateway" => Box::new(extra::Gateway::new(name)),
-        other => unreachable!("{other}"),
-    }
-}
-
 fn compile_chain(chain: &[&str], fail_open_firewall: bool) -> (Program, Vec<String>) {
-    let mut reg = registry();
+    let mut reg = Registry::evaluated();
     if fail_open_firewall {
         let mut fw = reg.get("Firewall").unwrap().clone();
         fw.failure = Some(FailurePolicy::FailOpen);
@@ -92,7 +69,10 @@ fn compile_chain(chain: &[&str], fail_open_firewall: bool) -> (Program, Vec<Stri
 }
 
 fn nfs_for(names: &[String]) -> Vec<Box<dyn NetworkFunction>> {
-    names.iter().map(|n| make(n.as_str())).collect()
+    names
+        .iter()
+        .map(|n| catalogue::make(n.as_str()).unwrap())
+        .collect()
 }
 
 fn config() -> EngineConfig {

@@ -9,49 +9,23 @@
 //! drop set must be a subset of the profile it is registered under.
 //! Over-declaration only costs parallelism, so it is printed, not failed.
 
-use nfp_bench::setups::eval_registry;
 use nfp_io::backends::packet_from_record;
 use nfp_io::pcap::read_pcap_bytes;
-use nfp_nf::extra::{Caching, Compression, CompressionMode, Gateway, Proxy, TrafficShaper};
-use nfp_nf::firewall::Firewall;
-use nfp_nf::forwarder::L3Forwarder;
-use nfp_nf::ids::{Ids, IdsMode};
+use nfp_nf::catalogue;
 use nfp_nf::inspector::inspect;
-use nfp_nf::lb::LoadBalancer;
 use nfp_nf::monitor::Monitor;
-use nfp_nf::nat::Nat;
-use nfp_nf::vpn::{Vpn, VpnMode};
 use nfp_nf::NetworkFunction;
-use nfp_orchestrator::ActionProfile;
-use nfp_packet::ipv4::Ipv4Addr;
+use nfp_orchestrator::{ActionProfile, Registry};
 use nfp_packet::{FieldMask, Packet};
 use nfp_traffic::hostile::{HostileGenerator, HostileSpec};
 
-/// Every Table-2 NF type, plus the evaluated L3 forwarder, each named
-/// after the profile it is registered under.
+/// Every row of the evaluated registry — Table 2 plus the §6.1
+/// Forwarder, LB and inline IDS — built by the catalogue and named after
+/// the profile it is registered under.
 fn zoo() -> Vec<Box<dyn NetworkFunction>> {
-    vec![
-        Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-        Box::new(Ids::with_synthetic_signatures(
-            "NIDS",
-            100,
-            IdsMode::Passive,
-        )),
-        Box::new(Gateway::new("Gateway")),
-        Box::new(LoadBalancer::with_uniform_backends("LoadBalancer", 8)),
-        Box::new(Caching::new("Caching", 128)),
-        Box::new(Vpn::new("VPN", [1; 16], 1, VpnMode::Encapsulate)),
-        Box::new(Nat::new("NAT", Ipv4Addr::new(203, 0, 113, 1))),
-        Box::new(Proxy::new(
-            "Proxy",
-            Ipv4Addr::new(10, 0, 0, 99),
-            Ipv4Addr::new(10, 50, 0, 1),
-        )),
-        Box::new(Compression::new("Compression", CompressionMode::Compress)),
-        Box::new(TrafficShaper::new("TrafficShaper", 1e9, 1e6, false)),
-        Box::new(Monitor::new("Monitor")),
-        Box::new(L3Forwarder::with_uniform_table("Forwarder", 1000)),
-    ]
+    let registry = Registry::evaluated();
+    let types = registry.nf_types().into_iter();
+    types.map(|t| catalogue::make(t).unwrap()).collect()
 }
 
 /// The golden pcap corpus, every frame that decodes into a packet.
@@ -114,7 +88,7 @@ fn compare(seen: &ActionProfile, declared: &ActionProfile) -> (Vec<String>, Vec<
 
 /// The under-declarations of every zoo NF over `samples`, one line each.
 fn under_declared(samples: &[Packet], corpus: &str) -> Vec<String> {
-    let registry = eval_registry();
+    let registry = Registry::evaluated();
     let mut failures = Vec::new();
     for mut nf in zoo() {
         let name = nf.name().to_string();
@@ -161,7 +135,7 @@ fn hostile_traffic_stays_inside_registered_profiles() {
 fn an_under_declared_profile_is_caught() {
     // Monitor keys its counters on the 4-tuple; a profile that forgets
     // `dip` must not pass.
-    let registry = eval_registry();
+    let registry = Registry::evaluated();
     let declared = registry.get("Monitor").unwrap();
     let mut forgetful = ActionProfile::new("Monitor");
     forgetful.actions = declared

@@ -3,6 +3,7 @@
 //! structurally sound and semantically equal to sequential composition —
 //! the result correctness principle, as a property.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
 use nfp_packet::ipv4::Ipv4Addr;
@@ -22,42 +23,6 @@ const REPLAYABLE: [&str; 9] = [
     "Gateway",
     "Caching",
 ];
-
-fn registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::extra;
-    use nfp_core::nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            50,
-            ids::IdsMode::Inline,
-        )),
-        "VPN" => Box::new(vpn::Vpn::new(name, [1; 16], 5, vpn::VpnMode::Encapsulate)),
-        "Proxy" => Box::new(extra::Proxy::new(
-            name,
-            nfp_packet::ipv4::Ipv4Addr::new(10, 0, 0, 99),
-            nfp_packet::ipv4::Ipv4Addr::new(10, 50, 0, 1),
-        )),
-        "Compression" => Box::new(extra::Compression::new(
-            name,
-            extra::CompressionMode::Compress,
-        )),
-        "Gateway" => Box::new(extra::Gateway::new(name)),
-        "Caching" => Box::new(extra::Caching::new(name, 64)),
-        other => unreachable!("{other}"),
-    }
-}
 
 /// A strategy producing chains of 1–5 *distinct* replayable NFs.
 fn chain_strategy() -> impl Strategy<Value = Vec<&'static str>> {
@@ -90,7 +55,7 @@ proptest! {
     fn compiled_graphs_are_structurally_sound(chain in chain_strategy()) {
         let compiled = compile(
             &Policy::from_chain(chain.iter().copied()),
-            &registry(),
+            &Registry::evaluated(),
             &[],
             &CompileOptions::default(),
         ).unwrap();
@@ -115,14 +80,14 @@ proptest! {
     ) {
         let compiled = compile(
             &Policy::from_chain(chain.iter().copied()),
-            &registry(),
+            &Registry::evaluated(),
             &[],
             &CompileOptions::default(),
         ).unwrap();
         let program = compiled.program(1).unwrap();
-        let nfs: Vec<_> = compiled.graph.nodes.iter().map(|n| make(n.name.as_str())).collect();
+        let nfs: Vec<_> = compiled.graph.nodes.iter().map(|n| catalogue::make(n.name.as_str()).unwrap()).collect();
         let mut parallel = SyncEngine::new(program, nfs, 64);
-        let mut sequential = RunToCompletion::new(chain.iter().map(|n| make(n)).collect());
+        let mut sequential = RunToCompletion::new(chain.iter().map(|n| catalogue::make(n).unwrap()).collect());
         for pkt in pkts {
             let seq = sequential.process(pkt.clone());
             let par = parallel.process(pkt).unwrap();
@@ -234,7 +199,7 @@ fn replay_recorded(chain: &[&str], payload: &[u8]) {
     );
     let compiled = compile(
         &Policy::from_chain(chain.iter().copied()),
-        &registry(),
+        &Registry::evaluated(),
         &[],
         &CompileOptions::default(),
     )
@@ -244,10 +209,11 @@ fn replay_recorded(chain: &[&str], payload: &[u8]) {
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     let mut parallel = SyncEngine::new(program, nfs, 64);
-    let mut sequential = RunToCompletion::new(chain.iter().map(|n| make(n)).collect());
+    let mut sequential =
+        RunToCompletion::new(chain.iter().map(|n| catalogue::make(n).unwrap()).collect());
     let seq = sequential.process(pkt.clone());
     let par = parallel.process(pkt).unwrap();
     match (seq, par) {
@@ -289,13 +255,14 @@ fn threaded_matches_sequential(chain: &[&str], iters: usize, mergers: usize) {
     }
     let compiled = compile(
         &Policy::from_chain(chain.iter().copied()),
-        &registry(),
+        &Registry::evaluated(),
         &[],
         &CompileOptions::default(),
     )
     .unwrap();
     let program = compiled.program(1).unwrap();
-    let mut sequential = RunToCompletion::new(chain.iter().map(|n| make(n)).collect());
+    let mut sequential =
+        RunToCompletion::new(chain.iter().map(|n| catalogue::make(n).unwrap()).collect());
     let mut expected: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
     let mut expected_drops = 0u64;
     for p in pkts.clone() {
@@ -309,7 +276,7 @@ fn threaded_matches_sequential(chain: &[&str], iters: usize, mergers: usize) {
             .graph
             .nodes
             .iter()
-            .map(|n| make(n.name.as_str()))
+            .map(|n| catalogue::make(n.name.as_str()).unwrap())
             .collect();
         let mut engine = Engine::new(
             program.clone(),

@@ -9,6 +9,7 @@
 //! traverses it FIFO, sharding may only change *cross-shard* interleaving,
 //! never any per-flow byte.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_dataplane::exec::IdlePolicy;
 use nfp_dataplane::shard::{partition_by_flow, ShardedEngine};
@@ -32,33 +33,6 @@ const NFS: [&str; 7] = [
     "Gateway",
     "Caching",
 ];
-
-fn registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::extra;
-    use nfp_core::nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        "NAT" => Box::new(nat::Nat::new(name, Ipv4Addr::new(203, 0, 113, 1))),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            50,
-            ids::IdsMode::Inline,
-        )),
-        "Gateway" => Box::new(extra::Gateway::new(name)),
-        "Caching" => Box::new(extra::Caching::new(name, 64)),
-        other => unreachable!("{other}"),
-    }
-}
 
 fn chain_strategy() -> impl Strategy<Value = Vec<&'static str>> {
     proptest::sample::subsequence(NFS.to_vec(), 1..=4).prop_shuffle()
@@ -103,7 +77,7 @@ proptest! {
     ) {
         let compiled = compile(
             &Policy::from_chain(chain.iter().copied()),
-            &registry(),
+            &Registry::evaluated(),
             &[],
             &CompileOptions::default(),
         ).unwrap();
@@ -113,7 +87,7 @@ proptest! {
         let make_nfs = {
             let names = names.clone();
             move || -> Vec<Box<dyn NetworkFunction>> {
-                names.iter().map(|n| make(n.as_str())).collect()
+                names.iter().map(|n| catalogue::make(n.as_str()).unwrap()).collect()
             }
         };
         let pkts = traffic(n, flows, deny_stride, malicious);
@@ -154,7 +128,7 @@ proptest! {
         for (s, (report, part)) in reports.iter().zip(parts).enumerate() {
             let mut reference = SyncEngine::new(
                 program.clone(),
-                names.iter().map(|n| make(n.as_str())).collect(),
+                names.iter().map(|n| catalogue::make(n.as_str()).unwrap()).collect(),
                 64,
             );
             let mut expected: Vec<Vec<u8>> = Vec::new();

@@ -2,18 +2,9 @@
 //! drop shares, and full-throttle injection — the engine must neither
 //! wedge, leak, nor miscount.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_packet::ipv4::Ipv4Addr;
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        other => unreachable!("{other}"),
-    }
-}
 
 fn try_engine(chain: &[&str], config: EngineConfig) -> Result<Engine, EngineError> {
     let compiled = compile(
@@ -28,7 +19,7 @@ fn try_engine(chain: &[&str], config: EngineConfig) -> Result<Engine, EngineErro
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     Engine::new(program, nfs, config)
 }
@@ -155,7 +146,7 @@ fn sync_engine_survives_pathological_packets() {
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     let mut e = nfp_dataplane::SyncEngine::new(program, nfs, 16);
     // Garbage, truncated, non-IP, and minimum frames.

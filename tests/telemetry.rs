@@ -20,6 +20,7 @@
 //! telemetry must never touch the monotonic clock and the per-stage calls
 //! must be cheap enough to be invisible on the packet path.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_dataplane::shard::ShardedEngine;
 use nfp_dataplane::sync_engine::SyncEngine;
@@ -45,46 +46,10 @@ const REPLAYABLE: [&str; 9] = [
     "Caching",
 ];
 
-fn registry() -> Registry {
-    let mut r = Registry::paper_table2();
-    let mut ids = r.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    r.register(ids);
-    r
-}
-
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::extra;
-    use nfp_core::nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 4)),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            50,
-            ids::IdsMode::Inline,
-        )),
-        "VPN" => Box::new(vpn::Vpn::new(name, [1; 16], 5, vpn::VpnMode::Encapsulate)),
-        "Proxy" => Box::new(extra::Proxy::new(
-            name,
-            Ipv4Addr::new(10, 0, 0, 99),
-            Ipv4Addr::new(10, 50, 0, 1),
-        )),
-        "Compression" => Box::new(extra::Compression::new(
-            name,
-            extra::CompressionMode::Compress,
-        )),
-        "Gateway" => Box::new(extra::Gateway::new(name)),
-        "Caching" => Box::new(extra::Caching::new(name, 64)),
-        other => unreachable!("{other}"),
-    }
-}
-
 fn compile_graph(chain: &[&str]) -> Compiled {
     compile(
         &Policy::from_chain(chain.iter().copied()),
-        &registry(),
+        &Registry::evaluated(),
         &[],
         &CompileOptions::default(),
     )
@@ -108,7 +73,7 @@ fn run_sync(chain: &[&str], pkts: &[Packet], trace_every: u64) -> (TelemetrySnap
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     let mut engine = SyncEngine::new(program, nfs, 256);
     engine.set_telemetry(sampled_cfg(trace_every));
@@ -133,7 +98,7 @@ fn run_threaded(chain: &[&str], pkts: &[Packet], trace_every: u64) -> EngineRepo
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     let mut engine = Engine::new(
         program,
@@ -420,7 +385,7 @@ fn sync_reconfigure_keeps_traces_epoch_constant() {
     .unwrap()
     .with_epoch(2);
 
-    let nfs: Vec<_> = CHAIN.iter().map(|n| make(n)).collect();
+    let nfs: Vec<_> = CHAIN.iter().map(|n| catalogue::make(n).unwrap()).collect();
     let mut engine = SyncEngine::new(old, nfs, 64);
     engine.set_telemetry(sampled_cfg(1));
     let pkts = mixed_traffic(60);
@@ -469,7 +434,7 @@ fn threaded_reconfigure_keeps_traces_epoch_constant() {
     .unwrap()
     .with_epoch(1);
 
-    let nfs: Vec<_> = CHAIN.iter().map(|n| make(n)).collect();
+    let nfs: Vec<_> = CHAIN.iter().map(|n| catalogue::make(n).unwrap()).collect();
     let mut engine = Engine::new(
         old,
         nfs,
@@ -582,7 +547,9 @@ fn one_message_bursts_count_every_message_and_clock_one_per_period() {
 fn mid_period_snapshot_credits_the_tail_exactly_once() {
     let compiled = compile_graph(&EAST_WEST);
     let nfs = compiled.graph.nodes.iter();
-    let nfs = nfs.map(|n| make(n.name.as_str())).collect();
+    let nfs = nfs
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
+        .collect();
     let mut engine = SyncEngine::new(compiled.program(1).unwrap(), nfs, 256);
     let first = CLOCK_PERIOD as usize + 5; // five messages past a clocked burst
     let pkts = mixed_traffic(first + 100);
@@ -614,7 +581,7 @@ fn sharded_roll_up_keeps_buckets_equal_to_count_and_sums_timed() {
     let compiled = compile_graph(&EAST_WEST);
     let names = compiled.graph.nodes.iter();
     let names: Vec<String> = names.map(|n| n.name.as_str().to_string()).collect();
-    let make_nfs = move || names.iter().map(|n| make(n)).collect();
+    let make_nfs = move || names.iter().map(|n| catalogue::make(n).unwrap()).collect();
     let mut fleet = ShardedEngine::new(
         &compiled.program(1).unwrap(),
         make_nfs,

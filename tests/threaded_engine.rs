@@ -2,37 +2,16 @@
 //! deterministic sync engine (same tables, same NF types) on delivery,
 //! drops and packet contents.
 
+use nfp_core::nf::catalogue;
 use nfp_core::prelude::*;
 use nfp_dataplane::sync_engine::SyncEngine;
 use nfp_packet::ipv4::Ipv4Addr;
 use std::collections::BTreeSet;
 
-fn make(name: &str) -> Box<dyn NetworkFunction> {
-    use nfp_core::nf::*;
-    match name {
-        "Monitor" => Box::new(monitor::Monitor::new(name)),
-        "Firewall" => Box::new(firewall::Firewall::with_synthetic_acl(name, 100)),
-        "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends(name, 8)),
-        "IDS" => Box::new(ids::Ids::with_synthetic_signatures(
-            name,
-            50,
-            ids::IdsMode::Inline,
-        )),
-        "VPN" => Box::new(vpn::Vpn::new(name, [1; 16], 5, vpn::VpnMode::Encapsulate)),
-        "Caching" => Box::new(extra::Caching::new(name, 32)),
-        "Gateway" => Box::new(extra::Gateway::new(name)),
-        other => unreachable!("{other}"),
-    }
-}
-
 fn build(chain: &[&str]) -> (nfp_orchestrator::Compiled, Program) {
-    let mut registry = Registry::paper_table2();
-    let mut ids = registry.get("NIDS").unwrap().clone().drops();
-    ids.nf_type = "IDS".into();
-    registry.register(ids);
     let compiled = compile(
         &Policy::from_chain(chain.iter().copied()),
-        &registry,
+        &Registry::evaluated(),
         &[],
         &CompileOptions::default(),
     )
@@ -68,13 +47,13 @@ fn threaded_matches_sync_engine_with_copies_and_drops() {
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     let nfs_sync: Vec<_> = compiled
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
 
     let pkts = traffic(400);
@@ -117,7 +96,7 @@ fn threaded_engine_with_single_merger() {
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     let mut engine = Engine::new(
         program,
@@ -157,17 +136,7 @@ fn graph_with_two_parallel_segments_merges_twice() {
     let make_all = |g: &nfp_orchestrator::ServiceGraph| -> Vec<Box<dyn NetworkFunction>> {
         g.nodes
             .iter()
-            .map(|n| -> Box<dyn NetworkFunction> {
-                use nfp_core::nf::extra;
-                use nfp_core::nf::*;
-                match n.name.as_str() {
-                    "Monitor" => Box::new(monitor::Monitor::new("Monitor")),
-                    "LoadBalancer" => Box::new(lb::LoadBalancer::with_uniform_backends("LB", 4)),
-                    "Caching" => Box::new(extra::Caching::new("Caching", 32)),
-                    "Gateway" => Box::new(extra::Gateway::new("Gateway")),
-                    other => unreachable!("{other}"),
-                }
-            })
+            .map(|n| catalogue::make(n.name.as_str()).unwrap())
             .collect()
     };
 
@@ -207,7 +176,7 @@ fn engine_rerun_accumulates() {
         .graph
         .nodes
         .iter()
-        .map(|n| make(n.name.as_str()))
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
         .collect();
     let mut engine = Engine::new(program, nfs, EngineConfig::default()).unwrap();
     let r1 = engine.run(traffic(50));
@@ -242,7 +211,7 @@ fn parked_engine_wakes_for_late_burst() {
                     Duration::from_millis(80),
                 )) as Box<dyn NetworkFunction>
             } else {
-                make(n.name.as_str())
+                catalogue::make(n.name.as_str()).unwrap()
             }
         })
         .collect();
@@ -289,7 +258,9 @@ const SEED_GRAPHS: [&[&str]; 3] = [
 
 fn nfs_of(compiled: &nfp_orchestrator::Compiled) -> Vec<Box<dyn NetworkFunction>> {
     let nodes = compiled.graph.nodes.iter();
-    nodes.map(|n| make(n.name.as_str())).collect()
+    nodes
+        .map(|n| catalogue::make(n.name.as_str()).unwrap())
+        .collect()
 }
 
 /// Firewall-deniable and IDS-triggering traffic with a malformed frame
@@ -532,7 +503,8 @@ fn rejected_packets_do_not_skew_latency_pairing() {
             let nfs = compiled.graph.nodes.iter();
             let mut engine = Engine::new(
                 program.clone(),
-                nfs.map(|n| make(n.name.as_str())).collect(),
+                nfs.map(|n| catalogue::make(n.name.as_str()).unwrap())
+                    .collect(),
                 EngineConfig {
                     max_in_flight: 4,
                     ..EngineConfig::default()
