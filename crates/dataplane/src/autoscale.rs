@@ -139,16 +139,6 @@ pub enum ScaleDecision {
     },
 }
 
-impl ScaleDecision {
-    /// The target shard count, when the decision is a rescale.
-    pub fn target(&self) -> Option<usize> {
-        match *self {
-            ScaleDecision::Hold => None,
-            ScaleDecision::Grow { to, .. } | ScaleDecision::Shrink { to, .. } => Some(to),
-        }
-    }
-}
-
 /// The policy engine: feed it one [`LoadSignals`] reading per interval,
 /// apply the [`ScaleDecision`] it returns.
 #[derive(Debug, Clone)]
@@ -186,11 +176,6 @@ impl Autoscaler {
             cooldown_left: 0,
             calm_streak: 0,
         }
-    }
-
-    /// The policy this scaler runs.
-    pub fn policy(&self) -> &AutoscalePolicy {
-        &self.policy
     }
 
     /// Observe one interval's signals and decide. `current_shards` is

@@ -99,7 +99,7 @@ impl Layout {
 }
 
 /// The merge-deadline clock: virtual ticks (one per
-/// [`crate::sync_engine::SyncEngine::process`] call) or milliseconds
+/// [`crate::sync_engine::SyncEngine`] admission window) or milliseconds
 /// since the run started.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Clock {

@@ -1254,6 +1254,7 @@ impl Engine {
 
     /// Tell every NF which shard partition this engine serves, arming
     /// the debug-build RSS-ownership assertions on their flow tables.
+    #[cfg(test)]
     pub fn bind_partition(&mut self, index: usize, total: usize) {
         for nf in self.replicas.iter_mut().flatten() {
             nf.bind_partition(index, total);

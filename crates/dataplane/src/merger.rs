@@ -167,8 +167,9 @@ impl Accumulator {
         out
     }
 
-    /// Drain every incomplete entry (engine shutdown), returning all held
-    /// references so the caller can release them.
+    /// Drain every incomplete entry, returning all held references so the
+    /// caller can release them.
+    #[cfg(test)]
     pub fn drain(&mut self) -> Vec<Arrival> {
         self.pending.drain().flat_map(|(_, e)| e.arrivals).collect()
     }

@@ -141,11 +141,6 @@ impl<T: Send> Producer<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// True when the consumer half has been dropped.
-    pub fn is_disconnected(&self) -> bool {
-        Arc::strong_count(&self.shared) < 2
-    }
 }
 
 /// Push `item` into `p`, yielding the thread while the ring is full. The
@@ -222,11 +217,6 @@ impl<T: Send> Consumer<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// True when the producer half has been dropped.
-    pub fn is_disconnected(&self) -> bool {
-        Arc::strong_count(&self.shared) < 2
-    }
 }
 
 impl<T> Drop for Shared<T> {
@@ -283,17 +273,6 @@ mod tests {
             assert_eq!(rx.pop(), Some(round));
         }
         assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn disconnection_detection() {
-        let (tx, rx) = channel::<u8>(2);
-        assert!(!tx.is_disconnected());
-        drop(rx);
-        assert!(tx.is_disconnected());
-        let (tx2, rx2) = channel::<u8>(2);
-        drop(tx2);
-        assert!(rx2.is_disconnected());
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! The sync engine is one stage dispatcher ([`crate::dispatch`]) holding
 //! *every* stage, driven by the caller: no rings, no threads, plain
 //! per-stage queues drained in pipeline order, so a packet's journey is
-//! fully deterministic. The threaded [`crate::engine::Engine`] runs the
-//! very same dispatcher code, one instance per thread group — the two
-//! cannot drift semantically. It is the reference executor for the
+//! fully deterministic. Packets enter in admission windows of `w`, each
+//! one epoch pin, one clock tick and one run of the dispatcher to dry:
+//! `w` is what the caller offers capped at `pool / slots_per_packet`, so
+//! no copy can find the pool dry. The threaded [`crate::engine::Engine`]
+//! runs the very same dispatcher code, one instance per thread group — the
+//! two cannot drift semantically. It is the reference executor for the
 //! paper's §6.4 result-correctness replay and for property tests; the
 //! threaded (and sharded) engines are correct precisely when their output
 //! matches this one byte-for-byte.
@@ -47,11 +50,11 @@ pub struct SyncEngine {
     /// Pool, swappable program slot, telemetry and per-stage counters —
     /// recorded at the same points as the threaded engine's stage threads
     /// (one merger instance, so merges record as `merger0`) — and the
-    /// virtual clock: one tick per `process()` call. Accumulating-table
-    /// entries are stamped with it, and every entry still pending at the
-    /// end of the call that created it is expired — the sync engine's
-    /// merge deadline is zero ticks, preserving the per-packet semantics
-    /// of `process()` even when a failed NF never sends its copy.
+    /// virtual clock: one tick per admission window. Accumulating-table
+    /// entries are stamped with it, and every entry still pending once the
+    /// window has run dry is expired — the merge deadline is zero ticks
+    /// and falls at the window's end, so every packet of a window finishes
+    /// in it even when a failed NF never sends its copy.
     cx: Shared,
     /// The one dispatcher, holding every stage. One agent and one merger
     /// instance: sequencing is trivially in-order here, but running the
@@ -109,10 +112,11 @@ impl SyncEngine {
     }
 
     /// Hot-swap to `program`: validate its footprint against the fixed
-    /// pool, run the orchestrator compatibility diff, and install it as
-    /// the new current epoch. Between `process()` calls no packet is in
-    /// flight, so the superseded epoch drains instantly and is retired
-    /// before this returns. Rejections leave the running engine untouched.
+    /// pool for one packet (windows follow the installed footprint), run
+    /// the compatibility diff and install it as the new current epoch.
+    /// Between calls no packet is in flight, so the superseded epoch drains
+    /// instantly and is retired before this returns. Rejections leave the
+    /// running engine untouched.
     pub fn reconfigure(&mut self, program: Program) -> Result<EpochReport, ReconfigError> {
         let pool_size = self.cx.pool.capacity();
         self.cx.handle.swap(program, pool_size, 1, Duration::ZERO)
@@ -163,41 +167,68 @@ impl SyncEngine {
     /// Admit rejects and drops both count toward `dropped`.
     pub fn process_batch(&mut self, pkts: Vec<Packet>) -> Vec<Packet> {
         let mut out = Vec::with_capacity(pkts.len());
-        for pkt in pkts {
-            if let Ok(ProcessOutcome::Delivered(p)) = self.process(pkt) {
-                out.push(*p);
-            }
+        let mut pkts = pkts.into_iter();
+        while pkts.len() > 0 {
+            self.drive(pkts.by_ref().take(self.window()));
+            out.append(&mut self.dispatcher.outputs);
         }
         out
     }
 
-    /// Process one packet through the whole graph — an admission burst of
+    /// Process one packet through the whole graph — an admission window of
     /// one. The packet is pinned to the epoch current at admission and
     /// every stage resolves its tables against that epoch; the pin
     /// settles exactly once before returning. An admission reject counts
     /// toward `dropped` here, like every other packet that does not come
     /// out.
     pub fn process(&mut self, pkt: Packet) -> Result<ProcessOutcome, AdmitError> {
+        if let (_, Some(why)) = self.drive(std::iter::once(pkt)) {
+            return Err(why);
+        }
+        Ok(match self.dispatcher.outputs.pop() {
+            Some(p) => ProcessOutcome::Delivered(Box::new(p)),
+            None => ProcessOutcome::Dropped,
+        })
+    }
+
+    /// The largest admission window the pool covers at the installed
+    /// program's worst-case footprint (at least one).
+    fn window(&self) -> usize {
+        (self.cx.pool.capacity() / self.footprint()).max(1)
+    }
+
+    /// The installed program's worst-case pool slots per packet.
+    fn footprint(&self) -> usize {
+        self.cx.handle.current().program().slots_per_packet()
+    }
+
+    /// Run one admission window of at most [`window`](Self::window) packets
+    /// to the end: admit them under one epoch pin, run the dispatcher dry
+    /// and expire until expiry yields nothing (partial forwards enqueue the
+    /// merge spec's next actions). The caller drains the outputs, in
+    /// completion order. Returns the admission rejects and the last reason.
+    fn drive(&mut self, pkts: impl ExactSizeIterator<Item = Packet>) -> (u64, Option<AdmitError>) {
+        let n = pkts.len();
+        debug_assert!(
+            n == 1 || n * self.footprint() <= self.cx.pool.capacity(),
+            "a window's worst case must fit the pool: nothing inside the graph retries"
+        );
         if let Clock::Tick(tick) = &mut self.cx.clock {
             *tick += 1;
         }
-        self.dispatcher.classifier.begin_burst(1);
-        let admitted = self.dispatcher.admit(&self.cx, pkt);
+        let (mut rejected, mut why) = (0, None);
+        self.dispatcher.classifier.begin_burst(n);
+        for pkt in pkts {
+            if let Err((e, _)) = self.dispatcher.admit(&self.cx, pkt) {
+                (rejected, why) = (rejected + 1, Some(e));
+            }
+        }
         self.dispatcher.classifier.end_burst();
         self.dispatcher.publish(&self.cx);
-        if let Err((why, _)) = admitted {
-            self.dropped += 1;
-            return Err(why);
-        }
         loop {
             while !self.dispatcher.idle() {
                 self.dispatcher.pass(&self.cx);
             }
-            // All queues dry. Any entry still accumulating can never
-            // complete inside this call (a failed NF swallowed its copy),
-            // so it has hit the zero-tick deadline: resolve it from the
-            // copies that arrived. Partial forwards enqueue the merge
-            // spec's next actions, so loop until expiry yields nothing.
             if !self.dispatcher.expire(&self.cx) {
                 break;
             }
@@ -205,20 +236,12 @@ impl SyncEngine {
         debug_assert_eq!(
             self.dispatcher.merge_pending(),
             0,
-            "a packet's copies must all merge or expire before process() returns"
+            "a window's copies must all merge or expire before it ends"
         );
-        let output = self.dispatcher.outputs.pop();
-        debug_assert!(self.dispatcher.outputs.is_empty(), "one output per packet");
-        match output {
-            Some(p) => {
-                self.delivered += 1;
-                Ok(ProcessOutcome::Delivered(Box::new(p)))
-            }
-            None => {
-                self.dropped += 1;
-                Ok(ProcessOutcome::Dropped)
-            }
-        }
+        let delivered = self.dispatcher.outputs.len() as u64;
+        self.delivered += delivered;
+        self.dropped += n as u64 - delivered;
+        (rejected, why)
     }
 
     /// Pool occupancy (leak detection in tests).
@@ -228,9 +251,10 @@ impl SyncEngine {
 
     /// Stream an [`Ingress`] through the engine and emit every delivered
     /// packet to `egress`, in `burst`-sized pulls, until the source ends.
-    /// The fully-streaming counterpart of [`SyncEngine::process_batch`]:
-    /// delivered frames leave through the egress as soon as they merge,
-    /// never accumulating in memory.
+    /// Each pull is admitted in windows, and each window's outputs leave
+    /// through the egress as one burst as soon as it ends: the
+    /// fully-streaming counterpart of [`SyncEngine::process_batch`],
+    /// holding nothing beyond one pull in memory.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
@@ -238,24 +262,20 @@ impl SyncEngine {
         burst: usize,
     ) -> Result<IoRunStats, IoError> {
         let mut io = IoRunStats::default();
-        let mut out: Vec<Packet> = Vec::with_capacity(burst.max(1));
         while let Some(pkts) = ingress.next_burst(burst.max(1))? {
             io.pulled += pkts.len() as u64;
-            for pkt in pkts {
-                match self.process(pkt) {
-                    Ok(ProcessOutcome::Delivered(p)) => out.push(*p),
-                    Ok(ProcessOutcome::Dropped) => io.dropped += 1,
-                    // Terminal admit rejects (malformed, no match) are
-                    // already counted in the stage stats and `dropped`;
-                    // pool exhaustion cannot happen in the closed
-                    // one-at-a-time loop.
-                    Err(_) => io.rejected += 1,
+            let mut pkts = pkts.into_iter();
+            while pkts.len() > 0 {
+                let n = pkts.len().min(self.window()) as u64;
+                let (rejected, _) = self.drive(pkts.by_ref().take(n as usize));
+                let delivered = self.dispatcher.outputs.len() as u64;
+                (io.rejected, io.delivered) = (io.rejected + rejected, io.delivered + delivered);
+                io.dropped += n - rejected - delivered;
+                if delivered > 0 {
+                    let emitted = egress.emit_burst(&self.dispatcher.outputs);
+                    self.dispatcher.outputs.clear();
+                    emitted?;
                 }
-            }
-            if !out.is_empty() {
-                io.delivered += out.len() as u64;
-                egress.emit_burst(&out)?;
-                out.clear();
             }
         }
         egress.flush()?;

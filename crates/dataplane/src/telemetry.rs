@@ -32,9 +32,10 @@
 //! and every burst during which `count` crosses a multiple of
 //! [`CLOCK_PERIOD`]. A burst of `CLOCK_PERIOD` messages or more is
 //! therefore always clocked (the threaded engine under load: one clock
-//! pair per burst, as before), and one-message bursts
-//! ([`SyncEngine::process`](crate::sync_engine::SyncEngine::process)) are
-//! clocked once per period instead of every time.
+//! pair per burst, as before), and the short bursts of a
+//! [`SyncEngine`](crate::sync_engine::SyncEngine) admission window (one
+//! message each per `process` call) are clocked once per period instead
+//! of every time.
 //!
 //! A clocked burst's mean stands for its own `n` messages *and* for the
 //! unclocked messages the stage counted since its previous clocked burst:
@@ -308,6 +309,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean latency (ns). 0 when empty.
+    #[cfg(test)]
     pub fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
@@ -348,6 +350,7 @@ impl TelemetryConfig {
     }
 
     /// Histograms on plus trace sampling of every `n`th packet.
+    #[cfg(test)]
     pub fn sampled(n: u64) -> Self {
         Self {
             trace_every: n,
@@ -443,11 +446,6 @@ impl Telemetry {
     /// but were configured without one).
     pub fn off() -> Self {
         Self::new(TelemetryConfig::disabled(), 0, 0)
-    }
-
-    /// The configuration this recorder was built with.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
     }
 
     /// Whether trace sampling is enabled.

@@ -4,7 +4,8 @@
 //! system initialization" so the datapath never allocates (§5; DESIGN.md
 //! §4). This binary installs a counting global allocator and holds the
 //! engines to that: once warm, `SyncEngine::process` may allocate only the
-//! `Box<Packet>` its `ProcessOutcome::Delivered` signature mandates, and a
+//! `Box<Packet>` its `ProcessOutcome::Delivered` signature mandates,
+//! `SyncEngine::run_io` only the `Vec` each ingress burst arrives in, and a
 //! threaded `Engine::run` allocates per run (pool, rings, threads, report),
 //! never per packet.
 //!
@@ -14,6 +15,7 @@
 use nfp_bench::setups::{compile_chain, forced_sequential, nf_factory};
 use nfp_core::prelude::*;
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
+use nfp_io::{NullEgress, VecIngress};
 use nfp_packet::ipv4::Ipv4Addr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,6 +133,23 @@ fn sync_pass((program, nfs): Seed, pkts: &[Packet]) -> (u64, u64, u64) {
     (allocs, delivered, outcomes.len() as u64 - delivered)
 }
 
+/// Warm `SyncEngine::run_io` over `pkts` (a `VecIngress` into a
+/// `NullEgress`, 32-packet bursts), then count the allocations of a second
+/// run. Returns `(allocations, ingress bursts)` of the counted run.
+fn sync_io_pass((program, nfs): Seed, pkts: &[Packet]) -> (u64, u64) {
+    const BURST: usize = 32;
+    let mut engine = SyncEngine::new(program, nfs, 64);
+    let mut egress = NullEgress::new();
+    let mut ingress = VecIngress::new(pkts.to_vec());
+    engine.run_io(&mut ingress, &mut egress, BURST).unwrap();
+    let mut ingress = VecIngress::new(pkts.to_vec());
+    let (allocs, io) =
+        allocations_during(|| engine.run_io(&mut ingress, &mut egress, BURST).unwrap());
+    assert_eq!(io.pulled, pkts.len() as u64);
+    assert_eq!(engine.pool_in_use(), 0);
+    (allocs, pkts.len().div_ceil(BURST) as u64)
+}
+
 /// Allocations per packet of a warm `Engine::run` over 16 k packets on one
 /// stage thread.
 fn threaded_per_packet((program, nfs): Seed) -> f64 {
@@ -172,6 +191,18 @@ fn steady_state_packet_path_stays_within_its_allocation_budget() {
             "{label}: {allocs} allocations for {delivered} delivered + {dropped} dropped packets \
              ({:.2} per packet; budget: one Box<Packet> per delivery)",
             allocs as f64 / pkts.len() as f64
+        );
+    }
+
+    // SyncEngine::run_io: the ingress's Vec per burst, nothing per packet —
+    // windows of several packets in flight included.
+    for (label, seed, deny_every) in cases {
+        let pkts = traffic(512, deny_every);
+        let (allocs, bursts) = sync_io_pass(seed(), &pkts);
+        assert!(
+            allocs <= bursts,
+            "{label}: run_io made {allocs} allocations over {bursts} ingress bursts \
+             (budget: the one Vec each burst arrives in)"
         );
     }
 
