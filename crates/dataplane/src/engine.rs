@@ -51,6 +51,7 @@ use nfp_orchestrator::{FailurePolicy, Program, Stage};
 use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
 use nfp_packet::Packet;
 use nfp_traffic::{LatencyRecorder, LatencySummary};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -764,8 +765,11 @@ impl Engine {
     /// run holds a window of packets per replica, not the stream; the
     /// egress is flushed at the end. An ingress or egress error stops
     /// injection or emission; everything already injected still drains
-    /// before the first error is returned. The delivered packets also stay
-    /// in the report when [`EngineConfig::keep_packets`] is on.
+    /// before the first error is returned. The delivered packets stay in
+    /// the report when [`EngineConfig::keep_packets`] is on; otherwise each
+    /// emitted burst goes back to the ingress ([`Ingress::recycle`]), on
+    /// the thread that pulls from it, so its packets can be refilled in
+    /// place.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
@@ -773,6 +777,9 @@ impl Engine {
     ) -> Result<(EngineReport, IoRunStats), IoError> {
         let keep = self.config.keep_packets;
         let burst = self.config.io_burst.max(1);
+        // Pulls and hand-backs both run on this (the injector) thread, one
+        // at a time.
+        let ingress = RefCell::new(ingress);
         // The pulled burst is buffered here so backpressure
         // (`max_in_flight`, ring-full retries) applies per packet,
         // exactly as in the batch path.
@@ -782,7 +789,7 @@ impl Engine {
             if let Some(pkt) = buffered.pop_front() {
                 return Some(pkt);
             }
-            match ingress.next_burst(burst) {
+            match ingress.borrow_mut().next_burst(burst) {
                 Ok(Some(pkts)) => buffered.extend(pkts),
                 Ok(None) => return None,
                 Err(e) => {
@@ -799,6 +806,8 @@ impl Engine {
             }
             if keep {
                 kept.append(out);
+            } else {
+                ingress.borrow_mut().recycle(out);
             }
         };
         let mut reports = self.run_feed(&mut next, burst * 32, true, false, &mut emit);

@@ -254,7 +254,9 @@ impl SyncEngine {
     /// Each pull is admitted in windows, and each window's outputs leave
     /// through the egress as one burst as soon as it ends: the
     /// fully-streaming counterpart of [`SyncEngine::process_batch`],
-    /// holding nothing beyond one pull in memory.
+    /// holding nothing beyond one pull in memory. Each emitted burst then
+    /// goes back to the ingress ([`Ingress::recycle`]), whose next pulls
+    /// may refill those packets in place.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
@@ -273,6 +275,7 @@ impl SyncEngine {
                 io.dropped += n - rejected - delivered;
                 if delivered > 0 {
                     let emitted = egress.emit_burst(&self.dispatcher.outputs);
+                    ingress.recycle(&mut self.dispatcher.outputs);
                     self.dispatcher.outputs.clear();
                     emitted?;
                 }

@@ -8,6 +8,9 @@
 //! Pcap egress writes delivered frames back out, reusing the ingress
 //! stamp as the record timestamp when present (falling back to a
 //! monotonic record counter so the output is still a valid capture).
+//! The egress writes from borrowed bytes, and the ingress refills the
+//! packets an engine hands back, so a packet that comes round again costs
+//! no allocation.
 
 use crate::pcap::{PcapFormat, PcapReader, PcapRecord, PcapWriter};
 use nfp_packet::io::{Egress, Ingress, IoError};
@@ -19,18 +22,41 @@ use std::path::Path;
 /// Build the in-memory packet a pcap record replays as: bytes as
 /// captured (snaplen cuts included — the classifier, not the reader,
 /// judges them) with the capture timestamp stamped into the metadata.
+/// The same refill a [`PcapIngress`] gives a handed-back packet, applied
+/// to a fresh one.
 pub fn packet_from_record(rec: &PcapRecord) -> Result<Packet, IoError> {
-    let mut pkt = Packet::from_bytes(&rec.data).map_err(|_| IoError::FrameTooLarge {
-        len: rec.data.len(),
-    })?;
-    pkt.set_meta(pkt.meta().with_ingress_ns(rec.ts_ns));
+    let mut pkt = Packet::new();
+    refill_from_record(&mut pkt, rec)?;
     Ok(pkt)
 }
 
+/// Overwrite `pkt`, in place, with the packet `rec` replays as
+/// ([`Packet::refill`]): nothing of what it held before survives.
+fn refill_from_record(pkt: &mut Packet, rec: &PcapRecord) -> Result<(), IoError> {
+    pkt.refill(&rec.data).map_err(|_| IoError::FrameTooLarge {
+        len: rec.data.len(),
+    })?;
+    pkt.set_meta(pkt.meta().with_ingress_ns(rec.ts_ns));
+    Ok(())
+}
+
+/// How many handed-back packets a [`PcapIngress`] keeps for refilling:
+/// a few bursts' worth, so what it holds stays bounded however much an
+/// engine hands back.
+const STASH: usize = 256;
+
 /// Classic-pcap file/stream replay ingress.
+///
+/// Records are read into one reused buffer, and packets the engine hands
+/// back ([`Ingress::recycle`]) are refilled in place, up to 256 of
+/// them: in a steady replay every delivered packet's buffer comes round
+/// again, and only packets that never come back (drops, rejects) cost a
+/// fresh one.
 #[derive(Debug)]
 pub struct PcapIngress<R: Read> {
     reader: PcapReader<R>,
+    record: PcapRecord,
+    stash: Vec<Packet>,
     done: bool,
     records: u64,
 }
@@ -58,6 +84,8 @@ impl<R: Read> PcapIngress<R> {
     pub fn from_reader(r: R) -> Result<Self, IoError> {
         Ok(Self {
             reader: PcapReader::new(r)?,
+            record: PcapRecord::full(0, Vec::new()),
+            stash: Vec::with_capacity(STASH),
             done: false,
             records: 0,
         })
@@ -76,22 +104,25 @@ impl<R: Read> Ingress for PcapIngress<R> {
         }
         let mut out = Vec::with_capacity(max.max(1));
         while out.len() < max.max(1) {
-            match self.reader.next_record()? {
-                Some(rec) => {
-                    out.push(packet_from_record(&rec)?);
-                    self.records += 1;
-                }
-                None => {
-                    self.done = true;
-                    break;
-                }
+            if !self.reader.read_into(&mut self.record)? {
+                self.done = true;
+                break;
             }
+            let mut pkt = self.stash.pop().unwrap_or_default();
+            refill_from_record(&mut pkt, &self.record)?;
+            out.push(pkt);
+            self.records += 1;
         }
         if out.is_empty() {
             Ok(None)
         } else {
             Ok(Some(out))
         }
+    }
+
+    fn recycle(&mut self, spent: &mut Vec<Packet>) {
+        let room = STASH - self.stash.len();
+        self.stash.extend(spent.drain(..).take(room));
     }
 
     fn label(&self) -> &'static str {
@@ -156,8 +187,7 @@ impl<W: Write> Egress for PcapEgress<W> {
                 self.fallback_ns += 1_000;
                 self.fallback_ns
             };
-            self.writer
-                .write_record(&PcapRecord::full(ts, p.data().to_vec()))?;
+            self.writer.write_frame(ts, p.len() as u32, p.data())?;
         }
         Ok(())
     }
@@ -175,7 +205,8 @@ impl<W: Write> Egress for PcapEgress<W> {
 mod tests {
     use super::*;
     use crate::pcap::write_pcap_bytes;
-    use nfp_packet::testutil::{indexed_payload, ip, tcp_frame_bytes};
+    use nfp_packet::testutil::{indexed_payload, ip, observable, tcp_frame_bytes};
+    use nfp_packet::{ah, ipv4, FlowKey, Metadata};
 
     fn frames(n: usize) -> Vec<PcapRecord> {
         (0..n)
@@ -235,6 +266,112 @@ mod tests {
         let got = crate::pcap::read_pcap_bytes(&eg.into_inner().unwrap()).unwrap();
         let ts: Vec<u64> = got.iter().map(|r| r.ts_ns).collect();
         assert_eq!(ts, vec![1_000, 2_000, 3_000]);
+    }
+
+    /// Records that shrink (1514 B, then 60 B), one cut by the snaplen and
+    /// one that does not parse.
+    fn shrinking_records() -> Vec<PcapRecord> {
+        let frame = |len: usize| {
+            let payload = indexed_payload(len - 54, len as u64);
+            tcp_frame_bytes(ip(10, 0, 0, 3), ip(10, 0, 0, 4), 4000, 443, &payload)
+        };
+        vec![
+            PcapRecord::full(7_000, frame(1514)),
+            PcapRecord::full(8_000, frame(60)),
+            PcapRecord {
+                ts_ns: 9_000,
+                orig_len: 1514,
+                data: frame(1514)[..100].to_vec(),
+            },
+            PcapRecord::full(10_000, vec![0xFF; 40]),
+        ]
+    }
+
+    /// Spent packets in each state an engine can hand one back in.
+    fn dirty_packets() -> Vec<(&'static str, Packet)> {
+        let frame = tcp_frame_bytes(ip(10, 9, 9, 1), ip(10, 9, 9, 2), 5, 6, &[7; 1400]);
+        let mut long = Packet::from_bytes(&frame).unwrap();
+        long.parse().unwrap();
+        long.set_meta(
+            Metadata::new(9, 99, 3)
+                .with_epoch(6)
+                .with_traced(true)
+                .with_flow(FlowKey::of(&long))
+                .with_ingress_ns(123),
+        );
+        let header_only = long.header_only_copy(2).unwrap();
+        let mut nil = long.clone();
+        nil.set_nil_packet(long.meta(), 7, true);
+        let mut tunnelled = long.clone();
+        let l4 = tunnelled.parse().unwrap().l4;
+        tunnelled.insert_bytes(l4, ah::HEADER_LEN).unwrap();
+        let data = tunnelled.data_mut();
+        ah::emit(
+            &mut data[l4..],
+            ipv4::PROTO_TCP,
+            0x1001,
+            1,
+            &[0xAB; ah::ICV_LEN],
+        )
+        .unwrap();
+        data[14 + ipv4::offsets::PROTOCOL] = ipv4::PROTO_AH;
+        tunnelled.invalidate();
+        tunnelled.sync_ip_total_len().unwrap();
+        assert_eq!(tunnelled.parse().unwrap().ah, Some(l4));
+        vec![
+            ("parsed, traced and epoch-stamped", long),
+            ("header-only", header_only),
+            ("nil", nil),
+            ("AH-encapsulated", tunnelled),
+        ]
+    }
+
+    #[test]
+    fn a_recycled_packet_carries_nothing_over() {
+        let recs = shrinking_records();
+        let bytes = write_pcap_bytes(&recs, PcapFormat::default());
+        for (label, dirty) in dirty_packets() {
+            let mut ing = PcapIngress::from_bytes(bytes.clone()).unwrap();
+            for rec in &recs {
+                ing.recycle(&mut vec![dirty.clone()]);
+                assert_eq!(ing.stash.len(), 1);
+                let mut burst = ing.next_burst(1).unwrap().unwrap();
+                assert!(
+                    ing.stash.is_empty(),
+                    "{label}: the handed-back packet is refilled"
+                );
+                let expect = packet_from_record(rec).unwrap();
+                let got = &mut burst[0];
+                assert_eq!(
+                    observable(got),
+                    observable(&expect),
+                    "{label} refilled with a {}-byte record",
+                    rec.data.len()
+                );
+                // Growing the refill exposes zeros, never the old frame.
+                let end = got.len();
+                got.insert_bytes(end, 64).unwrap();
+                assert_eq!(&got.data()[end..], &[0u8; 64], "{label}");
+            }
+        }
+        // The comparison above sees a refill that keeps what the packet
+        // held: `set_frame` alone carries the metadata over.
+        let (_, mut stale) = dirty_packets().remove(0);
+        let rec = &recs[1];
+        stale.set_frame(&rec.data).unwrap();
+        stale.set_meta(stale.meta().with_ingress_ns(rec.ts_ns));
+        let expect = packet_from_record(rec).unwrap();
+        assert_ne!(observable(&stale), observable(&expect));
+    }
+
+    #[test]
+    fn the_stash_keeps_a_few_bursts_at_most() {
+        let mut ing =
+            PcapIngress::from_bytes(write_pcap_bytes(&[], PcapFormat::default())).unwrap();
+        let mut spent = vec![Packet::new(); STASH + 10];
+        ing.recycle(&mut spent);
+        assert!(spent.is_empty());
+        assert_eq!(ing.stash.len(), STASH);
     }
 
     #[test]

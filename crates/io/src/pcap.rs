@@ -152,25 +152,37 @@ impl<W: Write> PcapWriter<W> {
     }
 
     /// Append one record; frames longer than the snaplen are cut with
-    /// `orig_len` preserved (the capture-truncation path).
+    /// `orig_len` preserved (the capture-truncation path). A wrapper over
+    /// the borrowed-bytes writer `PcapEgress` uses.
     pub fn write_record(&mut self, rec: &PcapRecord) -> Result<(), IoError> {
+        self.write_frame(rec.ts_ns, rec.orig_len, &rec.data)
+    }
+
+    /// Append one record of borrowed bytes captured at `ts_ns` from a
+    /// frame of `orig_len` bytes on the wire, cut to the snaplen. Writes
+    /// straight from `data`: the record header is assembled on the stack.
+    pub(crate) fn write_frame(
+        &mut self,
+        ts_ns: u64,
+        orig_len: u32,
+        data: &[u8],
+    ) -> Result<(), IoError> {
         self.header()?;
         let (sec, sub) = if self.fmt.nanos {
-            (rec.ts_ns / 1_000_000_000, rec.ts_ns % 1_000_000_000)
+            (ts_ns / 1_000_000_000, ts_ns % 1_000_000_000)
         } else {
-            (
-                rec.ts_ns / 1_000_000_000,
-                (rec.ts_ns % 1_000_000_000) / 1_000,
-            )
+            (ts_ns / 1_000_000_000, (ts_ns % 1_000_000_000) / 1_000)
         };
-        let keep = rec.data.len().min(self.fmt.snaplen as usize);
-        let mut h = Vec::with_capacity(RECORD_HEADER_LEN + keep);
-        h.extend_from_slice(&self.u32(sec as u32));
-        h.extend_from_slice(&self.u32(sub as u32));
-        h.extend_from_slice(&self.u32(keep as u32));
-        h.extend_from_slice(&self.u32(rec.orig_len));
-        h.extend_from_slice(&rec.data[..keep]);
-        self.w.write_all(&h).map_err(|e| os_err("pcap write", &e))?;
+        let keep = data.len().min(self.fmt.snaplen as usize);
+        let mut h = [0u8; RECORD_HEADER_LEN];
+        h[0..4].copy_from_slice(&self.u32(sec as u32));
+        h[4..8].copy_from_slice(&self.u32(sub as u32));
+        h[8..12].copy_from_slice(&self.u32(keep as u32));
+        h[12..16].copy_from_slice(&self.u32(orig_len));
+        self.w
+            .write_all(&h)
+            .and_then(|()| self.w.write_all(&data[..keep]))
+            .map_err(|e| os_err("pcap write", &e))?;
         self.records += 1;
         Ok(())
     }
@@ -263,11 +275,21 @@ impl<R: Read> PcapReader<R> {
     }
 
     /// The next record, or `None` at a clean end of stream. A stream
-    /// that ends mid-header or mid-frame is a format error, not EOF.
+    /// that ends mid-header or mid-frame is a format error, not EOF. A
+    /// wrapper over the in-place reader `PcapIngress` uses, on a fresh
+    /// record.
     pub fn next_record(&mut self) -> Result<Option<PcapRecord>, IoError> {
+        let mut rec = PcapRecord::full(0, Vec::new());
+        Ok(self.read_into(&mut rec)?.then_some(rec))
+    }
+
+    /// Read the next record into `rec`, reusing its data buffer: `false`
+    /// at a clean end of stream, with `rec` untouched. A stream that ends
+    /// mid-header or mid-frame is a format error, not EOF.
+    pub(crate) fn read_into(&mut self, rec: &mut PcapRecord) -> Result<bool, IoError> {
         let mut h = [0u8; RECORD_HEADER_LEN];
         match self.r.read(&mut h) {
-            Ok(0) => return Ok(None),
+            Ok(0) => return Ok(false),
             Ok(n) => {
                 read_exact(&mut self.r, &mut h[n..], "pcap record header", self.offset)?;
             }
@@ -292,16 +314,24 @@ impl<R: Read> PcapReader<R> {
                 detail: u64::from(incl_len),
             });
         }
-        let mut data = vec![0u8; incl_len as usize];
-        read_exact(&mut self.r, &mut data, "pcap record data", self.offset)?;
+        // Straight into the buffer's spare capacity: no zero-fill first.
+        rec.data.clear();
+        rec.data.reserve(incl_len as usize);
+        let read = (&mut self.r)
+            .take(u64::from(incl_len))
+            .read_to_end(&mut rec.data)
+            .map_err(|e| os_err("pcap read", &e))?;
+        if read < incl_len as usize {
+            return Err(IoError::Format {
+                what: "pcap record data",
+                detail: self.offset,
+            });
+        }
         self.offset += (RECORD_HEADER_LEN + incl_len as usize) as u64;
         let sub = u64::from(sub);
-        let ts_ns = u64::from(sec) * 1_000_000_000 + if self.nanos { sub } else { sub * 1_000 };
-        Ok(Some(PcapRecord {
-            ts_ns,
-            orig_len,
-            data,
-        }))
+        rec.ts_ns = u64::from(sec) * 1_000_000_000 + if self.nanos { sub } else { sub * 1_000 };
+        rec.orig_len = orig_len;
+        Ok(true)
     }
 
     /// Drain the remaining records.

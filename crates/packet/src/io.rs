@@ -14,7 +14,9 @@
 //! up to `max` packets, mirroring NIC RX-ring semantics, and `None`
 //! signals end of stream (a file or a vector ran out).
 //! A backend with nothing available *right now* but more to come returns
-//! an empty burst — only `None` terminates a run.
+//! an empty burst — only `None` terminates a run. Engines hand each burst
+//! they have emitted back through [`Ingress::recycle`], so a backend can
+//! refill those packets' buffers instead of allocating new ones.
 //!
 //! Backends stamp [`Metadata::with_ingress_ns`](crate::meta::Metadata)
 //! on every packet they hand out; the classifier carries the stamp
@@ -65,6 +67,15 @@ pub trait Ingress {
     /// `Ok(Some(vec![]))` means nothing is available right now but the
     /// stream has not ended (live sources).
     fn next_burst(&mut self, max: usize) -> Result<Option<Vec<Packet>>, IoError>;
+
+    /// Take back packets the engine is done with — a burst it has just
+    /// emitted — and leave `spent` empty. A backend that fills packets in
+    /// place keeps them and refills their buffers on a later
+    /// [`Ingress::next_burst`] ([`Packet::refill`]) instead of allocating
+    /// new ones; by default they are dropped.
+    fn recycle(&mut self, spent: &mut Vec<Packet>) {
+        spent.clear();
+    }
 
     /// Human-readable backend name for reports and logs.
     fn label(&self) -> &'static str {

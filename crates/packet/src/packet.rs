@@ -80,11 +80,24 @@ impl Packet {
         }
     }
 
-    /// Allocate a packet holding a copy of `frame`.
+    /// Allocate a packet holding a copy of `frame`: [`Packet::refill`] on
+    /// a fresh packet.
     pub fn from_bytes(frame: &[u8]) -> Result<Self> {
         let mut p = Self::new();
-        p.set_frame(frame)?;
+        p.refill(frame)?;
         Ok(p)
+    }
+
+    /// Overwrite this packet, in place, with a fresh copy of `frame`: every
+    /// field back to the state of [`Packet::new`], then the frame written
+    /// into the existing buffer behind full headroom. What an ingress does
+    /// to a spent packet it was handed back ([`crate::io::Ingress::recycle`]),
+    /// so nothing of the packet's previous life — metadata, parse state,
+    /// nil or header-only flags, a moved frame start — carries over. On
+    /// `Err` the packet is left empty.
+    pub fn refill(&mut self, frame: &[u8]) -> Result<()> {
+        self.reset();
+        self.set_frame(frame)
     }
 
     /// Replace the frame contents (keeps metadata, clears parse state).
