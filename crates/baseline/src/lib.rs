@@ -2,20 +2,23 @@
 //!
 //! The comparison systems of the NFP evaluation:
 //!
-//! * [`rtc`] — a BESS/NetBricks-style **run-to-completion** executor: the
+//! * [`RunToCompletion`] — a BESS/NetBricks-style **run-to-completion** executor: the
 //!   whole chain consolidated into one call per packet on one core (paper
 //!   §7, Table 4). Because it executes NFs strictly in order, it doubles
 //!   as the *sequential reference semantics* for the §6.4 result-
 //!   correctness replay.
-//! * [`onvm`] — an OpenNetVM-style **pipelining** data plane: one thread
+//! * [`OnvmPipeline`] — an OpenNetVM-style **pipelining** data plane: one thread
 //!   per NF, with every inter-NF hop relayed by a centralized virtual
 //!   switch thread — the design whose queuing hot spot NFP's distributed
 //!   runtime removes (§5/§6.2.1).
+//!
+//! **API:** these two re-exports. The `rtc` and `onvm` modules are
+//! private.
 
 #![warn(missing_docs)]
 
-pub mod onvm;
-pub mod rtc;
+mod onvm;
+mod rtc;
 
 pub use onvm::OnvmPipeline;
 pub use rtc::RunToCompletion;

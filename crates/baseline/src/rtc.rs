@@ -14,9 +14,9 @@ use nfp_packet::Packet;
 pub struct RunToCompletion {
     nfs: Vec<Box<dyn NetworkFunction>>,
     /// Packets processed to completion (delivered).
-    pub delivered: u64,
+    delivered: u64,
     /// Packets dropped mid-chain.
-    pub dropped: u64,
+    dropped: u64,
 }
 
 impl RunToCompletion {
@@ -29,18 +29,9 @@ impl RunToCompletion {
         }
     }
 
-    /// Chain length.
-    pub fn len(&self) -> usize {
-        self.nfs.len()
-    }
-
-    /// True for an empty chain.
-    pub fn is_empty(&self) -> bool {
-        self.nfs.is_empty()
-    }
-
     /// Access an NF by position (stats inspection).
-    pub fn nf(&self, i: usize) -> &dyn NetworkFunction {
+    #[cfg(test)]
+    fn nf(&self, i: usize) -> &dyn NetworkFunction {
         self.nfs[i].as_ref()
     }
 

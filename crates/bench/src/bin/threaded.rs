@@ -9,7 +9,7 @@
 //! graphs of the benchmark (three forwarders in sequence; east-west
 //! `IDS -> [Monitor | LB]`) on one stage thread at window 64, one JSON
 //! line each with the run's park and wake counts per packet
-//! ([`nfp_dataplane::WakeHub`]; DESIGN.md §11, "who pays for a wake").
+//! (the engine's wake hub; DESIGN.md §11, "who pays for a wake").
 //!
 //! Usage: `cargo run --release --bin threaded [packets]`
 

@@ -16,26 +16,26 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct Calibration {
     /// One SPSC ring push+pop.
-    pub hop_ns: f64,
+    pub(crate) hop_ns: f64,
     /// Centralized-switch transit surcharge (modelled as one extra ring
     /// round-trip plus a routing lookup; measured as 2× hop).
-    pub switch_ns: f64,
+    pub(crate) switch_ns: f64,
     /// Classifier admit cost.
-    pub classify_ns: f64,
+    classify_ns: f64,
     /// Header-only copy.
-    pub copy_header_ns: f64,
+    copy_header_ns: f64,
     /// Full-copy per-byte slope.
-    pub copy_per_byte_ns: f64,
+    copy_per_byte_ns: f64,
     /// Merge fixed cost.
-    pub merge_base_ns: f64,
+    merge_base_ns: f64,
     /// Merge per-arrival cost.
-    pub merge_per_arrival_ns: f64,
+    merge_per_arrival_ns: f64,
     /// Merge per-op cost.
-    pub merge_per_op_ns: f64,
+    merge_per_op_ns: f64,
 }
 
 /// Measure elapsed ns per iteration of `f` over `iters` iterations.
-pub fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
+pub(crate) fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
     // One warmup pass keeps first-touch costs out of the measurement.
     f();
     let start = Instant::now();
@@ -48,7 +48,7 @@ pub fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
 /// Measure one NF's per-packet service time over representative traffic.
 /// `CycleFW:<n>` is the Figure 9/11 complexity knob: a firewall that
 /// burns `n` cycles a packet.
-pub fn nf_service_ns(nf_type: &str, frame: usize) -> f64 {
+pub(crate) fn nf_service_ns(nf_type: &str, frame: usize) -> f64 {
     let mut nf: Box<dyn NetworkFunction> = match nf_type.strip_prefix("CycleFW:") {
         Some(cycles) => Box::new(CycleFirewall::new(nf_type, cycles.parse().unwrap())),
         None => catalogue::make(nf_type).expect("a catalogue NF type"),
@@ -66,7 +66,7 @@ pub fn nf_service_ns(nf_type: &str, frame: usize) -> f64 {
 
 /// Measure one header-only copy and one full copy of a `frame`-byte
 /// packet: `(header_ns, full_ns)`.
-pub fn copy_ns(frame: usize) -> (f64, f64) {
+pub(crate) fn copy_ns(frame: usize) -> (f64, f64) {
     let pool = PacketPool::new(8);
     let r = pool
         .insert(crate::setups::fixed_traffic(1, frame).pop().unwrap())
@@ -178,7 +178,7 @@ impl Calibration {
     }
 
     /// Build a [`CostModel`] from explicit per-node service times.
-    pub fn model_with_services(&self, nf_service_ns: Vec<f64>) -> CostModel {
+    pub(crate) fn model_with_services(&self, nf_service_ns: Vec<f64>) -> CostModel {
         CostModel {
             classify_ns: self.classify_ns,
             hop_ns: self.hop_ns,

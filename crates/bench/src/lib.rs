@@ -6,18 +6,18 @@
 //! EXPERIMENTS.md for the index and methodology.
 //!
 //! Methodology (see DESIGN.md): real per-packet costs are **measured**
-//! here ([`calibrate`]) and loaded into `nfp-sim`'s virtual-time model,
-//! which evaluates the three systems' execution disciplines. The
-//! multi-threaded engines are exercised for semantics, not for
-//! wall-clock latency.
+//! here ([`Calibration`]) and loaded into `nfp-sim`'s virtual-time model,
+//! which evaluates the three systems' execution disciplines; the threaded
+//! engines run for semantics, not wall-clock latency. **API:** [`figures`],
+//! [`setups`], [`soak`], [`Calibration`] and [`stage_latency_json`].
 
 #![warn(missing_docs)]
 
-pub mod calibrate;
+mod calibrate;
 pub mod figures;
 pub mod setups;
 pub mod soak;
-pub mod table;
+mod table;
 
 pub use calibrate::Calibration;
 
@@ -53,7 +53,7 @@ pub fn stage_latency_json(snap: &nfp_dataplane::TelemetrySnapshot) -> String {
 
 /// 10GbE line rate in packets/second for a given frame size (8B preamble +
 /// 12B inter-frame gap per frame on the wire).
-pub fn line_rate_pps(frame_bytes: usize) -> f64 {
+fn line_rate_pps(frame_bytes: usize) -> f64 {
     10e9 / ((frame_bytes as f64 + 20.0) * 8.0)
 }
 

@@ -11,7 +11,7 @@ use nfp_packet::{FieldId, Packet};
 use nfp_policy::{NfName, Policy};
 
 /// The six evaluated NF types of §6.1 (display order of Figure 8).
-pub const EVAL_NFS: [&str; 6] = ["Forwarder", "LB", "Firewall", "Monitor", "VPN", "IDS"];
+pub(crate) const EVAL_NFS: [&str; 6] = ["Forwarder", "LB", "Firewall", "Monitor", "VPN", "IDS"];
 
 /// A factory for `graph`'s NFs, one per node, built by the catalogue
 /// from the node name: call it once per engine, or hand it to a fleet to
@@ -48,7 +48,7 @@ fn node(name: &str, profile: ActionProfile) -> GraphNode {
 /// Figure 10 experimental setups: the paper *forces* same-NF parallelism
 /// (with or without copying) to isolate the mechanism cost, independent of
 /// what the compiler would decide.
-pub fn forced_parallel(nf_type: &str, degree: usize, with_copy: bool) -> ServiceGraph {
+pub(crate) fn forced_parallel(nf_type: &str, degree: usize, with_copy: bool) -> ServiceGraph {
     assert!(degree >= 2);
     let profile = ActionProfile::new(nf_type);
     let nodes: Vec<GraphNode> = (0..degree)
@@ -81,7 +81,7 @@ pub fn forced_parallel(nf_type: &str, degree: usize, with_copy: bool) -> Service
 /// `ops` every member shares the original (the paper's no-copy firewall
 /// setup); otherwise member 1 works on copy v2, and each of the `ops`
 /// merge operations folds its Tos back into v1.
-pub fn merge_spec(degree: usize, ops: usize) -> MergeSpec {
+pub(crate) fn merge_spec(degree: usize, ops: usize) -> MergeSpec {
     MergeSpec {
         segment: 0,
         total_count: degree,
@@ -116,7 +116,7 @@ pub fn forced_sequential(nf_type: &str, len: usize) -> ServiceGraph {
 
 /// The six 4-NF graph structures of Figure 14. Returns `(label,
 /// ServiceGraph)` per structure; all nodes are instances of `nf_type`.
-pub fn figure14_structures(nf_type: &str) -> Vec<(&'static str, ServiceGraph)> {
+pub(crate) fn figure14_structures(nf_type: &str) -> Vec<(&'static str, ServiceGraph)> {
     let profile = ActionProfile::new(nf_type);
     let nodes = |n: usize| -> Vec<GraphNode> {
         (0..n)

@@ -7,7 +7,7 @@
 //! [`auditor`](nfp_dataplane::audit::spawn_auditor) sampling the run and
 //! an end-of-run [`InvariantReport`] over the five soak invariants (pool
 //! census, exact accounting, no stale epochs, no wedge, migrated-state
-//! census). Every cell is derived from one root seed ([`cell_seed`]), so
+//! census). Every cell is derived from one root seed (`cell_seed`), so
 //! any failure replays bit-for-bit with `soak --seed N`.
 //!
 //! The `soak` binary iterates the full matrix and writes
@@ -38,12 +38,12 @@ use std::time::{Duration, Instant};
 /// Monitor|Firewall pair the reconfig bench edits live.
 pub const SOAK_CHAIN: [&str; 2] = ["Monitor", "Firewall"];
 
-/// Traffic-profile axis of the matrix (see [`traffic_batch`]).
+/// Traffic-profile axis of the matrix (see `traffic_batch`).
 /// `pcap_replay` sits second so the `--smoke` slice (`[..2]`) always
 /// covers both a generator profile and the trace-replay path.
 pub const TRAFFIC_PROFILES: [&str; 4] = ["malformed", "pcap_replay", "syn_flood", "elephant_mice"];
 
-/// Chaos-script axis of the matrix (see [`chaos_script`]). The
+/// Chaos-script axis of the matrix (see `chaos_script`). The
 /// `scale_storm` column rescales the sharded fleet mid-run, migrating
 /// per-flow NF state; on the sync and threaded engines (no fleet to
 /// rescale) it degenerates to the quiet control cell.
@@ -53,12 +53,12 @@ pub const CHAOS_SCRIPTS: [&str; 4] = ["panic", "swap_storm", "combined", "scale_
 /// config keeps every per-shard pool ≥ `max_in_flight ×
 /// slots_per_packet` up to this ceiling, so a scripted rescale is never
 /// rejected for pool reasons.
-pub const SCALE_MAX_SHARDS: usize = 4;
+const SCALE_MAX_SHARDS: usize = 4;
 
 /// How long a scripted chaos stall blocks its NF. Kept under the engine's
 /// soak `stall_timeout` so the stall exercises merge deadlines, not the
 /// watchdog's failure path.
-pub const CHAOS_STALL: Duration = Duration::from_millis(150);
+const CHAOS_STALL: Duration = Duration::from_millis(150);
 
 /// Which executor a cell runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +79,7 @@ impl EngineKind {
     pub const ALL: [EngineKind; 3] = [EngineKind::Sync, EngineKind::Threaded, EngineKind::Sharded];
 
     /// Axis label used in reports and JSON.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             EngineKind::Sync => "sync",
             EngineKind::Threaded => "threaded",
@@ -93,7 +93,7 @@ impl EngineKind {
 pub struct SoakOptions {
     /// Packets injected per cell.
     pub packets: usize,
-    /// Root seed; each cell derives its own sub-seed via [`cell_seed`].
+    /// Root seed; each cell derives its own sub-seed via `cell_seed`.
     pub seed: u64,
     /// Shard count for [`EngineKind::Sharded`] cells.
     pub shards: usize,
@@ -113,7 +113,7 @@ impl Default for SoakOptions {
 /// cell's matrix coordinates (FNV-1a over the axis labels). Keeping every
 /// cell's RNG independent means a failure replays in isolation: rerunning
 /// just that cell with the same root seed reproduces it bit-for-bit.
-pub fn cell_seed(root: u64, traffic: &str, chaos: &str, engine: EngineKind) -> u64 {
+fn cell_seed(root: u64, traffic: &str, chaos: &str, engine: EngineKind) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ root;
     for byte in traffic
         .bytes()
@@ -144,7 +144,7 @@ pub fn cell_seed(root: u64, traffic: &str, chaos: &str, engine: EngineKind) -> u
 ///
 /// # Panics
 /// On an unknown profile name.
-pub fn traffic_batch(profile: &str, n: usize, seed: u64) -> Vec<Packet> {
+fn traffic_batch(profile: &str, n: usize, seed: u64) -> Vec<Packet> {
     match profile {
         "malformed" => TrafficGenerator::new(TrafficSpec {
             flows: 64,
@@ -183,7 +183,7 @@ pub fn traffic_batch(profile: &str, n: usize, seed: u64) -> Vec<Packet> {
 ///
 /// # Panics
 /// On an unknown script name.
-pub fn chaos_script(name: &str, nf_count: usize, total_packets: u64, seed: u64) -> ChaosScript {
+fn chaos_script(name: &str, nf_count: usize, total_packets: u64, seed: u64) -> ChaosScript {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     match name {
         "quiet" => ChaosScript::quiet(),

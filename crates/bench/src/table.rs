@@ -1,14 +1,14 @@
 //! Plain-text tables for the `figures` entries.
 
 /// A simple aligned table printer: fixed-width columns, one header row.
-pub struct TablePrinter {
+pub(crate) struct TablePrinter {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TablePrinter {
     /// Start a table with the given column headers.
-    pub fn new<I: IntoIterator<Item = S>, S: Into<String>>(headers: I) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = S>, S: Into<String>>(headers: I) -> Self {
         Self {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -16,14 +16,14 @@ impl TablePrinter {
     }
 
     /// Append a row (must match the header arity).
-    pub fn row<I: IntoIterator<Item = S>, S: Into<String>>(&mut self, cells: I) {
+    pub(crate) fn row<I: IntoIterator<Item = S>, S: Into<String>>(&mut self, cells: I) {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.headers.len(), "row arity");
         self.rows.push(row);
     }
 
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -50,17 +50,17 @@ impl TablePrinter {
 }
 
 /// Format a microsecond value.
-pub fn us(v: f64) -> String {
+pub(crate) fn us(v: f64) -> String {
     format!("{v:.1}")
 }
 
 /// Format an Mpps value.
-pub fn mpps(v_pps: f64) -> String {
+pub(crate) fn mpps(v_pps: f64) -> String {
     format!("{:.2}", v_pps / 1e6)
 }
 
 /// Format a percentage.
-pub fn pct(frac: f64) -> String {
+pub(crate) fn pct(frac: f64) -> String {
     format!("{:.1}%", frac * 100.0)
 }
 

@@ -161,7 +161,7 @@ fn cmd_check(path: &str) -> ExitCode {
     };
     let conflicts = nfp_core::policy::check_conflicts(&policy);
     if conflicts.is_empty() {
-        println!("ok: {} rules, no conflicts", policy.len());
+        println!("ok: {} rules, no conflicts", policy.rules().len());
         ExitCode::SUCCESS
     } else {
         for c in &conflicts {

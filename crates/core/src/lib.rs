@@ -1,7 +1,7 @@
 //! # nfp-core
 //!
-//! The facade crate for **NFP-rs**, a from-scratch Rust reproduction of
-//! *"NFP: Enabling Network Function Parallelism in NFV"* (SIGCOMM 2017).
+//! The facade crate of **NFP-rs**, a Rust reproduction of *"NFP: Enabling Network
+//! Function Parallelism in NFV"* (SIGCOMM 2017). **API:** the [`prelude`] and its crate re-exports.
 //!
 //! NFP accelerates NFV service chains by identifying network functions
 //! that can safely run **in parallel** and executing them that way, with a
@@ -48,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub use nfp_baseline as baseline;
 pub use nfp_dataplane as dataplane;
 pub use nfp_io as io;
 pub use nfp_nf as nf;

@@ -27,11 +27,11 @@ pub trait Deliver {
 }
 
 /// Bits of merge-order sequence number a [`Msg`] carries.
-pub const SEQ_BITS: u32 = 64 - SEGMENT_BITS;
+const SEQ_BITS: u32 = 64 - SEGMENT_BITS;
 
 /// The largest sequence number, and the mask the agent's sequence
 /// arithmetic wraps with.
-pub const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+pub(crate) const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 
 /// The unit rings carry: a packet reference plus one tag word holding the
 /// parallel segment and merge-order sequence number of a merger-bound
@@ -62,7 +62,7 @@ impl Msg {
 
     /// Parallel segment index of a merger-bound message.
     #[inline]
-    pub fn segment(self) -> u32 {
+    pub(crate) fn segment(self) -> u32 {
         (self.tag >> SEQ_BITS) as u32
     }
 
@@ -72,20 +72,20 @@ impl Msg {
     /// when several merger instances finish out of order. Zero everywhere
     /// the agent has not stamped it.
     #[inline]
-    pub fn seq(self) -> u64 {
+    pub(crate) fn seq(self) -> u64 {
         self.tag & SEQ_MASK
     }
 
     /// Stamp the merge-order sequence number, wrapped to [`SEQ_BITS`].
     #[inline]
-    pub fn set_seq(&mut self, seq: u64) {
+    pub(crate) fn set_seq(&mut self, seq: u64) {
         self.tag = (self.tag & !SEQ_MASK) | (seq & SEQ_MASK);
     }
 }
 
 /// Failures while interpreting actions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActionError {
+pub(crate) enum ActionError {
     /// A referenced version was not in the version map (table bug).
     UnknownVersion(u8),
     /// The packet pool is exhausted; the caller decides whether to retry
@@ -99,32 +99,32 @@ pub enum ActionError {
 /// by version (versions are [`VERSION_BITS`] wide), so building one per
 /// classifier entry, NF step and merge release costs no allocation.
 #[derive(Debug, Default, Clone)]
-pub struct VersionMap {
+pub(crate) struct VersionMap {
     refs: [Option<PacketRef>; 1 << VERSION_BITS],
 }
 
 impl VersionMap {
     /// Map with a single version.
-    pub fn single(version: u8, r: PacketRef) -> Self {
+    pub(crate) fn single(version: u8, r: PacketRef) -> Self {
         let mut map = Self::default();
         map.insert(version, r);
         map
     }
 
     /// Look up a version.
-    pub fn get(&self, version: u8) -> Option<PacketRef> {
+    fn get(&self, version: u8) -> Option<PacketRef> {
         self.refs.get(usize::from(version)).copied().flatten()
     }
 
     /// Insert or replace a version (truncated to the metadata's version
     /// field, as [`nfp_packet::Metadata`] stamps it).
-    pub fn insert(&mut self, version: u8, r: PacketRef) {
+    fn insert(&mut self, version: u8, r: PacketRef) {
         debug_assert!(version <= VERSION_MAX, "version overflows 4 bits");
         self.refs[usize::from(version & VERSION_MAX)] = Some(r);
     }
 
     /// All mapped references (rollback on failed action lists).
-    pub fn refs(&self) -> impl Iterator<Item = PacketRef> + '_ {
+    pub(crate) fn refs(&self) -> impl Iterator<Item = PacketRef> + '_ {
         self.refs.iter().flatten().copied()
     }
 }
@@ -135,7 +135,7 @@ impl VersionMap {
 /// reference; `distribute` transfers that share to the first target and
 /// retains once per additional target; `copy` allocates a new slot. After
 /// execution the caller owns nothing it didn't re-insert.
-pub fn execute(
+pub(crate) fn execute(
     actions: &[FtAction],
     pool: &PacketPool,
     versions: &mut VersionMap,

@@ -57,22 +57,22 @@ const POOL_LOW: u64 = u32::MAX as u64;
 #[derive(Debug, Default)]
 pub struct ProbeGauges {
     /// Packets handed to the engine so far.
-    pub injected: AtomicU64,
+    pub(crate) injected: AtomicU64,
     /// Packets settled as delivered so far.
-    pub delivered: AtomicU64,
+    pub(crate) delivered: AtomicU64,
     /// Packets settled as dropped (every cause, classifier rejects
     /// included) so far.
-    pub dropped: AtomicU64,
+    pub(crate) dropped: AtomicU64,
     /// Current pool occupancy (low 32 bits) and straggler debt (high 32
     /// bits): gauges, not counters. The debt is how many copies
     /// deadline-expired merges are still owed — each may hold a pool slot
     /// for a packet the window already counts as finished.
-    pub pool: AtomicU64,
+    pool: AtomicU64,
     /// Upper bound the closed-loop window may legally occupy:
     /// `max_in_flight × slots_per_packet` (0 = unknown, check disabled).
     pub pool_budget: AtomicU64,
     /// The program epoch currently admitting.
-    pub epoch: AtomicU64,
+    epoch: AtomicU64,
     /// True while the run is executing.
     pub active: AtomicBool,
 }
@@ -109,23 +109,23 @@ pub struct ProbeSample {
     /// Sum of dropped counts (classifier rejects included).
     pub dropped: u64,
     /// Sum of current pool occupancies.
-    pub pool_in_use: u64,
+    pool_in_use: u64,
     /// Sum of straggler debts: slots the window budget does not cover.
-    pub stragglers: u64,
+    stragglers: u64,
     /// Sum of per-run window budgets.
-    pub pool_budget: u64,
+    pool_budget: u64,
     /// Highest epoch any run is admitting under.
-    pub epoch: u64,
+    epoch: u64,
     /// True if any run is still executing.
     pub active: bool,
     /// True once at least one run has registered (distinguishes "not
     /// started yet" from "finished").
-    pub started: bool,
+    pub(crate) started: bool,
 }
 
 impl ProbeSample {
     /// Packets settled so far (delivered + dropped).
-    pub fn finished(&self) -> u64 {
+    fn finished(&self) -> u64 {
         self.delivered + self.dropped
     }
 
@@ -134,7 +134,7 @@ impl ProbeSample {
     /// accounted finished while its straggler copy still holds a slot, so
     /// the window legally admits one packet more per straggler. (An
     /// unknown budget, 0, disables the check.)
-    pub fn pool_within_budget(&self) -> bool {
+    fn pool_within_budget(&self) -> bool {
         self.pool_budget == 0 || self.pool_in_use <= self.pool_budget + self.stragglers
     }
 }
@@ -219,13 +219,13 @@ pub struct LiveAudit {
     pub peak_pool_in_use: u64,
     /// Invariant violations, tagged by invariant (`accounting:`, `pool:`,
     /// `wedge:` prefixes). Capped at [`LiveAudit::MAX_VIOLATIONS`].
-    pub violations: Vec<String>,
+    violations: Vec<String>,
 }
 
 impl LiveAudit {
     /// Cap on recorded violation messages (a wedged run would otherwise
     /// accumulate one per sample).
-    pub const MAX_VIOLATIONS: usize = 16;
+    const MAX_VIOLATIONS: usize = 16;
 
     fn note(&mut self, msg: String) {
         if self.violations.len() < Self::MAX_VIOLATIONS {
@@ -234,7 +234,7 @@ impl LiveAudit {
     }
 
     /// True if any recorded violation is tagged with `prefix`.
-    pub fn has(&self, prefix: &str) -> bool {
+    fn has(&self, prefix: &str) -> bool {
         self.violations.iter().any(|v| v.starts_with(prefix))
     }
 }

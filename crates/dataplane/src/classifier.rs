@@ -33,7 +33,7 @@ pub enum AdmitError {
 
 /// A refused admission: why, and — for pool backpressure only — the packet
 /// itself, for the caller to retry.
-pub type Refusal = (AdmitError, Option<Box<Packet>>);
+pub(crate) type Refusal = (AdmitError, Option<Box<Packet>>);
 
 /// The classifier: metadata tagging and entry-action launch for the one
 /// service graph of a swappable [`ProgramHandle`].
@@ -66,14 +66,14 @@ impl Classifier {
     }
 
     /// Open an admission burst of at most `n` packets: one
-    /// [`ProgramHandle::reserve`] for all of them.
+    /// `ProgramHandle::reserve` for all of them.
     pub fn begin_burst(&mut self, n: usize) {
         debug_assert!(self.pins.is_none(), "admission bursts do not nest");
         self.pins = Some((self.handle.reserve(n as u64), n as u64));
     }
 
     /// Close the admission burst: the pins no admission used go back to
-    /// their epoch ([`ProgramHandle::abort`]).
+    /// their epoch (`ProgramHandle::abort`).
     pub fn end_burst(&mut self) {
         if let Some((state, unused)) = self.pins.take() {
             self.handle.abort(&state, unused);

@@ -41,15 +41,15 @@ use std::collections::hash_map::Entry;
 #[derive(Debug, Clone, Copy)]
 pub struct Outcome {
     /// Match ID of the merged packet.
-    pub mid: u32,
+    pub(crate) mid: u32,
     /// Parallel segment the merge belongs to.
-    pub segment: u32,
+    pub(crate) segment: u32,
     /// The agent-assigned merge-order sequence number.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The program epoch the packet was classified under — release
     /// resolves the merge spec's `next` actions against this epoch, and
     /// merge-resolved drops are settled against it.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Merged v1 to forward; `None` when the merge resolved to a drop or
     /// failed (the merger already released all references).
     pub forward: Option<PacketRef>,
@@ -81,7 +81,7 @@ struct ReleaseState {
 /// The agent/sequencer core. One per execution domain (engine or shard);
 /// its state is what must stay shard-local for sharded replication to
 /// preserve result correctness.
-pub struct AgentCore {
+pub(crate) struct AgentCore {
     instances: usize,
     assign: IdMap<(u32, u32), AssignState>,
     release: IdMap<(u32, u32), ReleaseState>,
@@ -89,7 +89,7 @@ pub struct AgentCore {
 
 impl AgentCore {
     /// An agent routing onto `instances` merger instances.
-    pub fn new(instances: usize) -> Self {
+    pub(crate) fn new(instances: usize) -> Self {
         assert!(instances >= 1, "at least one merger instance");
         Self {
             instances,
@@ -101,7 +101,7 @@ impl AgentCore {
     /// Route a burst of merger-bound copies/nils: stamp each one's
     /// merge-order sequence and hand it to `send` with the index of the
     /// merger instance it goes to.
-    pub fn route(
+    pub(crate) fn route(
         &mut self,
         msgs: &[Msg],
         pool: &PacketPool,
@@ -153,7 +153,7 @@ impl AgentCore {
     /// `sink`. The epoch of every merge-resolved drop surfaced is pushed
     /// onto `drops` (the closed loop must account each against the epoch
     /// that admitted it).
-    pub fn release(
+    pub(crate) fn release(
         &mut self,
         o: Outcome,
         pool: &PacketPool,

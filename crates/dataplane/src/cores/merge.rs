@@ -9,8 +9,8 @@
 //!
 //! The AT carries a per-entry deadline (stamped from the caller's clock —
 //! virtual ticks in the sync engine, elapsed milliseconds in the threaded
-//! engine). [`MergerCore::expire`] resolves overdue entries from the
-//! copies that arrived ([`merger::resolve_partial`]) and leaves a
+//! engine). `MergerCore::expire` resolves overdue entries from the
+//! copies that arrived (`merger::resolve_partial`) and leaves a
 //! *tombstone* per evicted entry, so stragglers that show up later are
 //! released on sight instead of reopening an entry that could never
 //! complete — that is what guarantees `pool_in_use` returns to 0 even
@@ -41,7 +41,7 @@ impl MergerCore {
     }
 
     /// Offer a burst of arrivals (copies or nils), stamped with the
-    /// caller's clock, and hand each merge [`Outcome`] they complete to
+    /// caller's clock, and hand each merge `Outcome` they complete to
     /// `done`, in arrival order. An arrival completes its packet when it
     /// is the last of the expected count; a straggler for an
     /// already-expired entry is released against its tombstone instead
@@ -119,7 +119,7 @@ impl MergerCore {
     /// (forwarded partial merge or an accounted drop) carrying the
     /// agent-assigned seq, so the in-order release cursor never stalls on
     /// a packet whose copies stopped coming.
-    pub fn expire(
+    pub(crate) fn expire(
         &mut self,
         cutoff: u64,
         pool: &PacketPool,

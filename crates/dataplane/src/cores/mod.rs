@@ -1,15 +1,15 @@
 //! Per-stage cores — the single home of each pipeline stage's semantics.
 //!
 //! Each stage's behaviour lives in exactly one place, and the one stage
-//! dispatcher ([`crate::dispatch`]) that both the deterministic
+//! dispatcher (`crate::dispatch`) that both the deterministic
 //! [`crate::sync_engine`] and the threaded [`crate::engine`] run steps
-//! these cores off the same sealed [`nfp_orchestrator::program::Program`]:
+//! these cores off the same sealed [`nfp_orchestrator::Program`]:
 //!
 //! * **Classifier core** — [`crate::classifier::Classifier`] (CT lookup,
 //!   metadata stamping, entry actions).
 //! * **NF core** — [`crate::runtime::NfRuntime`] (access-mode dispatch,
 //!   forwarding-table slice execution, drop→nil conversion).
-//! * **Agent/sequencer core** — [`agent::AgentCore`] (PID-hash instance
+//! * **Agent/sequencer core** — `agent::AgentCore` (PID-hash instance
 //!   pick, dense merge-order sequence assignment, in-order outcome
 //!   release — the §4.3 result-correctness mechanism).
 //! * **Merger core** — [`merge::MergerCore`] (accumulating table, nil
@@ -22,9 +22,9 @@
 //! dispatcher owns the loop (queues, rings, bursts, stop conditions) and
 //! hands the agent and merger cores a stage's whole queued burst.
 
-pub mod agent;
+mod agent;
 pub mod collector;
 pub mod merge;
 
-pub use agent::{AgentCore, Outcome};
-pub use merge::MergerCore;
+pub(crate) use agent::{AgentCore, Outcome};
+pub(crate) use merge::MergerCore;

@@ -57,18 +57,18 @@ pub(crate) type Runtime = NfRuntime<Box<dyn NetworkFunction>>;
 /// the per-stage stats, and group plans are ranges of slots.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Layout {
-    pub nfs: usize,
-    pub mergers: usize,
+    pub(crate) nfs: usize,
+    pub(crate) mergers: usize,
 }
 
 impl Layout {
     /// Number of stages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         3 + self.nfs + self.mergers
     }
 
     /// Every stage, in slot order.
-    pub fn stages(&self) -> impl Iterator<Item = Stage> {
+    pub(crate) fn stages(&self) -> impl Iterator<Item = Stage> {
         let (nfs, mergers) = (self.nfs, self.mergers);
         std::iter::once(Stage::Classifier)
             .chain((0..nfs).map(Stage::Nf))
@@ -78,7 +78,7 @@ impl Layout {
     }
 
     /// The slot of `stage`.
-    pub fn slot(&self, stage: Stage) -> usize {
+    pub(crate) fn slot(&self, stage: Stage) -> usize {
         match stage {
             Stage::Classifier => 0,
             Stage::Nf(i) => 1 + i,
@@ -112,37 +112,37 @@ pub(crate) enum Clock {
 /// packet; `failed` is the stall verdict the watchdog hands down.
 #[derive(Debug, Default)]
 pub(crate) struct NfWatch {
-    pub busy: AtomicBool,
-    pub failed: AtomicBool,
+    pub(crate) busy: AtomicBool,
+    pub(crate) failed: AtomicBool,
 }
 
 /// What every dispatcher of one engine shares: the pool, the swappable
 /// program, telemetry, per-stage counters (by [`Layout::slot`]) and the
 /// closed-loop completion counters.
 pub(crate) struct Shared {
-    pub layout: Layout,
-    pub pool: PacketPool,
-    pub handle: Arc<ProgramHandle>,
-    pub telemetry: Telemetry,
-    pub stats: Vec<StageStats>,
+    pub(crate) layout: Layout,
+    pub(crate) pool: PacketPool,
+    pub(crate) handle: Arc<ProgramHandle>,
+    pub(crate) telemetry: Telemetry,
+    pub(crate) stats: Vec<StageStats>,
     /// Packets finished so far, by outcome. A dispatcher adds to them
     /// once per stage burst ([`Dispatcher::publish`]), so a reader may
     /// see them up to one burst behind the packets — never ahead. Each
     /// has a line of its own: the injector polls both while the stage
     /// threads work the pool, handle and stats fields beside them.
-    pub delivered: CachePadded<AtomicU64>,
-    pub dropped: CachePadded<AtomicU64>,
-    pub clock: Clock,
+    pub(crate) delivered: CachePadded<AtomicU64>,
+    pub(crate) dropped: CachePadded<AtomicU64>,
+    pub(crate) clock: Clock,
     /// How long (in [`Clock`] units) an accumulating-table entry may wait
     /// for sibling copies before it is resolved from what arrived.
-    pub merge_deadline: u64,
+    merge_deadline: u64,
     /// Padded: two stores per NF call, from a different thread per NF
     /// once the budget separates them.
-    pub watch: Vec<CachePadded<NfWatch>>,
+    pub(crate) watch: Vec<CachePadded<NfWatch>>,
 }
 
 impl Shared {
-    pub fn new(
+    pub(crate) fn new(
         layout: Layout,
         pool_size: usize,
         handle: Arc<ProgramHandle>,
@@ -165,17 +165,17 @@ impl Shared {
     }
 
     /// The counters of `stage`.
-    pub fn stats_of(&self, stage: Stage) -> &StageStats {
+    pub(crate) fn stats_of(&self, stage: Stage) -> &StageStats {
         &self.stats[self.layout.slot(stage)]
     }
 
     /// Packets finished so far (delivered + dropped).
-    pub fn finished(&self) -> u64 {
+    pub(crate) fn finished(&self) -> u64 {
         self.delivered.load(Ordering::Acquire) + self.dropped.load(Ordering::Acquire)
     }
 
     /// Per-stage counter snapshot in report shape.
-    pub fn engine_stats(&self) -> EngineStats {
+    pub(crate) fn engine_stats(&self) -> EngineStats {
         let snap = |s: Stage| self.stats_of(s).snapshot();
         EngineStats {
             classifier: snap(Stage::Classifier),
@@ -346,24 +346,24 @@ impl Deliver for Sink<'_> {
 #[derive(Default)]
 pub(crate) struct Rings {
     /// `(consuming stage, ring)` for every cut edge entering the set.
-    pub inputs: Vec<(Stage, Consumer<Msg>)>,
+    pub(crate) inputs: Vec<(Stage, Consumer<Msg>)>,
     /// `(from, to, ring)` for every cut edge leaving the set.
-    pub outputs: Vec<(Stage, Stage, Producer<Msg>)>,
+    pub(crate) outputs: Vec<(Stage, Stage, Producer<Msg>)>,
     /// Outcome rings into the agent, when this set holds it.
-    pub outcome_inputs: Vec<Consumer<Outcome>>,
+    pub(crate) outcome_inputs: Vec<Consumer<Outcome>>,
     /// `(merger instance, ring)` for each merger of this set whose agent
     /// lives elsewhere.
-    pub outcome_outputs: Vec<(usize, Producer<Outcome>)>,
+    pub(crate) outcome_outputs: Vec<(usize, Producer<Outcome>)>,
 }
 
 /// Executes a set of stages of a sealed program — see the module docs.
 pub(crate) struct Dispatcher {
     ports: Ports,
     /// The driver brackets each admission burst on it.
-    pub classifier: Classifier,
+    pub(crate) classifier: Classifier,
     /// Runtimes of the NFs in the set, `NodeId` order from `nf_base`; the
     /// driver takes them back when the run ends.
-    pub runtimes: Vec<Runtime>,
+    pub(crate) runtimes: Vec<Runtime>,
     nf_base: usize,
     agent: Option<AgentCore>,
     /// Merger instances in the set, from `merger_base`.
@@ -389,14 +389,14 @@ pub(crate) struct Dispatcher {
     delivered: u64,
     dropped: u64,
     /// Packets the collector finished, oldest first; the driver drains it.
-    pub outputs: Vec<Packet>,
+    pub(crate) outputs: Vec<Packet>,
 }
 
 impl Dispatcher {
     /// A dispatcher for the stages in slot range `owned`. It takes the
     /// runtimes of that range's NFs from the front of `runtimes` (which
     /// the caller walks in `NodeId` order, group by group).
-    pub fn new(
+    pub(crate) fn new(
         cx: &Shared,
         owned: Range<usize>,
         runtimes: &mut impl Iterator<Item = Runtime>,
@@ -467,7 +467,7 @@ impl Dispatcher {
     /// the burst); pool backpressure is not terminal — the packet comes
     /// back for the caller to retry.
     #[inline]
-    pub fn admit(&mut self, cx: &Shared, pkt: Packet) -> Result<(), Refusal> {
+    pub(crate) fn admit(&mut self, cx: &Shared, pkt: Packet) -> Result<(), Refusal> {
         let mut sink = Sink {
             ports: &mut self.ports,
             cx,
@@ -599,7 +599,7 @@ impl Dispatcher {
     /// per burst and outcome on the lines the injector polls, not one per
     /// packet. Release, after the settlements: whoever reads a total sees
     /// the pool releases and epoch settlements of every packet it counts.
-    pub fn publish(&mut self, cx: &Shared) {
+    pub(crate) fn publish(&mut self, cx: &Shared) {
         self.resolver.flush();
         if self.delivered > 0 {
             let n = std::mem::take(&mut self.delivered);
@@ -671,7 +671,7 @@ impl Dispatcher {
     /// siblings stopped coming (a failed NF never sends its copy). The
     /// driver calls this between passes, traffic or not, so a wedged
     /// merge cannot outlive its deadline just because traffic stopped.
-    pub fn expire(&mut self, cx: &Shared) -> bool {
+    pub(crate) fn expire(&mut self, cx: &Shared) -> bool {
         if self.merge_pending() == 0 {
             return false;
         }
@@ -694,7 +694,7 @@ impl Dispatcher {
     /// One scheduling pass: a burst pass of every stage in pipeline
     /// order, so a burst flows through the whole set without waiting on
     /// anything. Returns true if anything happened.
-    pub fn pass(&mut self, cx: &Shared) -> bool {
+    pub(crate) fn pass(&mut self, cx: &Shared) -> bool {
         self.now = None;
         let mut progress = false;
         for k in 0..self.ports.ports.len() {
@@ -708,7 +708,7 @@ impl Dispatcher {
 
     /// Nothing queued on any input and nothing stashed on any output
     /// (the quiesce condition, and the pre-park re-check).
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.ports.ports.iter().all(|p| {
             p.queue.is_empty()
                 && p.rings.iter().all(|rx| rx.is_empty())
@@ -719,7 +719,7 @@ impl Dispatcher {
 
     /// Honor the watchdog's stall verdicts: a failed NF's runtime stops
     /// invoking it and applies its failure policy instead.
-    pub fn fail_stalled(&mut self, cx: &Shared) {
+    pub(crate) fn fail_stalled(&mut self, cx: &Shared) {
         for (k, rt) in self.runtimes.iter_mut().enumerate() {
             if cx.watch[self.nf_base + k].failed.load(Ordering::Acquire) {
                 rt.force_fail(FailureKind::Stalled);
@@ -728,7 +728,7 @@ impl Dispatcher {
     }
 
     /// Accumulating-table entries still waiting for sibling copies.
-    pub fn merge_pending(&self) -> usize {
+    pub(crate) fn merge_pending(&self) -> usize {
         self.mergers.iter().map(MergerCore::pending_len).sum()
     }
 }

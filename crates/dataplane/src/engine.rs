@@ -7,7 +7,7 @@
 //! instances, and merged/finished packets reach a collector.
 //!
 //! The engine executes a sealed [`Program`] through the stage dispatcher
-//! of [`crate::dispatch`] — the same code the deterministic
+//! of `crate::dispatch` — the same code the deterministic
 //! [`crate::sync_engine`] runs inline, so the two engines cannot drift
 //! semantically. This module owns only what a *threaded* run adds
 //! (DESIGN.md §11 is the full account):
@@ -32,7 +32,7 @@
 //!   the program (a [`crate::shard::ShardedEngine`] has one per shard),
 //!   each with its own NFs, pool, counters and stage groups, all on the one
 //!   [`ProgramHandle`]. The calling thread routes each packet by
-//!   [`shard_of`] to its replica's injection ring under that replica's own
+//!   `shard_of` to its replica's injection ring under that replica's own
 //!   window, holding it — and everything behind it — while that replica
 //!   has no room, and drains every replica's delivery ring.
 
@@ -86,7 +86,7 @@ pub struct EngineConfig {
     pub telemetry: TelemetryConfig,
     /// Maximum OS threads this engine may spawn for its stage tasks.
     /// Stages are coalesced onto `min(core_budget, stages)` threads in
-    /// pipeline order ([`crate::exec::plan_pipeline_groups`]); budgets
+    /// pipeline order (`crate::exec::plan_pipeline_groups`); budgets
     /// ≥ 2 keep the NF section and the merge section on separate
     /// threads so merge deadlines stay enforceable while an NF blocks.
     /// Defaults to the host's available parallelism, floored at 2 for
@@ -267,12 +267,12 @@ pub struct EngineReport {
     /// Flow-state migration census over the reporting engine's lifetime.
     /// Always zero for a lone [`Engine`] (nothing to migrate); a
     /// [`crate::shard::ShardedEngine`] fills in its rescale history.
-    pub migration: MigrationStats,
+    pub(crate) migration: MigrationStats,
     /// Times a thread of this run (injector or stage group) went to
-    /// sleep on the engine's [`WakeHub`] ([`WakeHub::parks`]).
+    /// sleep on the engine's `WakeHub` (`WakeHub::parks`).
     pub parks: u64,
     /// Times a thread that had just made progress found a sleeper and
-    /// paid for a futex broadcast ([`WakeHub::wakes`]). In a steady
+    /// paid for a futex broadcast (`WakeHub::wakes`). In a steady
     /// closed loop both stay near zero per packet.
     pub wakes: u64,
 }
@@ -588,7 +588,7 @@ pub struct EngineController {
 
 impl EngineController {
     /// The engine's current program epoch.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.handle.epoch()
     }
 
@@ -1228,7 +1228,7 @@ impl Engine {
     /// Stateless positions export empty snapshots. Call between runs — the
     /// closed loop guarantees no packet is in flight then, so the snapshot
     /// is a consistent cut.
-    pub fn export_flow_state(&self) -> Vec<FlowSnapshot> {
+    pub(crate) fn export_flow_state(&self) -> Vec<FlowSnapshot> {
         let mut merged: Vec<FlowSnapshot> = self.replicas[0]
             .iter()
             .map(|nf| nf.snapshot_state())
@@ -1247,24 +1247,28 @@ impl Engine {
     /// Restore per-position snapshots exported by [`Engine::export_flow_state`]:
     /// replica `i` of `n` takes the flows of its RSS partition
     /// ([`FlowSnapshot::retain_shard`]). Positions beyond the snapshot
-    /// vector, and empty snapshots, are left untouched.
-    pub fn import_flow_state(&mut self, snaps: &[FlowSnapshot]) {
+    /// vector, and empty snapshots, are left untouched. Returns the
+    /// number of flow entries restored.
+    pub(crate) fn import_flow_state(&mut self, snaps: &[FlowSnapshot]) -> u64 {
         let n = self.replicas.len();
+        let mut imported = 0;
         for (i, nfs) in self.replicas.iter_mut().enumerate() {
             for (nf, snap) in nfs.iter_mut().zip(snaps) {
                 let mut part = snap.clone();
                 part.retain_shard(i, n);
                 if !part.is_empty() {
                     nf.restore_state(&part);
+                    imported += part.len() as u64;
                 }
             }
         }
+        imported
     }
 
     /// Tell every NF which shard partition this engine serves, arming
     /// the debug-build RSS-ownership assertions on their flow tables.
     #[cfg(test)]
-    pub fn bind_partition(&mut self, index: usize, total: usize) {
+    pub(crate) fn bind_partition(&mut self, index: usize, total: usize) {
         for nf in self.replicas.iter_mut().flatten() {
             nf.bind_partition(index, total);
         }

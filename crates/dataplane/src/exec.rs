@@ -7,14 +7,14 @@
 //! and the idle spinning burns exactly the cores the busy shards need.
 //! This module owns what the engine uses instead:
 //!
-//! * [`plan_pipeline_groups`] — partition the pipeline's stages into at
+//! * `plan_pipeline_groups` — partition the pipeline's stages into at
 //!   most `core_budget` contiguous groups, one OS thread (and one
-//!   [`crate::dispatch`] dispatcher) per group;
-//! * [`IdlePolicy`] / [`Idler`] / [`WakeHub`] — the shared spin → yield
+//!   `crate::dispatch` dispatcher) per group;
+//! * [`IdlePolicy`] / `Idler` / `WakeHub` — the shared spin → yield
 //!   → park backoff, timed by the clock since a thread's last progress,
 //!   with an eventcount so ring producers can wake parked consumers
 //!   without a lost-wakeup window;
-//! * [`CachePadded`] — 64-byte alignment wrapper used by the
+//! * `CachePadded` — 64-byte alignment wrapper used by the
 //!   false-sharing audit (ring indices, stage stats, histograms);
 //! * [`host_parallelism`] / [`pin_current_thread`] — placement helpers.
 
@@ -27,13 +27,13 @@ use std::time::{Duration, Instant};
 /// values never share a line (the false-sharing audit's workhorse).
 #[derive(Debug, Default)]
 #[repr(align(64))]
-pub struct CachePadded<T> {
+pub(crate) struct CachePadded<T> {
     value: T,
 }
 
 impl<T> CachePadded<T> {
     /// Wrap `value` in its own cache line.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         CachePadded { value }
     }
 }
@@ -60,7 +60,7 @@ pub enum IdlePolicy {
     /// Escalating backoff, by the clock: a thread that has made no
     /// progress for less than `spin` polls on with `spin_loop` hints, for
     /// the next `yields` it hands the CPU over with `yield_now` between
-    /// polls, and after that it parks on the engine's [`WakeHub`] for at
+    /// polls, and after that it parks on the engine's `WakeHub` for at
     /// most `park_timeout` per pass.
     ///
     /// The bounds are wall-clock time since the thread's last progress,
@@ -112,7 +112,7 @@ impl Default for IdlePolicy {
 /// the same mutex the waiter sleeps on. The bounded `park_timeout`
 /// additionally covers paths that do not notify (e.g. pool releases).
 #[derive(Debug, Default)]
-pub struct WakeHub {
+pub(crate) struct WakeHub {
     generation: AtomicU64,
     sleepers: AtomicU32,
     lock: Mutex<()>,
@@ -126,12 +126,12 @@ pub struct WakeHub {
 
 impl WakeHub {
     /// New hub with no sleepers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record that new work may exist and wake any parked threads.
-    pub fn notify(&self) {
+    pub(crate) fn notify(&self) {
         self.generation.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             self.wakes.fetch_add(1, Ordering::Relaxed);
@@ -145,7 +145,7 @@ impl WakeHub {
     /// Park the calling thread for at most `timeout`, unless `ready`
     /// reports work or a notification raced in. Returns immediately
     /// (after a `yield_now`) when `ready()` is already true.
-    pub fn park(&self, timeout: Duration, ready: impl Fn() -> bool) {
+    fn park(&self, timeout: Duration, ready: impl Fn() -> bool) {
         let gen = self.generation.load(Ordering::SeqCst);
         if ready() {
             std::thread::yield_now();
@@ -163,12 +163,12 @@ impl WakeHub {
     }
 
     /// Times a thread actually slept in [`WakeHub::park`] so far.
-    pub fn parks(&self) -> u64 {
+    pub(crate) fn parks(&self) -> u64 {
         self.parks.load(Ordering::Relaxed)
     }
 
     /// Times [`WakeHub::notify`] found a sleeper and broadcast so far.
-    pub fn wakes(&self) -> u64 {
+    pub(crate) fn wakes(&self) -> u64 {
         self.wakes.load(Ordering::Relaxed)
     }
 }
@@ -176,7 +176,7 @@ impl WakeHub {
 /// Per-thread idle state machine driving an [`IdlePolicy`] against a
 /// shared [`WakeHub`].
 #[derive(Debug)]
-pub struct Idler<'a> {
+pub(crate) struct Idler<'a> {
     hub: &'a WakeHub,
     policy: IdlePolicy,
     /// When the current no-progress streak was first noticed; `None`
@@ -186,7 +186,7 @@ pub struct Idler<'a> {
 
 impl<'a> Idler<'a> {
     /// New idler in the "just made progress" state.
-    pub fn new(hub: &'a WakeHub, policy: IdlePolicy) -> Self {
+    pub(crate) fn new(hub: &'a WakeHub, policy: IdlePolicy) -> Self {
         Idler {
             hub,
             policy,
@@ -195,7 +195,7 @@ impl<'a> Idler<'a> {
     }
 
     /// Call after a pass that made progress: restart the backoff.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.since = None;
     }
 
@@ -203,7 +203,7 @@ impl<'a> Idler<'a> {
     /// according to the policy and how long the no-progress streak has
     /// lasted. `ready` is the caller's "work is visible" predicate,
     /// re-checked race-free before any park.
-    pub fn idle(&mut self, ready: impl Fn() -> bool) {
+    pub(crate) fn idle(&mut self, ready: impl Fn() -> bool) {
         match self.policy {
             IdlePolicy::Spin => std::thread::yield_now(),
             IdlePolicy::Backoff {
@@ -240,7 +240,7 @@ pub fn host_parallelism() -> usize {
 /// OS thread; contiguity keeps producer→consumer stage pairs on the
 /// same thread when coalescing, so a burst flows through them in one
 /// pass without a context switch.
-pub fn plan_groups(n_tasks: usize, budget: usize) -> Vec<Range<usize>> {
+fn plan_groups(n_tasks: usize, budget: usize) -> Vec<Range<usize>> {
     let groups = budget.max(1).min(n_tasks);
     let mut out = Vec::with_capacity(groups);
     let base = n_tasks / groups.max(1);
@@ -267,7 +267,7 @@ pub fn plan_groups(n_tasks: usize, budget: usize) -> Vec<Range<usize>> {
 /// peers; expiry, tombstones and delivery keep running. `budget == 1`
 /// coalesces everything onto one thread and trades that guarantee for
 /// the engine watchdog as the only backstop.
-pub fn plan_pipeline_groups(front: usize, back: usize, budget: usize) -> Vec<Range<usize>> {
+pub(crate) fn plan_pipeline_groups(front: usize, back: usize, budget: usize) -> Vec<Range<usize>> {
     let total = front + back;
     let budget = budget.max(1).min(total);
     if budget == 1 || front == 0 || back == 0 {

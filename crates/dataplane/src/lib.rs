@@ -22,7 +22,7 @@
 //!   across shards).
 //! * [`cores`] — the per-stage cores (agent/sequencer, merger,
 //!   collector): each stage's semantics lives here exactly once.
-//! * [`dispatch`] — the stage dispatcher, the one interpreter of a sealed
+//! * `dispatch` — the stage dispatcher, the one interpreter of a sealed
 //!   [`nfp_orchestrator::Program`]: it owns a set of stages, runs one
 //!   kernel per stage kind over each queued burst, and puts a ring only
 //!   on an edge that leaves the set.
@@ -33,9 +33,9 @@
 //!   stages, each group on its own thread, SPSC rings on the edges the
 //!   grouping cuts (DESIGN.md §11).
 //! * [`exec`] — the threading model: core budgets and stage grouping
-//!   ([`exec::plan_pipeline_groups`]), the spin→yield→park idle strategy
-//!   ([`exec::IdlePolicy`], [`exec::WakeHub`]), optional core pinning,
-//!   and the [`exec::CachePadded`] false-sharing guard.
+//!   (`exec::plan_pipeline_groups`), the spin→yield→park idle strategy
+//!   ([`exec::IdlePolicy`], `exec::WakeHub`), optional core pinning,
+//!   and the `exec::CachePadded` false-sharing guard.
 //! * [`swap`] — epoch-based live reconfiguration: the swappable
 //!   [`swap::ProgramHandle`] every stage hangs off, per-burst epoch
 //!   pinning, drain/retire accounting, and the per-stage
@@ -60,6 +60,12 @@
 //! * [`chaos_schedule`] — seed-derived chaos scripts (NF panics, stalls,
 //!   mid-storm swap timelines, fleet rescale storms) and the driver that
 //!   executes them against a running engine.
+//!
+//! **API:** every module above except `dispatch` (and the private
+//! `idmap`), and the root re-exports: the three engines ([`SyncEngine`],
+//! [`Engine`], [`ShardedEngine`]) with their configuration, report and
+//! error types, [`Classifier`], [`ProgramHandle`], [`StageStats`] and the
+//! telemetry export types.
 
 #![warn(missing_docs)]
 
@@ -69,7 +75,7 @@ pub mod autoscale;
 pub mod chaos_schedule;
 pub mod classifier;
 pub mod cores;
-pub mod dispatch;
+mod dispatch;
 pub mod engine;
 pub mod exec;
 mod idmap;
@@ -82,22 +88,11 @@ pub mod swap;
 pub mod sync_engine;
 pub mod telemetry;
 
-pub use audit::{
-    spawn_auditor, AuditConfig, AuditorHandle, EngineProbe, InvariantReport, LiveAudit,
-    ProbeGauges, ProbeSample, SoakCounts,
-};
-pub use autoscale::{AutoscalePolicy, Autoscaler, LoadSignals, ScaleDecision};
-pub use chaos_schedule::{drive_swaps, ChaosAction, ChaosScript, SwapLog};
 pub use classifier::Classifier;
-pub use engine::{
-    Engine, EngineConfig, EngineController, EngineError, EngineReport, MigrationStats, NfFailure,
-};
-pub use exec::{host_parallelism, IdlePolicy, WakeHub};
+pub use engine::{Engine, EngineConfig, EngineController, EngineError, EngineReport, NfFailure};
 pub use runtime::FailureKind;
-pub use shard::{ScaleReport, ShardMigration, ShardedEngine};
-pub use stats::{EngineStats, StageStats};
-pub use swap::{EpochReport, EpochState, EpochTally, ProgramHandle, ReconfigError, TablesResolver};
+pub use shard::ShardedEngine;
+pub use stats::StageStats;
+pub use swap::ProgramHandle;
 pub use sync_engine::SyncEngine;
-pub use telemetry::{
-    LatencyHistogram, PacketTrace, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceHop,
-};
+pub use telemetry::{PacketTrace, TelemetryConfig, TelemetrySnapshot, TraceHop};

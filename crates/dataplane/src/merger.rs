@@ -25,16 +25,16 @@ use std::collections::hash_map::Entry;
 #[derive(Debug, Clone, Copy)]
 pub struct Arrival {
     /// Pool reference.
-    pub r: PacketRef,
+    r: PacketRef,
     /// Copy version from the packet metadata.
-    pub version: u8,
+    version: u8,
     /// True for nil (drop-intention) packets.
-    pub nil: bool,
+    pub(crate) nil: bool,
     /// Member priority carried on nil packets.
-    pub nil_priority: u32,
+    nil_priority: u32,
     /// True for *failure* nils — emitted by the fail-closed path of a
     /// failed NF, honored unconditionally (no priority resolution).
-    pub failure: bool,
+    failure: bool,
 }
 
 /// One AT entry: the arrivals so far plus what deadline expiry needs — when
@@ -51,23 +51,23 @@ struct PendingEntry {
 /// An AT entry evicted by deadline expiry, with everything the caller
 /// needs to resolve the partial merge and emit its outcome.
 #[derive(Debug)]
-pub struct ExpiredEntry {
+pub(crate) struct ExpiredEntry {
     /// Match ID of the graph the packet belongs to.
-    pub mid: u32,
+    pub(crate) mid: u32,
     /// The parallel segment awaiting the merge.
-    pub segment: u32,
+    pub(crate) segment: u32,
     /// The packet's immutable PID.
-    pub pid: u64,
+    pub(crate) pid: u64,
     /// Merge-order sequence number assigned by the agent — the outcome
     /// for an expired entry must carry it, or the agent's in-order
     /// release cursor stalls forever.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The program epoch the packet was classified under (stamped at
     /// first arrival) — partial-merge resolution must use that epoch's
     /// merge spec, and the engine settles the packet against it.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// The copies that did arrive before the deadline.
-    pub arrivals: Vec<Arrival>,
+    pub(crate) arrivals: Vec<Arrival>,
 }
 
 /// The Accumulating Table: (mid, segment, pid) → arrivals so far.
@@ -76,7 +76,7 @@ pub struct ExpiredEntry {
 /// comes back through [`Accumulator::recycle`] and backs a later entry, so
 /// a warm table opens and closes entries without allocating.
 #[derive(Debug, Default)]
-pub struct Accumulator {
+pub(crate) struct Accumulator {
     pending: IdMap<(u32, u32, u64), PendingEntry>,
     /// Emptied arrival lists awaiting reuse.
     spare: Vec<Vec<Arrival>>,
@@ -84,7 +84,8 @@ pub struct Accumulator {
 
 impl Accumulator {
     /// Create an empty AT.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    fn new() -> Self {
         Self::default()
     }
 
@@ -96,7 +97,7 @@ impl Accumulator {
     /// merge-order number carried by the message; `epoch` is the program
     /// epoch the packet was classified under (stamped on first arrival —
     /// all copies of one PID were classified together).
-    pub fn offer(
+    pub(crate) fn offer(
         &mut self,
         key: (u32, u32, u64),
         arrival: Arrival,
@@ -130,19 +131,19 @@ impl Accumulator {
     }
 
     /// Take back the arrival list of a finished entry for reuse.
-    pub fn recycle(&mut self, mut arrivals: Vec<Arrival>) {
+    pub(crate) fn recycle(&mut self, mut arrivals: Vec<Arrival>) {
         arrivals.clear();
         self.spare.push(arrivals);
     }
 
     /// Packets currently awaiting more copies.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
     /// Evict every entry first seen at or before `cutoff` (its deadline
     /// has passed), sorted by seq for deterministic resolution order.
-    pub fn take_expired(&mut self, cutoff: u64) -> Vec<ExpiredEntry> {
+    pub(crate) fn take_expired(&mut self, cutoff: u64) -> Vec<ExpiredEntry> {
         let keys: Vec<(u32, u32, u64)> = self
             .pending
             .iter()
@@ -170,7 +171,7 @@ impl Accumulator {
     /// Drain every incomplete entry, returning all held references so the
     /// caller can release them.
     #[cfg(test)]
-    pub fn drain(&mut self) -> Vec<Arrival> {
+    fn drain(&mut self) -> Vec<Arrival> {
         self.pending.drain().flat_map(|(_, e)| e.arrivals).collect()
     }
 }
@@ -236,7 +237,11 @@ pub fn resolve_and_merge(
 /// it and trip the collector's sole-ownership check; those packets drop,
 /// and the late share's release — routed to the expiry tombstone — is what
 /// finally frees the slot.
-pub fn resolve_partial(spec: &MergeSpec, arrivals: &[Arrival], pool: &PacketPool) -> MergeOutcome {
+pub(crate) fn resolve_partial(
+    spec: &MergeSpec,
+    arrivals: &[Arrival],
+    pool: &PacketPool,
+) -> MergeOutcome {
     // Work out which members are missing. Nils match members by carried
     // priority; data arrivals match by version. When several members share
     // a version (v1 sharers) the match is ambiguous — prefer matching the

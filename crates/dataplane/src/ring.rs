@@ -129,17 +129,14 @@ impl<T: Send> Producer<T> {
         n
     }
 
-    /// Number of items currently queued.
+    /// Number of items currently queued. (A producer asks whether the
+    /// ring has room, not whether it is empty: no `is_empty`.)
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         let s = &*self.shared;
         s.tail
             .load(Ordering::Relaxed)
             .wrapping_sub(s.head.load(Ordering::Acquire))
-    }
-
-    /// True when the ring holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

@@ -54,7 +54,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The config passed at construction is the *install-time* slice (it
 /// names the failure policy the run's report records); the engine
 /// resolves each packet's epoch to its tables and drives
-/// [`NfRuntime::handle_with`] with that epoch's config, so a runtime can
+/// `NfRuntime::handle_with` with that epoch's config, so a runtime can
 /// serve two epochs' policies during a swap without being reconstructed.
 pub struct NfRuntime<N: NetworkFunction> {
     nf: N,
@@ -67,15 +67,15 @@ pub struct NfRuntime<N: NetworkFunction> {
     /// Action/table failures (packets discarded defensively).
     pub errors: u64,
     /// Packets forwarded unprocessed after a failure (fail-open).
-    pub bypassed: u64,
+    pub(crate) bypassed: u64,
     /// Packets dropped by failure policy after a failure (fail-closed).
-    pub policy_drops: u64,
+    pub(crate) policy_drops: u64,
 }
 
 impl<N: NetworkFunction> NfRuntime<N> {
     /// Wrap an NF with its runtime config (installed by the chaining
     /// manager).
-    pub fn new(nf: N, config: NfConfig) -> Self {
+    pub(crate) fn new(nf: N, config: NfConfig) -> Self {
         Self {
             nf,
             config: Arc::new(config),
@@ -94,26 +94,26 @@ impl<N: NetworkFunction> NfRuntime<N> {
     }
 
     /// The recorded failure, if this NF has failed.
-    pub fn failure(&self) -> Option<&FailureKind> {
+    pub(crate) fn failure(&self) -> Option<&FailureKind> {
         self.failure.as_ref()
     }
 
     /// The failure policy this runtime applies once its NF has failed.
-    pub fn failure_policy(&self) -> FailurePolicy {
+    pub(crate) fn failure_policy(&self) -> FailurePolicy {
         self.config.on_failure
     }
 
     /// Mark the NF failed without it panicking — the watchdog path. The
     /// first recorded failure wins; later calls are no-ops so a panic is
     /// never overwritten by a subsequent stall verdict (or vice versa).
-    pub fn force_fail(&mut self, kind: FailureKind) {
+    pub(crate) fn force_fail(&mut self, kind: FailureKind) {
         if self.failure.is_none() {
             self.failure = Some(kind);
         }
     }
 
     /// Unwrap the NF (engine teardown).
-    pub fn into_nf(self) -> N {
+    pub(crate) fn into_nf(self) -> N {
         self.nf
     }
 
@@ -133,7 +133,7 @@ impl<N: NetworkFunction> NfRuntime<N> {
     /// slice of the epoch the packet was classified under. Returns whether
     /// the packet was dropped here (verdict, action error or fail-closed
     /// policy): under [`DropBehavior::Discard`] that drop finishes it.
-    pub fn handle_with(
+    pub(crate) fn handle_with(
         &mut self,
         cfg: &NfConfig,
         msg: Msg,

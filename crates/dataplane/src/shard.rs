@@ -13,7 +13,7 @@
 //!
 //! The fan-out is not a runtime of its own. A [`ShardedEngine`] is one
 //! [`Engine`] holding a replica per shard: its run loop's injector is the
-//! RSS front-end ([`shard_of`] per packet, each replica under its own
+//! RSS front-end (`shard_of` per packet, each replica under its own
 //! window), every replica hangs off the engine's one program handle, and
 //! runs, I/O, reconfiguration and reports are the engine's. What this
 //! module adds is the placement: how the fleet budgets divide, which
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 /// NFs partition their [`nfp_nf::state::FlowTable`]s by and
 /// [`ShardedEngine::rescale`] re-partitions snapshots with — makes
 /// hash/partition drift impossible by construction.
-pub fn shard_of(pkt: &Packet, shards: usize) -> usize {
+pub(crate) fn shard_of(pkt: &Packet, shards: usize) -> usize {
     match FlowKey::of(pkt) {
         Some(key) => key.shard(shards),
         None => 0,
@@ -61,12 +61,6 @@ pub fn partition_by_flow(packets: Vec<Packet>, shards: usize) -> Vec<Vec<Packet>
 /// moved, where it landed, and how long the migration window was.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
-    /// Shard count before the rescale.
-    pub from_shards: usize,
-    /// Shard count after the rescale.
-    pub to_shards: usize,
-    /// Stateful NF positions whose tables were migrated.
-    pub stateful_nfs: usize,
     /// Flow-state entries exported from the retiring fleet.
     pub flows_exported: u64,
     /// Flow-state entries imported into the replacement fleet. Equal to
@@ -75,17 +69,6 @@ pub struct ScaleReport {
     pub flows_imported: u64,
     /// Wall-clock of the whole export → re-partition → import window.
     pub latency: Duration,
-    /// Per-destination-shard migration breakdown.
-    pub shards: Vec<ShardMigration>,
-}
-
-/// Flow state received by one destination shard during a rescale.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardMigration {
-    /// Destination shard index (under the *new* shard count).
-    pub shard: usize,
-    /// Flow-state entries this shard imported.
-    pub flows_in: u64,
 }
 
 /// N engine replicas behind an RSS-style 5-tuple front-end.
@@ -191,11 +174,11 @@ impl ShardedEngine {
     ///
     /// Call between runs — the closed-loop run leaves nothing in flight,
     /// so the gap between two runs *is* the drain window. The fleet's
-    /// state is exported ([`Engine::export_flow_state`]), a replacement
+    /// state is exported (`Engine::export_flow_state`), a replacement
     /// fleet is built from the NF factory at the current program under a
     /// fresh program handle (its epoch history starts over; DESIGN.md §13)
     /// and each new replica imports its partition
-    /// ([`Engine::import_flow_state`]). The replacement is built *before*
+    /// (`Engine::import_flow_state`). The replacement is built *before*
     /// the old fleet is dropped, so a config rejection (e.g. a pool
     /// partition too small for the window) leaves the running fleet and
     /// its state untouched. Only per-flow state survives
@@ -204,33 +187,21 @@ impl ShardedEngine {
     pub fn rescale(&mut self, new_shards: usize) -> Result<ScaleReport, EngineError> {
         let started = Instant::now();
         let program = self.engine.handle().current().program().clone();
-        let stateful_nfs = program.stateful_nodes().len();
         let merged = self.engine.export_flow_state();
         let flows_exported = merged.iter().map(|snap| snap.len() as u64).sum();
 
         // Build the replacement fleet before touching the old one.
         let mut fleet = Self::build(program, self.make_nfs.as_ref(), &self.config, new_shards)?;
-        fleet.import_flow_state(&merged);
-        let mut shards: Vec<ShardMigration> = (0..new_shards)
-            .map(|shard| ShardMigration { shard, flows_in: 0 })
-            .collect();
-        for (key, _) in merged.iter().flat_map(|snap| &snap.entries) {
-            shards[key.shard(new_shards)].flows_in += 1;
-        }
-        let flows_imported = shards.iter().map(|s| s.flows_in).sum();
+        let flows_imported = fleet.import_flow_state(&merged);
 
-        let from_shards = std::mem::replace(&mut self.engine, fleet).replicas();
+        self.engine = fleet;
         self.migration.rescales += 1;
         self.migration.flows_exported += flows_exported;
         self.migration.flows_imported += flows_imported;
         Ok(ScaleReport {
-            from_shards,
-            to_shards: new_shards,
-            stateful_nfs,
             flows_exported,
             flows_imported,
             latency: started.elapsed(),
-            shards,
         })
     }
 
@@ -241,7 +212,7 @@ impl ShardedEngine {
     }
 
     /// Checkpoint the whole fleet's flow state
-    /// ([`Engine::export_flow_state`]): one fleet-wide [`FlowSnapshot`] per
+    /// (`Engine::export_flow_state`): one fleet-wide [`FlowSnapshot`] per
     /// NF position, entries sorted by flow key.
     pub fn export_flow_state(&self) -> Vec<FlowSnapshot> {
         self.engine.export_flow_state()
@@ -521,11 +492,8 @@ mod tests {
         // Grow 2 → 3: the checkpoint is byte-identical after migration.
         let scale = sharded.rescale(3).unwrap();
         assert_eq!(sharded.shards(), 3);
-        assert_eq!((scale.from_shards, scale.to_shards), (2, 3));
-        assert_eq!(scale.stateful_nfs, 1);
         assert_eq!(scale.flows_exported, 12);
         assert_eq!(scale.flows_imported, 12);
-        assert_eq!(scale.shards.iter().map(|s| s.flows_in).sum::<u64>(), 12);
         assert_eq!(sharded.export_flow_state(), before);
 
         // Replaying the same batch doubles every flow's packet count —

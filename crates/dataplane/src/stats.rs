@@ -11,7 +11,7 @@
 //!
 //! Accounting discipline: for every stage, packets in = packets out +
 //! packets dropped at that stage, where each drop carries an explicit
-//! [`DropCause`]. Ring backpressure is *never* a drop — full rings are
+//! `DropCause`. Ring backpressure is *never* a drop — full rings are
 //! waited out (the mesh is deadlock-free) and surface as `backpressure`
 //! stall events instead.
 //!
@@ -19,17 +19,17 @@
 //!
 //! A stage belongs to exactly one dispatcher, and a dispatcher to exactly
 //! one thread, so the per-message counters of a [`StageStats`] —
-//! [`note_in`](StageStats::note_in), [`note_out`](StageStats::note_out),
-//! [`note_copy`](StageStats::note_copy), [`note_nil`](StageStats::note_nil),
-//! [`note_merge`](StageStats::note_merge) and
-//! [`note_drop`](StageStats::note_drop) — have **one writer each**: the
+//! `note_in`, `note_out`,
+//! `note_copy`, `note_nil`,
+//! `note_merge` and
+//! `note_drop` — have **one writer each**: the
 //! thread that owns the stage. They are bumped with a relaxed load and a
 //! relaxed store, not a locked read-modify-write; readers on other threads
 //! (reports, the auditor) see a value that is at most one bump behind, and
 //! exact once the owning thread has been joined. Whoever calls these from a
 //! second thread loses counts — a new caller off the owning thread must use
 //! its own `StageStats`. Cells that *do* have a second writer keep their
-//! atomic read-modify-write: `ring_high_water` ([`atomic_max`]), the
+//! atomic read-modify-write: `ring_high_water` (`atomic_max`), the
 //! engine-wide delivered/dropped totals, epoch pin counts, pool reference
 //! counts and the pool free list.
 
@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// CAS loop only ever moves the value up. Used for every "keep the
 /// maximum" cell with more than one writer (ring high-water marks).
 #[inline]
-pub fn atomic_max(slot: &AtomicU64, value: u64) {
+fn atomic_max(slot: &AtomicU64, value: u64) {
     let mut current = slot.load(Ordering::Relaxed);
     while current < value {
         match slot.compare_exchange_weak(current, value, Ordering::Relaxed, Ordering::Relaxed) {
@@ -62,7 +62,7 @@ pub(crate) fn bump(counter: &AtomicU64, n: u64) {
 /// Why a stage dropped a packet. Every drop in the engine is attributed to
 /// exactly one cause; there is no silent-loss path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
+pub(crate) enum DropCause {
     /// An NF verdict in a sequential position (`DropBehavior::Discard`).
     NfVerdict,
     /// A forwarding-action failure in the NF runtime (defensive discard).
@@ -96,32 +96,32 @@ pub enum DropCause {
 #[repr(align(64))]
 pub struct StageStats {
     /// Messages (packet references) entering the stage.
-    pub packets_in: AtomicU64,
+    packets_in: AtomicU64,
     /// Messages the stage emitted downstream.
-    pub packets_out: AtomicU64,
+    packets_out: AtomicU64,
     /// Packet copies materialized by this stage (paper OP#2).
-    pub copies: AtomicU64,
+    copies: AtomicU64,
     /// Nil (drop-intention) packets emitted or received here.
-    pub nil_packets: AtomicU64,
+    nil_packets: AtomicU64,
     /// Completed merge resolutions.
-    pub merges: AtomicU64,
+    merges: AtomicU64,
     /// Full-ring stall events while emitting (bounded-retry exhausted once).
-    pub backpressure: AtomicU64,
+    backpressure: AtomicU64,
     /// Highest receive-ring occupancy observed when draining.
-    pub ring_high_water: AtomicU64,
+    ring_high_water: AtomicU64,
     /// Copies that arrived for an already-expired merge entry (released
     /// against the expiry tombstone; the packet was accounted at expiry).
-    pub late_arrivals: AtomicU64,
+    pub(crate) late_arrivals: AtomicU64,
     /// Copies deadline-expired merge entries were still waiting for when
     /// they were resolved. Minus `late_arrivals`, it is the stragglers
     /// that may still hold a pool slot for a packet already accounted.
-    pub stragglers_owed: AtomicU64,
+    pub(crate) stragglers_owed: AtomicU64,
     /// Packets this stage resolved under a draining (non-newest) epoch —
     /// the expected transient during a live swap, not an error.
-    pub stale_epochs: AtomicU64,
+    stale_epochs: AtomicU64,
     /// Epoch lookups that matched no live epoch and fell back to the
     /// current tables (the drain protocol makes this unreachable).
-    pub epoch_conflicts: AtomicU64,
+    epoch_conflicts: AtomicU64,
     drop_nf_verdict: AtomicU64,
     drop_nf_error: AtomicU64,
     drop_merge_resolved: AtomicU64,
@@ -139,66 +139,66 @@ impl StageStats {
     }
 
     /// Count `n` messages entering the stage.
-    pub fn note_in(&self, n: u64) {
+    pub(crate) fn note_in(&self, n: u64) {
         bump(&self.packets_in, n);
     }
 
     /// Count `n` messages emitted downstream.
-    pub fn note_out(&self, n: u64) {
+    pub(crate) fn note_out(&self, n: u64) {
         bump(&self.packets_out, n);
     }
 
     /// Count one packet copy (OP#2).
-    pub fn note_copy(&self) {
+    pub(crate) fn note_copy(&self) {
         bump(&self.copies, 1);
     }
 
     /// Count one nil packet.
-    pub fn note_nil(&self) {
+    pub(crate) fn note_nil(&self) {
         bump(&self.nil_packets, 1);
     }
 
     /// Count one completed merge resolution.
-    pub fn note_merge(&self) {
+    pub(crate) fn note_merge(&self) {
         bump(&self.merges, 1);
     }
 
     /// Count one full-ring stall event.
-    pub fn note_backpressure(&self) {
+    pub(crate) fn note_backpressure(&self) {
         self.backpressure.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record an observed receive-ring occupancy (keeps the maximum via a
     /// compare-and-swap loop, so concurrent drainers can never regress
     /// the high-water mark).
-    pub fn note_occupancy(&self, n: usize) {
+    pub(crate) fn note_occupancy(&self, n: usize) {
         atomic_max(&self.ring_high_water, n as u64);
     }
 
     /// Count one arrival for an already-expired merge entry. Release:
     /// the arrival's pool slot was released first, and the engine's probe
     /// publication reads this (acquire) before the pool occupancy.
-    pub fn note_late_arrival(&self) {
+    pub(crate) fn note_late_arrival(&self) {
         self.late_arrivals.fetch_add(1, Ordering::Release);
     }
 
     /// Count `n` copies an expired merge entry was still waiting for.
-    pub fn note_stragglers_owed(&self, n: u64) {
+    pub(crate) fn note_stragglers_owed(&self, n: u64) {
         bump(&self.stragglers_owed, n);
     }
 
     /// Count one packet resolved under a draining (non-newest) epoch.
-    pub fn note_stale_epoch(&self) {
+    pub(crate) fn note_stale_epoch(&self) {
         self.stale_epochs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one epoch lookup that matched no live epoch.
-    pub fn note_epoch_conflict(&self) {
+    pub(crate) fn note_epoch_conflict(&self) {
         self.epoch_conflicts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one drop with its cause.
-    pub fn note_drop(&self, cause: DropCause) {
+    pub(crate) fn note_drop(&self, cause: DropCause) {
         let c = match cause {
             DropCause::NfVerdict => &self.drop_nf_verdict,
             DropCause::NfError => &self.drop_nf_error,
@@ -260,7 +260,7 @@ pub struct StageSnapshot {
     /// Copies expired merge entries were still waiting for.
     pub stragglers_owed: u64,
     /// Packets resolved under a draining (non-newest) epoch.
-    pub stale_epochs: u64,
+    pub(crate) stale_epochs: u64,
     /// Epoch lookups that matched no live epoch (fell back to current).
     pub epoch_conflicts: u64,
     /// Drops: sequential NF verdict.
@@ -284,7 +284,7 @@ pub struct StageSnapshot {
 
 impl StageSnapshot {
     /// Total packets this stage dropped, over all causes.
-    pub fn drops(&self) -> u64 {
+    fn drops(&self) -> u64 {
         self.drop_nf_verdict
             + self.drop_nf_error
             + self.drop_merge_resolved
@@ -355,7 +355,7 @@ impl EngineStats {
     /// stage `i` of every other; vectors extend when `other` has more
     /// entries (it never does between equal shards, but the merge stays
     /// total rather than panicking).
-    pub fn merge(&mut self, other: &EngineStats) {
+    pub(crate) fn merge(&mut self, other: &EngineStats) {
         self.classifier.absorb(&other.classifier);
         self.agent.absorb(&other.agent);
         self.collector.absorb(&other.collector);

@@ -5,7 +5,7 @@
 //! module is:
 //!
 //! 1. **Admit** — the classifier pins the packet to the current epoch
-//!    (reserved once per intake burst, [`ProgramHandle::reserve`]) and
+//!    (reserved once per intake burst, `ProgramHandle::reserve`) and
 //!    stamps its [`nfp_packet::meta::Metadata`] with the epoch id.
 //! 2. **Resolve** — every downstream stage (NF runtime, agent, merger)
 //!    looks its tables up *by the packet's stamped epoch* through a
@@ -13,7 +13,7 @@
 //!    packet classified under epoch N is forwarded and merged under
 //!    epoch N even if epoch N+1 installs mid-flight.
 //! 3. **Settle** — when the engine delivers or drops the packet it settles
-//!    the stamped epoch ([`TablesResolver::settle`], paid once per stage
+//!    the stamped epoch (`TablesResolver::settle`, paid once per stage
 //!    burst), lowering the epoch's in-flight count.
 //!
 //! Only step 1 takes the handle's lock. The resolver caches the
@@ -30,7 +30,7 @@
 //! returned, or a settlement not yet paid, keeps its epoch undrained, so
 //! a drain wait grows by at most one intake and one stage burst.
 //!
-//! [`ProgramHandle::install`] swaps a compatible successor in under a
+//! `ProgramHandle::install` swaps a compatible successor in under a
 //! write lock: new admissions pin the new epoch immediately, the old
 //! epoch keeps draining, and once its in-flight count reaches zero it is
 //! retired into an [`EpochTally`]. Incompatible successors are rejected
@@ -71,17 +71,17 @@ impl EpochState {
     }
 
     /// The epoch id (the program's version).
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.program.epoch()
     }
 
     /// The program this epoch executes.
-    pub fn program(&self) -> &Program {
+    pub(crate) fn program(&self) -> &Program {
         &self.program
     }
 
     /// The epoch's sealed tables.
-    pub fn tables(&self) -> &Arc<GraphTables> {
+    pub(crate) fn tables(&self) -> &Arc<GraphTables> {
         self.program.tables()
     }
 
@@ -92,19 +92,19 @@ impl EpochState {
     }
 
     /// Packets currently pinned to this epoch (admitted, not yet settled).
-    pub fn in_flight(&self) -> u64 {
+    fn in_flight(&self) -> u64 {
         self.attempts
             .load(Ordering::Acquire)
             .saturating_sub(self.settled.load(Ordering::Acquire))
     }
 
     /// True when every pinned packet has settled.
-    pub fn drained(&self) -> bool {
+    fn drained(&self) -> bool {
         self.attempts.load(Ordering::Acquire) == self.settled.load(Ordering::Acquire)
     }
 
     /// Packets fully processed (delivered or dropped) under this epoch.
-    pub fn completed(&self) -> u64 {
+    fn completed(&self) -> u64 {
         let settled = self.settled.load(Ordering::Acquire);
         settled.saturating_sub(self.aborted.load(Ordering::Acquire))
     }
@@ -130,12 +130,12 @@ struct Slots {
 /// A successful [`ProgramHandle::install`]: the diff that justified the
 /// swap and the old epoch to watch drain.
 #[derive(Debug)]
-pub struct InstalledSwap {
+pub(crate) struct InstalledSwap {
     /// What changed between the epochs.
-    pub update: ProgramUpdate,
+    update: ProgramUpdate,
     /// The superseded epoch; poll [`EpochState::drained`] then call
     /// [`ProgramHandle::retire`].
-    pub old: Arc<EpochState>,
+    old: Arc<EpochState>,
 }
 
 /// Why a live reconfiguration could not proceed. The running engine is
@@ -208,20 +208,20 @@ pub struct EpochReport {
     /// Epoch swapped in.
     pub to_epoch: u64,
     /// What changed between the two programs.
-    pub update: ProgramUpdate,
+    update: ProgramUpdate,
     /// Install-to-retire wall time (how long both epochs coexisted).
     pub swap_latency: Duration,
     /// Old-epoch packets that were in flight at install and drained out.
     pub drained: u64,
     /// Total packets completed under the old epoch over its lifetime.
-    pub completed: u64,
+    completed: u64,
 }
 
 /// The shared, swappable program slot every engine stage hangs off.
 ///
-/// Reads (a [`reserve`](ProgramHandle::reserve), and a [`TablesResolver`]'s
+/// Reads (a `reserve`, and a [`TablesResolver`]'s
 /// first sight of an epoch) take the read lock; only
-/// [`install`](ProgramHandle::install) and [`retire`](ProgramHandle::retire)
+/// `install` and `retire`
 /// take the write lock. A reservation raises the pin count *under* the
 /// read lock, so an install (which holds the write lock) can never miss a
 /// pin: every reserved pin counts in the old epoch's `attempts` or the new.
@@ -258,7 +258,7 @@ impl ProgramHandle {
     /// [`finish`](ProgramHandle::finish) or [`TablesResolver::settle`]
     /// (delivered or dropped), or by an [`abort`](ProgramHandle::abort)
     /// (unused).
-    pub fn reserve(&self, n: u64) -> Arc<EpochState> {
+    pub(crate) fn reserve(&self, n: u64) -> Arc<EpochState> {
         let slots = self.slots.read().unwrap();
         slots.current.attempts.fetch_add(n, Ordering::AcqRel);
         Arc::clone(&slots.current)
@@ -266,7 +266,7 @@ impl ProgramHandle {
 
     /// Return `n` pins of `state` unused. `aborted` moves first, so a
     /// reader that sees them settled never counts them completed.
-    pub fn abort(&self, state: &EpochState, n: u64) {
+    pub(crate) fn abort(&self, state: &EpochState, n: u64) {
         if n > 0 {
             state.aborted.fetch_add(n, Ordering::AcqRel);
             state.settle(n);
@@ -275,7 +275,7 @@ impl ProgramHandle {
 
     /// Settle one packet under `epoch`: it was delivered or dropped. Takes
     /// the read lock to find the epoch; stages settle through
-    /// [`TablesResolver::settle`], which does not.
+    /// `TablesResolver::settle`, which does not.
     pub fn finish(&self, epoch: u64) {
         match self.state_for(epoch) {
             Some(state) => state.settle(1),
@@ -299,7 +299,7 @@ impl ProgramHandle {
     /// success new admissions pin the new epoch immediately; the returned
     /// [`InstalledSwap::old`] keeps draining until
     /// [`retire`](ProgramHandle::retire).
-    pub fn install(&self, program: Program) -> Result<InstalledSwap, ReconfigError> {
+    pub(crate) fn install(&self, program: Program) -> Result<InstalledSwap, ReconfigError> {
         let mut slots = self.slots.write().unwrap();
         if let Some(prev) = &slots.prev {
             if !prev.drained() {
@@ -331,7 +331,7 @@ impl ProgramHandle {
     /// running program untouched; the returned [`EpochReport`] records the
     /// diff, the install-to-retire latency and the old epoch's final
     /// accounting.
-    pub fn swap(
+    pub(crate) fn swap(
         &self,
         program: Program,
         pool_size: usize,
@@ -381,7 +381,7 @@ impl ProgramHandle {
 
     /// Retire the drained predecessor epoch into the tally history.
     /// Returns its tally, or `None` when there is no drained predecessor.
-    pub fn retire(&self) -> Option<EpochTally> {
+    fn retire(&self) -> Option<EpochTally> {
         let mut slots = self.slots.write().unwrap();
         let drained = slots.prev.as_ref().is_some_and(|p| p.drained());
         if !drained {
@@ -429,7 +429,7 @@ const RESOLVER_CACHE: usize = 4;
 /// against that same epoch. Both go through the cached state: the common
 /// case (the epoch the last lookup found) is one compare and a borrow; a
 /// settlement is an add to the epoch's owed count, paid by
-/// [`flush`](TablesResolver::flush), on eviction or on drop. No lock, no
+/// `flush`, on eviction or on drop. No lock, no
 /// `Arc` clone (module docs: why a pinned packet's cached state cannot be
 /// stale).
 #[derive(Debug)]
@@ -497,7 +497,7 @@ impl TablesResolver {
     /// resolving under a non-newest (draining) epoch counts a stale-epoch
     /// observation.
     #[inline]
-    pub fn tables(&mut self, epoch: u64, stats: &StageStats) -> &GraphTables {
+    pub(crate) fn tables(&mut self, epoch: u64, stats: &StageStats) -> &GraphTables {
         if epoch < self.newest {
             stats.note_stale_epoch();
         }
@@ -518,7 +518,7 @@ impl TablesResolver {
     /// pairing with its admission's pin; owed until the next
     /// [`flush`](TablesResolver::flush).
     #[inline]
-    pub fn settle(&mut self, epoch: u64, n: u64) {
+    pub(crate) fn settle(&mut self, epoch: u64, n: u64) {
         match self.cached(epoch) {
             Some(i) => self.cache[i].1 += n,
             None => debug_assert!(false, "settle({epoch}) matches no live epoch"),
@@ -528,7 +528,7 @@ impl TablesResolver {
     /// Pay every owed settlement, one read-modify-write per epoch owed
     /// any (the dispatcher's `publish`, once per stage burst).
     #[inline]
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         for (state, owed) in &mut self.cache {
             if *owed > 0 {
                 state.settle(std::mem::take(owed));

@@ -1,6 +1,6 @@
 //! Deterministic single-threaded execution of a sealed [`Program`].
 //!
-//! The sync engine is one stage dispatcher ([`crate::dispatch`]) holding
+//! The sync engine is one stage dispatcher (`crate::dispatch`) holding
 //! *every* stage, driven by the caller: no rings, no threads, plain
 //! per-stage queues drained in pipeline order, so a packet's journey is
 //! fully deterministic. Packets enter in admission windows of `w`, each

@@ -56,7 +56,7 @@
 //!
 //! **Single writer.** Every cell of a stage's histogram is written by one
 //! thread only — the dispatcher that owns the stage calls `begin`/`end`
-//! for it ([`Dispatcher::run_stage`](crate::dispatch), and the classifier
+//! for it (`Dispatcher::run_stage`, and the classifier
 //! stage's `Classifier::admit_observed`, which that same dispatcher
 //! drives; the `ingress` gap histogram is fed from the same admission) —
 //! so cells advance with a relaxed load and store, not a locked
@@ -83,11 +83,11 @@ use std::time::Instant;
 /// Number of log₂ buckets per histogram. Bucket 0 holds 0 ns; bucket `i`
 /// (for `0 < i < 39`) holds `[2^(i-1), 2^i)` ns; bucket 39 holds
 /// everything from `2^38` ns (~4.6 minutes) up.
-pub const HISTOGRAM_BUCKETS: usize = 40;
+const HISTOGRAM_BUCKETS: usize = 40;
 
 /// The bucket index a nanosecond value lands in.
 #[inline]
-pub fn bucket_of(ns: u64) -> usize {
+fn bucket_of(ns: u64) -> usize {
     ((u64::BITS - ns.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
 
@@ -218,7 +218,7 @@ impl LatencyHistogram {
 
     /// Plain-value snapshot. The tail (messages counted since the last
     /// clocked burst) is credited to that burst's mean in the copy only.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         // `credited` before `count`: a snapshot racing the owning thread
         // may see a stale pair, never a negative tail.
         let credited = self.credited.load(Ordering::Relaxed);
@@ -244,7 +244,7 @@ impl LatencyHistogram {
 /// Plain-value histogram (what snapshots and reports carry).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts ([`HISTOGRAM_BUCKETS`] entries).
+    /// Per-bucket observation counts (`HISTOGRAM_BUCKETS` entries).
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
@@ -278,7 +278,7 @@ impl HistogramSnapshot {
     /// The nearest-rank `q`-quantile in nanoseconds, reported as the upper
     /// bound of the bucket holding that rank (conservative to within one
     /// power of two; clamped to the observed max). 0 when empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -299,7 +299,7 @@ impl HistogramSnapshot {
     }
 
     /// 90th-percentile latency (ns), bucket-resolution.
-    pub fn p90_ns(&self) -> u64 {
+    fn p90_ns(&self) -> u64 {
         self.quantile_ns(0.90)
     }
 
@@ -310,7 +310,7 @@ impl HistogramSnapshot {
 
     /// Mean latency (ns). 0 when empty.
     #[cfg(test)]
-    pub fn mean_ns(&self) -> u64 {
+    fn mean_ns(&self) -> u64 {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 }
@@ -351,7 +351,7 @@ impl TelemetryConfig {
 
     /// Histograms on plus trace sampling of every `n`th packet.
     #[cfg(test)]
-    pub fn sampled(n: u64) -> Self {
+    fn sampled(n: u64) -> Self {
         Self {
             trace_every: n,
             ..Self::default()
@@ -365,11 +365,11 @@ impl TelemetryConfig {
 pub struct TraceHop {
     /// RSS shard that recorded the hop (0 outside [`crate::ShardedEngine`];
     /// PIDs are dense per shard, so traces group by `(shard, mid, pid)`).
-    pub shard: u32,
+    shard: u32,
     /// Match ID of the packet's service graph.
-    pub mid: u32,
+    mid: u32,
     /// Packet ID within the graph.
-    pub pid: u64,
+    pid: u64,
     /// Copy version the stage handled (v1 = original).
     pub version: u8,
     /// Whether the reference was a nil (drop-intention) packet.
@@ -379,7 +379,7 @@ pub struct TraceHop {
     /// Program epoch stamped on the packet at this hop.
     pub epoch: u64,
     /// Nanoseconds since the engine's telemetry started.
-    pub t_ns: u64,
+    t_ns: u64,
 }
 
 /// Human-readable stage label, matching
@@ -455,7 +455,7 @@ impl Telemetry {
     }
 
     /// The classifier's sampling period (0 = tracing off).
-    pub fn trace_every(&self) -> u64 {
+    pub(crate) fn trace_every(&self) -> u64 {
         self.config.trace_every
     }
 
@@ -507,7 +507,7 @@ impl Telemetry {
     /// the first stamped packet are no-ops; out-of-order stamps record
     /// a zero gap rather than wrapping.
     #[inline]
-    pub fn note_ingress(&self, ingress_ns: u64) {
+    pub(crate) fn note_ingress(&self, ingress_ns: u64) {
         if ingress_ns == 0 || !self.config.histograms {
             return;
         }
@@ -523,7 +523,7 @@ impl Telemetry {
     /// The buffer is bounded by [`TelemetryConfig::trace_capacity`]; hops
     /// past it are counted, not stored.
     #[inline]
-    pub fn hop_if_traced(&self, stage: Stage, meta: Metadata, nil: bool) {
+    pub(crate) fn hop_if_traced(&self, stage: Stage, meta: Metadata, nil: bool) {
         if !self.tracing() || !meta.traced() {
             return;
         }
@@ -560,7 +560,7 @@ impl Telemetry {
     /// classifier's rollback when entry actions hit pool backpressure
     /// after the hop was recorded (the admission will be retried and
     /// re-recorded).
-    pub fn retract_classifier_hop(&self, pid: u64) {
+    pub(crate) fn retract_classifier_hop(&self, pid: u64) {
         if !self.tracing() {
             return;
         }
@@ -625,10 +625,6 @@ pub struct StageTelemetry {
 /// One traced packet's complete timeline, grouped from the hop buffer.
 #[derive(Debug, Clone)]
 pub struct PacketTrace {
-    /// RSS shard the packet was classified on.
-    pub shard: u32,
-    /// Match ID of the packet's service graph.
-    pub mid: u32,
     /// Packet ID.
     pub pid: u64,
     /// The hops, in recording order (a causal order per packet).
@@ -667,7 +663,7 @@ impl TelemetrySnapshot {
     /// Tag every hop with an RSS shard index (the sharded engine calls
     /// this per replica before merging, so dense per-shard PIDs do not
     /// collide in the fleet-wide snapshot).
-    pub fn tag_shard(&mut self, shard: u32) {
+    pub(crate) fn tag_shard(&mut self, shard: u32) {
         for h in &mut self.hops {
             h.shard = shard;
         }
@@ -695,8 +691,6 @@ impl TelemetrySnapshot {
             let key = (h.shard, h.mid, h.pid);
             let at = *index.entry(key).or_insert_with(|| {
                 order.push(PacketTrace {
-                    shard: h.shard,
-                    mid: h.mid,
                     pid: h.pid,
                     hops: Vec::new(),
                 });

@@ -81,7 +81,7 @@ impl PcapIngress<std::io::Cursor<Vec<u8>>> {
 
 impl<R: Read> PcapIngress<R> {
     /// Wrap any readable pcap stream.
-    pub fn from_reader(r: R) -> Result<Self, IoError> {
+    fn from_reader(r: R) -> Result<Self, IoError> {
         Ok(Self {
             reader: PcapReader::new(r)?,
             record: PcapRecord::full(0, Vec::new()),
@@ -92,7 +92,8 @@ impl<R: Read> PcapIngress<R> {
     }
 
     /// Records replayed so far.
-    pub fn records(&self) -> u64 {
+    #[cfg(test)]
+    fn records(&self) -> u64 {
         self.records
     }
 }

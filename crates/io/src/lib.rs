@@ -16,7 +16,7 @@
 //! pair.
 //!
 //! No C capture library, no external crates: the pcap format is written
-//! by hand against `std`.
+//! by hand against `std`. **API:** these three modules and the root re-exports.
 
 #![warn(missing_docs)]
 
@@ -28,5 +28,4 @@ pub use backends::{PcapEgress, PcapIngress};
 pub use nfp_packet::io::{
     CollectEgress, Egress, Ingress, IoError, IoRunStats, NullEgress, VecIngress,
 };
-pub use pcap::{PcapFormat, PcapReader, PcapRecord, PcapWriter};
-pub use trace::{build_golden_pcap, build_golden_records, GoldenTraceSpec};
+pub use pcap::{PcapFormat, PcapReader, PcapRecord};

@@ -21,16 +21,15 @@ use nfp_packet::io::IoError;
 use std::io::{Read, Write};
 
 /// Classic pcap magic, microsecond timestamps, writer-native order.
-pub const MAGIC_US: u32 = 0xA1B2_C3D4;
+const MAGIC_US: u32 = 0xA1B2_C3D4;
 /// Classic pcap magic, nanosecond timestamps (the tcpdump `.pcapns`
 /// variant), writer-native order.
-pub const MAGIC_NS: u32 = 0xA1B2_3C4D;
+const MAGIC_NS: u32 = 0xA1B2_3C4D;
 /// Linktype 1: Ethernet (LINKTYPE_ETHERNET / DLT_EN10MB).
-pub const LINKTYPE_ETHERNET: u32 = 1;
+const LINKTYPE_ETHERNET: u32 = 1;
 /// Default snaplen: a full [`nfp_packet::packet::CAPACITY`]-sized frame
 /// minus headroom, i.e. the largest frame a [`nfp_packet::Packet`] holds.
-pub const DEFAULT_SNAPLEN: u32 =
-    (nfp_packet::packet::CAPACITY - nfp_packet::packet::HEADROOM) as u32;
+const DEFAULT_SNAPLEN: u32 = (nfp_packet::packet::CAPACITY - nfp_packet::packet::HEADROOM) as u32;
 
 const GLOBAL_HEADER_LEN: usize = 24;
 const RECORD_HEADER_LEN: usize = 16;
@@ -66,7 +65,7 @@ impl PcapRecord {
     }
 }
 
-/// How a [`PcapWriter`] encodes its stream.
+/// How a `PcapWriter` encodes its stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcapFormat {
     /// Nanosecond (`true`) or microsecond timestamp resolution.
@@ -98,7 +97,7 @@ fn os_err(op: &'static str, e: &std::io::Error) -> IoError {
 
 /// Streaming classic-pcap encoder over any [`Write`].
 #[derive(Debug)]
-pub struct PcapWriter<W: Write> {
+pub(crate) struct PcapWriter<W: Write> {
     w: W,
     fmt: PcapFormat,
     wrote_header: bool,
@@ -108,7 +107,7 @@ pub struct PcapWriter<W: Write> {
 impl<W: Write> PcapWriter<W> {
     /// A writer with the given on-disk format; the global header is
     /// emitted lazily before the first record (or by [`Self::flush`]).
-    pub fn new(w: W, fmt: PcapFormat) -> Self {
+    pub(crate) fn new(w: W, fmt: PcapFormat) -> Self {
         Self {
             w,
             fmt,
@@ -154,7 +153,7 @@ impl<W: Write> PcapWriter<W> {
     /// Append one record; frames longer than the snaplen are cut with
     /// `orig_len` preserved (the capture-truncation path). A wrapper over
     /// the borrowed-bytes writer `PcapEgress` uses.
-    pub fn write_record(&mut self, rec: &PcapRecord) -> Result<(), IoError> {
+    fn write_record(&mut self, rec: &PcapRecord) -> Result<(), IoError> {
         self.write_frame(rec.ts_ns, rec.orig_len, &rec.data)
     }
 
@@ -188,19 +187,19 @@ impl<W: Write> PcapWriter<W> {
     }
 
     /// Records written so far.
-    pub fn records(&self) -> u64 {
+    pub(crate) fn records(&self) -> u64 {
         self.records
     }
 
     /// Flush the underlying stream (emitting the global header if no
     /// record ever did, so an empty capture is still a valid file).
-    pub fn flush(&mut self) -> Result<(), IoError> {
+    pub(crate) fn flush(&mut self) -> Result<(), IoError> {
         self.header()?;
         self.w.flush().map_err(|e| os_err("pcap flush", &e))
     }
 
     /// Flush and hand back the underlying writer.
-    pub fn into_inner(mut self) -> Result<W, IoError> {
+    pub(crate) fn into_inner(mut self) -> Result<W, IoError> {
         self.flush()?;
         Ok(self.w)
     }
@@ -260,18 +259,15 @@ impl<R: Read> PcapReader<R> {
     }
 
     /// Whether the stream declares nanosecond resolution.
-    pub fn nanos(&self) -> bool {
+    #[cfg(test)]
+    fn nanos(&self) -> bool {
         self.nanos
     }
 
     /// Whether the stream is foreign-endian relative to this host.
-    pub fn swapped(&self) -> bool {
+    #[cfg(test)]
+    fn swapped(&self) -> bool {
         self.swapped
-    }
-
-    /// The capture snaplen declared in the global header.
-    pub fn snaplen(&self) -> u32 {
-        self.snaplen
     }
 
     /// The next record, or `None` at a clean end of stream. A stream

@@ -77,7 +77,7 @@ impl GoldenTraceSpec {
 
 /// The IDS marker the synthetic signature set alerts on (mirrors
 /// `TrafficSpec::malicious_marker`).
-pub const IDS_MARKER: &[u8] = b"EVIL0001SIG";
+const IDS_MARKER: &[u8] = b"EVIL0001SIG";
 
 /// SplitMix64: tiny, stable, and independent of the `rand` shim.
 #[derive(Debug, Clone)]

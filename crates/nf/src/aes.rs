@@ -106,7 +106,7 @@ impl Aes128 {
     }
 
     /// Encrypt one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
         let rk = &self.round_keys;
         let mut s = columns(block);
         s = core::array::from_fn(|c| s[c] ^ rk[c]);

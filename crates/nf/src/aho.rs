@@ -11,22 +11,18 @@ pub struct AhoCorasick {
     /// goto function: 256 transitions per state (dense; signature sets are
     /// small and lookup speed matters on the datapath).
     goto_fn: Vec<[u32; 256]>,
-    /// Failure links (needed only during construction; retained for
-    /// introspection/tests).
-    #[allow(dead_code)]
-    fail: Vec<u32>,
     /// Pattern indices terminating at each state.
     output: Vec<Vec<u32>>,
-    pattern_count: usize,
 }
 
 /// A single match occurrence.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Match {
+struct Match {
     /// Index of the matched pattern (insertion order).
-    pub pattern: u32,
+    pattern: u32,
     /// Byte offset one past the end of the match in the haystack.
-    pub end: usize,
+    end: usize,
 }
 
 impl AhoCorasick {
@@ -40,13 +36,11 @@ impl AhoCorasick {
         let mut goto_fn: Vec<[u32; 256]> = vec![[0u32; 256]];
         let mut output: Vec<Vec<u32>> = vec![Vec::new()];
         let mut filled: Vec<[bool; 256]> = vec![[false; 256]];
-        let mut count = 0usize;
         for (pi, pat) in patterns.into_iter().enumerate() {
             let pat = pat.as_ref();
             if pat.is_empty() {
                 continue;
             }
-            count += 1;
             let mut state = 0usize;
             for &b in pat {
                 let b = b as usize;
@@ -87,26 +81,25 @@ impl AhoCorasick {
                 }
             }
         }
-        Self {
-            goto_fn,
-            fail,
-            output,
-            pattern_count: count,
-        }
+        Self { goto_fn, output }
     }
 
     /// Number of patterns compiled in.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_count
+    #[cfg(test)]
+    pub(crate) fn pattern_count(&self) -> usize {
+        let ids: std::collections::HashSet<_> = self.output.iter().flatten().collect();
+        ids.len()
     }
 
     /// Number of automaton states (diagnostics).
-    pub fn state_count(&self) -> usize {
+    #[cfg(test)]
+    fn state_count(&self) -> usize {
         self.goto_fn.len()
     }
 
     /// Find all matches in `haystack`.
-    pub fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
+    #[cfg(test)]
+    fn find_all(&self, haystack: &[u8]) -> Vec<Match> {
         let mut out = Vec::new();
         let mut state = 0usize;
         for (i, &b) in haystack.iter().enumerate() {
@@ -132,13 +125,6 @@ impl AhoCorasick {
             }
         }
         false
-    }
-
-    /// Use of the failure function is internal; expose its table length for
-    /// tests asserting automaton shape.
-    #[cfg(test)]
-    fn fail_len(&self) -> usize {
-        self.fail.len()
     }
 }
 
@@ -197,7 +183,7 @@ mod tests {
         let sigs: Vec<String> = (0..100).map(|i| format!("SIG{i:04}PATTERN")).collect();
         let ac = AhoCorasick::new(&sigs);
         assert_eq!(ac.pattern_count(), 100);
-        assert!(ac.fail_len() >= 100);
+        assert!(ac.state_count() >= 100);
         let payload = "junk SIG0042PATTERN junk".to_string();
         let m = ac.find_all(payload.as_bytes());
         assert_eq!(m.len(), 1);

@@ -109,7 +109,8 @@ impl<N: NetworkFunction> StallOnce<N> {
     }
 
     /// True once the injected stall has happened.
-    pub fn has_stalled(&self) -> bool {
+    #[cfg(test)]
+    fn has_stalled(&self) -> bool {
         self.stalled
     }
 }

@@ -3,7 +3,7 @@
 //! us to vary the per-packet processing time as a representation of NF
 //! complexity" (§6.2.2).
 
-use crate::firewall::{AclAction, Firewall};
+use crate::firewall::Firewall;
 use crate::nf::{NetworkFunction, PacketView, Verdict};
 use nfp_orchestrator::ActionProfile;
 use nfp_packet::FieldId;
@@ -27,14 +27,9 @@ impl CycleFirewall {
         }
     }
 
-    /// The configured busy-loop length.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
     /// Burn approximately `cycles` CPU cycles (one cheap ALU op per
     /// iteration, kept opaque to the optimizer).
-    pub fn burn(cycles: u64) {
+    fn burn(cycles: u64) {
         let mut acc = 0u64;
         for i in 0..cycles {
             acc = black_box(acc.wrapping_add(i ^ 0x9e37_79b9));
@@ -66,49 +61,6 @@ impl NetworkFunction for CycleFirewall {
         verdict
     }
 }
-
-/// A pure cycle burner with an empty action profile — useful as a neutral
-/// "NF complexity" knob that parallelizes with anything.
-#[derive(Debug)]
-pub struct CycleBurner {
-    name: String,
-    cycles: u64,
-    /// Packets processed.
-    pub processed: u64,
-}
-
-impl CycleBurner {
-    /// Create a burner.
-    pub fn new(name: impl Into<String>, cycles: u64) -> Self {
-        Self {
-            name: name.into(),
-            cycles,
-            processed: 0,
-        }
-    }
-}
-
-impl NetworkFunction for CycleBurner {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn profile(&self) -> ActionProfile {
-        ActionProfile::new(self.name.clone())
-    }
-
-    fn process(&mut self, _pkt: &mut PacketView<'_>) -> Verdict {
-        CycleFirewall::burn(self.cycles);
-        self.processed += 1;
-        Verdict::Pass
-    }
-}
-
-/// Re-export for tests constructing custom firewalls around the burner.
-pub use crate::firewall::AclRule;
-
-#[allow(unused_imports)]
-use AclAction as _; // keep the firewall types linked in docs
 
 #[cfg(test)]
 mod tests {
@@ -145,19 +97,5 @@ mod tests {
         slow.process(&mut PacketView::Exclusive(&mut p));
         let slow_t = t1.elapsed();
         assert!(slow_t > quick_t, "{slow_t:?} <= {quick_t:?}");
-    }
-
-    #[test]
-    fn burner_touches_nothing() {
-        let mut nf = CycleBurner::new("burn", 5);
-        let mut p = tcp_packet(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 2, b"xyz");
-        let before = p.data().to_vec();
-        assert_eq!(
-            nf.process(&mut PacketView::Exclusive(&mut p)),
-            Verdict::Pass
-        );
-        assert_eq!(p.data(), &before[..]);
-        assert_eq!(nf.processed, 1);
-        assert!(nf.profile().actions.is_empty());
     }
 }

@@ -8,7 +8,7 @@ use nfp_orchestrator::ActionProfile;
 use nfp_packet::ipv4::Ipv4Addr;
 use nfp_packet::FieldId;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------
 // Proxy
@@ -18,19 +18,23 @@ use std::time::{Duration, Instant};
 /// connections are re-originated from the proxy's own address toward an
 /// origin server chosen per destination.
 #[derive(Debug)]
-pub struct Proxy {
+pub(crate) struct Proxy {
     name: String,
     proxy_ip: Ipv4Addr,
     /// destination → origin mapping (static config).
     origins: HashMap<Ipv4Addr, Ipv4Addr>,
     default_origin: Ipv4Addr,
     /// Packets proxied.
-    pub proxied: u64,
+    proxied: u64,
 }
 
 impl Proxy {
     /// Create a proxy with a default origin.
-    pub fn new(name: impl Into<String>, proxy_ip: Ipv4Addr, default_origin: Ipv4Addr) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        proxy_ip: Ipv4Addr,
+        default_origin: Ipv4Addr,
+    ) -> Self {
         Self {
             name: name.into(),
             proxy_ip,
@@ -41,7 +45,8 @@ impl Proxy {
     }
 
     /// Map a virtual destination to an origin server.
-    pub fn add_origin(&mut self, vdst: Ipv4Addr, origin: Ipv4Addr) {
+    #[cfg(test)]
+    fn add_origin(&mut self, vdst: Ipv4Addr, origin: Ipv4Addr) {
         self.origins.insert(vdst, origin);
     }
 }
@@ -74,10 +79,11 @@ impl NetworkFunction for Proxy {
 
 /// Direction of the compression endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompressionMode {
+pub(crate) enum CompressionMode {
     /// Compress payloads (WAN-optimizer egress).
     Compress,
     /// Decompress payloads (ingress).
+    #[cfg(test)]
     Decompress,
 }
 
@@ -85,23 +91,25 @@ pub enum CompressionMode {
 /// from-scratch LZSS in [`crate::lz`]. Payload-length changes are legal:
 /// the merger's `modify(v1.payload, vX.payload)` resizes the original.
 #[derive(Debug)]
-pub struct Compression {
+pub(crate) struct Compression {
     name: String,
     mode: CompressionMode,
     /// Payloads actually rewritten (compression is skipped when it would
     /// not shrink the payload).
-    pub rewritten: u64,
+    rewritten: u64,
     /// Decompression failures (packet dropped — corrupt stream).
-    pub errors: u64,
+    #[cfg(test)]
+    errors: u64,
 }
 
 impl Compression {
     /// Create a compression endpoint.
-    pub fn new(name: impl Into<String>, mode: CompressionMode) -> Self {
+    pub(crate) fn new(name: impl Into<String>, mode: CompressionMode) -> Self {
         Self {
             name: name.into(),
             mode,
             rewritten: 0,
+            #[cfg(test)]
             errors: 0,
         }
     }
@@ -133,6 +141,7 @@ impl NetworkFunction for Compression {
                     self.rewritten += 1;
                 }
             }
+            #[cfg(test)]
             CompressionMode::Decompress => match lz::decompress(&payload) {
                 Ok(original) => {
                     if packet.replace_payload(&original).is_ok() {
@@ -159,7 +168,7 @@ impl NetworkFunction for Compression {
 /// job); in `Police` mode it drops non-conformant packets, which adds a
 /// Drop action to its profile.
 #[derive(Debug)]
-pub struct TrafficShaper {
+pub(crate) struct TrafficShaper {
     name: String,
     rate_bytes_per_sec: f64,
     burst_bytes: f64,
@@ -167,14 +176,14 @@ pub struct TrafficShaper {
     last_refill: Instant,
     policing: bool,
     /// Conformant packets.
-    pub conformant: u64,
+    conformant: u64,
     /// Non-conformant packets (dropped when policing).
-    pub exceeded: u64,
+    exceeded: u64,
 }
 
 impl TrafficShaper {
     /// Create a shaper with `rate` bytes/s and `burst` bytes of depth.
-    pub fn new(name: impl Into<String>, rate: f64, burst: f64, policing: bool) -> Self {
+    pub(crate) fn new(name: impl Into<String>, rate: f64, burst: f64, policing: bool) -> Self {
         Self {
             name: name.into(),
             rate_bytes_per_sec: rate,
@@ -196,7 +205,8 @@ impl TrafficShaper {
     }
 
     /// Manually add elapsed time (deterministic tests).
-    pub fn advance(&mut self, dt: Duration) {
+    #[cfg(test)]
+    fn advance(&mut self, dt: std::time::Duration) {
         self.tokens =
             (self.tokens + dt.as_secs_f64() * self.rate_bytes_per_sec).min(self.burst_bytes);
         self.last_refill = Instant::now();
@@ -242,16 +252,16 @@ impl NetworkFunction for TrafficShaper {
 /// A conference/voice/media gateway front (Table 2: Cisco MGX — reads SIP
 /// and DIP): admits sessions between configured subnets and tracks them.
 #[derive(Debug)]
-pub struct Gateway {
+pub(crate) struct Gateway {
     name: String,
     sessions: HashMap<(u32, u32), u64>,
     /// Packets observed.
-    pub packets: u64,
+    packets: u64,
 }
 
 impl Gateway {
     /// Create a gateway.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             sessions: HashMap::new(),
@@ -260,7 +270,8 @@ impl Gateway {
     }
 
     /// Number of (src, dst) sessions observed.
-    pub fn session_count(&self) -> usize {
+    #[cfg(test)]
+    fn session_count(&self) -> usize {
         self.sessions.len()
     }
 }
@@ -292,22 +303,22 @@ impl NetworkFunction for Gateway {
 /// payload): keys requests by `(dip, dport, payload prefix)` and keeps an
 /// LRU of recently seen keys, counting hits and misses.
 #[derive(Debug)]
-pub struct Caching {
+pub(crate) struct Caching {
     name: String,
     capacity: usize,
     /// key → recency stamp.
     entries: HashMap<u64, u64>,
     clock: u64,
     /// Cache hits.
-    pub hits: u64,
+    hits: u64,
     /// Cache misses (insertions).
-    pub misses: u64,
+    misses: u64,
     scratch: Vec<u8>,
 }
 
 impl Caching {
     /// Create a cache with `capacity` entries.
-    pub fn new(name: impl Into<String>, capacity: usize) -> Self {
+    pub(crate) fn new(name: impl Into<String>, capacity: usize) -> Self {
         Self {
             name: name.into(),
             capacity: capacity.max(1),
@@ -334,13 +345,9 @@ impl Caching {
     }
 
     /// Entries currently cached.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -391,6 +398,7 @@ impl NetworkFunction for Caching {
 mod tests {
     use super::*;
     use crate::nf::testutil::*;
+    use std::time::Duration;
 
     #[test]
     fn proxy_rewrites_both_addresses() {

@@ -10,7 +10,7 @@ use std::ops::RangeInclusive;
 
 /// What a matching rule does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AclAction {
+enum AclAction {
     /// Let the packet through.
     Allow,
     /// Drop the packet.
@@ -20,22 +20,23 @@ pub enum AclAction {
 /// One ACL rule: prefix matches on addresses, ranges on ports; first match
 /// wins.
 #[derive(Debug, Clone)]
-pub struct AclRule {
+struct AclRule {
     /// Source prefix (address, length).
-    pub src: (Ipv4Addr, u8),
+    src: (Ipv4Addr, u8),
     /// Destination prefix (address, length).
-    pub dst: (Ipv4Addr, u8),
+    dst: (Ipv4Addr, u8),
     /// Source port range.
-    pub sport: RangeInclusive<u16>,
+    sport: RangeInclusive<u16>,
     /// Destination port range.
-    pub dport: RangeInclusive<u16>,
+    dport: RangeInclusive<u16>,
     /// Verdict on match.
-    pub action: AclAction,
+    action: AclAction,
 }
 
 impl AclRule {
     /// A rule matching everything.
-    pub fn any(action: AclAction) -> Self {
+    #[cfg(test)]
+    fn any(action: AclAction) -> Self {
         Self {
             src: (Ipv4Addr::new(0, 0, 0, 0), 0),
             dst: (Ipv4Addr::new(0, 0, 0, 0), 0),
@@ -55,7 +56,7 @@ impl AclRule {
     }
 
     /// Does this rule match the 4-tuple?
-    pub fn matches(&self, sip: Ipv4Addr, dip: Ipv4Addr, sport: u16, dport: u16) -> bool {
+    fn matches(&self, sip: Ipv4Addr, dip: Ipv4Addr, sport: u16, dport: u16) -> bool {
         Self::prefix_matches(sip, self.src)
             && Self::prefix_matches(dip, self.dst)
             && self.sport.contains(&sport)
@@ -70,9 +71,9 @@ pub struct Firewall {
     rules: Vec<AclRule>,
     default_action: AclAction,
     /// Packets dropped (diagnostics).
-    pub dropped: u64,
+    dropped: u64,
     /// Packets passed (diagnostics).
-    pub passed: u64,
+    passed: u64,
 }
 
 impl Firewall {
@@ -81,7 +82,7 @@ impl Firewall {
     /// Panics if a rule's source or destination prefix is longer than 32
     /// bits: the mask `prefix_matches` shifts for it does not exist, and
     /// the packet path is no place to find that out.
-    pub fn new(name: impl Into<String>, rules: Vec<AclRule>, default_action: AclAction) -> Self {
+    fn new(name: impl Into<String>, rules: Vec<AclRule>, default_action: AclAction) -> Self {
         if let Some(i) = rules.iter().position(|r| r.src.1.max(r.dst.1) > 32) {
             let (what, len) = match rules[i].src.1 {
                 len if len > 32 => ("source", len),
@@ -114,7 +115,8 @@ impl Firewall {
     }
 
     /// Number of rules in the ACL.
-    pub fn rule_count(&self) -> usize {
+    #[cfg(test)]
+    fn rule_count(&self) -> usize {
         self.rules.len()
     }
 }

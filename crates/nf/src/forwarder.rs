@@ -11,9 +11,9 @@ use nfp_packet::FieldId;
 
 /// A next hop: the MAC the frame is rewritten toward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NextHop {
+struct NextHop {
     /// Destination MAC of the next hop.
-    pub dmac: MacAddr,
+    dmac: MacAddr,
 }
 
 /// Longest-prefix-match L3 forwarder.
@@ -23,14 +23,14 @@ pub struct L3Forwarder {
     table: LpmTable<NextHop>,
     own_mac: MacAddr,
     /// Packets forwarded (diagnostics).
-    pub forwarded: u64,
+    forwarded: u64,
     /// Packets with no matching route (passed unmodified).
-    pub no_route: u64,
+    no_route: u64,
 }
 
 impl L3Forwarder {
     /// Create a forwarder with an empty table.
-    pub fn new(name: impl Into<String>, own_mac: MacAddr) -> Self {
+    fn new(name: impl Into<String>, own_mac: MacAddr) -> Self {
         Self {
             name: name.into(),
             table: LpmTable::new(),
@@ -61,12 +61,13 @@ impl L3Forwarder {
     }
 
     /// Install a route.
-    pub fn add_route(&mut self, prefix: Ipv4Addr, len: u8, hop: NextHop) {
+    fn add_route(&mut self, prefix: Ipv4Addr, len: u8, hop: NextHop) {
         self.table.insert(prefix, len, hop);
     }
 
     /// Number of installed routes.
-    pub fn route_count(&self) -> usize {
+    #[cfg(test)]
+    fn route_count(&self) -> usize {
         self.table.len()
     }
 }

@@ -17,11 +17,11 @@ use nfp_packet::FieldId;
 /// Per-flow inspection context: the stand-in for Snort's per-connection
 /// stream state — how far into a flow we have scanned and what we found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowContext {
+struct FlowContext {
     /// Packets of this flow scanned.
-    pub scanned: u64,
+    scanned: u64,
     /// Alerts raised on this flow.
-    pub alerts: u64,
+    alerts: u64,
 }
 
 impl FlowContext {
@@ -59,9 +59,9 @@ pub struct Ids {
     automaton: AhoCorasick,
     mode: IdsMode,
     /// Alerts raised (matched packets).
-    pub alerts: u64,
+    alerts: u64,
     /// Packets scanned.
-    pub scanned: u64,
+    scanned: u64,
     /// Per-flow inspection context (migrates with the flows).
     contexts: FlowTable<FlowContext>,
     scratch: Vec<u8>,
@@ -69,7 +69,7 @@ pub struct Ids {
 
 impl Ids {
     /// Create an IDS from explicit signatures.
-    pub fn new<I, P>(name: impl Into<String>, signatures: I, mode: IdsMode) -> Self
+    fn new<I, P>(name: impl Into<String>, signatures: I, mode: IdsMode) -> Self
     where
         I: IntoIterator<Item = P>,
         P: AsRef<[u8]>,
@@ -92,17 +92,20 @@ impl Ids {
     }
 
     /// Number of compiled signatures.
-    pub fn signature_count(&self) -> usize {
+    #[cfg(test)]
+    fn signature_count(&self) -> usize {
         self.automaton.pattern_count()
     }
 
     /// Number of flows with live inspection context.
-    pub fn tracked_flows(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_flows(&self) -> usize {
         self.contexts.len()
     }
 
     /// Inspection context for one flow, if tracked.
-    pub fn flow_context(&self, key: &FlowKey) -> Option<FlowContext> {
+    #[cfg(test)]
+    fn flow_context(&self, key: &FlowKey) -> Option<FlowContext> {
         self.contexts.get(key).copied()
     }
 }

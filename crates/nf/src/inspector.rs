@@ -27,14 +27,14 @@ use nfp_packet::{FieldId, FieldMask, Packet};
 #[derive(Debug, Default, Clone)]
 pub struct UsageLog {
     /// Fields read through the field API.
-    pub reads: FieldMask,
+    pub(crate) reads: FieldMask,
     /// Fields written through the field API.
-    pub writes: FieldMask,
+    pub(crate) writes: FieldMask,
     /// The NF read the whole packet (conservative: counts as reading
     /// every field).
-    pub whole_packet_read: bool,
+    whole_packet_read: bool,
     /// The NF took `exclusive_mut` (structural access).
-    pub exclusive_taken: bool,
+    pub(crate) exclusive_taken: bool,
 }
 
 /// Run the inspector: process every sample through `nf` and derive its

@@ -27,12 +27,12 @@ pub struct LoadBalancer {
     /// Live-flow count per backend (derived: recomputed on restore).
     assigned: Vec<u64>,
     /// Per-backend packet counts (diagnostics / balance tests).
-    pub hits: Vec<u64>,
+    hits: Vec<u64>,
 }
 
 impl LoadBalancer {
     /// Create a balancer over `backends` (at most 256), fronted by `vip`.
-    pub fn new(name: impl Into<String>, vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> Self {
+    fn new(name: impl Into<String>, vip: Ipv4Addr, backends: Vec<Ipv4Addr>) -> Self {
         assert!(!backends.is_empty(), "load balancer needs backends");
         assert!(backends.len() <= 256, "backend index is a u8");
         let hits = vec![0; backends.len()];
@@ -54,15 +54,9 @@ impl LoadBalancer {
     }
 
     /// Number of flows currently pinned.
-    pub fn pinned_flows(&self) -> usize {
+    #[cfg(test)]
+    fn pinned_flows(&self) -> usize {
         self.assignments.len()
-    }
-
-    /// The backend a flow is pinned to, if any.
-    pub fn assignment(&self, key: &FlowKey) -> Option<Ipv4Addr> {
-        self.assignments
-            .get(key)
-            .map(|&idx| self.backends[usize::from(idx)])
     }
 
     /// Pick for a new flow: fewest assigned flows, lowest index on ties.

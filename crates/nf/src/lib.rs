@@ -15,12 +15,12 @@
 //!   encapsulation.
 //! * [`monitor::Monitor`] — NetFlow-style per-flow counters keyed by the
 //!   hashed 5-tuple.
-//! * [`nat::Nat`] — source NAT with port allocation.
+//! * `nat::Nat` — source NAT with port allocation.
 //! * [`cycles::CycleFirewall`] — the paper's Figure 9 instrument: a
 //!   firewall that "busily loops for a given number of cycles after
 //!   modifying the packet" to emulate NF complexity.
-//! * [`extra`] — the remaining Table 2 rows: terminating proxy, LZSS
-//!   payload compression ([`lz`]), token-bucket traffic shaper, media
+//! * `extra` — the remaining Table 2 rows: terminating proxy, LZSS
+//!   payload compression (`lz`), token-bucket traffic shaper, media
 //!   gateway and LRU request cache.
 //! * [`catalogue`] — one constructor per registered NF type: what the
 //!   engines, benches, CLI and tests run.
@@ -33,6 +33,11 @@
 //! Reusing parallel stages). The [`inspector`] module implements the §5.4
 //! analysis tool: it observes an NF's `PacketView` usage and derives its
 //! action profile automatically.
+//!
+//! **API:** the public modules above and the root re-exports
+//! [`NetworkFunction`], [`PacketView`], [`Verdict`], [`FlowSnapshot`] and
+//! [`FlowTable`]. `extra`, `hash`, `lz`, `nat` and `nf` are private; the
+//! NFs of `extra` and `nat` are built through [`catalogue`].
 
 #![warn(missing_docs)]
 
@@ -41,7 +46,7 @@ pub mod aho;
 pub mod catalogue;
 pub mod chaos;
 pub mod cycles;
-pub mod extra;
+mod extra;
 pub mod firewall;
 pub mod forwarder;
 mod hash;
@@ -49,13 +54,12 @@ pub mod ids;
 pub mod inspector;
 pub mod lb;
 pub mod lpm;
-pub mod lz;
+mod lz;
 pub mod monitor;
-pub mod nat;
-pub mod nf;
+mod nat;
+mod nf;
 pub mod state;
 pub mod vpn;
 
-pub use inspector::inspect;
 pub use nf::{NetworkFunction, PacketView, Verdict};
 pub use state::{FlowSnapshot, FlowTable};

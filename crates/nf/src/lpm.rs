@@ -12,7 +12,7 @@
 //! every entry of the root and is kept beside it instead.
 //!
 //! Expansion loses which prefixes were installed (a /22 and a /24 can
-//! share their first entry), so exact-prefix questions — [`LpmTable::get`]
+//! share their first entry), so exact-prefix questions — `LpmTable::get` (test-only)
 //! and "is this insert a replacement?" — are answered by a control-plane
 //! index from `(masked prefix, length)` to the rule's value slot.
 //! Replacing a route's value touches only that slot.
@@ -94,12 +94,14 @@ impl<T> LpmTable<T> {
     }
 
     /// Number of installed prefixes.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
     /// True when no prefix is installed.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 
@@ -175,7 +177,8 @@ impl<T> LpmTable<T> {
     }
 
     /// Exact-prefix lookup (diagnostics).
-    pub fn get(&self, prefix: Ipv4Addr, prefix_len: u8) -> Option<&T> {
+    #[cfg(test)]
+    fn get(&self, prefix: Ipv4Addr, prefix_len: u8) -> Option<&T> {
         assert!(prefix_len <= 32);
         let key = rule_key(mask(prefix, prefix_len), prefix_len);
         let slot = *self.rules.get(&key)?;

@@ -7,15 +7,15 @@
 //! already-decoded output and `len ∈ [MIN_MATCH, MIN_MATCH+255]`.
 
 /// Minimum match length worth encoding (a reference costs 3 bytes + flag).
-pub const MIN_MATCH: usize = 4;
+const MIN_MATCH: usize = 4;
 /// Maximum match length encodable.
-pub const MAX_MATCH: usize = MIN_MATCH + 255;
+const MAX_MATCH: usize = MIN_MATCH + 255;
 /// Search window.
-pub const WINDOW: usize = 65_535;
+const WINDOW: usize = 65_535;
 
 /// Compress `input`. The output is never catastrophically larger than the
 /// input (worst case: `input.len() + input.len()/8 + 2`).
-pub fn compress(input: &[u8]) -> Vec<u8> {
+pub(crate) fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     let mut i = 0usize;
     let mut flag_pos: Option<usize> = None;
@@ -77,8 +77,9 @@ fn best_match(input: &[u8], pos: usize) -> (usize, usize) {
 }
 
 /// Decompression errors.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LzError {
+pub(crate) enum LzError {
     /// A back-reference points before the start of the output.
     BadReference,
     /// The stream ended mid-token.
@@ -86,7 +87,8 @@ pub enum LzError {
 }
 
 /// Decompress a [`compress`]-produced stream.
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
+#[cfg(test)]
+pub(crate) fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
     let mut out = Vec::with_capacity(input.len() * 2);
     let mut i = 0usize;
     while i < input.len() {

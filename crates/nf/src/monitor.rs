@@ -24,14 +24,14 @@ pub struct FlowStats {
 
 impl FlowStats {
     /// Snapshot wire format: 16 bytes, `packets` then `bytes`, both BE.
-    pub fn to_bytes(self) -> Vec<u8> {
+    fn to_bytes(self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
         out.extend_from_slice(&self.packets.to_be_bytes());
         out.extend_from_slice(&self.bytes.to_be_bytes());
         out
     }
 
-    /// Decode the [`FlowStats::to_bytes`] format; `None` on any other
+    /// Decode the `FlowStats::to_bytes` format; `None` on any other
     /// length (migration rejects, it never guesses).
     pub fn from_bytes(b: &[u8]) -> Option<Self> {
         if b.len() != 16 {
@@ -64,12 +64,14 @@ impl Monitor {
     }
 
     /// Number of distinct flows observed.
-    pub fn flow_count(&self) -> usize {
+    #[cfg(test)]
+    fn flow_count(&self) -> usize {
         self.flows.len()
     }
 
     /// Stats for one flow, if observed.
-    pub fn stats(&self, key: &FlowKey) -> Option<FlowStats> {
+    #[cfg(test)]
+    fn stats(&self, key: &FlowKey) -> Option<FlowStats> {
         self.flows.get(key).copied()
     }
 }

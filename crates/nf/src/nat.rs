@@ -26,7 +26,7 @@ use std::collections::HashMap;
 
 /// Masquerading source NAT.
 #[derive(Debug)]
-pub struct Nat {
+pub(crate) struct Nat {
     name: String,
     external_ip: Ipv4Addr,
     /// flow → external port (authoritative, migrates with the flows).
@@ -35,21 +35,21 @@ pub struct Nat {
     /// rebuilt on restore).
     reverse: HashMap<u16, FlowKey>,
     /// Packets translated.
-    pub translated: u64,
+    translated: u64,
     /// Packets dropped because the port pool is exhausted.
-    pub exhausted: u64,
+    exhausted: u64,
     /// Reverse-index conflicts observed while importing migrated
     /// bindings (two flows allocated the same external port on
     /// different shards before the merge).
-    pub port_collisions: u64,
+    port_collisions: u64,
 }
 
 impl Nat {
     /// Ports allocated from this base upward.
-    pub const PORT_BASE: u16 = 30000;
+    const PORT_BASE: u16 = 30000;
 
     /// Create a NAT masquerading as `external_ip`.
-    pub fn new(name: impl Into<String>, external_ip: Ipv4Addr) -> Self {
+    pub(crate) fn new(name: impl Into<String>, external_ip: Ipv4Addr) -> Self {
         Self {
             name: name.into(),
             external_ip,
@@ -62,17 +62,20 @@ impl Nat {
     }
 
     /// Number of active bindings.
-    pub fn binding_count(&self) -> usize {
+    #[cfg(test)]
+    fn binding_count(&self) -> usize {
         self.bindings.len()
     }
 
     /// The external port bound to a flow, if any.
-    pub fn binding(&self, key: &FlowKey) -> Option<u16> {
+    #[cfg(test)]
+    fn binding(&self, key: &FlowKey) -> Option<u16> {
         self.bindings.get(key).copied()
     }
 
     /// Look up the internal endpoint behind an external port.
-    pub fn reverse_lookup(&self, external_port: u16) -> Option<(Ipv4Addr, u16)> {
+    #[cfg(test)]
+    fn reverse_lookup(&self, external_port: u16) -> Option<(Ipv4Addr, u16)> {
         self.reverse
             .get(&external_port)
             .map(|key| (key.sip, key.sport))

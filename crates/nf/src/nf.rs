@@ -53,7 +53,7 @@ pub enum PacketView<'a> {
 impl<'a> PacketView<'a> {
     /// Read a header field as raw bytes into `buf`; returns the length.
     #[inline]
-    pub fn read_bytes(&self, field: FieldId, buf: &mut [u8]) -> Result<usize, PacketError> {
+    pub(crate) fn read_bytes(&self, field: FieldId, buf: &mut [u8]) -> Result<usize, PacketError> {
         fn read_from(p: &Packet, field: FieldId, buf: &mut [u8]) -> Result<usize, PacketError> {
             let bytes = p.field_bytes(field)?;
             if buf.len() < bytes.len() {
@@ -79,7 +79,7 @@ impl<'a> PacketView<'a> {
     /// The sole owner of a packet gets one fixed-width load
     /// ([`Packet::field_scalar`]); the other arms copy the field out first.
     #[inline]
-    pub fn read_scalar(&self, field: FieldId) -> Result<u64, PacketError> {
+    pub(crate) fn read_scalar(&self, field: FieldId) -> Result<u64, PacketError> {
         if let PacketView::Exclusive(p) = self {
             return p.field_scalar(field);
         }
@@ -90,7 +90,7 @@ impl<'a> PacketView<'a> {
 
     /// Overwrite a header field.
     #[inline]
-    pub fn write(&mut self, field: FieldId, value: &[u8]) -> Result<(), PacketError> {
+    pub(crate) fn write(&mut self, field: FieldId, value: &[u8]) -> Result<(), PacketError> {
         match self {
             PacketView::Exclusive(p) => p.set_field_bytes(field, value),
             PacketView::Shared { pool, r } => pool.write_field(*r, field, value),
@@ -101,28 +101,11 @@ impl<'a> PacketView<'a> {
         }
     }
 
-    /// Run a closure over the whole packet, read-only.
-    ///
-    /// In shared mode this is sound only for NFs whose profile reads the
-    /// touched bytes — which is exactly what the compiled graph enforces.
-    /// Under inspection this records a conservative whole-packet read.
-    #[inline]
-    pub fn with_packet<R>(&self, f: impl FnOnce(&Packet) -> R) -> R {
-        match self {
-            PacketView::Exclusive(p) => f(p),
-            PacketView::Shared { pool, r } => pool.with(*r, f),
-            PacketView::Inspect { pkt, log } => {
-                log.borrow_mut().whole_packet_read = true;
-                f(pkt)
-            }
-        }
-    }
-
     /// Mutable access to the whole packet — only when the NF owns it.
     /// Structural operations (header add/remove, payload rewrites) require
     /// this; the graph compiler guarantees Add/Rm NFs own their copy.
     #[inline]
-    pub fn exclusive_mut(&mut self) -> Option<&mut Packet> {
+    pub(crate) fn exclusive_mut(&mut self) -> Option<&mut Packet> {
         match self {
             PacketView::Exclusive(p) => Some(p),
             PacketView::Shared { .. } => None,
@@ -136,7 +119,7 @@ impl<'a> PacketView<'a> {
     /// The packet's 5-tuple (sip, dip, sport, dport, proto). Recorded as
     /// reads of the four tuple fields under inspection.
     #[inline]
-    pub fn five_tuple(
+    pub(crate) fn five_tuple(
         &self,
     ) -> Result<
         (
@@ -164,7 +147,7 @@ impl<'a> PacketView<'a> {
 
     /// Frame length in bytes (not recorded as a field access).
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             PacketView::Exclusive(p) => p.len(),
             PacketView::Shared { pool, r } => pool.with(*r, |p| p.len()),
@@ -172,15 +155,9 @@ impl<'a> PacketView<'a> {
         }
     }
 
-    /// True when the frame is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// NFP metadata attached to the packet (not recorded).
     #[inline]
-    pub fn meta(&self) -> Metadata {
+    pub(crate) fn meta(&self) -> Metadata {
         match self {
             PacketView::Exclusive(p) => p.meta(),
             PacketView::Shared { pool, r } => pool.with(*r, |p| p.meta()),
@@ -278,7 +255,7 @@ impl NetworkFunction for Box<dyn NetworkFunction> {
 pub(crate) mod testutil {
     //! Test-frame builders, delegating to the workspace-shared
     //! [`nfp_packet::testutil`] emitters.
-    pub use nfp_packet::testutil::{ip, tcp_packet, udp_packet};
+    pub(crate) use nfp_packet::testutil::{ip, tcp_packet, udp_packet};
 }
 
 #[cfg(test)]

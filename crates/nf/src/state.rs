@@ -36,7 +36,7 @@ pub struct FlowSnapshot {
 
 impl FlowSnapshot {
     /// An empty snapshot tagged with the exporting NF's name.
-    pub fn empty(nf: &str) -> Self {
+    pub(crate) fn empty(nf: &str) -> Self {
         Self {
             nf: nf.to_string(),
             entries: Vec::new(),
@@ -72,8 +72,8 @@ impl FlowSnapshot {
 ///
 /// Plain map semantics plus two things a `HashMap` does not give you:
 /// a shard-partition binding with debug-build ownership assertions, and
-/// serialization hooks ([`FlowTable::snapshot_with`] /
-/// [`FlowTable::restore_with`]) that the migration machinery drives.
+/// serialization hooks (`FlowTable::snapshot_with` /
+/// `FlowTable::restore_with`) that the migration machinery drives.
 ///
 /// Every stateful NF probes its table once per packet, with a key the
 /// sender of the packet chose. The map therefore hashes the key's two
@@ -87,7 +87,7 @@ pub struct FlowTable<T> {
     /// `(shard index, shard count)` this table serves, when bound.
     partition: Option<(usize, usize)>,
     /// Flows imported via [`FlowTable::restore_with`] (migration census).
-    pub migrated_in: u64,
+    migrated_in: u64,
 }
 
 impl<T> Default for FlowTable<T> {
@@ -110,14 +110,9 @@ impl<T> FlowTable<T> {
     /// every subsequent keyed access asserts the key hashes to this
     /// partition, so a dispatcher/state-keying mismatch fails loudly at
     /// the first misdirected flow instead of silently diverging.
-    pub fn bind_partition(&mut self, index: usize, total: usize) {
+    pub(crate) fn bind_partition(&mut self, index: usize, total: usize) {
         assert!(total >= 1 && index < total, "partition {index}/{total}");
         self.partition = Some((index, total));
-    }
-
-    /// The bound partition, if any.
-    pub fn partition(&self) -> Option<(usize, usize)> {
-        self.partition
     }
 
     #[inline]
@@ -138,33 +133,22 @@ impl<T> FlowTable<T> {
 
     /// Number of live flows.
     #[inline]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.flows.len()
-    }
-
-    /// True when no flow has state.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
     }
 
     /// Shared access to a flow's state.
     #[inline]
-    pub fn get(&self, key: &FlowKey) -> Option<&T> {
+    pub(crate) fn get(&self, key: &FlowKey) -> Option<&T> {
         self.assert_owned(key);
         self.flows.get(key)
     }
 
-    /// Mutable access to a flow's state.
-    #[inline]
-    pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut T> {
-        self.assert_owned(key);
-        self.flows.get_mut(key)
-    }
-
     /// True when the flow has state.
     #[inline]
-    pub fn contains(&self, key: &FlowKey) -> bool {
+    #[cfg(test)]
+    fn contains(&self, key: &FlowKey) -> bool {
         self.assert_owned(key);
         self.flows.contains_key(key)
     }
@@ -178,23 +162,23 @@ impl<T> FlowTable<T> {
 
     /// Remove a flow's state.
     #[inline]
-    pub fn remove(&mut self, key: &FlowKey) -> Option<T> {
+    #[cfg(test)]
+    fn remove(&mut self, key: &FlowKey) -> Option<T> {
         self.assert_owned(key);
         self.flows.remove(key)
     }
 
     /// Iterate `(flow, state)` pairs (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (&FlowKey, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&FlowKey, &T)> {
         self.flows.iter()
     }
 
-    /// Drop all state (partition binding and census counters survive).
-    pub fn clear(&mut self) {
-        self.flows.clear();
-    }
-
     /// Export every flow's state through `encode`.
-    pub fn snapshot_with(&self, nf: &str, mut encode: impl FnMut(&T) -> Vec<u8>) -> FlowSnapshot {
+    pub(crate) fn snapshot_with(
+        &self,
+        nf: &str,
+        mut encode: impl FnMut(&T) -> Vec<u8>,
+    ) -> FlowSnapshot {
         let mut snap = FlowSnapshot::empty(nf);
         snap.entries
             .extend(self.flows.iter().map(|(k, v)| (*k, encode(v))));
@@ -210,7 +194,7 @@ impl<T> FlowTable<T> {
     /// responsible for partition-filtering the snapshot first
     /// ([`FlowSnapshot::retain_shard`]); in debug builds a misdirected
     /// key trips the ownership assertion here.
-    pub fn restore_with(
+    pub(crate) fn restore_with(
         &mut self,
         snap: &FlowSnapshot,
         mut decode: impl FnMut(&[u8]) -> Option<T>,

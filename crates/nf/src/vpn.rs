@@ -30,10 +30,10 @@ pub struct Vpn {
     spi: u32,
     seq: u32,
     /// Packets processed successfully.
-    pub processed: u64,
+    processed: u64,
     /// Packets that could not be processed (shared view, malformed, ICV
     /// mismatch) — passed through unmodified but counted.
-    pub errors: u64,
+    errors: u64,
 }
 
 impl core::fmt::Debug for Vpn {

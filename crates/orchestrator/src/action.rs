@@ -48,7 +48,7 @@ impl core::fmt::Display for FailurePolicy {
 
 /// The four action categories of the paper's Tables 2 and 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ActionKind {
+pub(crate) enum ActionKind {
     /// Read a packet field.
     Read,
     /// Write (modify) a packet field.
@@ -61,7 +61,8 @@ pub enum ActionKind {
 
 impl ActionKind {
     /// All four kinds, for table iteration.
-    pub const ALL: [ActionKind; 4] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [ActionKind; 4] = [
         ActionKind::Read,
         ActionKind::Write,
         ActionKind::AddRm,
@@ -86,7 +87,7 @@ impl core::fmt::Display for ActionKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Action {
     /// The action category.
-    pub kind: ActionKind,
+    pub(crate) kind: ActionKind,
     /// The field a `Read`/`Write` touches; `None` for `AddRm` and `Drop`.
     pub field: Option<FieldId>,
 }
@@ -137,7 +138,7 @@ impl core::fmt::Display for Action {
 /// An NF's action profile: the row it would occupy in the paper's Table 2.
 ///
 /// Profiles are produced either by hand, by the built-in table
-/// ([`crate::table2`]), or by the NF inspector in `nfp-nf` (§5.4), and are
+/// (`crate::table2`), or by the NF inspector in `nfp-nf` (§5.4), and are
 /// the sole input Algorithm 1 needs about an NF.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ActionProfile {
@@ -150,7 +151,7 @@ pub struct ActionProfile {
     /// operation (`add(v2.AH, after, v1.IP)`).
     pub add_rm_header: Option<HeaderKind>,
     /// Explicit failure policy, when the operator pinned one. `None`
-    /// means "derive it": see [`ActionProfile::failure_policy`].
+    /// means "derive it": see `ActionProfile::failure_policy`.
     pub failure: Option<FailurePolicy>,
     /// True when the NF keeps per-flow state that must migrate with its
     /// flows across shard-count changes (NAT bindings, LB pins, monitor
@@ -286,7 +287,7 @@ impl ActionProfile {
     /// otherwise derived from the action profile — an NF that may *drop*
     /// packets is enforcing something, so it fails closed; everything
     /// else fails open.
-    pub fn failure_policy(&self) -> FailurePolicy {
+    pub(crate) fn failure_policy(&self) -> FailurePolicy {
         self.failure.unwrap_or(if self.has_drop() {
             FailurePolicy::FailClosed
         } else {

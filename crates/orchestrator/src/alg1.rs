@@ -36,7 +36,7 @@ impl Default for IdentifyOptions {
 /// verdicts with no defined resolution (write→read, add/rm) are never
 /// overridden.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PairContext {
+pub(crate) enum PairContext {
     /// Derived from an `Order` rule (or an unrelated pair the compiler
     /// probes): strict result-correctness analysis.
     #[default]
@@ -56,12 +56,12 @@ pub struct PairAnalysis {
     pub conflicting_actions: Vec<(Action, Action)>,
     /// True when the pair has a drop conflict that a `Priority` rule
     /// resolved (merge-time resolution, no copy needed).
-    pub drop_conflict: bool,
+    pub(crate) drop_conflict: bool,
 }
 
 impl PairAnalysis {
     /// True when parallel execution requires a packet copy.
-    pub fn needs_copy(&self) -> bool {
+    pub(crate) fn needs_copy(&self) -> bool {
         self.parallelizable && !self.conflicting_actions.is_empty()
     }
 
@@ -98,7 +98,7 @@ pub fn identify(
 }
 
 /// [`identify`] with an explicit rule context (see [`PairContext`]).
-pub fn identify_in(
+pub(crate) fn identify_in(
     nf1: &ActionProfile,
     nf2: &ActionProfile,
     dt: &DependencyTable,

@@ -47,8 +47,6 @@ pub struct PairRow {
 /// Aggregated census result.
 #[derive(Debug, Clone)]
 pub struct CensusReport {
-    /// Weighting used.
-    pub weighting: Weighting,
     /// Weighted fraction of pairs that can work in parallel at all.
     pub parallelizable: f64,
     /// Weighted fraction parallelizable with **no** copy (no extra
@@ -58,13 +56,6 @@ pub struct CensusReport {
     pub with_copy: f64,
     /// Per-pair detail rows.
     pub pairs: Vec<PairRow>,
-}
-
-impl CensusReport {
-    /// Count of rows with the given verdict (unweighted).
-    pub fn count(&self, v: Parallelism) -> usize {
-        self.pairs.iter().filter(|p| p.verdict == v).count()
-    }
 }
 
 /// Run the census over every ordered pair of distinct NF types in
@@ -123,7 +114,6 @@ pub fn census(registry: &Registry, weighting: Weighting, opts: IdentifyOptions) 
         }
     }
     CensusReport {
-        weighting,
         parallelizable,
         no_copy,
         with_copy,

@@ -99,7 +99,7 @@ impl DependencyTable {
     }
 
     /// Verdict for `(a1, a2)` with a1's NF ordered before a2's NF.
-    pub fn lookup(&self, a1: ActionKind, a2: ActionKind) -> Parallelism {
+    pub(crate) fn lookup(&self, a1: ActionKind, a2: ActionKind) -> Parallelism {
         self.cells[idx(a1)][idx(a2)]
     }
 }

@@ -16,7 +16,7 @@ use nfp_packet::{FieldId, FieldMask};
 use nfp_policy::NfName;
 
 /// Index of a node in [`ServiceGraph::nodes`].
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// A deployed NF instance in the graph.
 #[derive(Debug, Clone)]
@@ -124,7 +124,7 @@ impl ParallelGroup {
     }
 
     /// Number of packet copies created at fan-out (distinct versions > 1).
-    pub fn copies(&self) -> usize {
+    pub(crate) fn copies(&self) -> usize {
         let mut versions: Vec<u8> = self
             .members
             .iter()
@@ -165,7 +165,7 @@ pub enum Segment {
 
 impl Segment {
     /// All node ids in this segment.
-    pub fn nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn nodes(&self) -> Vec<NodeId> {
         match self {
             Segment::Sequential(n) => vec![*n],
             Segment::Parallel(g) => g.members.iter().flat_map(|m| m.path.clone()).collect(),

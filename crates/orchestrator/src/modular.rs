@@ -19,12 +19,12 @@ pub struct Block {
     pub name: String,
     /// The block's action profile (blocks are just tiny NFs to the
     /// dependency analysis).
-    pub profile: ActionProfile,
+    profile: ActionProfile,
 }
 
 impl Block {
     /// Construct a block.
-    pub fn new(name: impl Into<String>, profile: ActionProfile) -> Self {
+    fn new(name: impl Into<String>, profile: ActionProfile) -> Self {
         Self {
             name: name.into(),
             profile,
@@ -36,8 +36,6 @@ impl Block {
 /// classifier's branching is folded into the block profiles).
 #[derive(Debug, Clone)]
 pub struct BlockChain {
-    /// NF name.
-    pub nf: String,
     /// Blocks in processing order.
     pub blocks: Vec<Block>,
 }
@@ -148,7 +146,6 @@ pub fn merge(a: &BlockChain, b: &BlockChain, opts: IdentifyOptions) -> MergedGra
 pub fn figure15_firewall() -> BlockChain {
     use nfp_packet::FieldId::*;
     BlockChain {
-        nf: "Firewall".into(),
         blocks: vec![
             Block::new("ReadPackets", ActionProfile::new("ReadPackets")),
             Block::new(
@@ -170,7 +167,6 @@ pub fn figure15_firewall() -> BlockChain {
 pub fn figure15_ips() -> BlockChain {
     use nfp_packet::FieldId::*;
     BlockChain {
-        nf: "IPS".into(),
         blocks: vec![
             Block::new("ReadPackets", ActionProfile::new("ReadPackets")),
             Block::new(
@@ -216,11 +212,9 @@ mod tests {
     #[test]
     fn disjoint_chains_share_nothing() {
         let a = BlockChain {
-            nf: "A".into(),
             blocks: vec![Block::new("X", ActionProfile::new("X"))],
         };
         let b = BlockChain {
-            nf: "B".into(),
             blocks: vec![Block::new("Y", ActionProfile::new("Y"))],
         };
         let m = merge(&a, &b, IdentifyOptions::default());

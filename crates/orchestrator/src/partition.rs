@@ -18,10 +18,10 @@ pub struct ServerPlan {
     /// Segment index range (half-open) hosted by this server.
     pub segments: core::ops::Range<usize>,
     /// NF instances hosted (cores for NFs).
-    pub nf_count: usize,
+    nf_count: usize,
     /// Extra cores: 1 classifier (first server only) + 1 merger when any
     /// hosted segment is parallel.
-    pub support_cores: usize,
+    support_cores: usize,
 }
 
 /// Partitioning failures.

@@ -124,7 +124,7 @@ impl WiringPlan {
     /// topology). Engines instantiate rings from the topology once at
     /// startup, so only a topology-identical program can be hot-swapped
     /// into a running engine.
-    pub fn same_topology(&self, other: &WiringPlan) -> bool {
+    fn same_topology(&self, other: &WiringPlan) -> bool {
         fn same_edge_set(a: &[Stage], b: &[Stage]) -> bool {
             // Target lists are deduplicated at construction, so set
             // equality is length + containment.
@@ -331,7 +331,7 @@ impl Program {
 
     /// Seal pre-generated `tables` against their source `graph`, running
     /// every invariant check.
-    pub fn seal(tables: GraphTables, graph: &ServiceGraph) -> Result<Program, ProgramError> {
+    fn seal(tables: GraphTables, graph: &ServiceGraph) -> Result<Program, ProgramError> {
         if tables.nf_configs.len() != graph.nodes.len() {
             return Err(ProgramError::NfConfigCountMismatch {
                 expected: graph.nodes.len(),
@@ -385,7 +385,7 @@ impl Program {
     }
 
     /// The match ID this program serves.
-    pub fn mid(&self) -> u32 {
+    fn mid(&self) -> u32 {
         self.tables.mid
     }
 
@@ -400,7 +400,8 @@ impl Program {
     }
 
     /// Fields NF `node` may write at its graph position.
-    pub fn writes_of(&self, node: usize) -> FieldMask {
+    #[cfg(test)]
+    fn writes_of(&self, node: usize) -> FieldMask {
         self.writes.get(node).copied().unwrap_or(FieldMask::EMPTY)
     }
 
@@ -408,7 +409,8 @@ impl Program {
     /// be exported/imported across shard-count changes). Empty for an
     /// all-stateless program — a rescale can then skip the state-migration
     /// pass entirely.
-    pub fn stateful_nodes(&self) -> Vec<usize> {
+    #[cfg(test)]
+    fn stateful_nodes(&self) -> Vec<usize> {
         self.tables
             .nf_configs
             .iter()
@@ -515,19 +517,19 @@ impl std::error::Error for UpdateRejection {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramUpdate {
     /// Epoch of the running program.
-    pub from_epoch: u64,
+    from_epoch: u64,
     /// Epoch of the candidate.
-    pub to_epoch: u64,
+    to_epoch: u64,
     /// The classifier's entry actions changed.
-    pub entry_actions_changed: bool,
+    entry_actions_changed: bool,
     /// Graph positions whose runtime config (forwarding actions, access
     /// mode, drop/failure policy) changed.
-    pub nfs_changed: Vec<usize>,
+    nfs_changed: Vec<usize>,
     /// Any merge spec (membership, priorities, merge ops, next hops)
     /// changed.
-    pub merge_specs_changed: bool,
+    merge_specs_changed: bool,
     /// Any per-position write mask changed.
-    pub writes_changed: bool,
+    writes_changed: bool,
 }
 
 impl ProgramUpdate {
@@ -593,7 +595,8 @@ impl ProgramUpdate {
 
     /// True when the candidate is byte-identical policy-wise — swapping to
     /// it only advances the epoch.
-    pub fn is_noop(&self) -> bool {
+    #[cfg(test)]
+    fn is_noop(&self) -> bool {
         !self.entry_actions_changed
             && self.nfs_changed.is_empty()
             && !self.merge_specs_changed

@@ -12,12 +12,12 @@ use std::collections::HashMap;
 /// A Table 2 row: an NF action profile plus its share of enterprise
 /// deployments (where the paper reports one).
 #[derive(Debug, Clone)]
-pub struct TableEntry {
+pub(crate) struct TableEntry {
     /// The action profile.
-    pub profile: ActionProfile,
+    profile: ActionProfile,
     /// Deployment share in enterprise networks, as a fraction (0.26 for
     /// "26%"); `None` for rows the paper lists without a percentage.
-    pub deployment_share: Option<f64>,
+    pub(crate) deployment_share: Option<f64>,
 }
 
 /// The NF action table (AT): profiles keyed by NF type name.
@@ -147,7 +147,7 @@ impl Registry {
     }
 
     /// Register (or replace) a profile with a deployment share.
-    pub fn register_with_share(&mut self, profile: ActionProfile, share: Option<f64>) {
+    fn register_with_share(&mut self, profile: ActionProfile, share: Option<f64>) {
         self.entries.insert(
             profile.nf_type.clone(),
             TableEntry {
@@ -163,7 +163,7 @@ impl Registry {
     }
 
     /// Look up the full table entry.
-    pub fn entry(&self, nf_type: &str) -> Option<&TableEntry> {
+    pub(crate) fn entry(&self, nf_type: &str) -> Option<&TableEntry> {
         self.entries.get(nf_type)
     }
 
@@ -175,13 +175,9 @@ impl Registry {
     }
 
     /// Number of registered profiles.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no profile is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

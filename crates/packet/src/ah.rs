@@ -67,7 +67,8 @@ impl<'a> AhView<'a> {
 
     /// Bytes after the AH.
     #[inline]
-    pub fn payload(&self) -> &'a [u8] {
+    #[cfg(test)]
+    fn payload(&self) -> &'a [u8] {
         &self.bytes[HEADER_LEN..]
     }
 }

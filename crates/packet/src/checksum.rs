@@ -82,7 +82,7 @@ impl Checksum {
     ///
     /// Panics if `data` ends before the field does.
     #[inline]
-    pub fn add_bytes_without(&mut self, data: &[u8], field: usize) {
+    pub(crate) fn add_bytes_without(&mut self, data: &[u8], field: usize) {
         debug_assert!(field & 1 == 0, "checksum field at odd offset");
         self.add_bytes(&data[..field]);
         self.add_bytes(&data[field + 2..]);
@@ -90,7 +90,7 @@ impl Checksum {
 
     /// Fold a big-endian 16-bit word into the checksum.
     #[inline]
-    pub fn add_u16(&mut self, word: u16) {
+    fn add_u16(&mut self, word: u16) {
         // Only valid at even offsets; NFP headers always are.
         debug_assert!(self.odd.is_none(), "add_u16 at odd offset");
         self.be += u64::from(word);
@@ -117,7 +117,7 @@ pub fn checksum(data: &[u8]) -> u16 {
 
 /// Pseudo-header checksum contribution for TCP/UDP over IPv4.
 #[inline]
-pub fn pseudo_header(src: [u8; 4], dst: [u8; 4], protocol: u8, l4_len: u16) -> Checksum {
+pub(crate) fn pseudo_header(src: [u8; 4], dst: [u8; 4], protocol: u8, l4_len: u16) -> Checksum {
     let mut c = Checksum::new();
     c.add_bytes(&src);
     c.add_bytes(&dst);

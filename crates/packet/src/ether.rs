@@ -3,14 +3,10 @@
 use crate::{PacketError, Result};
 
 /// Length of an Ethernet II header in bytes.
-pub const HEADER_LEN: usize = 14;
+pub(crate) const HEADER_LEN: usize = 14;
 
 /// EtherType for IPv4.
-pub const ETHERTYPE_IPV4: u16 = 0x0800;
-/// EtherType for ARP.
-pub const ETHERTYPE_ARP: u16 = 0x0806;
-/// EtherType for IPv6.
-pub const ETHERTYPE_IPV6: u16 = 0x86dd;
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 
 /// A 48-bit IEEE 802 MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -18,19 +14,20 @@ pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-    /// The all-zero address.
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
+    #[cfg(test)]
+    const BROADCAST: MacAddr = MacAddr([0xff; 6]);
 
     /// True if this is a group (multicast/broadcast) address.
     #[inline]
-    pub fn is_multicast(&self) -> bool {
+    #[cfg(test)]
+    fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
 
     /// True if this is the broadcast address.
     #[inline]
-    pub fn is_broadcast(&self) -> bool {
+    #[cfg(test)]
+    fn is_broadcast(&self) -> bool {
         *self == Self::BROADCAST
     }
 }
@@ -71,14 +68,14 @@ impl core::str::FromStr for MacAddr {
 
 /// Immutable view over an Ethernet II header.
 #[derive(Debug, Clone, Copy)]
-pub struct EtherView<'a> {
+pub(crate) struct EtherView<'a> {
     bytes: &'a [u8],
 }
 
 impl<'a> EtherView<'a> {
     /// Parse an Ethernet header at the start of `bytes`.
     #[inline]
-    pub fn new(bytes: &'a [u8]) -> Result<Self> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Result<Self> {
         if bytes.len() < HEADER_LEN {
             return Err(PacketError::Truncated {
                 what: "Ethernet header",
@@ -91,31 +88,27 @@ impl<'a> EtherView<'a> {
 
     /// Destination MAC address.
     #[inline]
-    pub fn dst(&self) -> MacAddr {
+    #[cfg(test)]
+    fn dst(&self) -> MacAddr {
         MacAddr(self.bytes[0..6].try_into().unwrap())
     }
 
     /// Source MAC address.
     #[inline]
-    pub fn src(&self) -> MacAddr {
+    #[cfg(test)]
+    fn src(&self) -> MacAddr {
         MacAddr(self.bytes[6..12].try_into().unwrap())
     }
 
     /// EtherType of the encapsulated protocol.
     #[inline]
-    pub fn ethertype(&self) -> u16 {
+    pub(crate) fn ethertype(&self) -> u16 {
         u16::from_be_bytes([self.bytes[12], self.bytes[13]])
-    }
-
-    /// The bytes after the Ethernet header.
-    #[inline]
-    pub fn payload(&self) -> &'a [u8] {
-        &self.bytes[HEADER_LEN..]
     }
 }
 
 /// Write an Ethernet II header into the first [`HEADER_LEN`] bytes of `buf`.
-pub fn emit(buf: &mut [u8], dst: MacAddr, src: MacAddr, ethertype: u16) -> Result<()> {
+pub(crate) fn emit(buf: &mut [u8], dst: MacAddr, src: MacAddr, ethertype: u16) -> Result<()> {
     if buf.len() < HEADER_LEN {
         return Err(PacketError::NoCapacity {
             requested: HEADER_LEN,

@@ -63,7 +63,7 @@ impl FieldId {
     ];
 
     /// Short lowercase name used by the policy DSL and bench output.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             FieldId::Sip => "sip",
             FieldId::Dip => "dip",
@@ -79,14 +79,15 @@ impl FieldId {
     }
 
     /// Parse a field name as produced by [`FieldId::name`].
-    pub fn parse(s: &str) -> Option<FieldId> {
+    #[cfg(test)]
+    fn parse(s: &str) -> Option<FieldId> {
         FieldId::ALL.into_iter().find(|f| f.name() == s)
     }
 
     /// Width in bytes of a header field; `None` for the payload, the one
     /// field whose length the frame decides.
     #[inline]
-    pub const fn width(self) -> Option<usize> {
+    pub(crate) const fn width(self) -> Option<usize> {
         match self {
             FieldId::Sip | FieldId::Dip => Some(4),
             FieldId::Sport | FieldId::Dport | FieldId::L4Checksum => Some(2),
@@ -96,15 +97,9 @@ impl FieldId {
         }
     }
 
-    /// True if the field lives in packet headers (vs. the payload).
-    #[inline]
-    pub fn is_header(self) -> bool {
-        !matches!(self, FieldId::Payload)
-    }
-
     /// The bit this field occupies in a [`FieldMask`].
     #[inline]
-    pub fn bit(self) -> u16 {
+    fn bit(self) -> u16 {
         1 << (self as u8)
     }
 }
@@ -141,7 +136,7 @@ impl FieldMask {
 
     /// This set plus `f`.
     #[must_use]
-    pub fn with(self, f: FieldId) -> Self {
+    fn with(self, f: FieldId) -> Self {
         Self(self.0 | f.bit())
     }
 
@@ -191,11 +186,6 @@ impl FieldMask {
     /// Iterate the fields in the set in discriminant order.
     pub fn iter(self) -> impl Iterator<Item = FieldId> {
         FieldId::ALL.into_iter().filter(move |f| self.contains(*f))
-    }
-
-    /// Raw bits (stable across the crate, used for hashing/serialization).
-    pub fn bits(self) -> u16 {
-        self.0
     }
 }
 

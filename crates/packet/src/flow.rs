@@ -20,7 +20,8 @@ use crate::ipv4::Ipv4Addr;
 use crate::packet::Packet;
 
 /// Length of the serialized key: 4 + 4 + 2 + 2 + 1 bytes.
-pub const FLOW_KEY_BYTES: usize = 13;
+#[cfg(test)]
+const FLOW_KEY_BYTES: usize = 13;
 
 /// The immutable 5-tuple identifying one flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -28,13 +29,13 @@ pub struct FlowKey {
     /// Source address.
     pub sip: Ipv4Addr,
     /// Destination address.
-    pub dip: Ipv4Addr,
+    dip: Ipv4Addr,
     /// Source port.
     pub sport: u16,
     /// Destination port.
-    pub dport: u16,
+    dport: u16,
     /// L4 protocol.
-    pub proto: u8,
+    proto: u8,
 }
 
 /// In-memory maps hash a key as two packed words — both addresses, then
@@ -110,7 +111,8 @@ impl FlowKey {
     }
 
     /// Serialize for state snapshots (fixed-width, byte order as hashed).
-    pub fn to_bytes(&self) -> [u8; FLOW_KEY_BYTES] {
+    #[cfg(test)]
+    fn to_bytes(self) -> [u8; FLOW_KEY_BYTES] {
         let mut out = [0u8; FLOW_KEY_BYTES];
         out[0..4].copy_from_slice(&self.sip.0);
         out[4..8].copy_from_slice(&self.dip.0);
@@ -121,7 +123,8 @@ impl FlowKey {
     }
 
     /// Rebuild from [`FlowKey::to_bytes`] output.
-    pub fn from_bytes(b: &[u8; FLOW_KEY_BYTES]) -> Self {
+    #[cfg(test)]
+    fn from_bytes(b: &[u8; FLOW_KEY_BYTES]) -> Self {
         Self {
             sip: Ipv4Addr([b[0], b[1], b[2], b[3]]),
             dip: Ipv4Addr([b[4], b[5], b[6], b[7]]),

@@ -125,7 +125,8 @@ impl VecIngress {
     }
 
     /// Packets not yet pulled.
-    pub fn remaining(&self) -> usize {
+    #[cfg(test)]
+    fn remaining(&self) -> usize {
         self.pkts.len()
     }
 }
@@ -174,9 +175,9 @@ impl Egress for CollectEgress {
 #[derive(Debug, Default)]
 pub struct NullEgress {
     /// Packets discarded.
-    pub emitted: u64,
+    emitted: u64,
     /// Bytes discarded.
-    pub bytes: u64,
+    bytes: u64,
 }
 
 impl NullEgress {

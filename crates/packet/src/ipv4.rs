@@ -4,7 +4,7 @@ use crate::checksum::{checksum, Checksum};
 use crate::{PacketError, Result};
 
 /// Minimum (and, for NFP-generated traffic, typical) IPv4 header length.
-pub const MIN_HEADER_LEN: usize = 20;
+const MIN_HEADER_LEN: usize = 20;
 
 /// IP protocol number for TCP.
 pub const PROTO_TCP: u8 = 6;
@@ -12,8 +12,6 @@ pub const PROTO_TCP: u8 = 6;
 pub const PROTO_UDP: u8 = 17;
 /// IP protocol number for the IPsec Authentication Header.
 pub const PROTO_AH: u8 = 51;
-/// IP protocol number for ICMP.
-pub const PROTO_ICMP: u8 = 1;
 
 /// An IPv4 address (we deliberately avoid `std::net::Ipv4Addr` so the field
 /// model can treat addresses as raw big-endian bytes).
@@ -71,22 +69,16 @@ impl core::str::FromStr for Ipv4Addr {
 
 /// Byte offsets of IPv4 fields relative to the start of the IPv4 header.
 pub mod offsets {
-    /// Version/IHL byte.
-    pub const VER_IHL: usize = 0;
     /// DSCP/ECN byte.
     pub const TOS: usize = 1;
     /// Total length (16 bits).
-    pub const TOTAL_LEN: usize = 2;
-    /// Identification (16 bits).
-    pub const IDENT: usize = 4;
-    /// Flags + fragment offset (16 bits).
-    pub const FLAGS_FRAG: usize = 6;
+    pub(crate) const TOTAL_LEN: usize = 2;
     /// Time to live.
     pub const TTL: usize = 8;
     /// Protocol number.
     pub const PROTOCOL: usize = 9;
     /// Header checksum (16 bits).
-    pub const CHECKSUM: usize = 10;
+    pub(crate) const CHECKSUM: usize = 10;
     /// Source address (32 bits).
     pub const SRC: usize = 12;
     /// Destination address (32 bits).
@@ -135,7 +127,7 @@ impl<'a> Ipv4View<'a> {
 
     /// Header length in bytes (IHL × 4).
     #[inline]
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         (self.bytes[0] & 0x0f) as usize * 4
     }
 
@@ -150,28 +142,21 @@ impl<'a> Ipv4View<'a> {
 
     /// Time to live.
     #[inline]
-    pub fn ttl(&self) -> u8 {
+    #[cfg(test)]
+    fn ttl(&self) -> u8 {
         self.bytes[offsets::TTL]
     }
 
     /// Encapsulated protocol number.
     #[inline]
-    pub fn protocol(&self) -> u8 {
+    pub(crate) fn protocol(&self) -> u8 {
         self.bytes[offsets::PROTOCOL]
-    }
-
-    /// Header checksum field.
-    #[inline]
-    pub fn header_checksum(&self) -> u16 {
-        u16::from_be_bytes([
-            self.bytes[offsets::CHECKSUM],
-            self.bytes[offsets::CHECKSUM + 1],
-        ])
     }
 
     /// Source address.
     #[inline]
-    pub fn src(&self) -> Ipv4Addr {
+    #[cfg(test)]
+    fn src(&self) -> Ipv4Addr {
         Ipv4Addr(
             self.bytes[offsets::SRC..offsets::SRC + 4]
                 .try_into()
@@ -181,7 +166,8 @@ impl<'a> Ipv4View<'a> {
 
     /// Destination address.
     #[inline]
-    pub fn dst(&self) -> Ipv4Addr {
+    #[cfg(test)]
+    fn dst(&self) -> Ipv4Addr {
         Ipv4Addr(
             self.bytes[offsets::DST..offsets::DST + 4]
                 .try_into()
@@ -197,7 +183,8 @@ impl<'a> Ipv4View<'a> {
 
     /// Bytes after the IPv4 header, bounded by `total_len` when consistent.
     #[inline]
-    pub fn payload(&self) -> &'a [u8] {
+    #[cfg(test)]
+    fn payload(&self) -> &'a [u8] {
         let hl = self.header_len();
         let total = self.total_len() as usize;
         let end = total.clamp(hl, self.bytes.len());
@@ -207,19 +194,19 @@ impl<'a> Ipv4View<'a> {
 
 /// Parameters for emitting an IPv4 header (no options).
 #[derive(Debug, Clone, Copy)]
-pub struct Ipv4Emit {
+pub(crate) struct Ipv4Emit {
     /// Source address.
-    pub src: Ipv4Addr,
+    pub(crate) src: Ipv4Addr,
     /// Destination address.
-    pub dst: Ipv4Addr,
+    pub(crate) dst: Ipv4Addr,
     /// Encapsulated protocol number.
-    pub protocol: u8,
+    pub(crate) protocol: u8,
     /// Total datagram length (header + payload).
-    pub total_len: u16,
+    pub(crate) total_len: u16,
     /// Time to live.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// Identification field.
-    pub ident: u16,
+    pub(crate) ident: u16,
 }
 
 impl Default for Ipv4Emit {
@@ -236,7 +223,7 @@ impl Default for Ipv4Emit {
 }
 
 /// Write a 20-byte IPv4 header (checksum filled in) into `buf`.
-pub fn emit(buf: &mut [u8], params: &Ipv4Emit) -> Result<()> {
+pub(crate) fn emit(buf: &mut [u8], params: &Ipv4Emit) -> Result<()> {
     if buf.len() < MIN_HEADER_LEN {
         return Err(PacketError::NoCapacity {
             requested: MIN_HEADER_LEN,
@@ -259,7 +246,7 @@ pub fn emit(buf: &mut [u8], params: &Ipv4Emit) -> Result<()> {
 }
 
 /// Recompute and patch the header checksum in place (after field rewrites).
-pub fn refresh_checksum(hdr: &mut [u8]) {
+pub(crate) fn refresh_checksum(hdr: &mut [u8]) {
     debug_assert!(hdr.len() >= MIN_HEADER_LEN);
     let hl = ((hdr[0] & 0x0f) as usize * 4).min(hdr.len());
     let mut c = Checksum::new();

@@ -14,7 +14,7 @@
 //! * The NFP packet metadata word ([`meta::Metadata`]): a 20-bit match ID
 //!   (MID), 40-bit packet ID (PID) and 4-bit copy version, exactly as the
 //!   paper's Figure 5 specifies.
-//! * The packet *field* model ([`field`]): the header fields NF action
+//! * The packet *field* model (`field`): the header fields NF action
 //!   profiles are expressed over (source/destination IP, ports, payload, …)
 //!   and dense [`field::FieldMask`] sets used by the orchestrator's
 //!   dependency analysis and the Dirty Memory Reusing optimization.
@@ -29,6 +29,11 @@
 //!
 //! The pool is the only module containing `unsafe`; its aliasing contract is
 //! documented there and exercised by the property tests in `tests/`.
+//!
+//! **API:** the public modules above (`field` is private), the root
+//! re-exports [`FieldId`], [`FieldMask`], [`FlowKey`], [`Metadata`],
+//! [`Packet`], [`PacketPool`] and [`PacketRef`], and [`PacketError`].
+//! `testutil` exists only with the `test-util` feature.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -36,7 +41,7 @@
 pub mod ah;
 pub mod checksum;
 pub mod ether;
-pub mod field;
+mod field;
 pub mod flow;
 pub mod io;
 pub mod ipv4;
@@ -50,7 +55,6 @@ pub mod udp;
 
 pub use field::{FieldId, FieldMask};
 pub use flow::FlowKey;
-pub use io::{Egress, Ingress, IoError};
 pub use meta::Metadata;
 pub use packet::Packet;
 pub use pool::{PacketPool, PacketRef};
@@ -113,4 +117,4 @@ impl core::fmt::Display for PacketError {
 impl std::error::Error for PacketError {}
 
 /// Result alias used throughout this crate.
-pub type Result<T> = core::result::Result<T, PacketError>;
+type Result<T> = core::result::Result<T, PacketError>;

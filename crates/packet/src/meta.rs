@@ -41,9 +41,9 @@
 use crate::flow::FlowKey;
 
 /// Number of bits in the match ID.
-pub const MID_BITS: u32 = 20;
+const MID_BITS: u32 = 20;
 /// Number of bits in the packet ID.
-pub const PID_BITS: u32 = 40;
+const PID_BITS: u32 = 40;
 /// Number of bits in the copy version.
 pub const VERSION_BITS: u32 = 4;
 

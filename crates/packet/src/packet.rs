@@ -26,9 +26,6 @@ pub const CAPACITY: usize = 2048;
 /// Bytes reserved in front of the frame for header prepending.
 pub const HEADROOM: usize = 128;
 
-/// Largest frame we accept (Ethernet MTU + L2 header, no jumbo frames).
-pub const MAX_FRAME: usize = 1514;
-
 /// Parsed layer offsets, relative to the start of the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layers {
@@ -131,15 +128,18 @@ impl Packet {
         &mut self.buf[self.start..self.start + self.len]
     }
 
-    /// Frame length in bytes.
+    /// Frame length in bytes. (No `is_empty`: nothing asks whether a
+    /// frame is empty; the header parsers reject short ones.)
     #[inline]
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// True when the frame is empty.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -158,7 +158,8 @@ impl Packet {
     /// Mark this packet as a *nil packet*: the runtime sends one to the
     /// merger in place of a dropped packet so drops propagate (§5.2/§5.3).
     #[inline]
-    pub fn set_nil(&mut self, nil: bool) {
+    #[cfg(test)]
+    fn set_nil(&mut self, nil: bool) {
         self.nil = nil;
     }
 
@@ -174,22 +175,6 @@ impl Packet {
     #[inline]
     pub fn nil_priority(&self) -> u32 {
         self.nil_priority
-    }
-
-    /// Set the emitting member's conflict priority on a nil packet.
-    #[inline]
-    pub fn set_nil_priority(&mut self, priority: u32) {
-        self.nil_priority = priority;
-    }
-
-    /// Mark this nil packet as a *failure* nil: it stands in for a
-    /// fail-closed NF that crashed, not for a deliberate drop verdict.
-    /// Unlike verdict nils, failure nils drop the packet unconditionally
-    /// at merge time — the drop-conflict priority rules do not apply,
-    /// because no higher-priority NF can "overrule" a crash.
-    #[inline]
-    pub fn set_nil_failure(&mut self, failure: bool) {
-        self.nil_failure = failure;
     }
 
     /// True if this nil packet was emitted by the failed-NF path rather
@@ -255,7 +240,7 @@ impl Packet {
                 (off, off + t.header_len())
             }
             ipv4::PROTO_UDP => {
-                udp::UdpView::new(&data[off..])?;
+                udp::check_header(&data[off..])?;
                 (off, off + udp::HEADER_LEN)
             }
             _ => {
@@ -427,12 +412,6 @@ impl Packet {
         Ok(u16::from_be_bytes(
             self.load(&self.parsed()?, FieldId::Dport)?,
         ))
-    }
-
-    /// Set the source IPv4 address (checksums refreshed separately).
-    #[inline]
-    pub fn set_sip(&mut self, a: Ipv4Addr) -> Result<()> {
-        self.set_field_bytes(FieldId::Sip, &a.0)
     }
 
     /// Set the destination IPv4 address.
@@ -629,7 +608,7 @@ impl Packet {
     /// so parallel NFs receive a valid packet, and caches the parse; a full
     /// copy takes the whole frame and inherits `src`'s header-only flag.
     /// On `Err` this packet's contents are unspecified.
-    pub fn copy_from(&mut self, src: &Packet, version: u8, header_only: bool) -> Result<()> {
+    pub(crate) fn copy_from(&mut self, src: &Packet, version: u8, header_only: bool) -> Result<()> {
         let len = if header_only {
             src.parsed()?.payload
         } else {
@@ -647,14 +626,14 @@ impl Packet {
     }
 
     /// Produce a **header-only copy** (paper OP#2) tagged with `version`;
-    /// see [`Packet::copy_from`].
+    /// see `Packet::copy_from`.
     pub fn header_only_copy(&self, version: u8) -> Result<Packet> {
         let mut copy = Packet::new();
         copy.copy_from(self, version, true)?;
         Ok(copy)
     }
 
-    /// Produce a full copy tagged with `version`; see [`Packet::copy_from`].
+    /// Produce a full copy tagged with `version`; see `Packet::copy_from`.
     pub fn full_copy(&self, version: u8) -> Result<Packet> {
         let mut copy = Packet::new();
         copy.copy_from(self, version, false)?;
@@ -685,12 +664,6 @@ impl Packet {
         self.nil_priority = 0;
         self.nil_failure = false;
         self.header_only = false;
-    }
-
-    /// Length of all headers (Ethernet through L4) in bytes.
-    #[inline]
-    pub fn header_len(&self) -> Result<usize> {
-        Ok(self.parsed()?.payload)
     }
 
     /// Raw pointer to the first frame byte. Used by the pool's field-scoped

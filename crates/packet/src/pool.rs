@@ -44,7 +44,7 @@
 //!
 //! * **copy / nil** ([`PacketPool::header_only_copy`],
 //!   [`PacketPool::full_copy`], [`PacketPool::insert_nil`]) write *into the
-//!   free slot's own buffer* ([`Packet::copy_from`],
+//!   free slot's own buffer* (`Packet::copy_from`,
 //!   [`Packet::set_nil_packet`]); no buffer moves.
 //! * **insert** moves the caller's packet — buffer included — into the slot.
 //!   The slot's own buffer is displaced into the slot's *spare* (or freed,

@@ -5,52 +5,38 @@ use crate::ipv4::Ipv4Addr;
 use crate::{PacketError, Result};
 
 /// Minimum TCP header length (no options).
-pub const MIN_HEADER_LEN: usize = 20;
+const MIN_HEADER_LEN: usize = 20;
 
 /// Byte offsets of TCP fields relative to the start of the TCP header.
 pub mod offsets {
-    /// Source port (16 bits).
-    pub const SPORT: usize = 0;
-    /// Destination port (16 bits).
-    pub const DPORT: usize = 2;
-    /// Sequence number (32 bits).
-    pub const SEQ: usize = 4;
-    /// Acknowledgment number (32 bits).
-    pub const ACK: usize = 8;
     /// Data offset / reserved / flags.
-    pub const DATA_OFF: usize = 12;
+    pub(crate) const DATA_OFF: usize = 12;
     /// Flags byte.
-    pub const FLAGS: usize = 13;
-    /// Window size (16 bits).
-    pub const WINDOW: usize = 14;
+    #[cfg(test)]
+    pub(crate) const FLAGS: usize = 13;
     /// Checksum (16 bits).
     pub const CHECKSUM: usize = 16;
 }
 
 /// TCP flag bits.
-pub mod flags {
-    /// FIN.
-    pub const FIN: u8 = 0x01;
-    /// SYN.
-    pub const SYN: u8 = 0x02;
-    /// RST.
-    pub const RST: u8 = 0x04;
+mod flags {
     /// PSH.
-    pub const PSH: u8 = 0x08;
+    #[cfg(test)]
+    pub(crate) const PSH: u8 = 0x08;
     /// ACK.
-    pub const ACK: u8 = 0x10;
+    pub(crate) const ACK: u8 = 0x10;
 }
 
 /// Immutable view over a TCP header.
 #[derive(Debug, Clone, Copy)]
-pub struct TcpView<'a> {
+pub(crate) struct TcpView<'a> {
     bytes: &'a [u8],
 }
 
 impl<'a> TcpView<'a> {
     /// Parse a TCP header at the start of `bytes`.
     #[inline]
-    pub fn new(bytes: &'a [u8]) -> Result<Self> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Result<Self> {
         if bytes.len() < MIN_HEADER_LEN {
             return Err(PacketError::Truncated {
                 what: "TCP header",
@@ -76,74 +62,75 @@ impl<'a> TcpView<'a> {
 
     /// Source port.
     #[inline]
-    pub fn sport(&self) -> u16 {
+    #[cfg(test)]
+    fn sport(&self) -> u16 {
         u16::from_be_bytes([self.bytes[0], self.bytes[1]])
     }
 
     /// Destination port.
     #[inline]
-    pub fn dport(&self) -> u16 {
+    #[cfg(test)]
+    fn dport(&self) -> u16 {
         u16::from_be_bytes([self.bytes[2], self.bytes[3]])
     }
 
     /// Sequence number.
     #[inline]
-    pub fn seq(&self) -> u32 {
+    #[cfg(test)]
+    fn seq(&self) -> u32 {
         u32::from_be_bytes(self.bytes[4..8].try_into().unwrap())
     }
 
     /// Acknowledgment number.
     #[inline]
-    pub fn ack(&self) -> u32 {
+    #[cfg(test)]
+    fn ack(&self) -> u32 {
         u32::from_be_bytes(self.bytes[8..12].try_into().unwrap())
     }
 
     /// Header length in bytes.
     #[inline]
-    pub fn header_len(&self) -> usize {
+    pub(crate) fn header_len(&self) -> usize {
         (self.bytes[offsets::DATA_OFF] >> 4) as usize * 4
     }
 
     /// Flags byte.
     #[inline]
-    pub fn flags(&self) -> u8 {
+    #[cfg(test)]
+    fn flags(&self) -> u8 {
         self.bytes[offsets::FLAGS]
     }
 
     /// Window size.
     #[inline]
-    pub fn window(&self) -> u16 {
+    #[cfg(test)]
+    fn window(&self) -> u16 {
         u16::from_be_bytes([self.bytes[14], self.bytes[15]])
-    }
-
-    /// Checksum field.
-    #[inline]
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes([self.bytes[16], self.bytes[17]])
     }
 
     /// Payload after the TCP header.
     #[inline]
-    pub fn payload(&self) -> &'a [u8] {
+    #[cfg(test)]
+    fn payload(&self) -> &'a [u8] {
         &self.bytes[self.header_len()..]
     }
 }
 
 /// Parameters for emitting a 20-byte TCP header.
 #[derive(Debug, Clone, Copy)]
-pub struct TcpEmit {
+pub(crate) struct TcpEmit {
     /// Source port.
-    pub sport: u16,
+    pub(crate) sport: u16,
     /// Destination port.
-    pub dport: u16,
+    pub(crate) dport: u16,
     /// Sequence number.
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Acknowledgment number.
-    pub ack: u32,
+    pub(crate) ack: u32,
     /// Flags byte.
-    pub flags: u8,
+    pub(crate) flags: u8,
     /// Window size.
-    pub window: u16,
+    pub(crate) window: u16,
 }
 
 impl Default for TcpEmit {
@@ -161,7 +148,7 @@ impl Default for TcpEmit {
 
 /// Write a 20-byte TCP header into `buf`; the checksum is left zero — call
 /// [`fill_checksum`] once the payload is in place.
-pub fn emit(buf: &mut [u8], params: &TcpEmit) -> Result<()> {
+pub(crate) fn emit(buf: &mut [u8], params: &TcpEmit) -> Result<()> {
     if buf.len() < MIN_HEADER_LEN {
         return Err(PacketError::NoCapacity {
             requested: MIN_HEADER_LEN,
@@ -181,7 +168,7 @@ pub fn emit(buf: &mut [u8], params: &TcpEmit) -> Result<()> {
 
 /// Compute and patch the TCP checksum (pseudo-header included) over the TCP
 /// segment `seg` (header + payload).
-pub fn fill_checksum(seg: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+pub(crate) fn fill_checksum(seg: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
     debug_assert!(seg.len() >= MIN_HEADER_LEN);
     let mut c = pseudo_header(src.0, dst.0, crate::ipv4::PROTO_TCP, seg.len() as u16);
     c.add_bytes_without(seg, offsets::CHECKSUM);

@@ -14,13 +14,14 @@ use crate::udp;
 use crate::Packet;
 
 /// Ethernet + IPv4 + TCP header bytes in the frames built here.
-pub const TCP_HEADERS_LEN: usize = 14 + 20 + 20;
+const TCP_HEADERS_LEN: usize = 14 + 20 + 20;
 /// Ethernet + IPv4 + UDP header bytes in the frames built here.
-pub const UDP_HEADERS_LEN: usize = 14 + 20 + 8;
+const UDP_HEADERS_LEN: usize = 14 + 20 + 8;
 
 /// A deterministic payload pattern of `len` bytes (the classic mod-251
 /// ramp), for tests that only care about payload length.
-pub fn patterned_payload(len: usize) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn patterned_payload(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i % 251) as u8).collect()
 }
 

@@ -5,73 +5,69 @@ use crate::ipv4::Ipv4Addr;
 use crate::{PacketError, Result};
 
 /// UDP header length.
-pub const HEADER_LEN: usize = 8;
+pub(crate) const HEADER_LEN: usize = 8;
 
 /// Byte offsets of UDP fields relative to the start of the UDP header.
 pub mod offsets {
-    /// Source port (16 bits).
-    pub const SPORT: usize = 0;
-    /// Destination port (16 bits).
-    pub const DPORT: usize = 2;
-    /// Datagram length (16 bits).
-    pub const LEN: usize = 4;
     /// Checksum (16 bits).
     pub const CHECKSUM: usize = 6;
 }
 
+/// Check that `bytes` starts with a whole UDP header.
+#[inline]
+pub(crate) fn check_header(bytes: &[u8]) -> Result<()> {
+    if bytes.len() < HEADER_LEN {
+        return Err(PacketError::Truncated {
+            what: "UDP header",
+            needed: HEADER_LEN,
+            available: bytes.len(),
+        });
+    }
+    Ok(())
+}
+
 /// Immutable view over a UDP header.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct UdpView<'a> {
+struct UdpView<'a> {
     bytes: &'a [u8],
 }
 
+#[cfg(test)]
 impl<'a> UdpView<'a> {
     /// Parse a UDP header at the start of `bytes`.
-    #[inline]
-    pub fn new(bytes: &'a [u8]) -> Result<Self> {
-        if bytes.len() < HEADER_LEN {
-            return Err(PacketError::Truncated {
-                what: "UDP header",
-                needed: HEADER_LEN,
-                available: bytes.len(),
-            });
-        }
+    fn new(bytes: &'a [u8]) -> Result<Self> {
+        check_header(bytes)?;
         Ok(Self { bytes })
     }
 
     /// Source port.
     #[inline]
-    pub fn sport(&self) -> u16 {
+    fn sport(&self) -> u16 {
         u16::from_be_bytes([self.bytes[0], self.bytes[1]])
     }
 
     /// Destination port.
     #[inline]
-    pub fn dport(&self) -> u16 {
+    fn dport(&self) -> u16 {
         u16::from_be_bytes([self.bytes[2], self.bytes[3]])
     }
 
     /// Datagram length from the header.
     #[inline]
-    pub fn len(&self) -> u16 {
+    fn len(&self) -> u16 {
         u16::from_be_bytes([self.bytes[4], self.bytes[5]])
-    }
-
-    /// True when the length field is the minimum (header only).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() as usize <= HEADER_LEN
     }
 
     /// Checksum field.
     #[inline]
-    pub fn checksum(&self) -> u16 {
+    fn checksum(&self) -> u16 {
         u16::from_be_bytes([self.bytes[6], self.bytes[7]])
     }
 
     /// Payload after the UDP header, bounded by the length field.
     #[inline]
-    pub fn payload(&self) -> &'a [u8] {
+    fn payload(&self) -> &'a [u8] {
         let end = (self.len() as usize).clamp(HEADER_LEN, self.bytes.len());
         &self.bytes[HEADER_LEN..end]
     }
@@ -79,7 +75,7 @@ impl<'a> UdpView<'a> {
 
 /// Write a UDP header into `buf`; checksum left zero (optional in IPv4) —
 /// use [`fill_checksum`] to set it.
-pub fn emit(buf: &mut [u8], sport: u16, dport: u16, datagram_len: u16) -> Result<()> {
+pub(crate) fn emit(buf: &mut [u8], sport: u16, dport: u16, datagram_len: u16) -> Result<()> {
     if buf.len() < HEADER_LEN {
         return Err(PacketError::NoCapacity {
             requested: HEADER_LEN,
@@ -94,7 +90,7 @@ pub fn emit(buf: &mut [u8], sport: u16, dport: u16, datagram_len: u16) -> Result
 }
 
 /// Compute and patch the UDP checksum over datagram `dgram` (header+payload).
-pub fn fill_checksum(dgram: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+pub(crate) fn fill_checksum(dgram: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
     debug_assert!(dgram.len() >= HEADER_LEN);
     let mut c = pseudo_header(src.0, dst.0, crate::ipv4::PROTO_UDP, dgram.len() as u16);
     c.add_bytes_without(dgram, offsets::CHECKSUM);
@@ -106,7 +102,8 @@ pub fn fill_checksum(dgram: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
 }
 
 /// Verify the UDP checksum (zero checksum is accepted as "not present").
-pub fn verify_checksum(dgram: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> bool {
+#[cfg(test)]
+fn verify_checksum(dgram: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> bool {
     let view = match UdpView::new(dgram) {
         Ok(v) => v,
         Err(_) => return false,

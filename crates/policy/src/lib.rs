@@ -19,16 +19,17 @@
 //! compatibility — the orchestrator then mines it for parallelism.
 //!
 //! The paper defers policy conflict detection to future work; this crate
-//! implements it ([`conflict`]) as a documented extension.
+//! implements it ([`check_conflicts`]) as a documented extension.
+//! **API:** the root re-exports; all four modules are private.
 
 #![warn(missing_docs)]
 
-pub mod conflict;
-pub mod parser;
-pub mod policy;
-pub mod rule;
+mod conflict;
+mod parser;
+mod policy;
+mod rule;
 
 pub use conflict::{check_conflicts, Conflict};
-pub use parser::{parse_policy, ParseError};
+pub use parser::parse_policy;
 pub use policy::Policy;
 pub use rule::{NfName, PositionAnchor, Rule};

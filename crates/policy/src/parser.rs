@@ -21,9 +21,9 @@ use crate::rule::{NfName, PositionAnchor, Rule};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based line number of the offending rule.
-    pub line: usize,
+    line: usize,
     /// What went wrong.
-    pub message: String,
+    message: String,
 }
 
 impl core::fmt::Display for ParseError {
@@ -63,7 +63,7 @@ fn strip_comment(line: &str) -> &str {
 }
 
 /// Parse one rule in the paper's syntax.
-pub fn parse_rule(line: &str) -> Result<Rule, String> {
+fn parse_rule(line: &str) -> Result<Rule, String> {
     let (head, rest) = line
         .split_once('(')
         .ok_or_else(|| format!("expected `Keyword(...)`, got `{line}`"))?;

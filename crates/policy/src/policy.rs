@@ -52,7 +52,7 @@ impl Policy {
 
     /// Append a rule (builder style).
     #[must_use]
-    pub fn with(mut self, rule: Rule) -> Self {
+    fn with(mut self, rule: Rule) -> Self {
         self.rules.push(rule);
         self
     }
@@ -75,23 +75,20 @@ impl Policy {
         self.with(Rule::position(nf, anchor))
     }
 
-    /// Add a rule in place.
-    pub fn push(&mut self, rule: Rule) {
-        self.rules.push(rule);
-    }
-
     /// The rules, in the order the operator wrote them.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
     }
 
     /// Number of rules.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.rules.len()
     }
 
     /// True when the policy has no rules.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
 

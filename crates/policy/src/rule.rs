@@ -118,7 +118,7 @@ impl Rule {
     }
 
     /// The NF names this rule mentions.
-    pub fn nfs(&self) -> Vec<&NfName> {
+    pub(crate) fn nfs(&self) -> Vec<&NfName> {
         match self {
             Rule::Order { before, after } => vec![before, after],
             Rule::Priority { high, low } => vec![high, low],

@@ -21,6 +21,7 @@
 //!
 //! [`overhead`] implements the §6.3.1 resource-overhead equation
 //! `ro = 64·(d−1)/s` and its data-center instantiation `ro ≈ 0.088·(d−1)`.
+//! **API:** these two modules, [`queueing`], and their root re-exports.
 
 #![warn(missing_docs)]
 
@@ -28,6 +29,5 @@ pub mod model;
 pub mod overhead;
 pub mod queueing;
 
-pub use model::{CostModel, LatencyBreakdown};
-pub use overhead::{datacenter_overhead, resource_overhead};
-pub use queueing::{mm1_sojourn, pipeline_latency, saturation_pps};
+pub use model::CostModel;
+pub use overhead::resource_overhead;

@@ -2,9 +2,8 @@
 
 use nfp_orchestrator::graph::{CopyKind, Segment, ServiceGraph};
 
-/// Per-operation costs, in nanoseconds. Fill from host calibration (the
-/// bench harness measures each) or use [`CostModel::paper_like`] for
-/// testbed-shaped defaults.
+/// Per-operation costs, in nanoseconds, filled from host calibration
+/// (the bench harness measures each).
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Classifier work per packet (CT lookup + metadata tagging).
@@ -30,24 +29,6 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Defaults shaped like the paper's DPDK/container testbed: ~1 µs
-    /// hops, ~2 µs switch transit, sub-µs copy/merge. Use host calibration
-    /// for real reproduction runs; these defaults are for tests and quick
-    /// exploration.
-    pub fn paper_like(nf_service_ns: Vec<f64>) -> Self {
-        Self {
-            classify_ns: 500.0,
-            hop_ns: 1_000.0,
-            switch_ns: 2_000.0,
-            copy_header_ns: 150.0,
-            copy_per_byte_ns: 0.06,
-            merge_base_ns: 400.0,
-            merge_per_arrival_ns: 150.0,
-            merge_per_op_ns: 100.0,
-            nf_service_ns,
-        }
-    }
-
     fn copy_cost(&self, kind: CopyKind, payload_bytes: usize) -> f64 {
         match kind {
             CopyKind::None => 0.0,
@@ -61,18 +42,18 @@ impl CostModel {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyBreakdown {
     /// Classifier + hops.
-    pub steering_ns: f64,
+    steering_ns: f64,
     /// NF service time on the packet's critical path.
-    pub service_ns: f64,
+    service_ns: f64,
     /// Packet copying.
-    pub copy_ns: f64,
+    copy_ns: f64,
     /// Merging.
-    pub merge_ns: f64,
+    merge_ns: f64,
 }
 
 impl LatencyBreakdown {
     /// Total latency in nanoseconds.
-    pub fn total_ns(&self) -> f64 {
+    fn total_ns(&self) -> f64 {
         self.steering_ns + self.service_ns + self.copy_ns + self.merge_ns
     }
 
@@ -229,8 +210,20 @@ mod tests {
         .graph
     }
 
+    /// Costs shaped like the paper's DPDK/container testbed: ~1 µs hops,
+    /// ~2 µs switch transit, sub-µs copy/merge.
     fn uniform_model(n: usize, service: f64) -> CostModel {
-        CostModel::paper_like(vec![service; n])
+        CostModel {
+            classify_ns: 500.0,
+            hop_ns: 1_000.0,
+            switch_ns: 2_000.0,
+            copy_header_ns: 150.0,
+            copy_per_byte_ns: 0.06,
+            merge_base_ns: 400.0,
+            merge_per_arrival_ns: 150.0,
+            merge_per_op_ns: 100.0,
+            nf_service_ns: vec![service; n],
+        }
     }
 
     #[test]

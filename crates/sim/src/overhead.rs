@@ -25,7 +25,7 @@ pub fn resource_overhead(packet_size: usize, degree: usize) -> f64 {
 /// The data-center instantiation: the equation evaluated at the mean
 /// packet size of `dist` (the paper plugs in Benson et al.'s ≈724 B mean,
 /// giving the 0.088 coefficient).
-pub fn overhead_for_distribution(dist: &SizeDistribution, degree: usize) -> f64 {
+fn overhead_for_distribution(dist: &SizeDistribution, degree: usize) -> f64 {
     resource_overhead(dist.mean().round() as usize, degree)
 }
 

@@ -10,7 +10,7 @@
 
 /// Mean sojourn time (wait + service) of an M/M/1 queue, in the same time
 /// unit as `service_time`. Returns `None` at or beyond saturation.
-pub fn mm1_sojourn(service_time: f64, arrival_rate: f64) -> Option<f64> {
+fn mm1_sojourn(service_time: f64, arrival_rate: f64) -> Option<f64> {
     assert!(service_time > 0.0 && arrival_rate >= 0.0);
     let utilization = arrival_rate * service_time;
     if utilization >= 1.0 {

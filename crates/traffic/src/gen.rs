@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 /// Why a [`TrafficSpec`] was rejected at construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SpecError {
+pub(crate) enum SpecError {
     /// A per-packet rate knob was outside `[0, 1]` (or NaN).
     RateOutOfRange {
         /// Which knob.
@@ -52,7 +52,7 @@ pub struct TrafficSpec {
     pub malicious_marker: Vec<u8>,
     /// Fraction of emitted frames corrupted after construction —
     /// truncated below header size or damaged so they no longer parse
-    /// (see [`crate::hostile::corrupt_frame`]). Lets any existing bench
+    /// (see `crate::hostile::corrupt_frame`). Lets any existing bench
     /// opt into hostile framing without a separate generator; 0.0
     /// disables and leaves the RNG stream of older seeds untouched.
     pub malformed_fraction: f64,
@@ -77,7 +77,7 @@ impl TrafficSpec {
     /// Validate the spec's rate knobs ([`TrafficGenerator::new`] calls
     /// this and panics with the error; call it directly to handle the
     /// rejection).
-    pub fn validate(&self) -> Result<(), SpecError> {
+    fn validate(&self) -> Result<(), SpecError> {
         validate_rate("malicious_fraction", self.malicious_fraction)?;
         validate_rate("malformed_fraction", self.malformed_fraction)
     }
@@ -96,7 +96,7 @@ impl TrafficGenerator {
     /// Create a generator.
     ///
     /// # Panics
-    /// If [`TrafficSpec::validate`] rejects the spec (a rate knob
+    /// If `TrafficSpec::validate` rejects the spec (a rate knob
     /// outside `[0, 1]`).
     pub fn new(spec: TrafficSpec) -> Self {
         if let Err(e) = spec.validate() {
@@ -112,7 +112,8 @@ impl TrafficGenerator {
     }
 
     /// Total packets emitted so far.
-    pub fn emitted(&self) -> u64 {
+    #[cfg(test)]
+    fn emitted(&self) -> u64 {
         self.emitted
     }
 

@@ -9,7 +9,7 @@
 //! * **Elephant/mice mix** — a handful of near-MTU bulk flows swamped
 //!   by a crowd of minimum-size mice, skewing both the size and the
 //!   flow-popularity distributions at once.
-//! * **Malformed framing** — [`corrupt_frame`] damages an otherwise
+//! * **Malformed framing** — `corrupt_frame` damages an otherwise
 //!   valid frame so the classifier must reject it (truncation below
 //!   header size, a non-IPv4 ethertype, or an unsupported L4 protocol).
 //!
@@ -52,7 +52,7 @@ pub struct HostileSpec {
     /// Attack shape.
     pub profile: HostileProfile,
     /// Fraction of emitted frames additionally corrupted with
-    /// [`corrupt_frame`] (0.0 disables).
+    /// `corrupt_frame` (0.0 disables).
     pub malformed_rate: f64,
     /// RNG seed — generation is fully deterministic per seed.
     pub seed: u64,
@@ -86,7 +86,7 @@ impl HostileSpec {
     }
 
     /// Validate rate knobs (shares and rates must be in `[0, 1]`).
-    pub fn validate(&self) -> Result<(), SpecError> {
+    fn validate(&self) -> Result<(), SpecError> {
         validate_rate("malformed_rate", self.malformed_rate)?;
         if let HostileProfile::ElephantMice { elephant_share, .. } = self.profile {
             validate_rate("elephant_share", elephant_share)?;
@@ -107,7 +107,7 @@ impl HostileGenerator {
     /// Create a generator.
     ///
     /// # Panics
-    /// If [`HostileSpec::validate`] rejects the spec.
+    /// If `HostileSpec::validate` rejects the spec.
     pub fn new(spec: HostileSpec) -> Self {
         if let Err(e) = spec.validate() {
             panic!("invalid HostileSpec: {e}");
@@ -120,13 +120,8 @@ impl HostileGenerator {
         }
     }
 
-    /// Total packets emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     /// Generate the next packet.
-    pub fn next_packet(&mut self) -> Packet {
+    fn next_packet(&mut self) -> Packet {
         let mut pkt = match self.spec.profile {
             HostileProfile::SynFlood { victim, port } => {
                 // Spoofed source: a fresh tuple every packet, drawn from
@@ -181,7 +176,7 @@ impl HostileGenerator {
 ///
 /// The packet's cached parse state is invalidated; callers get a frame
 /// that deterministically fails `Packet::parse`.
-pub fn corrupt_frame<R: Rng + ?Sized>(pkt: &mut Packet, rng: &mut R) {
+pub(crate) fn corrupt_frame<R: Rng + ?Sized>(pkt: &mut Packet, rng: &mut R) {
     match rng.gen_range(0..3u64) {
         0 => {
             let keep = rng.gen_range(0..34u64) as usize;

@@ -4,17 +4,22 @@
 //! stand-in for the paper's "DPDK based packet generator that runs on a
 //! separate server" (§6): packet-size distributions (including the
 //! data-center mix from Benson et al. that the paper's resource-overhead
-//! analysis uses), flow-structured packet synthesis, and latency/
-//! throughput recorders.
+//! analysis uses), flow-structured packet synthesis, and a latency
+//! recorder.
+//!
+//! **API:** the modules [`gen`] and [`hostile`], and the root re-exports
+//! [`TrafficGenerator`], [`TrafficSpec`], [`HostileGenerator`],
+//! [`HostileSpec`], [`SizeDistribution`], [`LatencyRecorder`] and
+//! [`LatencySummary`]. `sizes` and `stats` are private.
 
 #![warn(missing_docs)]
 
 pub mod gen;
 pub mod hostile;
-pub mod sizes;
-pub mod stats;
+mod sizes;
+mod stats;
 
-pub use gen::{SpecError, TrafficGenerator, TrafficSpec};
-pub use hostile::{corrupt_frame, HostileGenerator, HostileProfile, HostileSpec};
+pub use gen::{TrafficGenerator, TrafficSpec};
+pub use hostile::{HostileGenerator, HostileSpec};
 pub use sizes::SizeDistribution;
-pub use stats::{LatencyRecorder, LatencySummary, ThroughputMeter};
+pub use stats::{LatencyRecorder, LatencySummary};

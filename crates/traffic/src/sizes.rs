@@ -18,9 +18,9 @@ pub enum SizeDistribution {
 
 impl SizeDistribution {
     /// Smallest legal frame we generate (header-only TCP packet).
-    pub const MIN_FRAME: usize = 64;
+    const MIN_FRAME: usize = 64;
     /// Largest legal frame (Ethernet MTU + L2).
-    pub const MAX_FRAME: usize = 1514;
+    const MAX_FRAME: usize = 1514;
 
     /// The data-center mix derived from Benson et al.: bimodal, most
     /// packets either minimum-size (ACKs, handshakes) or near-MTU (bulk
@@ -42,7 +42,7 @@ impl SizeDistribution {
     }
 
     /// Draw one frame size.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let size = match self {
             SizeDistribution::Fixed(s) => *s,
             SizeDistribution::Empirical(points) => {

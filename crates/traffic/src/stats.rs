@@ -1,6 +1,6 @@
-//! Latency and throughput measurement.
+//! Latency measurement.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Records per-packet latencies and summarizes them.
 #[derive(Debug, Default, Clone)]
@@ -14,22 +14,23 @@ pub struct LatencySummary {
     /// Sample count.
     pub count: usize,
     /// Arithmetic mean.
-    pub mean: Duration,
+    mean: Duration,
     /// Minimum.
-    pub min: Duration,
+    min: Duration,
     /// Median (p50).
     pub p50: Duration,
     /// 90th percentile.
-    pub p90: Duration,
+    p90: Duration,
     /// 99th percentile.
     pub p99: Duration,
     /// Maximum.
-    pub max: Duration,
+    max: Duration,
 }
 
 impl LatencyRecorder {
     /// Create an empty recorder.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    fn new() -> Self {
         Self::default()
     }
 
@@ -43,16 +44,6 @@ impl LatencyRecorder {
     /// Record one latency sample.
     pub fn record(&mut self, d: Duration) {
         self.samples.push(d);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no samples are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
     }
 
     /// Summarize. Returns `None` when no samples were recorded — a run
@@ -88,78 +79,9 @@ impl LatencyRecorder {
 
 impl LatencySummary {
     /// Mean latency in microseconds (the paper's reporting unit).
-    pub fn mean_us(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_us(&self) -> f64 {
         self.mean.as_secs_f64() * 1e6
-    }
-}
-
-/// Measures sustained packet throughput.
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    start: Instant,
-    packets: u64,
-    bytes: u64,
-}
-
-impl Default for ThroughputMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThroughputMeter {
-    /// Start the clock.
-    pub fn new() -> Self {
-        Self {
-            start: Instant::now(),
-            packets: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Count one packet of `bytes` bytes.
-    pub fn count(&mut self, bytes: usize) {
-        self.packets += 1;
-        self.bytes += bytes as u64;
-    }
-
-    /// Count `n` packets totalling `bytes` bytes.
-    pub fn count_batch(&mut self, n: u64, bytes: u64) {
-        self.packets += n;
-        self.bytes += bytes;
-    }
-
-    /// Packets counted.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Elapsed time since creation.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Throughput in packets/second over the elapsed window.
-    pub fn pps(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.packets as f64 / secs
-    }
-
-    /// Throughput in Mpps (the paper's unit).
-    pub fn mpps(&self) -> f64 {
-        self.pps() / 1e6
-    }
-
-    /// Goodput in Gbit/s (frame bytes on the wire, no preamble/IFG).
-    pub fn gbps(&self) -> f64 {
-        let secs = self.elapsed().as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.bytes as f64 * 8.0 / secs / 1e9
     }
 }
 
@@ -195,17 +117,5 @@ mod tests {
         let s = r.summary().unwrap();
         assert_eq!(s.p50, s.max);
         assert_eq!(s.min, s.max);
-    }
-
-    #[test]
-    fn throughput_counts() {
-        let mut t = ThroughputMeter::new();
-        t.count(64);
-        t.count_batch(9, 9 * 64);
-        assert_eq!(t.packets(), 10);
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(t.pps() > 0.0);
-        assert!(t.gbps() > 0.0);
-        assert!(t.mpps() < 1.0);
     }
 }

@@ -49,8 +49,10 @@ fn replay(chain: &[&str], packets: usize) {
     let mut sequential =
         RunToCompletion::new(chain.iter().map(|n| catalogue::make(n).unwrap()).collect());
 
+    let traffic = adversarial_traffic(packets);
+    let mut sequential_out = Vec::new();
     let mut drops = 0u64;
-    for (i, pkt) in adversarial_traffic(packets).into_iter().enumerate() {
+    for (i, pkt) in traffic.iter().cloned().enumerate() {
         let seq = sequential.process(pkt.clone());
         let par = parallel.process(pkt).unwrap();
         match (seq, par) {
@@ -60,6 +62,7 @@ fn replay(chain: &[&str], packets: usize) {
                     b.data(),
                     "chain {chain:?} packet {i}: outputs diverge"
                 );
+                sequential_out.push(a.data().to_vec());
             }
             (None, ProcessOutcome::Dropped) => drops += 1,
             (a, b) => panic!(
@@ -71,6 +74,24 @@ fn replay(chain: &[&str], packets: usize) {
         assert_eq!(parallel.pool_in_use(), 0, "leak at packet {i}");
     }
     assert!(drops > 0, "chain {chain:?}: replay never exercised drops");
+
+    // The ONVM baseline runs the same chain through its central switch:
+    // one NF per thread, so completion order interleaves, but the
+    // delivered set and the drop count are sequential composition's.
+    let onvm = OnvmPipeline::new(chain.iter().map(|n| catalogue::make(n).unwrap()).collect())
+        .keep_packets(true)
+        .run(traffic);
+    let mut onvm_out: Vec<Vec<u8>> = onvm.packets.iter().map(|p| p.data().to_vec()).collect();
+    onvm_out.sort();
+    sequential_out.sort();
+    assert_eq!(
+        onvm_out, sequential_out,
+        "chain {chain:?}: ONVM outputs diverge"
+    );
+    assert_eq!(
+        onvm.dropped, drops,
+        "chain {chain:?}: ONVM drop count diverges"
+    );
 }
 
 #[test]
