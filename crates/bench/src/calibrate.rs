@@ -153,15 +153,23 @@ impl Calibration {
             let mut cl = nfp_dataplane::Classifier::live(handle);
             let tmpl = crate::setups::fixed_traffic(1, 128).pop().unwrap();
             let cstats = nfp_dataplane::StageStats::new();
+            let mut spent = Vec::new();
             time_per_iter(20_000 / BURST, || {
                 let mut sink = Null(&cpool);
                 cl.begin_burst(BURST);
                 for _ in 0..BURST {
-                    let admitted =
-                        cl.admit_observed(tmpl.clone(), &cpool, &mut sink, &cstats, None, |_| ());
+                    let admitted = cl.admit_observed(
+                        tmpl.clone(),
+                        &cpool,
+                        &mut sink,
+                        &cstats,
+                        &mut spent,
+                        None,
+                    );
                     assert!(admitted.is_ok());
                 }
                 cl.end_burst();
+                spent.clear();
             }) / BURST as f64
         };
 

@@ -91,9 +91,10 @@ impl Classifier {
         stats: &StageStats,
     ) -> Result<Arc<GraphTables>, AdmitError> {
         self.begin_burst(1);
-        let res = self.admit_observed(pkt, pool, sink, stats, None, Arc::clone);
+        let res = self.admit_observed(pkt, pool, sink, stats, &mut Discard, None);
+        let res = res.map(Arc::clone).map_err(|(e, _)| e);
         self.end_burst();
-        res.map_err(|(e, _)| e)
+        res
     }
 
     /// One admission of the burst in progress ([`Classifier::admit`]
@@ -102,9 +103,10 @@ impl Classifier {
     /// [`trace_every`](crate::telemetry::TelemetryConfig::trace_every)-th
     /// packet `traced` (by PID, so pool-backpressure retries sample the
     /// same packets) and records its first trace hop. The matched tables
-    /// are only ever *borrowed* here; `matched` turns that borrow into
-    /// what the caller wants back (a clone for [`Classifier::admit`],
-    /// nothing for the engines).
+    /// are only ever *borrowed* here: [`Classifier::admit`] clones them,
+    /// the engines do not look. Buffers that leave the pool here go on
+    /// `spent`, for the ingress to refill: the one the insert displaced
+    /// ([`PacketPool::insert_displacing`]) and a malformed packet's own.
     ///
     /// The packet moves once: into its pool slot, first thing, where it is
     /// parsed, classified and tagged in place. A refusal for
@@ -116,24 +118,27 @@ impl Classifier {
     /// dense PID numbering) is preserved across retries because the PID
     /// only advances on success.
     #[inline]
-    pub fn admit_observed<T>(
+    pub fn admit_observed(
         &mut self,
         pkt: Packet,
         pool: &PacketPool,
         sink: &mut impl Deliver,
         stats: &StageStats,
+        spent: &mut impl Extend<Packet>,
         tele: Option<&Telemetry>,
-        matched: impl FnOnce(&Arc<GraphTables>) -> T,
-    ) -> Result<T, Refusal> {
+    ) -> Result<&Arc<GraphTables>, Refusal> {
         let t0 = tele.and_then(|t| t.begin(Stage::Classifier, 1));
-        let r = match pool.insert(pkt) {
-            Ok(r) => r,
+        let r = match pool.insert_displacing(pkt) {
+            Ok((r, displaced)) => {
+                spent.extend(displaced);
+                r
+            }
             Err(back) => return Err(refuse(back, stats)),
         };
         if let Err(e) = pool.with_mut(r, Packet::parse) {
             // The telemetry histograms stay untouched by rejects (only
             // admitted packets are timed).
-            drop(pool.take(r));
+            spent.extend([pool.take(r)]);
             return Err(reject(stats, malformed(e)));
         }
         // Classify under the burst's pinned epoch and use one of its pins
@@ -185,7 +190,7 @@ impl Classifier {
                     t.note_ingress(meta.ingress_ns());
                     t.end(Stage::Classifier, t0, 1);
                 }
-                Ok(matched(tables))
+                Ok(tables)
             }
             Err(actions::ActionError::PoolExhausted) => {
                 // Entry copies ran out of slots. Generated entry actions
@@ -214,6 +219,15 @@ impl Classifier {
                 Err(reject(stats, AdmitError::ActionFailed))
             }
         }
+    }
+}
+
+/// [`Classifier::admit`]'s `spent`: frees the buffers on the spot.
+struct Discard;
+
+impl Extend<Packet> for Discard {
+    fn extend<I: IntoIterator<Item = Packet>>(&mut self, spent: I) {
+        spent.into_iter().for_each(drop);
     }
 }
 

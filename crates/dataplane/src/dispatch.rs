@@ -390,6 +390,9 @@ pub(crate) struct Dispatcher {
     dropped: u64,
     /// Packets the collector finished, oldest first; the driver drains it.
     pub(crate) outputs: Vec<Packet>,
+    /// Buffers of drops and rejects the classifier's admissions took out
+    /// of the pool; the engine hands them to the ingress or frees them.
+    pub(crate) spent: Vec<Packet>,
 }
 
 impl Dispatcher {
@@ -456,6 +459,7 @@ impl Dispatcher {
             delivered: 0,
             dropped: 0,
             outputs: Vec::new(),
+            spent: Vec::new(),
         }
     }
 
@@ -478,9 +482,10 @@ impl Dispatcher {
             &cx.pool,
             &mut sink,
             cx.stats_of(Stage::Classifier),
+            &mut self.spent,
             Some(&cx.telemetry),
-            |_| (),
         );
+        let admitted = admitted.map(|_| ());
         if matches!(&admitted, Err((why, _)) if *why != AdmitError::PoolExhausted) {
             self.dropped += 1;
         }

@@ -323,6 +323,10 @@ impl EngineReport {
 /// order preserved) instead of blocking the thread.
 struct Intake {
     rx: Consumer<Packet>,
+    /// Where the buffers of drops and rejects go back to the injector
+    /// (`run_io`). Nothing waits on it: without it, or when it is full,
+    /// they are freed here.
+    spent: Option<Producer<Packet>>,
     /// The packet a pool-exhausted admission handed back.
     held: Option<Packet>,
     /// Packets taken off the ring and finished with (admitted or
@@ -342,6 +346,9 @@ impl Intake {
             return false;
         }
         let before = self.seen;
+        // The injector wrote these frames on its own core: start pulling
+        // their headers into this one's cache before the first parse.
+        self.rx.peek(burst, Packet::prefetch);
         // One epoch pin per packet the burst may admit, reserved at once.
         dispatcher.classifier.begin_burst(burst);
         for _ in 0..burst {
@@ -361,6 +368,11 @@ impl Intake {
         // Unused pins go back; the rejects of this burst finished here.
         dispatcher.classifier.end_burst();
         dispatcher.publish(cx);
+        for pkt in dispatcher.spent.drain(..) {
+            if let Some(tx) = &self.spent {
+                let _ = tx.push(pkt);
+            }
+        }
         self.seen > before
     }
 
@@ -386,6 +398,8 @@ struct Lane<'a> {
     cx: &'a Shared,
     tx: Producer<Packet>,
     rx: Option<Consumer<Packet>>,
+    /// The ring the replica's spent buffers come back on (`run_io`).
+    spent: Option<Consumer<Packet>>,
     /// Deliveries taken off `rx` so far.
     received: u64,
     inject_times: Vec<Instant>,
@@ -441,20 +455,30 @@ impl Lane<'_> {
     }
 }
 
-/// The calling thread's side of a run: a lane per replica and the sink
-/// their deliveries go to.
+/// Where a run's spent buffers go: the ingress's `recycle`.
+type Recycle<'s> = &'s mut dyn FnMut(&mut Vec<Packet>);
+
+/// The calling thread's side of a run: a lane per replica, the sink
+/// their deliveries go to, and where their spent buffers go.
 struct Injector<'a, 's> {
     lanes: Vec<Lane<'a>>,
     burst: Vec<Packet>,
     sink: &'s mut dyn FnMut(usize, &mut Vec<Packet>),
+    recycle: Option<Recycle<'s>>,
 }
 
 impl Injector<'_, '_> {
-    /// Take a burst off every delivery ring to the sink; true if there was
-    /// anything.
+    /// Take a burst off every delivery ring to the sink, and one off every
+    /// spent ring to `recycle`; true if there was a delivery.
     fn drain(&mut self) -> bool {
         let mut any = false;
         for (r, lane) in self.lanes.iter_mut().enumerate() {
+            if let (Some(rx), Some(recycle)) = (&lane.spent, &mut self.recycle) {
+                if rx.pop_burst(&mut self.burst, BURST) > 0 {
+                    recycle(&mut self.burst);
+                    self.burst.clear();
+                }
+            }
             if let Some(rx) = &lane.rx {
                 if rx.pop_burst(&mut self.burst, BURST) > 0 {
                     lane.received += self.burst.len() as u64;
@@ -754,7 +778,7 @@ impl Engine {
         let expected = packets.len();
         let mut packets = packets.into_iter();
         let keep = self.config.keep_packets;
-        self.run_feed(&mut || packets.next(), expected, keep, split, sink)
+        self.run_feed(&mut || packets.next(), expected, keep, split, sink, None)
     }
 
     /// Run the engine against a pluggable [`Ingress`]/[`Egress`] backend
@@ -769,7 +793,9 @@ impl Engine {
     /// the report when [`EngineConfig::keep_packets`] is on; otherwise each
     /// emitted burst goes back to the ingress ([`Ingress::recycle`]), on
     /// the thread that pulls from it, so its packets can be refilled in
-    /// place.
+    /// place. The buffers of drops and rejects go back too: each
+    /// replica's classifier group sends them to this thread on a ring of
+    /// their own, and frees them itself only when that ring is full.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
@@ -810,7 +836,9 @@ impl Engine {
                 ingress.borrow_mut().recycle(out);
             }
         };
-        let mut reports = self.run_feed(&mut next, burst * 32, true, false, &mut emit);
+        let mut recycle = |spent: &mut Vec<Packet>| ingress.borrow_mut().recycle(spent);
+        let recycle: Option<Recycle> = Some(&mut recycle);
+        let mut reports = self.run_feed(&mut next, burst * 32, true, false, &mut emit, recycle);
         let report = EngineReport {
             packets: kept,
             ..reports.remove(0)
@@ -831,14 +859,16 @@ impl Engine {
     /// `sink` is handed every delivered packet on the calling thread, in
     /// bursts tagged with their replica, in collector completion order,
     /// while the run is going (it takes what it wants out of the burst; the
-    /// rest is dropped).
-    fn run_feed(
+    /// rest is dropped). With `recycle`, the buffers of drops and rejects
+    /// come back to the calling thread too, and go to `recycle`.
+    fn run_feed<'s>(
         &mut self,
         next: &mut dyn FnMut() -> Option<Packet>,
         expected: usize,
         deliver: bool,
         split: bool,
-        sink: &mut dyn FnMut(usize, &mut Vec<Packet>),
+        sink: &'s mut dyn FnMut(usize, &mut Vec<Packet>),
+        recycle: Option<Recycle<'s>>,
     ) -> Vec<EngineReport> {
         let config = &self.config;
         let n = self.replicas.len();
@@ -901,6 +931,7 @@ impl Engine {
             lanes: Vec::with_capacity(n),
             burst: Vec::with_capacity(BURST),
             sink,
+            recycle,
         };
 
         let exits: Vec<GroupExit> = std::thread::scope(|scope| {
@@ -931,11 +962,16 @@ impl Engine {
                     }
                 }
                 // The injection ring into the classifier's group (always
-                // the first), and the delivery ring out of the collector's
+                // the first) and, when the caller recycles, the spent ring
+                // back out of it; the delivery ring out of the collector's
                 // group (always the last) when the caller wants the packets.
                 let (tx, rx) = ring::channel::<Packet>(config.ring_capacity);
+                let (spent_tx, spent_rx) = (inj.recycle.is_some())
+                    .then(|| ring::channel::<Packet>(config.ring_capacity))
+                    .unzip();
                 let mut intake = Some(Intake {
                     rx,
+                    spent: spent_tx,
                     held: None,
                     seen: 0,
                     rejected_at: Vec::new(),
@@ -971,6 +1007,7 @@ impl Engine {
                     cx,
                     tx,
                     rx: deliver_rx,
+                    spent: spent_rx,
                     received: 0,
                     inject_times: Vec::with_capacity(expected.div_ceil(n)),
                     finished: 0,

@@ -202,6 +202,20 @@ impl<T: Send> Consumer<T> {
         n
     }
 
+    /// Show `f` up to `max` queued items, oldest first — the ones the next
+    /// pops return — without consuming any.
+    pub(crate) fn peek(&self, max: usize, mut f: impl FnMut(&T)) {
+        let s = &*self.shared;
+        let head = s.head.load(Ordering::Relaxed);
+        let queued = s.tail.load(Ordering::Acquire).wrapping_sub(head);
+        for i in 0..queued.min(max) {
+            // SAFETY: slots [head, tail) were published by the producer,
+            // which will not reuse them until we advance head; we only
+            // borrow them.
+            f(unsafe { (*s.buf[head.wrapping_add(i) & s.mask].get()).assume_init_ref() });
+        }
+    }
+
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
         let s = &*self.shared;
@@ -388,6 +402,37 @@ mod tests {
         }
         assert_eq!(rx.pop(), None);
         producer.join().unwrap();
+    }
+
+    #[test]
+    fn peek_sees_the_oldest_items_and_consumes_nothing() {
+        let (tx, rx) = channel::<u32>(8);
+        let peeked = |max| {
+            let mut seen = Vec::new();
+            rx.peek(max, |&v| seen.push(v));
+            seen
+        };
+        assert_eq!(peeked(4), Vec::<u32>::new(), "nothing queued");
+        // Wrap the ring so the queued run straddles the end of the buffer.
+        for i in 0..6 {
+            tx.push(i).unwrap();
+        }
+        for i in 0..6 {
+            assert_eq!(rx.pop(), Some(i));
+        }
+        for i in 10..15 {
+            tx.push(i).unwrap();
+        }
+        assert_eq!(peeked(3), vec![10, 11, 12], "at most max, oldest first");
+        assert_eq!(
+            peeked(64),
+            vec![10, 11, 12, 13, 14],
+            "nothing past the tail"
+        );
+        assert_eq!(rx.len(), 5, "nothing consumed");
+        assert_eq!(rx.pop(), Some(10), "the next pop is the first item seen");
+        tx.push(15).unwrap();
+        assert_eq!(peeked(64), vec![11, 12, 13, 14, 15], "a later push shows");
     }
 
     #[test]

@@ -171,6 +171,7 @@ impl SyncEngine {
         while pkts.len() > 0 {
             self.drive(pkts.by_ref().take(self.window()));
             out.append(&mut self.dispatcher.outputs);
+            self.dispatcher.spent.clear();
         }
         out
     }
@@ -182,7 +183,9 @@ impl SyncEngine {
     /// toward `dropped` here, like every other packet that does not come
     /// out.
     pub fn process(&mut self, pkt: Packet) -> Result<ProcessOutcome, AdmitError> {
-        if let (_, Some(why)) = self.drive(std::iter::once(pkt)) {
+        let (_, rejected) = self.drive(std::iter::once(pkt));
+        self.dispatcher.spent.clear();
+        if let Some(why) = rejected {
             return Err(why);
         }
         Ok(match self.dispatcher.outputs.pop() {
@@ -256,7 +259,9 @@ impl SyncEngine {
     /// fully-streaming counterpart of [`SyncEngine::process_batch`],
     /// holding nothing beyond one pull in memory. Each emitted burst then
     /// goes back to the ingress ([`Ingress::recycle`]), whose next pulls
-    /// may refill those packets in place.
+    /// may refill those packets in place — and so, window by window, do
+    /// the buffers of the packets dropped or rejected, which the
+    /// classifier takes out of the pool when it admits the next ones.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
@@ -273,6 +278,7 @@ impl SyncEngine {
                 let delivered = self.dispatcher.outputs.len() as u64;
                 (io.rejected, io.delivered) = (io.rejected + rejected, io.delivered + delivered);
                 io.dropped += n - rejected - delivered;
+                ingress.recycle(&mut self.dispatcher.spent);
                 if delivered > 0 {
                     let emitted = egress.emit_burst(&self.dispatcher.outputs);
                     ingress.recycle(&mut self.dispatcher.outputs);

@@ -49,9 +49,10 @@ const STASH: usize = 256;
 ///
 /// Records are read into one reused buffer, and packets the engine hands
 /// back ([`Ingress::recycle`]) are refilled in place, up to 256 of
-/// them: in a steady replay every delivered packet's buffer comes round
-/// again, and only packets that never come back (drops, rejects) cost a
-/// fresh one.
+/// them. Every engine's `run_io` hands back each delivered packet and
+/// the buffer of each drop and reject, so a steady replay allocates no
+/// packet; only a pull with nothing handed back (the start of a replay)
+/// costs a fresh one.
 #[derive(Debug)]
 pub struct PcapIngress<R: Read> {
     reader: PcapReader<R>,

@@ -27,8 +27,9 @@
 //!   passed between NFs as cheap [`pool::PacketRef`]s, and header-only
 //!   copies (paper optimization OP#2) are a first-class pool operation.
 //!
-//! The pool is the only module containing `unsafe`; its aliasing contract is
-//! documented there and exercised by the property tests in `tests/`.
+//! The pool is the only module containing `unsafe` beyond
+//! [`Packet::prefetch`]'s cache hint; its aliasing contract is documented
+//! there and exercised by the property tests in `tests/`.
 //!
 //! **API:** the public modules above (`field` is private), the root
 //! re-exports [`FieldId`], [`FieldMask`], [`FlowKey`], [`Metadata`],

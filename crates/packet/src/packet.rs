@@ -672,6 +672,26 @@ impl Packet {
     pub(crate) fn frame_ptr(&self) -> *const u8 {
         self.buf[self.start..].as_ptr()
     }
+
+    /// Ask the CPU to start loading the frame's first 192 bytes (three
+    /// cache lines: every header the classifier parses, and a short
+    /// frame's payload) into L1, ahead of a parse on this core of a frame
+    /// written on another. A hint only; a no-op off x86_64.
+    #[inline]
+    pub fn prefetch(&self) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let frame = self.buf.as_ptr().wrapping_add(self.start).cast::<i8>();
+            // SAFETY: a prefetch never faults, whatever the address, and
+            // writes nothing; these lines start inside the buffer anyway.
+            unsafe {
+                for line in 0..3 {
+                    _mm_prefetch::<_MM_HINT_T0>(frame.wrapping_add(line * 64));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

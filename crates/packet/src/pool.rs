@@ -47,9 +47,11 @@
 //!   free slot's own buffer* (`Packet::copy_from`,
 //!   [`Packet::set_nil_packet`]); no buffer moves.
 //! * **insert** moves the caller's packet — buffer included — into the slot.
-//!   The slot's own buffer is displaced into the slot's *spare* (or freed,
-//!   if a spare is already there), so a slot holds at most two buffers and
-//!   the pool at most 2 × `capacity`.
+//!   The slot's own buffer is displaced into the slot's *spare*. If a spare
+//!   is already there (a drop left the slot holding an inserted packet),
+//!   the displaced buffer leaves the pool: [`PacketPool::insert`] frees it,
+//!   [`PacketPool::insert_displacing`] hands it back for the ingress to
+//!   refill. So a slot holds at most two buffers, the pool 2 × `capacity`.
 //! * **take** moves the packet back out to the caller and leaves the spare
 //!   behind as the slot's buffer: what `insert` displaced is what the next
 //!   `take` of that slot leaves. (A slot filled in place has no spare; taking
@@ -232,6 +234,17 @@ impl PacketPool {
     // allocation on the backpressure path.
     #[allow(clippy::result_large_err)]
     pub fn insert(&self, pkt: Packet) -> core::result::Result<PacketRef, Packet> {
+        self.insert_displacing(pkt).map(|(r, _)| r)
+    }
+
+    /// [`PacketPool::insert`], handing back the buffer the insert displaced
+    /// when the slot already held a spare — a buffer the slot kept from a
+    /// packet that never left it (see "Who owns a buffer").
+    #[allow(clippy::result_large_err)]
+    pub fn insert_displacing(
+        &self,
+        pkt: Packet,
+    ) -> core::result::Result<(PacketRef, Option<Packet>), Packet> {
         let Some(idx) = self.pop_free() else {
             return Err(pkt);
         };
@@ -243,8 +256,9 @@ impl PacketPool {
         let displaced = core::mem::replace(own, pkt);
         if spare.is_none() {
             *spare = Some(displaced);
+            return Ok((self.publish(idx), None));
         }
-        Ok(self.publish(idx))
+        Ok((self.publish(idx), Some(displaced)))
     }
 
     /// Allocate the nil packet a runtime sends to the merger in place of a
@@ -628,6 +642,67 @@ mod tests {
                 "{label}: the slot left behind"
             );
         }
+    }
+
+    /// Buffers the pool holds: each slot's own, plus its spare if any.
+    fn buffers(pool: &PacketPool) -> usize {
+        // SAFETY: single-threaded test; nothing else touches the slots.
+        let spares = pool
+            .slots
+            .iter()
+            .filter(|s| unsafe { &*s.spare.get() }.is_some());
+        pool.capacity() + spares.count()
+    }
+
+    #[test]
+    fn insert_hands_back_only_a_buffer_displaced_beside_a_spare() {
+        let pool = PacketPool::new(2);
+        let frame = |pid| {
+            let mut p = tcp_packet();
+            p.set_meta(crate::Metadata::new(1, pid, 1));
+            p
+        };
+        // Fresh slot: its own buffer becomes the spare, nothing comes back.
+        let dropped = frame(7);
+        let dropped_buf = dropped.frame_ptr();
+        let (r, back) = pool.insert_displacing(dropped).unwrap();
+        assert!(back.is_none());
+        assert_eq!(buffers(&pool), 3);
+        // Released with the inserted packet in it (a drop): the next insert
+        // displaces exactly that buffer, beside the spare.
+        pool.release(r);
+        let (r, back) = pool.insert_displacing(frame(8)).unwrap();
+        assert_eq!(r.index(), 0, "the same slot");
+        let back = back.expect("a spare was there: the displaced buffer comes back");
+        assert_eq!(back.frame_ptr(), dropped_buf, "the displaced buffer");
+        assert_eq!(back.meta().pid(), 7);
+        assert_eq!((pool.in_use(), pool.refcount(r)), (1, 1));
+        assert_eq!(buffers(&pool), 3, "the slot still holds two buffers");
+        // Taken out (a delivery): the spare is the slot's buffer again, and
+        // the next insert moves it to the spare — nothing comes back.
+        pool.take(r);
+        let (r, back) = pool.insert_displacing(frame(9)).unwrap();
+        assert!(back.is_none());
+        // Filled in place and released: no spare, nothing comes back.
+        let nil = pool
+            .insert_nil(crate::Metadata::default(), 0, false)
+            .unwrap();
+        assert_eq!(nil.index(), 1);
+        pool.release(nil);
+        let (a, back_a) = pool.insert_displacing(frame(10)).unwrap();
+        assert_eq!(a.index(), 1);
+        assert!(back_a.is_none(), "slot 1 had no spare");
+        pool.release(r);
+        let (b, back_b) = pool.insert_displacing(frame(11)).unwrap();
+        assert_eq!(b.index(), 0);
+        assert_eq!(back_b.map(|p| p.meta().pid()), Some(9), "slot 0 had one");
+        assert_eq!(pool.in_use(), 2);
+        assert_eq!(buffers(&pool), 2 * pool.capacity());
+        // `insert` frees what `insert_displacing` would hand back.
+        pool.release(a);
+        pool.release(b);
+        pool.insert(frame(12)).unwrap();
+        assert_eq!(buffers(&pool), 4);
     }
 
     #[test]

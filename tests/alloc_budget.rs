@@ -7,9 +7,11 @@
 //! `Box<Packet>` its `ProcessOutcome::Delivered` signature mandates,
 //! `SyncEngine::run_io` only the `Vec` each ingress burst arrives in, and a
 //! threaded `Engine::run` allocates per run (pool, rings, threads, report),
-//! never per packet. Through a pcap, `run_io` on either engine recycles
-//! the packets it delivers: only a packet that never comes back to the
-//! ingress (a drop or a reject) costs a fresh buffer.
+//! never per packet. Through a pcap, `run_io` on either engine hands every
+//! buffer back to the ingress — a delivered packet's after the egress has
+//! written it, a drop's or a reject's when the classifier takes it out of
+//! the pool — so a warm replay allocates a few times per burst and never
+//! per packet.
 //!
 //! Everything runs inside ONE `#[test]`: the counter is process-wide, so a
 //! second test running beside it would be counted too.
@@ -278,6 +280,20 @@ fn steady_state_packet_path_stays_within_its_allocation_budget() {
              ({allocs} for {io:?}; budget: one per packet that never came back, \
              {unreturned}, and four per {burst}-packet burst, {bursts})",
             allocs as f64 / io.pulled as f64
+        );
+    }
+    // The same two round trips, held to O(1) per burst alone: the buffers
+    // of drops and rejects come back too (the classifier hands them to
+    // the ingress), so nothing is left to pay per packet, whatever the
+    // capture drops. Before they came back, the sync pass made 4,126
+    // allocations and the threaded pass 4,917 (one per drop or reject),
+    // against this budget of 2,048.
+    for (label, (allocs, io)) in [("SyncEngine", sync), ("Engine", threaded)] {
+        let bursts = io.pulled.div_ceil(32);
+        assert!(
+            allocs <= 4 * bursts,
+            "{label}: run_io over a pcap made {allocs} allocations for {io:?} \
+             (budget: four per 32-packet burst, {bursts}, none per drop or reject)"
         );
     }
 

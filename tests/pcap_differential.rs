@@ -494,3 +494,110 @@ fn recycled_buffers_replay_byte_identically() {
         assert_same_capture(&got, &reference, &format!("sharded x2, replay {replay}"));
     }
 }
+
+/// A capture in which drops and rejects dominate: of every eight records,
+/// four are long (~1.4 kB) frames aimed at the firewall's deny space, one
+/// is long with an IPv6 ethertype, one is cut by the snaplen inside its
+/// TCP header, and two are short accepted frames. Under recycling, the
+/// buffers of the long drops and rejects come back to the ingress, and
+/// the short frames keep landing in them.
+fn drop_heavy_capture() -> Vec<u8> {
+    let recs: Vec<PcapRecord> = (0..512u16)
+        .map(|i| {
+            let (kind, flow) = (i % 8, (i % 16) as u8);
+            let (dip, dport) = match kind {
+                1 | 2 | 5 | 7 => (ip(172, 16, 3, flow), 7003),
+                _ => (ip(10, 2, 0, flow), 80),
+            };
+            let len = if kind % 4 == 0 {
+                4 + i % 9
+            } else {
+                1400 - i % 11
+            };
+            let mut frame = tcp_frame_bytes(
+                ip(10, 1, 0, flow),
+                dip,
+                20_000 + u16::from(flow),
+                dport,
+                &indexed_payload(usize::from(len), u64::from(i)),
+            );
+            let ts_ns = 1_000_000 + u64::from(i) * 2_000;
+            match kind {
+                3 => frame[12] = 0x86, // an IPv6 ethertype: unparseable
+                6 => {
+                    let orig_len = frame.len() as u32;
+                    frame.truncate(40); // snaplen cut: truncated at admission
+                    return PcapRecord {
+                        ts_ns,
+                        orig_len,
+                        data: frame,
+                    };
+                }
+                _ => {}
+            }
+            PcapRecord::full(ts_ns, frame)
+        })
+        .collect();
+    write_pcap_bytes(&recs, PcapFormat::default())
+}
+
+/// The buffers of drops and rejects go back to the pcap ingress too (the
+/// classifier hands them over as it admits), so here most refills land in
+/// a buffer a long dropped or rejected frame left. Each engine replays
+/// the capture twice, warm, and every output must equal a `process()`
+/// loop's: byte for byte from the sync engine, and in capture order from
+/// the threaded engine and a two-shard fleet.
+#[test]
+fn drop_and_reject_buffers_replay_byte_identically() {
+    let capture = drop_heavy_capture();
+    let (program, names) = compile_chain(CHAINS[0], false);
+    let egress = || PcapEgress::in_memory(PcapFormat::default());
+    let ingress = || PcapIngress::from_bytes(capture.clone()).unwrap();
+
+    let reference = {
+        let mut engine = SyncEngine::new(program.clone(), nfs_for(&names), 64);
+        let mut delivered = Vec::new();
+        for rec in read_pcap_bytes(&capture).unwrap() {
+            if let Ok(outcome) = engine.process(packet_from_record(&rec).unwrap()) {
+                delivered.extend(outcome.delivered());
+            }
+        }
+        let tax = taxonomy(&engine.stats());
+        let (malformed, policy) = (tax[1], tax[2] + tax[5]);
+        assert_eq!(malformed, 128, "both reject kinds: {tax:?}");
+        assert_eq!(policy, 256, "every denied frame dropped: {tax:?}");
+        assert_eq!(delivered.len(), 128, "drops and rejects are 3 in 4");
+        let mut out = egress();
+        out.emit_burst(&delivered).unwrap();
+        out.into_inner().unwrap()
+    };
+
+    let mut sync = SyncEngine::new(program.clone(), nfs_for(&names), 64);
+    let mut threaded = Engine::new(program.clone(), nfs_for(&names), config()).unwrap();
+    let fleet_names = names.clone();
+    let mut sharded = ShardedEngine::new(
+        &program,
+        move || nfs_for(&fleet_names),
+        &EngineConfig {
+            pool_size: 512,
+            core_budget: 4,
+            ..config()
+        },
+        2,
+    )
+    .unwrap();
+    for replay in 1..=2 {
+        let (mut i, mut o) = (ingress(), egress());
+        sync.run_io(&mut i, &mut o, 16).unwrap();
+        let got = o.into_inner().unwrap();
+        assert_same_capture(&got, &reference, &format!("sync, replay {replay}"));
+        let (mut i, mut o) = (ingress(), egress());
+        threaded.run_io(&mut i, &mut o).unwrap();
+        let got = in_capture_order(&o.into_inner().unwrap());
+        assert_same_capture(&got, &reference, &format!("threaded, replay {replay}"));
+        let (mut i, mut o) = (ingress(), egress());
+        sharded.run_io(&mut i, &mut o).unwrap();
+        let got = in_capture_order(&o.into_inner().unwrap());
+        assert_same_capture(&got, &reference, &format!("sharded x2, replay {replay}"));
+    }
+}
