@@ -434,33 +434,32 @@ fn assert_same_capture(got: &[u8], want: &[u8], what: &str) {
     }
 }
 
-/// `run_io` hands every emitted burst back to the pcap ingress, which
-/// refills those packets in place. Each engine replays the capture twice,
-/// warm, and every output capture must equal what a `process()` loop over
-/// fresh packets writes: byte for byte from the sync engine, and record
-/// for record in capture order from the threaded engine and the fleet.
-#[test]
-fn recycled_buffers_replay_byte_identically() {
-    let capture = alternating_capture();
+/// Replay `capture` twice, warm, through a sync engine, a threaded engine
+/// and a two-shard fleet on `run_io`, and hold every output to what a
+/// `process()` loop over fresh packets writes: byte for byte from the sync
+/// engine, and record for record in capture order from the threaded
+/// engine and the fleet. `check_reference` sees that loop's outcome first:
+/// the stage counters' drop taxonomy, the packets delivered and the number
+/// of admission rejects.
+fn assert_warm_replays_match_process_loop(
+    capture: &[u8],
+    check_reference: impl FnOnce([u64; 8], &[Packet], u64),
+) {
     let (program, names) = compile_chain(CHAINS[0], false);
     let egress = || PcapEgress::in_memory(PcapFormat::default());
-    let ingress = || PcapIngress::from_bytes(capture.clone()).unwrap();
+    let ingress = || PcapIngress::from_bytes(capture.to_vec()).unwrap();
 
     let reference = {
         let mut engine = SyncEngine::new(program.clone(), nfs_for(&names), 64);
-        let mut out = egress();
         let (mut delivered, mut rejected) = (Vec::new(), 0);
-        for rec in read_pcap_bytes(&capture).unwrap() {
+        for rec in read_pcap_bytes(capture).unwrap() {
             match engine.process(packet_from_record(&rec).unwrap()) {
                 Ok(outcome) => delivered.extend(outcome.delivered()),
                 Err(_) => rejected += 1,
             }
         }
-        assert!(rejected > 0, "the capture exercises admission rejects");
-        assert!(
-            taxonomy(&engine.stats()).iter().sum::<u64>() > rejected,
-            "the capture exercises policy drops"
-        );
+        check_reference(taxonomy(&engine.stats()), &delivered, rejected);
+        let mut out = egress();
         out.emit_burst(&delivered).unwrap();
         out.into_inner().unwrap()
     };
@@ -493,6 +492,20 @@ fn recycled_buffers_replay_byte_identically() {
         let got = in_capture_order(&o.into_inner().unwrap());
         assert_same_capture(&got, &reference, &format!("sharded x2, replay {replay}"));
     }
+}
+
+/// `run_io` hands every emitted burst back to the pcap ingress, which
+/// refills those packets in place: short frames keep landing in buffers a
+/// long one left.
+#[test]
+fn recycled_buffers_replay_byte_identically() {
+    assert_warm_replays_match_process_loop(&alternating_capture(), |tax, _, rejected| {
+        assert!(rejected > 0, "the capture exercises admission rejects");
+        assert!(
+            tax.iter().sum::<u64>() > rejected,
+            "the capture exercises policy drops"
+        );
+    });
 }
 
 /// A capture in which drops and rejects dominate: of every eight records,
@@ -543,61 +556,13 @@ fn drop_heavy_capture() -> Vec<u8> {
 
 /// The buffers of drops and rejects go back to the pcap ingress too (the
 /// classifier hands them over as it admits), so here most refills land in
-/// a buffer a long dropped or rejected frame left. Each engine replays
-/// the capture twice, warm, and every output must equal a `process()`
-/// loop's: byte for byte from the sync engine, and in capture order from
-/// the threaded engine and a two-shard fleet.
+/// a buffer a long dropped or rejected frame left.
 #[test]
 fn drop_and_reject_buffers_replay_byte_identically() {
-    let capture = drop_heavy_capture();
-    let (program, names) = compile_chain(CHAINS[0], false);
-    let egress = || PcapEgress::in_memory(PcapFormat::default());
-    let ingress = || PcapIngress::from_bytes(capture.clone()).unwrap();
-
-    let reference = {
-        let mut engine = SyncEngine::new(program.clone(), nfs_for(&names), 64);
-        let mut delivered = Vec::new();
-        for rec in read_pcap_bytes(&capture).unwrap() {
-            if let Ok(outcome) = engine.process(packet_from_record(&rec).unwrap()) {
-                delivered.extend(outcome.delivered());
-            }
-        }
-        let tax = taxonomy(&engine.stats());
+    assert_warm_replays_match_process_loop(&drop_heavy_capture(), |tax, delivered, _| {
         let (malformed, policy) = (tax[1], tax[2] + tax[5]);
         assert_eq!(malformed, 128, "both reject kinds: {tax:?}");
         assert_eq!(policy, 256, "every denied frame dropped: {tax:?}");
         assert_eq!(delivered.len(), 128, "drops and rejects are 3 in 4");
-        let mut out = egress();
-        out.emit_burst(&delivered).unwrap();
-        out.into_inner().unwrap()
-    };
-
-    let mut sync = SyncEngine::new(program.clone(), nfs_for(&names), 64);
-    let mut threaded = Engine::new(program.clone(), nfs_for(&names), config()).unwrap();
-    let fleet_names = names.clone();
-    let mut sharded = ShardedEngine::new(
-        &program,
-        move || nfs_for(&fleet_names),
-        &EngineConfig {
-            pool_size: 512,
-            core_budget: 4,
-            ..config()
-        },
-        2,
-    )
-    .unwrap();
-    for replay in 1..=2 {
-        let (mut i, mut o) = (ingress(), egress());
-        sync.run_io(&mut i, &mut o, 16).unwrap();
-        let got = o.into_inner().unwrap();
-        assert_same_capture(&got, &reference, &format!("sync, replay {replay}"));
-        let (mut i, mut o) = (ingress(), egress());
-        threaded.run_io(&mut i, &mut o).unwrap();
-        let got = in_capture_order(&o.into_inner().unwrap());
-        assert_same_capture(&got, &reference, &format!("threaded, replay {replay}"));
-        let (mut i, mut o) = (ingress(), egress());
-        sharded.run_io(&mut i, &mut o).unwrap();
-        let got = in_capture_order(&o.into_inner().unwrap());
-        assert_same_capture(&got, &reference, &format!("sharded x2, replay {replay}"));
-    }
+    });
 }
