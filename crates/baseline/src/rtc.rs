@@ -7,7 +7,7 @@
 //! is defined against, so this executor is also the reference for the
 //! §6.4 replay experiment.
 
-use nfp_nf::{NetworkFunction, PacketView, Verdict};
+use nfp_nf::{FlowSnapshot, NetworkFunction, PacketView, Verdict};
 use nfp_packet::Packet;
 
 /// A consolidated sequential chain.
@@ -33,6 +33,12 @@ impl RunToCompletion {
     #[cfg(test)]
     fn nf(&self, i: usize) -> &dyn NetworkFunction {
         self.nfs[i].as_ref()
+    }
+
+    /// Each NF's per-flow state ([`NetworkFunction::snapshot_state`]), in
+    /// chain order.
+    pub fn snapshot_state(&self) -> Vec<FlowSnapshot> {
+        self.nfs.iter().map(|nf| nf.snapshot_state()).collect()
     }
 
     /// Process one packet through the whole chain. Returns the processed

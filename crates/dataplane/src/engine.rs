@@ -1265,7 +1265,7 @@ impl Engine {
     /// Stateless positions export empty snapshots. Call between runs — the
     /// closed loop guarantees no packet is in flight then, so the snapshot
     /// is a consistent cut.
-    pub(crate) fn export_flow_state(&self) -> Vec<FlowSnapshot> {
+    pub fn export_flow_state(&self) -> Vec<FlowSnapshot> {
         let mut merged: Vec<FlowSnapshot> = self.replicas[0]
             .iter()
             .map(|nf| nf.snapshot_state())

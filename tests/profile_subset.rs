@@ -9,15 +9,13 @@
 //! drop set must be a subset of the profile it is registered under.
 //! Over-declaration only costs parallelism, so it is printed, not failed.
 
-use nfp_io::backends::packet_from_record;
-use nfp_io::pcap::read_pcap_bytes;
 use nfp_nf::catalogue;
 use nfp_nf::inspector::inspect;
 use nfp_nf::monitor::Monitor;
 use nfp_nf::NetworkFunction;
 use nfp_orchestrator::{ActionProfile, Registry};
 use nfp_packet::{FieldMask, Packet};
-use nfp_traffic::hostile::{HostileGenerator, HostileSpec};
+use nfp_testkit::corpus::{golden, hostile, GOLDEN_CLEAN, GOLDEN_MIXED};
 
 /// Every row of the evaluated registry — Table 2 plus the §6.1
 /// Forwarder, LB and inline IDS — built by the catalogue and named after
@@ -30,29 +28,14 @@ fn zoo() -> Vec<Box<dyn NetworkFunction>> {
 
 /// The golden pcap corpus, every frame that decodes into a packet.
 fn golden_corpus() -> Vec<Packet> {
-    [
-        &include_bytes!("data/golden_clean.pcap")[..],
-        &include_bytes!("data/golden_mixed.pcap")[..],
-    ]
-    .into_iter()
-    .flat_map(|bytes| read_pcap_bytes(bytes).expect("committed corpus parses"))
-    .filter_map(|rec| packet_from_record(&rec).ok())
-    .collect()
+    let mut corpus = golden(GOLDEN_CLEAN);
+    corpus.extend(golden(GOLDEN_MIXED));
+    corpus
 }
 
-/// Hostile traffic: a SYN flood and an elephant/mice mix, each with a
-/// share of corrupted frames, and every eighth frame about to expire.
-fn hostile() -> Vec<Packet> {
-    let mut pkts: Vec<Packet> = [HostileSpec::syn_flood(7), HostileSpec::elephant_mice(11)]
-        .into_iter()
-        .flat_map(|spec| {
-            HostileGenerator::new(HostileSpec {
-                malformed_rate: 0.1,
-                ..spec
-            })
-            .batch(256)
-        })
-        .collect();
+/// The hostile set, every eighth frame about to expire.
+fn hostile_expiring() -> Vec<Packet> {
+    let mut pkts = hostile(7, 11, 256);
     for pkt in pkts.iter_mut().step_by(8) {
         if pkt.set_ttl(1).is_ok() {
             let _ = pkt.finalize_checksums();
@@ -127,7 +110,7 @@ fn golden_corpus_stays_inside_registered_profiles() {
 
 #[test]
 fn hostile_traffic_stays_inside_registered_profiles() {
-    let failures = under_declared(&hostile(), "hostile");
+    let failures = under_declared(&hostile_expiring(), "hostile");
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
