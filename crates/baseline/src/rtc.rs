@@ -8,6 +8,7 @@
 //! §6.4 replay experiment.
 
 use nfp_nf::{FlowSnapshot, NetworkFunction, PacketView, Verdict};
+use nfp_packet::io::{DropCause, RunRecord};
 use nfp_packet::Packet;
 
 /// A consolidated sequential chain.
@@ -39,6 +40,17 @@ impl RunToCompletion {
     /// chain order.
     pub fn snapshot_state(&self) -> Vec<FlowSnapshot> {
         self.nfs.iter().map(|nf| nf.snapshot_state()).collect()
+    }
+
+    /// What the chain has done over its lifetime. It has no classifier,
+    /// so nothing is rejected, and its one kind of drop is an NF verdict;
+    /// it keeps no per-NF counters.
+    pub fn record(&self) -> RunRecord {
+        let mut record = RunRecord::default();
+        (record.delivered, record.dropped) = (self.delivered, self.dropped);
+        record.pulled = self.delivered + self.dropped;
+        record.causes[DropCause::NfVerdict as usize] = self.dropped;
+        record
     }
 
     /// Process one packet through the whole chain. Returns the processed
@@ -88,7 +100,7 @@ mod tests {
         let mut rtc = chain();
         let out = rtc.process(pkt(Ipv4Addr::new(9, 9, 9, 9), 80)).unwrap();
         assert_eq!(out.dip().unwrap().0[0], 192, "LB ran");
-        assert_eq!(rtc.delivered, 1);
+        assert_eq!(rtc.record().delivered, 1);
     }
 
     #[test]
@@ -96,7 +108,7 @@ mod tests {
         let mut rtc = chain();
         let out = rtc.process(pkt(Ipv4Addr::new(172, 16, 5, 5), 7005));
         assert!(out.is_none());
-        assert_eq!(rtc.dropped, 1);
+        assert_eq!(rtc.record().causes[DropCause::NfVerdict as usize], 1);
         // The monitor (before the firewall) still saw the packet; the LB
         // (after) must not have.
         let mon = rtc.nf(0).profile();
@@ -113,7 +125,7 @@ mod tests {
         ];
         let out = rtc.process_batch(pkts);
         assert_eq!(out.len(), 2);
-        assert_eq!(rtc.delivered, 2);
-        assert_eq!(rtc.dropped, 1);
+        let record = rtc.record();
+        assert_eq!((record.pulled, record.delivered, record.dropped), (3, 2, 1));
     }
 }

@@ -8,7 +8,7 @@
 //!   bytes, no engine attached (the I/O floor);
 //! * **replay** — pcap-in → engine → pcap-out for the sync engine, the
 //!   threaded engine and a 2-shard fleet, with delivered/dropped/rejected
-//!   accounting from [`IoRunStats`] (the mixed trace carries malformed
+//!   accounting from [`RunRecord`] (the mixed trace carries malformed
 //!   and snaplen-cut records on purpose).
 //!
 //! Usage: `cargo run --release -p nfp-bench --bin pcap_replay [--smoke] [packets] [trials]`
@@ -19,13 +19,13 @@ use nfp_dataplane::shard::ShardedEngine;
 use nfp_dataplane::sync_engine::SyncEngine;
 use nfp_io::pcap::{read_pcap_bytes, write_pcap_bytes, PcapFormat};
 use nfp_io::trace::{build_golden_records, GoldenTraceSpec};
-use nfp_io::{IoRunStats, PcapEgress, PcapIngress};
+use nfp_io::{PcapEgress, PcapIngress, RunRecord};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 struct Row {
     engine: &'static str,
-    io: IoRunStats,
+    io: RunRecord,
     elapsed_s: f64,
     pps: f64,
     out_records: u64,

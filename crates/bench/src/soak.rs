@@ -22,7 +22,7 @@ use nfp_dataplane::engine::{Engine, EngineConfig};
 use nfp_dataplane::shard::ShardedEngine;
 use nfp_dataplane::sync_engine::SyncEngine;
 use nfp_io::trace::{build_golden_pcap, GoldenTraceSpec};
-use nfp_io::{Ingress, PcapIngress};
+use nfp_io::{Ingress, PcapIngress, RunRecord};
 use nfp_nf::{catalogue, NetworkFunction};
 use nfp_orchestrator::{compile, CompileOptions, Compiled, FailurePolicy, Program, Registry};
 use nfp_packet::Packet;
@@ -354,8 +354,6 @@ fn run_sync(
     let points = script.swap_points();
     let mut next_point = 0usize;
     let mut swaps = SwapLog::default();
-    let injected = packets.len() as u64;
-    let (mut delivered, mut dropped, mut rejected) = (0u64, 0u64, 0u64);
     let start = Instant::now();
     for (i, pkt) in packets.into_iter().enumerate() {
         while next_point < points.len() && i as u64 >= points[next_point] {
@@ -371,17 +369,12 @@ fn run_sync(
                 }
             }
         }
-        match engine.process(pkt) {
-            Ok(out) => match out.delivered() {
-                Some(_) => delivered += 1,
-                None => dropped += 1,
-            },
-            Err(_) => rejected += 1,
-        }
+        let _ = engine.process(pkt);
+        let counts = SoakCounts::from_record(&engine.record());
         gauges.publish(
-            i as u64 + 1,
-            delivered,
-            dropped + rejected,
+            counts.injected,
+            counts.delivered,
+            counts.dropped,
             engine.pool_in_use() as u64,
             0, // the budget here is the whole pool: stragglers need no slack
             engine.epoch(),
@@ -392,16 +385,12 @@ fn run_sync(
     let live = auditor.finish();
 
     let counts = SoakCounts {
-        injected,
-        delivered,
-        // The uniform convention: `dropped` includes classifier rejects,
-        // exactly as the threaded engine's report counts them.
-        dropped: dropped + rejected,
-        rejected,
         pool_in_use: engine.pool_in_use() as u64,
         epoch_completed: engine.epochs().iter().map(|t| t.completed).sum(),
-        // A lone sync engine has no fleet to rescale.
-        ..SoakCounts::default()
+        // A lone sync engine has no fleet to rescale. The uniform
+        // convention: `dropped` includes classifier rejects, exactly as
+        // the threaded engine's report counts them.
+        ..SoakCounts::from_record(&engine.record())
     };
     (counts, swaps, engine.failures().len(), elapsed, live)
 }
@@ -483,20 +472,16 @@ fn run_sharded(
     }
     chunks.push((rest, None));
 
-    let mut counts = SoakCounts::default();
+    let (mut record, mut pool_in_use, mut epoch_completed) = (RunRecord::default(), 0, 0);
     let mut swaps = SwapLog::default();
     let mut nf_failures = 0usize;
     let start = Instant::now();
     for (chunk, rescale_to) in chunks {
         if !chunk.is_empty() {
             let report = engine.run(chunk);
+            record.absorb(&report.record());
             let c = SoakCounts::from_report(&report);
-            counts.injected += c.injected;
-            counts.delivered += c.delivered;
-            counts.dropped += c.dropped;
-            counts.rejected += c.rejected;
-            counts.pool_in_use = c.pool_in_use;
-            counts.epoch_completed += c.epoch_completed;
+            (pool_in_use, epoch_completed) = (c.pool_in_use, epoch_completed + c.epoch_completed);
             nf_failures += report.failures.len();
         }
         if let Some(to) = rescale_to {
@@ -510,9 +495,14 @@ fn run_sharded(
     let elapsed = start.elapsed();
     // Migration counters are cumulative on the fleet, not per chunk.
     let migration = engine.migration();
-    counts.rescales = migration.rescales;
-    counts.flows_exported = migration.flows_exported;
-    counts.flows_imported = migration.flows_imported;
+    let counts = SoakCounts {
+        pool_in_use,
+        epoch_completed,
+        rescales: migration.rescales,
+        flows_exported: migration.flows_exported,
+        flows_imported: migration.flows_imported,
+        ..SoakCounts::from_record(&record)
+    };
 
     let driven = driver.join().expect("swap driver");
     swaps.attempted += driven.attempted;

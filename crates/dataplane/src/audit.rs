@@ -30,6 +30,7 @@
 //! [`EngineConfig::probe`]: crate::engine::EngineConfig::probe
 
 use crate::engine::EngineReport;
+use nfp_packet::io::RunRecord;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -315,9 +316,9 @@ pub fn spawn_auditor(probe: Arc<EngineProbe>, cfg: AuditConfig) -> AuditorHandle
     AuditorHandle { stop, thread }
 }
 
-/// The final flow counters an invariant evaluation needs. Built from an
-/// [`EngineReport`] for the threaded engines, or assembled by hand for a
-/// [`crate::sync_engine::SyncEngine`] harness loop.
+/// The final flow counters an invariant evaluation needs, the flow counts
+/// from a [`RunRecord`]: an [`EngineReport`]'s, or a
+/// [`crate::sync_engine::SyncEngine`]'s own for a sync harness loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SoakCounts {
     /// Packets handed to the engine.
@@ -349,15 +350,23 @@ impl SoakCounts {
     /// take them from the *final* report only.
     pub fn from_report(report: &EngineReport) -> Self {
         Self {
-            injected: report.injected,
-            delivered: report.delivered,
-            dropped: report.dropped,
-            rejected: report.stats.classifier.rejects(),
             pool_in_use: report.pool_in_use as u64,
             epoch_completed: report.epochs.iter().map(|t| t.completed).sum(),
             rescales: report.migration.rescales,
             flows_exported: report.migration.flows_exported,
             flows_imported: report.migration.flows_imported,
+            ..Self::from_record(&report.record())
+        }
+    }
+
+    /// The flow counters of `record`, `dropped` including its rejects.
+    pub fn from_record(record: &RunRecord) -> Self {
+        Self {
+            injected: record.pulled,
+            delivered: record.delivered,
+            dropped: record.dropped + record.rejected,
+            rejected: record.rejected,
+            ..Self::default()
         }
     }
 }

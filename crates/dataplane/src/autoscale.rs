@@ -336,9 +336,7 @@ mod tests {
 
     #[test]
     fn signals_distill_from_report() {
-        use crate::engine::MigrationStats;
         use crate::stats::{EngineStats, StageSnapshot};
-        use crate::telemetry::TelemetrySnapshot;
         let mut stats = EngineStats::default();
         stats.nfs.push(StageSnapshot {
             ring_high_water: 48,
@@ -347,19 +345,9 @@ mod tests {
         let report = EngineReport {
             injected: 100,
             delivered: 100,
-            dropped: 0,
             elapsed: Duration::from_millis(10),
-            latency: None,
-            packets: Vec::new(),
             stats,
-            failures: Vec::new(),
-            pool_in_use: 0,
-            epoch: 0,
-            epochs: Vec::new(),
-            telemetry: TelemetrySnapshot::empty(),
-            migration: MigrationStats::default(),
-            parks: 0,
-            wakes: 0,
+            ..EngineReport::default()
         };
         let s = LoadSignals::from_report(&report, 64);
         assert!((s.ring_occupancy - 0.75).abs() < 1e-9);

@@ -396,8 +396,7 @@ mod tests {
         );
         let snap = stats.snapshot();
         assert_eq!(snap.rejects(), 1);
-        assert_eq!(snap.drop_admit_malformed, 1);
-        assert_eq!(snap.drop_admit_rejected, 0);
+        assert_eq!(snap.causes[DropCause::AdmitMalformed as usize], 1);
         assert_eq!(pool.in_use(), 0);
     }
 

@@ -201,9 +201,7 @@ mod tests {
     use super::*;
     use crate::swap::ProgramHandle;
     use nfp_orchestrator::tables::Target;
-    use nfp_orchestrator::{compile, CompileOptions, Program, Registry};
     use nfp_packet::meta::Metadata;
-    use nfp_policy::Policy;
     use std::sync::Arc;
 
     #[derive(Default)]
@@ -219,15 +217,7 @@ mod tests {
     /// on both sides of the wrap point still leave in sequence order.
     #[test]
     fn release_order_holds_across_the_sequence_wrap() {
-        let graph = compile(
-            &Policy::from_chain(["Monitor", "Firewall"]),
-            &Registry::paper_table2(),
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap()
-        .graph;
-        let program = Program::compile(&graph, 1).unwrap();
+        let program = crate::engine::tests::program_and_nfs(&["Monitor", "Firewall"]).0;
         let spec = program.tables().merge_specs[0].clone();
         let segment = spec.segment as u32;
         let mut resolver = TablesResolver::new(Arc::new(ProgramHandle::new(program)));

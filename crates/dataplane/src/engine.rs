@@ -48,7 +48,7 @@ use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 use nfp_nf::{FlowSnapshot, NetworkFunction};
 use nfp_orchestrator::{FailurePolicy, Program, Stage};
-use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
+use nfp_packet::io::{Egress, Ingress, IoError, RunRecord};
 use nfp_packet::Packet;
 use nfp_traffic::{LatencyRecorder, LatencySummary};
 use std::cell::RefCell;
@@ -212,8 +212,9 @@ impl core::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// One NF that failed during a run — the [`EngineReport`] `failures`
-/// section. The engine survives the failure; this records what degraded
-/// and how the failure policy handled the NF's subsequent traffic.
+/// section, and [`crate::sync_engine::SyncEngine::failures`]. The engine
+/// survives the failure; this records what degraded and how the failure
+/// policy handled the NF's subsequent traffic.
 #[derive(Debug, Clone)]
 pub struct NfFailure {
     /// Graph node (`NodeId`) of the failed NF.
@@ -228,6 +229,20 @@ pub struct NfFailure {
     pub bypassed: u64,
     /// Packets discarded by policy at the failed NF (fail-closed).
     pub policy_drops: u64,
+}
+
+impl NfFailure {
+    /// The failure of the NF at `node`, if it has failed.
+    pub(crate) fn of<N: NetworkFunction>(node: usize, rt: &NfRuntime<N>) -> Option<Self> {
+        Some(NfFailure {
+            node,
+            nf: rt.nf().name().to_string(),
+            kind: rt.failure()?.clone(),
+            policy: rt.failure_policy(),
+            bypassed: rt.bypassed,
+            policy_drops: rt.policy_drops,
+        })
+    }
 }
 
 /// Result of one engine run.
@@ -250,6 +265,9 @@ pub struct EngineReport {
     pub stats: EngineStats,
     /// NFs that failed during the run (empty on a healthy run).
     pub failures: Vec<NfFailure>,
+    /// Each NF's `(processed, dropped)` over the run, in `NodeId` order
+    /// (summed over the replicas the report covers).
+    pub(crate) per_nf: Vec<(u64, u64)>,
     /// Pool slots still held when the run finished — 0 unless references
     /// leaked (the failure paths exist precisely to keep this at 0).
     pub pool_in_use: usize,
@@ -313,6 +331,12 @@ impl EngineReport {
             return 0.0;
         }
         (self.delivered + self.dropped) as f64 / self.elapsed.as_secs_f64()
+    }
+
+    /// What the run did, as every executor records it.
+    pub fn record(&self) -> RunRecord {
+        let (all, per_nf) = (self.stats.folded(), self.per_nf.iter().copied());
+        all.record(self.injected, self.delivered, self.dropped, per_nf)
     }
 }
 
@@ -634,17 +658,6 @@ impl EngineController {
     }
 }
 
-/// The I/O accounting of a finished run, from its report.
-fn io_stats(report: &EngineReport) -> IoRunStats {
-    let rejected = report.stats.classifier.rejects();
-    IoRunStats {
-        pulled: report.injected,
-        delivered: report.delivered,
-        dropped: report.dropped.saturating_sub(rejected),
-        rejected,
-    }
-}
-
 /// The threaded engine: one executor for a sealed [`Program`]. Build once,
 /// run many times — and [`reconfigure`](Engine::reconfigure) between or
 /// during runs.
@@ -800,7 +813,7 @@ impl Engine {
         &mut self,
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
-    ) -> Result<(EngineReport, IoRunStats), IoError> {
+    ) -> Result<(EngineReport, RunRecord), IoError> {
         let keep = self.config.keep_packets;
         let burst = self.config.io_burst.max(1);
         // Pulls and hand-backs both run on this (the injector) thread, one
@@ -847,8 +860,8 @@ impl Engine {
             return Err(e);
         }
         egress.flush()?;
-        let io = io_stats(&report);
-        Ok((report, io))
+        let record = report.record();
+        Ok((report, record))
     }
 
     /// The run loop every entry point shares: inject what `next` yields
@@ -1226,17 +1239,13 @@ impl Engine {
                     }
                 }
                 // Recover the NFs for subsequent runs, harvesting failure
-                // records on the way out.
+                // records and per-NF counts on the way out.
                 for rt in exit.runtimes {
-                    if let Some(kind) = rt.failure().cloned() {
-                        report.failures.push(NfFailure {
-                            node: nfs.len(),
-                            nf: rt.nf().name().to_string(),
-                            kind,
-                            policy: rt.failure_policy(),
-                            bypassed: rt.bypassed,
-                            policy_drops: rt.policy_drops,
-                        });
+                    let node = nfs.len();
+                    report.failures.extend(NfFailure::of(node, &rt));
+                    match report.per_nf.get_mut(node) {
+                        Some(c) => *c = (c.0 + rt.processed, c.1 + rt.dropped),
+                        None => report.per_nf.push((rt.processed, rt.dropped)),
                     }
                     nfs.push(rt.into_nf());
                 }
@@ -1304,7 +1313,7 @@ impl Engine {
 
     /// Tell every NF which shard partition this engine serves, arming
     /// the debug-build RSS-ownership assertions on their flow tables.
-    #[cfg(test)]
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn bind_partition(&mut self, index: usize, total: usize) {
         for nf in self.replicas.iter_mut().flatten() {
             nf.bind_partition(index, total);
@@ -1316,8 +1325,6 @@ impl Engine {
 pub(crate) mod tests {
     use super::*;
     use nfp_nf::catalogue;
-    use nfp_nf::firewall::Firewall;
-    use nfp_nf::monitor::Monitor;
     use nfp_orchestrator::{compile, CompileOptions, Registry};
     use nfp_packet::ipv4::Ipv4Addr;
     use nfp_policy::Policy;
@@ -1350,6 +1357,25 @@ pub(crate) mod tests {
 
     fn traffic(n: usize) -> Vec<Packet> {
         flows(n, 16)
+    }
+
+    /// `n` packets of `size` bytes over `flows` flows, the first `denied`
+    /// of them rewritten to hit the synthetic ACL's deny rule `x`
+    /// (dip 172.16.x.0/24, dport 7000 + x).
+    fn with_denied(n: usize, flows: usize, size: usize, denied: usize, x: u8) -> Vec<Packet> {
+        let sizes = SizeDistribution::Fixed(size);
+        let spec = TrafficSpec {
+            flows,
+            sizes,
+            ..TrafficSpec::default()
+        };
+        let mut pkts = TrafficGenerator::new(spec).batch(n);
+        for p in pkts.iter_mut().take(denied) {
+            p.set_dip(Ipv4Addr::new(172, 16, x, x)).unwrap();
+            p.set_dport(7000 + u16::from(x)).unwrap();
+            p.finalize_checksums().unwrap();
+        }
+        pkts
     }
 
     #[test]
@@ -1397,7 +1423,7 @@ pub(crate) mod tests {
         run_io: impl FnOnce(
             &mut dyn Ingress,
             &mut dyn Egress,
-        ) -> Result<(EngineReport, IoRunStats), IoError>,
+        ) -> Result<(EngineReport, RunRecord), IoError>,
     ) -> (u64, EngineReport) {
         use std::cell::Cell;
         use std::rc::Rc;
@@ -1456,40 +1482,16 @@ pub(crate) mod tests {
         // NAT before LB is sequential; use a firewall chain with traffic
         // that hits deny rules instead: dport 7000..7100 denied.
         let mut e = build(&["Monitor", "Firewall"], EngineConfig::default());
-        let mut gen = TrafficGenerator::new(TrafficSpec {
-            flows: 4,
-            sizes: SizeDistribution::Fixed(80),
-            ..TrafficSpec::default()
-        });
-        let mut pkts = gen.batch(50);
-        // Rewrite some to hit the synthetic ACL (dip 172.16.x.0/24, dport 7000+x).
-        for p in pkts.iter_mut().take(20) {
-            p.set_dip(Ipv4Addr::new(172, 16, 4, 4)).unwrap();
-            p.set_dport(7004).unwrap();
-            p.finalize_checksums().unwrap();
-        }
-        let report = e.run(pkts);
-        assert_eq!(report.delivered, 30);
-        assert_eq!(report.dropped, 20);
+        let report = e.run(with_denied(50, 4, 80, 20, 4));
+        let r = report.record();
+        assert_eq!((r.delivered, r.dropped, r.rejected), (30, 20, 0));
     }
 
     #[test]
     fn zero_delivered_run_has_no_latency_summary() {
         let mut e = build(&["Monitor", "Firewall"], EngineConfig::default());
-        let mut gen = TrafficGenerator::new(TrafficSpec {
-            flows: 2,
-            sizes: SizeDistribution::Fixed(80),
-            ..TrafficSpec::default()
-        });
-        let mut pkts = gen.batch(10);
-        for p in pkts.iter_mut() {
-            p.set_dip(Ipv4Addr::new(172, 16, 4, 4)).unwrap();
-            p.set_dport(7004).unwrap();
-            p.finalize_checksums().unwrap();
-        }
-        let report = e.run(pkts);
-        assert_eq!(report.delivered, 0);
-        assert_eq!(report.dropped, 10);
+        let report = e.run(with_denied(10, 2, 80, 10, 4));
+        assert_eq!((report.delivered, report.dropped), (0, 10));
         assert!(report.latency.is_none(), "no samples, no summary");
         // pps counts finished (dropped) packets and stays finite.
         assert!(report.pps().is_finite());
@@ -1505,23 +1507,12 @@ pub(crate) mod tests {
                 ..EngineConfig::default()
             },
         );
-        let mut gen = TrafficGenerator::new(TrafficSpec {
-            flows: 8,
-            sizes: SizeDistribution::Fixed(96),
-            ..TrafficSpec::default()
-        });
-        let mut pkts = gen.batch(120);
-        for p in pkts.iter_mut().take(30) {
-            p.set_dip(Ipv4Addr::new(172, 16, 7, 7)).unwrap();
-            p.set_dport(7007).unwrap();
-            p.finalize_checksums().unwrap();
-        }
-        let report = e.run(pkts);
+        let report = e.run(with_denied(120, 8, 96, 30, 7));
         let s = &report.stats;
         // The report-level closed loop balances.
         assert_eq!(report.injected, report.delivered + report.dropped);
         // Every drop is attributed to a stage and a cause — no silent loss.
-        assert_eq!(s.total_drops(), report.dropped);
+        assert_eq!(report.record().causes.iter().sum::<u64>(), report.dropped);
         // The classifier admitted every injected packet exactly once.
         assert_eq!(s.classifier.packets_in, report.injected);
         // The collector delivered what the report says.
@@ -1541,15 +1532,7 @@ pub(crate) mod tests {
 
     #[test]
     fn misconfigurations_rejected_up_front() {
-        let reg = Registry::paper_table2();
-        let compiled = compile(
-            &Policy::from_chain(["Monitor", "Firewall"]),
-            &reg,
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        let program = compiled.program(1).unwrap();
+        let program = program_and_nfs(&["Monitor", "Firewall"]).0;
         // slots_per_packet = 2 for this graph: pool 16 cannot cover 16
         // in-flight packets.
         let err = Engine::new(program.clone(), Vec::new(), EngineConfig::default())
@@ -1562,12 +1545,7 @@ pub(crate) mod tests {
                 got: 0
             }
         ));
-        let nfs = || -> Vec<Box<dyn NetworkFunction>> {
-            vec![
-                Box::new(Monitor::new("Monitor")),
-                Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-            ]
-        };
+        let nfs = || program_and_nfs(&["Monitor", "Firewall"]).1;
         let err = Engine::new(
             program.clone(),
             nfs(),
@@ -1604,21 +1582,8 @@ pub(crate) mod tests {
 
     #[test]
     fn threading_misconfigurations_rejected_up_front() {
-        let reg = Registry::paper_table2();
-        let compiled = compile(
-            &Policy::from_chain(["Monitor", "Firewall"]),
-            &reg,
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        let program = compiled.program(1).unwrap();
-        let nfs = || -> Vec<Box<dyn NetworkFunction>> {
-            vec![
-                Box::new(Monitor::new("Monitor")),
-                Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
-            ]
-        };
+        let program = program_and_nfs(&["Monitor", "Firewall"]).0;
+        let nfs = || program_and_nfs(&["Monitor", "Firewall"]).1;
         // A zero core budget leaves no thread to run stages on.
         let err = Engine::new(
             program.clone(),

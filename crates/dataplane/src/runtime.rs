@@ -434,7 +434,7 @@ mod tests {
         assert_eq!(rt.policy_drops, 3);
         assert!(sink.0.is_empty());
         assert_eq!(pool.in_use(), 0, "every reference released");
-        assert_eq!(stats.snapshot().drop_nf_failed, 3);
+        assert_eq!(stats.snapshot().causes[DropCause::NfFailed as usize], 3);
     }
 
     #[test]

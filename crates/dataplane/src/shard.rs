@@ -27,7 +27,7 @@ use crate::swap::{EpochReport, ReconfigError};
 use nfp_nf::{FlowSnapshot, NetworkFunction};
 use nfp_orchestrator::Program;
 use nfp_packet::flow::FlowKey;
-use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
+use nfp_packet::io::{Egress, Ingress, IoError, RunRecord};
 use nfp_packet::Packet;
 use std::time::{Duration, Instant};
 
@@ -236,7 +236,7 @@ impl ShardedEngine {
         &mut self,
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
-    ) -> Result<(EngineReport, IoRunStats), IoError> {
+    ) -> Result<(EngineReport, RunRecord), IoError> {
         let (report, io) = self.engine.run_io(ingress, egress)?;
         let report = EngineReport {
             migration: self.migration,

@@ -59,32 +59,8 @@ pub(crate) fn bump(counter: &AtomicU64, n: u64) {
     counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
-/// Why a stage dropped a packet. Every drop in the engine is attributed to
-/// exactly one cause; there is no silent-loss path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DropCause {
-    /// An NF verdict in a sequential position (`DropBehavior::Discard`).
-    NfVerdict,
-    /// A forwarding-action failure in the NF runtime (defensive discard).
-    NfError,
-    /// A merge resolved to the drop intention (nil from the decider won).
-    MergeResolved,
-    /// A merge failed (missing version / malformed copy); packet released.
-    MergeError,
-    /// The classifier rejected a well-formed packet: its entry actions
-    /// failed (a table inconsistency).
-    AdmitRejected,
-    /// The classifier rejected the packet because the frame itself was
-    /// hostile: truncated below header size or otherwise unparseable.
-    AdmitMalformed,
-    /// A failed (panicked/stalled) fail-closed NF: the runtime drops the
-    /// packets that would have traversed it.
-    NfFailed,
-    /// A merge deadline expired and the partial merge resolved to a drop
-    /// (a fail-closed member's copy never arrived, or the original was
-    /// unavailable to forward).
-    MergeExpired,
-}
+pub(crate) use nfp_packet::io::DropCause;
+use nfp_packet::io::RunRecord;
 
 /// Atomic counters for one pipeline stage, written by the one thread that
 /// owns the stage (module docs, "Single-writer counters").
@@ -122,14 +98,8 @@ pub struct StageStats {
     /// Epoch lookups that matched no live epoch and fell back to the
     /// current tables (the drain protocol makes this unreachable).
     epoch_conflicts: AtomicU64,
-    drop_nf_verdict: AtomicU64,
-    drop_nf_error: AtomicU64,
-    drop_merge_resolved: AtomicU64,
-    drop_merge_error: AtomicU64,
-    drop_admit_rejected: AtomicU64,
-    drop_admit_malformed: AtomicU64,
-    drop_nf_failed: AtomicU64,
-    drop_merge_expired: AtomicU64,
+    /// Drops by cause, indexed by [`DropCause`].
+    causes: [AtomicU64; 8],
 }
 
 impl StageStats {
@@ -199,17 +169,7 @@ impl StageStats {
 
     /// Count one drop with its cause.
     pub(crate) fn note_drop(&self, cause: DropCause) {
-        let c = match cause {
-            DropCause::NfVerdict => &self.drop_nf_verdict,
-            DropCause::NfError => &self.drop_nf_error,
-            DropCause::MergeResolved => &self.drop_merge_resolved,
-            DropCause::MergeError => &self.drop_merge_error,
-            DropCause::AdmitRejected => &self.drop_admit_rejected,
-            DropCause::AdmitMalformed => &self.drop_admit_malformed,
-            DropCause::NfFailed => &self.drop_nf_failed,
-            DropCause::MergeExpired => &self.drop_merge_expired,
-        };
-        bump(c, 1);
+        bump(&self.causes[cause as usize], 1);
     }
 
     /// Plain-value snapshot of the counters.
@@ -226,14 +186,7 @@ impl StageStats {
             stragglers_owed: self.stragglers_owed.load(Ordering::Relaxed),
             stale_epochs: self.stale_epochs.load(Ordering::Relaxed),
             epoch_conflicts: self.epoch_conflicts.load(Ordering::Relaxed),
-            drop_nf_verdict: self.drop_nf_verdict.load(Ordering::Relaxed),
-            drop_nf_error: self.drop_nf_error.load(Ordering::Relaxed),
-            drop_merge_resolved: self.drop_merge_resolved.load(Ordering::Relaxed),
-            drop_merge_error: self.drop_merge_error.load(Ordering::Relaxed),
-            drop_admit_rejected: self.drop_admit_rejected.load(Ordering::Relaxed),
-            drop_admit_malformed: self.drop_admit_malformed.load(Ordering::Relaxed),
-            drop_nf_failed: self.drop_nf_failed.load(Ordering::Relaxed),
-            drop_merge_expired: self.drop_merge_expired.load(Ordering::Relaxed),
+            causes: std::array::from_fn(|i| self.causes[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -263,43 +216,41 @@ pub struct StageSnapshot {
     pub(crate) stale_epochs: u64,
     /// Epoch lookups that matched no live epoch (fell back to current).
     pub epoch_conflicts: u64,
-    /// Drops: sequential NF verdict.
-    pub drop_nf_verdict: u64,
-    /// Drops: NF runtime action error.
-    pub drop_nf_error: u64,
-    /// Drops: merge resolved to the drop intention.
-    pub drop_merge_resolved: u64,
-    /// Drops: merge failure.
-    pub drop_merge_error: u64,
-    /// Drops: classifier rejection of a well-formed frame (failed entry
-    /// action).
-    pub drop_admit_rejected: u64,
-    /// Drops: classifier rejection of a truncated or unparseable frame.
-    pub drop_admit_malformed: u64,
-    /// Drops: failed fail-closed NF.
-    pub drop_nf_failed: u64,
-    /// Drops: deadline-expired merge resolved to a drop.
-    pub drop_merge_expired: u64,
+    /// Drops by cause, indexed by [`DropCause`].
+    pub causes: [u64; 8],
 }
 
 impl StageSnapshot {
     /// Total packets this stage dropped, over all causes.
     fn drops(&self) -> u64 {
-        self.drop_nf_verdict
-            + self.drop_nf_error
-            + self.drop_merge_resolved
-            + self.drop_merge_error
-            + self.drop_admit_rejected
-            + self.drop_admit_malformed
-            + self.drop_nf_failed
-            + self.drop_merge_expired
+        self.causes.iter().sum()
     }
 
     /// Total classifier rejections, over both admission causes (policy
     /// and malformed framing) — the `rejected` term of the soak
     /// accounting invariant `delivered + dropped + rejected == injected`.
     pub fn rejects(&self) -> u64 {
-        self.drop_admit_rejected + self.drop_admit_malformed
+        self.causes[DropCause::AdmitRejected as usize]
+            + self.causes[DropCause::AdmitMalformed as usize]
+    }
+
+    /// The record of a run whose stages fold into `self`: `pulled` packets
+    /// in, `delivered` out, `lost` the rest, per-NF counts in `NodeId` order.
+    pub(crate) fn record(
+        &self,
+        pulled: u64,
+        delivered: u64,
+        lost: u64,
+        per_nf: impl IntoIterator<Item = (u64, u64)>,
+    ) -> RunRecord {
+        let mut r = RunRecord::default();
+        (r.pulled, r.delivered, r.rejected) = (pulled, delivered, self.rejects());
+        (r.dropped, r.causes) = (lost.saturating_sub(r.rejected), self.causes);
+        (r.copies, r.merges) = (self.copies, self.merges);
+        for (processed, dropped) in per_nf {
+            r.push_nf(processed, dropped);
+        }
+        r
     }
 
     /// Fold another snapshot of the *same logical stage* into this one.
@@ -318,14 +269,9 @@ impl StageSnapshot {
         self.stragglers_owed += other.stragglers_owed;
         self.stale_epochs += other.stale_epochs;
         self.epoch_conflicts += other.epoch_conflicts;
-        self.drop_nf_verdict += other.drop_nf_verdict;
-        self.drop_nf_error += other.drop_nf_error;
-        self.drop_merge_resolved += other.drop_merge_resolved;
-        self.drop_merge_error += other.drop_merge_error;
-        self.drop_admit_rejected += other.drop_admit_rejected;
-        self.drop_admit_malformed += other.drop_admit_malformed;
-        self.drop_nf_failed += other.drop_nf_failed;
-        self.drop_merge_expired += other.drop_merge_expired;
+        for (mine, theirs) in self.causes.iter_mut().zip(other.causes) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -345,9 +291,13 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Total drops across all stages and causes.
-    pub fn total_drops(&self) -> u64 {
-        self.stages().map(|(_, s)| s.drops()).sum()
+    /// Every stage's counters folded into one snapshot.
+    pub(crate) fn folded(&self) -> StageSnapshot {
+        let mut all = StageSnapshot::default();
+        for (_, stage) in self.stages() {
+            all.absorb(stage);
+        }
+        all
     }
 
     /// Fold another engine's stats into this one, stage by stage. Shards
@@ -480,7 +430,7 @@ mod tests {
         assert_eq!(left.nfs.len(), 2); // extended by the longer side
         assert_eq!(left.nfs[0].packets_in, 10);
         assert_eq!(left.mergers.len(), 1);
-        assert_eq!(left.total_drops(), 4);
+        assert_eq!(left.folded().drops(), 4);
     }
 
     #[test]
@@ -532,7 +482,7 @@ mod tests {
             nfs: vec![StageSnapshot::default(); 2],
             ..Default::default()
         };
-        assert_eq!(e.total_drops(), 1);
+        assert_eq!(e.folded().drops(), 1);
         let text = e.to_string();
         assert!(text.contains("classifier"));
         assert!(text.contains("nf1"));

@@ -15,13 +15,14 @@
 
 use crate::classifier::AdmitError;
 use crate::dispatch::{Clock, Dispatcher, Layout, Rings, Shared};
-use crate::runtime::{FailureKind, NfRuntime};
+use crate::engine::NfFailure;
+use crate::runtime::NfRuntime;
 use crate::stats::StageSnapshot;
 use crate::swap::{EpochReport, EpochTally, ProgramHandle, ReconfigError};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
-use nfp_nf::NetworkFunction;
+use nfp_nf::{FlowSnapshot, NetworkFunction};
 use nfp_orchestrator::Program;
-use nfp_packet::io::{Egress, Ingress, IoError, IoRunStats};
+use nfp_packet::io::{Egress, Ingress, IoError, RunRecord};
 use nfp_packet::Packet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,9 +62,9 @@ pub struct SyncEngine {
     /// same cores keeps the reference path identical.
     dispatcher: Dispatcher,
     /// Packets delivered.
-    pub delivered: u64,
-    /// Packets dropped.
-    pub dropped: u64,
+    delivered: u64,
+    /// Packets that did not come out: drops and admission rejects.
+    lost: u64,
 }
 
 impl SyncEngine {
@@ -96,7 +97,7 @@ impl SyncEngine {
             dispatcher: Dispatcher::new(&cx, 0..layout.len(), &mut runtimes, Rings::default()),
             cx,
             delivered: 0,
-            dropped: 0,
+            lost: 0,
         }
     }
 
@@ -127,13 +128,11 @@ impl SyncEngine {
         &self.dispatcher.runtimes[node]
     }
 
-    /// NFs that have failed so far, as `(node id, failure kind)` pairs.
-    pub fn failures(&self) -> Vec<(usize, FailureKind)> {
-        self.dispatcher
-            .runtimes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, rt)| rt.failure().map(|f| (i, f.clone())))
+    /// NFs that have failed so far, in `NodeId` order.
+    pub fn failures(&self) -> Vec<NfFailure> {
+        let runtimes = self.dispatcher.runtimes.iter().enumerate();
+        runtimes
+            .filter_map(|(i, rt)| NfFailure::of(i, rt))
             .collect()
     }
 
@@ -142,14 +141,24 @@ impl SyncEngine {
         self.dispatcher.merge_pending()
     }
 
-    /// Engine-wide counters: every stage's counters folded into one
-    /// snapshot (sums; `ring_high_water` stays 0 — there are no rings).
-    pub fn stats(&self) -> StageSnapshot {
+    /// What the engine has done over its lifetime, every entry point
+    /// included.
+    pub fn record(&self) -> RunRecord {
         let mut all = StageSnapshot::default();
         for stage in &self.cx.stats {
             all.absorb(&stage.snapshot());
         }
-        all
+        let per_nf = self.dispatcher.runtimes.iter();
+        let per_nf = per_nf.map(|rt| (rt.processed, rt.dropped));
+        let pulled = self.delivered + self.lost;
+        all.record(pulled, self.delivered, self.lost, per_nf)
+    }
+
+    /// Each NF's per-flow state, one [`FlowSnapshot`] per NF in `NodeId`
+    /// order, as [`crate::engine::Engine::export_flow_state`] exports it.
+    pub fn export_flow_state(&self) -> Vec<FlowSnapshot> {
+        let runtimes = self.dispatcher.runtimes.iter();
+        runtimes.map(|rt| rt.nf().snapshot_state()).collect()
     }
 
     /// Replace the telemetry configuration, resetting the recorder (the
@@ -164,7 +173,6 @@ impl SyncEngine {
     }
 
     /// Process a batch of packets, collecting delivered outputs in order.
-    /// Admit rejects and drops both count toward `dropped`.
     pub fn process_batch(&mut self, pkts: Vec<Packet>) -> Vec<Packet> {
         let mut out = Vec::with_capacity(pkts.len());
         let mut pkts = pkts.into_iter();
@@ -179,9 +187,7 @@ impl SyncEngine {
     /// Process one packet through the whole graph — an admission window of
     /// one. The packet is pinned to the epoch current at admission and
     /// every stage resolves its tables against that epoch; the pin
-    /// settles exactly once before returning. An admission reject counts
-    /// toward `dropped` here, like every other packet that does not come
-    /// out.
+    /// settles exactly once before returning.
     pub fn process(&mut self, pkt: Packet) -> Result<ProcessOutcome, AdmitError> {
         let (_, rejected) = self.drive(std::iter::once(pkt));
         self.dispatcher.spent.clear();
@@ -243,7 +249,7 @@ impl SyncEngine {
         );
         let delivered = self.dispatcher.outputs.len() as u64;
         self.delivered += delivered;
-        self.dropped += n as u64 - delivered;
+        self.lost += n as u64 - delivered;
         (rejected, why)
     }
 
@@ -262,24 +268,21 @@ impl SyncEngine {
     /// may refill those packets in place — and so, window by window, do
     /// the buffers of the packets dropped or rejected, which the
     /// classifier takes out of the pool when it admits the next ones.
+    /// Returns the record of this call.
     pub fn run_io(
         &mut self,
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
         burst: usize,
-    ) -> Result<IoRunStats, IoError> {
-        let mut io = IoRunStats::default();
+    ) -> Result<RunRecord, IoError> {
+        let before = self.record();
         while let Some(pkts) = ingress.next_burst(burst.max(1))? {
-            io.pulled += pkts.len() as u64;
             let mut pkts = pkts.into_iter();
             while pkts.len() > 0 {
-                let n = pkts.len().min(self.window()) as u64;
-                let (rejected, _) = self.drive(pkts.by_ref().take(n as usize));
-                let delivered = self.dispatcher.outputs.len() as u64;
-                (io.rejected, io.delivered) = (io.rejected + rejected, io.delivered + delivered);
-                io.dropped += n - rejected - delivered;
+                let n = pkts.len().min(self.window());
+                self.drive(pkts.by_ref().take(n));
                 ingress.recycle(&mut self.dispatcher.spent);
-                if delivered > 0 {
+                if !self.dispatcher.outputs.is_empty() {
                     let emitted = egress.emit_burst(&self.dispatcher.outputs);
                     ingress.recycle(&mut self.dispatcher.outputs);
                     self.dispatcher.outputs.clear();
@@ -288,34 +291,18 @@ impl SyncEngine {
             }
         }
         egress.flush()?;
-        Ok(io)
+        Ok(self.record().since(&before))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfp_nf::catalogue;
-    use nfp_orchestrator::{compile, CompileOptions, Registry};
+    use nfp_packet::io::DropCause;
     use nfp_packet::ipv4::Ipv4Addr;
-    use nfp_policy::Policy;
 
     fn engine_for(chain: &[&str]) -> SyncEngine {
-        let reg = Registry::paper_table2();
-        let compiled = compile(
-            &Policy::from_chain(chain.iter().copied()),
-            &reg,
-            &[],
-            &CompileOptions::default(),
-        )
-        .unwrap();
-        let program = compiled.program(1).unwrap();
-        let nfs: Vec<Box<dyn NetworkFunction>> = compiled
-            .graph
-            .nodes
-            .iter()
-            .map(|n| catalogue::make(n.name.as_str()).unwrap())
-            .collect();
+        let (program, nfs) = crate::engine::tests::program_and_nfs(chain);
         SyncEngine::new(program, nfs, 64)
     }
 
@@ -335,7 +322,7 @@ mod tests {
         let out = e.process(pkt(80)).unwrap().delivered().unwrap();
         assert_eq!(out.dport().unwrap(), 80);
         assert_eq!(e.pool_in_use(), 0, "no leaks");
-        assert_eq!(e.delivered, 1);
+        assert_eq!(e.record().delivered, 1);
     }
 
     #[test]
@@ -348,7 +335,9 @@ mod tests {
         let out = e.process(p).unwrap();
         assert!(matches!(out, ProcessOutcome::Dropped));
         assert_eq!(e.pool_in_use(), 0);
-        assert_eq!(e.dropped, 1);
+        let record = e.record();
+        let resolved = record.causes[DropCause::MergeResolved as usize];
+        assert_eq!((record.dropped, record.rejected, resolved), (1, 0, 1));
     }
 
     #[test]
@@ -383,9 +372,9 @@ mod tests {
             let _ = e.process(pkt(80 + i % 50)).unwrap();
             assert_eq!(e.pool_in_use(), 0, "packet {i}");
         }
-        assert_eq!(e.delivered, 200);
+        let record = e.record();
+        assert_eq!((record.pulled, record.delivered), (200, 200));
         // The monitor saw every packet exactly once.
-        let mon = e.runtime(0);
-        assert_eq!(mon.processed, 200);
+        assert_eq!(record.per_nf().unwrap()[0], (200, 0));
     }
 }

@@ -21,11 +21,13 @@ use nfp_dataplane::stats::StageStats;
 use nfp_dataplane::swap::{ProgramHandle, TablesResolver};
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
 use nfp_dataplane::telemetry::TelemetryConfig;
+use nfp_nf::firewall::Firewall;
 use nfp_nf::lb::LoadBalancer;
 use nfp_nf::monitor::Monitor;
 use nfp_nf::vpn::{Vpn, VpnMode};
 use nfp_nf::NetworkFunction;
 use nfp_orchestrator::{compile, CompileOptions, Program, Registry};
+use nfp_packet::io::DropCause;
 use nfp_packet::ipv4::Ipv4Addr;
 use nfp_packet::{Metadata, Packet, PacketPool};
 use nfp_policy::Policy;
@@ -51,6 +53,24 @@ fn compile_program(chain: &[&str]) -> Program {
     .unwrap()
 }
 
+/// A sync engine over Monitor → Firewall, tracing every packet.
+fn monitor_firewall() -> SyncEngine {
+    let nfs: Vec<Box<dyn NetworkFunction>> = vec![
+        Box::new(Monitor::new("Monitor")),
+        Box::new(Firewall::with_synthetic_acl("Firewall", 100)),
+    ];
+    let mut engine = SyncEngine::new(compile_program(&["Monitor", "Firewall"]), nfs, 64);
+    engine.set_telemetry(full_sampling());
+    engine
+}
+
+/// Drop counts by cause: `n` for `cause`, none for any other.
+fn only(cause: DropCause, n: u64) -> [u64; 8] {
+    let mut causes = [0; 8];
+    causes[cause as usize] = n;
+    causes
+}
+
 fn valid_frame(dport: u16) -> Packet {
     nfp_traffic::gen::build_tcp_frame(
         Ipv4Addr::new(10, 0, 0, 1),
@@ -61,22 +81,14 @@ fn valid_frame(dport: u16) -> Packet {
     )
 }
 
-/// An unparseable frame bumps `drop_admit_malformed` and nothing else:
+/// An unparseable frame bumps `AdmitMalformed` and nothing else:
 /// the packet never got a PID, so the classifier histogram must not count
 /// it and no trace record may exist for it. Policy rejections
-/// (`drop_admit_rejected`) stay at zero — hostile framing has its own
+/// (`AdmitRejected`) stay at zero — hostile framing has its own
 /// bucket.
 #[test]
 fn admit_malformed_bumps_only_its_counter() {
-    let program = compile_program(&["Monitor", "Firewall"]);
-    let nfs: Vec<Box<dyn NetworkFunction>> = vec![
-        Box::new(Monitor::new("Monitor")),
-        Box::new(nfp_nf::firewall::Firewall::with_synthetic_acl(
-            "Firewall", 100,
-        )),
-    ];
-    let mut engine = SyncEngine::new(program, nfs, 64);
-    engine.set_telemetry(full_sampling());
+    let mut engine = monitor_firewall();
 
     // Three garbage frames: parse fine as raw bytes, refuse to classify.
     for _ in 0..3 {
@@ -91,12 +103,10 @@ fn admit_malformed_bumps_only_its_counter() {
         ProcessOutcome::Delivered(_)
     ));
 
-    let stats = engine.stats();
-    assert_eq!(stats.drop_admit_malformed, 3);
-    assert_eq!(stats.drop_admit_rejected, 0, "not a policy rejection");
-    assert_eq!(stats.drop_nf_error, 0);
-    assert_eq!(stats.drop_merge_error, 0);
-    assert_eq!(stats.rejects(), 3);
+    let record = engine.record();
+    let malformed = only(DropCause::AdmitMalformed, 3);
+    assert_eq!(record.causes, malformed, "not a policy rejection");
+    assert_eq!(record.rejected, 3);
 
     let snap = engine.telemetry();
     assert_eq!(
@@ -114,15 +124,7 @@ fn admit_malformed_bumps_only_its_counter() {
 /// other rejection.
 #[test]
 fn truncated_frame_distinct_error_same_malformed_counter() {
-    let program = compile_program(&["Monitor", "Firewall"]);
-    let nfs: Vec<Box<dyn NetworkFunction>> = vec![
-        Box::new(Monitor::new("Monitor")),
-        Box::new(nfp_nf::firewall::Firewall::with_synthetic_acl(
-            "Firewall", 100,
-        )),
-    ];
-    let mut engine = SyncEngine::new(program, nfs, 64);
-    engine.set_telemetry(full_sampling());
+    let mut engine = monitor_firewall();
 
     let whole = valid_frame(443);
     for cut in [8usize, 20, 33] {
@@ -145,9 +147,8 @@ fn truncated_frame_distinct_error_same_malformed_counter() {
         ProcessOutcome::Delivered(_)
     ));
 
-    let stats = engine.stats();
-    assert_eq!(stats.drop_admit_malformed, 4);
-    assert_eq!(stats.drop_admit_rejected, 0);
+    let record = engine.record();
+    assert_eq!(record.causes, only(DropCause::AdmitMalformed, 4));
 
     let snap = engine.telemetry();
     assert_eq!(snap.stage("classifier").unwrap().hist.count, 1);
@@ -155,7 +156,7 @@ fn truncated_frame_distinct_error_same_malformed_counter() {
     assert_eq!(engine.pool_in_use(), 0);
 }
 
-/// A runtime action error mid-graph bumps `drop_nf_error` only. The
+/// A runtime action error mid-graph bumps `NfError` only. The
 /// `VPN -> [Monitor | LoadBalancer(v2)]` tables put the v2 copy in the
 /// VPN's action list; with a single-slot pool the admission succeeds, the
 /// VPN runs, and the copy fails with pool exhaustion — so the classifier
@@ -174,11 +175,12 @@ fn nf_error_bumps_only_its_counter() {
     let outcome = engine.process(valid_frame(443)).unwrap();
     assert!(matches!(outcome, ProcessOutcome::Dropped));
 
-    let stats = engine.stats();
-    assert_eq!(stats.drop_nf_error, 1, "copy failure is an NF action error");
-    assert_eq!(stats.drop_admit_rejected, 0);
-    assert_eq!(stats.drop_merge_error, 0);
-    assert_eq!(stats.drop_nf_verdict, 0);
+    let error = only(DropCause::NfError, 1);
+    assert_eq!(
+        engine.record().causes,
+        error,
+        "copy failure is an NF action error"
+    );
     assert_eq!(
         engine.runtime(0).errors,
         1,
@@ -197,7 +199,7 @@ fn nf_error_bumps_only_its_counter() {
 }
 
 /// A completed merge whose resolution finds no v1 original bumps
-/// `drop_merge_error` only: the merger notes the merge, forwards nothing,
+/// `MergeError` only: the merger notes the merge, forwards nothing,
 /// flags the outcome as errored, and releases every arrival's reference.
 #[test]
 fn merge_error_bumps_only_its_counter() {
@@ -236,10 +238,8 @@ fn merge_error_bumps_only_its_counter() {
     assert!(outcome.forward.is_none(), "nothing may be forwarded");
 
     let s = stats.snapshot();
-    assert_eq!(s.drop_merge_error, 1);
-    assert_eq!(s.drop_merge_resolved, 0, "this was an error, not a verdict");
-    assert_eq!(s.drop_nf_error, 0);
-    assert_eq!(s.drop_admit_rejected, 0);
+    let error = only(DropCause::MergeError, 1);
+    assert_eq!(s.causes, error, "this was an error, not a verdict");
     assert_eq!(s.merges, 1, "the accumulating-table entry did complete");
     assert_eq!(s.packets_out, 0, "the merger stage emitted nothing");
     assert_eq!(pool.in_use(), 0, "every arrival reference released");

@@ -26,6 +26,7 @@ pub mod trace;
 
 pub use backends::{PcapEgress, PcapIngress};
 pub use nfp_packet::io::{
-    CollectEgress, Egress, Ingress, IoError, IoRunStats, NullEgress, VecIngress,
+    CollectEgress, DropCause, Egress, Ingress, IoError, IoRunStats, NullEgress, RunRecord,
+    VecIngress,
 };
 pub use pcap::{PcapFormat, PcapReader, PcapRecord};

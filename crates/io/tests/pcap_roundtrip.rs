@@ -15,7 +15,7 @@ use nfp_dataplane::classifier::AdmitError;
 use nfp_dataplane::sync_engine::{ProcessOutcome, SyncEngine};
 use nfp_io::backends::PcapIngress;
 use nfp_io::pcap::{read_pcap_bytes, write_pcap_bytes, PcapFormat, PcapRecord};
-use nfp_io::Ingress;
+use nfp_io::{DropCause, Ingress};
 use nfp_nf::monitor::Monitor;
 use nfp_nf::NetworkFunction;
 use nfp_orchestrator::{compile, CompileOptions, Registry};
@@ -152,9 +152,9 @@ proptest! {
             }
             Ok(ProcessOutcome::Dropped) => prop_assert!(cut >= HEADER_BUDGET),
         }
-        let stats = engine.stats();
         if cut < HEADER_BUDGET {
-            prop_assert_eq!(stats.drop_admit_malformed, 1);
+            let malformed = engine.record().causes[DropCause::AdmitMalformed as usize];
+            prop_assert_eq!(malformed, 1);
         }
         prop_assert_eq!(engine.pool_in_use(), 0, "no leaked references");
     }

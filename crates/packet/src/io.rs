@@ -99,17 +99,105 @@ pub trait Egress {
     }
 }
 
-/// Counters every `run_io` entry point reports, independent of engine.
+/// Why a packet that entered a run did not come out: the index of its
+/// count in [`RunRecord::causes`]. Every drop and reject has exactly one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DropCause {
+    /// The classifier refused a well-formed frame: its entry actions failed.
+    AdmitRejected,
+    /// The classifier refused a truncated or unparseable frame.
+    AdmitMalformed,
+    /// An NF's drop verdict in a sequential position.
+    NfVerdict,
+    /// A forwarding action failed in the NF runtime (defensive discard).
+    NfError,
+    /// A failed (panicked or stalled) fail-closed NF's traffic.
+    NfFailed,
+    /// A merge resolved to the drop intention (the decider's nil won).
+    MergeResolved,
+    /// A merge failed (a missing version or a malformed copy).
+    MergeError,
+    /// A merge deadline expired and the partial merge resolved to a drop.
+    MergeExpired,
+}
+
+/// What one run of an executor did, from whichever entry point it ran:
+/// every packet it took in, where each went, and what its NFs did.
+///
+/// It is `Copy`, so the per-NF counters live inline: a program with more
+/// than [`RunRecord::MAX_NFS`] NFs records none ([`RunRecord::per_nf`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct IoRunStats {
-    /// Packets pulled from the ingress.
+pub struct RunRecord {
+    /// Packets the run took in (pulled from an ingress, or offered).
     pub pulled: u64,
-    /// Packets delivered to the egress.
+    /// Packets delivered.
     pub delivered: u64,
-    /// Packets dropped inside the dataplane (policy, merge, failure).
+    /// Packets an NF or a merge dropped.
     pub dropped: u64,
     /// Packets the classifier terminally rejected at admission.
     pub rejected: u64,
+    /// Drops and rejects by cause, indexed by [`DropCause`]: they sum to
+    /// `dropped + rejected`.
+    pub causes: [u64; 8],
+    /// Packet copies materialised (paper OP#2).
+    pub copies: u64,
+    /// Completed merges.
+    pub merges: u64,
+    /// NFs counted in `per_nf`.
+    nfs: usize,
+    /// Each NF's `(processed, dropped)`, in `NodeId` order.
+    per_nf: [(u64, u64); RunRecord::MAX_NFS],
+}
+
+/// What every `run_io` returned before it returned a [`RunRecord`].
+pub type IoRunStats = RunRecord;
+
+impl RunRecord {
+    /// The most NFs whose counters a record holds.
+    pub const MAX_NFS: usize = 16;
+
+    /// Each NF's `(processed, dropped)` in `NodeId` order, or `None` when
+    /// the executor keeps no per-NF counters (run-to-completion) or the
+    /// program has more than [`RunRecord::MAX_NFS`] NFs.
+    pub fn per_nf(&self) -> Option<&[(u64, u64)]> {
+        self.per_nf.get(..self.nfs).filter(|nfs| !nfs.is_empty())
+    }
+
+    /// Count the next NF's `(processed, dropped)`.
+    pub fn push_nf(&mut self, processed: u64, dropped: u64) {
+        if let Some(slot) = self.per_nf.get_mut(self.nfs) {
+            *slot = (processed, dropped);
+        }
+        self.nfs += 1;
+    }
+
+    /// Add `other`'s counts to these: a fleet's replicas, the chunks of a
+    /// soak run, the feeds of a test.
+    pub fn absorb(&mut self, other: &RunRecord) {
+        self.combine(other, |a, b| a + b);
+    }
+
+    /// What the run did since `earlier`, a record of the same executor.
+    pub fn since(mut self, earlier: &RunRecord) -> RunRecord {
+        self.combine(earlier, |a, b| a - b);
+        self
+    }
+
+    fn combine(&mut self, other: &RunRecord, op: impl Fn(u64, u64) -> u64) {
+        self.pulled = op(self.pulled, other.pulled);
+        self.delivered = op(self.delivered, other.delivered);
+        self.dropped = op(self.dropped, other.dropped);
+        self.rejected = op(self.rejected, other.rejected);
+        self.copies = op(self.copies, other.copies);
+        self.merges = op(self.merges, other.merges);
+        for (a, b) in self.causes.iter_mut().zip(other.causes) {
+            *a = op(*a, b);
+        }
+        for (a, b) in self.per_nf.iter_mut().zip(other.per_nf) {
+            *a = (op(a.0, b.0), op(a.1, b.1));
+        }
+        self.nfs = self.nfs.max(other.nfs);
+    }
 }
 
 /// An ingress over an in-memory packet vector (tests, sharding fronts).
@@ -243,6 +331,23 @@ mod tests {
         n.emit_burst(&batch).unwrap();
         assert_eq!(n.emitted, 3);
         assert_eq!(n.bytes, batch.iter().map(|p| p.len() as u64).sum::<u64>());
+    }
+
+    #[test]
+    fn records_add_and_subtract_field_by_field() {
+        let mut a = RunRecord::default();
+        assert_eq!(a.per_nf(), None, "no per-NF counters");
+        (a.pulled, a.delivered, a.dropped, a.copies) = (4, 3, 1, 2);
+        a.causes[DropCause::NfVerdict as usize] = 1;
+        a.push_nf(4, 1);
+        let mut sum = a;
+        sum.absorb(&a);
+        assert_eq!((sum.pulled, sum.copies, sum.causes[2]), (8, 4, 2));
+        assert_eq!((sum.per_nf(), sum.since(&a)), (Some(&[(8, 2)][..]), a));
+        for _ in 0..RunRecord::MAX_NFS {
+            a.push_nf(1, 0);
+        }
+        assert_eq!(a.per_nf(), None, "more NFs than a record holds");
     }
 
     #[test]

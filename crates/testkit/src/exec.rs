@@ -4,9 +4,9 @@ use crate::outcome::{normalise, Delivery, Outcome};
 use crate::program::{Chain, Nfs};
 use nfp_baseline::{OnvmPipeline, RunToCompletion};
 use nfp_dataplane::runtime::FailureKind;
-use nfp_dataplane::stats::StageSnapshot;
-use nfp_dataplane::{Engine, EngineConfig, EngineReport, ShardedEngine, SyncEngine};
-use nfp_io::{CollectEgress, Ingress, PcapIngress, VecIngress};
+use nfp_dataplane::shard::partition_by_flow;
+use nfp_dataplane::{Engine, EngineConfig, EngineReport, NfFailure, ShardedEngine, SyncEngine};
+use nfp_io::{CollectEgress, DropCause, Ingress, PcapIngress, RunRecord, VecIngress};
 use nfp_orchestrator::Program;
 use nfp_packet::flow::FlowKey;
 use nfp_packet::Packet;
@@ -95,6 +95,14 @@ impl Trace<'_> {
         }
     }
 
+    /// Packets the trace offers: a capture's records.
+    fn len(self) -> usize {
+        match self {
+            Trace::Packets(pkts) => pkts.len(),
+            Trace::Pcap(capture) => crate::corpus::golden(capture).len(),
+        }
+    }
+
     fn ingress(self) -> Box<dyn Ingress> {
         match self {
             Trace::Packets(pkts) => Box::new(VecIngress::new(pkts.to_vec())),
@@ -129,25 +137,31 @@ pub struct Runner {
     arm: Arm,
     /// A threaded arm's `keep_packets`.
     keeps: bool,
-    /// NF positions.
-    nodes: usize,
     delivered: Vec<Delivery>,
-    /// Offered packets not delivered: drops and rejects, split by
-    /// [`Outcome::counted`].
-    lost: u64,
-    /// Folded stage counters over every threaded run.
-    folded: StageSnapshot,
-    failures: Vec<(usize, FailureKind)>,
+    /// Every feed's record, added up.
+    record: RunRecord,
+    /// The threaded runs' failures, the first of each NF.
+    failures: Vec<NfFailure>,
     report: Option<EngineReport>,
 }
 
-/// Every stage snapshot of `report` folded into one.
-fn fold(report: &EngineReport) -> StageSnapshot {
-    let mut all = StageSnapshot::default();
-    for (_, stage) in report.stats.stages() {
-        all.absorb(stage);
-    }
-    all
+/// Hold a feed's record to its own accounting and to what the feed was:
+/// `offered` packets went in, `delivered` came out, and every other one
+/// was dropped or rejected exactly once, under exactly one cause.
+fn check(r: &RunRecord, offered: usize, delivered: usize) {
+    assert_eq!(r.pulled, offered as u64, "every offered packet taken in");
+    assert_eq!(r.delivered, delivered as u64, "the record's deliveries");
+    assert_eq!(r.pulled, r.delivered + r.dropped + r.rejected, "accounting");
+    assert_eq!(
+        r.causes.iter().sum::<u64>(),
+        r.dropped + r.rejected,
+        "drop taxonomy"
+    );
+}
+
+/// The failures an [`Outcome`] compares: which NF, and how.
+fn failures(fs: &[NfFailure]) -> Vec<(usize, FailureKind)> {
+    fs.iter().map(|f| (f.node, f.kind.clone())).collect()
 }
 
 impl Runner {
@@ -180,10 +194,8 @@ impl Runner {
         Runner {
             arm,
             keeps,
-            nodes: chain.graph.nodes.len(),
             delivered: Vec::new(),
-            lost: 0,
-            folded: StageSnapshot::default(),
+            record: RunRecord::default(),
             failures: Vec::new(),
             report: None,
         }
@@ -191,28 +203,16 @@ impl Runner {
 
     /// Run `trace` through the executor; returns this feed's deliveries.
     /// Holds the executor's own accounting as it goes: the pool drains,
-    /// nothing stays pending, and every offered packet is delivered,
-    /// dropped or rejected exactly once.
+    /// nothing stays pending, and the feed's record closes: every packet
+    /// the trace offers is delivered, dropped or rejected once, under one
+    /// cause.
     pub fn feed<'a>(&mut self, trace: impl Into<Trace<'a>>) -> &[Delivery] {
         let trace = trace.into();
-        let start = self.delivered.len();
-        let (out, offered): (Vec<Delivery>, u64) = match &mut self.arm {
-            Arm::Engine(_) | Arm::Sharded(_) => {
-                let (report, out, offered) = self.threaded(trace);
-                assert_eq!(report.pool_in_use, 0, "pool leak");
-                self.folded.absorb(&fold(&report));
-                for f in &report.failures {
-                    if !self.failures.iter().any(|(node, _)| *node == f.node) {
-                        self.failures.push((f.node, f.kind.clone()));
-                    }
-                }
-                self.report = Some(report);
-                (out.iter().map(Delivery::of).collect(), offered)
-            }
+        let (out, record): (Vec<Delivery>, RunRecord) = match &mut self.arm {
+            Arm::Engine(_) | Arm::Sharded(_) => self.threaded(trace),
             Arm::Rtc(rtc) => {
-                let pkts = trace.packets();
-                let n = pkts.len() as u64;
-                let out = pkts.into_iter().filter_map(|p| {
+                let before = rtc.record();
+                let out = trace.packets().into_iter().filter_map(|p| {
                     let flow = FlowKey::of(&p);
                     let p = rtc.process(p)?;
                     Some(Delivery {
@@ -220,104 +220,87 @@ impl Runner {
                         ..Delivery::of(&p)
                     })
                 });
-                (out.collect(), n)
+                (out.collect(), rtc.record().since(&before))
             }
             Arm::Onvm(onvm) => {
-                let pkts = trace.packets();
-                let n = pkts.len() as u64;
-                let report = onvm.run(pkts);
-                assert_eq!(report.delivered + report.dropped, n, "ONVM accounting");
-                (report.packets.iter().map(Delivery::of).collect(), n)
+                let report = onvm.run(trace.packets());
+                let mut record = RunRecord::default();
+                (record.pulled, record.delivered) = (report.injected, report.delivered);
+                record.dropped = report.dropped;
+                // Its NFs' verdicts are the pipeline's only drops.
+                record.causes[DropCause::NfVerdict as usize] = report.dropped;
+                (report.packets.iter().map(Delivery::of).collect(), record)
             }
             Arm::Sync(e, entry) => {
-                let (out, offered) = match *entry {
+                let before = e.record();
+                let out = match *entry {
                     Entry::Process => {
-                        let (s0, pkts) = (e.stats(), trace.packets());
-                        let (n, mut rejects) = (pkts.len() as u64, 0);
-                        let mut out = Vec::new();
-                        for p in pkts {
+                        let (mut out, mut rejected) = (Vec::new(), 0);
+                        for p in trace.packets() {
                             match e.process(p) {
                                 Ok(outcome) => out.extend(outcome.delivered()),
-                                Err(_) => rejects += 1,
+                                Err(_) => rejected += 1,
                             }
                             assert_eq!(e.pool_in_use(), 0, "pool leak after a packet");
                         }
-                        let s = e.stats();
-                        assert_eq!(rejects, s.rejects() - s0.rejects(), "process() rejects");
-                        (out, n)
+                        let record = e.record().since(&before);
+                        assert_eq!(rejected, record.rejected, "process() reports each reject");
+                        out
                     }
-                    Entry::Batch => {
-                        let pkts = trace.packets();
-                        let n = pkts.len() as u64;
-                        (e.process_batch(pkts), n)
-                    }
+                    Entry::Batch => e.process_batch(trace.packets()),
                     Entry::RunIo(burst) => {
-                        let (s0, mut egress) = (e.stats(), CollectEgress::new());
-                        let io = e
-                            .run_io(trace.ingress().as_mut(), &mut egress, burst)
-                            .unwrap();
-                        assert_eq!(io.pulled, io.delivered + io.dropped + io.rejected);
-                        assert_eq!(io.delivered, egress.pkts.len() as u64);
-                        let s = e.stats();
-                        let rejects = s.rejects() - s0.rejects();
-                        assert_eq!(io.rejected, rejects, "run_io rejects");
-                        if let Trace::Packets(pkts) = trace {
-                            assert_eq!(io.pulled, pkts.len() as u64, "run_io pulls everything");
-                        }
-                        (egress.pkts, io.pulled)
+                        let mut egress = CollectEgress::new();
+                        let io = e.run_io(trace.ingress().as_mut(), &mut egress, burst);
+                        assert_eq!(io.unwrap(), e.record().since(&before), "run_io's record");
+                        egress.pkts
                     }
                 };
                 assert_eq!(e.pool_in_use(), 0, "pool leak");
                 assert_eq!(e.pending(), 0, "merges left pending");
-                (out.iter().map(Delivery::of).collect(), offered)
+                let record = e.record().since(&before);
+                (out.iter().map(Delivery::of).collect(), record)
             }
         };
-        self.lost += offered - out.len() as u64;
+        check(&record, trace.len(), out.len());
+        self.record.absorb(&record);
+        let start = self.delivered.len();
         self.delivered.extend(out);
         &self.delivered[start..]
     }
 
-    /// One threaded run: its report, deliveries and offered packets.
-    fn threaded(&mut self, trace: Trace<'_>) -> (EngineReport, Vec<Packet>, u64) {
-        if let Trace::Pcap(_) = trace {
-            assert!(
-                !self.keeps,
-                "a capture replays with every spent buffer recycled into its ingress: \
-                 run it with keep_packets off"
-            );
-            let mut egress = CollectEgress::new();
-            let mut ingress = trace.ingress();
-            let (report, io) = match &mut self.arm {
-                Arm::Engine(e) => e.run_io(ingress.as_mut(), &mut egress),
-                Arm::Sharded(f) => f.run_io(ingress.as_mut(), &mut egress),
-                _ => unreachable!(),
-            }
-            .unwrap();
-            assert_eq!(io.pulled, io.delivered + io.dropped + io.rejected);
-            assert_eq!(io.delivered, egress.pkts.len() as u64);
-            return (report, egress.pkts, io.pulled);
-        }
-        assert!(
-            self.keeps,
-            "`run` hands deliveries back only with keep_packets on"
+    /// One threaded run: its deliveries and record. Keeps its report and
+    /// the first failure of each NF.
+    fn threaded(&mut self, trace: Trace<'_>) -> (Vec<Delivery>, RunRecord) {
+        let capture = matches!(trace, Trace::Pcap(_));
+        assert_eq!(
+            self.keeps, !capture,
+            "a capture replays through `run_io` with keep_packets off, a packet trace with it on"
         );
-        let pkts = trace.packets();
-        let n = pkts.len() as u64;
+        let mut egress = CollectEgress::new();
         let mut report = match &mut self.arm {
-            Arm::Engine(e) => e.run(pkts),
-            Arm::Sharded(f) => f.run(pkts),
+            Arm::Engine(e) if capture => e.run_io(trace.ingress().as_mut(), &mut egress).unwrap().0,
+            Arm::Sharded(f) if capture => {
+                f.run_io(trace.ingress().as_mut(), &mut egress).unwrap().0
+            }
+            Arm::Engine(e) => e.run(trace.packets()),
+            Arm::Sharded(f) => f.run(trace.packets()),
             _ => unreachable!(),
         };
-        assert_eq!(report.injected, n, "injected");
-        assert_eq!(report.injected, report.delivered + report.dropped);
-        assert_eq!(report.stats.total_drops(), report.dropped, "stage drops");
-        let out = std::mem::take(&mut report.packets);
-        (report, out, n)
+        assert_eq!(report.pool_in_use, 0, "pool leak");
+        for f in &report.failures {
+            if !self.failures.iter().any(|seen| seen.node == f.node) {
+                self.failures.push(f.clone());
+            }
+        }
+        egress.pkts.append(&mut report.packets);
+        let record = report.record();
+        self.report = Some(report);
+        (egress.pkts.iter().map(Delivery::of).collect(), record)
     }
 
     /// Run `pkts` through a [`Executor::Sharded`] fleet (`keep_packets`
     /// on), one outcome per replica in shard order: its report's
-    /// deliveries and counters, and the flows of its RSS partition in the
+    /// deliveries and record, and the flows of its RSS partition in the
     /// fleet's state. Not added to [`Runner::outcome`].
     pub fn feed_per_shard(&mut self, pkts: &[Packet]) -> Vec<Outcome> {
         assert!(
@@ -329,22 +312,22 @@ impl Runner {
         };
         let reports = fleet.run_per_shard(pkts.to_vec());
         let (state, shards) = (fleet.export_flow_state(), reports.len());
-        let outcomes = reports.into_iter().enumerate().map(|(shard, r)| {
+        let parts = partition_by_flow(pkts.to_vec(), shards);
+        let outcomes = reports.into_iter().zip(parts).enumerate();
+        let outcomes = outcomes.map(|(shard, (r, part))| {
             assert_eq!(r.pool_in_use, 0, "pool leak");
-            assert_eq!(r.injected, r.delivered + r.dropped);
+            let record = r.record();
+            check(&record, part.len(), r.packets.len());
             let mut state = state.clone();
             for snap in &mut state {
                 snap.retain_shard(shard, shards);
             }
-            let failures = r.failures.iter().map(|f| (f.node, f.kind.clone()));
+            let delivered = r.packets.iter().map(Delivery::of).collect();
             Outcome {
-                delivered: r.packets.iter().map(Delivery::of).collect(),
-                dropped: r.dropped,
                 state: Some(normalise(state)),
-                failures: Some(failures.collect()),
-                ..Outcome::default()
+                failures: Some(failures(&r.failures)),
+                ..Outcome::recorded(delivered, &record, true)
             }
-            .counted(&fold(&r))
         });
         outcomes.collect()
     }
@@ -366,37 +349,19 @@ impl Runner {
 
     /// Everything observed so far.
     pub fn outcome(&self) -> Outcome {
-        let o = Outcome {
-            delivered: self.delivered.clone(),
-            dropped: self.lost,
-            ..Outcome::default()
+        let engine = !matches!(self.arm, Arm::Rtc(_) | Arm::Onvm(_));
+        let o = Outcome::recorded(self.delivered.clone(), &self.record, engine);
+        let (state, failures) = match &self.arm {
+            Arm::Rtc(rtc) => (Some(rtc.snapshot_state()), None),
+            Arm::Onvm(_) => (None, None),
+            Arm::Sync(e, _) => (Some(e.export_flow_state()), Some(failures(&e.failures()))),
+            Arm::Engine(e) => (Some(e.export_flow_state()), Some(failures(&self.failures))),
+            Arm::Sharded(f) => (Some(f.export_flow_state()), Some(failures(&self.failures))),
         };
-        let threaded = |state| Outcome {
-            state: Some(normalise(state)),
-            failures: Some(self.failures.clone()),
-            ..o.clone().counted(&self.folded)
-        };
-        match &self.arm {
-            Arm::Rtc(rtc) => Outcome {
-                state: Some(normalise(rtc.snapshot_state())),
-                ..o
-            },
-            Arm::Onvm(_) => o,
-            Arm::Sync(e, _) => {
-                let delivered = self.delivered.len() as u64;
-                assert_eq!(e.delivered, delivered, "the engine's own delivery count");
-                assert_eq!(e.dropped, self.lost, "the engine's own drop count");
-                let nfs: Vec<_> = (0..self.nodes).map(|i| e.runtime(i)).collect();
-                let state = nfs.iter().map(|rt| rt.nf().snapshot_state());
-                Outcome {
-                    per_nf: Some(nfs.iter().map(|rt| (rt.processed, rt.dropped)).collect()),
-                    state: Some(normalise(state.collect())),
-                    failures: Some(e.failures()),
-                    ..o.counted(&e.stats())
-                }
-            }
-            Arm::Engine(e) => threaded(e.export_flow_state()),
-            Arm::Sharded(f) => threaded(f.export_flow_state()),
+        Outcome {
+            state: state.map(normalise),
+            failures,
+            ..o
         }
     }
 
@@ -466,6 +431,47 @@ mod tests {
             run(&engine(false), &chain, &nfs, &pkts)
         }));
         assert!(lost.is_err(), "a packet trace ran with keep_packets off");
+    }
+
+    /// Every arm's record closes on the golden mixed capture: each packet
+    /// taken in is delivered, dropped or rejected once, under one cause;
+    /// and every engine counts per NF what the sync `process()` loop does.
+    #[test]
+    fn every_arm_records_the_same_run() {
+        let (chain, nfs) = (Chain::new(&["Monitor", "Firewall"]), Nfs::catalogue());
+        let budget = |core_budget| EngineConfig {
+            core_budget,
+            ..EngineConfig::default()
+        };
+        let sync = [Entry::Process, Entry::Batch, Entry::RunIo(32)].map(Executor::sync);
+        let fleet = Executor::Sharded {
+            shards: 2,
+            config: budget(2),
+        };
+        let threaded = [
+            Executor::Engine(budget(1)),
+            Executor::Engine(budget(2)),
+            fleet,
+        ];
+        let mut first = None;
+        for executor in sync.iter().chain(&threaded).chain([&Executor::Rtc]) {
+            let mut runner = Runner::new(executor, &chain, &nfs);
+            runner.feed(Trace::Pcap(GOLDEN_MIXED));
+            let r = runner.record;
+            // Whatever was not delivered was dropped or rejected, under
+            // one cause each.
+            let lost = r.dropped + r.rejected;
+            let counts = (r.pulled - r.delivered, r.causes.iter().sum::<u64>());
+            assert_eq!(counts, (lost, lost), "{executor:?}");
+            let reference: RunRecord = *first.get_or_insert(r);
+            let want = match executor {
+                Executor::Rtc => None,
+                _ => reference.per_nf(),
+            };
+            assert_eq!(r.per_nf(), want, "{executor:?}");
+        }
+        let nodes = first.unwrap().per_nf().map(<[_]>::len);
+        assert_eq!(nodes, Some(chain.graph.nodes.len()));
     }
 
     /// Run-to-completion sees packets unstamped but files each delivery

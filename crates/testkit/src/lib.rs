@@ -14,6 +14,7 @@
 //!   ([`Runner`] when a suite needs more than one feed, a reconfigure in
 //!   between, or the engine behind the outcome);
 //! * [`Outcome`] — everything a run produced that another run must match,
+//!   its counts read from the executor's own [`RunRecord`](nfp_io::RunRecord),
 //!   and [`Outcome::diff`], which names the first field that differs.
 //!
 //! # Equivalence levels
@@ -23,7 +24,10 @@
 //! admission reject count (0 for run-to-completion and ONVM) and, where
 //! both executors expose them, on the drop taxonomy, the copy and merge
 //! counts, the per-NF counters, every NF's per-flow state and the NF
-//! failures.
+//! failures. Every engine (sync, threaded at any `core_budget`, sharded)
+//! exposes all of them, so per-NF counters are compared on each;
+//! run-to-completion and ONVM expose no taxonomy, copies, merges or
+//! per-NF counters, and ONVM no state.
 //!
 //! * **Byte order** ([`Level::ByteOrder`]): the same delivered frames in
 //!   the same order. It holds between the sync engine's entry points

@@ -1,7 +1,7 @@
 //! What a run produced, and the first way two runs differ.
 
 use nfp_dataplane::runtime::FailureKind;
-use nfp_dataplane::stats::StageSnapshot;
+use nfp_io::RunRecord;
 use nfp_nf::FlowSnapshot;
 use nfp_packet::flow::FlowKey;
 use nfp_packet::Packet;
@@ -65,14 +65,15 @@ pub struct Outcome {
     /// Offered packets the classifier refused (pool exhausted, malformed
     /// frame). Run-to-completion and ONVM have no admission: 0.
     pub rejected: u64,
-    /// The eight drop causes, folded over every stage: admission rejected
-    /// and malformed, NF verdict, error and failed, merge resolved, error
-    /// and expired. Engines only.
+    /// The eight drop causes, in [`nfp_io::DropCause`] order: admission
+    /// rejected and malformed, NF verdict, error and failed, merge
+    /// resolved, error and expired. Engines only.
     pub taxonomy: Option<[u64; 8]>,
-    /// Packet copies and merges, folded over every stage. Engines only.
+    /// Packet copies and merges. Engines only.
     pub work: Option<[u64; 2]>,
-    /// Each NF's `(processed, dropped)`, in `NodeId` order. The sync
-    /// engine only: the threaded engines keep their NF runtimes.
+    /// Each NF's `(processed, dropped)`, in `NodeId` order. Engines only
+    /// (sync, threaded and sharded alike); `None` for a program longer
+    /// than [`RunRecord::MAX_NFS`].
     pub per_nf: Option<Vec<(u64, u64)>>,
     /// Every NF's per-flow state, entries sorted, snapshots sorted by NF
     /// name (a fleet's replicas merged). Not ONVM: its NFs stay private.
@@ -116,26 +117,18 @@ fn both<T: PartialEq + fmt::Debug>(a: &Option<T>, b: &Option<T>) -> Option<Strin
 }
 
 impl Outcome {
-    /// With the rejects, taxonomy, copies and merges of the folded stage
-    /// counters; `dropped` held every packet not delivered and now holds
-    /// those not rejected either.
-    pub(crate) fn counted(self, s: &StageSnapshot) -> Self {
-        let taxonomy = [
-            s.drop_admit_rejected,
-            s.drop_admit_malformed,
-            s.drop_nf_verdict,
-            s.drop_nf_error,
-            s.drop_nf_failed,
-            s.drop_merge_resolved,
-            s.drop_merge_error,
-            s.drop_merge_expired,
-        ];
+    /// What `record` says of a run that delivered `delivered`: its drop
+    /// and reject counts, its per-NF counters and, for an `engine`, its
+    /// taxonomy, copies and merges.
+    pub(crate) fn recorded(delivered: Vec<Delivery>, r: &RunRecord, engine: bool) -> Self {
         Outcome {
-            dropped: self.dropped - s.rejects(),
-            rejected: s.rejects(),
-            taxonomy: Some(taxonomy),
-            work: Some([s.copies, s.merges]),
-            ..self
+            delivered,
+            dropped: r.dropped,
+            rejected: r.rejected,
+            taxonomy: engine.then_some(r.causes),
+            work: engine.then_some([r.copies, r.merges]),
+            per_nf: r.per_nf().map(<[_]>::to_vec),
+            ..Outcome::default()
         }
     }
 

@@ -59,8 +59,9 @@ fn main() {
             None => println!("pkt {i}: dropped"),
         }
     }
+    let record = engine.record();
     println!(
-        "\ndelivered={} dropped={}",
-        engine.delivered, engine.dropped
+        "\ndelivered={} dropped={} rejected={}",
+        record.delivered, record.dropped, record.rejected
     );
 }

@@ -11,6 +11,7 @@
 use nfp_core::nf::chaos::{PanicAfter, StallOnce};
 use nfp_core::prelude::*;
 use nfp_dataplane::runtime::FailureKind;
+use nfp_io::DropCause;
 use nfp_testkit::{chains, fail_open, run, Chain, Entry, Executor, Nfs, Traffic};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,7 +27,8 @@ fn clean_run(chain: &Chain, nfs: &Nfs, config: EngineConfig, n: usize) -> Engine
     let report = engine.run(Traffic::clean(16, 128).build(n));
     assert_eq!(report.injected, n as u64);
     assert_eq!(report.injected, report.delivered + report.dropped);
-    assert_eq!(report.stats.total_drops(), report.dropped, "stage drops");
+    let causes: u64 = report.record().causes.iter().sum();
+    assert_eq!(causes, report.dropped, "stage drops");
     assert_eq!(report.pool_in_use, 0, "pool leak");
     report
 }
@@ -142,12 +144,7 @@ fn stalled_member_merges_expire_at_deadline() {
         report.delivered >= 1,
         "traffic before/after the stall flowed"
     );
-    let expired: u64 = report
-        .stats
-        .mergers
-        .iter()
-        .map(|m| m.drop_merge_expired)
-        .sum();
+    let expired = report.record().causes[DropCause::MergeExpired as usize];
     assert!(expired >= 1, "drops attributed to MergeExpired");
     let late: u64 = report.stats.mergers.iter().map(|m| m.late_arrivals).sum();
     assert!(

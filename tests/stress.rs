@@ -19,7 +19,8 @@ fn stress(order: &[&str], config: EngineConfig, n: usize, deny_every: usize) -> 
     let report = engine.run(Traffic::clean(64, 128).deny(deny_every, 1).build(n));
     assert_eq!(report.injected, n as u64);
     assert_eq!(report.injected, report.delivered + report.dropped);
-    assert_eq!(report.stats.total_drops(), report.dropped, "stage drops");
+    let causes: u64 = report.record().causes.iter().sum();
+    assert_eq!(causes, report.dropped, "stage drops");
     assert_eq!(report.pool_in_use, 0, "pool leak");
     report
 }
