@@ -9,8 +9,11 @@
 //!   correctness replay.
 //! * [`OnvmPipeline`] — an OpenNetVM-style **pipelining** data plane: one thread
 //!   per NF, with every inter-NF hop relayed by a centralized virtual
-//!   switch thread — the design whose queuing hot spot NFP's distributed
-//!   runtime removes (§5/§6.2.1).
+//!   switch — the design whose queuing hot spot NFP's distributed runtime
+//!   removes (§5/§6.2.1). It is not a runtime of its own: the NFs' chain
+//!   is sealed as a sequential program, routed through a switch stage
+//!   (`Program::via_switch`) and run by NFP's threaded `Engine`, so the
+//!   switch hop is the only difference left.
 //!
 //! **API:** these two re-exports. The `rtc` and `onvm` modules are
 //! private.

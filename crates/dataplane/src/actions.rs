@@ -10,6 +10,7 @@
 use crate::stats::StageStats;
 use nfp_orchestrator::graph::CopyKind;
 use nfp_orchestrator::tables::{FtAction, Target, SEGMENT_BITS};
+use nfp_orchestrator::Stage;
 use nfp_packet::meta::{VERSION_BITS, VERSION_MAX};
 use nfp_packet::pool::{PacketPool, PacketRef};
 use nfp_packet::PacketError;
@@ -35,12 +36,14 @@ pub(crate) const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 
 /// The unit rings carry: a packet reference plus one tag word holding the
 /// parallel segment and merge-order sequence number of a merger-bound
-/// message. Two scalars, so a message travels in registers.
+/// message, or the final stage of a switch-bound one. Two scalars, so a
+/// message travels in registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Msg {
     /// Pooled packet reference.
     pub r: PacketRef,
-    /// `segment << SEQ_BITS | seq`.
+    /// `segment << SEQ_BITS | seq`, or (bound for the switch) `i + 1` for
+    /// `Stage::Nf(i)` and 0 for the collector.
     tag: u64,
 }
 
@@ -80,6 +83,26 @@ impl Msg {
     #[inline]
     pub(crate) fn set_seq(&mut self, seq: u64) {
         self.tag = (self.tag & !SEQ_MASK) | (seq & SEQ_MASK);
+    }
+
+    /// This packet, bound for the switch, which forwards it to `to`: an
+    /// NF or the collector (a switched program has no merger).
+    #[inline]
+    pub(crate) fn via_switch(self, to: Stage) -> Self {
+        let tag = if let Stage::Nf(i) = to {
+            i as u64 + 1
+        } else {
+            0
+        };
+        Self { r: self.r, tag }
+    }
+
+    /// Where the switch forwards a [`Msg::via_switch`] message, and the
+    /// plain message it forwards.
+    #[inline]
+    pub(crate) fn switched(self) -> (Stage, Self) {
+        let nf = self.tag.checked_sub(1).map(|i| Stage::Nf(i as usize));
+        (nf.unwrap_or(Stage::Collector), Self::plain(self.r))
     }
 }
 
@@ -361,6 +384,9 @@ mod tests {
         }
         assert_eq!(SEQ_BITS, 48);
         assert_eq!(Msg::plain(r), Msg::to_segment(r, 0));
+        for to in [Stage::Collector, Stage::Nf(0), Stage::Nf(41)] {
+            assert_eq!(Msg::plain(r).via_switch(to).switched(), (to, Msg::plain(r)));
+        }
         // Two scalars: a message travels in a register pair.
         assert_eq!(std::mem::size_of::<Msg>(), 16);
     }

@@ -3,7 +3,7 @@
 //!
 //! A `Dispatcher` owns a contiguous *set* of the program's stages (in
 //! pipeline order: classifier, NFs by `NodeId`, agent, merger instances,
-//! collector) and runs one *kernel* per stage kind over the shared cores
+//! collector, switch) and runs one *kernel* per stage kind over the cores
 //! ([`Classifier`], [`NfRuntime`], [`crate::cores`]): a kernel takes the
 //! stage's whole queued burst, with one `Sink` and one watchdog bracket
 //! per burst. Epoch resolution, telemetry, drop accounting and epoch
@@ -12,8 +12,8 @@
 //! * [`crate::sync_engine::SyncEngine`] is one dispatcher holding every
 //!   stage, driven by the caller — no rings, a virtual tick clock and a
 //!   zero-tick merge deadline;
-//! * [`crate::engine::Engine`] is one dispatcher per
-//!   [`crate::exec::plan_pipeline_groups`] group, each on its own thread.
+//! * [`crate::engine::Engine`] is one dispatcher per group of
+//!   [`crate::exec`]'s group plan, each on its own thread.
 //!
 //! A message whose target stage is in the set is queued locally (a plain
 //! per-stage queue, drained by that stage's next burst pass); a message
@@ -53,18 +53,21 @@ const RETRY_LIMIT: u32 = 64;
 pub(crate) type Runtime = NfRuntime<Box<dyn NetworkFunction>>;
 
 /// Pipeline-order numbering of a program's stages: classifier, NFs by
-/// `NodeId`, agent, merger instances, collector. A stage's *slot* indexes
-/// the per-stage stats, and group plans are ranges of slots.
+/// `NodeId`, agent, merger instances, collector, and the switch of a
+/// switched program. A stage's *slot* indexes the per-stage stats, and
+/// group plans are ranges of slots.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Layout {
     pub(crate) nfs: usize,
     pub(crate) mergers: usize,
+    /// Every hop goes through [`Stage::Switch`].
+    pub(crate) switch: bool,
 }
 
 impl Layout {
     /// Number of stages.
     pub(crate) fn len(&self) -> usize {
-        3 + self.nfs + self.mergers
+        3 + self.nfs + self.mergers + usize::from(self.switch)
     }
 
     /// Every stage, in slot order.
@@ -75,6 +78,7 @@ impl Layout {
             .chain(std::iter::once(Stage::Agent))
             .chain((0..mergers).map(Stage::Merger))
             .chain(std::iter::once(Stage::Collector))
+            .chain(self.switch.then_some(Stage::Switch))
     }
 
     /// The slot of `stage`.
@@ -85,6 +89,7 @@ impl Layout {
             Stage::Agent => 1 + self.nfs,
             Stage::Merger(m) => 2 + self.nfs + m,
             Stage::Collector => 2 + self.nfs + self.mergers,
+            Stage::Switch => 3 + self.nfs + self.mergers,
         }
     }
 
@@ -185,6 +190,7 @@ impl Shared {
                 .map(|m| snap(Stage::Merger(m)))
                 .collect(),
             collector: snap(Stage::Collector),
+            switch: self.layout.switch.then(|| snap(Stage::Switch)),
         }
     }
 }
@@ -328,10 +334,15 @@ struct Sink<'a> {
 }
 
 impl Deliver for Sink<'_> {
-    fn deliver(&mut self, target: Target, msg: Msg) {
+    fn deliver(&mut self, target: Target, mut msg: Msg) {
         // `Target::Merger` routes through the agent: a merger-bound copy
-        // needs its sequence assignment and instance pick first.
-        self.ports.send(self.cx, self.from, Stage::of(target), msg);
+        // needs its sequence assignment and instance pick first. A
+        // switched program sends every hop to the switch instead.
+        let mut to = Stage::of(target);
+        if self.ports.layout.switch {
+            (to, msg) = (Stage::Switch, msg.via_switch(to));
+        }
+        self.ports.send(self.cx, self.from, to, msg);
     }
 
     fn flush_hint(&mut self) {
@@ -558,6 +569,14 @@ impl Dispatcher {
                 }
                 self.delivered += msgs.len() as u64;
             }
+            Stage::Switch => {
+                for &msg in msgs {
+                    let (to, msg) = msg.switched();
+                    self.ports.send(cx, stage, to, msg);
+                }
+                stats.note_in(msgs.len() as u64);
+                stats.note_out(msgs.len() as u64);
+            }
             Stage::Classifier => unreachable!("the classifier takes packets, not messages"),
         }
     }
@@ -772,6 +791,7 @@ mod tests {
         let layout = Layout {
             nfs: nfs.len(),
             mergers: 1,
+            switch: false,
         };
         let program = handle.current().program().clone();
         let configs = program.tables().nf_configs.iter().cloned();

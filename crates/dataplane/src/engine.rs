@@ -885,10 +885,6 @@ impl Engine {
     ) -> Vec<EngineReport> {
         let config = &self.config;
         let n = self.replicas.len();
-        let layout = Layout {
-            nfs: self.replicas[0].len(),
-            mergers: config.mergers,
-        };
         // Snapshot the current program for executor construction (ring
         // mesh, runtime configs). A mid-run hot swap only ever installs a
         // topology-identical successor, so the mesh built here stays valid
@@ -896,13 +892,22 @@ impl Engine {
         // [`crate::swap::TablesResolver`]s instead of this snapshot.
         let handle = &self.handle;
         let program = handle.current().program().clone();
+        let layout = Layout {
+            nfs: self.replicas[0].len(),
+            mergers: config.mergers,
+            switch: program.wiring().switched(),
+        };
 
         // Threading model: one dispatcher per group of stages, the same
         // plan for every replica. Front section: classifier + NFs. Back
         // section: agent + mergers + collector. Budgets ≥ 2 never mix the
         // sections, so a blocking NF cannot starve merge-deadline
-        // enforcement.
-        let groups = crate::exec::plan_pipeline_groups(
+        // enforcement, and give a switch a thread of its own.
+        let plan = match layout.switch {
+            false => crate::exec::plan_pipeline_groups,
+            true => crate::exec::plan_switched_groups,
+        };
+        let groups = plan(
             1 + layout.nfs,
             2 + layout.mergers,
             config.core_budget.max(1),
@@ -977,7 +982,7 @@ impl Engine {
                 // The injection ring into the classifier's group (always
                 // the first) and, when the caller recycles, the spent ring
                 // back out of it; the delivery ring out of the collector's
-                // group (always the last) when the caller wants the packets.
+                // group when the caller wants the packets.
                 let (tx, rx) = ring::channel::<Packet>(config.ring_capacity);
                 let (spent_tx, spent_rx) = (inj.recycle.is_some())
                     .then(|| ring::channel::<Packet>(config.ring_capacity))
@@ -1003,7 +1008,7 @@ impl Engine {
                 for (k, (group, rings)) in groups.iter().zip(rings).enumerate() {
                     let dispatcher = Dispatcher::new(cx, group.clone(), &mut runtimes, rings);
                     let (ctl, intake) = (&ctl, intake.take());
-                    let deliver = deliver_tx.take_if(|_| k == per - 1);
+                    let deliver = deliver_tx.take_if(|_| k == group_of(Stage::Collector));
                     group_handles.push(scope.spawn(move || {
                         drive_group(ctl, cx, r * per + k, dispatcher, intake, deliver)
                     }));

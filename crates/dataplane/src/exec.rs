@@ -7,9 +7,9 @@
 //! and the idle spinning burns exactly the cores the busy shards need.
 //! This module owns what the engine uses instead:
 //!
-//! * `plan_pipeline_groups` — partition the pipeline's stages into at
-//!   most `core_budget` contiguous groups, one OS thread (and one
-//!   `crate::dispatch` dispatcher) per group;
+//! * `plan_pipeline_groups` / `plan_switched_groups` — partition the
+//!   stages into at most `core_budget` contiguous groups, one OS thread
+//!   (and one `crate::dispatch` dispatcher) per group;
 //! * [`IdlePolicy`] / `Idler` / `WakeHub` — the shared spin → yield
 //!   → park backoff, timed by the clock since a thread's last progress,
 //!   with an eventcount so ring producers can wake parked consumers
@@ -285,6 +285,22 @@ pub(crate) fn plan_pipeline_groups(front: usize, back: usize, budget: usize) -> 
     out
 }
 
+/// [`plan_pipeline_groups`] for a switched program, whose switch is one
+/// more task after the back section: it gets a thread of its own at every
+/// budget ≥ 2. Such a program merges nothing, so its back section only
+/// collects and gets one thread from budget 3 on; the front takes the rest.
+pub(crate) fn plan_switched_groups(front: usize, back: usize, budget: usize) -> Vec<Range<usize>> {
+    let total = front + back;
+    let mut out = match budget {
+        0 | 1 => return plan_groups(total + 1, 1),
+        2 => plan_groups(total, 1),
+        _ => plan_groups(front, budget - 2),
+    };
+    out.extend((budget > 2).then_some(front..total));
+    out.push(total..total + 1);
+    out
+}
+
 /// Best-effort pin of the calling thread to `cpu`. Returns `true` on
 /// success. No-op (returns `false`) on non-Linux targets.
 pub fn pin_current_thread(cpu: usize) -> bool {
@@ -355,6 +371,29 @@ mod tests {
             assert!(groups.len() <= budget);
             // No group straddles the section boundary when budget ≥ 2.
             assert!(groups.iter().all(|r| r.end <= front || r.start >= front));
+        }
+    }
+
+    /// A switched plan holds the switch alone at every budget ≥ 2; at
+    /// ONVM's budget (n + 2 for n NFs) no two NFs share a group either.
+    #[test]
+    fn switched_plan_isolates_the_switch_and_each_nf() {
+        for nfs in 1..=6 {
+            // Classifier + NFs in front; agent, one merger and collector.
+            let (front, total) = (1 + nfs, 5 + nfs);
+            for budget in 1..=nfs + 4 {
+                let groups = plan_switched_groups(front, 3, budget);
+                let alone = groups.last() == Some(&(total - 1..total));
+                assert_eq!(alone, budget > 1, "budget {budget}: {groups:?}");
+                assert_eq!(groups.iter().map(|r| r.len()).sum::<usize>(), total);
+                assert!(groups.len() <= budget);
+            }
+            let onvm = plan_switched_groups(front, 3, nfs + 2);
+            let nf_slots = |r: &Range<usize>| r.clone().filter(|s| (1..=nfs).contains(s)).count();
+            assert!(
+                onvm.len() == nfs + 2 && onvm.iter().all(|r| nf_slots(r) <= 1),
+                "{onvm:?}"
+            );
         }
     }
 

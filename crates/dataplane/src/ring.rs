@@ -140,23 +140,6 @@ impl<T: Send> Producer<T> {
     }
 }
 
-/// Push `item` into `p`, yielding the thread while the ring is full. The
-/// one blocking-push idiom every executor shares: lossless by design
-/// (dropping a mid-graph reference would leak a pool slot), terminating
-/// because some consumer always drains the ring eventually.
-pub fn push_blocking<T: Send>(p: &Producer<T>, item: T) {
-    let mut item = item;
-    loop {
-        match p.push(item) {
-            Ok(()) => return,
-            Err(back) => {
-                item = back;
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
 impl<T: Send> Consumer<T> {
     /// Pop an item, if any.
     pub fn pop(&self) -> Option<T> {

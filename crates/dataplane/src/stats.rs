@@ -1,9 +1,9 @@
 //! Per-stage engine observability.
 //!
 //! Every pipeline stage (classifier, each NF runtime, the merger agent,
-//! each merger instance, the collector) owns a [`StageStats`]: a set of
-//! relaxed atomic counters cheap enough to bump on the fast path (see
-//! *Single-writer counters* below). The
+//! each merger instance, the collector, a switched program's switch)
+//! owns a [`StageStats`]: a set of relaxed atomic counters cheap enough to
+//! bump on the fast path (see *Single-writer counters* below). The
 //! engine aggregates them into an [`EngineStats`] snapshot on the
 //! [`crate::engine::EngineReport`], so a correctness failure can be
 //! localized by inspecting where the counters stop balancing
@@ -288,6 +288,8 @@ pub struct EngineStats {
     pub mergers: Vec<StageSnapshot>,
     /// The collector stage.
     pub collector: StageSnapshot,
+    /// The switch of a switched program (`None` for any other).
+    pub switch: Option<StageSnapshot>,
 }
 
 impl EngineStats {
@@ -309,17 +311,16 @@ impl EngineStats {
         self.classifier.absorb(&other.classifier);
         self.agent.absorb(&other.agent);
         self.collector.absorb(&other.collector);
-        for (i, s) in other.nfs.iter().enumerate() {
-            match self.nfs.get_mut(i) {
-                Some(mine) => mine.absorb(s),
-                None => self.nfs.push(*s),
-            }
+        if let Some(theirs) = &other.switch {
+            self.switch.get_or_insert_default().absorb(theirs);
         }
-        for (i, s) in other.mergers.iter().enumerate() {
-            match self.mergers.get_mut(i) {
-                Some(mine) => mine.absorb(s),
-                None => self.mergers.push(*s),
-            }
+        let vecs = [
+            (&mut self.nfs, &other.nfs),
+            (&mut self.mergers, &other.mergers),
+        ];
+        for (mine, theirs) in vecs {
+            mine.resize(mine.len().max(theirs.len()), StageSnapshot::default());
+            mine.iter_mut().zip(theirs).for_each(|(m, s)| m.absorb(s));
         }
     }
 
@@ -340,6 +341,7 @@ impl EngineStats {
                     .map(|(i, s)| (format!("merger{i}"), s)),
             )
             .chain(std::iter::once(("collector".to_string(), &self.collector)))
+            .chain(self.switch.iter().map(|s| ("switch".to_string(), s)))
     }
 }
 

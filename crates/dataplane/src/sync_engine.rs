@@ -79,6 +79,7 @@ impl SyncEngine {
         let layout = Layout {
             nfs: nfs.len(),
             mergers: 1,
+            switch: program.wiring().switched(),
         };
         let tables = Arc::clone(program.tables());
         let mut runtimes = nfs
@@ -189,7 +190,7 @@ impl SyncEngine {
     /// every stage resolves its tables against that epoch; the pin
     /// settles exactly once before returning.
     pub fn process(&mut self, pkt: Packet) -> Result<ProcessOutcome, AdmitError> {
-        let (_, rejected) = self.drive(std::iter::once(pkt));
+        let rejected = self.drive(std::iter::once(pkt));
         self.dispatcher.spent.clear();
         if let Some(why) = rejected {
             return Err(why);
@@ -215,8 +216,8 @@ impl SyncEngine {
     /// to the end: admit them under one epoch pin, run the dispatcher dry
     /// and expire until expiry yields nothing (partial forwards enqueue the
     /// merge spec's next actions). The caller drains the outputs, in
-    /// completion order. Returns the admission rejects and the last reason.
-    fn drive(&mut self, pkts: impl ExactSizeIterator<Item = Packet>) -> (u64, Option<AdmitError>) {
+    /// completion order. Returns the first admission reject's reason.
+    fn drive(&mut self, pkts: impl ExactSizeIterator<Item = Packet>) -> Option<AdmitError> {
         let n = pkts.len();
         debug_assert!(
             n == 1 || n * self.footprint() <= self.cx.pool.capacity(),
@@ -225,11 +226,11 @@ impl SyncEngine {
         if let Clock::Tick(tick) = &mut self.cx.clock {
             *tick += 1;
         }
-        let (mut rejected, mut why) = (0, None);
+        let mut why = None;
         self.dispatcher.classifier.begin_burst(n);
         for pkt in pkts {
             if let Err((e, _)) = self.dispatcher.admit(&self.cx, pkt) {
-                (rejected, why) = (rejected + 1, Some(e));
+                why = why.or(Some(e));
             }
         }
         self.dispatcher.classifier.end_burst();
@@ -250,7 +251,7 @@ impl SyncEngine {
         let delivered = self.dispatcher.outputs.len() as u64;
         self.delivered += delivered;
         self.lost += n as u64 - delivered;
-        (rejected, why)
+        why
     }
 
     /// Pool occupancy (leak detection in tests).
@@ -363,6 +364,40 @@ mod tests {
         // LB ran after the parallel group (sequential tail).
         assert_eq!(out.dip().unwrap().0[0], 192);
         assert_eq!(e.pool_in_use(), 0);
+    }
+
+    /// Every hop of a switched chain passes the switch: n + 1 transits
+    /// for each delivered packet and k + 1 for each packet NF k drops, on
+    /// this engine and on the threaded one at budgets 1, 2 and n + 2.
+    #[test]
+    fn switch_transits_count_every_hop() {
+        use crate::engine::{tests::program_and_nfs, Engine, EngineConfig};
+        let chain = ["NAT", "Firewall", "LoadBalancer"];
+        let program = program_and_nfs(&chain).0.via_switch().unwrap();
+        // Every fourth packet hits a deny rule of the Firewall (NF 1).
+        let pkts = nfp_testkit::Traffic::clean(8, 96).deny(4, 7).build(120);
+        let mut e = SyncEngine::new(program.clone(), program_and_nfs(&chain).1, 64);
+        e.process_batch(pkts.clone());
+        let sync = e.record();
+        assert_eq!(sync.per_nf().unwrap(), [(120, 0), (120, 30), (90, 0)]);
+        let mut switch = vec![e.cx.stats_of(nfp_orchestrator::Stage::Switch).snapshot()];
+        for core_budget in [1, 2, chain.len() + 2] {
+            let config = EngineConfig {
+                core_budget,
+                ..EngineConfig::default()
+            };
+            let engine = Engine::new(program.clone(), program_and_nfs(&chain).1, config);
+            let report = engine.unwrap().run(pkts.clone());
+            assert_eq!(report.record(), sync, "budget {core_budget}");
+            switch.extend(report.stats.switch);
+        }
+        // Sync, then budgets 1, 2 and n + 2: n + 1 transits per delivered
+        // packet, k + 1 per packet dropped at NF k, each in and out.
+        let counted: Vec<_> = switch
+            .iter()
+            .map(|s| (s.packets_in, s.packets_out))
+            .collect();
+        assert_eq!(counted, [(90 * 4 + 30 * 2, 90 * 4 + 30 * 2); 4]);
     }
 
     #[test]

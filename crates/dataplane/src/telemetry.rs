@@ -391,6 +391,7 @@ pub fn stage_label(stage: Stage) -> String {
         Stage::Agent => "agent".to_string(),
         Stage::Merger(i) => format!("merger{i}"),
         Stage::Collector => "collector".to_string(),
+        Stage::Switch => "switch".to_string(),
     }
 }
 
@@ -466,6 +467,7 @@ impl Telemetry {
             Stage::Agent => Some(&self.agent),
             Stage::Merger(i) => self.mergers.get(i),
             Stage::Collector => Some(&self.collector),
+            Stage::Switch => None, // it only steers
         }
     }
 

@@ -42,6 +42,9 @@ pub enum Stage {
     Merger(usize),
     /// The output collector.
     Collector,
+    /// The centralized switch of a program sealed [`Program::via_switch`]:
+    /// every NF and collector hop passes through it.
+    Switch,
 }
 
 impl Stage {
@@ -70,15 +73,18 @@ pub struct WiringPlan {
     /// parallel segments). Merger instances are prepended at query time
     /// because their count is an engine-config choice.
     agent_next: Vec<Stage>,
+    /// Stages the switch forwards to; empty unless the program is switched.
+    switch: Vec<Stage>,
+}
+
+fn add(stage: Stage, out: &mut Vec<Stage>) {
+    if !out.contains(&stage) {
+        out.push(stage);
+    }
 }
 
 impl WiringPlan {
     fn from_tables(t: &GraphTables) -> Self {
-        fn add(stage: Stage, out: &mut Vec<Stage>) {
-            if !out.contains(&stage) {
-                out.push(stage);
-            }
-        }
         fn action_targets(actions: &[FtAction], out: &mut Vec<Stage>) {
             for a in actions {
                 match a {
@@ -115,7 +121,13 @@ impl WiringPlan {
             classifier,
             nfs,
             agent_next,
+            switch: Vec::new(),
         }
+    }
+
+    /// True when every hop goes through [`Stage::Switch`].
+    pub fn switched(&self) -> bool {
+        !self.switch.is_empty()
     }
 
     /// True when `self` and `other` describe the same ring mesh: the same
@@ -138,6 +150,7 @@ impl WiringPlan {
                 .zip(&other.nfs)
                 .all(|(a, b)| same_edge_set(a, b))
             && same_edge_set(&self.agent_next, &other.agent_next)
+            && same_edge_set(&self.switch, &other.switch)
     }
 
     /// The stages `from` delivers packet messages to, given `mergers`
@@ -156,6 +169,7 @@ impl WiringPlan {
                 }
                 out
             }
+            Stage::Switch => self.switch.clone(),
             // Merger instances return outcomes on typed rings; the
             // collector is a sink.
             Stage::Merger(_) | Stage::Collector => Vec::new(),
@@ -240,6 +254,12 @@ pub enum ProgramError {
         /// The offending segment.
         segment: usize,
     },
+    /// [`Program::via_switch`] met a parallel segment: a switch forwards
+    /// each packet to one next NF, so it has no copies to merge.
+    SwitchedParallelSegment {
+        /// The parallel segment.
+        segment: usize,
+    },
 }
 
 impl core::fmt::Display for ProgramError {
@@ -295,6 +315,9 @@ impl core::fmt::Display for ProgramError {
                 "segment {segment} does not fit {} bits of message tag",
                 tables::SEGMENT_BITS
             ),
+            ProgramError::SwitchedParallelSegment { segment } => {
+                write!(f, "segment {segment} is parallel: a switch cannot steer it")
+            }
         }
     }
 }
@@ -425,6 +448,27 @@ impl Program {
     /// closed loop can wedge on pool exhaustion.
     pub fn slots_per_packet(&self) -> usize {
         self.slots_per_packet
+    }
+
+    /// The same program with every classifier → NF, NF → NF and NF →
+    /// collector edge routed through one [`Stage::Switch`], OpenNetVM's
+    /// centralized steering: a chain of n NFs then costs n + 1 switch
+    /// transits per delivered packet. Refuses a program with a parallel
+    /// segment, which ONVM has no way to run.
+    pub fn via_switch(mut self) -> Result<Program, ProgramError> {
+        if let Some(spec) = self.tables.merge_specs.first() {
+            return Err(ProgramError::SwitchedParallelSegment {
+                segment: spec.segment,
+            });
+        }
+        let w = &mut self.wiring;
+        let hops = std::iter::once(&mut w.classifier).chain(&mut w.nfs);
+        for targets in hops.filter(|t| !t.is_empty()) {
+            for to in std::mem::replace(targets, vec![Stage::Switch]) {
+                add(to, &mut w.switch);
+            }
+        }
+        Ok(self)
     }
 }
 
@@ -953,6 +997,26 @@ mod tests {
         let p = Program::compile(&g, 1).unwrap();
         assert_eq!(p.slots_per_packet(), 1);
         assert!(p.tables().merge_specs.is_empty());
+    }
+
+    /// A switched program steers every hop through the switch, which
+    /// reaches each NF and the collector; a parallel segment is refused.
+    #[test]
+    fn via_switch_reroutes_every_hop_and_refuses_parallel_segments() {
+        let parallel = Program::compile(&graph(&["Monitor", "Firewall"]), 1).unwrap();
+        let segment = parallel.tables().merge_specs[0].segment;
+        let refused = parallel.via_switch().unwrap_err();
+        assert_eq!(refused, ProgramError::SwitchedParallelSegment { segment });
+        let plain = Program::compile(&graph(&["NAT", "LoadBalancer"]), 1).unwrap();
+        let switched = plain.via_switch().unwrap();
+        let w = switched.wiring();
+        for from in [Stage::Classifier, Stage::Nf(0), Stage::Nf(1)] {
+            assert_eq!(w.targets_of(from, 1), vec![Stage::Switch]);
+        }
+        let reached = w.targets_of(Stage::Switch, 1);
+        let want = [Stage::Nf(0), Stage::Nf(1), Stage::Collector];
+        assert!(w.switched() && reached.len() == 3, "{reached:?}");
+        assert!(want.iter().all(|s| reached.contains(s)), "{reached:?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use nfp_baseline::{OnvmPipeline, RunToCompletion};
 use nfp_dataplane::runtime::FailureKind;
 use nfp_dataplane::shard::partition_by_flow;
 use nfp_dataplane::{Engine, EngineConfig, EngineReport, NfFailure, ShardedEngine, SyncEngine};
-use nfp_io::{CollectEgress, DropCause, Ingress, PcapIngress, RunRecord, VecIngress};
+use nfp_io::{CollectEgress, Ingress, PcapIngress, RunRecord, VecIngress};
 use nfp_orchestrator::Program;
 use nfp_packet::flow::FlowKey;
 use nfp_packet::Packet;
@@ -32,8 +32,11 @@ pub enum Executor {
     /// [`Chain::rekeyed`]); each delivery is filed under its packet's
     /// ingress 5-tuple, the flow the engines' classifier stamps.
     Rtc,
-    /// ONVM's switch pipeline over the chain, one NF per thread. Its
-    /// deliveries carry no flow: it is held to the multiset level only.
+    /// ONVM: the chain's NFs in chain order as one switched sequential
+    /// program ([`OnvmPipeline::engine`]) on the threaded [`Engine`], one
+    /// NF per thread, keeping its packets (packet traces only). It is the
+    /// [`Executor::Engine`] arm on that engine, so its per-NF counters
+    /// are in chain order.
     Onvm,
     /// The deterministic [`SyncEngine`] over a pool of `pool` slots.
     Sync {
@@ -125,7 +128,6 @@ pub fn run<'a>(
 
 enum Arm {
     Rtc(RunToCompletion),
-    Onvm(OnvmPipeline),
     Sync(Box<SyncEngine>, Entry),
     Engine(Engine),
     Sharded(Box<ShardedEngine>),
@@ -172,7 +174,8 @@ impl Runner {
         let arm = match executor {
             Executor::Rtc => Arm::Rtc(RunToCompletion::new(nfs.build(&chain.order))),
             Executor::Onvm => {
-                Arm::Onvm(OnvmPipeline::new(nfs.build(&chain.order)).keep_packets(true))
+                keeps = true;
+                Arm::Engine(OnvmPipeline::engine(nfs.build(&chain.order), true))
             }
             Executor::Sync { entry, pool } => {
                 let e = SyncEngine::new(chain.program.clone(), nfs.build(&nodes), *pool);
@@ -221,15 +224,6 @@ impl Runner {
                     })
                 });
                 (out.collect(), rtc.record().since(&before))
-            }
-            Arm::Onvm(onvm) => {
-                let report = onvm.run(trace.packets());
-                let mut record = RunRecord::default();
-                (record.pulled, record.delivered) = (report.injected, report.delivered);
-                record.dropped = report.dropped;
-                // Its NFs' verdicts are the pipeline's only drops.
-                record.causes[DropCause::NfVerdict as usize] = report.dropped;
-                (report.packets.iter().map(Delivery::of).collect(), record)
             }
             Arm::Sync(e, entry) => {
                 let before = e.record();
@@ -342,18 +336,17 @@ impl Runner {
                 let epoch = self.report.as_ref().map_or(0, |r| r.epoch);
                 f.reconfigure(next(epoch)).map(drop)
             }
-            Arm::Rtc(_) | Arm::Onvm(_) => panic!("a sequential chain has no program"),
+            Arm::Rtc(_) => panic!("a sequential chain has no program"),
         }
         .unwrap();
     }
 
     /// Everything observed so far.
     pub fn outcome(&self) -> Outcome {
-        let engine = !matches!(self.arm, Arm::Rtc(_) | Arm::Onvm(_));
+        let engine = !matches!(self.arm, Arm::Rtc(_));
         let o = Outcome::recorded(self.delivered.clone(), &self.record, engine);
         let (state, failures) = match &self.arm {
             Arm::Rtc(rtc) => (Some(rtc.snapshot_state()), None),
-            Arm::Onvm(_) => (None, None),
             Arm::Sync(e, _) => (Some(e.export_flow_state()), Some(failures(&e.failures()))),
             Arm::Engine(e) => (Some(e.export_flow_state()), Some(failures(&self.failures))),
             Arm::Sharded(f) => (Some(f.export_flow_state()), Some(failures(&self.failures))),

@@ -21,21 +21,24 @@
 //!
 //! A [`Level`] says how much of the delivery sequence two runs must share.
 //! At every level both runs must also agree on the drop count and the
-//! admission reject count (0 for run-to-completion and ONVM) and, where
-//! both executors expose them, on the drop taxonomy, the copy and merge
+//! admission reject count (0 for run-to-completion) and, where both
+//! executors expose them, on the drop taxonomy, the copy and merge
 //! counts, the per-NF counters, every NF's per-flow state and the NF
-//! failures. Every engine (sync, threaded at any `core_budget`, sharded)
-//! exposes all of them, so per-NF counters are compared on each;
-//! run-to-completion and ONVM expose no taxonomy, copies, merges or
-//! per-NF counters, and ONVM no state.
+//! failures. Every engine (sync, threaded at any `core_budget`, sharded,
+//! and ONVM, which is a switched program on the threaded engine) exposes
+//! all of them, so per-NF counters are compared on each;
+//! run-to-completion exposes no taxonomy, copies, merges or per-NF
+//! counters.
 //!
 //! * **Byte order** ([`Level::ByteOrder`]): the same delivered frames in
 //!   the same order. It holds between the sync engine's entry points
 //!   (`process`, `process_batch`, `run_io` at any burst), between the sync
 //!   engine's `process` loop and run-to-completion, for the threaded
 //!   engine at `core_budget` 1 (one stage group: the sync engine's loop
-//!   behind a ring) or at window 1, and between each replica of a fleet
-//!   and a sync engine fed that replica's RSS partition.
+//!   behind a ring) or at window 1, for ONVM (every hop of a switched
+//!   chain is a FIFO ring) against run-to-completion, and between each
+//!   replica of a fleet and a sync engine fed that replica's RSS
+//!   partition.
 //! * **Per-flow order** ([`Level::PerFlow`]): the same multiset, and every
 //!   admission flow's frames in the same order. Cross-flow interleaving is
 //!   the one freedom threaded stage groups and sharded fleets take: every
@@ -43,16 +46,13 @@
 //!   order. It holds between the threaded engine (any `core_budget`, any
 //!   number of mergers) or a fleet and the sync engine or
 //!   run-to-completion.
-//! * **Multiset** ([`Level::Multiset`]): the same delivered frames in any
-//!   order: what ONVM's switch pipeline, one NF per thread, is held to
-//!   against run-to-completion.
 //!
-//! Run-to-completion and ONVM have no classifier and run their packets
-//! unstamped, as `perf` does. Run-to-completion files each delivery under
-//! its packet's ingress 5-tuple, the flow the classifier would stamp; a
-//! stateful NF behind an address or port rewrite keys its state by the
-//! rewritten tuple there, so a suite leaves [`Chain::rekeyed`]'s NFs out
-//! of a state comparison against it ([`Outcome::without_state_of`]).
+//! Run-to-completion has no classifier and runs its packets unstamped, as
+//! `perf` does. It files each delivery under its packet's ingress
+//! 5-tuple, the flow the classifier would stamp; a stateful NF behind an
+//! address or port rewrite keys its state by the rewritten tuple there, so
+//! a suite leaves [`Chain::rekeyed`]'s NFs out of a state comparison
+//! against it ([`Outcome::without_state_of`]).
 //!
 //! A threaded executor runs on the caller's configuration: packet traces
 //! need `keep_packets` on, captures need it off, so a replay through

@@ -49,8 +49,6 @@ pub enum Level {
     ByteOrder,
     /// The same frames, each admission flow's in the same order.
     PerFlow,
-    /// The same frames in any order.
-    Multiset,
 }
 
 /// Everything a run produced that another run must match. Fields an
@@ -63,7 +61,7 @@ pub struct Outcome {
     /// nor refused at admission.
     pub dropped: u64,
     /// Offered packets the classifier refused (pool exhausted, malformed
-    /// frame). Run-to-completion and ONVM have no admission: 0.
+    /// frame). Run-to-completion has no admission: 0.
     pub rejected: u64,
     /// The eight drop causes, in [`nfp_io::DropCause`] order: admission
     /// rejected and malformed, NF verdict, error and failed, merge
@@ -76,7 +74,7 @@ pub struct Outcome {
     /// than [`RunRecord::MAX_NFS`].
     pub per_nf: Option<Vec<(u64, u64)>>,
     /// Every NF's per-flow state, entries sorted, snapshots sorted by NF
-    /// name (a fleet's replicas merged). Not ONVM: its NFs stay private.
+    /// name (a fleet's replicas merged).
     pub state: Option<Vec<FlowSnapshot>>,
     /// NFs that failed, `(NodeId, how)`. Engines only.
     pub failures: Option<Vec<(usize, FailureKind)>>,
@@ -169,11 +167,9 @@ impl Outcome {
             );
             return mismatch("multiset", detail);
         }
-        if level != Level::Multiset {
-            let (got, want) = (self.by_flow(), reference.by_flow());
-            if let Some((flow, _)) = got.iter().find(|(flow, seq)| want.get(flow) != Some(seq)) {
-                return mismatch("per-flow order", format!("flow {flow:?}"));
-            }
+        let (got, want) = (self.by_flow(), reference.by_flow());
+        if let Some((flow, _)) = got.iter().find(|(flow, seq)| want.get(flow) != Some(seq)) {
+            return mismatch("per-flow order", format!("flow {flow:?}"));
         }
         if level == Level::ByteOrder {
             let mut pairs = self.delivered.iter().zip(&reference.delivered);
@@ -312,7 +308,6 @@ mod tests {
         assert_eq!(cross_flow.diff(&reference, Level::PerFlow), None);
         let mut within_flow = outcome();
         within_flow.delivered.swap(0, 2);
-        assert_eq!(within_flow.diff(&reference, Level::Multiset), None);
         let m = within_flow.diff(&reference, Level::PerFlow);
         assert_eq!(m.map(|m| m.field), Some("per-flow order"));
         // A field one side does not observe is not compared.

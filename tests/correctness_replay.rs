@@ -4,9 +4,11 @@
 //! sequential composition — including under traffic that triggers
 //! firewall denies and IDS alerts.
 //!
-//! The sync engine's `process()` loop is held to run-to-completion at the
-//! kit's byte order level; ONVM's switch pipeline, whose NFs complete in
-//! interleaved order, at the multiset level.
+//! The sync engine's `process()` loop and ONVM's switch pipeline (a
+//! switched sequential program on the threaded engine, one NF per thread)
+//! are both held to run-to-completion at the kit's byte order level, NF
+//! state included: every hop of a switched chain is a FIFO ring, so its
+//! threads cannot reorder packets.
 
 use nfp_testkit::{run, Chain, Entry, Executor, Level, Nfs, Traffic};
 
@@ -29,7 +31,7 @@ fn replay(order: &[&str], packets: usize) {
     let onvm = run(&Executor::Onvm, &chain, &nfs, &pkts);
     onvm.assert_matches(
         &sequential,
-        Level::Multiset,
+        Level::ByteOrder,
         format!("ONVM, chain {order:?}"),
     );
 }

@@ -122,7 +122,7 @@ fn assert_valid_walk(trace: &PacketTrace, nf_count: usize, mergers: usize) {
                 assert_eq!(i, 0, "pid {}: classifier hop not first", trace.pid)
             }
             Stage::Nf(id) => assert!(id < nf_count, "pid {}: NF {id} out of range", trace.pid),
-            Stage::Agent => {}
+            Stage::Agent | Stage::Switch => {}
             Stage::Merger(m) => assert!(m < mergers, "pid {}: merger {m} out of range", trace.pid),
             Stage::Collector => collector_seen = true,
         }
