@@ -345,16 +345,12 @@ pub struct SoakCounts {
 
 impl SoakCounts {
     /// Extract the counters from a finished threaded/sharded run. The
-    /// migration counters in a [`crate::shard::ShardedEngine`] report
-    /// are cumulative over the fleet's lifetime, so for a chunked run
-    /// take them from the *final* report only.
+    /// migration counters stay zero: a fleet's census comes from
+    /// [`crate::shard::ShardedEngine::migration`].
     pub fn from_report(report: &EngineReport) -> Self {
         Self {
             pool_in_use: report.pool_in_use as u64,
             epoch_completed: report.epochs.iter().map(|t| t.completed).sum(),
-            rescales: report.migration.rescales,
-            flows_exported: report.migration.flows_exported,
-            flows_imported: report.migration.flows_imported,
             ..Self::from_record(&report.record())
         }
     }

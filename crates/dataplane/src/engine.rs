@@ -22,9 +22,10 @@
 //!   then notifies once and drains the delivery ring once. Dispatchers
 //!   publish what they finished once per stage burst, so the injector may
 //!   see it late — never early: the window stays a hard bound.
-//! * **Adaptive idling, by the clock** ([`EngineConfig::idle_policy`]):
-//!   spin → yield → park on the time since a thread's last progress, so a
-//!   steady closed loop pays no futex wake and an idle engine burns no core.
+//! * **Adaptive idling, by the clock**, one rule for every thread
+//!   (`crate::exec::IdleBounds`): spin 20 µs → yield 80 µs → park up to
+//!   200 µs on the time since a thread's last progress, so a steady closed
+//!   loop pays no futex wake and an idle engine burns no core.
 //! * **Deliveries leave as they complete** over a ring back to the calling
 //!   thread — into the report or straight to the [`Egress`] — so a run
 //!   holds a window of packets, not its length.
@@ -39,7 +40,7 @@
 use crate::audit::ProbeGauges;
 use crate::classifier::AdmitError;
 use crate::dispatch::{Clock, Dispatcher, Layout, Rings, Runtime, Shared, BURST};
-use crate::exec::{CachePadded, Idler, WakeHub};
+use crate::exec::{CachePadded, IdleBounds, Idler, WakeHub};
 use crate::ring::{self, Consumer, Producer};
 use crate::runtime::{FailureKind, NfRuntime};
 use crate::shard::shard_of;
@@ -96,11 +97,6 @@ pub struct EngineConfig {
     /// Empty (the default) disables pinning. Every listed CPU must be
     /// below [`host_parallelism`](crate::exec::host_parallelism).
     pub pin_cpus: Vec<usize>,
-    /// What a thread of the run (stage group or injector) does when a
-    /// pass makes no progress — see [`IdlePolicy`](crate::exec::IdlePolicy).
-    /// The default backs off spin → yield → park on the time since the
-    /// thread's last progress.
-    pub idle_policy: crate::exec::IdlePolicy,
     /// Live audit probe: when set, every run registers a gauge slot on
     /// it and publishes injected/delivered/dropped/pool/epoch counters
     /// from the injector loop, so a [`crate::audit`] auditor thread can
@@ -125,7 +121,6 @@ impl Default for EngineConfig {
             telemetry: TelemetryConfig::default(),
             core_budget: crate::exec::host_parallelism().max(2),
             pin_cpus: Vec::new(),
-            idle_policy: crate::exec::IdlePolicy::default(),
             probe: None,
             io_burst: 32,
         }
@@ -171,9 +166,6 @@ pub enum EngineError {
         /// CPUs actually available on this host.
         host: usize,
     },
-    /// The idle policy's `park_timeout` was zero: a parked thread could
-    /// miss non-notifying progress (pool releases) forever.
-    ZeroParkTimeout,
 }
 
 impl core::fmt::Display for EngineError {
@@ -201,9 +193,6 @@ impl core::fmt::Display for EngineError {
             }
             EngineError::PinCpuOutOfRange { cpu, host } => {
                 write!(f, "pin_cpus names cpu {cpu} but the host has {host}")
-            }
-            EngineError::ZeroParkTimeout => {
-                write!(f, "idle_policy park_timeout must be non-zero")
             }
         }
     }
@@ -282,10 +271,6 @@ pub struct EngineReport {
     /// (p50/p90/p99/max via [`TelemetrySnapshot::stage`]) and sampled
     /// trace timelines. Empty histograms when telemetry is disabled.
     pub telemetry: TelemetrySnapshot,
-    /// Flow-state migration census over the reporting engine's lifetime.
-    /// Always zero for a lone [`Engine`] (nothing to migrate); a
-    /// [`crate::shard::ShardedEngine`] fills in its rescale history.
-    pub(crate) migration: MigrationStats,
     /// Times a thread of this run (injector or stage group) went to
     /// sleep on the engine's `WakeHub` (`WakeHub::parks`).
     pub parks: u64,
@@ -520,6 +505,7 @@ impl Injector<'_, '_> {
 /// [`Shared`] state.
 struct GroupCtl<'a> {
     config: &'a EngineConfig,
+    idle: IdleBounds,
     hub: WakeHub,
     /// Two-phase shutdown. `stop` ends injection (the intake is done once
     /// its ring drains). `quiesce` releases the groups — it is raised only
@@ -538,7 +524,7 @@ struct GroupCtl<'a> {
 
 /// A stage group's thread: drive `dispatcher` over its replica's `cx`
 /// (and the classifier's `intake`, for the group that holds it) until the
-/// run quiesces, idling per the engine's policy on no-progress passes.
+/// run quiesces, idling by the engine's `IdleBounds` on no-progress passes.
 /// `g` numbers the group across the replicas. The collector's group gets
 /// `deliver`, the ring delivered packets go back on, when the caller wants
 /// them; a full ring leaves them in a local backlog for the next pass,
@@ -555,7 +541,7 @@ fn drive_group(
     if !config.pin_cpus.is_empty() {
         crate::exec::pin_current_thread(config.pin_cpus[g % config.pin_cpus.len()]);
     }
-    let mut idler = Idler::new(&ctl.hub, config.idle_policy);
+    let mut idler = Idler::new(&ctl.hub, ctl.idle);
     let mut stamps: Vec<Stamp> = Vec::new();
     let mut backlog: VecDeque<Packet> = VecDeque::new();
     loop {
@@ -672,6 +658,9 @@ pub struct Engine {
     replicas: Vec<Vec<Box<dyn NetworkFunction>>>,
     /// Every replica's configuration (pool, window, core budget).
     config: EngineConfig,
+    /// How every thread of a run idles: [`IdleBounds::DEFAULT`] except in
+    /// the crate's own tests, which park eagerly.
+    pub(crate) idle: IdleBounds,
 }
 
 impl Engine {
@@ -709,11 +698,6 @@ impl Engine {
         if let Some(&cpu) = config.pin_cpus.iter().find(|&&cpu| cpu >= host) {
             return Err(EngineError::PinCpuOutOfRange { cpu, host });
         }
-        if let crate::exec::IdlePolicy::Backoff { park_timeout, .. } = config.idle_policy {
-            if park_timeout.is_zero() {
-                return Err(EngineError::ZeroParkTimeout);
-            }
-        }
         let slots = program.slots_per_packet();
         let required = config.max_in_flight.max(1) * slots;
         if config.pool_size < required {
@@ -728,6 +712,7 @@ impl Engine {
             handle: Arc::new(ProgramHandle::new(program)),
             replicas,
             config,
+            idle: IdleBounds::DEFAULT,
         })
     }
 
@@ -939,6 +924,7 @@ impl Engine {
         let started = Instant::now();
         let ctl = GroupCtl {
             config,
+            idle: self.idle,
             hub: WakeHub::new(),
             stop: AtomicBool::new(false),
             quiesce: AtomicBool::new(false),
@@ -1075,7 +1061,7 @@ impl Engine {
             // running; any group's progress notifies the hub and wakes us).
             // Every wait publishes the gauges and takes deliveries off
             // their rings first, and only idles when there were none.
-            let mut idler = Idler::new(hub, config.idle_policy);
+            let mut idler = Idler::new(hub, ctl.idle);
             let mut idle_step =
                 |inj: &mut Injector, idler: &mut Idler, ready: &dyn Fn(&[Lane]) -> bool| {
                     check_stall();
@@ -1606,7 +1592,7 @@ pub(crate) mod tests {
         // sides of the comparison in the error.
         let host = crate::exec::host_parallelism();
         let err = Engine::new(
-            program.clone(),
+            program,
             nfs(),
             EngineConfig {
                 pin_cpus: vec![0, host + 7],
@@ -1622,31 +1608,64 @@ pub(crate) mod tests {
                 host
             }
         );
-        // A zero park timeout could sleep through non-notifying progress.
-        let err = Engine::new(
-            program.clone(),
-            nfs(),
-            EngineConfig {
-                idle_policy: crate::exec::IdlePolicy::Backoff {
-                    spin: Duration::from_micros(4),
-                    yields: Duration::from_micros(4),
-                    park_timeout: Duration::ZERO,
-                },
-                ..EngineConfig::default()
-            },
-        )
-        .map(|_| ())
-        .unwrap_err();
-        assert_eq!(err, EngineError::ZeroParkTimeout);
-        // The pure-spin policy has no park and needs no timeout.
-        assert!(Engine::new(
-            program,
-            nfs(),
-            EngineConfig {
-                idle_policy: crate::exec::IdlePolicy::Spin,
-                ..EngineConfig::default()
-            },
-        )
-        .is_ok());
+    }
+
+    /// Monitor→Firewall at window 8 over two threads, the Firewall
+    /// sleeping 80 ms on its 20th packet: the stall blocks the front
+    /// section while the back section (agent, merger, collector) goes
+    /// idle. Runs 16 flows of 200 B, every fifth packet denied, × 120.
+    fn stalled_firewall_run(idle: IdleBounds) -> EngineReport {
+        let (program, nfs) = program_and_nfs(&["Monitor", "Firewall"]);
+        let nfs = nfs.into_iter().map(|nf| match nf.name() {
+            "Firewall" => Box::new(nfp_nf::chaos::StallOnce::new(
+                nf,
+                20,
+                Duration::from_millis(80),
+            )) as Box<dyn NetworkFunction>,
+            _ => nf,
+        });
+        let config = EngineConfig {
+            max_in_flight: 8,
+            core_budget: 2,
+            stall_timeout: Duration::from_secs(30),
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(program, nfs.collect(), config).unwrap();
+        engine.idle = idle;
+        engine.run(nfp_testkit::Traffic::clean(16, 200).deny(5, 1).build(120))
+    }
+
+    /// A parked engine must stay live: with bounds that park almost
+    /// immediately for up to a second — far longer than the stall, so
+    /// delivery depends on the wakeup protocol rather than the timeout —
+    /// a mid-run stall sends every downstream stage thread to sleep, and
+    /// the late burst the stalled NF finally emits must still wake them
+    /// and be delivered in full. A lost wakeup here shows up as a
+    /// multi-second run (every ring crossing waits out a full park) or a
+    /// hang.
+    #[test]
+    fn parked_engine_wakes_for_late_burst() {
+        let report = stalled_firewall_run(IdleBounds {
+            spin: Duration::from_nanos(1),
+            yields: Duration::from_nanos(1),
+            park: Duration::from_secs(1),
+        });
+        assert_eq!(report.delivered + report.dropped, 120);
+        assert!(
+            report.elapsed < Duration::from_secs(5),
+            "late-burst delivery took {:?}: parked threads likely missed a wakeup",
+            report.elapsed
+        );
+    }
+
+    /// An idle engine burns no core: under the default bounds, the
+    /// threads left waiting out an 80 ms stall park, and the run still
+    /// accounts for every packet and returns every pool slot.
+    #[test]
+    fn stalled_engine_parks_at_default_bounds() {
+        let report = stalled_firewall_run(IdleBounds::DEFAULT);
+        assert!(report.parks > 0, "no thread parked through an 80 ms stall");
+        assert_eq!(report.delivered + report.dropped, 120);
+        assert_eq!(report.pool_in_use, 0);
     }
 }

@@ -10,10 +10,10 @@
 //! * `plan_pipeline_groups` / `plan_switched_groups` — partition the
 //!   stages into at most `core_budget` contiguous groups, one OS thread
 //!   (and one `crate::dispatch` dispatcher) per group;
-//! * [`IdlePolicy`] / `Idler` / `WakeHub` — the shared spin → yield
-//!   → park backoff, timed by the clock since a thread's last progress,
-//!   with an eventcount so ring producers can wake parked consumers
-//!   without a lost-wakeup window;
+//! * `IdleBounds` / `Idler` / `WakeHub` — the one spin → yield → park
+//!   rule every engine thread idles by (20 / 80 / 200 µs), timed by the
+//!   clock since a thread's last progress, with an eventcount so ring
+//!   producers can wake parked consumers without a lost-wakeup window;
 //! * `CachePadded` — 64-byte alignment wrapper used by the
 //!   false-sharing audit (ring indices, stage stats, histograms);
 //! * [`host_parallelism`] / [`pin_current_thread`] — placement helpers.
@@ -51,48 +51,32 @@ impl<T> DerefMut for CachePadded<T> {
     }
 }
 
-/// What an engine thread does when a scheduling pass makes no progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdlePolicy {
-    /// Always `yield_now` — the pre-refactor behaviour, kept for A/B
-    /// benchmarking. Burns a core while idle.
-    Spin,
-    /// Escalating backoff, by the clock: a thread that has made no
-    /// progress for less than `spin` polls on with `spin_loop` hints, for
-    /// the next `yields` it hands the CPU over with `yield_now` between
-    /// polls, and after that it parks on the engine's `WakeHub` for at
-    /// most `park_timeout` per pass.
-    ///
-    /// The bounds are wall-clock time since the thread's last progress,
-    /// not pass counts, because the threads that share a policy do not
-    /// share a pass length: an idle injector pass is a pair of loads, an
-    /// idle stage-group pass polls every stage. Whoever parks makes the
-    /// thread on the other side of the ring pay a futex wake, so
-    /// `spin + yields` should exceed the time the other side needs to
-    /// serve one burst (DESIGN.md §11); near-zero values park almost at
-    /// once.
-    Backoff {
-        /// How long after its last progress a thread polls without
-        /// giving up the CPU.
-        spin: Duration,
-        /// How long after that it keeps polling, yielding the CPU
-        /// between polls, before it parks.
-        yields: Duration,
-        /// Upper bound on a single park; bounds any wakeup race and
-        /// keeps watchdog checks running. Must be non-zero.
-        park_timeout: Duration,
-    },
+/// The one idle rule of every engine thread (stage group or injector), in
+/// wall-clock time since the thread's last progress: poll with
+/// `spin_loop` hints for `spin`, then with a `yield_now` between polls for
+/// `yields`, then park on the engine's `WakeHub` for at most `park` per
+/// pass. A clock, not a pass count: an idle injector pass is two loads, an
+/// idle group pass polls every stage (DESIGN.md §11).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IdleBounds {
+    pub(crate) spin: Duration,
+    pub(crate) yields: Duration,
+    /// Bounds any wakeup race and keeps watchdog checks running.
+    pub(crate) park: Duration,
 }
 
-impl Default for IdlePolicy {
-    fn default() -> Self {
-        IdlePolicy::Backoff {
-            spin: Duration::from_micros(20),
-            yields: Duration::from_micros(80),
-            park_timeout: Duration::from_micros(200),
-        }
-    }
+impl IdleBounds {
+    /// The bounds every engine runs with.
+    pub(crate) const DEFAULT: IdleBounds = IdleBounds {
+        spin: Duration::from_micros(20),
+        yields: Duration::from_micros(80),
+        park: Duration::from_micros(200),
+    };
 }
+
+// A zero park could sleep through progress that does not notify the hub,
+// such as pool releases, and never look again.
+const _: () = assert!(!IdleBounds::DEFAULT.park.is_zero());
 
 /// Eventcount used to park idle engine threads and wake them when a
 /// producer makes progress. Its slow paths count themselves
@@ -109,8 +93,9 @@ impl Default for IdlePolicy {
 ///
 /// Either the waiter sees the bumped generation and skips the sleep,
 /// or the notifier sees the registered sleeper and broadcasts under
-/// the same mutex the waiter sleeps on. The bounded `park_timeout`
-/// additionally covers paths that do not notify (e.g. pool releases).
+/// the same mutex the waiter sleeps on. The bounded park
+/// (`IdleBounds::park`) additionally covers paths that do not notify
+/// (e.g. pool releases).
 #[derive(Debug, Default)]
 pub(crate) struct WakeHub {
     generation: AtomicU64,
@@ -173,12 +158,12 @@ impl WakeHub {
     }
 }
 
-/// Per-thread idle state machine driving an [`IdlePolicy`] against a
+/// Per-thread idle state machine driving the [`IdleBounds`] against a
 /// shared [`WakeHub`].
 #[derive(Debug)]
 pub(crate) struct Idler<'a> {
     hub: &'a WakeHub,
-    policy: IdlePolicy,
+    bounds: IdleBounds,
     /// When the current no-progress streak was first noticed; `None`
     /// right after progress, so a productive pass never reads the clock.
     since: Option<Instant>,
@@ -186,10 +171,10 @@ pub(crate) struct Idler<'a> {
 
 impl<'a> Idler<'a> {
     /// New idler in the "just made progress" state.
-    pub(crate) fn new(hub: &'a WakeHub, policy: IdlePolicy) -> Self {
+    pub(crate) fn new(hub: &'a WakeHub, bounds: IdleBounds) -> Self {
         Idler {
             hub,
-            policy,
+            bounds,
             since: None,
         }
     }
@@ -200,27 +185,19 @@ impl<'a> Idler<'a> {
     }
 
     /// Call after a pass that made no progress. Spins, yields or parks
-    /// according to the policy and how long the no-progress streak has
-    /// lasted. `ready` is the caller's "work is visible" predicate,
-    /// re-checked race-free before any park.
+    /// according to how long the no-progress streak has lasted. `ready`
+    /// is the caller's "work is visible" predicate, re-checked race-free
+    /// before any park.
     pub(crate) fn idle(&mut self, ready: impl Fn() -> bool) {
-        match self.policy {
-            IdlePolicy::Spin => std::thread::yield_now(),
-            IdlePolicy::Backoff {
-                spin,
-                yields,
-                park_timeout,
-            } => {
-                let now = Instant::now();
-                let waited = now.duration_since(*self.since.get_or_insert(now));
-                if waited < spin {
-                    std::hint::spin_loop();
-                } else if waited < spin + yields {
-                    std::thread::yield_now();
-                } else {
-                    self.hub.park(park_timeout, ready);
-                }
-            }
+        let IdleBounds { spin, yields, park } = self.bounds;
+        let now = Instant::now();
+        let waited = now.duration_since(*self.since.get_or_insert(now));
+        if waited < spin {
+            std::hint::spin_loop();
+        } else if waited < spin + yields {
+            std::thread::yield_now();
+        } else {
+            self.hub.park(park, ready);
         }
     }
 }
@@ -470,16 +447,16 @@ mod tests {
     #[test]
     fn ping_pong_handoffs_lose_no_wakeup() {
         const HANDOFFS: u64 = 2_000;
-        let policy = IdlePolicy::Backoff {
+        let bounds = IdleBounds {
             spin: Duration::from_nanos(1),
             yields: Duration::from_nanos(1),
-            park_timeout: Duration::from_secs(2),
+            park: Duration::from_secs(2),
         };
         let hub = WakeHub::new();
         let turn = AtomicU64::new(0);
         // Player `me` moves whenever `turn % 2 == me`.
         let play = |me: u64| {
-            let mut idler = Idler::new(&hub, policy);
+            let mut idler = Idler::new(&hub, bounds);
             loop {
                 let t = turn.load(Ordering::Acquire);
                 if t >= HANDOFFS {
@@ -514,10 +491,10 @@ mod tests {
         let hub = WakeHub::new();
         let mut idler = Idler::new(
             &hub,
-            IdlePolicy::Backoff {
+            IdleBounds {
                 spin: Duration::from_millis(200),
                 yields: Duration::from_millis(200),
-                park_timeout: Duration::from_millis(5),
+                park: Duration::from_millis(5),
             },
         );
         // First four no-progress passes must not park (fast).

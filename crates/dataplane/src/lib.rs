@@ -33,9 +33,9 @@
 //!   stages, each group on its own thread, SPSC rings on the edges the
 //!   grouping cuts (DESIGN.md §11).
 //! * [`exec`] — the threading model: core budgets and stage grouping
-//!   (`exec::plan_pipeline_groups`), the spin→yield→park idle strategy
-//!   ([`exec::IdlePolicy`], `exec::WakeHub`), optional core pinning,
-//!   and the `exec::CachePadded` false-sharing guard.
+//!   (`exec::plan_pipeline_groups`), the one spin→yield→park idle rule
+//!   (`exec::IdleBounds`, `exec::WakeHub`), optional core pinning, and
+//!   the `exec::CachePadded` false-sharing guard.
 //! * [`swap`] — epoch-based live reconfiguration: the swappable
 //!   [`swap::ProgramHandle`] every stage hangs off, per-burst epoch
 //!   pinning, drain/retire accounting, and the per-stage

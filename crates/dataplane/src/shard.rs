@@ -87,7 +87,7 @@ pub struct ShardedEngine {
     /// Fleet-level config (total pool and core budgets, re-partitioned
     /// on every shard-count change).
     config: EngineConfig,
-    /// Lifetime migration census, surfaced in every run's report.
+    /// Lifetime migration census ([`ShardedEngine::migration`]).
     migration: MigrationStats,
 }
 
@@ -205,8 +205,7 @@ impl ShardedEngine {
         })
     }
 
-    /// The fleet's lifetime migration census (also carried in every
-    /// [`ShardedEngine::run`] report).
+    /// The fleet's lifetime migration census.
     pub fn migration(&self) -> MigrationStats {
         self.migration
     }
@@ -220,13 +219,9 @@ impl ShardedEngine {
 
     /// Run the fleet over `packets` ([`Engine::run`]): one report, whose
     /// `elapsed` is the wall-clock of the whole run (so
-    /// [`EngineReport::pps`] reflects actual scale-out) and which carries
-    /// the migration census.
+    /// [`EngineReport::pps`] reflects actual scale-out).
     pub fn run(&mut self, packets: Vec<Packet>) -> EngineReport {
-        EngineReport {
-            migration: self.migration,
-            ..self.engine.run(packets)
-        }
+        self.engine.run(packets)
     }
 
     /// Stream a pluggable [`Ingress`] through the fleet ([`Engine::run_io`]):
@@ -237,12 +232,7 @@ impl ShardedEngine {
         ingress: &mut dyn Ingress,
         egress: &mut dyn Egress,
     ) -> Result<(EngineReport, RunRecord), IoError> {
-        let (report, io) = self.engine.run_io(ingress, egress)?;
-        let report = EngineReport {
-            migration: self.migration,
-            ..report
-        };
-        Ok((report, io))
+        self.engine.run_io(ingress, egress)
     }
 
     /// Like [`ShardedEngine::run`] but with one report per shard, in
@@ -466,6 +456,62 @@ mod tests {
         assert_eq!(report.pool_in_use, 0);
     }
 
+    /// With bounds that park almost at once, every thread of a fleet
+    /// sleeps between bursts, so each hand-off rides the wakeup protocol
+    /// under one injector and shards × budget stage threads. Every shard
+    /// still delivers, byte for byte and in order, what a `SyncEngine`
+    /// fed that shard's `partition_by_flow` sub-stream delivers.
+    #[test]
+    fn eagerly_parked_fleet_equals_per_shard_sync_reference() {
+        use crate::sync_engine::SyncEngine;
+        let eager = crate::exec::IdleBounds {
+            spin: Duration::from_nanos(1),
+            yields: Duration::from_nanos(1),
+            park: Duration::from_millis(5),
+        };
+        let pkts = nfp_testkit::Traffic::clean(12, 160).deny(3, 1).build(48);
+        let chains: [&'static [&'static str]; 2] = [
+            &["Monitor", "Firewall", "LoadBalancer"],
+            &["NAT", "Firewall"],
+        ];
+        for chain in chains {
+            for shards in 1..=3 {
+                for core_budget in [shards, 2 * shards] {
+                    let config = EngineConfig {
+                        max_in_flight: 4,
+                        pool_size: shards * 64,
+                        core_budget,
+                        keep_packets: true,
+                        ..EngineConfig::default()
+                    };
+                    let program = program_and_nfs(chain).0;
+                    let make_nfs = move || program_and_nfs(chain).1;
+                    let mut fleet =
+                        ShardedEngine::new(&program, make_nfs, &config, shards).unwrap();
+                    fleet.engine.idle = eager;
+                    let replicas = fleet.run_per_shard(pkts.clone());
+                    assert!(replicas.iter().any(|r| r.parks > 0), "no thread parked");
+                    let parts = partition_by_flow(pkts.clone(), shards);
+                    for (s, (replica, part)) in replicas.iter().zip(parts).enumerate() {
+                        let (program, nfs) = program_and_nfs(chain);
+                        let mut sync = SyncEngine::new(program, nfs, 64);
+                        let expected: Vec<Vec<u8>> = part
+                            .into_iter()
+                            .filter_map(|p| sync.process(p).ok()?.delivered())
+                            .map(|p| p.data().to_vec())
+                            .collect();
+                        let got: Vec<Vec<u8>> =
+                            replica.packets.iter().map(|p| p.data().to_vec()).collect();
+                        assert_eq!(
+                            got, expected,
+                            "shard {s} of {shards}, budget {core_budget}, chain {chain:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn rescale_migrates_flow_state_losslessly() {
         let program = firewall_program();
@@ -482,7 +528,7 @@ mod tests {
         let batch = traffic(120, 12);
         let report = sharded.run(batch.clone());
         assert_eq!(report.delivered + report.dropped, 120);
-        assert_eq!(report.migration, MigrationStats::default());
+        assert_eq!(sharded.migration(), MigrationStats::default());
 
         // The Monitor (node 0) tracked all 12 flows across the fleet.
         let before = sharded.export_flow_state();
@@ -516,9 +562,9 @@ mod tests {
         let census = sharded.migration();
         assert_eq!(census.rescales, 2);
         assert!(census.balanced());
-        // The run report carries the lifetime census.
-        let report = sharded.run(traffic(10, 12));
-        assert_eq!(report.migration, census);
+        // A run leaves the lifetime census as it stands.
+        sharded.run(traffic(10, 12));
+        assert_eq!(sharded.migration(), census);
     }
 
     /// Satellite of the partition-binding contract: every replica built

@@ -12,11 +12,9 @@
 //! never any per-flow byte.
 
 use nfp_core::prelude::*;
-use nfp_dataplane::exec::IdlePolicy;
 use nfp_dataplane::shard::partition_by_flow;
 use nfp_testkit::{chains, run, Chain, Entry, Executor, Level, Nfs, Runner, Traffic};
 use proptest::prelude::*;
-use std::time::Duration;
 
 /// Deterministic NFs only — replayable against the sync reference. The
 /// stateful ones (Monitor, LoadBalancer, NAT, IDS) key their flow
@@ -47,7 +45,6 @@ proptest! {
         malicious in any::<bool>(),
         mergers in 1usize..=2,
         core_budget in 1usize..=4,
-        aggressive_park in any::<bool>(),
     ) {
         let chain = Chain::new(&chain);
         let traffic = Traffic::clean(flows, 160)
@@ -62,19 +59,10 @@ proptest! {
                 pool_size: shards * 64,
                 // Exercise the whole coalescing spectrum — from every
                 // shard fully coalesced onto one thread up to the
-                // pipeline-split plan — and both idle extremes: an
-                // almost-immediately-parking backoff stresses the wakeup
-                // protocol, pure spin reproduces the pre-refactor loop.
+                // pipeline-split plan. The eagerly parking fleet is
+                // `nfp-dataplane`'s `shard::tests::
+                // eagerly_parked_fleet_equals_per_shard_sync_reference`.
                 core_budget: core_budget * shards,
-                idle_policy: if aggressive_park {
-                    IdlePolicy::Backoff {
-                        spin: Duration::from_nanos(1),
-                        yields: Duration::from_nanos(1),
-                        park_timeout: Duration::from_millis(5),
-                    }
-                } else {
-                    IdlePolicy::Spin
-                },
                 keep_packets: true,
                 ..EngineConfig::default()
             },

@@ -4,12 +4,9 @@
 //! 1, or a window of one) is held at the kit's byte order level, every
 //! other grouping at per-flow order.
 
-use nfp_core::nf::chaos::StallOnce;
 use nfp_core::prelude::*;
 use nfp_dataplane::audit::EngineProbe;
-use nfp_dataplane::exec::IdlePolicy;
 use nfp_testkit::{run, Chain, Entry, Executor, Level, Nfs, Outcome, Runner, Traffic};
-use std::time::Duration;
 
 /// 16 flows of 200 B, every fifth packet denied by the firewall.
 fn deny_mix() -> Traffic {
@@ -106,43 +103,6 @@ fn engine_rerun_accumulates() {
     });
     assert_eq!(reports[0].0 + reports[1].0, 100);
     assert_eq!(reports[0].1 + reports[1].1, 100);
-}
-
-/// A parked engine must stay live: with an idle policy that parks almost
-/// immediately and a long park timeout, a mid-run stall sends every
-/// downstream stage thread to sleep — and the late burst the stalled NF
-/// finally emits must still wake them and be delivered in full. A lost
-/// wakeup here shows up as a multi-second run (every ring crossing waits
-/// out a full park timeout) or a hang.
-#[test]
-fn parked_engine_wakes_for_late_burst() {
-    let nfs = Nfs::wrapping("Firewall", |nf| {
-        Box::new(StallOnce::new(nf, 20, Duration::from_millis(80)))
-    });
-    let config = EngineConfig {
-        max_in_flight: 8,
-        // Park after two no-progress passes, for up to a second — far
-        // longer than the stall, so delivery depends on the wakeup
-        // protocol rather than the timeout.
-        idle_policy: IdlePolicy::Backoff {
-            spin: Duration::from_nanos(1),
-            yields: Duration::from_nanos(1),
-            park_timeout: Duration::from_secs(1),
-        },
-        // Two threads: the stalled NF blocks the front section while
-        // the back section (agent, merger, collector) goes idle.
-        core_budget: 2,
-        stall_timeout: Duration::from_secs(30),
-        ..EngineConfig::default()
-    };
-    let chain = Chain::new(&["Monitor", "Firewall"]);
-    let report = engine(&chain, &nfs, config).run(deny_mix().build(120));
-    assert_eq!(report.delivered + report.dropped, 120);
-    assert!(
-        report.elapsed < Duration::from_secs(5),
-        "late-burst delivery took {:?}: parked threads likely missed a wakeup",
-        report.elapsed
-    );
 }
 
 /// The seed graphs of the paper's evaluation: east-west (`IDS ->
